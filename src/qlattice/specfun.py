@@ -190,31 +190,66 @@ def dilog_product(z: np.ndarray, mp: ModularParam, tol: float = 1e-18,
     """Vectorized product form of phi, valid for Im b^2 > 0.
 
     phi(z) = prod_{m>=0} (1 + q^{2m+1} e^{2 pi z b}) / (1 + q~^{2m+1} e^{2 pi z / b}).
+
+    Numerator and denominator are accumulated as running complex products,
+    one multiply-add per term and point.  Each side stops at the first term
+    whose bound |q^{2m+1}| max|e^{2 pi z b}| (resp. the q~ side) is at most
+    tol, and raises AccuracyError if max_terms terms leave it above tol.
+    A side whose accumulated bound sum log(1 + |term|) would pass
+    _FOLD_LOG is folded into a log part first, so no product can overflow.
     """
     mp.require_series_domain()
     z = np.asarray(z, dtype=complex)
-    qsq = mp.q * mp.q
-    qtsq = mp.q_tilde * mp.q_tilde
-    eb = np.exp(_TWO_PI * z * mp.b)
-    ei = np.exp(_TWO_PI * z / mp.b)
-    log_phi = np.zeros_like(z)
-    fac_n = complex(mp.q)
-    fac_d = complex(mp.q_tilde)
-    scale_n = float(np.max(np.abs(eb))) if eb.size else 0.0
-    scale_d = float(np.max(np.abs(ei))) if ei.size else 0.0
-    for _ in range(max_terms):
-        done = True
-        if abs(fac_n) * scale_n > tol:
-            log_phi += np.log1p(fac_n * eb)
-            fac_n *= qsq
-            done = False
-        if abs(fac_d) * scale_d > tol:
-            log_phi -= np.log1p(fac_d * ei)
-            fac_d *= qtsq
-            done = False
-        if done:
-            break
+    num, log_num = _running_product(np.exp(_TWO_PI * z * mp.b), complex(mp.q),
+                                    mp.q * mp.q, tol, max_terms)
+    den, log_den = _running_product(np.exp(_TWO_PI * z / mp.b), complex(mp.q_tilde),
+                                    mp.q_tilde * mp.q_tilde, tol, max_terms)
+    num /= den
+    if log_num is None and log_den is None:
+        return num
+    log_phi = np.log(num)
+    if log_num is not None:
+        log_phi += log_num
+    if log_den is not None:
+        log_phi -= log_den
     return np.exp(log_phi)
+
+
+# a running product is folded into logs before its magnitude bound passes
+# e^_FOLD_LOG, well inside the double range (e^709)
+_FOLD_LOG = 600.0
+
+
+def _running_product(x: np.ndarray, fac: complex, ratio: complex, tol: float,
+                     max_terms: int):
+    """prod_{m>=0} (1 + fac ratio^m x) for |ratio| < 1, as (prod, log_part).
+
+    The value is prod * exp(log_part); log_part is None unless a fold
+    happened.  The product stops at the first m with |fac ratio^m| max|x|
+    at most tol.
+    """
+    scale = float(np.max(np.abs(x))) if x.size else 0.0
+    prod = np.ones_like(x)
+    tmp = np.empty_like(x)
+    log_part = None
+    block = 0.0
+    terms = 0
+    while (bound := abs(fac) * scale) > tol:
+        if terms == max_terms:
+            raise AccuracyError(
+                "phi product not converged after %d terms" % max_terms, achieved=bound)
+        step = math.log1p(bound)
+        if block + step > _FOLD_LOG:
+            log_part = np.log(prod) if log_part is None else log_part + np.log(prod)
+            prod.fill(1.0)
+            block = 0.0
+        block += step
+        np.multiply(x, fac, out=tmp)
+        tmp += 1.0
+        prod *= tmp
+        fac *= ratio
+        terms += 1
+    return prod, log_part
 
 
 def _dilog_quadrature(z: complex, mp: ModularParam, tol: float = 1e-12) -> complex:
@@ -347,8 +382,7 @@ def psi22_quadrature_batch(c1, c2, c3, c4, c0, mp: ModularParam,
         f = integrand(z)
         cur = span * np.tensordot(weights, f, axes=(0, 0))
         scale = np.max(np.abs(cur)) + 1e-300
-        edge = max(np.max(np.abs(integrand(np.array([-span])))),
-                   np.max(np.abs(integrand(np.array([span])))))
+        edge = np.max(np.abs(integrand(np.array([-span, span]))))
         if edge * span > 1e-10 * scale:
             span *= 1.5
             prev = None

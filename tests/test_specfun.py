@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from qlattice.errors import DomainError, PoleProximityError
+from qlattice.errors import AccuracyError, DomainError, PoleProximityError
 from qlattice import specfun as sf
 
 B_TEST = sf.ModularParam(0.8 * cmath.exp(1j * math.pi / 40))
+B_WIDE = sf.ModularParam(0.8 * cmath.exp(0.5j))
 
 
 # ---------------------------------------------------------------------------
@@ -146,15 +147,59 @@ def test_dilog_pole_proximity_error():
 
 def test_dilog_inversion_relation():
     # phi(z) phi(-z) = e^{i pi z^2} phi(0)^2 ; derived self-consistency of
-    # the product form, pinned numerically at z = 0
-    mp = B_TEST
-    c = sf.quantum_dilog(0.0, mp) ** 2
+    # the product form, pinned numerically at z = 0.  |Re z| reaches 9,
+    # past the +-8 that psi22 evaluates phi at.
     rng = np.random.default_rng(3)
-    for _ in range(10):
-        z = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.2, 0.2))
-        lhs = sf.quantum_dilog(z, mp) * sf.quantum_dilog(-z, mp)
-        rhs = cmath.exp(1j * math.pi * z * z) * c
-        assert abs(lhs - rhs) / abs(rhs) < 1e-10
+    for mp in (B_TEST, B_WIDE):
+        c = sf.quantum_dilog(0.0, mp) ** 2
+        for _ in range(20):
+            z = complex(rng.uniform(-9.0, 9.0), rng.uniform(-0.2, 0.2))
+            lhs = sf.quantum_dilog(z, mp) * sf.quantum_dilog(-z, mp)
+            rhs = cmath.exp(1j * math.pi * z * z) * c
+            assert abs(lhs - rhs) / abs(rhs) < 1e-10
+
+
+def _log_sum_phi(z, mp, tol):
+    """Reference for dilog_product: the same terms and stopping rule, summed
+    as one complex log1p per term.  Also returns, per side, the sum of
+    log(1 + |term bound|), which bounds the log-magnitude of that side."""
+    log_phi = np.zeros_like(z)
+    bound_sums = []
+    for x, fac, ratio, sign in (
+            (np.exp(2 * math.pi * z * mp.b), mp.q, mp.q ** 2, 1.0),
+            (np.exp(2 * math.pi * z / mp.b), mp.q_tilde, mp.q_tilde ** 2, -1.0)):
+        scale = np.max(np.abs(x))
+        total = 0.0
+        while abs(fac) * scale > tol:
+            log_phi += sign * np.log1p(fac * x)
+            total += math.log1p(abs(fac) * scale)
+            fac *= ratio
+        bound_sums.append(total)
+    return np.exp(log_phi), bound_sums
+
+
+@pytest.mark.parametrize("mp", [B_TEST, B_WIDE], ids=["b_test", "b_wide"])
+def test_dilog_product_wide_range_vs_log_sum(mp):
+    x = np.linspace(-10.0, 10.0, 401)
+    z = x[None, :] + 1j * np.array([-0.3, 0.0, 0.3])[:, None]
+    got = sf.dilog_product(z, mp, tol=3e-15)
+    ref, _ = _log_sum_phi(z, mp, 3e-15)
+    assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-11
+
+
+def test_dilog_product_fold_is_exercised():
+    # at Re z = 10 both running products of B_TEST would exceed the fold
+    # bound, so the wide-range comparison above covers the fold
+    _, bound_sums = _log_sum_phi(np.array([10.0 + 0j]), B_TEST, 3e-15)
+    assert min(bound_sums) > sf._FOLD_LOG
+
+
+def test_dilog_product_unconverged_raises():
+    # Im b^2 ~ 1.3e-5: max_terms factors leave the last term bound near 0.3
+    with pytest.raises(AccuracyError) as info:
+        sf.quantum_dilog(0.1, sf.ModularParam(0.8 * cmath.exp(1e-5j)),
+                         method="product-series")
+    assert info.value.achieved > 0.1
 
 
 # ---------------------------------------------------------------------------
