@@ -179,6 +179,8 @@ def _fock_te_count(cfg):
 
 
 def _fock_te_case(cfg, idx):
+    import mpmath as mp
+
     base = cfg.max_index + 1
     outer = []
     v = idx
@@ -192,9 +194,10 @@ def _fock_te_case(cfg, idx):
         if cfg.perturb:
             if not rm.fock_te_consistent(ext):
                 continue
-            lhs, _ = rm._te_sides(ext, q, rm._fock_cached_element)
-            _, rhs = rm._te_sides(ext, q * (1 + 1e-3), rm._fock_cached_element)
-            worst = max(worst, rm._rel_residual(lhs, rhs))
+            with mp.workdps(rm._MP_DPS):
+                lhs, _ = rm._te_sides(ext, q, rm.fock_element_mp)
+                _, rhs = rm._te_sides(ext, q * (1 + 1e-3), rm.fock_element_mp)
+                worst = max(worst, float(rm._rel_residual(lhs, rhs)))
         else:
             # inconsistent tuples are swept too: both sides must vanish
             worst = max(worst, rm.fock_te_residual(ext, q))
@@ -205,10 +208,9 @@ def _fock_te_case(cfg, idx):
 def _fock_intertwine_setup(cutoff, q):
     rep = qosc.fock_rep(cutoff, q)
     reps = (rep, rep, rep)
-    ls = qosc.build_l(reps, (1.0,) * 3, (-1.0,) * 3)
     r = rm.fock_r_dense(cutoff, q)
     mask = qosc.product_state_mask(reps)
-    return reps, ls, r, mask
+    return reps, r, mask
 
 
 def _fock_intertwine_case(cfg, idx):
@@ -216,11 +218,11 @@ def _fock_intertwine_case(cfg, idx):
         if cfg.perturb:
             def bad_element(n1, n2, n3, m1, m2, m3, q):
                 import mpmath as mp
-                val = rm._fock_element_mp_q(n1, n2, n3, m1, m2, m3, q)
+                val = rm.fock_element_mp(n1, n2, n3, m1, m2, m3, q)
                 return val * mp.mpf("1.05") ** n2 if val else val
             return qosc.fock_intertwine_extended(cfg.cutoff, cfg.q, bad_element)
-        return qosc.fock_intertwine_extended(cfg.cutoff, cfg.q, rm._fock_element_mp_q)
-    reps, ls, r, mask = _fock_intertwine_setup(min(cfg.cutoff, 6), cfg.q)
+        return qosc.fock_intertwine_extended(cfg.cutoff, cfg.q, rm.fock_element_mp)
+    reps, r, mask = _fock_intertwine_setup(min(cfg.cutoff, 6), cfg.q)
     if cfg.perturb:
         r = r.copy()
         r[0, 0] += 0.05 * np.max(np.abs(r))

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
+from .rmatrices import _MP_DPS
 from .specfun import SphericalTriangle, root_of_unity_q
 
 DENSE_ENTRY_LIMIT = 10 ** 7
@@ -56,19 +57,21 @@ def fock_rep(cutoff: int, q: complex) -> QOscRep:
     a|n+1> = |n>,  a*|n> = (1 - q^{2+2n})|n+1>,  k|n> = q^{n+1/2}|n>.
     The pair relation q a*a - q^-1 a a* = q - q^-1 fails only on the top
     state; the interior mask excludes the top two levels to keep products
-    of shifted states exact as well.
+    of shifted states exact as well.  The matrices are complex for a double
+    q and object arrays of mpmath numbers for an mpmath q.
     """
     if cutoff < 2:
         raise DomainError("need cutoff >= 2")
     d = cutoff + 1
-    a = np.zeros((d, d), dtype=complex)
-    a_star = np.zeros((d, d), dtype=complex)
+    dtype = np.result_type(np.asarray(q), complex)
+    a = np.zeros((d, d), dtype=dtype)
+    a_star = np.zeros((d, d), dtype=dtype)
     for n in range(cutoff):
         a[n, n + 1] = 1.0
         a_star[n + 1, n] = 1.0 - q ** (2 + 2 * n)
-    levels = np.arange(d)
-    k = np.diag(q ** (levels + 0.5)).astype(complex)
-    k_inv = np.diag(q ** (-(levels + 0.5))).astype(complex)
+    levels = np.arange(d) + 0.5
+    k = np.diag(q ** levels).astype(dtype)
+    k_inv = np.diag(q ** -levels).astype(dtype)
     return QOscRep("fock", q, a, a_star, k, k_inv, exact_levels=cutoff - 1)
 
 
@@ -181,22 +184,46 @@ def _kron3(ops):
     return np.kron(np.kron(ops[0], ops[1]), ops[2])
 
 
-def _loper_entries(rep: QOscRep, lam: complex, mu: complex):
+def _loper_entries(rep: QOscRep, lam, mu):
     """Nonzero entries of the two-by-two-block L-matrix.
 
     Row/column indices are (c, i) with c the second auxiliary space and i
     the first; entry (0,0)=1, (1,1)=lam k, (1,2)=a*, (2,1)=lam mu a,
-    (2,2)=-mu k, (3,3)=lam mu.
+    (2,2)=-mu k, (3,3)=lam mu.  Entries carry the representation's dtype.
     """
-    eye = np.eye(rep.dim, dtype=complex)
+    eye = np.eye(rep.dim, dtype=rep.k.dtype)
     return {
         (0, 0): eye,
         (1, 1): lam * rep.k,
-        (1, 2): rep.a_star.astype(complex),
-        (2, 1): lam * mu * rep.a.astype(complex),
+        (1, 2): rep.a_star,
+        (2, 1): lam * mu * rep.a,
         (2, 2): -mu * rep.k,
         (3, 3): lam * mu * eye,
     }
+
+
+# (first aux, second aux, rep index) of L12(H1), L13(H2), L23(H3)
+PLACEMENTS = ((0, 1, 0), (0, 2, 1), (1, 2, 2))
+
+
+def _placed_entries(rep: QOscRep, lam, mu, first: int, second: int):
+    """Yield (aux row bits, aux col bits, V-matrix) of L_{first,second}: each
+    L entry once per value of the spectator auxiliary bit."""
+    spect_axis = 3 - first - second
+    for (row, col), mat in _loper_entries(rep, lam, mu).items():
+        c, i = divmod(row, 2)
+        d, j = divmod(col, 2)
+        for spect in range(2):
+            bits_row = [0, 0, 0]
+            bits_col = [0, 0, 0]
+            bits_row[first], bits_col[first] = i, j
+            bits_row[second], bits_col[second] = c, d
+            bits_row[spect_axis] = bits_col[spect_axis] = spect
+            yield tuple(bits_row), tuple(bits_col), mat
+
+
+def _aux_index(bits) -> int:
+    return bits[0] * 4 + bits[1] * 2 + bits[2]
 
 
 def build_l(reps, lambdas, mus) -> tuple[BlockOp, BlockOp, BlockOp]:
@@ -207,30 +234,33 @@ def build_l(reps, lambdas, mus) -> tuple[BlockOp, BlockOp, BlockOp]:
     if len({complex(np.round(r.q, 12)) for r in reps}) != 1:
         raise DomainError("representations must share the deformation parameter")
     dims = tuple(r.dim for r in reps)
-    placements = ((0, 1, 0), (0, 2, 1), (1, 2, 2))  # (first aux, second aux, rep index)
     out = []
-    for first, second, ridx in placements:
-        rep = reps[ridx]
+    for first, second, ridx in PLACEMENTS:
         op = BlockOp(dims)
-        for (row, col), mat in _loper_entries(rep, lambdas[ridx], mus[ridx]).items():
-            c, i = divmod(row, 2)
-            d_, j = divmod(col, 2)
-            vops = [np.eye(dims[0], dtype=complex),
-                    np.eye(dims[1], dtype=complex),
-                    np.eye(dims[2], dtype=complex)]
+        for bits_row, bits_col, mat in _placed_entries(
+                reps[ridx], lambdas[ridx], mus[ridx], first, second):
+            vops = [np.eye(dim, dtype=complex) for dim in dims]
             vops[ridx] = mat
-            for spect in range(2):  # spectator aux index
-                bits_row = [0, 0, 0]
-                bits_col = [0, 0, 0]
-                bits_row[first], bits_col[first] = i, j
-                bits_row[second], bits_col[second] = c, d_
-                spec_axis = 3 - first - second
-                bits_row[spec_axis] = bits_col[spec_axis] = spect
-                irow = bits_row[0] * 4 + bits_row[1] * 2 + bits_row[2]
-                icol = bits_col[0] * 4 + bits_col[1] * 2 + bits_col[2]
-                op.add(irow, icol, _kron3(vops))
+            op.add(_aux_index(bits_row), _aux_index(bits_col), _kron3(vops))
         out.append(op)
     return tuple(out)
+
+
+def _sparse_l(reps, lam, mu, first: int, second: int, ridx: int):
+    """Row dict of L_{first,second}(H_ridx) over keys ((aux bits), (n1, n2, n3)),
+    one entry per nonzero; values keep the representation's number type."""
+    others = [rep.dim for axis, rep in enumerate(reps) if axis != ridx]
+    rows = {}
+    for bits_row, bits_col, mat in _placed_entries(reps[ridx], lam, mu, first, second):
+        for r, c in zip(*np.nonzero(mat)):
+            for rest in np.ndindex(*others):
+                row_n = list(rest)
+                col_n = list(rest)
+                row_n.insert(ridx, int(r))
+                col_n.insert(ridx, int(c))
+                rows.setdefault((bits_row, tuple(row_n)), []).append(
+                    ((bits_col, tuple(col_n)), mat[r, c]))
+    return rows
 
 
 def triple_product(l12: BlockOp, l13: BlockOp, l23: BlockOp, reverse=False) -> BlockOp:
@@ -267,54 +297,9 @@ def product_state_mask(reps) -> np.ndarray:
 # At larger cutoffs the R elements within one charge sector span enormous
 # magnitude ranges (q^{+-(cutoff^2)} prefactors), so dense double-precision
 # products lose every significant digit even though the masked identity is
-# exact.  The check below works in software floats on sparse dictionaries:
-# each L operator has at most a handful of entries per row.
-
-def _fock_l_sparse(cutoff, q, lam, mu, first, second, rep_axis, mp):
-    """Sparse row dict of L_{first,second}(H_rep) over keys
-    ((c0, c1, c2), (n1, n2, n3)) at working mp precision."""
-    d = cutoff + 1
-    qm = mp.mpmathify(q)
-    lam = mp.mpmathify(lam)
-    mu = mp.mpmathify(mu)
-    # V-space actions as (shift, coefficient(n)) pairs
-    eye = (0, lambda n: mp.mpf(1))
-    k_op = (0, lambda n: qm ** (n + mp.mpf("0.5")))
-    a_op = (+1, lambda n: mp.mpf(1))          # a |n+1> = |n>: col = row + 1
-    astar_op = (-1, lambda n: 1 - qm ** (2 * n))  # a*|n-1> = (1-q^{2n})|n>
-    entries4 = {
-        (0, 0): (eye, 1),
-        (1, 1): (k_op, lam),
-        (1, 2): (astar_op, 1),
-        (2, 1): (a_op, lam * mu),
-        (2, 2): (k_op, -mu),
-        (3, 3): (eye, lam * mu),
-    }
-    spect_axis = 3 - first - second
-    rows = {}
-    for (r4, c4), ((shift, coeff), scal) in entries4.items():
-        c_sec, i_first = divmod(r4, 2)
-        d_sec, j_first = divmod(c4, 2)
-        for spect in range(2):
-            cb_row = [0, 0, 0]
-            cb_col = [0, 0, 0]
-            cb_row[first], cb_col[first] = i_first, j_first
-            cb_row[second], cb_col[second] = c_sec, d_sec
-            cb_row[spect_axis] = cb_col[spect_axis] = spect
-            for ns in np.ndindex(d, d, d):
-                col_n = list(ns)
-                row_n = list(ns)
-                row_n[rep_axis] = ns[rep_axis] - shift
-                if not 0 <= row_n[rep_axis] < d:
-                    continue
-                val = coeff(row_n[rep_axis]) if shift <= 0 else coeff(col_n[rep_axis])
-                # a: row n, col n+1 -> value 1; a*: row n, col n-1 -> 1-q^{2 row}
-                if shift == +1:
-                    val = mp.mpf(1)
-                rows.setdefault((tuple(cb_row), tuple(row_n)), []).append(
-                    ((tuple(cb_col), tuple(col_n)), scal * val))
-    return rows
-
+# exact.  The check below works in software floats on sparse dictionaries
+# built from the same L table as build_l: each L operator has at most a
+# handful of entries per row.
 
 def _sparse_matmul(a_rows, b_rows):
     out = {}
@@ -327,26 +312,21 @@ def _sparse_matmul(a_rows, b_rows):
     return out
 
 
-def fock_intertwine_extended(cutoff: int, q, element_fn, dps: int = 50,
-                             lam=1.0, mu=-1.0) -> float:
-    """Masked intertwining residual at elevated precision.
+def fock_intertwine_extended(cutoff: int, q, element_fn, lam=1.0, mu=-1.0) -> float:
+    """Masked intertwining residual at _MP_DPS digits.
 
     element_fn(n1, n2, n3, m1, m2, m3, q) must return the R element as an
     mp number; the interior mask keeps oscillator indices < cutoff - 1.
     """
     import mpmath as mp
 
-    with mp.workdps(dps):
-        ls = [
-            _fock_l_sparse(cutoff, q, lam, mu, 0, 1, 0, mp),
-            _fock_l_sparse(cutoff, q, lam, mu, 0, 2, 1, mp),
-            _fock_l_sparse(cutoff, q, lam, mu, 1, 2, 2, mp),
-        ]
+    with mp.workdps(_MP_DPS):
+        reps = (fock_rep(cutoff, mp.mpmathify(q)),) * 3
+        ls = [_sparse_l(reps, lam, mu, *placement) for placement in PLACEMENTS]
         fwd = _sparse_matmul(_sparse_matmul(ls[0], ls[1]), ls[2])
         rev = _sparse_matmul(_sparse_matmul(ls[2], ls[1]), ls[0])
-        interior = range(cutoff - 1)
         masked = [(cb, n) for cb in np.ndindex(2, 2, 2)
-                  for n in _interior_triples(interior)]
+                  for n in np.ndindex(*(cutoff - 1,) * 3)]
         masked_set = set(masked)
         # left side: (LLL . R)[r, c] = sum_t LLL[r, t] R[t, c]
         lhs = {}
@@ -387,10 +367,6 @@ def fock_intertwine_extended(cutoff: int, q, element_fn, dps: int = 50,
         for key in set(lhs) | set(rhs):
             worst = max(worst, abs(lhs.get(key, 0) - rhs.get(key, 0)))
         return float(worst / (scale + mp.mpf("1e-300")))
-
-
-def _interior_triples(rng):
-    return [(i, j, k) for i in rng for j in rng for k in rng]
 
 
 # ---------------------------------------------------------------------------

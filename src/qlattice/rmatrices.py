@@ -42,13 +42,8 @@ def _rel_residual(lhs: complex, rhs: complex) -> float:
 # Fock solution
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _qsq_poch(qsq: complex, n: int) -> complex:
-    return sf.qpochhammer(qsq, qsq, n)
-
-
-def fock_element(n1: int, n2: int, n3: int, m1: int, m2: int, m3: int, q: complex) -> complex:
-    """<n1 n2 n3|R|m1 m2 m3> for the Fock solution.
+def fock_element(n1: int, n2: int, n3: int, m1: int, m2: int, m3: int, q):
+    """<n1 n2 n3|R|m1 m2 m3> for the Fock solution, in the number type of q.
 
     The charge-gated value is (-1)^{n2} q^{(m1-n2)(m3-n2)} times a
     terminating q-hypergeometric sum; the binomial prefactor and the series
@@ -64,63 +59,37 @@ def fock_element(n1: int, n2: int, n3: int, m1: int, m2: int, m3: int, q: comple
     pref = (-1) ** n2 * q ** ((m1 - n2) * (m3 - n2))
     # sum_t (q^{-2 m2}; q^2)_t (q^{2(1+m3)}; q^2)_t q^{2(1+n1) t}
     #       (q^2;q^2)_{n3} / [(q^2;q^2)_t (q^2;q^2)_{m2} (q^2;q^2)_{n3-m2+t}]
-    total = 0.0 + 0.0j
+    total = 0
     for t in range(max(0, m2 - n3), m2 + 1):
         num = (sf.qpochhammer(q ** (-2 * m2), qsq, t)
                * sf.qpochhammer(q ** (2 * (1 + m3)), qsq, t)
                * q ** (2 * (1 + n1) * t))
-        den = _qsq_poch(qsq, t) * _qsq_poch(qsq, m2) * _qsq_poch(qsq, n3 - m2 + t)
-        total += num * _qsq_poch(qsq, n3) / den
+        den = (sf.qpochhammer(qsq, qsq, t) * sf.qpochhammer(qsq, qsq, m2)
+               * sf.qpochhammer(qsq, qsq, n3 - m2 + t))
+        total += num * sf.qpochhammer(qsq, qsq, n3) / den
     return pref * total
-
-
-@lru_cache(maxsize=None)
-def _fock_element_cached(key) -> complex:
-    return fock_element(*key)
 
 
 # The tetrahedron-equation sums cancel strongly (both sides can be many
 # orders below the size of individual terms), so double precision cannot
 # reach relative residuals near 1e-12 even though every element is an exact
-# finite sum.  The check therefore evaluates in software floats; elements
+# finite sum.  The checks therefore evaluate in software floats; elements
 # are memoized per deformation parameter.
 _MP_DPS = 50
 
 
 @lru_cache(maxsize=None)
-def _fock_element_mp(key):
+def fock_element_mp(n1: int, n2: int, n3: int, m1: int, m2: int, m3: int, q):
+    """fock_element at _MP_DPS digits for a plain (double) q.
+
+    Only this 50-digit entry point is cached: an untyped lru_cache keys
+    q = 0.3 and mpf(0.3) alike, so a cache shared with the double path could
+    hand one path the other's values.
+    """
     import mpmath as mp
 
-    n1, n2, n3, m1, m2, m3, qr, qi = key
-    if min(n1, n2, n3, m1, m2, m3) < 0:
-        return mp.mpf(0)
-    if n1 + n2 != m1 + m2 or n2 + n3 != m2 + m3:
-        return mp.mpf(0)
     with mp.workdps(_MP_DPS):
-        q = mp.mpf(qr) if qi == 0.0 else mp.mpc(qr, qi)
-        qsq = q * q
-
-        def poch(x, n):
-            out = mp.mpf(1)
-            fac = x
-            for _ in range(n):
-                out *= 1 - fac
-                fac *= qsq
-            return out
-
-        pref = (-1) ** n2 * q ** ((m1 - n2) * (m3 - n2))
-        total = mp.mpf(0)
-        for t in range(max(0, m2 - n3), m2 + 1):
-            num = (poch(q ** (-2 * m2), t) * poch(q ** (2 * (1 + m3)), t)
-                   * q ** (2 * (1 + n1) * t))
-            den = poch(qsq, t) * poch(qsq, m2) * poch(qsq, n3 - m2 + t)
-            total += num * poch(qsq, n3) / den
-        return pref * total
-
-
-def _fock_element_mp_q(n1, n2, n3, m1, m2, m3, q):
-    qc = complex(q)
-    return _fock_element_mp((n1, n2, n3, m1, m2, m3, qc.real, qc.imag))
+        return fock_element(n1, n2, n3, m1, m2, m3, mp.mpmathify(q))
 
 
 def fock_r_dense(cutoff: int, q: complex) -> np.ndarray:
@@ -185,17 +154,13 @@ def _te_sides(ext, q, element):
     return (zero if lhs is None else lhs), (zero if rhs is None else rhs)
 
 
-def _fock_cached_element(n1, n2, n3, m1, m2, m3, q):
-    return _fock_element_cached((n1, n2, n3, m1, m2, m3, q))
-
-
-def fock_te_residual(ext, q: complex, extended: bool = True) -> float:
-    if not extended:
-        lhs, rhs = _te_sides(ext, q, _fock_cached_element)
-        return _rel_residual(lhs, rhs)
+def fock_te_residual(ext, q) -> float:
+    """Relative residual of the vertex tetrahedron equation at one external
+    tuple, summed at _MP_DPS digits."""
     import mpmath as mp
+
     with mp.workdps(_MP_DPS):
-        lhs, rhs = _te_sides(ext, q, _fock_element_mp_q)
+        lhs, rhs = _te_sides(ext, q, fock_element_mp)
         num = abs(lhs - rhs)
         den = abs(lhs) + abs(rhs)
         if num < ZERO_FLOOR and den < ZERO_FLOOR:
@@ -632,6 +597,7 @@ def irc_te_residual_modular(specs, ext: dict, tol: float = 1e-6,
     half = z_half_width
     n = 128
     prev = None
+    diff = None  # last relative change between successive node counts
     for _ in range(10):
         nodes, weights = sf.gauss_legendre(n)
         z = half * nodes
@@ -645,16 +611,23 @@ def irc_te_residual_modular(specs, ext: dict, tol: float = 1e-6,
                    np.max(np.abs(side(IRC_RHS_SLOTS, IRC_RHS_WEIGHTS, edges))))
         if tail * half > 1e-8 * scale:
             half *= 1.4
-            prev = None
+            prev = diff = None
             continue
-        if prev is not None and abs(lhs - prev[0]) < tol * scale and abs(rhs - prev[1]) < tol * scale:
-            return _rel_residual(lhs, rhs)
+        if prev is not None:
+            dl, dr = abs(lhs - prev[0]), abs(rhs - prev[1])
+            if dl < tol * scale and dr < tol * scale:
+                return _rel_residual(lhs, rhs)
+            diff = float(max(dl, dr) / scale)
         prev = (lhs, rhs)
         n *= 2
         if n > max_nodes:
-            raise AccuracyError("z-integration did not stabilize",
-                                achieved=float(abs(lhs - prev[0]) / scale) if prev else None)
-    raise AccuracyError("z-integration window kept growing")
+            raise AccuracyError(
+                "z-integration did not stabilize at the node cap max_nodes=%d "
+                "(window [-%.4g, %.4g])" % (max_nodes, half, half), achieved=diff)
+    raise AccuracyError(
+        "z-integration window kept growing: 10 rounds, final window "
+        "[-%.4g, %.4g] at %d nodes (max_nodes=%d)" % (half, half, n, max_nodes),
+        achieved=diff)
 
 
 # ---------------------------------------------------------------------------

@@ -42,12 +42,13 @@ def gauss_legendre(n: int):
 # q-series basics
 # ---------------------------------------------------------------------------
 
-def qpochhammer(x: complex, qsq: complex, n: int) -> complex:
-    """Finite q-shifted factorial prod_{j=0}^{n-1} (1 - qsq^j x)."""
+def qpochhammer(x, qsq, n: int):
+    """Finite q-shifted factorial prod_{j=0}^{n-1} (1 - qsq^j x), in the
+    number type of x and qsq (float, complex or mpmath)."""
     if n < 0:
         raise DomainError("qpochhammer order must be nonnegative")
-    out = 1.0 + 0.0j
-    fac = complex(x)
+    out = 1
+    fac = x
     for _ in range(n):
         out *= 1.0 - fac
         fac *= qsq
@@ -376,6 +377,7 @@ def psi22_quadrature_batch(c1, c2, c3, c4, c0, mp: ModularParam,
     span = max(28.0 / (2 * math.pi * max(mp.eta.real, 0.25)), 1.0)
     n = 256
     prev = None
+    diff = None  # last change between successive node counts
     for _ in range(12):
         nodes, weights = gauss_legendre(n)
         z = span * nodes
@@ -385,16 +387,22 @@ def psi22_quadrature_batch(c1, c2, c3, c4, c0, mp: ModularParam,
         edge = np.max(np.abs(integrand(np.array([-span, span]))))
         if edge * span > 1e-10 * scale:
             span *= 1.5
-            prev = None
+            prev = diff = None
             continue
-        if prev is not None and np.max(np.abs(cur - prev)) < tol * scale:
-            return cur
+        if prev is not None:
+            diff = float(np.max(np.abs(cur - prev)))
+            if diff < tol * scale:
+                return cur
         prev = cur
         n *= 2
         if n > max_nodes:
-            break
-    raise AccuracyError("2Psi2 quadrature did not stabilize",
-                        achieved=float(np.max(np.abs(cur - prev))) if prev is not None else None)
+            raise AccuracyError(
+                "2Psi2 quadrature did not stabilize at the node cap max_nodes=%d "
+                "(window [-%.4g, %.4g])" % (max_nodes, span, span), achieved=diff)
+    raise AccuracyError(
+        "2Psi2 quadrature window kept growing: 12 rounds, final window "
+        "[-%.4g, %.4g] at %d nodes (max_nodes=%d)" % (span, span, n, max_nodes),
+        achieved=diff)
 
 
 def psi22_residue_ratios(c, c0, mp: ModularParam):

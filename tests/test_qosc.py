@@ -123,6 +123,27 @@ def test_l_product_associativity():
     assert (left - right).max_abs() < 1e-13
 
 
+def test_sparse_l_matches_dense_blocks():
+    # the 50-digit sparse L and the double build_l blocks come from one
+    # table; compare every entry of all three placements
+    import mpmath as mp
+    q, cutoff = 0.3, 3
+    d = cutoff + 1
+    rep = qosc.fock_rep(cutoff, q)
+    dense = [op.dense() for op in qosc.build_l((rep,) * 3, (1.0,) * 3, (-1.0,) * 3)]
+    with mp.workdps(50):
+        mp_reps = (qosc.fock_rep(cutoff, mp.mpf(q)),) * 3
+        for placement, want in zip(qosc.PLACEMENTS, dense):
+            got = np.zeros(want.shape, dtype=complex)
+            for (rbits, rn), entries in qosc._sparse_l(mp_reps, 1.0, -1.0, *placement).items():
+                row = qosc._aux_index(rbits) * d ** 3 + (rn[0] * d + rn[1]) * d + rn[2]
+                for (cbits, cn), val in entries:
+                    col = qosc._aux_index(cbits) * d ** 3 + (cn[0] * d + cn[1]) * d + cn[2]
+                    got[row, col] = complex(val)
+            assert np.array_equal(got != 0, want != 0)
+            assert np.all(np.abs(got - want) <= 1e-15 * np.abs(got))
+
+
 def test_dense_guard():
     rep = qosc.fock_rep(8, 0.3)
     ls = qosc.build_l((rep,) * 3, (1.0,) * 3, (-1.0,) * 3)

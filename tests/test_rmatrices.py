@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qlattice.errors import DegeneracyError, DomainError
+from qlattice.errors import AccuracyError, DegeneracyError, DomainError
 from qlattice import rmatrices as rm
 from qlattice import specfun as sf
 
@@ -66,10 +66,18 @@ def test_fock_te_inconsistent_externals_vanish():
         ext = tuple(int(x) for x in rng.integers(0, 3, 12))
         if rm.fock_te_consistent(ext):
             continue
-        lhs, rhs = rm._te_sides(ext, 0.3, rm._fock_cached_element)
+        lhs, rhs = rm._te_sides(ext, 0.3, rm.fock_element)
         assert abs(lhs) < 1e-14 and abs(rhs) < 1e-14
         assert rm.fock_te_residual(ext, 0.3) == 0.0
         checked += 1
+
+
+def test_fock_double_path_does_not_feed_the_extended_cache():
+    # an untyped cache keys 0.3 and mpf(0.3) alike: double values built
+    # first must not be served to the 50-digit check
+    rm.fock_element_mp.cache_clear()
+    rm.fock_r_dense(4, 0.3)
+    assert rm.fock_te_residual((1,) * 12, 0.3) < 1e-30
 
 
 def test_fock_r_dense_charge_structure():
@@ -401,6 +409,18 @@ def test_field_exponent_balance():
     # unconstrained fields break the balance
     bad = ((0.3, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0))
     assert rm.field_exponent_balance(tsets, bad, rng) > 1e-3
+
+
+def test_modular_irc_node_cap_reports_window():
+    # one node count runs before the cap, so there is no change to report
+    rng = np.random.default_rng(3)
+    mp = sf.ModularParam(0.8 * np.exp(0.5j))
+    tsets = rm.spectral_sets_from_free(rng.uniform(-0.3, 0.3, 6))
+    specs = tuple(rm.ModularWeightSpec(mp, t) for t in tsets)
+    ext = {k: float(x) for k, x in zip(rm.EXTERNAL_LABELS, rng.uniform(-0.25, 0.25, 14))}
+    with pytest.raises(AccuracyError, match=r"max_nodes=128 \(window \[-4, 4\]\)") as info:
+        rm.irc_te_residual_modular(specs, ext, tol=1e-5, max_nodes=128)
+    assert info.value.achieved is None
 
 
 @pytest.mark.slow

@@ -246,6 +246,18 @@ def test_psi22_divergent_residue_series_raises():
         sf.psi22(0.1, 0.2, -0.1, 0.0, 1.5, B_TEST, method="residue-series")
 
 
+def test_psi22_node_cap_reports_last_change():
+    # the error names the cap and the window; achieved is the change between
+    # the last two node counts, or None after a single count
+    c = ([0.1, -0.2], [0.05, 0.1], [-0.1, 0.2], [0.0, 0.1], [-0.3, -0.2])
+    with pytest.raises(AccuracyError, match=r"max_nodes=256 \(window \[") as info:
+        sf.psi22_quadrature_batch(*c, B_TEST, max_nodes=256)
+    assert info.value.achieved is None
+    with pytest.raises(AccuracyError, match=r"max_nodes=512 \(window \[") as info:
+        sf.psi22_quadrature_batch(*c, B_TEST, tol=1e-30, max_nodes=512)
+    assert 0.0 < info.value.achieved < 1e-10
+
+
 def test_psi22_confluent_double_pole_case():
     # c1 = c2 makes the two numerator pole lattices coincide; the residue
     # route must still agree with quadrature through the symmetric split
