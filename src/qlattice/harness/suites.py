@@ -106,19 +106,12 @@ def _symplectic_case(cfg, idx):
     if not cfg.perturb:
         return cm.symplectic_residual(x, h=1e-5)
     # deliberately non-canonical map: add a nonlinear shear to one angle
-    h = 1e-5
-    n = 6
-
     def bad_map(y):
         out = cm.angle_map(y)
         out[0] += 0.05 * math.sin(3.0 * y[1])
         return out
 
-    jac = np.empty((n, n))
-    for j in range(n):
-        dx = np.zeros(n)
-        dx[j] = h
-        jac[:, j] = (bad_map(x + dx) - bad_map(x - dx)) / (2 * h)
+    jac = cm.jacobian(bad_map, x, 1e-5)
     return float(np.max(np.abs(jac @ cm.CANONICAL_OMEGA @ jac.T - cm.CANONICAL_OMEGA)))
 
 

@@ -8,9 +8,10 @@ L-operator built from them, and the intertwining check
 
     L12(H1) L13(H2) L23(H3) R  =  R  L23(H3) L13(H2) L12(H1).
 
-Large products keep the 8 x 8 block structure over the three auxiliary C^2
-spaces, with each block an operator on V1 x V2 x V3; a dense flattening is
-available behind an entry-count guard.
+Products keep the 8 x 8 block structure over the three auxiliary C^2
+spaces.  Each block is a sparse operator on V1 x V2 x V3 whose entries keep
+the number type of q, so one product serves the double-precision and the
+50-digit checks.
 """
 
 from __future__ import annotations
@@ -21,12 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import DomainError
 from .rmatrices import _MP_DPS
 from .specfun import SphericalTriangle, root_of_unity_q
-
-DENSE_ENTRY_LIMIT = 10 ** 7
-
 
 # ---------------------------------------------------------------------------
 # representations
@@ -113,25 +111,80 @@ def algebra_residuals(rep: QOscRep) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# block operators over C^2 x C^2 x C^2 (x) V1 x V2 x V3
+# sparse operators on V1 x V2 x V3, in blocks over C^2 x C^2 x C^2
 # ---------------------------------------------------------------------------
 
+class VOp:
+    """Sparse operator on V1 x V2 x V3.
+
+    rows maps a basis index triple (n1, n2, n3) to a list of (column triple,
+    value) entries.  Values keep the number type they were built in: complex
+    for a double q, mpmath numbers for the 50-digit checks.
+    """
+
+    def __init__(self, dims, rows):
+        self.dims = tuple(dims)
+        self.rows = rows
+
+    @property
+    def shape(self):
+        """Shape of the dense matrix this operator stands for."""
+        n = math.prod(self.dims)
+        return n, n
+
+    @classmethod
+    def from_dense(cls, dims, mat):
+        triples = list(np.ndindex(*dims))
+        vals = mat.tolist()
+        rows = {}
+        for r, c in np.argwhere(mat).tolist():
+            rows.setdefault(triples[r], []).append((triples[c], vals[r][c]))
+        return cls(dims, rows)
+
+    def __matmul__(self, other):
+        if not isinstance(other, VOp):
+            return NotImplemented
+        out = {}
+        for r, entries in self.rows.items():
+            acc = {}
+            for mid, v in entries:
+                for c, w in other.rows.get(mid, ()):
+                    vw = v * w  # stored as is when new: no 0 + x, an mpmath add
+                    acc[c] = acc[c] + vw if c in acc else vw
+            out[r] = list(acc.items())
+        return VOp(self.dims, out)
+
+    def __add__(self, other):
+        out = dict(self.rows)
+        for r, entries in other.rows.items():
+            acc = dict(out.get(r, ()))
+            for c, w in entries:
+                acc[c] = acc[c] + w if c in acc else w
+            out[r] = list(acc.items())
+        return VOp(self.dims, out)
+
+    def __neg__(self):
+        return VOp(self.dims, {r: [(c, -v) for c, v in e] for r, e in self.rows.items()})
+
+    def max_abs(self, keep=None):
+        """Largest |entry| with row and column in keep (None keeps all)."""
+        return max((abs(v) for r, e in self.rows.items() if keep is None or r in keep
+                    for c, v in e if keep is None or c in keep), default=0.0)
+
+
 class BlockOp:
-    """Operator kept as an 8 x 8 dict of blocks acting on V1 x V2 x V3."""
+    """Operator kept as an 8 x 8 dict of blocks acting on V1 x V2 x V3: VOps,
+    or any other type with @, + and unary minus, such as ndarrays."""
 
     __array_ufunc__ = None  # make ndarray @ BlockOp defer to __rmatmul__
 
     def __init__(self, dims, blocks=None):
         self.dims = tuple(dims)
-        self.vdim = int(np.prod(dims))
         self.blocks = {} if blocks is None else blocks
 
     def add(self, i, j, mat):
         key = (i, j)
-        if key in self.blocks:
-            self.blocks[key] = self.blocks[key] + mat
-        else:
-            self.blocks[key] = mat
+        self.blocks[key] = self.blocks[key] + mat if key in self.blocks else mat
 
     def __matmul__(self, other):
         if isinstance(other, BlockOp):
@@ -141,7 +194,7 @@ class BlockOp:
                     if j == jj:
                         out.add(i, k, a @ b)
             return out
-        # a plain matrix acts on the V factors only
+        # a plain operator acts on the V factors only
         out = BlockOp(self.dims)
         for (i, j), a in self.blocks.items():
             out.add(i, j, a @ other)
@@ -159,25 +212,8 @@ class BlockOp:
             out.add(*key, -b)
         return out
 
-    def max_abs(self, mask=None) -> float:
-        worst = 0.0
-        for block in self.blocks.values():
-            b = block if mask is None else block[np.ix_(mask, mask)]
-            if b.size:
-                worst = max(worst, float(np.max(np.abs(b))))
-        return worst
-
-    def dense(self) -> np.ndarray:
-        n = 8 * self.vdim
-        if n * n > DENSE_ENTRY_LIMIT:
-            raise ConfigurationError(
-                "dense operator would hold %d entries (limit %d); "
-                "use the blockwise interface" % (n * n, DENSE_ENTRY_LIMIT))
-        out = np.zeros((n, n), dtype=complex)
-        d = self.vdim
-        for (i, j), b in self.blocks.items():
-            out[i * d:(i + 1) * d, j * d:(j + 1) * d] = b
-        return out
+    def max_abs(self, keep=None):
+        return max((b.max_abs(keep) for b in self.blocks.values()), default=0.0)
 
 
 def _kron3(ops):
@@ -229,58 +265,49 @@ def _aux_index(bits) -> int:
 def build_l(reps, lambdas, mus) -> tuple[BlockOp, BlockOp, BlockOp]:
     """L12(H1), L13(H2), L23(H3) on C^2 x C^2 x C^2 (x) V1 x V2 x V3.
 
-    reps, lambdas, mus are triples; all reps must share one q.
+    reps, lambdas, mus are triples; all reps must share one q.  Each block
+    is a VOp acting on its representation's factor only, with entries in
+    the representations' number type.
     """
-    if len({complex(np.round(r.q, 12)) for r in reps}) != 1:
+    if len({np.round(complex(r.q), 12) for r in reps}) != 1:
         raise DomainError("representations must share the deformation parameter")
     dims = tuple(r.dim for r in reps)
     out = []
     for first, second, ridx in PLACEMENTS:
         op = BlockOp(dims)
+        others = [dim for axis, dim in enumerate(dims) if axis != ridx]
         for bits_row, bits_col, mat in _placed_entries(
                 reps[ridx], lambdas[ridx], mus[ridx], first, second):
-            vops = [np.eye(dim, dtype=complex) for dim in dims]
-            vops[ridx] = mat
-            op.add(_aux_index(bits_row), _aux_index(bits_col), _kron3(vops))
+            vals, nonzero = mat.tolist(), np.argwhere(mat).tolist()
+            rows = {}
+            for rest in np.ndindex(*others):
+                for r, c in nonzero:
+                    rows.setdefault(rest[:ridx] + (r,) + rest[ridx:], []).append(
+                        (rest[:ridx] + (c,) + rest[ridx:], vals[r][c]))
+            op.add(_aux_index(bits_row), _aux_index(bits_col), VOp(dims, rows))
         out.append(op)
     return tuple(out)
 
 
-def _sparse_l(reps, lam, mu, first: int, second: int, ridx: int):
-    """Row dict of L_{first,second}(H_ridx) over keys ((aux bits), (n1, n2, n3)),
-    one entry per nonzero; values keep the representation's number type."""
-    others = [rep.dim for axis, rep in enumerate(reps) if axis != ridx]
-    rows = {}
-    for bits_row, bits_col, mat in _placed_entries(reps[ridx], lam, mu, first, second):
-        for r, c in zip(*np.nonzero(mat)):
-            for rest in np.ndindex(*others):
-                row_n = list(rest)
-                col_n = list(rest)
-                row_n.insert(ridx, int(r))
-                col_n.insert(ridx, int(c))
-                rows.setdefault((bits_row, tuple(row_n)), []).append(
-                    ((bits_col, tuple(col_n)), mat[r, c]))
-    return rows
-
-
-def triple_product(l12: BlockOp, l13: BlockOp, l23: BlockOp, reverse=False) -> BlockOp:
-    if reverse:
-        return l23 @ (l13 @ l12)
-    return l12 @ (l13 @ l23)
-
-
-def intertwine_residual(l_ops, r_matrix: np.ndarray, mask: np.ndarray | None = None) -> float:
+def intertwine_residual(l_ops, r_matrix, mask: np.ndarray | None = None) -> float:
     """Normalized max-entry residual of LLL . R - R . (reversed LLL).
 
-    mask, if given, is a boolean vector over the V1 x V2 x V3 basis; rows
-    and columns outside it are ignored (truncated-Fock boundary).
+    r_matrix is a VOp or a dense matrix over V1 x V2 x V3.  mask, if given,
+    is a boolean vector over that basis; rows and columns outside it are
+    ignored (truncated-Fock boundary), and only masked rows are multiplied
+    by R.  The arithmetic is that of the entries: double or mpmath.
     """
     l12, l13, l23 = l_ops
-    lhs = triple_product(l12, l13, l23) @ r_matrix
-    rhs = r_matrix @ triple_product(l12, l13, l23, reverse=True)
-    diff = lhs - rhs
-    scale = max(lhs.max_abs(mask), rhs.max_abs(mask), 1e-300)
-    return diff.max_abs(mask) / scale
+    dims = l12.dims
+    if mask is None:
+        mask = np.ones(math.prod(dims), dtype=bool)
+    proj = VOp(dims, {n: [(n, 1)] for n, ok in zip(np.ndindex(*dims), mask) if ok})
+    r = r_matrix if isinstance(r_matrix, VOp) else VOp.from_dense(dims, r_matrix)
+    lhs = (((proj @ l12) @ l13) @ l23) @ r
+    rhs = (proj @ r) @ ((l23 @ l13) @ l12)
+    keep = proj.rows
+    scale = max(lhs.max_abs(keep), rhs.max_abs(keep), 1e-300)
+    return float((lhs - rhs).max_abs(keep) / scale)
 
 
 def product_state_mask(reps) -> np.ndarray:
@@ -295,78 +322,38 @@ def product_state_mask(reps) -> np.ndarray:
 # ---------------------------------------------------------------------------
 #
 # At larger cutoffs the R elements within one charge sector span enormous
-# magnitude ranges (q^{+-(cutoff^2)} prefactors), so dense double-precision
+# magnitude ranges (q^{+-(cutoff^2)} prefactors), so double-precision
 # products lose every significant digit even though the masked identity is
-# exact.  The check below works in software floats on sparse dictionaries
-# built from the same L table as build_l: each L operator has at most a
-# handful of entries per row.
+# exact.  The check below runs the same sparse product in software floats.
 
-def _sparse_matmul(a_rows, b_rows):
-    out = {}
-    for r, entries in a_rows.items():
-        acc = {}
-        for mid, v in entries:
-            for c, w in b_rows.get(mid, ()):
-                acc[c] = acc.get(c, 0) + v * w
-        out[r] = list(acc.items())
-    return out
-
-
-def fock_intertwine_extended(cutoff: int, q, element_fn, lam=1.0, mu=-1.0) -> float:
-    """Masked intertwining residual at _MP_DPS digits.
+def fock_intertwine_extended(cutoff: int, q, element_fn) -> float:
+    """Masked intertwining residual at _MP_DPS digits, with lambda = 1 and
+    mu = -1.
 
     element_fn(n1, n2, n3, m1, m2, m3, q) must return the R element as an
     mp number; the interior mask keeps oscillator indices < cutoff - 1.
+    R is filled over charge sectors (m1 + m2 = n1 + n2, m2 + m3 = n2 + n3)
+    and only where its row or column is masked: no other element reaches a
+    masked entry of either side.
     """
     import mpmath as mp
 
     with mp.workdps(_MP_DPS):
         reps = (fock_rep(cutoff, mp.mpmathify(q)),) * 3
-        ls = [_sparse_l(reps, lam, mu, *placement) for placement in PLACEMENTS]
-        fwd = _sparse_matmul(_sparse_matmul(ls[0], ls[1]), ls[2])
-        rev = _sparse_matmul(_sparse_matmul(ls[2], ls[1]), ls[0])
-        masked = [(cb, n) for cb in np.ndindex(2, 2, 2)
-                  for n in np.ndindex(*(cutoff - 1,) * 3)]
-        masked_set = set(masked)
-        # left side: (LLL . R)[r, c] = sum_t LLL[r, t] R[t, c]
-        lhs = {}
-        for r in masked:
-            for t, v in fwd.get(r, ()):
-                tn = t[1]
-                c1, c2 = tn[0] + tn[1], tn[1] + tn[2]
-                for m2 in range(max(0, c2 - cutoff, c1 - cutoff), min(c1, c2, cutoff) + 1):
-                    cn = (c1 - m2, m2, c2 - m2)
-                    ckey = (t[0], cn)
-                    if ckey not in masked_set:
-                        continue
-                    el = element_fn(*tn, *cn, q)
-                    if el:
-                        lhs[(r, ckey)] = lhs.get((r, ckey), 0) + v * el
-        # right side: (R . LLL_rev)[r, c] = sum_u R[r, u] LLL_rev[u, c]
-        rev_cols = {}
-        for u, entries in rev.items():
-            for c, v in entries:
-                rev_cols.setdefault(u, []).append((c, v))
-        rhs = {}
-        for r in masked:
-            rn = r[1]
-            c1, c2 = rn[0] + rn[1], rn[1] + rn[2]
+        mask = product_state_mask(reps)
+        dims = tuple(r.dim for r in reps)
+        kept = mask.reshape(dims)
+        rows = {}
+        for n in np.ndindex(*dims):
+            c1, c2 = n[0] + n[1], n[1] + n[2]
             for m2 in range(max(0, c2 - cutoff, c1 - cutoff), min(c1, c2, cutoff) + 1):
-                un = (c1 - m2, m2, c2 - m2)
-                el = element_fn(*rn, *un, q)
-                if not el:
-                    continue
-                for c, v in rev_cols.get((r[0], un), ()):
-                    if c in masked_set:
-                        rhs[(r, c)] = rhs.get((r, c), 0) + el * v
-        scale = mp.mpf(0)
-        for table in (lhs, rhs):
-            for v in table.values():
-                scale = max(scale, abs(v))
-        worst = mp.mpf(0)
-        for key in set(lhs) | set(rhs):
-            worst = max(worst, abs(lhs.get(key, 0) - rhs.get(key, 0)))
-        return float(worst / (scale + mp.mpf("1e-300")))
+                m = (c1 - m2, m2, c2 - m2)
+                if kept[n] or kept[m]:
+                    el = element_fn(*n, *m, q)
+                    if el:
+                        rows.setdefault(n, []).append((m, el))
+        ls = build_l(reps, (1.0,) * 3, (-1.0,) * 3)
+        return intertwine_residual(ls, VOp(dims, rows), mask)
 
 
 # ---------------------------------------------------------------------------

@@ -309,13 +309,15 @@ def cyclic_vertex_element(n, m, data: CyclicRData) -> complex:
 
 
 def cyclic_r_tensor(data: CyclicRData) -> np.ndarray:
-    """Dense rank-6 tensor R[n1,n2,n3,m1,m2,m3] over Z_N."""
+    """Dense rank-6 tensor R[n1,n2,n3,m1,m2,m3] over Z_N; only the N^4
+    charge-allowed entries (m1 + m2 = n1 + n2, m2 + m3 = n2 + n3 mod N) are
+    evaluated."""
     N = data.N
     out = np.zeros((N,) * 6, dtype=complex)
-    for idx in np.ndindex(*(N,) * 6):
-        n, m = idx[:3], idx[3:]
-        if (n[0] + n[1] - m[0] - m[1]) % N == 0 and (n[1] + n[2] - m[1] - m[2]) % N == 0:
-            out[idx] = cyclic_vertex_element(n, m, data)
+    for n in np.ndindex(N, N, N):
+        for m2 in range(N):
+            m = ((n[0] + n[1] - m2) % N, m2, (n[1] + n[2] - m2) % N)
+            out[n + m] = cyclic_vertex_element(n, m, data)
     return out
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qlattice.errors import ConfigurationError, DomainError
+from qlattice.errors import DomainError
 from qlattice import qosc
 from qlattice import rmatrices as rm
 from qlattice import specfun as sf
@@ -123,43 +123,24 @@ def test_l_product_associativity():
     assert (left - right).max_abs() < 1e-13
 
 
-def test_sparse_l_matches_dense_blocks():
-    # the 50-digit sparse L and the double build_l blocks come from one
-    # table; compare every entry of all three placements
+def test_build_l_same_entries_for_double_and_mpmath_q():
+    # one build_l serves both number types; compare every entry of all
+    # three placements
     import mpmath as mp
     q, cutoff = 0.3, 3
-    d = cutoff + 1
-    rep = qosc.fock_rep(cutoff, q)
-    dense = [op.dense() for op in qosc.build_l((rep,) * 3, (1.0,) * 3, (-1.0,) * 3)]
+    ls = qosc.build_l((qosc.fock_rep(cutoff, q),) * 3, (1.0,) * 3, (-1.0,) * 3)
     with mp.workdps(50):
-        mp_reps = (qosc.fock_rep(cutoff, mp.mpf(q)),) * 3
-        for placement, want in zip(qosc.PLACEMENTS, dense):
-            got = np.zeros(want.shape, dtype=complex)
-            for (rbits, rn), entries in qosc._sparse_l(mp_reps, 1.0, -1.0, *placement).items():
-                row = qosc._aux_index(rbits) * d ** 3 + (rn[0] * d + rn[1]) * d + rn[2]
-                for (cbits, cn), val in entries:
-                    col = qosc._aux_index(cbits) * d ** 3 + (cn[0] * d + cn[1]) * d + cn[2]
-                    got[row, col] = complex(val)
-            assert np.array_equal(got != 0, want != 0)
-            assert np.all(np.abs(got - want) <= 1e-15 * np.abs(got))
-
-
-def test_dense_guard():
-    rep = qosc.fock_rep(8, 0.3)
-    ls = qosc.build_l((rep,) * 3, (1.0,) * 3, (-1.0,) * 3)
-    with pytest.raises(ConfigurationError):
-        ls[0].dense()
-
-
-def test_dense_matches_blocks_small():
-    rng = np.random.default_rng(1)
-    tri = sample_triangle(rng)
-    params = qosc.CyclicParams.from_triangle(tri, 2)
-    ls = qosc.build_l(params.reps(), params.lambdas, params.mus)
-    d12 = ls[0].dense()
-    assert d12.shape == (8 * 8, 8 * 8)
-    blk = ls[0].blocks[(0, 0)]
-    assert np.allclose(d12[:8, :8], blk)
+        mp_ls = qosc.build_l((qosc.fock_rep(cutoff, mp.mpf(q)),) * 3, (1.0,) * 3, (-1.0,) * 3)
+    for op, mp_op in zip(ls, mp_ls):
+        assert op.blocks.keys() == mp_op.blocks.keys()
+        for key, block in op.blocks.items():
+            mp_rows = mp_op.blocks[key].rows
+            assert block.rows.keys() == mp_rows.keys()
+            for row, entries in block.rows.items():
+                want = dict(entries)
+                got = {col: complex(val) for col, val in mp_rows[row]}
+                assert got.keys() == want.keys()
+                assert all(abs(got[c] - want[c]) <= 1e-15 * abs(got[c]) for c in got)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +157,74 @@ def test_fock_intertwining_masked():
     assert qosc.intertwine_residual(ls, r, mask) < 1e-10
     # unmasked, the truncation boundary dominates
     assert qosc.intertwine_residual(ls, r, None) > 1e-2
+
+
+def kron3(ops):
+    return np.kron(np.kron(ops[0], ops[1]), ops[2])
+
+
+def dense_l_oracle(reps, lambdas, mus):
+    """L12(H1), L13(H2), L23(H3) as dense matrices on C^2 x C^2 x C^2 x V1 x
+    V2 x V3, written from the displayed L-matrix with np.kron."""
+    def unit(i, j):
+        e = np.zeros((2, 2))
+        e[i, j] = 1.0
+        return e
+
+    out = []
+    for first, second, ridx in ((0, 1, 0), (0, 2, 1), (1, 2, 2)):
+        rep, lam, mu = reps[ridx], lambdas[ridx], mus[ridx]
+        one = np.eye(rep.dim)
+        # rows and columns (c, i): c the second auxiliary bit, i the first
+        entries = {(0, 0): one, (1, 1): lam * rep.k, (1, 2): rep.a_star,
+                   (2, 1): lam * mu * rep.a, (2, 2): -mu * rep.k, (3, 3): lam * mu * one}
+        total = 0
+        for (row, col), mat in entries.items():
+            aux = [np.eye(2)] * 3
+            aux[second] = unit(row // 2, col // 2)
+            aux[first] = unit(row % 2, col % 2)
+            vops = [np.eye(r.dim) for r in reps]
+            vops[ridx] = mat
+            total = total + np.kron(kron3(aux), kron3(vops))
+        out.append(total)
+    return out
+
+
+def dense_residual_oracle(reps, lambdas, mus, r, mask):
+    l12, l13, l23 = dense_l_oracle(reps, lambdas, mus)
+    big_r = np.kron(np.eye(8), r)
+    lhs = l12 @ l13 @ l23 @ big_r
+    rhs = big_r @ l23 @ l13 @ l12
+    keep = np.tile(mask, 8)
+    sub = np.ix_(keep, keep)
+    scale = max(np.max(np.abs(lhs[sub])), np.max(np.abs(rhs[sub])))
+    return float(np.max(np.abs(lhs - rhs)[sub]) / scale)
+
+
+def cyclic_case():
+    tri = sample_triangle(np.random.default_rng(5))
+    params = qosc.CyclicParams.from_triangle(tri, 3)
+    r = rm.cyclic_r_dense(rm.CyclicRData.from_triangle(tri, 3))
+    return params.reps(), params.lambdas, params.mus, r, np.ones(27, dtype=bool)
+
+
+def fock_case():
+    reps = (qosc.fock_rep(4, 0.3),) * 3
+    return reps, (1.0,) * 3, (-1.0,) * 3, rm.fock_r_dense(4, 0.3), qosc.product_state_mask(reps)
+
+
+@pytest.mark.parametrize("make_case", [cyclic_case, fock_case], ids=["cyclic-N3", "fock-cutoff4"])
+def test_intertwine_residual_matches_dense_oracle(make_case):
+    reps, lams, mus, r, mask = make_case()
+    ls = qosc.build_l(reps, lams, mus)
+    assert qosc.intertwine_residual(ls, r, mask) < 1e-12
+    assert dense_residual_oracle(reps, lams, mus, r, mask) < 1e-12
+    bad = r.copy()
+    bad[0, 0] += 0.05 * np.max(np.abs(r))
+    got = qosc.intertwine_residual(ls, bad, mask)
+    want = dense_residual_oracle(reps, lams, mus, bad, mask)
+    assert got > 1e-3
+    assert abs(got - want) <= 1e-10 * want
 
 
 def test_cyclic_intertwining_and_identity_control():
