@@ -175,11 +175,7 @@ def _fock_te_case(cfg, idx):
     import mpmath as mp
 
     base = cfg.max_index + 1
-    outer = []
-    v = idx
-    for _ in range(6):
-        v, r = divmod(v, base)
-        outer.append(r)
+    outer = [idx // base ** k % base for k in range(6)]
     worst = 0.0
     q = cfg.q
     for inner in itertools.product(range(base), repeat=6):
@@ -199,11 +195,8 @@ def _fock_te_case(cfg, idx):
 
 @lru_cache(maxsize=4)
 def _fock_intertwine_setup(cutoff, q):
-    rep = qosc.fock_rep(cutoff, q)
-    reps = (rep, rep, rep)
-    r = rm.fock_r_dense(cutoff, q)
-    mask = qosc.product_state_mask(reps)
-    return reps, r, mask
+    reps = (qosc.fock_rep(cutoff, q),) * 3
+    return reps, rm.fock_r_dense(cutoff, q), qosc.product_state_mask(reps)
 
 
 def _fock_intertwine_case(cfg, idx):

@@ -333,8 +333,9 @@ def fock_intertwine_extended(cutoff: int, q, element_fn) -> float:
     element_fn(n1, n2, n3, m1, m2, m3, q) must return the R element as an
     mp number; the interior mask keeps oscillator indices < cutoff - 1.
     R is filled over charge sectors (m1 + m2 = n1 + n2, m2 + m3 = n2 + n3)
-    and only where its row or column is masked: no other element reaches a
-    masked entry of either side.
+    and only where its row n is masked, or its column is masked and no index
+    of n is at the cutoff: each L moves one index by at most one, so no other
+    element reaches a masked entry of either side.
     """
     import mpmath as mp
 
@@ -348,7 +349,7 @@ def fock_intertwine_extended(cutoff: int, q, element_fn) -> float:
             c1, c2 = n[0] + n[1], n[1] + n[2]
             for m2 in range(max(0, c2 - cutoff, c1 - cutoff), min(c1, c2, cutoff) + 1):
                 m = (c1 - m2, m2, c2 - m2)
-                if kept[n] or kept[m]:
+                if kept[n] or (kept[m] and max(n) < cutoff):
                     el = element_fn(*n, *m, q)
                     if el:
                         rows.setdefault(n, []).append((m, el))

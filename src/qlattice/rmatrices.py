@@ -14,12 +14,13 @@ n2+n3 = n2'+n3' gates every element.  The vertex tetrahedron equation is
             R_{n1 m4 m5}^{m1 n4'' n5''} R_{m1 m2 m3}^{n1'' n2'' n3''},
 
 whose internal sums collapse to one free index once the charge deltas are
-solved; the ranges are derived (and asserted) from nonnegativity.
+solved; the ranges are exactly the nonnegativity windows of the solved indices.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -42,6 +43,11 @@ def _rel_residual(lhs: complex, rhs: complex) -> float:
 # Fock solution
 # ---------------------------------------------------------------------------
 
+def fock_charge_allowed(n1: int, n2: int, n3: int, m1: int, m2: int, m3: int) -> bool:
+    """The charge deltas n1+n2 = m1+m2 and n2+n3 = m2+m3 that gate every element."""
+    return n1 + n2 == m1 + m2 and n2 + n3 == m2 + m3
+
+
 def fock_element(n1: int, n2: int, n3: int, m1: int, m2: int, m3: int, q):
     """<n1 n2 n3|R|m1 m2 m3> for the Fock solution, in the number type of q.
 
@@ -49,24 +55,23 @@ def fock_element(n1: int, n2: int, n3: int, m1: int, m2: int, m3: int, q):
     terminating q-hypergeometric sum; the binomial prefactor and the series
     are combined into a single manifestly finite sum so that index
     collisions (where the series alone hits a zero denominator against a
-    vanishing binomial) evaluate correctly.
+    vanishing binomial) evaluate correctly.  Gated elements are the integer
+    0, so an exact q (a Fraction) gives an exact element.
     """
-    if min(n1, n2, n3, m1, m2, m3) < 0:
-        return 0.0
-    if n1 + n2 != m1 + m2 or n2 + n3 != m2 + m3:
-        return 0.0
+    if min(n1, n2, n3, m1, m2, m3) < 0 or not fock_charge_allowed(n1, n2, n3, m1, m2, m3):
+        return 0
     qsq = q * q
     pref = (-1) ** n2 * q ** ((m1 - n2) * (m3 - n2))
     # sum_t (q^{-2 m2}; q^2)_t (q^{2(1+m3)}; q^2)_t q^{2(1+n1) t}
     #       (q^2;q^2)_{n3} / [(q^2;q^2)_t (q^2;q^2)_{m2} (q^2;q^2)_{n3-m2+t}]
+    lo_poch = sf.qpochhammer_prefixes(q ** (-2 * m2), qsq, m2)
+    hi_poch = sf.qpochhammer_prefixes(q ** (2 * (1 + m3)), qsq, m2)
+    qq_poch = sf.qpochhammer_prefixes(qsq, qsq, max(m2, n3))
     total = 0
     for t in range(max(0, m2 - n3), m2 + 1):
-        num = (sf.qpochhammer(q ** (-2 * m2), qsq, t)
-               * sf.qpochhammer(q ** (2 * (1 + m3)), qsq, t)
-               * q ** (2 * (1 + n1) * t))
-        den = (sf.qpochhammer(qsq, qsq, t) * sf.qpochhammer(qsq, qsq, m2)
-               * sf.qpochhammer(qsq, qsq, n3 - m2 + t))
-        total += num * sf.qpochhammer(qsq, qsq, n3) / den
+        num = lo_poch[t] * hi_poch[t] * q ** (2 * (1 + n1) * t)
+        den = qq_poch[t] * qq_poch[m2] * qq_poch[n3 - m2 + t]
+        total += num * qq_poch[n3] / den
     return pref * total
 
 
@@ -96,29 +101,26 @@ def fock_r_dense(cutoff: int, q: complex) -> np.ndarray:
     """Dense (cutoff+1)^3 matrix of Fock elements, rows = bra index."""
     d = cutoff + 1
     out = np.zeros((d ** 3, d ** 3), dtype=complex)
-    for n1 in range(d):
-        for n2 in range(d):
-            for n3 in range(d):
-                row = (n1 * d + n2) * d + n3
-                c1, c2 = n1 + n2, n2 + n3
-                for m2 in range(d):
-                    m1, m3 = c1 - m2, c2 - m2
-                    if 0 <= m1 < d and 0 <= m3 < d:
-                        col = (m1 * d + m2) * d + m3
-                        out[row, col] = fock_element(n1, n2, n3, m1, m2, m3, q)
+    for row, (n1, n2, n3) in enumerate(np.ndindex(d, d, d)):
+        for m2 in range(d):
+            m1, m3 = n1 + n2 - m2, n2 + n3 - m2
+            if 0 <= m1 < d and 0 <= m3 < d:
+                out[row, (m1 * d + m2) * d + m3] = fock_element(n1, n2, n3, m1, m2, m3, q)
     return out
 
 
-def _te_sides(ext, q, element):
-    """LHS and RHS of the vertex tetrahedron equation at one external tuple.
+def _te_terms(ext):
+    """(lhs, rhs) terms of the vertex tetrahedron equation at ext =
+    (n1..n6, n1''..n6''); a term is the index 6-tuples of its four elements.
 
-    ext = (n1..n6, n1''..n6'').  Each side is a single sum over the one
-    internal index left free by the eight charge deltas; the loop range is
-    exactly the nonnegativity window of the solved internal indices, so no
-    truncation is involved.
+    Each side is a single sum over the one internal index left free by the
+    eight charge deltas; the loop range is exactly the nonnegativity window
+    of the solved internal indices, so no truncation is involved.  A term is
+    kept only if each element passes its own charge deltas; the others are
+    exact zeros, so a charge-inconsistent tuple costs integer checks only.
     """
     n1, n2, n3, n4, n5, n6, p1, p2, p3, p4, p5, p6 = ext
-    lhs = None
+    lhs = []
     lo = max(0, n1 - n3, p1 - n4, p1 + p4 - n4 - n6)
     hi = min(n1 + n2, n5 + p1)
     for i1 in range(lo, hi + 1):
@@ -127,38 +129,37 @@ def _te_sides(ext, q, element):
         i4 = i1 + n4 - p1
         i5 = n5 - i1 + p1
         i6 = i4 + n6 - p4
-        if min(i2, i3, i4, i5, i6) < 0:
-            continue
-        term = (element(n1, n2, n3, i1, i2, i3, q)
-                * element(i1, n4, n5, p1, i4, i5, q)
-                * element(i2, i4, n6, p2, p4, i6, q)
-                * element(i3, i5, i6, p3, p5, p6, q))
-        lhs = term if lhs is None else lhs + term
-    rhs = None
+        lhs.append(((n1, n2, n3, i1, i2, i3), (i1, n4, n5, p1, i4, i5),
+                    (i2, i4, n6, p2, p4, i6), (i3, i5, i6, p3, p5, p6)))
+    rhs = []
     lo = max(0, n3 - n6, n3 + p6 - n4 - n6, n3 + p6 - n6 - n1 + p4 - n4)
-    hi = n3 + n5
+    hi = min(n3 + n5, n2 + n3 + p6 - n6)
     for i3 in range(lo, hi + 1):
         i5 = n3 + n5 - i3
         i6 = n6 - n3 + i3
         i4 = n4 + i6 - p6
         i2 = n2 + n4 - i4
         i1 = n1 + i4 - p4
-        if min(i1, i2, i4, i5, i6) < 0:
-            continue
-        term = (element(n3, n5, n6, i3, i5, i6, q)
-                * element(n2, n4, i6, i2, i4, p6, q)
-                * element(n1, i4, i5, i1, p4, p5, q)
-                * element(i1, i2, i3, p1, p2, p3, q))
-        rhs = term if rhs is None else rhs + term
-    zero = 0.0 + 0.0j
-    return (zero if lhs is None else lhs), (zero if rhs is None else rhs)
+        rhs.append(((n3, n5, n6, i3, i5, i6), (n2, n4, i6, i2, i4, p6),
+                    (n1, i4, i5, i1, p4, p5), (i1, i2, i3, p1, p2, p3)))
+    # last element first: the solved deltas make the first ones pass
+    return tuple([t for t in side if all(itertools.starmap(fock_charge_allowed, t[::-1]))]
+                 for side in (lhs, rhs))
+
+
+def _te_sides(ext, q, element):
+    """(lhs, rhs) of the vertex TE at ext: _te_terms summed in q's number type."""
+    return tuple(sum(element(*a, q) * element(*b, q) * element(*c, q) * element(*d, q)
+                     for a, b, c, d in terms) for terms in _te_terms(ext))
 
 
 def fock_te_residual(ext, q) -> float:
     """Relative residual of the vertex tetrahedron equation at one external
-    tuple, summed at _MP_DPS digits."""
+    tuple, summed at _MP_DPS digits; 0.0 when neither side has a term."""
     import mpmath as mp
 
+    if not any(_te_terms(ext)):
+        return 0.0
     with mp.workdps(_MP_DPS):
         lhs, rhs = _te_sides(ext, q, fock_element_mp)
         num = abs(lhs - rhs)

@@ -42,17 +42,22 @@ def gauss_legendre(n: int):
 # q-series basics
 # ---------------------------------------------------------------------------
 
-def qpochhammer(x, qsq, n: int):
-    """Finite q-shifted factorial prod_{j=0}^{n-1} (1 - qsq^j x), in the
-    number type of x and qsq (float, complex or mpmath)."""
+def qpochhammer_prefixes(x, qsq, n: int) -> list:
+    """[(x; qsq)_0, ..., (x; qsq)_n] with (x; qsq)_k = prod_{j<k} (1 - qsq^j x),
+    in the number type of x and qsq (float, complex, mpmath or Fraction)."""
     if n < 0:
         raise DomainError("qpochhammer order must be nonnegative")
-    out = 1
+    out = [1]
     fac = x
     for _ in range(n):
-        out *= 1.0 - fac
+        out.append(out[-1] * (1 - fac))
         fac *= qsq
     return out
+
+
+def qpochhammer(x, qsq, n: int):
+    """Finite q-shifted factorial (x; qsq)_n."""
+    return qpochhammer_prefixes(x, qsq, n)[n]
 
 
 def qpochhammer_inf(x: complex, qsq: complex, tol: float = 1e-300, max_terms: int = 100000) -> complex:

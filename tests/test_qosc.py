@@ -159,6 +159,18 @@ def test_fock_intertwining_masked():
     assert qosc.intertwine_residual(ls, r, None) > 1e-2
 
 
+def test_fock_intertwine_extended_evaluates_only_reachable_elements():
+    calls = []
+
+    def counting_element(*args):
+        calls.append(args)
+        return rm.fock_element_mp(*args)
+
+    res = qosc.fock_intertwine_extended(5, 0.3, counting_element)
+    assert len(calls) == 256
+    assert repr(res) == "2.95250495232866e-48"
+
+
 def kron3(ops):
     return np.kron(np.kron(ops[0], ops[1]), ops[2])
 

@@ -80,6 +80,110 @@ def test_fock_double_path_does_not_feed_the_extended_cache():
     assert rm.fock_te_residual((1,) * 12, 0.3) < 1e-30
 
 
+def _qpoch_oracle(x, qsq, n):
+    out = 1
+    fac = x
+    for _ in range(n):
+        out *= 1 - fac
+        fac *= qsq
+    return out
+
+
+def _fock_element_oracle(n1, n2, n3, m1, m2, m3, q):
+    # the terminating sum with every q-Pochhammer factor built from scratch
+    qsq = q * q
+    pref = (-1) ** n2 * q ** ((m1 - n2) * (m3 - n2))
+    total = 0
+    for t in range(max(0, m2 - n3), m2 + 1):
+        num = (_qpoch_oracle(q ** (-2 * m2), qsq, t)
+               * _qpoch_oracle(q ** (2 * (1 + m3)), qsq, t)
+               * q ** (2 * (1 + n1) * t))
+        den = (_qpoch_oracle(qsq, qsq, t) * _qpoch_oracle(qsq, qsq, m2)
+               * _qpoch_oracle(qsq, qsq, n3 - m2 + t))
+        total += num * _qpoch_oracle(qsq, qsq, n3) / den
+    return pref * total
+
+
+def test_fock_element_prefix_tables_match_direct_products():
+    import mpmath as mp
+
+    for q in (0.3, mp.mpf(0.3)):
+        with mp.workdps(rm._MP_DPS):
+            checked = 0
+            for n1, n2, n3, m2 in itertools.product(range(5), repeat=4):
+                m1, m3 = n1 + n2 - m2, n2 + n3 - m2
+                if not (0 <= m1 <= 4 and 0 <= m3 <= 4):
+                    continue
+                got = rm.fock_element(n1, n2, n3, m1, m2, m3, q)
+                assert repr(got) == repr(_fock_element_oracle(n1, n2, n3, m1, m2, m3, q))
+                checked += 1
+        assert checked == 325
+
+
+def _te_sides_ungated(ext, q, element):
+    # every term of both single sums, charge-gated elements included
+    n1, n2, n3, n4, n5, n6, p1, p2, p3, p4, p5, p6 = ext
+    lhs = rhs = None
+    for i1 in range(max(0, n1 - n3, p1 - n4, p1 + p4 - n4 - n6), min(n1 + n2, n5 + p1) + 1):
+        i2, i3, i4, i5 = n1 + n2 - i1, n3 - n1 + i1, i1 + n4 - p1, n5 - i1 + p1
+        i6 = i4 + n6 - p4
+        if min(i2, i3, i4, i5, i6) < 0:
+            continue
+        term = (element(n1, n2, n3, i1, i2, i3, q) * element(i1, n4, n5, p1, i4, i5, q)
+                * element(i2, i4, n6, p2, p4, i6, q) * element(i3, i5, i6, p3, p5, p6, q))
+        lhs = term if lhs is None else lhs + term
+    for i3 in range(max(0, n3 - n6, n3 + p6 - n4 - n6, n3 + p6 - n6 - n1 + p4 - n4),
+                    n3 + n5 + 1):
+        i5, i6 = n3 + n5 - i3, n6 - n3 + i3
+        i4 = n4 + i6 - p6
+        i2, i1 = n2 + n4 - i4, n1 + i4 - p4
+        if min(i1, i2, i4, i5, i6) < 0:
+            continue
+        term = (element(n3, n5, n6, i3, i5, i6, q) * element(n2, n4, i6, i2, i4, p6, q)
+                * element(n1, i4, i5, i1, p4, p5, q) * element(i1, i2, i3, p1, p2, p3, q))
+        rhs = term if rhs is None else rhs + term
+    return (0 if lhs is None else lhs), (0 if rhs is None else rhs)
+
+
+def test_te_sides_gated_sum_equals_ungated_sum():
+    import mpmath as mp
+
+    rng = np.random.default_rng(5)
+    exts = list(itertools.product(range(2), repeat=12))
+    exts += [tuple(int(x) for x in rng.integers(0, 3, 12)) for _ in range(2000)]
+    evaluated = []
+
+    def recording_element(*args):
+        evaluated.append(args[:6])
+        return rm.fock_element_mp(*args)
+
+    with mp.workdps(rm._MP_DPS):
+        for ext in exts:
+            assert rm._te_sides(ext, 0.5, recording_element) == _te_sides_ungated(
+                ext, 0.5, rm.fock_element_mp)
+    # gated terms are skipped before any of their elements is evaluated
+    assert evaluated
+    assert all(rm.fock_charge_allowed(*idx) for idx in evaluated)
+
+
+def test_fock_te_exact_for_rational_q():
+    from fractions import Fraction
+
+    q = Fraction(3, 10)
+    consistent = [ext for ext in itertools.product(range(2), repeat=12)
+                  if rm.fock_te_consistent(ext)]
+    assert len(consistent) == 152
+    differ = 0
+    for ext in consistent:
+        lhs, rhs = rm._te_sides(ext, q, rm.fock_element)
+        assert isinstance(lhs, Fraction) and lhs == rhs
+        # negative control: q off by a factor 1 + 1/1000 on the right side
+        _, bad = rm._te_sides(ext, q * (1 + Fraction(1, 1000)), rm.fock_element)
+        differ += lhs != bad
+    # the other 8 tuples have sides +-1, independent of q
+    assert differ == 144
+
+
 def test_fock_r_dense_charge_structure():
     q = 0.3
     r = rm.fock_r_dense(3, q)
