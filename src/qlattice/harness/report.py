@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -26,6 +27,8 @@ class Report:
 
     @property
     def passed(self) -> bool:
+        if not math.isfinite(self.max_residual):
+            return False
         if self.negative_control:
             return self.max_residual > max(self.tolerance, self.NEGATIVE_CONTROL_FLOOR)
         return self.max_residual < self.tolerance

@@ -449,7 +449,8 @@ def run_suite(cfg: SuiteConfig) -> Report:
                                     chunksize=max(1, n_cases // (8 * cfg.workers))))
     wall = time.perf_counter() - start
     results.sort()
-    worst = max((r for _, r in results), default=0.0)
+    # np.max, unlike max, propagates a NaN from any position
+    worst = np.max([r for _, r in results], initial=0.0)
     params = {"tolerance": tol, **suite.parameters(cfg)}
     return Report(
         suite=cfg.suite,

@@ -580,57 +580,35 @@ def irc_te_residual_modular(specs, ext: dict, tol: float = 1e-6,
     z-integration, modular case.
 
     specs = (W, W', W'', W''') weight specs whose T's must satisfy the
-    constraint chain.  The integration window grows until the integrand has
-    decayed and the node count doubles until both sides stabilize.
+    constraint chain.  Both sides share one nested trapezoid rule in z: the
+    window grows until the integrand has decayed and the step halves until
+    both sides stabilize.
     """
     t_res = spectral_tshki_residual(tuple(s.t for s in specs))
     if t_res > 1e-12:
         raise DomainError("spectral parameters violate the constraint chain "
                           "(residual %.2e)" % t_res)
 
-    def side(slots, order, z):
-        total = np.ones_like(z, dtype=complex)
-        for widx, slot in zip(order, slots):
-            env = dict(ext, z=z)
-            spins = [np.broadcast_to(np.asarray(env[s], dtype=float), z.shape)
-                     for s in slot]
-            total = total * irc_weight_modular(specs[widx], spins, tol=tol * 1e-2)
-        return total
-
-    half = z_half_width
-    n = 128
-    prev = None
-    diff = None  # last relative change between successive node counts
-    for _ in range(10):
-        nodes, weights = sf.gauss_legendre(n)
-        z = half * nodes
-        lv = side(IRC_LHS_SLOTS, IRC_LHS_WEIGHTS, z)
-        rv = side(IRC_RHS_SLOTS, IRC_RHS_WEIGHTS, z)
-        lhs = half * (weights @ lv)
-        rhs = half * (weights @ rv)
-        scale = max(abs(lhs), abs(rhs), 1e-300)
-        edges = np.array([-half, half])
-        tail = max(np.max(np.abs(side(IRC_LHS_SLOTS, IRC_LHS_WEIGHTS, edges))),
-                   np.max(np.abs(side(IRC_RHS_SLOTS, IRC_RHS_WEIGHTS, edges))))
-        if tail * half > 1e-8 * scale:
-            half *= 1.4
-            prev = diff = None
-            continue
-        if prev is not None:
-            dl, dr = abs(lhs - prev[0]), abs(rhs - prev[1])
-            if dl < tol * scale and dr < tol * scale:
-                return _rel_residual(lhs, rhs)
-            diff = float(max(dl, dr) / scale)
-        prev = (lhs, rhs)
-        n *= 2
-        if n > max_nodes:
+    def sides(z):
+        env = dict(ext, z=z)
+        out = np.ones(z.shape + (2,), dtype=complex)
+        try:
+            for col, slots, order in ((0, IRC_LHS_SLOTS, IRC_LHS_WEIGHTS),
+                                      (1, IRC_RHS_SLOTS, IRC_RHS_WEIGHTS)):
+                for widx, slot in zip(order, slots):
+                    spins = [np.broadcast_to(np.asarray(env[s], dtype=float), z.shape)
+                             for s in slot]
+                    out[:, col] *= irc_weight_modular(specs[widx], spins, tol=tol * 1e-2)
+        except AccuracyError as exc:
             raise AccuracyError(
-                "z-integration did not stabilize at the node cap max_nodes=%d "
-                "(window [-%.4g, %.4g])" % (max_nodes, half, half), achieved=diff)
-    raise AccuracyError(
-        "z-integration window kept growing: 10 rounds, final window "
-        "[-%.4g, %.4g] at %d nodes (max_nodes=%d)" % (half, half, n, max_nodes),
-        achieved=diff)
+                "%s; it is an inner 2Psi2 integral at tol*1e-2 = %.3g, so the inner "
+                "tolerance bound, not tol = %.3g" % (exc, tol * 1e-2, tol),
+                achieved=exc.achieved) from exc
+        return out
+
+    lhs, rhs = sf._nested_trapezoid(sides, z_half_width, 16, tol, max_nodes,
+                                    tail=1e-8, grow=1.4, what="z-integration")
+    return _rel_residual(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------

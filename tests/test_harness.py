@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -61,6 +63,28 @@ def test_pass_logic():
     # negative control must clear the 1e-3 floor, not just the tolerance
     neg = Report("x", {}, 1, 1e-6, 1e-4, {"cases": 1}, 0.0, negative_control=True)
     assert not neg.passed
+
+
+@pytest.mark.parametrize("perturb", [False, True], ids=["check", "control"])
+def test_non_finite_case_fails_the_suite(monkeypatch, perturb):
+    # builtin max skips a NaN that is not first; any non-finite case must fail
+    suite = SUITES["classical-lybe"]
+
+    def case(cfg, idx):
+        return math.nan if idx == 3 else (1.0 if cfg.perturb else 0.0)
+    monkeypatch.setitem(SUITES, "classical-lybe", dataclasses.replace(suite, case=case))
+    rep = run_suite(SuiteConfig(suite="classical-lybe", samples=6, perturb=perturb))
+    assert math.isnan(rep.max_residual)
+    assert not rep.passed
+    assert not Report("x", {}, 1, 1e-6, math.inf, {"cases": 1}, 0.0,
+                      negative_control=perturb).passed
+
+
+def test_modular_specfun_near_confluent_case():
+    # seed 1403, case 26: a 2Psi2 case with c1 - c2 = -8.3e-6, where the two
+    # residue families cancel; it read 6.2e-6 against the 1e-6 tolerance
+    cfg = SuiteConfig(suite="modular-specfun", seed=1403, samples=20)
+    assert SUITES["modular-specfun"].case(cfg, 26) < 1e-8
 
 
 def test_config_validation():

@@ -515,16 +515,39 @@ def test_field_exponent_balance():
     assert rm.field_exponent_balance(tsets, bad, rng) > 1e-3
 
 
-def test_modular_irc_node_cap_reports_window():
-    # one node count runs before the cap, so there is no change to report
+def _wide_b_tuple():
     rng = np.random.default_rng(3)
     mp = sf.ModularParam(0.8 * np.exp(0.5j))
     tsets = rm.spectral_sets_from_free(rng.uniform(-0.3, 0.3, 6))
     specs = tuple(rm.ModularWeightSpec(mp, t) for t in tsets)
     ext = {k: float(x) for k, x in zip(rm.EXTERNAL_LABELS, rng.uniform(-0.25, 0.25, 14))}
-    with pytest.raises(AccuracyError, match=r"max_nodes=128 \(window \[-4, 4\]\)") as info:
-        rm.irc_te_residual_modular(specs, ext, tol=1e-5, max_nodes=128)
+    return specs, ext
+
+
+def test_modular_irc_node_cap_reports_window():
+    # one node count runs before the cap, so there is no change to report
+    specs, ext = _wide_b_tuple()
+    with pytest.raises(AccuracyError, match=r"max_nodes=33 \(window \[-4, 4\]\)") as info:
+        rm.irc_te_residual_modular(specs, ext, tol=1e-5, max_nodes=33)
     assert info.value.achieved is None
+
+
+def test_modular_irc_reaches_tight_tolerance():
+    # the inner 2Psi2 integrals run at tol * 1e-2 = 1e-11; a rule that
+    # restarts at every node count hits their node cap here
+    specs, ext = _wide_b_tuple()
+    assert rm.irc_te_residual_modular(specs, ext, tol=1e-9) < 1e-14
+
+
+def test_modular_irc_names_the_inner_tolerance(monkeypatch):
+    # an inner 2Psi2 failure says that tol * 1e-2 bound, not the outer tol
+    batch = sf.psi22_quadrature_batch
+    monkeypatch.setattr(sf, "psi22_quadrature_batch",
+                        lambda *a, **k: batch(*a, **k, max_nodes=81))
+    specs, ext = _wide_b_tuple()
+    with pytest.raises(AccuracyError, match=r"2Psi2 quadrature did not stabilize.*"
+                       r"inner 2Psi2 integral at tol\*1e-2 = 1e-07"):
+        rm.irc_te_residual_modular(specs, ext, tol=1e-5)
 
 
 @pytest.mark.slow

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -250,12 +251,78 @@ def test_psi22_node_cap_reports_last_change():
     # the error names the cap and the window; achieved is the change between
     # the last two node counts, or None after a single count
     c = ([0.1, -0.2], [0.05, 0.1], [-0.1, 0.2], [0.0, 0.1], [-0.3, -0.2])
-    with pytest.raises(AccuracyError, match=r"max_nodes=256 \(window \[") as info:
-        sf.psi22_quadrature_batch(*c, B_TEST, max_nodes=256)
+    with pytest.raises(AccuracyError, match=r"max_nodes=81 \(window \[") as info:
+        sf.psi22_quadrature_batch(*c, B_TEST, max_nodes=81)
     assert info.value.achieved is None
-    with pytest.raises(AccuracyError, match=r"max_nodes=512 \(window \[") as info:
-        sf.psi22_quadrature_batch(*c, B_TEST, tol=1e-30, max_nodes=512)
+    with pytest.raises(AccuracyError, match=r"max_nodes=161 \(window \[") as info:
+        sf.psi22_quadrature_batch(*c, B_TEST, tol=1e-30, max_nodes=161)
     assert 0.0 < info.value.achieved < 1e-10
+
+
+def _psi22_gauss_legendre(c1, c2, c3, c4, c0, mp, n=800, span=16.0):
+    """Reference for psi22_quadrature_batch: one fixed Gauss-Legendre rule
+    on a window far wider than the integrand's decay length."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    z = span * nodes[:, None]
+    eta = mp.eta
+    f = np.exp(2j * np.pi * z * (-c0 - 1j * eta))
+    for cj, sign in ((c1, 1), (c2, 1), (c3, -1), (c4, -1)):
+        f *= sf.dilog_product(z + (cj + sign * 1j * eta) / 2, mp, tol=3e-15) ** sign
+    return span * (weights @ f)
+
+
+@pytest.mark.parametrize("mp", [B_TEST, B_WIDE], ids=["b_test", "b_wide"])
+def test_psi22_quadrature_vs_fixed_gauss_legendre(mp):
+    rng = np.random.default_rng(29)
+    c = rng.uniform(-0.35, 0.3, size=(4, 200))
+    c0 = rng.uniform(-0.45, -0.1, size=200)
+    got = sf.psi22_quadrature_batch(*c, c0, mp)
+    ref = _psi22_gauss_legendre(*c, c0, mp)
+    assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-11
+
+
+def _recording(f):
+    nodes = []
+
+    def wrapped(z):
+        nodes.extend(z.tolist())
+        return f(z)
+    return wrapped, nodes
+
+
+def test_nested_trapezoid_evaluates_each_node_once():
+    # a narrow start window and a coarse step force widenings and halvings;
+    # the evaluated nodes must be exactly the final grid, each once
+    f, nodes = _recording(lambda z: 1 / np.cosh(z))
+    got = sf._nested_trapezoid(f, 1.0, 2, 1e-14, 10**4, tail=1e-12, grow=1.5, what="test")
+    assert abs(got - math.pi) < 1e-12
+    span, h = max(nodes), min(np.diff(sorted(nodes)))
+    assert span > 20.0 and h <= 0.125
+    assert len(set(nodes)) == len(nodes)
+    k = round(span / h)
+    assert np.array_equal(np.sort(nodes), h * np.arange(-k, k + 1))
+
+
+def test_nested_trapezoid_gaussian_closed_form():
+    # int exp(-x^2) cos(a x) dx = sqrt(pi) exp(-a^2 / 4)
+    a = np.array([0.0, 1.0, 2.5, 4.0])
+    got = sf._nested_trapezoid(lambda z: np.exp(-z * z)[:, None] * np.cos(np.outer(z, a)),
+                               2.0, 4, 1e-12, 10**4, tail=1e-14, grow=1.5, what="test")
+    assert np.max(np.abs(got - math.sqrt(math.pi) * np.exp(-a * a / 4))) < 1e-14
+
+
+def test_nested_trapezoid_undecayed_tail_hits_node_cap():
+    # the window widens every round and each widening adds nodes, so the
+    # cap ends the loop; the error names the cap and the last window
+    f, nodes = _recording(lambda z: np.ones_like(z))
+    with pytest.raises(AccuracyError) as info:
+        sf._nested_trapezoid(f, 4.0, 16, 1e-9, 1000, tail=1e-10, grow=1.5, what="test")
+    found = re.fullmatch(r"test did not stabilize at the node cap max_nodes=1000 "
+                         r"\(window \[-(\S+), (\S+)\]\)", str(info.value))
+    assert found and found.group(1) == found.group(2)
+    assert len(nodes) <= 1000
+    assert float(found.group(2)) == pytest.approx(max(nodes), rel=1e-3)
+    assert info.value.achieved is None
 
 
 def test_psi22_confluent_double_pole_case():
