@@ -281,7 +281,8 @@ def angle_map(angles6, eps=EPS_CLASSICAL):
     return np.array(res)
 
 
-CANONICAL_OMEGA = np.kron(np.eye(3), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+# one [[0, 1], [-1, 0]] block per face, on its (alpha, beta) pair
+CANONICAL_OMEGA = np.diag([1.0, 0, 1, 0, 1], 1) - np.diag([1.0, 0, 1, 0, 1], -1)
 
 
 def sample_symplectic_state(rng, eps=EPS_CLASSICAL, h: float = 1e-5,
@@ -450,21 +451,6 @@ def cube_triples(field: CovariantField, s):
                         field.value(tuple(s2), 0, 2))
     t3 = CircularTriple(field.kk(s, 0, 1), field.value(s, 1, 0), field.value(s, 0, 1))
     return t1, t2, t3
-
-
-def covariant_trajectory_csv(field: CovariantField, path: str):
-    """Dump all set field values as CSV rows (s1, s2, s3, i, j, value)."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s1", "s2", "s3", "i", "j", "value"])
-        n1, n2, n3 = (b + 1 for b in field.box)
-        for s in np.ndindex(n1, n2, n3):
-            for (i, j) in PAIRS:
-                v = field.a[(*s, i, j)]
-                if not math.isnan(v):
-                    writer.writerow([*s, i + 1, j + 1, repr(float(v))])
 
 
 def covariant_vs_map_residual(field: CovariantField) -> float:

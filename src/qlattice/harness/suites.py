@@ -193,26 +193,22 @@ def _fock_te_case(cfg, idx):
     return worst
 
 
-@lru_cache(maxsize=4)
-def _fock_intertwine_setup(cutoff, q):
-    reps = (qosc.fock_rep(cutoff, q),) * 3
-    return reps, rm.fock_r_dense(cutoff, q), qosc.product_state_mask(reps)
-
-
 def _fock_intertwine_case(cfg, idx):
+    import mpmath as mp
+
     if idx == 0:
         if cfg.perturb:
             def bad_element(n1, n2, n3, m1, m2, m3, q):
-                import mpmath as mp
                 val = rm.fock_element_mp(n1, n2, n3, m1, m2, m3, q)
                 return val * mp.mpf("1.05") ** n2 if val else val
             return qosc.fock_intertwine_extended(cfg.cutoff, cfg.q, bad_element)
         return qosc.fock_intertwine_extended(cfg.cutoff, cfg.q, rm.fock_element_mp)
-    reps, r, mask = _fock_intertwine_setup(min(cfg.cutoff, 6), cfg.q)
-    if cfg.perturb:
-        r = r.copy()
-        r[0, 0] += 0.05 * np.max(np.abs(r))
-    return max(qosc.map_operator_residuals(reps, r, eps=1, mask=mask).values())
+    with mp.workdps(rm._MP_DPS):
+        reps, mask, r = qosc.fock_r_sparse(cfg.cutoff, cfg.q, rm.fock_element_mp)
+        if cfg.perturb:
+            bump, origin = 0.05 * r.max_abs(), (0, 0, 0)
+            r.rows[origin] = [(m, v + bump if m == origin else v) for m, v in r.rows[origin]]
+        return max(qosc.map_operator_residuals(reps, r, eps=1, mask=mask).values())
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,12 @@ class VOp:
     def __neg__(self):
         return VOp(self.dims, {r: [(c, -v) for c, v in e] for r, e in self.rows.items()})
 
+    def __sub__(self, other):
+        return self + -other
+
+    def __rmul__(self, scalar):
+        return VOp(self.dims, {r: [(c, scalar * v) for c, v in e] for r, e in self.rows.items()})
+
     def max_abs(self, keep=None):
         """Largest |entry| with row and column in keep (None keeps all)."""
         return max((abs(v) for r, e in self.rows.items() if keep is None or r in keep
@@ -216,10 +222,6 @@ class BlockOp:
         return max((b.max_abs(keep) for b in self.blocks.values()), default=0.0)
 
 
-def _kron3(ops):
-    return np.kron(np.kron(ops[0], ops[1]), ops[2])
-
-
 def _loper_entries(rep: QOscRep, lam, mu):
     """Nonzero entries of the two-by-two-block L-matrix.
 
@@ -262,6 +264,25 @@ def _aux_index(bits) -> int:
     return bits[0] * 4 + bits[1] * 2 + bits[2]
 
 
+def _lift(dims, axis: int, mat) -> VOp:
+    """The single-factor matrix mat acting on factor axis of V1 x V2 x V3."""
+    others = [dim for a, dim in enumerate(dims) if a != axis]
+    vals, nonzero = mat.tolist(), np.argwhere(mat).tolist()
+    rows = {}
+    for rest in np.ndindex(*others):
+        for r, c in nonzero:
+            rows.setdefault(rest[:axis] + (r,) + rest[axis:], []).append(
+                (rest[:axis] + (c,) + rest[axis:], vals[r][c]))
+    return VOp(dims, rows)
+
+
+def _projector(dims, mask) -> VOp:
+    """Diagonal VOp onto the basis states where mask is true (all if None)."""
+    if mask is None:
+        mask = np.ones(math.prod(dims), dtype=bool)
+    return VOp(dims, {n: [(n, 1)] for n, ok in zip(np.ndindex(*dims), mask) if ok})
+
+
 def build_l(reps, lambdas, mus) -> tuple[BlockOp, BlockOp, BlockOp]:
     """L12(H1), L13(H2), L23(H3) on C^2 x C^2 x C^2 (x) V1 x V2 x V3.
 
@@ -275,16 +296,9 @@ def build_l(reps, lambdas, mus) -> tuple[BlockOp, BlockOp, BlockOp]:
     out = []
     for first, second, ridx in PLACEMENTS:
         op = BlockOp(dims)
-        others = [dim for axis, dim in enumerate(dims) if axis != ridx]
         for bits_row, bits_col, mat in _placed_entries(
                 reps[ridx], lambdas[ridx], mus[ridx], first, second):
-            vals, nonzero = mat.tolist(), np.argwhere(mat).tolist()
-            rows = {}
-            for rest in np.ndindex(*others):
-                for r, c in nonzero:
-                    rows.setdefault(rest[:ridx] + (r,) + rest[ridx:], []).append(
-                        (rest[:ridx] + (c,) + rest[ridx:], vals[r][c]))
-            op.add(_aux_index(bits_row), _aux_index(bits_col), VOp(dims, rows))
+            op.add(_aux_index(bits_row), _aux_index(bits_col), _lift(dims, ridx, mat))
         out.append(op)
     return tuple(out)
 
@@ -299,9 +313,7 @@ def intertwine_residual(l_ops, r_matrix, mask: np.ndarray | None = None) -> floa
     """
     l12, l13, l23 = l_ops
     dims = l12.dims
-    if mask is None:
-        mask = np.ones(math.prod(dims), dtype=bool)
-    proj = VOp(dims, {n: [(n, 1)] for n, ok in zip(np.ndindex(*dims), mask) if ok})
+    proj = _projector(dims, mask)
     r = r_matrix if isinstance(r_matrix, VOp) else VOp.from_dense(dims, r_matrix)
     lhs = (((proj @ l12) @ l13) @ l23) @ r
     rhs = (proj @ r) @ ((l23 @ l13) @ l12)
@@ -318,65 +330,77 @@ def product_state_mask(reps) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# extended-precision Fock intertwining
+# extended-precision Fock checks
 # ---------------------------------------------------------------------------
 #
 # At larger cutoffs the R elements within one charge sector span enormous
 # magnitude ranges (q^{+-(cutoff^2)} prefactors), so double-precision
-# products lose every significant digit even though the masked identity is
-# exact.  The check below runs the same sparse product in software floats.
+# products lose every significant digit of the intertwining check even
+# though the masked identity is exact.  Both Fock checks below (intertwining
+# and flip-map relations) run in software floats, on one R.
 
-def fock_intertwine_extended(cutoff: int, q, element_fn) -> float:
-    """Masked intertwining residual at _MP_DPS digits, with lambda = 1 and
-    mu = -1.
+def fock_r_sparse(cutoff: int, q, element_fn):
+    """(reps, mask, R) for the masked 50-digit Fock checks; call it inside
+    mp.workdps(_MP_DPS), where the products on them must run too.
 
-    element_fn(n1, n2, n3, m1, m2, m3, q) must return the R element as an
-    mp number; the interior mask keeps oscillator indices < cutoff - 1.
-    R is filled over charge sectors (m1 + m2 = n1 + n2, m2 + m3 = n2 + n3)
-    and only where its row n is masked, or its column is masked and no index
-    of n is at the cutoff: each L moves one index by at most one, so no other
-    element reaches a masked entry of either side.
+    reps are three Fock representations at the mpmath q, and the interior
+    mask keeps oscillator indices < cutoff - 1.  element_fn(n1, n2, n3, m1,
+    m2, m3, q) must return the R element as an mp number.  R is filled over
+    charge sectors (m1 + m2 = n1 + n2, m2 + m3 = n2 + n3) and only where its
+    row n is masked, or its column is masked and no index of n is at the
+    cutoff: every L, and every operator of the flip-map relations, moves
+    each index by at most one, so no other element reaches a masked entry.
     """
     import mpmath as mp
 
+    reps = (fock_rep(cutoff, mp.mpmathify(q)),) * 3
+    mask = product_state_mask(reps)
+    dims = tuple(r.dim for r in reps)
+    kept = mask.reshape(dims)
+    rows = {}
+    for n in np.ndindex(*dims):
+        c1, c2 = n[0] + n[1], n[1] + n[2]
+        for m2 in range(max(0, c2 - cutoff, c1 - cutoff), min(c1, c2, cutoff) + 1):
+            m = (c1 - m2, m2, c2 - m2)
+            if kept[n] or (kept[m] and max(n) < cutoff):
+                el = element_fn(*n, *m, q)
+                if el:
+                    rows.setdefault(n, []).append((m, el))
+    return reps, mask, VOp(dims, rows)
+
+
+def fock_intertwine_extended(cutoff: int, q, element_fn) -> float:
+    """Masked intertwining residual at _MP_DPS digits, with lambda = 1 and
+    mu = -1, on the R of fock_r_sparse(cutoff, q, element_fn)."""
+    import mpmath as mp
+
     with mp.workdps(_MP_DPS):
-        reps = (fock_rep(cutoff, mp.mpmathify(q)),) * 3
-        mask = product_state_mask(reps)
-        dims = tuple(r.dim for r in reps)
-        kept = mask.reshape(dims)
-        rows = {}
-        for n in np.ndindex(*dims):
-            c1, c2 = n[0] + n[1], n[1] + n[2]
-            for m2 in range(max(0, c2 - cutoff, c1 - cutoff), min(c1, c2, cutoff) + 1):
-                m = (c1 - m2, m2, c2 - m2)
-                if kept[n] or (kept[m] and max(n) < cutoff):
-                    el = element_fn(*n, *m, q)
-                    if el:
-                        rows.setdefault(n, []).append((m, el))
+        reps, mask, r = fock_r_sparse(cutoff, q, element_fn)
         ls = build_l(reps, (1.0,) * 3, (-1.0,) * 3)
-        return intertwine_residual(ls, VOp(dims, rows), mask)
+        return intertwine_residual(ls, r, mask)
 
 
 # ---------------------------------------------------------------------------
 # automorphism relations of the flip map, operator level
 # ---------------------------------------------------------------------------
 
-def map_operator_residuals(reps, r_matrix: np.ndarray, eps: int = 1,
+def map_operator_residuals(reps, r_matrix, eps: int = 1,
                            mask: np.ndarray | None = None) -> dict:
     """Residuals of R . F = F' . R for the six flip-map relations plus the
-    primed constraint (k2')^2 = q (1 - a2*' a2')."""
-    r1, r2, r3 = reps
-    q = r1.q
-    eyes = [np.eye(r.dim, dtype=complex) for r in reps]
+    primed constraint (k2')^2 = q (1 - a2*' a2'), each relative to max|R|.
 
-    def op(o1, o2, o3):
-        return _kron3([o1 if o1 is not None else eyes[0],
-                       o2 if o2 is not None else eyes[1],
-                       o3 if o3 is not None else eyes[2]])
-
-    k1, a1, s1 = op(r1.k, None, None), op(r1.a, None, None), op(r1.a_star, None, None)
-    k2, a2, s2 = op(None, r2.k, None), op(None, r2.a, None), op(None, r2.a_star, None)
-    k3, a3, s3 = op(None, None, r3.k), op(None, None, r3.a), op(None, None, r3.a_star)
+    r_matrix is a VOp or a dense matrix over V1 x V2 x V3.  mask, if given,
+    selects the rows and columns compared, and only masked rows are
+    multiplied by R.  The arithmetic is that of the entries: double or
+    mpmath.
+    """
+    q = reps[0].q
+    dims = tuple(r.dim for r in reps)
+    proj = _projector(dims, mask)
+    r = r_matrix if isinstance(r_matrix, VOp) else VOp.from_dense(dims, r_matrix)
+    (k1, a1, s1), (k2, a2, s2), (k3, a3, s3) = (
+        (_lift(dims, axis, rep.k), _lift(dims, axis, rep.a), _lift(dims, axis, rep.a_star))
+        for axis, rep in enumerate(reps))
     img_a2 = a1 @ a3 + eps * k1 @ k3 @ a2
     img_s2 = s1 @ s3 + eps * k1 @ k3 @ s2
     rels = {
@@ -386,16 +410,13 @@ def map_operator_residuals(reps, r_matrix: np.ndarray, eps: int = 1,
         "a2": (a2, img_a2),
         "k2a3s": (k2 @ s3, k1 @ s3 - eps * k3 @ a1 @ s2),
         "k2a3": (k2 @ a3, k1 @ a3 - eps * k3 @ s1 @ a2),
-        "k2sq_constraint": (k2 @ k2, q * (op(None, None, None) - img_s2 @ img_a2)),
+        "k2sq_constraint": (k2 @ k2, q * (_projector(dims, None) - img_s2 @ img_a2)),
     }
-    out = {}
-    for name, (pre, post) in rels.items():
-        diff = r_matrix @ pre - post @ r_matrix
-        if mask is not None:
-            diff = diff[np.ix_(mask, mask)]
-        scale = max(float(np.max(np.abs(r_matrix))), 1e-300)
-        out[name] = float(np.max(np.abs(diff))) / scale
-    return out
+    keep = proj.rows
+    scale = max(r.max_abs(), 1e-300)
+    proj_r = proj @ r
+    return {name: float((proj_r @ pre - (proj @ post) @ r).max_abs(keep) / scale)
+            for name, (pre, post) in rels.items()}
 
 
 # ---------------------------------------------------------------------------

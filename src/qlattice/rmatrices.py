@@ -309,22 +309,17 @@ def cyclic_vertex_element(n, m, data: CyclicRData) -> complex:
     return pref * total
 
 
-def cyclic_r_tensor(data: CyclicRData) -> np.ndarray:
-    """Dense rank-6 tensor R[n1,n2,n3,m1,m2,m3] over Z_N; only the N^4
-    charge-allowed entries (m1 + m2 = n1 + n2, m2 + m3 = n2 + n3 mod N) are
-    evaluated."""
+def cyclic_r_dense(data: CyclicRData) -> np.ndarray:
+    """Dense N^3 x N^3 matrix of the cyclic R over Z_N, rows = bra index;
+    only the N^4 charge-allowed entries (m1 + m2 = n1 + n2, m2 + m3 = n2 + n3
+    mod N) are evaluated."""
     N = data.N
     out = np.zeros((N,) * 6, dtype=complex)
     for n in np.ndindex(N, N, N):
         for m2 in range(N):
             m = ((n[0] + n[1] - m2) % N, m2, (n[1] + n[2] - m2) % N)
             out[n + m] = cyclic_vertex_element(n, m, data)
-    return out
-
-
-def cyclic_r_dense(data: CyclicRData) -> np.ndarray:
-    N = data.N
-    return cyclic_r_tensor(data).reshape(N ** 3, N ** 3)
+    return out.reshape(N ** 3, N ** 3)
 
 
 def vertex_te_residual(ext, datasets) -> float:

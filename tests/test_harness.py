@@ -156,16 +156,15 @@ def test_cli_verify_writes_report(tmp_path):
     assert main(["report", "--json", str(out)]) == 0
 
 
-def test_covariant_trajectory_csv(tmp_path):
-    from qlattice import classical_map as cm
-    rng = case_rng(5, 0)
-    f = cm.CovariantField.random_boundary((2, 2, 2), rng)
-    cm.covariant_evolve(f)
-    path = tmp_path / "traj.csv"
-    cm.covariant_trajectory_csv(f, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "s1,s2,s3,i,j,value"
-    assert len(lines) > 50
+def test_fock_intertwine_map_relations_at_reported_cutoff():
+    # case 1 checks the flip-map relations in 50 digits at the cutoff the
+    # report names, on the same R as the intertwining check (case 0)
+    rep = run_suite(SuiteConfig(suite="fock-intertwine", cutoff=8, q=0.3, keep_cases=True))
+    assert rep.parameters["cutoff"] == 8
+    assert dict(rep.cases)[1] < 1e-30
+    bad = run_suite(SuiteConfig(suite="fock-intertwine", cutoff=5, q=0.3, perturb=True,
+                                keep_cases=True))
+    assert [i for i, res in bad.cases if res > 1e-3] == [0, 1]
 
 
 def test_cli_exit_code_on_failure(tmp_path):

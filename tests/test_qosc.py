@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -298,3 +299,53 @@ def test_map_operator_relations_fock():
     # wrong eps must fail
     bad = qosc.map_operator_residuals(reps, r, eps=-1, mask=mask)
     assert max(bad.values()) > 1e-3
+    # 50 digits at cutoff 8, on the sparse R the intertwining check uses
+    with mp.workdps(rm._MP_DPS):
+        reps, mask, r = qosc.fock_r_sparse(8, q, rm.fock_element_mp)
+        res = qosc.map_operator_residuals(reps, r, eps=1, mask=mask)
+        bad = qosc.map_operator_residuals(reps, r, eps=-1, mask=mask)
+    assert max(res.values()) < 1e-30
+    assert max(bad.values()) > 1e-3
+
+
+def dense_map_oracle(reps, r, eps, mask):
+    """Residuals of the flip-map relations written with np.kron matrices."""
+    def op(axis, mat):
+        ops = [np.eye(rep.dim) for rep in reps]
+        ops[axis] = mat
+        return kron3(ops)
+
+    k1, k2, k3 = (op(i, rep.k) for i, rep in enumerate(reps))
+    a1, a2, a3 = (op(i, rep.a) for i, rep in enumerate(reps))
+    s1, s2, s3 = (op(i, rep.a_star) for i, rep in enumerate(reps))
+    img_a2 = a1 @ a3 + eps * k1 @ k3 @ a2
+    img_s2 = s1 @ s3 + eps * k1 @ k3 @ s2
+    rels = {
+        "k2a1s": (k2 @ s1, k3 @ s1 - eps * k1 @ s2 @ a3),
+        "k2a1": (k2 @ a1, k3 @ a1 - eps * k1 @ a2 @ s3),
+        "a2s": (s2, img_s2),
+        "a2": (a2, img_a2),
+        "k2a3s": (k2 @ s3, k1 @ s3 - eps * k3 @ a1 @ s2),
+        "k2a3": (k2 @ a3, k1 @ a3 - eps * k3 @ s1 @ a2),
+        "k2sq_constraint": (k2 @ k2, reps[0].q * (np.eye(len(r)) - img_s2 @ img_a2)),
+    }
+    sub = np.ix_(mask, mask)
+    return {name: float(np.max(np.abs((r @ pre - post @ r)[sub])) / np.max(np.abs(r)))
+            for name, (pre, post) in rels.items()}
+
+
+def test_map_operator_residuals_match_dense_oracle():
+    reps = (qosc.fock_rep(5, 0.3),) * 3
+    mask = qosc.product_state_mask(reps)
+    r = rm.fock_r_dense(5, 0.3)
+    bad = r.copy()
+    bad[0, 0] += 0.05 * np.max(np.abs(r))
+    got = qosc.map_operator_residuals(reps, r, eps=1, mask=mask)
+    assert max(got.values()) < 1e-12
+    assert max(dense_map_oracle(reps, r, 1, mask).values()) < 1e-12
+    for mat, eps in ((r, -1), (bad, 1)):
+        got = qosc.map_operator_residuals(reps, mat, eps=eps, mask=mask)
+        want = dense_map_oracle(reps, mat, eps, mask)
+        assert max(got.values()) > 1e-3
+        assert got.keys() == want.keys()
+        assert all(abs(got[k] - want[k]) <= 1e-12 + 1e-10 * want[k] for k in got)

@@ -146,6 +146,15 @@ def test_dilog_pole_proximity_error():
         sf.quantum_dilog(1j * B_TEST.eta.real, B_TEST, method="quadrature")
 
 
+def test_dilog_quadrature_names_its_node_cap():
+    # an unreachable tolerance ends at the node cap, which the error names,
+    # with the last relative change between step sizes as achieved
+    with pytest.raises(AccuracyError, match=r"^phi quadrature did not stabilize at the "
+                                            r"node cap max_nodes=4096 \(window \[") as info:
+        sf._dilog_quadrature(0.1 + 0.05j, sf.ModularParam(0.9), tol=1e-30)
+    assert 0 < info.value.achieved < 1e-12
+
+
 def test_dilog_inversion_relation():
     # phi(z) phi(-z) = e^{i pi z^2} phi(0)^2 ; derived self-consistency of
     # the product form, pinned numerically at z = 0.  |Re z| reaches 9,
