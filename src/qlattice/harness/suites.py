@@ -11,7 +11,6 @@ report then passes only if the residual EXCEEDS the tolerance.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -176,20 +175,19 @@ def _fock_te_case(cfg, idx):
 
     base = cfg.max_index + 1
     outer = [idx // base ** k % base for k in range(6)]
+    inner = np.indices((base,) * 6).reshape(6, -1)
+    exts = np.vstack([np.repeat(np.reshape(outer, (6, 1)), inner.shape[1], axis=1), inner])
     worst = 0.0
     q = cfg.q
-    for inner in itertools.product(range(base), repeat=6):
-        ext = (*outer, *inner)
+    # inconsistent tuples are swept too: the gate finds no term, both sides vanish
+    for ext, terms in rm.fock_te_gate(exts):
         if cfg.perturb:
-            if not rm.fock_te_consistent(ext):
-                continue
             with mp.workdps(rm._MP_DPS):
-                lhs, _ = rm._te_sides(ext, q, rm.fock_element_mp)
-                _, rhs = rm._te_sides(ext, q * (1 + 1e-3), rm.fock_element_mp)
+                lhs, _ = rm._te_sides(ext, q, rm.fock_element_mp, terms)
+                _, rhs = rm._te_sides(ext, q * (1 + 1e-3), rm.fock_element_mp, terms)
                 worst = max(worst, float(rm._rel_residual(lhs, rhs)))
         else:
-            # inconsistent tuples are swept too: both sides must vanish
-            worst = max(worst, rm.fock_te_residual(ext, q))
+            worst = max(worst, rm.fock_te_residual(ext, q, terms))
     return worst
 
 

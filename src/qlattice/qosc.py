@@ -387,7 +387,8 @@ def fock_intertwine_extended(cutoff: int, q, element_fn) -> float:
 def map_operator_residuals(reps, r_matrix, eps: int = 1,
                            mask: np.ndarray | None = None) -> dict:
     """Residuals of R . F = F' . R for the six flip-map relations plus the
-    primed constraint (k2')^2 = q (1 - a2*' a2'), each relative to max|R|.
+    primed constraint (k2')^2 = q (1 - a2*' a2'), each relative to the
+    larger of its two masked sides.
 
     r_matrix is a VOp or a dense matrix over V1 x V2 x V3.  mask, if given,
     selects the rows and columns compared, and only masked rows are
@@ -413,10 +414,13 @@ def map_operator_residuals(reps, r_matrix, eps: int = 1,
         "k2sq_constraint": (k2 @ k2, q * (_projector(dims, None) - img_s2 @ img_a2)),
     }
     keep = proj.rows
-    scale = max(r.max_abs(), 1e-300)
     proj_r = proj @ r
-    return {name: float((proj_r @ pre - (proj @ post) @ r).max_abs(keep) / scale)
-            for name, (pre, post) in rels.items()}
+    out = {}
+    for name, (pre, post) in rels.items():
+        lhs, rhs = proj_r @ pre, (proj @ post) @ r
+        scale = max(lhs.max_abs(keep), rhs.max_abs(keep), 1e-300)
+        out[name] = float((lhs - rhs).max_abs(keep) / scale)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ solved; the ranges are exactly the nonnegativity windows of the solved indices.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -109,72 +108,91 @@ def fock_r_dense(cutoff: int, q: complex) -> np.ndarray:
     return out
 
 
-def _te_terms(ext):
-    """(lhs, rhs) terms of the vertex tetrahedron equation at ext =
-    (n1..n6, n1''..n6''); a term is the index 6-tuples of its four elements.
+def fock_te_gate(exts):
+    """Terms of the vertex tetrahedron equation for a batch of external tuples.
 
+    exts is a (12, T) integer array whose columns are (n1..n6, n1''..n6'').
     Each side is a single sum over the one internal index left free by the
-    eight charge deltas; the loop range is exactly the nonnegativity window
-    of the solved internal indices, so no truncation is involved.  A term is
-    kept only if each element passes its own charge deltas; the others are
-    exact zeros, so a charge-inconsistent tuple costs integer checks only.
+    eight charge deltas; its range is exactly the nonnegativity window of the
+    solved internal indices, so no truncation is involved.  A term is kept
+    only if each of its four elements passes its own charge deltas; the
+    others are exact zeros.  Returns [(ext, (lhs, rhs))] for the columns with
+    at least one term, in column order: ext is the column as a tuple of ints
+    and a term is the four elements' index 6-tuples, as Python ints, in
+    ascending free-index order.
     """
-    n1, n2, n3, n4, n5, n6, p1, p2, p3, p4, p5, p6 = ext
-    lhs = []
-    lo = max(0, n1 - n3, p1 - n4, p1 + p4 - n4 - n6)
-    hi = min(n1 + n2, n5 + p1)
-    for i1 in range(lo, hi + 1):
-        i2 = n1 + n2 - i1
-        i3 = n3 - n1 + i1
-        i4 = i1 + n4 - p1
-        i5 = n5 - i1 + p1
+    exts = np.asarray(exts, dtype=np.int64)
+    n1, n2, n3, n4, n5, n6, p1, p2, p3, p4, p5, p6 = exts[:, :, None]
+    zero = np.zeros_like(n1)
+
+    def lhs(i1):
+        i2, i3, i4, i5 = n1 + n2 - i1, n3 - n1 + i1, i1 + n4 - p1, n5 - i1 + p1
         i6 = i4 + n6 - p4
-        lhs.append(((n1, n2, n3, i1, i2, i3), (i1, n4, n5, p1, i4, i5),
-                    (i2, i4, n6, p2, p4, i6), (i3, i5, i6, p3, p5, p6)))
-    rhs = []
-    lo = max(0, n3 - n6, n3 + p6 - n4 - n6, n3 + p6 - n6 - n1 + p4 - n4)
-    hi = min(n3 + n5, n2 + n3 + p6 - n6)
-    for i3 in range(lo, hi + 1):
-        i5 = n3 + n5 - i3
-        i6 = n6 - n3 + i3
+        return ((n1, n2, n3, i1, i2, i3), (i1, n4, n5, p1, i4, i5),
+                (i2, i4, n6, p2, p4, i6), (i3, i5, i6, p3, p5, p6))
+
+    def rhs(i3):
+        i5, i6 = n3 + n5 - i3, n6 - n3 + i3
         i4 = n4 + i6 - p6
-        i2 = n2 + n4 - i4
-        i1 = n1 + i4 - p4
-        rhs.append(((n3, n5, n6, i3, i5, i6), (n2, n4, i6, i2, i4, p6),
-                    (n1, i4, i5, i1, p4, p5), (i1, i2, i3, p1, p2, p3)))
-    # last element first: the solved deltas make the first ones pass
-    return tuple([t for t in side if all(itertools.starmap(fock_charge_allowed, t[::-1]))]
-                 for side in (lhs, rhs))
+        i2, i1 = n2 + n4 - i4, n1 + i4 - p4
+        return ((n3, n5, n6, i3, i5, i6), (n2, n4, i6, i2, i4, p6),
+                (n1, i4, i5, i1, p4, p5), (i1, i2, i3, p1, p2, p3))
+
+    def side(lo, hi, elements):
+        width = max(int((hi - lo).max()) + 1, 0)
+        free = lo + np.arange(width)
+        flat = [i for el in elements(free) for i in el]
+        idx = np.stack(np.broadcast_arrays(free, *flat)[1:]).reshape(4, 6, *free.shape)
+        a, b, c, d, e, f = idx.swapaxes(0, 1)
+        keep = (free <= hi) & ((a + b == d + e) & (b + c == e + f)).all(axis=0)
+        col, k = np.nonzero(keep)  # row-major: columns, then free index, ascending
+        return col, idx[:, :, col, k].transpose(2, 0, 1)
+
+    sides = (side(np.maximum.reduce([zero, n1 - n3, p1 - n4, p1 + p4 - n4 - n6]),
+                  np.minimum(n1 + n2, n5 + p1), lhs),
+             side(np.maximum.reduce([zero, n3 - n6, n3 + p6 - n4 - n6,
+                                     n3 + p6 - n6 - n1 + p4 - n4]),
+                  np.minimum(n3 + n5, n2 + n3 + p6 - n6), rhs))
+    terms = {}
+    for s, (col, idx) in enumerate(sides):
+        for c, term in zip(col.tolist(), idx.tolist()):
+            terms.setdefault(c, ([], []))[s].append(tuple(map(tuple, term)))
+    return [(tuple(exts[:, c].tolist()), terms[c]) for c in sorted(terms)]
 
 
-def _te_sides(ext, q, element):
-    """(lhs, rhs) of the vertex TE at ext: _te_terms summed in q's number type."""
+def _te_terms(ext):
+    """(lhs, rhs) terms of the vertex tetrahedron equation at one external
+    tuple: a one-column call of fock_te_gate."""
+    hit = fock_te_gate(np.reshape(ext, (12, 1)))
+    return hit[0][1] if hit else ([], [])
+
+
+def _te_sides(ext, q, element, terms=None):
+    """(lhs, rhs) of the vertex TE at ext: its gated terms (_te_terms(ext)
+    unless given) summed in q's number type."""
+    if terms is None:
+        terms = _te_terms(ext)
     return tuple(sum(element(*a, q) * element(*b, q) * element(*c, q) * element(*d, q)
-                     for a, b, c, d in terms) for terms in _te_terms(ext))
+                     for a, b, c, d in side) for side in terms)
 
 
-def fock_te_residual(ext, q) -> float:
+def fock_te_residual(ext, q, terms=None) -> float:
     """Relative residual of the vertex tetrahedron equation at one external
-    tuple, summed at _MP_DPS digits; 0.0 when neither side has a term."""
+    tuple, summed at _MP_DPS digits; 0.0 when neither side has a term.
+    terms, if given, are the tuple's terms from fock_te_gate."""
     import mpmath as mp
 
-    if not any(_te_terms(ext)):
+    if terms is None:
+        terms = _te_terms(ext)
+    if not any(terms):
         return 0.0
     with mp.workdps(_MP_DPS):
-        lhs, rhs = _te_sides(ext, q, fock_element_mp)
+        lhs, rhs = _te_sides(ext, q, fock_element_mp, terms)
         num = abs(lhs - rhs)
         den = abs(lhs) + abs(rhs)
         if num < ZERO_FLOOR and den < ZERO_FLOOR:
             return 0.0
         return float(num / (den + mp.mpf("1e-300")))
-
-
-def fock_te_consistent(ext) -> bool:
-    """Charge consistency of an external tuple; when False both sides vanish."""
-    n1, n2, n3, n4, n5, n6, p1, p2, p3, p4, p5, p6 = ext
-    return (n1 + n2 + n4 == p1 + p2 + p4
-            and n3 + n5 + p1 == n1 + p3 + p5
-            and n4 + n5 + n6 == p4 + p5 + p6)
 
 
 # ---------------------------------------------------------------------------

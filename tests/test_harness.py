@@ -187,3 +187,17 @@ def test_fock_te_extended_path():
     from qlattice import rmatrices as rm
     ext = (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1)
     assert rm.fock_te_residual(ext, 0.3) < 1e-30
+
+
+@pytest.mark.parametrize("params, max_residual", [
+    ({"q": 0.3}, "2.722360453669601e-45"),
+    ({"q": 0.5}, "0.0"),
+    ({"q": 0.7}, "1.5084651466016392e-48"),
+    ({"q": 0.3, "max_index": 1, "perturb": True}, "0.0029984920127668555"),
+])
+def test_fock_te_reports_do_not_depend_on_worker_count(params, max_residual):
+    reports = [json.dumps(strip_timing(run_suite(SuiteConfig(
+        suite="fock-te", workers=workers, keep_cases=True, **params)).to_dict()), sort_keys=True)
+        for workers in (1, 2)]
+    assert reports[0] == reports[1]
+    assert repr(json.loads(reports[0])["max_residual"]) == max_residual

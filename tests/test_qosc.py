@@ -308,6 +308,18 @@ def test_map_operator_relations_fock():
     assert max(bad.values()) > 1e-3
 
 
+def test_map_relations_scale_by_the_compared_sides():
+    # the full dense R at cutoff 8 reaches max|R| = 7e13 in entries outside
+    # the mask; a scale taken from them would let the wrong map pass
+    q = 0.3
+    reps = (qosc.fock_rep(8, q),) * 3
+    mask = qosc.product_state_mask(reps)
+    r = rm.fock_r_dense(8, q)
+    assert np.max(np.abs(r)) > 1e13
+    bad = qosc.map_operator_residuals(reps, r, eps=-1, mask=mask)
+    assert max(bad.values()) > 1e-3
+
+
 def dense_map_oracle(reps, r, eps, mask):
     """Residuals of the flip-map relations written with np.kron matrices."""
     def op(axis, mat):
@@ -330,8 +342,12 @@ def dense_map_oracle(reps, r, eps, mask):
         "k2sq_constraint": (k2 @ k2, reps[0].q * (np.eye(len(r)) - img_s2 @ img_a2)),
     }
     sub = np.ix_(mask, mask)
-    return {name: float(np.max(np.abs((r @ pre - post @ r)[sub])) / np.max(np.abs(r)))
-            for name, (pre, post) in rels.items()}
+    out = {}
+    for name, (pre, post) in rels.items():
+        lhs, rhs = (r @ pre)[sub], (post @ r)[sub]
+        out[name] = float(np.max(np.abs(lhs - rhs)) / max(np.max(np.abs(lhs)),
+                                                           np.max(np.abs(rhs))))
+    return out
 
 
 def test_map_operator_residuals_match_dense_oracle():

@@ -52,6 +52,71 @@ def test_fock_element_matches_displayed_product_generic():
         assert rm.fock_element(n1, n2, n3, m1, m2, m3, q) == pytest.approx(direct, abs=1e-12)
 
 
+def fock_te_consistent(ext) -> bool:
+    """Charge consistency of an external tuple; when False both sides vanish."""
+    n1, n2, n3, n4, n5, n6, p1, p2, p3, p4, p5, p6 = ext
+    return (n1 + n2 + n4 == p1 + p2 + p4
+            and n3 + n5 + p1 == n1 + p3 + p5
+            and n4 + n5 + n6 == p4 + p5 + p6)
+
+
+def _te_terms_oracle(ext):
+    # every value of each side's free index up to the sum of the externals,
+    # which bounds every index, with the internal indices solved from the
+    # deltas and each of the four elements checked on its own
+    n1, n2, n3, n4, n5, n6, p1, p2, p3, p4, p5, p6 = ext
+    lhs, rhs = [], []
+    for free in range(sum(ext) + 1):
+        i1 = free
+        i2, i3, i4, i5 = n1 + n2 - i1, n3 - n1 + i1, i1 + n4 - p1, n5 - i1 + p1
+        i6 = i4 + n6 - p4
+        lhs.append(((n1, n2, n3, i1, i2, i3), (i1, n4, n5, p1, i4, i5),
+                    (i2, i4, n6, p2, p4, i6), (i3, i5, i6, p3, p5, p6)))
+        i3 = free
+        i5, i6 = n3 + n5 - i3, n6 - n3 + i3
+        i4 = n4 + i6 - p6
+        i2, i1 = n2 + n4 - i4, n1 + i4 - p4
+        rhs.append(((n3, n5, n6, i3, i5, i6), (n2, n4, i6, i2, i4, p6),
+                    (n1, i4, i5, i1, p4, p5), (i1, i2, i3, p1, p2, p3)))
+    return tuple([t for t in side if min(map(min, t)) >= 0
+                  and all(rm.fock_charge_allowed(*el) for el in t)] for side in (lhs, rhs))
+
+
+def test_te_gate_terms_match_brute_force_oracle():
+    rng = np.random.default_rng(12)
+    exts = list(itertools.product(range(2), repeat=12))
+    exts += [tuple(int(x) for x in rng.integers(0, 4, 12)) for _ in range(2000)]
+    # about 1 in 270 random tuples is consistent: draw 300 more that are
+    consistent = []
+    while len(consistent) < 300:
+        draws = map(tuple, rng.integers(0, 4, (10000, 12)).tolist())
+        consistent += filter(fock_te_consistent, draws)
+    exts += consistent[:300]
+    with_terms = 0
+    for ext in exts:
+        terms = rm._te_terms(ext)
+        assert terms == _te_terms_oracle(ext)
+        assert all(type(i) is int for side in terms for t in side for el in t for i in el)
+        with_terms += any(terms)
+    assert with_terms == 152 + 5 + 300
+    # a batch gives each column the terms its one-column call gives
+    batch = rm.fock_te_gate(np.array(exts[-200:]).T)
+    assert batch == [(ext, rm._te_terms(ext)) for ext in exts[-200:] if any(rm._te_terms(ext))]
+    assert all(type(i) is int for ext, _ in batch for i in ext)
+
+
+def test_te_gate_finds_terms_exactly_on_consistent_tuples():
+    inner = np.indices((3,) * 6).reshape(6, -1)
+    hits = []
+    for outer in itertools.product(range(3), repeat=6):
+        exts = np.vstack([np.repeat(np.reshape(outer, (6, 1)), inner.shape[1], axis=1), inner])
+        hits += [ext for ext, _ in rm.fock_te_gate(exts)]
+    consistent = [ext for ext in itertools.product(range(3), repeat=12)
+                  if fock_te_consistent(ext)]
+    assert len(consistent) == 4743
+    assert hits == consistent
+
+
 def test_fock_te_exhaustive_small():
     worst = 0.0
     for ext in itertools.product(range(2), repeat=12):
@@ -64,7 +129,7 @@ def test_fock_te_inconsistent_externals_vanish():
     checked = 0
     while checked < 50:
         ext = tuple(int(x) for x in rng.integers(0, 3, 12))
-        if rm.fock_te_consistent(ext):
+        if fock_te_consistent(ext):
             continue
         lhs, rhs = rm._te_sides(ext, 0.3, rm.fock_element)
         assert abs(lhs) < 1e-14 and abs(rhs) < 1e-14
@@ -171,7 +236,7 @@ def test_fock_te_exact_for_rational_q():
 
     q = Fraction(3, 10)
     consistent = [ext for ext in itertools.product(range(2), repeat=12)
-                  if rm.fock_te_consistent(ext)]
+                  if fock_te_consistent(ext)]
     assert len(consistent) == 152
     differ = 0
     for ext in consistent:
