@@ -183,8 +183,8 @@ def _fock_te_case(cfg, idx):
     for ext, terms in rm.fock_te_gate(exts):
         if cfg.perturb:
             with mp.workdps(rm._MP_DPS):
-                lhs, _ = rm._te_sides(ext, q, rm.fock_element_mp, terms)
-                _, rhs = rm._te_sides(ext, q * (1 + 1e-3), rm.fock_element_mp, terms)
+                (lhs,) = rm._te_sides(ext, q, rm.fock_element_mp, terms[:1])
+                (rhs,) = rm._te_sides(ext, q * (1 + 1e-3), rm.fock_element_mp, terms[1:])
                 worst = max(worst, float(rm._rel_residual(lhs, rhs)))
         else:
             worst = max(worst, rm.fock_te_residual(ext, q, terms))
@@ -290,17 +290,12 @@ def _cross_form_case(cfg, idx):
     else:
         rng = case_rng(cfg.seed, idx)
         spins = [int(x) for x in rng.integers(0, n, 8)]
-    s = dict(zip("aefgbcdh", spins))
     if cfg.perturb:
         # drop the equivalence factor: the two forms must then disagree
-        a, e, f, g = s["a"], s["e"], s["f"], s["g"]
-        b, c, d, h = s["b"], s["c"], s["d"], s["h"]
-        nn = (g + f - a - b, a + c - e - g, e + f - a - d)
-        mm = (c + d - e - h, f + h - b - d, b + c - g - h)
-        w = rm.cyclic_weight_table(data)[tuple(x % n for x in (a, e, f, g, b, c, d, h))]
-        r = rm.cyclic_vertex_element(nn, mm, data)
-        return rm._rel_residual(w, r)
-    res, _ = rm.cross_form_residual(data, s)
+        nn, mm = rm.sigma_map(spins, (0, 0, 0))
+        w = data.weights[tuple(x % n for x in spins)]
+        return rm._rel_residual(w, rm.cyclic_vertex_element(nn, mm, data))
+    res, _ = rm.cross_form_residual(data, dict(zip("aefgbcdh", spins)))
     return res
 
 

@@ -19,10 +19,9 @@ solved; the ranges are exactly the nonnegativity windows of the solved indices.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -108,6 +107,30 @@ def fock_r_dense(cutoff: int, q: complex) -> np.ndarray:
     return out
 
 
+def te_lhs_indices(ext, i1):
+    """Index 6-tuples of the LHS elements R123, R145, R246, R356 of the
+    vertex tetrahedron equation, in product order, at the external tuple
+    ext = (n1..n6, n1''..n6'') and the free internal index i1; the other
+    five internal indices are solved from the charge deltas.  Entries may be
+    Python ints or broadcastable integer arrays."""
+    n1, n2, n3, n4, n5, n6, p1, p2, p3, p4, p5, p6 = ext
+    i2, i3, i4, i5 = n1 + n2 - i1, n3 - n1 + i1, i1 + n4 - p1, n5 - i1 + p1
+    i6 = i4 + n6 - p4
+    return ((n1, n2, n3, i1, i2, i3), (i1, n4, n5, p1, i4, i5),
+            (i2, i4, n6, p2, p4, i6), (i3, i5, i6, p3, p5, p6))
+
+
+def te_rhs_indices(ext, i3):
+    """Index 6-tuples of the RHS elements R356, R246, R145, R123, in product
+    order, at the free internal index i3; as te_lhs_indices otherwise."""
+    n1, n2, n3, n4, n5, n6, p1, p2, p3, p4, p5, p6 = ext
+    i5, i6 = n3 + n5 - i3, n6 - n3 + i3
+    i4 = n4 + i6 - p6
+    i2, i1 = n2 + n4 - i4, n1 + i4 - p4
+    return ((n3, n5, n6, i3, i5, i6), (n2, n4, i6, i2, i4, p6),
+            (n1, i4, i5, i1, p4, p5), (i1, i2, i3, p1, p2, p3))
+
+
 def fock_te_gate(exts):
     """Terms of the vertex tetrahedron equation for a batch of external tuples.
 
@@ -122,26 +145,14 @@ def fock_te_gate(exts):
     ascending free-index order.
     """
     exts = np.asarray(exts, dtype=np.int64)
-    n1, n2, n3, n4, n5, n6, p1, p2, p3, p4, p5, p6 = exts[:, :, None]
+    cols = exts[:, :, None]
+    n1, n2, n3, n4, n5, n6, p1, p2, p3, p4, p5, p6 = cols
     zero = np.zeros_like(n1)
 
-    def lhs(i1):
-        i2, i3, i4, i5 = n1 + n2 - i1, n3 - n1 + i1, i1 + n4 - p1, n5 - i1 + p1
-        i6 = i4 + n6 - p4
-        return ((n1, n2, n3, i1, i2, i3), (i1, n4, n5, p1, i4, i5),
-                (i2, i4, n6, p2, p4, i6), (i3, i5, i6, p3, p5, p6))
-
-    def rhs(i3):
-        i5, i6 = n3 + n5 - i3, n6 - n3 + i3
-        i4 = n4 + i6 - p6
-        i2, i1 = n2 + n4 - i4, n1 + i4 - p4
-        return ((n3, n5, n6, i3, i5, i6), (n2, n4, i6, i2, i4, p6),
-                (n1, i4, i5, i1, p4, p5), (i1, i2, i3, p1, p2, p3))
-
-    def side(lo, hi, elements):
+    def side(lo, hi, indices):
         width = max(int((hi - lo).max()) + 1, 0)
         free = lo + np.arange(width)
-        flat = [i for el in elements(free) for i in el]
+        flat = [i for el in indices(cols, free) for i in el]
         idx = np.stack(np.broadcast_arrays(free, *flat)[1:]).reshape(4, 6, *free.shape)
         a, b, c, d, e, f = idx.swapaxes(0, 1)
         keep = (free <= hi) & ((a + b == d + e) & (b + c == e + f)).all(axis=0)
@@ -149,10 +160,10 @@ def fock_te_gate(exts):
         return col, idx[:, :, col, k].transpose(2, 0, 1)
 
     sides = (side(np.maximum.reduce([zero, n1 - n3, p1 - n4, p1 + p4 - n4 - n6]),
-                  np.minimum(n1 + n2, n5 + p1), lhs),
+                  np.minimum(n1 + n2, n5 + p1), te_lhs_indices),
              side(np.maximum.reduce([zero, n3 - n6, n3 + p6 - n4 - n6,
                                      n3 + p6 - n6 - n1 + p4 - n4]),
-                  np.minimum(n3 + n5, n2 + n3 + p6 - n6), rhs))
+                  np.minimum(n3 + n5, n2 + n3 + p6 - n6), te_rhs_indices))
     terms = {}
     for s, (col, idx) in enumerate(sides):
         for c, term in zip(col.tolist(), idx.tolist()):
@@ -296,6 +307,11 @@ class CyclicRData:
     def __post_init__(self):
         self.tables = tuple(sf.fermat_phi_table(p) for p in self.points)
 
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """The IRC weight table (cyclic_weight_table), built on first use."""
+        return cyclic_weight_table(self)
+
     @classmethod
     def from_triangle(cls, tri: sf.SphericalTriangle, N: int) -> "CyclicRData":
         return cls(N, sf.fermat_points_from_triangle(tri, N))
@@ -342,38 +358,28 @@ def cyclic_r_dense(data: CyclicRData) -> np.ndarray:
 
 def vertex_te_residual(ext, datasets) -> float:
     """Vertex tetrahedron equation for the cyclic solution at one external
-    tuple; datasets = (d123, d145, d246, d356).  Internal sums run over all
-    of Z_N^6 restricted by the charge deltas (the elements gate themselves);
-    the one-free-index reduction used for the Fock case does not apply at a
-    root of unity, where the deltas only fix indices mod N."""
-    d123, d145, d246, d356 = datasets
-    N = d123.N
-    n1, n2, n3, n4, n5, n6, p1, p2, p3, p4, p5, p6 = ext
-    lhs = 0.0 + 0.0j
-    rhs = 0.0 + 0.0j
-    # mod-N delta solving: i2, i3 determined by i1 mod N etc.; iterate the
-    # three genuinely free residues
-    for i1 in range(N):
-        i2 = (n1 + n2 - i1) % N
-        i3 = (n3 - n1 + i1) % N
-        i4 = (i1 + n4 - p1) % N
-        i5 = (n5 - i1 + p1) % N
-        i6 = (i4 + n6 - p4) % N
-        lhs += (cyclic_vertex_element((n1, n2, n3), (i1, i2, i3), d123)
-                * cyclic_vertex_element((i1, n4, n5), (p1, i4, i5), d145)
-                * cyclic_vertex_element((i2, i4, n6), (p2, p4, i6), d246)
-                * cyclic_vertex_element((i3, i5, i6), (p3, p5, p6), d356))
-        j3 = i1
-        j5 = (n3 + n5 - j3) % N
-        j6 = (n6 - n3 + j3) % N
-        j4 = (n4 + j6 - p6) % N
-        j2 = (n2 + n4 - j4) % N
-        j1 = (n1 + j4 - p4) % N
-        rhs += (cyclic_vertex_element((n3, n5, n6), (j3, j5, j6), d356)
-                * cyclic_vertex_element((n2, n4, j6), (j2, j4, p6), d246)
-                * cyclic_vertex_element((n1, j4, j5), (j1, p4, p5), d145)
-                * cyclic_vertex_element((j1, j2, j3), (p1, p2, p3), d123))
-    return _rel_residual(lhs, rhs)
+    tuple; datasets = (d123, d145, d246, d356).
+
+    At a root of unity the charge deltas fix the internal indices only mod N,
+    so each side is a sum over the one free index in Z_N, with the solved
+    indices of te_lhs_indices / te_rhs_indices reduced mod N.  Only odd N is
+    meaningful: for even N, q^N = -1 and the element is not a function on Z_N.
+    """
+    N = datasets[0].N
+    if N % 2 == 0:
+        raise DomainError("the cyclic vertex element is not a function on Z_N "
+                          "for even N = %d (q^N = -1)" % N)
+    sides = []
+    for indices, order in ((te_lhs_indices, datasets), (te_rhs_indices, datasets[::-1])):
+        total = 0.0 + 0.0j
+        for i in range(N):
+            term = 1
+            for data, idx in zip(order, indices(ext, i)):
+                idx = [k % N for k in idx]
+                term *= cyclic_vertex_element(idx[:3], idx[3:], data)
+            total += term
+        sides.append(total)
+    return _rel_residual(*sides)
 
 
 # ---------------------------------------------------------------------------
@@ -396,27 +402,40 @@ def cyclic_weight_table(data: CyclicRData) -> np.ndarray:
     return out
 
 
-# the two sides of the interaction-round-a-cube tetrahedron equation: slots
-# of (W, W', W'', W''') as functions of the 14 external labels and the
-# summed/integrated label z
-IRC_LHS_SLOTS = (
-    ("a4", "c1", "c3", "c2", "b3", "b2", "b1", "z"),
-    ("c1", "a3", "b1", "b2", "z", "c6", "c4", "b4"),
-    ("b1", "c4", "c3", "z", "b3", "b4", "a2", "c5"),
-    ("z", "b4", "b3", "b2", "c2", "c6", "c5", "a1"),
+# the two sides (LHS, RHS) of the interaction-round-a-cube tetrahedron
+# equation, each a product in this order of (weight index into
+# (W, W', W'', W'''), corner slots), the slots naming the 14 external labels
+# and the summed/integrated label z
+IRC_SIDES = (
+    ((0, ("a4", "c1", "c3", "c2", "b3", "b2", "b1", "z")),
+     (1, ("c1", "a3", "b1", "b2", "z", "c6", "c4", "b4")),
+     (2, ("b1", "c4", "c3", "z", "b3", "b4", "a2", "c5")),
+     (3, ("z", "b4", "b3", "b2", "c2", "c6", "c5", "a1"))),
+    ((3, ("b1", "c4", "c3", "c1", "a4", "a3", "a2", "z")),
+     (2, ("c1", "a3", "a4", "b2", "c2", "c6", "z", "a1")),
+     (1, ("a4", "z", "c3", "c2", "b3", "a1", "a2", "c5")),
+     (0, ("z", "a3", "a2", "a1", "c5", "c6", "c4", "b4"))),
 )
-IRC_RHS_SLOTS = (
-    ("b1", "c4", "c3", "c1", "a4", "a3", "a2", "z"),
-    ("c1", "a3", "a4", "b2", "c2", "c6", "z", "a1"),
-    ("a4", "z", "c3", "c2", "b3", "a1", "a2", "c5"),
-    ("z", "a3", "a2", "a1", "c5", "c6", "c4", "b4"),
-)
-# order in which the four weight functions appear in the two slot lists
-IRC_LHS_WEIGHTS = (0, 1, 2, 3)
-IRC_RHS_WEIGHTS = (3, 2, 1, 0)
 
 EXTERNAL_LABELS = ("a1", "a2", "a3", "a4", "b1", "b2", "b3", "b4",
                    "c1", "c2", "c3", "c4", "c5", "c6")
+
+
+def sigma_map(spins, t):
+    """Edge variables (sigma1..3, sigma1'..3') from the eight corner spins
+    (a|e,f,g|b,c,d|h) and the spectral parameters, in the spins' number
+    type.  At T = (0, 0, 0) integer spins give the cyclic vertex indices
+    (n, m) exactly: this is the one corner-spin substitution of both
+    families."""
+    a, e, f, g, b, c, d, h = spins
+    t1, t2, t3 = t
+    s1 = g + f - a - b - t1
+    s2 = a + c - e - g + t2
+    s3 = e + f - a - d - t3
+    s1p = c + d - e - h - t1
+    s2p = f + h - b - d + t2
+    s3p = b + c - g - h - t3
+    return (s1, s2, s3), (s1p, s2p, s3p)
 
 
 def irc_te_residual_cyclic(tables, ext: dict) -> float:
@@ -427,12 +446,12 @@ def irc_te_residual_cyclic(tables, ext: dict) -> float:
     """
     N = tables[0].shape[0]
     sides = []
-    for slots, order in ((IRC_LHS_SLOTS, IRC_LHS_WEIGHTS), (IRC_RHS_SLOTS, IRC_RHS_WEIGHTS)):
+    for side in IRC_SIDES:
         total = 0.0 + 0.0j
         for z in range(N):
             env = dict(ext, z=z)
             term = 1.0 + 0.0j
-            for widx, slot in zip(order, slots):
+            for widx, slot in side:
                 term *= tables[widx][tuple(env[s] % N for s in slot)]
             total += term
         sides.append(total)
@@ -447,17 +466,16 @@ def cyclic_weights_for_tetra(ta: TetraAngles, N: int):
 
 def cross_form_residual(data: CyclicRData, spins: dict) -> tuple[float, complex]:
     """Compare the IRC weight with the vertex element under the corner-spin
-    substitution, returning (residual, equivalence factor).
+    substitution (sigma_map at T = 0), returning (residual, equivalence factor).
 
     The two forms differ by the exact factor q^{m2 (e+g-b-d) - n1 n3}
     (an equivalence transformation; derived by re-indexing the internal sum
     and verified exhaustively in the tests)."""
     N = data.N
-    a, e, f, g = spins["a"], spins["e"], spins["f"], spins["g"]
-    b, c, d, h = spins["b"], spins["c"], spins["d"], spins["h"]
-    n = (g + f - a - b, a + c - e - g, e + f - a - d)
-    m = (c + d - e - h, f + h - b - d, b + c - g - h)
-    w = cyclic_weight_table(data)[a % N, e % N, f % N, g % N, b % N, c % N, d % N, h % N]
+    corners = [spins[k] for k in "aefgbcdh"]
+    _, e, _, g, b, _, d, _ = corners
+    n, m = sigma_map(corners, (0, 0, 0))
+    w = data.weights[tuple(x % N for x in corners)]
     r = cyclic_vertex_element(n, m, data)
     factor = sf.q_power(N, m[1] * (e + g - b - d) - n[0] * n[2])
     return _rel_residual(w, factor * r), factor
@@ -471,14 +489,11 @@ def cross_form_sector_scalars(data: CyclicRData):
     largest element in it.
     """
     N = data.N
-    table = cyclic_weight_table(data)
     sectors = {}
     for spins in np.ndindex(*(N,) * 8):
-        a, e, f, g, b, c, d, h = spins
-        n = (g + f - a - b, a + c - e - g, e + f - a - d)
-        m = (c + d - e - h, f + h - b - d, b + c - g - h)
+        n, m = sigma_map(spins, (0, 0, 0))
         key = ((n[0] + n[1]) % N, (n[1] + n[2]) % N)
-        w = table[spins]
+        w = data.weights[spins]
         r = cyclic_vertex_element(n, m, data)
         sectors.setdefault(key, []).append((w, r))
     out = {}
@@ -504,20 +519,6 @@ class ModularWeightSpec:
     mp: sf.ModularParam
     t: tuple = (0.0, 0.0, 0.0)
     f: tuple = (0.0, 0.0, 0.0)
-
-
-def sigma_map(spins, t):
-    """Edge variables (sigma1..3, sigma1'..3') from the eight corner spins
-    (a|e,f,g|b,c,d|h) and the spectral parameters."""
-    a, e, f, g, b, c, d, h = (np.asarray(x) for x in spins)
-    t1, t2, t3 = t
-    s1 = g + f - a - b - t1
-    s2 = a + c - e - g + t2
-    s3 = e + f - a - d - t3
-    s1p = c + d - e - h - t1
-    s2p = f + h - b - d + t2
-    s3p = b + c - g - h - t3
-    return (s1, s2, s3), (s1p, s2p, s3p)
 
 
 def irc_weight_modular(spec: ModularWeightSpec, spins, tol: float = 1e-9):
@@ -574,10 +575,9 @@ def field_exponent_balance(t_sets, f_sets, rng, trials: int = 20) -> float:
         vals = []
         for zval in (rng.uniform(-1, 1), rng.uniform(-1, 1)):
             env = dict(ext, z=zval)
-            for slots, order in ((IRC_LHS_SLOTS, IRC_LHS_WEIGHTS),
-                                 (IRC_RHS_SLOTS, IRC_RHS_WEIGHTS)):
+            for side in IRC_SIDES:
                 total = 0.0
-                for widx, slot in zip(order, slots):
+                for widx, slot in side:
                     spins = [env[s] for s in slot]
                     (s1, s2, s3), (s1p, s2p, s3p) = sigma_map(spins, t_sets[widx])
                     fj = f_sets[widx]
@@ -606,9 +606,8 @@ def irc_te_residual_modular(specs, ext: dict, tol: float = 1e-6,
         env = dict(ext, z=z)
         out = np.ones(z.shape + (2,), dtype=complex)
         try:
-            for col, slots, order in ((0, IRC_LHS_SLOTS, IRC_LHS_WEIGHTS),
-                                      (1, IRC_RHS_SLOTS, IRC_RHS_WEIGHTS)):
-                for widx, slot in zip(order, slots):
+            for col, side in enumerate(IRC_SIDES):
+                for widx, slot in side:
                     spins = [np.broadcast_to(np.asarray(env[s], dtype=float), z.shape)
                              for s in slot]
                     out[:, col] *= irc_weight_modular(specs[widx], spins, tol=tol * 1e-2)
@@ -622,27 +621,3 @@ def irc_te_residual_modular(specs, ext: dict, tol: float = 1e-6,
     lhs, rhs = sf._nested_trapezoid(sides, z_half_width, 16, tol, max_nodes,
                                     tail=1e-8, grow=1.4, what="z-integration")
     return _rel_residual(lhs, rhs)
-
-
-# ---------------------------------------------------------------------------
-# modular vertex element (distributional descriptor)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ModularVertexElement:
-    """Delta-constraint descriptors plus the smooth factor of the modular
-    vertex R-matrix element at real edge variables."""
-
-    charge_defects: tuple  # (s1+s2-s1'-s2', s2+s3-s2'-s3'): deltas live here
-    smooth: complex
-
-
-def modular_vertex_element(sigma, sigma_p, mp: sf.ModularParam,
-                           tol: float = 1e-9) -> ModularVertexElement:
-    s1, s2, s3 = sigma
-    s1p, s2p, s3p = sigma_p
-    defects = (s1 + s2 - s1p - s2p, s2 + s3 - s2p - s3p)
-    pref = cmath.exp(1j * math.pi * (s1p * s3p + 1j * mp.eta * (s1p + s3p - s2)))
-    psi = sf.psi22(s1 - s3, s3 - s1, s1 + s3, -s1p - s3p, s2, mp,
-                   method="quadrature", tol=tol)
-    return ModularVertexElement(defects, pref * psi)

@@ -293,20 +293,19 @@ def _dilog_quadrature(z: complex, mp: ModularParam, tol: float = 1e-12) -> compl
 # ---------------------------------------------------------------------------
 
 def psi22(c1: complex, c2: complex, c3: complex, c4: complex, c0: complex,
-          mp: ModularParam, method: str = "auto", tol: float = 1e-9) -> complex:
+          mp: ModularParam, method: str = "quadrature", tol: float = 1e-9) -> complex:
     """The 2Psi2 transform
 
       int_R dz e^{2 pi i z (-c0 - i eta)}
             phi(z + (c1+i eta)/2) phi(z + (c2+i eta)/2)
           / (phi(z + (c3-i eta)/2) phi(z + (c4-i eta)/2)).
 
-    Symmetric under c1 <-> c2 and c3 <-> c4.  method is "quadrature",
-    "residue-series" (Im b^2 > 0 and geometric ratios < 1 required) or "auto".
+    Symmetric under c1 <-> c2 and c3 <-> c4.  method is "quadrature" (the
+    default) or "residue-series" (Im b^2 > 0 and geometric ratios < 1
+    required).
     """
     c = (complex(c1), complex(c2), complex(c3), complex(c4))
     c0 = complex(c0)
-    if method == "auto":
-        method = "quadrature"
     if method == "quadrature":
         return complex(psi22_quadrature_batch(*c, c0, mp, tol=tol))
     if method == "residue-series":

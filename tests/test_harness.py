@@ -201,3 +201,29 @@ def test_fock_te_reports_do_not_depend_on_worker_count(params, max_residual):
         for workers in (1, 2)]
     assert reports[0] == reports[1]
     assert repr(json.loads(reports[0])["max_residual"]) == max_residual
+
+
+def test_cross_form_builds_the_weight_table_once(monkeypatch):
+    # 256 cases and the sector fit share one cached table per CyclicRData
+    from qlattice import rmatrices as rm
+    from qlattice.harness import suites
+
+    built = []
+    table = rm.cyclic_weight_table
+    monkeypatch.setattr(rm, "cyclic_weight_table", lambda data: built.append(1) or table(data))
+    suites._cross_form_setup.cache_clear()
+    rep = run_suite(SuiteConfig(suite="cyclic-cross-form", n_cyclic=2))
+    suites._cross_form_setup.cache_clear()
+    assert rep.passed and rep.extras["sector_scalar_fit"]
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("params", [
+    {"suite": "cyclic-cross-form", "n_cyclic": 2},
+    {"suite": "cyclic-te-irc", "n_cyclic": 3},
+])
+def test_cyclic_reports_do_not_depend_on_worker_count(params):
+    reports = [json.dumps(strip_timing(run_suite(SuiteConfig(
+        workers=workers, keep_cases=True, **params)).to_dict()), sort_keys=True)
+        for workers in (1, 2)]
+    assert reports[0] == reports[1]

@@ -342,6 +342,33 @@ def test_cyclic_vertex_te_n3():
         assert rm.vertex_te_residual(consistent_external(rng, 3), ds) < 1e-10
 
 
+@pytest.mark.parametrize("N", [3, 5])
+def test_cyclic_vertex_te_negative_controls(N):
+    # the index maps are shared with the Fock gate: exchanging two vertices
+    # or a 5% phase on one phi table must break the equation visibly
+    ds = tuple(rm.CyclicRData.from_angles(*a, N) for a in tetra().angle_arguments())
+    rng = np.random.default_rng(3)
+    exts = [consistent_external(rng, N) for _ in range(40)]
+    bad = rm.CyclicRData(N, ds[3].points)
+    bad.tables = bad.tables[:3] + (bad.tables[3] * np.exp(0.05j * np.arange(N)),)
+
+    def worst(datasets):
+        return max(rm.vertex_te_residual(ext, datasets) for ext in exts)
+
+    assert worst(ds) < 1e-13
+    assert worst((ds[0], ds[2], ds[1], ds[3])) > 0.5
+    assert worst(ds[:3] + (bad,)) > 0.05
+
+
+@pytest.mark.parametrize("N", [2, 4])
+def test_cyclic_vertex_te_rejects_even_n(N):
+    # q^N = -1 for even N, so the element is not a function on Z_N and the
+    # mod-N sums are meaningless (the residual read ~1 on consistent tuples)
+    ds = tuple(rm.CyclicRData.from_angles(*a, N) for a in tetra().angle_arguments())
+    with pytest.raises(DomainError, match="even N"):
+        rm.vertex_te_residual(consistent_external(np.random.default_rng(3), N), ds)
+
+
 # ---------------------------------------------------------------------------
 # cyclic IRC form
 # ---------------------------------------------------------------------------
@@ -464,23 +491,20 @@ def test_sigma_map_charge_identities():
     assert s2 + s3 == pytest.approx(s2p + s3p, abs=1e-12)
 
 
-def test_modular_vertex_element_descriptor():
-    sig = (0.1, -0.2, 0.3)
-    sigp = (0.25, -0.35, 0.45)
-    el = rm.modular_vertex_element(sig, sigp, MP)
-    assert el.charge_defects[0] == pytest.approx(sig[0] + sig[1] - sigp[0] - sigp[1])
-    assert el.charge_defects[1] == pytest.approx(sig[1] + sig[2] - sigp[1] - sigp[2])
-    assert el.smooth != 0
-
-
-def test_modular_weight_matches_vertex_smooth_factor():
-    rng = np.random.default_rng(13)
+def test_modular_weight_matches_residue_series():
+    # random spins whose residue-series ratios are small (0.040 and 0.030):
+    # the quadrature weight agrees with prefactor * residue-series 2Psi2
+    rng = np.random.default_rng(1)
     spins = rng.uniform(-0.3, 0.3, 8)
     spec = rm.ModularWeightSpec(MP, t=(0.0, 0.0, 0.0))
     w = rm.irc_weight_modular(spec, [np.array([s]) for s in spins])[0]
-    sig, sigp = rm.sigma_map(spins, spec.t)
-    el = rm.modular_vertex_element(tuple(map(float, sig)), tuple(map(float, sigp)), MP)
-    assert abs(w - el.smooth) / abs(el.smooth) < 1e-7
+    (s1, s2, s3), (s1p, s2p, s3p) = rm.sigma_map(spins, spec.t)
+    c = (s1 - s3, s3 - s1, s1 + s3, -s1p - s3p)
+    ratios = sf.psi22_residue_ratios(tuple(map(complex, c)), complex(s2), MP)
+    assert max(abs(r) for r in ratios) < 0.1
+    pref = np.exp(1j * np.pi * (s1p * s3p + 1j * MP.eta * (s1p + s3p - s2)))
+    psi = sf.psi22(*c, s2, MP, method="residue-series")
+    assert abs(w - pref * psi) / abs(w) < 1e-10
 
 
 def test_modular_weight_t_shift_invariance():
