@@ -76,11 +76,15 @@ def _parse_size(text):
         raise SystemExit("bad size %r, expected AxBxC" % text)
 
 
+def _at_case(worst_case) -> str:
+    return "" if worst_case is None else " at case %d" % worst_case
+
+
 def _print_line(rep: Report):
     flag = "PASS" if rep.passed else "FAIL"
     mode = " [negative control]" if rep.negative_control else ""
-    print("%-20s %s  max residual %.3e  (tol %.0e, %d cases, %.1fs)%s"
-          % (rep.suite, flag, rep.max_residual, rep.tolerance,
+    print("%-20s %s  max residual %.3e%s  (tol %.0e, %d cases, %.1fs)%s"
+          % (rep.suite, flag, rep.max_residual, _at_case(rep.worst_case), rep.tolerance,
              rep.counts["cases"], rep.wall_s, mode))
 
 
@@ -129,9 +133,9 @@ def cmd_report(args) -> int:
     with open(args.json) as fh:
         data = json.load(fh)
     validate_report(data)
-    print("%s: %s (max residual %.3e, tolerance %.0e)"
+    print("%s: %s (max residual %.3e%s, tolerance %.0e)"
           % (data["suite"], "PASS" if data["pass"] else "FAIL",
-             data["max_residual"], data["tolerance"]))
+             data["max_residual"], _at_case(data.get("worst_case")), data["tolerance"]))
     return 0 if data["pass"] else 1
 
 

@@ -22,6 +22,7 @@ class Report:
     negative_control: bool = False
     cases: list | None = None
     extras: dict = field(default_factory=dict)
+    worst_case: int | None = None  # index of the largest (or first NaN) case residual
 
     NEGATIVE_CONTROL_FLOOR = 1e-3
 
@@ -45,6 +46,8 @@ class Report:
             "counts": self.counts,
             "timing": {"wall_s": self.wall_s},
         }
+        if self.worst_case is not None:
+            out["worst_case"] = self.worst_case
         if self.cases is not None:
             out["cases"] = [{"case": int(c), "residual": float(r)} for c, r in self.cases]
         if self.extras:

@@ -204,8 +204,7 @@ def _fock_intertwine_case(cfg, idx):
     with mp.workdps(rm._MP_DPS):
         reps, mask, r = qosc.fock_r_sparse(cfg.cutoff, cfg.q, rm.fock_element_mp)
         if cfg.perturb:
-            bump, origin = 0.05 * r.max_abs(), (0, 0, 0)
-            r.rows[origin] = [(m, v + bump if m == origin else v) for m, v in r.rows[origin]]
+            r = r + qosc.VOp(r.dims, [0], [0], [0.05 * r.max_abs()])
         return max(qosc.map_operator_residuals(reps, r, eps=1, mask=mask).values())
 
 
@@ -438,8 +437,11 @@ def run_suite(cfg: SuiteConfig) -> Report:
                                     chunksize=max(1, n_cases // (8 * cfg.workers))))
     wall = time.perf_counter() - start
     results.sort()
-    # np.max, unlike max, propagates a NaN from any position
-    worst = np.max([r for _, r in results], initial=0.0)
+    residuals = [r for _, r in results]
+    # np.max, unlike max, propagates a NaN from any position; np.argmax takes
+    # the first NaN too
+    worst = np.max(residuals, initial=0.0)
+    worst_case = results[int(np.argmax(residuals))][0] if results else None
     params = {"tolerance": tol, **suite.parameters(cfg)}
     return Report(
         suite=cfg.suite,
@@ -452,4 +454,5 @@ def run_suite(cfg: SuiteConfig) -> Report:
         negative_control=cfg.perturb,
         cases=results if cfg.keep_cases else None,
         extras=suite.extras(cfg),
+        worst_case=worst_case,
     )

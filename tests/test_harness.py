@@ -80,6 +80,28 @@ def test_non_finite_case_fails_the_suite(monkeypatch, perturb):
                       negative_control=perturb).passed
 
 
+def test_report_names_the_worst_case(monkeypatch, capsys, tmp_path):
+    # the largest case residual, or the first NaN, which np.max reports too
+    suite = SUITES["classical-lybe"]
+    values = [0.1, 0.5, 0.2, math.nan, 0.9, math.nan]
+    monkeypatch.setitem(SUITES, "classical-lybe",
+                        dataclasses.replace(suite, case=lambda cfg, idx: values[idx]))
+    rep = run_suite(SuiteConfig(suite="classical-lybe", samples=6))
+    assert rep.worst_case == 3
+    values[3] = values[5] = 0.3
+    rep = run_suite(SuiteConfig(suite="classical-lybe", samples=6, workers=2))
+    assert rep.worst_case == 4
+    data = rep.to_dict()
+    validate_report(data)
+    assert data["worst_case"] == 4
+    path = tmp_path / "rep.json"
+    assert main(["verify", "classical-lybe", "--samples", "6", "--out", str(path)]) == 1
+    assert main(["report", "--json", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "max residual 9.000e-01 at case 4" in out[0]
+    assert "max residual 9.000e-01 at case 4" in out[1]
+
+
 def test_modular_specfun_near_confluent_case():
     # seed 1403, case 26: a 2Psi2 case with c1 - c2 = -8.3e-6, where the two
     # residue families cancel; it read 6.2e-6 against the 1e-6 tolerance
@@ -194,11 +216,15 @@ def test_fock_te_extended_path():
     ({"q": 0.5}, "0.0"),
     ({"q": 0.7}, "1.5084651466016392e-48"),
     ({"q": 0.3, "max_index": 1, "perturb": True}, "0.0029984920127668555"),
+    ({"suite": "fock-intertwine", "cutoff": 5, "q": 0.3}, "3.0009230152247736e-48"),
+    ({"suite": "fock-intertwine", "cutoff": 5, "q": 0.3, "perturb": True},
+     "0.04761904761904762"),
 ])
 def test_fock_te_reports_do_not_depend_on_worker_count(params, max_residual):
+    # the sparse operator products too sum in one order in every process
     reports = [json.dumps(strip_timing(run_suite(SuiteConfig(
-        suite="fock-te", workers=workers, keep_cases=True, **params)).to_dict()), sort_keys=True)
-        for workers in (1, 2)]
+        workers=workers, keep_cases=True, **{"suite": "fock-te", **params})).to_dict()),
+        sort_keys=True) for workers in (1, 2)]
     assert reports[0] == reports[1]
     assert repr(json.loads(reports[0])["max_residual"]) == max_residual
 
@@ -221,6 +247,8 @@ def test_cross_form_builds_the_weight_table_once(monkeypatch):
 @pytest.mark.parametrize("params", [
     {"suite": "cyclic-cross-form", "n_cyclic": 2},
     {"suite": "cyclic-te-irc", "n_cyclic": 3},
+    {"suite": "cyclic-intertwine", "n_cyclic": 3, "samples": 2},
+    {"suite": "cyclic-intertwine", "n_cyclic": 3, "samples": 2, "perturb": True},
 ])
 def test_cyclic_reports_do_not_depend_on_worker_count(params):
     reports = [json.dumps(strip_timing(run_suite(SuiteConfig(

@@ -135,13 +135,104 @@ def test_build_l_same_entries_for_double_and_mpmath_q():
     for op, mp_op in zip(ls, mp_ls):
         assert op.blocks.keys() == mp_op.blocks.keys()
         for key, block in op.blocks.items():
-            mp_rows = mp_op.blocks[key].rows
-            assert block.rows.keys() == mp_rows.keys()
-            for row, entries in block.rows.items():
-                want = dict(entries)
-                got = {col: complex(val) for col, val in mp_rows[row]}
-                assert got.keys() == want.keys()
-                assert all(abs(got[c] - want[c]) <= 1e-15 * abs(got[c]) for c in got)
+            mp_block = mp_op.blocks[key]
+            # same stored (row, column) pattern
+            assert np.array_equal(block.indptr, mp_block.indptr)
+            assert np.array_equal(block.indices, mp_block.indices)
+            want = block.data
+            got = np.array([complex(val) for val in mp_block.data])
+            assert got.shape == want.shape
+            assert all(abs(g - w) <= 1e-15 * abs(g) for g, w in zip(got, want))
+
+
+# ---------------------------------------------------------------------------
+# the sparse kernel against dense numpy products
+# ---------------------------------------------------------------------------
+
+KERNEL_DIMS = (3, 2, 4)
+KERNEL_N = 24
+EMPTY_ROWS = (0, 5, 17)
+
+
+def kernel_values(rng, size, kind):
+    vals = rng.normal(size=size) + 1j * rng.normal(size=size)
+    if kind == "complex":
+        return vals
+    # 50-digit values that no double holds
+    return np.array([mp.mpf(v.real) / 3 + mp.mpf(v.imag) / 7 for v in vals], dtype=object)
+
+
+def random_coo(rng, nnz, kind):
+    """Entries in random order, a quarter of them repeating an earlier
+    (row, col), and none in EMPTY_ROWS."""
+    rows = rng.choice([r for r in range(KERNEL_N) if r not in EMPTY_ROWS], nnz)
+    cols = rng.integers(0, KERNEL_N, nnz)
+    rows[-(nnz // 4):], cols[-(nnz // 4):] = rows[:nnz // 4], cols[:nnz // 4]
+    return rows, cols, kernel_values(rng, nnz, kind)
+
+
+def dense_from_coo(rows, cols, vals):
+    out = np.zeros((KERNEL_N, KERNEL_N), dtype=vals.dtype)
+    for r, c, v in zip(rows, cols, vals):
+        out[r, c] = out[r, c] + v
+    return out
+
+
+def to_dense(op):
+    """The dense matrix of a VOp read from its CSR fields, which must be
+    canonical: one entry per (row, col), columns ascending in each row."""
+    assert op.shape == (KERNEL_N, KERNEL_N)
+    assert len(op.indptr) == KERNEL_N + 1 and op.indptr[0] == 0
+    assert op.indptr[-1] == len(op.indices) == len(op.data)
+    out = np.zeros(op.shape, dtype=object if op.data.dtype == object else complex)
+    for row in range(KERNEL_N):
+        cols = op.indices[op.indptr[row]:op.indptr[row + 1]]
+        assert np.all(np.diff(cols) > 0)
+        out[row, cols] = op.data[op.indptr[row]:op.indptr[row + 1]]
+    return out
+
+
+def assert_close(got, want, kind):
+    tol = 1e-13 if kind == "complex" else 1e-45
+    diff = np.max(np.abs(to_dense(got) - want), initial=0.0)
+    assert diff <= tol * np.max(np.abs(want), initial=0.0)
+
+
+@pytest.mark.parametrize("kind", ["complex", "mpf"])
+def test_vop_kernel_matches_dense_products(kind):
+    rng = np.random.default_rng(11)
+    with mp.workdps(50):
+        coo_a, coo_b = random_coo(rng, 60, kind), random_coo(rng, 40, kind)
+        a, b = qosc.VOp(KERNEL_DIMS, *coo_a), qosc.VOp(KERNEL_DIMS, *coo_b)
+        da, db = dense_from_coo(*coo_a), dense_from_coo(*coo_b)
+        empty = qosc.VOp(KERNEL_DIMS, [], [], [])
+        zero = np.zeros((KERNEL_N, KERNEL_N), dtype=da.dtype)
+        scalar = kernel_values(rng, 1, kind)[0]
+        rows, cols = rng.random(KERNEL_N) < 0.6, rng.random(KERNEL_N) < 0.6
+        keep = np.outer(rows, cols)
+        assert_close(a, da, kind)
+        assert_close(a @ b, da @ db, kind)
+        assert_close(b @ a, db @ da, kind)
+        assert_close(a + b, da + db, kind)
+        assert_close(a - b, da - db, kind)
+        assert_close(-a, -da, kind)
+        assert_close(scalar * a, scalar * da, kind)
+        assert_close(a.restrict(rows, cols), np.where(keep, da, 0), kind)
+        assert_close((a @ b).restrict(rows, cols), np.where(keep, da @ db, 0), kind)
+        assert_close(a @ empty, zero, kind)
+        assert_close(empty @ a, zero, kind)
+        assert_close(empty + a, da, kind)
+        assert_close(empty.restrict(rows, cols), zero, kind)
+        assert len((empty @ empty).data) == 0
+        for op in (a, b, a @ b):
+            assert all(op.indptr[r] == op.indptr[r + 1] for r in EMPTY_ROWS)
+        # from_dense keeps exactly the nonzero entries, with their values
+        back = qosc.VOp.from_dense(KERNEL_DIMS, da)
+        assert len(back.data) == np.count_nonzero(da)
+        assert np.array_equal(to_dense(back), da)
+        assert np.array_equal(to_dense(qosc.VOp.from_dense(KERNEL_DIMS, to_dense(a))), to_dense(a))
+    assert a.max_abs() == np.max(np.abs(da))
+    assert empty.max_abs() == 0.0
 
 
 # ---------------------------------------------------------------------------
