@@ -239,10 +239,12 @@ def _cyclic_te_setup(seed, n):
     return rm.cyclic_weights_for_tetra(ta, n)
 
 
-def _perturb_table(table):
-    n = table.shape[0]
-    h = np.arange(n).reshape((1,) * 7 + (n,))
-    return table * np.exp(0.05j * h)
+def _perturb_table(tables):
+    """The stacked weight tables with a 5% phase per step of the last spin
+    h on the fourth table."""
+    out = tables.copy()
+    out[3] *= np.exp(0.05j * np.arange(tables.shape[1]))
+    return out
 
 
 def _cyclic_te_count(cfg):
@@ -255,18 +257,39 @@ def _cyclic_te_case(cfg, idx):
     n = cfg.n_cyclic
     tables = _cyclic_te_setup(cfg.seed, n)
     if cfg.perturb:
-        tables = tables[:3] + (_perturb_table(tables[3]),)
-    worst = 0.0
+        tables = _perturb_table(tables)
     if n == 2:
-        for low in range(128):
-            bits = idx * 128 + low
-            spins = [(bits >> b) & 1 for b in range(14)]
-            ext = dict(zip(rm.EXTERNAL_LABELS, spins))
-            worst = max(worst, rm.irc_te_residual_cyclic(tables, ext))
-        return worst
-    rng = case_rng(cfg.seed, idx)
-    ext = dict(zip(rm.EXTERNAL_LABELS, (int(x) for x in rng.integers(0, n, 14))))
-    return rm.irc_te_residual_cyclic(tables, ext)
+        # the 128 external tuples idx * 128 + low, bit b the b-th label
+        bits = idx * 128 + np.arange(128)[:, None]
+        ext = (bits >> np.arange(14)) & 1
+    else:
+        ext = case_rng(cfg.seed, idx).integers(0, n, 14)
+    return float(np.max(rm.irc_te_residual_cyclic(tables, ext)))
+
+
+@lru_cache(maxsize=8)
+def _cyclic_vertex_setup(seed, n):
+    ta = rm.random_tetra_angles(case_rng(seed, SETUP_STREAM))
+    return tuple(rm.CyclicRData.from_angles(*args, n) for args in ta.angle_arguments())
+
+
+def _cyclic_vertex_count(cfg):
+    if cfg.n_cyclic % 2 == 0:
+        raise ConfigurationError("cyclic-te-vertex needs odd N (q^N = -1 for even N, "
+                                 "so the vertex element is not a function on Z_N)")
+    return _samples(cfg)
+
+
+def _cyclic_vertex_case(cfg, idx):
+    n = cfg.n_cyclic
+    datasets = _cyclic_vertex_setup(cfg.seed, n)
+    if cfg.perturb:
+        # a 5% phase per index step on the fourth phi table of R356
+        bad = rm.CyclicRData(n, datasets[3].points)
+        bad.tables = bad.tables[:3] + (bad.tables[3] * np.exp(0.05j * np.arange(n)),)
+        datasets = datasets[:3] + (bad,)
+    ext = rm.consistent_external(case_rng(cfg.seed, idx), n)
+    return float(rm.vertex_te_residual(ext, datasets))
 
 
 @lru_cache(maxsize=8)
@@ -400,6 +423,10 @@ SUITES = {
         count=_cyclic_te_count, case=_cyclic_te_case,
         parameters=lambda cfg: {"N": cfg.n_cyclic,
                                 "exhaustive": cfg.n_cyclic == 2}),
+    "cyclic-te-vertex": Suite(
+        "cyclic-te-vertex", 1e-10, 1000,
+        count=_cyclic_vertex_count, case=_cyclic_vertex_case,
+        parameters=lambda cfg: {"N": cfg.n_cyclic}),
     "cyclic-cross-form": Suite(
         "cyclic-cross-form", 1e-12, 200,
         count=_cross_form_count, case=_cross_form_case,

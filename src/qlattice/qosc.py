@@ -65,7 +65,7 @@ def fock_rep(cutoff: int, q: complex) -> QOscRep:
     a = np.zeros((d, d), dtype=dtype)
     a_star = np.zeros((d, d), dtype=dtype)
     for n in range(cutoff):
-        a[n, n + 1] = 1.0
+        a[n, n + 1] = q ** 0  # 1 in q's number type
         a_star[n + 1, n] = 1.0 - q ** (2 + 2 * n)
     levels = np.arange(d) + 0.5
     k = np.diag(q ** levels).astype(dtype)
@@ -246,9 +246,11 @@ def _loper_entries(rep: QOscRep, lam, mu):
 
     Row/column indices are (c, i) with c the second auxiliary space and i
     the first; entry (0,0)=1, (1,1)=lam k, (1,2)=a*, (2,1)=lam mu a,
-    (2,2)=-mu k, (3,3)=lam mu.  Entries carry the representation's dtype.
+    (2,2)=-mu k, (3,3)=lam mu.  Entries carry the representation's dtype,
+    and each value q's number type, so for an mpmath q no 50-digit product
+    has to convert a Python int or float entry again.
     """
-    eye = np.eye(rep.dim, dtype=rep.k.dtype)
+    eye = rep.q ** 0 * np.eye(rep.dim, dtype=rep.k.dtype)
     return {
         (0, 0): eye,
         (1, 1): lam * rep.k,

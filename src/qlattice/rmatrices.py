@@ -31,10 +31,12 @@ from . import specfun as sf
 ZERO_FLOOR = 1e-14
 
 
-def _rel_residual(lhs: complex, rhs: complex) -> float:
-    if abs(lhs) < ZERO_FLOOR and abs(rhs) < ZERO_FLOOR:
-        return 0.0
-    return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
+def _rel_residual(lhs, rhs):
+    """|lhs - rhs| / (|lhs| + |rhs|), and 0 where both sides are below
+    ZERO_FLOOR; elementwise on arrays, in the sides' number type."""
+    lhs_abs, rhs_abs = abs(lhs), abs(rhs)
+    res = abs(lhs - rhs) / (lhs_abs + rhs_abs + 1e-300)
+    return np.where((lhs_abs < ZERO_FLOOR) & (rhs_abs < ZERO_FLOOR), 0.0, res)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -321,39 +323,50 @@ class CyclicRData:
         return cls.from_triangle(sf.spherical_sides_from_angles(theta1, theta2, theta3), N)
 
 
-def cyclic_vertex_element(n, m, data: CyclicRData) -> complex:
+def cyclic_vertex_element(n, m, data: CyclicRData):
     """<n1 n2 n3|R|m1 m2 m3> of the cyclic solution.
 
-    Indices are integers (reduction mod N happens inside the dilogarithm
+    Indices are integers or broadcastable integer arrays, and the result has
+    their broadcast shape (reduction mod N happens inside the dilogarithm
     tables and the charge deltas); for odd N the value itself is invariant
     under index shifts by N.
     """
     N = data.N
-    n1, n2, n3 = n
-    m1, m2, m3 = m
-    if (n1 + n2 - m1 - m2) % N or (n2 + n3 - m2 - m3) % N:
-        return 0.0
-    t1, t2, t3, t4 = data.tables
+    n1, n2, n3 = (np.asarray(k) for k in n)
+    m1, m2, m3 = (np.asarray(k) for k in m)
+    allowed = ((n1 + n2 - m1 - m2) % N == 0) & ((n2 + n3 - m2 - m3) % N == 0)
     pref = sf.q_power(N, n1 * n3 - m2 * (n1 + n3))
-    total = 0.0 + 0.0j
-    for t in range(N):
-        total += (sf.q_power(N, -2 * t * m2)
-                  * t1[(t + n1 + m3) % N] * t2[t % N]
-                  / (t3[(t + n1) % N] * t4[(t + n3) % N]))
-    return pref * total
+    # the internal sum over t runs along a new last axis
+    t = np.arange(N)
+    n1, n3, m2, m3 = (k[..., None] for k in (n1, n3, m2, m3))
+    t1, t2, t3, t4 = data.tables
+    terms = (sf.q_power(N, -2 * t * m2) * t1[(t + n1 + m3) % N] * t2
+             / (t3[(t + n1) % N] * t4[(t + n3) % N]))
+    return np.where(allowed, pref * terms.sum(axis=-1), 0.0)[()]
 
 
 def cyclic_r_dense(data: CyclicRData) -> np.ndarray:
     """Dense N^3 x N^3 matrix of the cyclic R over Z_N, rows = bra index;
     only the N^4 charge-allowed entries (m1 + m2 = n1 + n2, m2 + m3 = n2 + n3
-    mod N) are evaluated."""
+    mod N) are evaluated, in one element call."""
     N = data.N
+    n1, n2, n3, m2 = np.indices((N,) * 4)
+    m1, m3 = (n1 + n2 - m2) % N, (n2 + n3 - m2) % N
     out = np.zeros((N,) * 6, dtype=complex)
-    for n in np.ndindex(N, N, N):
-        for m2 in range(N):
-            m = ((n[0] + n[1] - m2) % N, m2, (n[1] + n[2] - m2) % N)
-            out[n + m] = cyclic_vertex_element(n, m, data)
+    out[n1, n2, n3, m1, m2, m3] = cyclic_vertex_element((n1, n2, n3), (m1, m2, m3), data)
     return out.reshape(N ** 3, N ** 3)
+
+
+def consistent_external(rng, N):
+    """A random external tuple (n1..n6, n1''..n6'') of the vertex
+    tetrahedron equation over Z_N whose total charges balance, so both sides
+    can be nonzero."""
+    n = [int(x) for x in rng.integers(0, N, 6)]
+    p1, p2, p3 = (int(x) for x in rng.integers(0, N, 3))
+    p4 = (n[0] + n[1] + n[3] - p1 - p2) % N
+    p5 = (n[2] + n[4] + p1 - n[0] - p3) % N
+    p6 = (n[3] + n[4] + n[5] - p4 - p5) % N
+    return (*n, p1, p2, p3, p4, p5, p6)
 
 
 def vertex_te_residual(ext, datasets) -> float:
@@ -362,23 +375,22 @@ def vertex_te_residual(ext, datasets) -> float:
 
     At a root of unity the charge deltas fix the internal indices only mod N,
     so each side is a sum over the one free index in Z_N, with the solved
-    indices of te_lhs_indices / te_rhs_indices reduced mod N.  Only odd N is
+    indices of te_lhs_indices / te_rhs_indices reduced mod N; each factor is
+    one element call over all N values of the free index.  Only odd N is
     meaningful: for even N, q^N = -1 and the element is not a function on Z_N.
     """
     N = datasets[0].N
     if N % 2 == 0:
         raise DomainError("the cyclic vertex element is not a function on Z_N "
                           "for even N = %d (q^N = -1)" % N)
+    free = np.arange(N)
     sides = []
     for indices, order in ((te_lhs_indices, datasets), (te_rhs_indices, datasets[::-1])):
-        total = 0.0 + 0.0j
-        for i in range(N):
-            term = 1
-            for data, idx in zip(order, indices(ext, i)):
-                idx = [k % N for k in idx]
-                term *= cyclic_vertex_element(idx[:3], idx[3:], data)
-            total += term
-        sides.append(total)
+        terms = 1
+        for data, idx in zip(order, indices(ext, free)):
+            idx = [k % N for k in idx]
+            terms = terms * cyclic_vertex_element(idx[:3], idx[3:], data)
+        sides.append(terms.sum())
     return _rel_residual(*sides)
 
 
@@ -391,9 +403,9 @@ def cyclic_weight_table(data: CyclicRData) -> np.ndarray:
     phi1(n-h+c) phi2(n-f+a) / (phi3(n-b+g) phi4(n-d+e))."""
     N = data.N
     t1, t2, t3, t4 = data.tables
-    q2 = np.array([sf.q_power(N, 2 * e) for e in range(N)])
-    idx = np.indices((N,) * 8)
-    a, e, f, g, b, c, d, h = idx
+    q2 = sf.q_power(N, 2 * np.arange(N))
+    # open index grids: each factor is formed only over the spins it reads
+    a, e, f, g, b, c, d, h = np.indices((N,) * 8, sparse=True)
     out = np.zeros((N,) * 8, dtype=complex)
     for n in range(N):
         phase = q2[(n * (b + d - f - h)) % N]
@@ -438,30 +450,55 @@ def sigma_map(spins, t):
     return (s1, s2, s3), (s1p, s2p, s3p)
 
 
-def irc_te_residual_cyclic(tables, ext: dict) -> float:
-    """Relative residual of the IRC tetrahedron equation, cyclic case.
+@lru_cache(maxsize=None)
+def _irc_index(N: int):
+    """IRC_SIDES compiled for spins in Z_N: a (14, 8) matrix of flat strides
+    and an (N, 8) array of z-offsets plus table offsets.
 
-    tables = (W, W', W'', W''') as N^8 arrays; ext maps the 14 external
-    labels to spins in Z_N; the internal label z is summed over Z_N.
+    Column k is the k-th factor (the four of the LHS, then the four of the
+    RHS).  For external spins x in EXTERNAL_LABELS order, x @ strides +
+    offsets[z] is the flat index of each factor's weight in the stacked
+    (4, N, ..., N) tables at internal spin z.
     """
-    N = tables[0].shape[0]
-    sides = []
-    for side in IRC_SIDES:
-        total = 0.0 + 0.0j
-        for z in range(N):
-            env = dict(ext, z=z)
-            term = 1.0 + 0.0j
-            for widx, slot in side:
-                term *= tables[widx][tuple(env[s] % N for s in slot)]
-            total += term
-        sides.append(total)
-    return _rel_residual(*sides)
+    factors = [factor for side in IRC_SIDES for factor in side]
+    strides = np.zeros((len(EXTERNAL_LABELS), len(factors)), dtype=np.int64)
+    offsets = np.zeros((N, len(factors)), dtype=np.int64)
+    for col, (widx, slot) in enumerate(factors):
+        offsets[:, col] = widx * N ** 8
+        for pos, label in enumerate(slot):
+            stride = N ** (7 - pos)
+            if label == "z":
+                offsets[:, col] += stride * np.arange(N)
+            else:
+                strides[EXTERNAL_LABELS.index(label), col] += stride
+    strides.flags.writeable = offsets.flags.writeable = False
+    return strides, offsets
 
 
-def cyclic_weights_for_tetra(ta: TetraAngles, N: int):
-    """The four IRC weight tables attached to a tetrahedron's angle data."""
-    return tuple(cyclic_weight_table(CyclicRData.from_angles(*args, N))
-                 for args in ta.angle_arguments())
+def irc_te_residual_cyclic(tables: np.ndarray, ext) -> np.ndarray:
+    """Relative residuals of the IRC tetrahedron equation, cyclic case.
+
+    tables is the stacked (4, N, ..., N) array of the weights (W, W', W'',
+    W'''); ext is an integer array of shape (..., 14) holding the external
+    spins in EXTERNAL_LABELS order (reduced mod N here); the internal label
+    z is summed over Z_N.  Returns residuals of shape ext.shape[:-1].
+    """
+    N = tables.shape[1]
+    strides, offsets = _irc_index(N)
+    flat = (np.asarray(ext) % N) @ strides
+    w = tables.reshape(-1)[flat[..., None, :] + offsets]  # (..., z, factor)
+    lhs = (w[..., 0] * w[..., 1] * w[..., 2] * w[..., 3]).sum(axis=-1)
+    rhs = (w[..., 4] * w[..., 5] * w[..., 6] * w[..., 7]).sum(axis=-1)
+    return _rel_residual(lhs, rhs)
+
+
+def cyclic_weights_for_tetra(ta: TetraAngles, N: int) -> np.ndarray:
+    """The four IRC weight tables attached to a tetrahedron's angle data,
+    stacked into one (4, N, ..., N) array, filled one table at a time."""
+    out = np.empty((4,) + (N,) * 8, dtype=complex)
+    for k, args in enumerate(ta.angle_arguments()):
+        out[k] = cyclic_weight_table(CyclicRData.from_angles(*args, N))
+    return out
 
 
 def cross_form_residual(data: CyclicRData, spins: dict) -> tuple[float, complex]:
@@ -484,27 +521,28 @@ def cross_form_residual(data: CyclicRData, spins: dict) -> tuple[float, complex]
 def cross_form_sector_scalars(data: CyclicRData):
     """Fit one scalar per conserved-charge sector between the two forms.
 
-    Returns {(c1, c2): (scalar, max residual after fitting)} over all spin
-    assignments; the residual reported for a sector is relative to the
-    largest element in it.
+    Returns {(c1, c2): (scalar, max residual after fitting)} over all N^8
+    spin assignments, which are evaluated at once: one sigma_map, one weight
+    gather and one element call.  The residual reported for a sector is
+    relative to the largest element in it.
     """
     N = data.N
-    sectors = {}
-    for spins in np.ndindex(*(N,) * 8):
-        n, m = sigma_map(spins, (0, 0, 0))
-        key = ((n[0] + n[1]) % N, (n[1] + n[2]) % N)
-        w = data.weights[spins]
-        r = cyclic_vertex_element(n, m, data)
-        sectors.setdefault(key, []).append((w, r))
-    out = {}
-    for key, pairs in sectors.items():
-        num = sum(w * np.conj(r) for w, r in pairs)
-        den = sum(abs(r) ** 2 for _, r in pairs)
-        scalar = num / den if den > 0 else 0.0
-        scale = max(max(abs(w) for w, _ in pairs), 1e-300)
-        resid = max(abs(w - scalar * r) for w, r in pairs) / scale
-        out[key] = (scalar, resid)
-    return out
+    spins = np.indices((N,) * 8).reshape(8, -1)
+    n, m = sigma_map(spins, (0, 0, 0))
+    w = data.weights[tuple(spins)]
+    r = cyclic_vertex_element(n, m, data)
+    sector = (n[0] + n[1]) % N * N + (n[1] + n[2]) % N
+    # bincount sums each sector in spin order
+    cross = w * np.conj(r)
+    num = (np.bincount(sector, cross.real, N * N)
+           + 1j * np.bincount(sector, cross.imag, N * N))
+    den = np.bincount(sector, abs(r) ** 2, N * N)
+    scalar = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    gap, scale = np.zeros(N * N), np.full(N * N, 1e-300)
+    np.maximum.at(gap, sector, abs(w - scalar[sector] * r))
+    np.maximum.at(scale, sector, abs(w))
+    return {divmod(key, N): (complex(scalar[key]), float(gap[key] / scale[key]))
+            for key in np.unique(sector).tolist()}
 
 
 # ---------------------------------------------------------------------------

@@ -537,14 +537,24 @@ def root_of_unity_q(N: int) -> complex:
     return -cmath.exp(1j * math.pi / N)
 
 
-def q_power(N: int, exponent: int) -> complex:
+@lru_cache(maxsize=None)
+def _q_phases(N: int) -> np.ndarray:
+    """The 2N values exp(i pi e / N), e = 0 .. 2N-1, read-only."""
+    phases = np.array([cmath.exp(1j * math.pi * e / N) for e in range(2 * N)])
+    phases.flags.writeable = False
+    return phases
+
+
+def q_power(N: int, exponent):
     """q^exponent for q = -exp(i pi/N), computed from the reduced phase.
 
     q = exp(i pi (N+1)/N), so q^e = exp(i pi ((N+1) e mod 2N) / N); the
     reduction is done in integers so no floating-point power accumulates.
+    exponent may be an integer array; every value is looked up in one table
+    of the 2N phases, so a scalar and an array entry agree bit for bit.
     """
-    e = ((N + 1) * exponent) % (2 * N)
-    return cmath.exp(1j * math.pi * e / N)
+    e = ((N + 1) * np.asarray(exponent)) % (2 * N)
+    return _q_phases(N)[e]
 
 
 @dataclass(frozen=True)

@@ -147,6 +147,7 @@ def test_criterion_13_negative_controls():
         ("fock-intertwine", dict(cutoff=5, q=0.3)),
         ("cyclic-intertwine", dict(samples=2, n_cyclic=3)),
         ("cyclic-te-irc", dict(samples=100, n_cyclic=3)),
+        ("cyclic-te-vertex", dict(samples=100, n_cyclic=3)),
         ("cyclic-cross-form", dict(samples=50, n_cyclic=3)),
         ("modular-specfun", dict(samples=2)),
         ("modular-te-irc", dict(samples=1)),
@@ -158,3 +159,13 @@ def test_criterion_13_negative_controls():
     worst = min(floors.values())
     criterion(13, "perturbed suites all exceed 1e-3", worst, 1e-3, direction=">")
     assert time.time() - t0 < 300
+
+
+def test_criterion_14_cyclic_vertex_te():
+    t0 = time.time()
+    worst = 0.0
+    for n in (3, 5):
+        rep = run("cyclic-te-vertex", n_cyclic=n, samples=1000)
+        worst = max(worst, rep.max_residual)
+    criterion(14, "cyclic vertex TE, N=3,5 sampled", worst, 1e-10)
+    assert time.time() - t0 < 120

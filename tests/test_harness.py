@@ -119,8 +119,8 @@ def test_config_validation():
 def test_all_cli_suites_registered():
     expected = {"classical-lybe", "classical-fte", "symplectic", "geometry-flip",
                 "miquel", "dodecahedron", "covariant", "fock-te", "fock-intertwine",
-                "cyclic-intertwine", "cyclic-te-irc", "cyclic-cross-form",
-                "modular-specfun", "modular-te-irc"}
+                "cyclic-intertwine", "cyclic-te-irc", "cyclic-te-vertex",
+                "cyclic-cross-form", "modular-specfun", "modular-te-irc"}
     assert set(SUITES) == expected
 
 
@@ -249,9 +249,28 @@ def test_cross_form_builds_the_weight_table_once(monkeypatch):
     {"suite": "cyclic-te-irc", "n_cyclic": 3},
     {"suite": "cyclic-intertwine", "n_cyclic": 3, "samples": 2},
     {"suite": "cyclic-intertwine", "n_cyclic": 3, "samples": 2, "perturb": True},
+    {"suite": "cyclic-te-irc", "n_cyclic": 2},
+    {"suite": "cyclic-te-vertex", "n_cyclic": 3, "samples": 100},
+    {"suite": "cyclic-te-vertex", "n_cyclic": 5, "samples": 20, "perturb": True},
 ])
 def test_cyclic_reports_do_not_depend_on_worker_count(params):
     reports = [json.dumps(strip_timing(run_suite(SuiteConfig(
         workers=workers, keep_cases=True, **params)).to_dict()), sort_keys=True)
         for workers in (1, 2)]
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_cyclic_te_vertex_rejects_even_n(n):
+    with pytest.raises(ConfigurationError, match="odd N"):
+        run_suite(SuiteConfig(suite="cyclic-te-vertex", n_cyclic=n))
+    assert main(["verify", "cyclic-te-vertex", "--N", str(n)]) == 1
+
+
+def test_cyclic_te_vertex_control_clears_tolerance():
+    # a 5% phase per index step on the fourth phi table of R356
+    plain = run_suite(SuiteConfig(suite="cyclic-te-vertex", n_cyclic=3, samples=200))
+    bad = run_suite(SuiteConfig(suite="cyclic-te-vertex", n_cyclic=3, samples=200,
+                                perturb=True))
+    assert plain.passed and plain.max_residual < 1e-12
+    assert bad.passed and bad.max_residual > 1e6 * bad.tolerance

@@ -145,6 +145,21 @@ def test_build_l_same_entries_for_double_and_mpmath_q():
             assert all(abs(g - w) <= 1e-15 * abs(g) for g, w in zip(got, want))
 
 
+def test_mpmath_l_stores_only_mpf_entries():
+    # the identity, lam mu and a entries used to stay Python ints and floats,
+    # which every 50-digit product converted again
+    with mp.workdps(50):
+        reps = (qosc.fock_rep(4, mp.mpf("0.3")),) * 3
+        for mat in (reps[0].a, reps[0].a_star, reps[0].k, reps[0].k_inv):
+            assert all(isinstance(val, mp.mpf) for val in mat[np.nonzero(mat)])
+        for key, mat in qosc._loper_entries(reps[0], 1.0, -1.0).items():
+            assert all(isinstance(val, mp.mpf) for val in mat[np.nonzero(mat)]), key
+        for op in qosc.build_l(reps, (1.0,) * 3, (-1.0,) * 3):
+            for block in op.blocks.values():
+                assert block.data.size
+                assert all(isinstance(val, mp.mpf) for val in block.data)
+
+
 # ---------------------------------------------------------------------------
 # the sparse kernel against dense numpy products
 # ---------------------------------------------------------------------------

@@ -325,21 +325,12 @@ def test_cyclic_element_independent_sum_oracle():
     assert got == pytest.approx(total, abs=1e-13)
 
 
-def consistent_external(rng, N):
-    n = [int(x) for x in rng.integers(0, N, 6)]
-    p1, p2, p3 = (int(x) for x in rng.integers(0, N, 3))
-    p4 = (n[0] + n[1] + n[3] - p1 - p2) % N
-    p5 = (n[2] + n[4] + p1 - n[0] - p3) % N
-    p6 = (n[3] + n[4] + n[5] - p4 - p5) % N
-    return (*n, p1, p2, p3, p4, p5, p6)
-
-
 def test_cyclic_vertex_te_n3():
     ta = tetra()
     ds = tuple(rm.CyclicRData.from_angles(*a, 3) for a in ta.angle_arguments())
     rng = np.random.default_rng(3)
     for _ in range(40):
-        assert rm.vertex_te_residual(consistent_external(rng, 3), ds) < 1e-10
+        assert rm.vertex_te_residual(rm.consistent_external(rng, 3), ds) < 1e-10
 
 
 @pytest.mark.parametrize("N", [3, 5])
@@ -348,7 +339,7 @@ def test_cyclic_vertex_te_negative_controls(N):
     # or a 5% phase on one phi table must break the equation visibly
     ds = tuple(rm.CyclicRData.from_angles(*a, N) for a in tetra().angle_arguments())
     rng = np.random.default_rng(3)
-    exts = [consistent_external(rng, N) for _ in range(40)]
+    exts = [rm.consistent_external(rng, N) for _ in range(40)]
     bad = rm.CyclicRData(N, ds[3].points)
     bad.tables = bad.tables[:3] + (bad.tables[3] * np.exp(0.05j * np.arange(N)),)
 
@@ -366,7 +357,96 @@ def test_cyclic_vertex_te_rejects_even_n(N):
     # mod-N sums are meaningless (the residual read ~1 on consistent tuples)
     ds = tuple(rm.CyclicRData.from_angles(*a, N) for a in tetra().angle_arguments())
     with pytest.raises(DomainError, match="even N"):
-        rm.vertex_te_residual(consistent_external(np.random.default_rng(3), N), ds)
+        rm.vertex_te_residual(rm.consistent_external(np.random.default_rng(3), N), ds)
+
+# The scalar forms the array code replaced, kept as oracles: one Python term
+# per internal index value, one call per matrix entry.
+
+def _cyclic_element_oracle(n, m, data):
+    N = data.N
+    n1, n2, n3 = n
+    m1, m2, m3 = m
+    if (n1 + n2 - m1 - m2) % N or (n2 + n3 - m2 - m3) % N:
+        return 0.0
+    t1, t2, t3, t4 = data.tables
+    pref = sf.q_power(N, n1 * n3 - m2 * (n1 + n3))
+    total = 0.0 + 0.0j
+    for t in range(N):
+        total += (sf.q_power(N, -2 * t * m2)
+                  * t1[(t + n1 + m3) % N] * t2[t % N]
+                  / (t3[(t + n1) % N] * t4[(t + n3) % N]))
+    return pref * total
+
+
+def _cyclic_r_dense_oracle(data):
+    N = data.N
+    out = np.zeros((N,) * 6, dtype=complex)
+    for n in np.ndindex(N, N, N):
+        for m2 in range(N):
+            m = ((n[0] + n[1] - m2) % N, m2, (n[1] + n[2] - m2) % N)
+            out[n + m] = _cyclic_element_oracle(n, m, data)
+    return out.reshape(N ** 3, N ** 3)
+
+
+def _vertex_te_oracle(ext, datasets):
+    N = datasets[0].N
+    sides = []
+    for indices, order in ((rm.te_lhs_indices, datasets), (rm.te_rhs_indices, datasets[::-1])):
+        total = 0.0 + 0.0j
+        for i in range(N):
+            term = 1
+            for data, idx in zip(order, indices(ext, i)):
+                idx = [k % N for k in idx]
+                term *= _cyclic_element_oracle(idx[:3], idx[3:], data)
+            total += term
+        sides.append(total)
+    return float(rm._rel_residual(*sides))
+
+
+@pytest.mark.parametrize("N", [3, 5, 7])
+def test_cyclic_r_dense_matches_entry_loop(N):
+    data = rm.CyclicRData.from_angles(*tetra().angle_arguments()[0], N)
+    got = rm.cyclic_r_dense(data)
+    want = _cyclic_r_dense_oracle(data)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # entries off the charge-allowed set are exactly 0
+    n1, n2, n3, m1, m2, m3 = np.indices((N,) * 6).reshape(6, -1)
+    allowed = ((n1 + n2 - m1 - m2) % N == 0) & ((n2 + n3 - m2 - m3) % N == 0)
+    assert np.count_nonzero(allowed) == N ** 4
+    assert np.all(got.reshape(-1)[~allowed] == 0)
+
+
+def test_cyclic_element_broadcasts_like_scalar_calls():
+    # unreduced indices, charge-allowed up to shifts by N, except in every
+    # other column
+    data = rm.CyclicRData.from_angles(*tetra().angle_arguments()[1], 5)
+    rng = np.random.default_rng(19)
+    n = rng.integers(-7, 12, (3, 4, 1))
+    m2 = rng.integers(-7, 12, (1, 6))
+    shift = 5 * rng.integers(-2, 3, (4, 6))
+    m = np.stack([n[0] + n[1] - m2 + shift, np.broadcast_to(m2, (4, 6)),
+                  n[1] + n[2] - m2 - shift])
+    m[0, :, ::2] += 1
+    got = rm.cyclic_vertex_element(n, m, data)
+    assert got.shape == (4, 6)
+    assert np.all(got[:, ::2] == 0) and np.all(got[:, 1::2] != 0)
+    for i, j in np.ndindex(4, 6):
+        want = _cyclic_element_oracle([int(k) for k in n[:, i, 0]],
+                                      [int(k) for k in m[:, i, j]], data)
+        assert abs(got[i, j] - want) <= 1e-14 * max(abs(want), 1.0)
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_cyclic_vertex_te_matches_scalar_loop(N):
+    ds = tuple(rm.CyclicRData.from_angles(*a, N) for a in tetra().angle_arguments())
+    bad = rm.CyclicRData(N, ds[3].points)
+    bad.tables = bad.tables[:3] + (bad.tables[3] * np.exp(0.05j * np.arange(N)),)
+    rng = np.random.default_rng(20)
+    for datasets in (ds, ds[:3] + (bad,)):
+        for _ in range(20):
+            ext = rm.consistent_external(rng, N)
+            want = _vertex_te_oracle(ext, datasets)
+            assert abs(rm.vertex_te_residual(ext, datasets) - want) <= 1e-12 * want + 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +477,7 @@ def test_irc_te_cyclic_n2_sampled():
     tabs = rm.cyclic_weights_for_tetra(ta, 2)
     rng = np.random.default_rng(5)
     for _ in range(300):
-        ext = dict(zip(rm.EXTERNAL_LABELS, (int(x) for x in rng.integers(0, 2, 14))))
+        ext = rng.integers(0, 2, 14)
         assert rm.irc_te_residual_cyclic(tabs, ext) < 1e-10
 
 
@@ -407,7 +487,7 @@ def test_irc_te_cyclic_n3_and_n4_sampled():
         tabs = rm.cyclic_weights_for_tetra(ta, N)
         rng = np.random.default_rng(N)
         for _ in range(100):
-            ext = dict(zip(rm.EXTERNAL_LABELS, (int(x) for x in rng.integers(0, N, 14))))
+            ext = rng.integers(0, N, 14)
             assert rm.irc_te_residual_cyclic(tabs, ext) < 1e-9
 
 
@@ -425,7 +505,7 @@ def test_irc_te_labeling_ablation():
     rng = np.random.default_rng(8)
     worst = 0.0
     for _ in range(200):
-        ext = dict(zip(rm.EXTERNAL_LABELS, (int(x) for x in rng.integers(0, 2, 14))))
+        ext = rng.integers(0, 2, 14)
         worst = max(worst, rm.irc_te_residual_cyclic(tabs, ext))
     assert worst > 1e-2
 
@@ -441,8 +521,65 @@ def test_irc_te_plane_relabeling_symmetry():
     tabs = rm.cyclic_weights_for_tetra(sym, 2)
     rng = np.random.default_rng(10)
     for _ in range(100):
-        ext = dict(zip(rm.EXTERNAL_LABELS, (int(x) for x in rng.integers(0, 2, 14))))
+        ext = rng.integers(0, 2, 14)
         assert rm.irc_te_residual_cyclic(tabs, ext) < 1e-10
+
+# The dict-loop IRC contraction the index matrix replaced, kept as an oracle.
+
+def _irc_te_oracle(tables, ext):
+    N = tables.shape[1]
+    labels = dict(zip(rm.EXTERNAL_LABELS, (int(x) for x in ext)))
+    sides = []
+    for side in rm.IRC_SIDES:
+        total = 0.0 + 0.0j
+        for z in range(N):
+            env = dict(labels, z=z)
+            term = 1.0 + 0.0j
+            for widx, slot in side:
+                term *= tables[widx][tuple(env[s] % N for s in slot)]
+            total += term
+        sides.append(total)
+    return float(rm._rel_residual(*sides))
+
+
+def _phase_perturbed(tables):
+    bad = tables.copy()
+    bad[3] *= np.exp(0.05j * np.arange(tables.shape[1]))
+    return bad
+
+
+def test_irc_te_batch_matches_dict_loop_n2_exhaustive():
+    tabs = rm.cyclic_weights_for_tetra(tetra(), 2)
+    exts = (np.arange(2 ** 14)[:, None] >> np.arange(14)) & 1
+    got = rm.irc_te_residual_cyclic(tabs, exts)
+    want = np.array([_irc_te_oracle(tabs, ext) for ext in exts])
+    assert got.shape == (2 ** 14,)
+    assert np.all(np.abs(got - want) <= 1e-12 * want + 1e-14)
+    assert np.max(got) < 1e-10
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_irc_te_batch_matches_dict_loop_sampled(N):
+    # also on phase-perturbed tables, whose O(1) residuals expose any
+    # misplaced stride or offset
+    tabs = rm.cyclic_weights_for_tetra(tetra(seed=6), N)
+    rng = np.random.default_rng(30 + N)
+    exts = rng.integers(-N, 2 * N, (200, 14))
+    for tables in (tabs, _phase_perturbed(tabs)):
+        got = rm.irc_te_residual_cyclic(tables, exts)
+        want = np.array([_irc_te_oracle(tables, ext) for ext in exts])
+        assert np.all(np.abs(got - want) <= 1e-12 * want + 1e-14)
+    assert np.max(want) > 1e-2
+
+
+def test_irc_te_batch_rows_equal_single_calls():
+    tabs = rm.cyclic_weights_for_tetra(tetra(seed=6), 3)
+    exts = np.random.default_rng(22).integers(0, 3, (4, 50, 14))
+    got = rm.irc_te_residual_cyclic(_phase_perturbed(tabs), exts)
+    assert got.shape == (4, 50)
+    single = [[rm.irc_te_residual_cyclic(_phase_perturbed(tabs), e) for e in row]
+              for row in exts]
+    assert np.max(np.abs(got - np.array(single))) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +613,34 @@ def test_cross_form_sector_scalars_reported():
     fits = rm.cross_form_sector_scalars(data)
     assert len(fits) == 4
     assert max(res for _, res in fits.values()) > 1e-2
+
+def _sector_scalars_oracle(data):
+    N = data.N
+    sectors = {}
+    for spins in np.ndindex(*(N,) * 8):
+        n, m = rm.sigma_map(spins, (0, 0, 0))
+        key = ((n[0] + n[1]) % N, (n[1] + n[2]) % N)
+        sectors.setdefault(key, []).append((data.weights[spins],
+                                            _cyclic_element_oracle(n, m, data)))
+    out = {}
+    for key, pairs in sectors.items():
+        num = sum(w * np.conj(r) for w, r in pairs)
+        den = sum(abs(r) ** 2 for _, r in pairs)
+        scalar = num / den if den > 0 else 0.0
+        scale = max(max(abs(w) for w, _ in pairs), 1e-300)
+        out[key] = (scalar, max(abs(w - scalar * r) for w, r in pairs) / scale)
+    return out
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_cross_form_sector_scalars_match_loop(N):
+    data = rm.CyclicRData.from_angles(*tetra().angle_arguments()[0], N)
+    got = rm.cross_form_sector_scalars(data)
+    want = _sector_scalars_oracle(data)
+    assert sorted(got) == sorted(want)
+    for key, (scalar, resid) in want.items():
+        assert abs(got[key][0] - scalar) <= 1e-14 * abs(scalar)
+        assert abs(got[key][1] - resid) <= 1e-14 * resid
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +726,7 @@ def test_cyclic_te_many_tetrahedra():
         ta = rm.random_tetra_angles(rng)
         tabs = rm.cyclic_weights_for_tetra(ta, 2)
         for _ in range(20):
-            ext = dict(zip(rm.EXTERNAL_LABELS, (int(x) for x in rng.integers(0, 2, 14))))
+            ext = rng.integers(0, 2, 14)
             assert rm.irc_te_residual_cyclic(tabs, ext) < 1e-9
 
 
@@ -581,7 +746,7 @@ def test_same_triangle_data_passes_intertwining_and_te():
     assert qosc.intertwine_residual(ls, r) < 1e-9
     rng = np.random.default_rng(43)
     for _ in range(20):
-        assert rm.vertex_te_residual(consistent_external(rng, N), datasets) < 1e-9
+        assert rm.vertex_te_residual(rm.consistent_external(rng, N), datasets) < 1e-9
 
 
 def test_spectral_and_field_constraint_builders():

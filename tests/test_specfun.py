@@ -398,6 +398,19 @@ def test_q_power_exactness():
             assert abs(sf.q_power(N, e) - q ** e) < 1e-12
 
 
+def test_q_power_arrays_look_up_the_scalar_phases():
+    for N in (2, 3, 4, 5, 7):
+        e = np.arange(-3 * N, 3 * N).reshape(2, 3, N)
+        got = sf.q_power(N, e)
+        assert got.shape == e.shape
+        for idx in np.ndindex(e.shape):
+            k = int(e[idx])
+            scalar = sf.q_power(N, k)
+            # bit for bit the phase formula, for a scalar and an array entry
+            assert scalar == cmath.exp(1j * math.pi * (((N + 1) * k) % (2 * N)) / N)
+            assert got[idx] == scalar
+
+
 # ---------------------------------------------------------------------------
 # spherical triangles and Fermat points
 # ---------------------------------------------------------------------------
