@@ -109,11 +109,6 @@ def propagation_constraint_residual(angles: FaceAngles) -> float:
     return abs((p * s - q * r) - num / den)
 
 
-def edge_propagate(lp: float, lq: float, angles: FaceAngles) -> tuple[float, float]:
-    out = propagation_matrix(angles) @ np.array([lp, lq], dtype=float)
-    return float(out[0]), float(out[1])
-
-
 def _x3(m2: np.ndarray, rows: tuple[int, int]) -> np.ndarray:
     out = np.eye(3, dtype=complex)
     i, j = rows

@@ -177,15 +177,6 @@ class Hexahedron:
     def cosphericity_residual(self) -> float:
         return cosphericity_residual(self.vertices())
 
-    def validate(self, mode: str = "quadrilateral", tol: float = 1e-9):
-        if self.max_planarity_residual() > tol:
-            raise DomainError("hexahedron has a non-planar face")
-        if mode == "circular":
-            if self.max_concyclicity_residual() > tol:
-                raise DomainError("hexahedron has a non-circular face")
-            if self.cosphericity_residual() > tol:
-                raise DomainError("hexahedron vertices are not cospherical")
-
 
 # ---------------------------------------------------------------------------
 # angles
@@ -238,16 +229,6 @@ def extract_angles(face, tol: float = 1e-9) -> FaceAngles:
     ang, reflex = interior_angles(face)
     return FaceAngles(alpha=ang[2], beta=ang[3], gamma=ang[1], delta=ang[0],
                       reflex=any(reflex))
-
-
-def face_edge_lengths(face):
-    """(lp, lq, lp_out, lq_out) for an ordered face (v0..v3)."""
-    v = [np.asarray(p, dtype=float) for p in face]
-    lp = np.linalg.norm(v[2] - v[1])
-    lq = np.linalg.norm(v[3] - v[2])
-    lp_out = np.linalg.norm(v[0] - v[3])
-    lq_out = np.linalg.norm(v[1] - v[0])
-    return float(lp), float(lq), float(lp_out), float(lq_out)
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +405,6 @@ class LatticeState:
         front = [(i + a, j + b, k + d) for a in (0, 1) for b in (0, 1) for d in (0, 1)
                  if (a, b, d) != (1, 1, 1)]
         return all(self.has(m) for m in front) and not self.has((i + 1, j + 1, k + 1))
-
-    def frontier(self):
-        n1, n2, n3 = self.shape
-        return [c for c in np.ndindex(n1, n2, n3) if self.cube_flippable(c)]
 
     def hexahedron(self, c) -> Hexahedron:
         i, j, k = c

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .. import geometry as geo
@@ -31,20 +30,24 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run one or more verification suites")
     v.add_argument("suites", nargs="+", metavar="SUITE",
                    help="suite name, or 'all'; known: %s" % ", ".join(sorted(SUITES)))
-    v.add_argument("--q", type=float, default=0.5, help="deformation parameter q")
-    v.add_argument("--b-mod", type=float, default=0.8, help="|b| of the modular parameter")
-    v.add_argument("--b-arg", type=float, default=math.pi / 40,
+    # every run default is SuiteConfig's
+    v.add_argument("--q", type=float, default=SuiteConfig.q, help="deformation parameter q")
+    v.add_argument("--b-mod", type=float, default=SuiteConfig.b_mod,
+                   help="|b| of the modular parameter")
+    v.add_argument("--b-arg", type=float, default=SuiteConfig.b_arg,
                    help="arg(b) of the modular parameter, radians")
-    v.add_argument("--N", type=int, default=3, dest="n_cyclic",
+    v.add_argument("--N", type=int, default=SuiteConfig.n_cyclic, dest="n_cyclic",
                    help="cyclic order (root of unity)")
-    v.add_argument("--cutoff", type=int, default=8, help="Fock truncation level")
-    v.add_argument("--max-index", type=int, default=2,
+    v.add_argument("--cutoff", type=int, default=SuiteConfig.cutoff,
+                   help="Fock truncation level")
+    v.add_argument("--max-index", type=int, default=SuiteConfig.max_index,
                    help="largest external index of the exhaustive Fock sweep")
-    v.add_argument("--seed", type=int, default=20240501)
-    v.add_argument("--samples", type=int, default=None)
-    v.add_argument("--tol", type=float, default=None)
-    v.add_argument("--workers", type=int, default=1)
-    v.add_argument("--box", type=str, default="5x5x5", help="covariant box, AxBxC")
+    v.add_argument("--seed", type=int, default=SuiteConfig.seed)
+    v.add_argument("--samples", type=int, default=SuiteConfig.samples)
+    v.add_argument("--tol", type=float, default=SuiteConfig.tol)
+    v.add_argument("--workers", type=int, default=SuiteConfig.workers)
+    v.add_argument("--box", type=_parse_size, default=SuiteConfig.box,
+                   help="covariant box, AxBxC")
     v.add_argument("--perturb", action="store_true",
                    help="negative control: corrupt the map/weight and require "
                         "the residual to exceed the tolerance")
@@ -58,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("evolve", help="grow a lattice and export an OBJ mesh")
     e.add_argument("--size", type=str, default="3x3x3")
     e.add_argument("--mode", choices=("circular", "quadrilateral"), default="circular")
-    e.add_argument("--seed", type=int, default=20240501)
+    e.add_argument("--seed", type=int, default=SuiteConfig.seed)
     e.add_argument("--out", type=str, required=True)
 
     r = sub.add_parser("report", help="validate and summarize a stored report")
@@ -88,20 +91,24 @@ def _print_line(rep: Report):
              rep.counts["cases"], rep.wall_s, mode))
 
 
+def suite_config(args, name: str) -> SuiteConfig:
+    """The SuiteConfig of suite name from parsed verify options."""
+    return SuiteConfig(
+        suite=name, seed=args.seed, samples=args.samples, tol=args.tol,
+        workers=args.workers, q=args.q, b_mod=args.b_mod, b_arg=args.b_arg,
+        n_cyclic=args.n_cyclic, cutoff=args.cutoff, max_index=args.max_index,
+        box=args.box, perturb=args.perturb,
+        keep_cases=args.keep_cases or args.csv is not None)
+
+
 def cmd_verify(args) -> int:
     names = list(args.suites)
     if names == ["all"]:
         names = sorted(SUITES)
     ok = True
     for name in names:
-        cfg = SuiteConfig(
-            suite=name, seed=args.seed, samples=args.samples, tol=args.tol,
-            workers=args.workers, q=args.q, b_mod=args.b_mod, b_arg=args.b_arg,
-            n_cyclic=args.n_cyclic, cutoff=args.cutoff, max_index=args.max_index,
-            box=_parse_size(args.box), perturb=args.perturb,
-            keep_cases=args.keep_cases or args.csv is not None)
         try:
-            rep = run_suite(cfg)
+            rep = run_suite(suite_config(args, name))
         except QLatticeError as exc:
             print("%-20s ERROR %s" % (name, exc))
             ok = False

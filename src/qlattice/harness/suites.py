@@ -55,6 +55,12 @@ class SuiteConfig:
             raise ConfigurationError("need N >= 2")
         if self.workers < 1:
             raise ConfigurationError("need at least one worker")
+        if self.samples is not None and self.samples < 1:
+            raise ConfigurationError("need at least one sample")
+        if self.max_index < 0:
+            raise ConfigurationError("max_index must be nonnegative")
+        if self.q == 0 or self.q * self.q == 1:
+            raise ConfigurationError("the Fock element is undefined at q = 0 and q^2 = 1")
 
     def modular_param(self) -> sf.ModularParam:
         return sf.ModularParam(self.b_mod * cmath.exp(1j * self.b_arg))
@@ -171,8 +177,6 @@ def _fock_te_count(cfg):
 
 
 def _fock_te_case(cfg, idx):
-    import mpmath as mp
-
     base = cfg.max_index + 1
     outer = [idx // base ** k % base for k in range(6)]
     inner = np.indices((base,) * 6).reshape(6, -1)
@@ -182,30 +186,26 @@ def _fock_te_case(cfg, idx):
     # inconsistent tuples are swept too: the gate finds no term, both sides vanish
     for ext, terms in rm.fock_te_gate(exts):
         if cfg.perturb:
-            with mp.workdps(rm._MP_DPS):
-                (lhs,) = rm._te_sides(ext, q, rm.fock_element_mp, terms[:1])
-                (rhs,) = rm._te_sides(ext, q * (1 + 1e-3), rm.fock_element_mp, terms[1:])
-                worst = max(worst, float(rm._rel_residual(lhs, rhs)))
+            (lhs,) = rm._te_sides(ext, q, rm.fock_element_mp, terms[:1])
+            (rhs,) = rm._te_sides(ext, q * (1 + 1e-3), rm.fock_element_mp, terms[1:])
+            worst = max(worst, float(rm._rel_residual(lhs, rhs)))
         else:
             worst = max(worst, rm.fock_te_residual(ext, q, terms))
     return worst
 
 
 def _fock_intertwine_case(cfg, idx):
-    import mpmath as mp
-
     if idx == 0:
         if cfg.perturb:
             def bad_element(n1, n2, n3, m1, m2, m3, q):
                 val = rm.fock_element_mp(n1, n2, n3, m1, m2, m3, q)
-                return val * mp.mpf("1.05") ** n2 if val else val
+                return val * rm._MP_CTX.mpf("1.05") ** n2 if val else val
             return qosc.fock_intertwine_extended(cfg.cutoff, cfg.q, bad_element)
         return qosc.fock_intertwine_extended(cfg.cutoff, cfg.q, rm.fock_element_mp)
-    with mp.workdps(rm._MP_DPS):
-        reps, mask, r = qosc.fock_r_sparse(cfg.cutoff, cfg.q, rm.fock_element_mp)
-        if cfg.perturb:
-            r = r + qosc.VOp(r.dims, [0], [0], [0.05 * r.max_abs()])
-        return max(qosc.map_operator_residuals(reps, r, eps=1, mask=mask).values())
+    reps, mask, r = qosc.fock_r_sparse(cfg.cutoff, cfg.q, rm.fock_element_mp)
+    if cfg.perturb:
+        r = r + qosc.VOp(r.dims, [0], [0], [0.05 * r.max_abs()])
+    return max(qosc.map_operator_residuals(reps, r, eps=1, mask=mask).values())
 
 
 # ---------------------------------------------------------------------------

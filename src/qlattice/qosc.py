@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .rmatrices import _MP_DPS
+from .rmatrices import _MP_CTX
 from .specfun import SphericalTriangle, root_of_unity_q
 
 # ---------------------------------------------------------------------------
@@ -32,12 +32,10 @@ from .specfun import SphericalTriangle, root_of_unity_q
 
 @dataclass
 class QOscRep:
-    kind: str
     q: complex
     a: np.ndarray
     a_star: np.ndarray
     k: np.ndarray
-    k_inv: np.ndarray
     exact_levels: int  # relations hold on basis states below this index
 
     @property
@@ -67,10 +65,8 @@ def fock_rep(cutoff: int, q: complex) -> QOscRep:
     for n in range(cutoff):
         a[n, n + 1] = q ** 0  # 1 in q's number type
         a_star[n + 1, n] = 1.0 - q ** (2 + 2 * n)
-    levels = np.arange(d) + 0.5
-    k = np.diag(q ** levels).astype(dtype)
-    k_inv = np.diag(q ** -levels).astype(dtype)
-    return QOscRep("fock", q, a, a_star, k, k_inv, exact_levels=cutoff - 1)
+    k = np.diag(q ** (np.arange(d) + 0.5)).astype(dtype)
+    return QOscRep(q, a, a_star, k, exact_levels=cutoff - 1)
 
 
 def cyclic_rep(N: int, kappa: complex, rho: complex) -> QOscRep:
@@ -88,11 +84,9 @@ def cyclic_rep(N: int, kappa: complex, rho: complex) -> QOscRep:
     z = np.zeros((N, N), dtype=complex)
     for n in range(N):
         z[(n + 1) % N, n] = 1.0
-    k = kappa * x
-    k_inv = np.linalg.inv(k)
     a_star = (np.eye(N) - kappa ** 2 / q * (x @ x)) @ z / rho
     a = rho * np.linalg.inv(z)
-    return QOscRep("cyclic", q, a, a_star, k, k_inv, exact_levels=N)
+    return QOscRep(q, a, a_star, kappa * x, exact_levels=N)
 
 
 def algebra_residuals(rep: QOscRep) -> dict:
@@ -354,29 +348,32 @@ def product_state_mask(reps) -> np.ndarray:
 #
 # Both Fock checks below (intertwining and flip-map relations) run in
 # 50-digit software floats, on one R that holds only the elements reaching a
-# masked entry.  The elements need those digits; the operator products do
-# not.  Each element is a terminating q-series that cancels far below its
-# terms: with double-precision elements the masked intertwining residual
-# reads 1.0 at cutoff 8 (q = 0.3), while 50-digit elements rounded to double
-# give 2.2e-16 with double products at cutoffs 5, 8 and 10 (max|R| = 1).
-# Against 150-digit elements the 50-digit ones are off by up to 3.4e-36 at
-# cutoff 8 and 8.5e-22 at cutoff 10, and both checks read about that much.
+# masked entry.  The digits are carried by the numbers themselves: q, every
+# element and every representation entry belong to the context
+# rmatrices._MP_CTX, so each sum and product of them is taken in it and no
+# caller has to set a global precision.  The elements need those digits;
+# the operator products do not.  Each element is a terminating q-series that
+# cancels far below its terms: with double-precision elements the masked
+# intertwining residual reads 1.0 at cutoff 8 (q = 0.3), while 50-digit
+# elements rounded to double give 2.2e-16 with double products at cutoffs 5,
+# 8 and 10 (max|R| = 1).  Against 150-digit elements the 50-digit ones are
+# off by up to 3.4e-36 at cutoff 8 and 8.5e-22 at cutoff 10, and both checks
+# read about that much.
 
 def fock_r_sparse(cutoff: int, q, element_fn):
-    """(reps, mask, R) for the masked 50-digit Fock checks; call it inside
-    mp.workdps(_MP_DPS), where the products on them must run too.
+    """(reps, mask, R) for the masked 50-digit Fock checks.
 
-    reps are three Fock representations at the mpmath q, and the interior
-    mask keeps oscillator indices < cutoff - 1.  element_fn(n1, n2, n3, m1,
-    m2, m3, q) must return the R element as an mp number.  R is filled over
+    reps are three Fock representations at q in the 50-digit context
+    rmatrices._MP_CTX, and the interior mask keeps oscillator indices
+    < cutoff - 1.  element_fn(n1, n2, n3, m1, m2, m3, q) must return the R
+    element as a number of that context.  Products of these operators carry
+    its digits whatever the global mpmath precision.  R is filled over
     charge sectors (m1 + m2 = n1 + n2, m2 + m3 = n2 + n3) and only where its
     row n is masked, or its column is masked and no index of n is at the
     cutoff: every L, and every operator of the flip-map relations, moves
     each index by at most one, so no other element reaches a masked entry.
     """
-    import mpmath as mp
-
-    reps = (fock_rep(cutoff, mp.mpmathify(q)),) * 3
+    reps = (fock_rep(cutoff, _MP_CTX.convert(q)),) * 3
     mask = product_state_mask(reps)
     dims = tuple(r.dim for r in reps)
     kept = mask.reshape(dims)
@@ -396,14 +393,10 @@ def fock_r_sparse(cutoff: int, q, element_fn):
 
 
 def fock_intertwine_extended(cutoff: int, q, element_fn) -> float:
-    """Masked intertwining residual at _MP_DPS digits, with lambda = 1 and
-    mu = -1, on the R of fock_r_sparse(cutoff, q, element_fn)."""
-    import mpmath as mp
-
-    with mp.workdps(_MP_DPS):
-        reps, mask, r = fock_r_sparse(cutoff, q, element_fn)
-        ls = build_l(reps, (1.0,) * 3, (-1.0,) * 3)
-        return intertwine_residual(ls, r, mask)
+    """Masked 50-digit intertwining residual, with lambda = 1 and mu = -1,
+    on the R of fock_r_sparse(cutoff, q, element_fn)."""
+    reps, mask, r = fock_r_sparse(cutoff, q, element_fn)
+    return intertwine_residual(build_l(reps, (1.0,) * 3, (-1.0,) * 3), r, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +481,3 @@ def parameter_combinations(lambdas, mus):
         raise DomainError("zero parameter in a denominator")
     return (lambdas[1] / lambdas[2], lambdas[0] * mus[2], mus[0] / mus[1])
 
-
-def regauge(lambdas, mus, c1: complex, c2: complex, c3: complex):
-    """Rescale (lambda, mu) without changing the three combinations."""
-    lams = (lambdas[0] * c3, lambdas[1] * c1, lambdas[2] * c1)
-    ms = (mus[0] * c2, mus[1] * c2, mus[2] / c3)
-    return lams, ms

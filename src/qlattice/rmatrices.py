@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
+import mpmath
 import numpy as np
 
 from .errors import AccuracyError, DegeneracyError, DomainError
@@ -78,23 +79,24 @@ def fock_element(n1: int, n2: int, n3: int, m1: int, m2: int, m3: int, q):
 # The tetrahedron-equation sums cancel strongly (both sides can be many
 # orders below the size of individual terms), so double precision cannot
 # reach relative residuals near 1e-12 even though every element is an exact
-# finite sum.  The checks therefore evaluate in software floats; elements
-# are memoized per deformation parameter.
+# finite sum.  The checks therefore evaluate in software floats of their own
+# context: every number built from a _MP_CTX number keeps its _MP_DPS digits,
+# whatever the global mpmath precision.  Elements are memoized per
+# deformation parameter.
 _MP_DPS = 50
+_MP_CTX = mpmath.MPContext()
+_MP_CTX.dps = _MP_DPS
 
 
 @lru_cache(maxsize=None)
 def fock_element_mp(n1: int, n2: int, n3: int, m1: int, m2: int, m3: int, q):
-    """fock_element at _MP_DPS digits for a plain (double) q.
+    """fock_element in _MP_CTX for a plain (double) q.
 
     Only this 50-digit entry point is cached: an untyped lru_cache keys
     q = 0.3 and mpf(0.3) alike, so a cache shared with the double path could
     hand one path the other's values.
     """
-    import mpmath as mp
-
-    with mp.workdps(_MP_DPS):
-        return fock_element(n1, n2, n3, m1, m2, m3, mp.mpmathify(q))
+    return fock_element(n1, n2, n3, m1, m2, m3, _MP_CTX.convert(q))
 
 
 def fock_r_dense(cutoff: int, q: complex) -> np.ndarray:
@@ -191,21 +193,9 @@ def _te_sides(ext, q, element, terms=None):
 
 def fock_te_residual(ext, q, terms=None) -> float:
     """Relative residual of the vertex tetrahedron equation at one external
-    tuple, summed at _MP_DPS digits; 0.0 when neither side has a term.
-    terms, if given, are the tuple's terms from fock_te_gate."""
-    import mpmath as mp
-
-    if terms is None:
-        terms = _te_terms(ext)
-    if not any(terms):
-        return 0.0
-    with mp.workdps(_MP_DPS):
-        lhs, rhs = _te_sides(ext, q, fock_element_mp, terms)
-        num = abs(lhs - rhs)
-        den = abs(lhs) + abs(rhs)
-        if num < ZERO_FLOOR and den < ZERO_FLOOR:
-            return 0.0
-        return float(num / (den + mp.mpf("1e-300")))
+    tuple, summed in _MP_CTX; 0.0 when neither side has a term.  terms, if
+    given, are the tuple's terms from fock_te_gate."""
+    return float(_rel_residual(*_te_sides(ext, q, fock_element_mp, terms)))
 
 
 # ---------------------------------------------------------------------------
@@ -594,13 +584,6 @@ def spectral_tshki_residual(sets) -> float:
     t, tp, tpp, tppp = sets
     checks = (tp[0] - t[0], tpp[0] + t[1], tppp[0] - t[2],
               tpp[1] - tp[1], tppp[1] + tp[2], tppp[2] - tpp[2])
-    return float(max(abs(c) for c in checks))
-
-
-def field_ashki_residual(sets) -> float:
-    f, fp, fpp, fppp = sets
-    checks = (fpp[2] - (fp[2] - f[2]), fppp[0] - (fpp[0] - fp[0]),
-              fppp[1] - (fpp[1] + f[0]), fppp[2] - (f[1] - fp[1]))
     return float(max(abs(c) for c in checks))
 
 

@@ -8,7 +8,7 @@ import pytest
 from qlattice.errors import ConfigurationError, DomainError
 from qlattice import geometry as geo
 from qlattice.harness import mesh
-from qlattice.harness.cli import main
+from qlattice.harness.cli import build_parser, main, suite_config
 from qlattice.harness.report import Report, strip_timing, validate_report
 from qlattice.harness.rng import case_rng
 from qlattice.harness.suites import SUITES, SuiteConfig, run_suite
@@ -193,6 +193,25 @@ def test_cli_exit_code_on_failure(tmp_path):
     # an absurd tolerance fails the suite and the exit code says so
     code = main(["verify", "classical-lybe", "--samples", "5", "--tol", "1e-30"])
     assert code == 1
+
+
+@pytest.mark.parametrize("option", [
+    ["--tol", "-1"], ["--N", "1"], ["--workers", "0"], ["--samples", "-3"],
+    ["--samples", "0"], ["--max-index", "-1"], ["--q", "0"], ["--q", "1"], ["--q", "-1"],
+], ids=lambda option: "%s=%s" % (option[0].lstrip("-"), option[1]))
+def test_cli_config_error_prints_error_for_each_suite(option, capsys):
+    # a bad option is reported per suite as ERROR, not raised as a traceback,
+    # and every named suite is still reported
+    assert main(["verify", "classical-lybe", "fock-te", *option]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines] == [["classical-lybe", "ERROR"],
+                                                    ["fock-te", "ERROR"]]
+
+
+@pytest.mark.parametrize("name", ["classical-lybe", "fock-te", "covariant"])
+def test_cli_defaults_are_suite_config_defaults(name):
+    args = build_parser().parse_args(["verify", name])
+    assert suite_config(args, name) == SuiteConfig(suite=name)
 
 
 def test_cli_evolve(tmp_path):

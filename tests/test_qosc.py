@@ -94,7 +94,7 @@ def test_cyclic_clock_shift_orders():
 def trivial_rep():
     one = np.ones((1, 1), dtype=complex)
     zero = np.zeros((1, 1), dtype=complex)
-    return qosc.QOscRep("trivial", 0.3, zero, zero, one, one, exact_levels=0)
+    return qosc.QOscRep(0.3, zero, zero, one, exact_levels=0)
 
 
 def test_l_block_pattern_trivial_rep():
@@ -150,7 +150,7 @@ def test_mpmath_l_stores_only_mpf_entries():
     # which every 50-digit product converted again
     with mp.workdps(50):
         reps = (qosc.fock_rep(4, mp.mpf("0.3")),) * 3
-        for mat in (reps[0].a, reps[0].a_star, reps[0].k, reps[0].k_inv):
+        for mat in (reps[0].a, reps[0].a_star, reps[0].k):
             assert all(isinstance(val, mp.mpf) for val in mat[np.nonzero(mat)])
         for key, mat in qosc._loper_entries(reps[0], 1.0, -1.0).items():
             assert all(isinstance(val, mp.mpf) for val in mat[np.nonzero(mat)]), key
@@ -369,7 +369,9 @@ def test_gauge_invariance_of_intertwining():
         qosc.build_l(params.reps(), params.lambdas, params.mus), r)
     for _ in range(20):
         c1, c2, c3 = (complex(rng.normal(), rng.normal()) for _ in range(3))
-        lams, mus = qosc.regauge(params.lambdas, params.mus, c1, c2, c3)
+        # rescale (lambda, mu) without changing the three combinations
+        lams = (params.lambdas[0] * c3, params.lambdas[1] * c1, params.lambdas[2] * c1)
+        mus = (params.mus[0] * c2, params.mus[1] * c2, params.mus[2] / c3)
         combo = qosc.parameter_combinations(lams, mus)
         assert np.allclose(combo, base_combo, atol=1e-12)
         res = qosc.intertwine_residual(qosc.build_l(params.reps(), lams, mus), r)
@@ -405,13 +407,25 @@ def test_map_operator_relations_fock():
     # wrong eps must fail
     bad = qosc.map_operator_residuals(reps, r, eps=-1, mask=mask)
     assert max(bad.values()) > 1e-3
-    # 50 digits at cutoff 8, on the sparse R the intertwining check uses
-    with mp.workdps(rm._MP_DPS):
-        reps, mask, r = qosc.fock_r_sparse(8, q, rm.fock_element_mp)
-        res = qosc.map_operator_residuals(reps, r, eps=1, mask=mask)
-        bad = qosc.map_operator_residuals(reps, r, eps=-1, mask=mask)
+
+
+def test_map_operator_relations_fock_in_50_digits_at_global_double_precision():
+    # cutoff 8, on the sparse R the intertwining check uses.  No mpmath
+    # precision is set around these calls: the numbers carry their 50
+    # digits, where a q at the global precision gave 3.7e-16
+    assert mp.mp.dps == 15
+    reps, mask, r = qosc.fock_r_sparse(8, 0.3, rm.fock_element_mp)
+    res = qosc.map_operator_residuals(reps, r, eps=1, mask=mask)
+    bad = qosc.map_operator_residuals(reps, r, eps=-1, mask=mask)
     assert max(res.values()) < 1e-30
     assert max(bad.values()) > 1e-3
+    values = list(r.data)
+    for rep in reps:
+        for mat in (rep.a, rep.a_star, rep.k):
+            values += list(mat[np.nonzero(mat)])
+    assert len(values) > len(r.data)
+    assert all(type(val) is rm._MP_CTX.mpf for val in values)
+    assert rm._MP_CTX.dps == rm._MP_DPS == 50
 
 
 def test_map_relations_scale_by_the_compared_sides():
