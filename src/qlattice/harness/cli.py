@@ -18,7 +18,7 @@ from ..errors import QLatticeError
 from . import mesh
 from .report import Report, validate_report
 from .rng import case_rng
-from .suites import SUITES, SuiteConfig, run_suite
+from .suites import SUITES, SuiteConfig, run_suite, samples_ignored
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,12 +108,16 @@ def cmd_verify(args) -> int:
     ok = True
     for name in names:
         try:
-            rep = run_suite(suite_config(args, name))
+            cfg = suite_config(args, name)
+            rep = run_suite(cfg)
         except QLatticeError as exc:
             print("%-20s ERROR %s" % (name, exc))
             ok = False
             continue
         _print_line(rep)
+        if samples_ignored(cfg):
+            print("%-20s NOTE --samples %d ignored: this suite's %d cases are fixed"
+                  % (name, args.samples, rep.counts["cases"]))
         if args.out:
             path = args.out if len(names) == 1 else "%s.%s.json" % (args.out, name)
             rep.to_json(path)

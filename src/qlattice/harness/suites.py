@@ -14,7 +14,7 @@ import cmath
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -176,22 +176,60 @@ def _fock_te_count(cfg):
     return (cfg.max_index + 1) ** 6
 
 
+@lru_cache(maxsize=32)
+def _fock_te_block(max_index, block):
+    """Gated terms of the base^3 cases block * base^3 + k, k < base^3, of the
+    exhaustive sweep (base = max_index + 1), from one fock_te_gate call.
+
+    Returns (terms, col_starts, term_starts): case k's external tuples are
+    the columns col_starts[k]:col_starts[k + 1] and its terms the rows
+    term_starts[k]:term_starts[k + 1] of terms, whose column entries count
+    from the case's first tuple.  Only the charge-consistent tuples are
+    built: p1, p4 and p5 run free and p2, p3, p6 are solved from the three
+    total-charge balances.  No other tuple has a term: the gate run on all
+    3^12 tuples at max_index 2 finds terms on exactly the 4,743 consistent
+    ones (test_te_gate_finds_terms_exactly_on_consistent_tuples).  The
+    arrays do not depend on q, and 32 blocks hold the 27 of a max_index 2
+    sweep, so a second q gates nothing again.
+    """
+    base = max_index + 1
+    cases = block * base ** 3 + np.arange(base ** 3)
+    n1, n2, n3, n4, n5, n6 = (cases // base ** np.arange(6)[:, None] % base)[:, :, None]
+    p1, p4, p5 = np.indices((base,) * 3).reshape(3, 1, -1)
+    p2, p3, p6 = n1 + n2 + n4 - p1 - p4, n3 + n5 + p1 - n1 - p5, n4 + n5 + n6 - p4 - p5
+    keep = np.all([(p >= 0) & (p <= max_index) for p in (p2, p3, p6)], axis=0)
+    exts = np.stack(np.broadcast_arrays(n1, n2, n3, n4, n5, n6, p1, p2, p3, p4, p5, p6))
+    col_starts = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    col, side, ids, elements = rm.fock_te_gate(exts[:, keep])
+    term_starts = np.searchsorted(col, col_starts)
+    col = col - np.repeat(col_starts[:-1], np.diff(term_starts))
+    out = (col, side, ids, elements), col_starts, term_starts
+    for a in (col, side, ids, elements, col_starts, term_starts):
+        a.flags.writeable = False
+    return out
+
+
+def _take(terms, rows):
+    """The terms (fock_te_gate's arrays) at rows, a slice or a mask."""
+    col, side, ids, elements = terms
+    return col[rows], side[rows], ids[rows], elements
+
+
 def _fock_te_case(cfg, idx):
     base = cfg.max_index + 1
-    outer = [idx // base ** k % base for k in range(6)]
-    inner = np.indices((base,) * 6).reshape(6, -1)
-    exts = np.vstack([np.repeat(np.reshape(outer, (6, 1)), inner.shape[1], axis=1), inner])
-    worst = 0.0
-    q = cfg.q
-    # inconsistent tuples are swept too: the gate finds no term, both sides vanish
-    for ext, terms in rm.fock_te_gate(exts):
-        if cfg.perturb:
-            (lhs,) = rm._te_sides(ext, q, rm.fock_element_mp, terms[:1])
-            (rhs,) = rm._te_sides(ext, q * (1 + 1e-3), rm.fock_element_mp, terms[1:])
-            worst = max(worst, float(rm._rel_residual(lhs, rhs)))
-        else:
-            worst = max(worst, rm.fock_te_residual(ext, q, terms))
-    return worst
+    terms, col_starts, term_starts = _fock_te_block(cfg.max_index, idx // base ** 3)
+    k = idx % base ** 3
+    if term_starts[k] == term_starts[k + 1]:
+        return 0.0  # no term on either side: both sides vanish
+    terms = _take(terms, slice(term_starts[k], term_starts[k + 1]))
+    ncols = col_starts[k + 1] - col_starts[k]
+    if cfg.perturb:
+        # the RHS summed at q(1 + 1e-3); each side is summed once
+        on_lhs = terms[1] == 0
+        lhs, _ = rm.fock_te_sides(_take(terms, on_lhs), ncols, cfg.q)
+        _, rhs = rm.fock_te_sides(_take(terms, ~on_lhs), ncols, cfg.q * (1 + 1e-3))
+        return float(np.max(rm._rel_residual(lhs, rhs).astype(float)))
+    return float(np.max(rm.fock_te_residual(terms, ncols, cfg.q)))
 
 
 def _fock_intertwine_case(cfg, idx):
@@ -441,6 +479,15 @@ SUITES = {
         count=lambda cfg: _samples(cfg), case=_modular_te_case,
         parameters=lambda cfg: {"b_mod": cfg.b_mod, "b_arg": cfg.b_arg}),
 }
+
+
+def samples_ignored(cfg: SuiteConfig) -> bool:
+    """Whether cfg sets samples on a suite whose case count does not depend on
+    them: an exhaustive sweep or a fixed case list."""
+    if cfg.samples is None:
+        return False
+    count = SUITES[cfg.suite].count
+    return count(cfg) == count(replace(cfg, samples=cfg.samples + 1))
 
 
 def _run_case(args):

@@ -184,7 +184,8 @@ class VOp:
         return VOp(self.dims, r[keep], self.indices[keep], self.data[keep])
 
     def max_abs(self):
-        return np.max(np.abs(self.data), initial=0.0)
+        # no float initial: an mpf converts a float operand at every comparison
+        return np.max(np.abs(self.data)) if self.data.size else 0.0
 
 
 class BlockOp:

@@ -30,14 +30,18 @@ from .errors import AccuracyError, DegeneracyError, DomainError
 from . import specfun as sf
 
 ZERO_FLOOR = 1e-14
+_TINY = 1e-300  # keeps the denominator nonzero where both sides vanish
 
 
 def _rel_residual(lhs, rhs):
     """|lhs - rhs| / (|lhs| + |rhs|), and 0 where both sides are below
-    ZERO_FLOOR; elementwise on arrays, in the sides' number type."""
+    ZERO_FLOOR; elementwise on arrays, in the sides' number type.  Object
+    arrays (the 50-digit sums) meet ZERO_FLOOR and _TINY as _MP_CTX numbers
+    made once, since an mpf converts a float operand again at every use."""
     lhs_abs, rhs_abs = abs(lhs), abs(rhs)
-    res = abs(lhs - rhs) / (lhs_abs + rhs_abs + 1e-300)
-    return np.where((lhs_abs < ZERO_FLOOR) & (rhs_abs < ZERO_FLOOR), 0.0, res)[()]
+    floor, tiny = _MP_GUARDS if np.asarray(lhs_abs).dtype == object else (ZERO_FLOOR, _TINY)
+    res = abs(lhs - rhs) / (lhs_abs + rhs_abs + tiny)
+    return np.where((lhs_abs < floor) & (rhs_abs < floor), 0.0, res)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +90,7 @@ def fock_element(n1: int, n2: int, n3: int, m1: int, m2: int, m3: int, q):
 _MP_DPS = 50
 _MP_CTX = mpmath.MPContext()
 _MP_CTX.dps = _MP_DPS
+_MP_GUARDS = (_MP_CTX.mpf(ZERO_FLOOR), _MP_CTX.mpf(_TINY))
 
 
 @lru_cache(maxsize=None)
@@ -143,10 +148,13 @@ def fock_te_gate(exts):
     eight charge deltas; its range is exactly the nonnegativity window of the
     solved internal indices, so no truncation is involved.  A term is kept
     only if each of its four elements passes its own charge deltas; the
-    others are exact zeros.  Returns [(ext, (lhs, rhs))] for the columns with
-    at least one term, in column order: ext is the column as a tuple of ints
-    and a term is the four elements' index 6-tuples, as Python ints, in
-    ascending free-index order.
+    others are exact zeros.
+
+    Returns integer arrays (col, side, ids, elements) with one entry of col
+    and side and one row of ids per term, ordered by column, then side, then
+    ascending free index: the term's column in exts, its side (0 for the
+    LHS, 1 for the RHS) and its four elements, in product order, as rows of
+    elements, the (E, 6) array of the distinct element index 6-tuples.
     """
     exts = np.asarray(exts, dtype=np.int64)
     cols = exts[:, :, None]
@@ -168,34 +176,40 @@ def fock_te_gate(exts):
              side(np.maximum.reduce([zero, n3 - n6, n3 + p6 - n4 - n6,
                                      n3 + p6 - n6 - n1 + p4 - n4]),
                   np.minimum(n3 + n5, n2 + n3 + p6 - n6), te_rhs_indices))
-    terms = {}
-    for s, (col, idx) in enumerate(sides):
-        for c, term in zip(col.tolist(), idx.tolist()):
-            terms.setdefault(c, ([], []))[s].append(tuple(map(tuple, term)))
-    return [(tuple(exts[:, c].tolist()), terms[c]) for c in sorted(terms)]
+    (lcol, lidx), (rcol, ridx) = sides
+    col = np.concatenate([lcol, rcol])
+    side = np.repeat(np.array([0, 1], dtype=np.int8), [lcol.size, rcol.size])
+    # stable: within a column the LHS terms stay first, each side in free-index order
+    order = np.argsort(col, kind="stable")
+    idx = np.concatenate([lidx, ridx])[order].reshape(-1, 6)
+    # one integer key per element, ascending with its 6-tuple: np.unique on
+    # keys is much faster than np.unique(idx, axis=0)
+    shape = (int(idx.max(initial=-1)) + 1,) * 6
+    keys, ids = np.unique(np.ravel_multi_index(idx.T, shape), return_inverse=True)
+    elements = np.stack(np.unravel_index(keys, shape), axis=1)
+    return col[order], side[order], ids.reshape(-1, 4), elements
 
 
-def _te_terms(ext):
-    """(lhs, rhs) terms of the vertex tetrahedron equation at one external
-    tuple: a one-column call of fock_te_gate."""
-    hit = fock_te_gate(np.reshape(ext, (12, 1)))
-    return hit[0][1] if hit else ([], [])
+def fock_te_sides(terms, ncols, q, element=fock_element_mp):
+    """(lhs, rhs) of the vertex TE at ncols external tuples: two object
+    arrays holding each column's terms (fock_te_gate's arrays) summed in q's
+    number type in ascending free-index order, 0 where a side has no term.
+    element is called once per distinct element the terms use."""
+    col, side, ids, elements = terms
+    used, inv = np.unique(ids, return_inverse=True)
+    vals = np.empty(used.size, dtype=object)
+    vals[:] = [element(*el, q) for el in elements[used].tolist()]
+    f = vals[inv.reshape(ids.shape)]
+    sums = np.zeros((2, ncols), dtype=object)
+    np.add.at(sums, (side, col), f[:, 0] * f[:, 1] * f[:, 2] * f[:, 3])
+    return sums[0], sums[1]
 
 
-def _te_sides(ext, q, element, terms=None):
-    """(lhs, rhs) of the vertex TE at ext: its gated terms (_te_terms(ext)
-    unless given) summed in q's number type."""
-    if terms is None:
-        terms = _te_terms(ext)
-    return tuple(sum(element(*a, q) * element(*b, q) * element(*c, q) * element(*d, q)
-                     for a, b, c, d in side) for side in terms)
-
-
-def fock_te_residual(ext, q, terms=None) -> float:
-    """Relative residual of the vertex tetrahedron equation at one external
-    tuple, summed in _MP_CTX; 0.0 when neither side has a term.  terms, if
-    given, are the tuple's terms from fock_te_gate."""
-    return float(_rel_residual(*_te_sides(ext, q, fock_element_mp, terms)))
+def fock_te_residual(terms, ncols, q) -> np.ndarray:
+    """Relative residuals of the vertex tetrahedron equation at ncols external
+    tuples from their terms (fock_te_gate's arrays), summed in _MP_CTX; 0.0
+    where neither side has a term."""
+    return _rel_residual(*fock_te_sides(terms, ncols, q)).astype(float)
 
 
 # ---------------------------------------------------------------------------

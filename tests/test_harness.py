@@ -226,8 +226,8 @@ def test_cli_evolve(tmp_path):
 def test_fock_te_extended_path():
     # the 50-digit sum resolves the cancellation far below double precision
     from qlattice import rmatrices as rm
-    ext = (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1)
-    assert rm.fock_te_residual(ext, 0.3) < 1e-30
+    ext = np.ones((12, 1), dtype=int)
+    assert rm.fock_te_residual(rm.fock_te_gate(ext), 1, 0.3)[0] < 1e-30
 
 
 @pytest.mark.parametrize("params, max_residual", [
@@ -246,6 +246,41 @@ def test_fock_te_reports_do_not_depend_on_worker_count(params, max_residual):
         sort_keys=True) for workers in (1, 2)]
     assert reports[0] == reports[1]
     assert repr(json.loads(reports[0])["max_residual"]) == max_residual
+
+
+def test_fock_te_gates_each_block_once(monkeypatch):
+    # the 729 cases at max_index 2 share one gate call per block of 27, which
+    # sees only the 4,743 charge-consistent tuples; a second q at the same
+    # max_index gates nothing again
+    from qlattice import rmatrices as rm
+    from qlattice.harness import suites
+
+    gated = []
+    gate = rm.fock_te_gate
+    monkeypatch.setattr(rm, "fock_te_gate",
+                        lambda exts: gated.append(exts.shape[1]) or gate(exts))
+    suites._fock_te_block.cache_clear()
+    run_suite(SuiteConfig(suite="fock-te", q=0.3, max_index=2))
+    assert len(gated) == 27 and sum(gated) == 4743
+    run_suite(SuiteConfig(suite="fock-te", q=0.7, max_index=2))
+    assert len(gated) == 27
+
+
+@pytest.mark.parametrize("args, noted", [
+    (["fock-te", "--max-index", "1"], ["fock-te"]),
+    (["fock-intertwine", "--cutoff", "3"], ["fock-intertwine"]),
+    (["cyclic-te-irc", "cyclic-cross-form", "--N", "2"], ["cyclic-te-irc", "cyclic-cross-form"]),
+    (["cyclic-te-irc", "cyclic-cross-form", "classical-lybe", "--N", "3"], []),
+])
+def test_cli_notes_samples_ignored_by_fixed_count_suites(args, noted, capsys):
+    # one NOTE line per suite whose case count --samples cannot change; the
+    # result lines and the exit code stay those of the run
+    assert main(["verify", *args, "--samples", "5"]) == 0
+    lines = [line.split(None, 2) for line in capsys.readouterr().out.splitlines()]
+    assert [name for name, kind, _ in lines if kind == "NOTE"] == noted
+    assert all(rest.startswith("--samples 5 ignored") for _, kind, rest in lines
+               if kind == "NOTE")
+    assert [kind for _, kind, _ in lines if kind != "NOTE"] == ["PASS"] * (len(args) - 2)
 
 
 def test_cross_form_builds_the_weight_table_once(monkeypatch):

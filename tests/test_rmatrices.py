@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -82,6 +83,20 @@ def _te_terms_oracle(ext):
                   and all(rm.fock_charge_allowed(*el) for el in t)] for side in (lhs, rhs))
 
 
+def _terms_by_column(gated, ncols):
+    # fock_te_gate's arrays as each column's (lhs, rhs) lists of terms, a term
+    # being its four elements' index 6-tuples of Python ints
+    col, side, ids, elements = gated
+    out = [([], []) for _ in range(ncols)]
+    for c, s, term in zip(col.tolist(), side.tolist(), elements[ids].tolist()):
+        out[c][s].append(tuple(map(tuple, term)))
+    return out
+
+
+def _gate_one(ext):
+    return rm.fock_te_gate(np.reshape(ext, (12, 1)))
+
+
 def test_te_gate_terms_match_brute_force_oracle():
     rng = np.random.default_rng(12)
     exts = list(itertools.product(range(2), repeat=12))
@@ -94,15 +109,17 @@ def test_te_gate_terms_match_brute_force_oracle():
     exts += consistent[:300]
     with_terms = 0
     for ext in exts:
-        terms = rm._te_terms(ext)
+        gated = _gate_one(ext)
+        (terms,) = _terms_by_column(gated, 1)
         assert terms == _te_terms_oracle(ext)
-        assert all(type(i) is int for side in terms for t in side for el in t for i in el)
+        assert all(a.dtype.kind == "i" for a in gated)
         with_terms += any(terms)
     assert with_terms == 152 + 5 + 300
     # a batch gives each column the terms its one-column call gives
     batch = rm.fock_te_gate(np.array(exts[-200:]).T)
-    assert batch == [(ext, rm._te_terms(ext)) for ext in exts[-200:] if any(rm._te_terms(ext))]
-    assert all(type(i) is int for ext, _ in batch for i in ext)
+    assert _terms_by_column(batch, 200) == [_terms_by_column(_gate_one(ext), 1)[0]
+                                            for ext in exts[-200:]]
+    assert all(a.dtype.kind == "i" for a in batch)
 
 
 def test_te_gate_finds_terms_exactly_on_consistent_tuples():
@@ -110,18 +127,67 @@ def test_te_gate_finds_terms_exactly_on_consistent_tuples():
     hits = []
     for outer in itertools.product(range(3), repeat=6):
         exts = np.vstack([np.repeat(np.reshape(outer, (6, 1)), inner.shape[1], axis=1), inner])
-        hits += [ext for ext, _ in rm.fock_te_gate(exts)]
+        hits += list(map(tuple, exts[:, np.unique(rm.fock_te_gate(exts)[0])].T.tolist()))
     consistent = [ext for ext in itertools.product(range(3), repeat=12)
                   if fock_te_consistent(ext)]
     assert len(consistent) == 4743
     assert hits == consistent
 
 
-def test_fock_te_exhaustive_small():
+def _te_sides_per_tuple(terms, q):
+    # one external tuple's (lhs, rhs) summed on their own in 50 digits
+    el = rm.fock_element_mp
+    return tuple(sum(el(*a, q) * el(*b, q) * el(*c, q) * el(*d, q) for a, b, c, d in side)
+                 for side in terms)
+
+
+@functools.lru_cache(maxsize=None)
+def _outer_tuple_terms(max_index, idx):
+    # the terms of every inner tuple with one, for the outer tuple of case idx
+    # of the sweep, from one gate call over the full inner grid
+    base = max_index + 1
+    outer = [idx // base ** k % base for k in range(6)]
+    inner = np.indices((base,) * 6).reshape(6, -1)
+    exts = np.vstack([np.repeat(np.reshape(outer, (6, 1)), inner.shape[1], axis=1), inner])
+    return [terms for terms in _terms_by_column(rm.fock_te_gate(exts), exts.shape[1])
+            if any(terms)]
+
+
+def _fock_te_case_oracle(cfg, idx):
+    # the sweep a fock-te case made before it ran on arrays: the full inner
+    # grid of its outer tuple through the gate, then each tuple with a term
+    # summed and compared on its own
     worst = 0.0
-    for ext in itertools.product(range(2), repeat=12):
-        worst = max(worst, rm.fock_te_residual(ext, 0.5))
-    assert worst < 1e-12
+    for terms in _outer_tuple_terms(cfg.max_index, idx):
+        if cfg.perturb:
+            (lhs,) = _te_sides_per_tuple(terms[:1], cfg.q)
+            (rhs,) = _te_sides_per_tuple(terms[1:], cfg.q * (1 + 1e-3))
+        else:
+            lhs, rhs = _te_sides_per_tuple(terms, cfg.q)
+        worst = max(worst, float(rm._rel_residual(lhs, rhs)))
+    return worst
+
+
+@pytest.mark.parametrize("max_index, q, perturb", [
+    (1, 0.3, False), (1, 0.5, False), (1, 0.7, False), (1, 0.3, True),
+    (2, 0.3, False), (2, 0.5, False), (2, 0.7, False), (2, 0.3, True),
+])
+def test_fock_te_cases_match_the_per_tuple_sweep(max_index, q, perturb):
+    # the suite gates only charge-consistent tuples, per block of cases, and
+    # sums each case's tuples on arrays; every case reads what the per-tuple
+    # sweep reads, repr for repr
+    from qlattice.harness.suites import SuiteConfig, run_suite
+
+    cfg = SuiteConfig(suite="fock-te", q=q, max_index=max_index, perturb=perturb,
+                      keep_cases=True)
+    got = [repr(res) for _, res in run_suite(cfg).cases]
+    assert got == [repr(_fock_te_case_oracle(cfg, idx)) for idx in range(len(got))]
+
+
+def test_fock_te_exhaustive_small():
+    exts = np.array(list(itertools.product(range(2), repeat=12))).T
+    res = rm.fock_te_residual(rm.fock_te_gate(exts), 4096, 0.5)
+    assert res.shape == (4096,) and res.max() < 1e-12
 
 
 def test_fock_te_inconsistent_externals_vanish():
@@ -131,9 +197,9 @@ def test_fock_te_inconsistent_externals_vanish():
         ext = tuple(int(x) for x in rng.integers(0, 3, 12))
         if fock_te_consistent(ext):
             continue
-        lhs, rhs = rm._te_sides(ext, 0.3, rm.fock_element)
+        (lhs,), (rhs,) = rm.fock_te_sides(_gate_one(ext), 1, 0.3, rm.fock_element)
         assert abs(lhs) < 1e-14 and abs(rhs) < 1e-14
-        assert rm.fock_te_residual(ext, 0.3) == 0.0
+        assert rm.fock_te_residual(_gate_one(ext), 1, 0.3)[0] == 0.0
         checked += 1
 
 
@@ -142,7 +208,7 @@ def test_fock_double_path_does_not_feed_the_extended_cache():
     # first must not be served to the 50-digit check
     rm.fock_element_mp.cache_clear()
     rm.fock_r_dense(4, 0.3)
-    assert rm.fock_te_residual((1,) * 12, 0.3) < 1e-30
+    assert rm.fock_te_residual(_gate_one((1,) * 12), 1, 0.3)[0] < 1e-30
 
 
 def _qpoch_oracle(x, qsq, n):
@@ -220,9 +286,10 @@ def test_te_sides_gated_sum_equals_ungated_sum():
         evaluated.append(args[:6])
         return rm.fock_element_mp(*args)
 
-    for ext in exts:
-        assert rm._te_sides(ext, 0.5, recording_element) == _te_sides_ungated(
-            ext, 0.5, rm.fock_element_mp)
+    sides = rm.fock_te_sides(rm.fock_te_gate(np.array(exts).T), len(exts), 0.5,
+                             recording_element)
+    for ext, lhs, rhs in zip(exts, *sides):
+        assert (lhs, rhs) == _te_sides_ungated(ext, 0.5, rm.fock_element_mp)
     # gated terms are skipped before any of their elements is evaluated
     assert evaluated
     assert all(rm.fock_charge_allowed(*idx) for idx in evaluated)
@@ -235,13 +302,14 @@ def test_fock_te_exact_for_rational_q():
     consistent = [ext for ext in itertools.product(range(2), repeat=12)
                   if fock_te_consistent(ext)]
     assert len(consistent) == 152
+    gated = rm.fock_te_gate(np.array(consistent).T)
     differ = 0
-    for ext in consistent:
-        lhs, rhs = rm._te_sides(ext, q, rm.fock_element)
+    sides = rm.fock_te_sides(gated, 152, q, rm.fock_element)
+    # negative control: q off by a factor 1 + 1/1000 on the right side
+    _, bad = rm.fock_te_sides(gated, 152, q * (1 + Fraction(1, 1000)), rm.fock_element)
+    for lhs, rhs, bad_rhs in zip(*sides, bad):
         assert isinstance(lhs, Fraction) and lhs == rhs
-        # negative control: q off by a factor 1 + 1/1000 on the right side
-        _, bad = rm._te_sides(ext, q * (1 + Fraction(1, 1000)), rm.fock_element)
-        differ += lhs != bad
+        differ += lhs != bad_rhs
     # the other 8 tuples have sides +-1, independent of q
     assert differ == 144
 
