@@ -215,6 +215,7 @@ def _take(terms, rows):
     return col[rows], side[rows], ids[rows], elements
 
 
+@rm.in_mp_context
 def _fock_te_case(cfg, idx):
     base = cfg.max_index + 1
     terms, col_starts, term_starts = _fock_te_block(cfg.max_index, idx // base ** 3)
@@ -232,17 +233,20 @@ def _fock_te_case(cfg, idx):
     return float(np.max(rm.fock_te_residual(terms, ncols, cfg.q)))
 
 
+@rm.in_mp_context
 def _fock_intertwine_case(cfg, idx):
     if idx == 0:
         if cfg.perturb:
+            bump = rm._MP_CTX.create_decimal("1.05")
+
             def bad_element(n1, n2, n3, m1, m2, m3, q):
                 val = rm.fock_element_mp(n1, n2, n3, m1, m2, m3, q)
-                return val * rm._MP_CTX.mpf("1.05") ** n2 if val else val
+                return val * bump ** n2 if val else val
             return qosc.fock_intertwine_extended(cfg.cutoff, cfg.q, bad_element)
         return qosc.fock_intertwine_extended(cfg.cutoff, cfg.q, rm.fock_element_mp)
     reps, mask, r = qosc.fock_r_sparse(cfg.cutoff, cfg.q, rm.fock_element_mp)
     if cfg.perturb:
-        r = r + qosc.VOp(r.dims, [0], [0], [0.05 * r.max_abs()])
+        r = r + qosc.VOp(r.dims, [0], [0], [rm.to_mp(0.05) * r.max_abs()])
     return max(qosc.map_operator_residuals(reps, r, eps=1, mask=mask).values())
 
 

@@ -11,7 +11,7 @@ L-operator built from them, and the intertwining check
 Products keep the 8 x 8 block structure over the three auxiliary C^2
 spaces.  Each block is a sparse operator on V1 x V2 x V3 whose entries keep
 the number type of q, so one product serves the double-precision and the
-50-digit checks.
+50-digit (Decimal) checks.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rmatrices as rm
 from .errors import DomainError
-from .rmatrices import _MP_CTX
 from .specfun import SphericalTriangle, root_of_unity_q
 
 # ---------------------------------------------------------------------------
@@ -47,6 +47,7 @@ class QOscRep:
         return np.arange(self.dim) < self.exact_levels
 
 
+@rm.in_mp_context
 def fock_rep(cutoff: int, q: complex) -> QOscRep:
     """Truncated Fock representation on basis |0> .. |cutoff>.
 
@@ -54,7 +55,8 @@ def fock_rep(cutoff: int, q: complex) -> QOscRep:
     The pair relation q a*a - q^-1 a a* = q - q^-1 fails only on the top
     state; the interior mask excludes the top two levels to keep products
     of shifted states exact as well.  The matrices are complex for a double
-    q and object arrays of mpmath numbers for an mpmath q.
+    q and object arrays of Decimals in rmatrices._MP_CTX for a Decimal q;
+    k is q^n times the square root of q, as a Decimal takes no float power.
     """
     if cutoff < 2:
         raise DomainError("need cutoff >= 2")
@@ -64,8 +66,9 @@ def fock_rep(cutoff: int, q: complex) -> QOscRep:
     a_star = np.zeros((d, d), dtype=dtype)
     for n in range(cutoff):
         a[n, n + 1] = q ** 0  # 1 in q's number type
-        a_star[n + 1, n] = 1.0 - q ** (2 + 2 * n)
-    k = np.diag(q ** (np.arange(d) + 0.5)).astype(dtype)
+        a_star[n + 1, n] = 1 - q ** (2 + 2 * n)
+    root = np.sqrt(q)  # q.sqrt() in the context for a Decimal
+    k = np.diag([q ** n * root for n in range(d)]).astype(dtype)
     return QOscRep(q, a, a_star, k, exact_levels=cutoff - 1)
 
 
@@ -113,7 +116,9 @@ class VOp:
     n = (n1 d2 + n2) d3 + n3: row n holds the columns indices[indptr[n] :
     indptr[n + 1]], ascending, with their values in data.  data keeps the
     number type it was built in: complex128 for a double q, an object array
-    of mpmath numbers for the 50-digit checks.
+    of Decimals for the 50-digit checks.  Operations on Decimals round in the
+    calling thread's context, so the functions that build these enter
+    rmatrices._MP_CTX (rmatrices.in_mp_context).
 
     VOp(dims, rows, cols, vals) takes entries in any order and sums those
     that share a (row, col) in the order given.  Every operation builds its
@@ -129,7 +134,7 @@ class VOp:
         order = np.argsort(key, kind="stable")
         key, vals = key[order], np.asarray(vals)[order]
         if key.size:
-            # a one-entry segment keeps its value as is: no 0 + x, an mpmath add
+            # a one-entry segment keeps its value as is: no 0 + x, a rounding add
             starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
             key, vals = key[starts], np.add.reduceat(vals, starts)
         self.indptr = np.searchsorted(key // n, np.arange(n + 1))
@@ -184,7 +189,7 @@ class VOp:
         return VOp(self.dims, r[keep], self.indices[keep], self.data[keep])
 
     def max_abs(self):
-        # no float initial: an mpf converts a float operand at every comparison
+        # no float initial: a Decimal compares with a float only by converting it
         return np.max(np.abs(self.data)) if self.data.size else 0.0
 
 
@@ -242,8 +247,8 @@ def _loper_entries(rep: QOscRep, lam, mu):
     Row/column indices are (c, i) with c the second auxiliary space and i
     the first; entry (0,0)=1, (1,1)=lam k, (1,2)=a*, (2,1)=lam mu a,
     (2,2)=-mu k, (3,3)=lam mu.  Entries carry the representation's dtype,
-    and each value q's number type, so for an mpmath q no 50-digit product
-    has to convert a Python int or float entry again.
+    and each value q's number type, so for a Decimal q every entry is a
+    Decimal; lam and mu must then be ints or Decimals, not floats.
     """
     eye = rep.q ** 0 * np.eye(rep.dim, dtype=rep.k.dtype)
     return {
@@ -291,11 +296,13 @@ def _lift(dims, axis: int, mat) -> VOp:
 
 
 def _relative_gap(lhs, rhs) -> float:
-    """max|lhs - rhs| relative to the largest entry of either side."""
-    scale = max(lhs.max_abs(), rhs.max_abs(), 1e-300)
-    return float((lhs - rhs).max_abs() / scale)
+    """max|lhs - rhs| relative to the largest entry of either side; 0.0 where
+    both sides vanish."""
+    scale = max(lhs.max_abs(), rhs.max_abs())
+    return float((lhs - rhs).max_abs() / scale) if scale else 0.0
 
 
+@rm.in_mp_context
 def build_l(reps, lambdas, mus) -> tuple[BlockOp, BlockOp, BlockOp]:
     """L12(H1), L13(H2), L23(H3) on C^2 x C^2 x C^2 (x) V1 x V2 x V3.
 
@@ -316,6 +323,7 @@ def build_l(reps, lambdas, mus) -> tuple[BlockOp, BlockOp, BlockOp]:
     return tuple(out)
 
 
+@rm.in_mp_context
 def intertwine_residual(l_ops, r_matrix, mask: np.ndarray | None = None) -> float:
     """Normalized max-entry residual of LLL . R - R . (reversed LLL).
 
@@ -324,7 +332,7 @@ def intertwine_residual(l_ops, r_matrix, mask: np.ndarray | None = None) -> floa
     ignored (truncated-Fock boundary).  The outermost factor of each side is
     restricted to the masked rows or columns before multiplying, so no
     entry outside the compared block is formed.  The arithmetic is that of
-    the entries: double or mpmath.
+    the entries: double, or Decimal in rmatrices._MP_CTX.
     """
     l12, l13, l23 = l_ops
     dims = l12.dims
@@ -348,33 +356,36 @@ def product_state_mask(reps) -> np.ndarray:
 # ---------------------------------------------------------------------------
 #
 # Both Fock checks below (intertwining and flip-map relations) run in
-# 50-digit software floats, on one R that holds only the elements reaching a
-# masked entry.  The digits are carried by the numbers themselves: q, every
-# element and every representation entry belong to the context
-# rmatrices._MP_CTX, so each sum and product of them is taken in it and no
-# caller has to set a global precision.  The elements need those digits;
-# the operator products do not.  Each element is a terminating q-series that
-# cancels far below its terms: with double-precision elements the masked
-# intertwining residual reads 1.0 at cutoff 8 (q = 0.3), while 50-digit
-# elements rounded to double give 2.2e-16 with double products at cutoffs 5,
-# 8 and 10 (max|R| = 1).  Against 150-digit elements the 50-digit ones are
-# off by up to 3.4e-36 at cutoff 8 and 8.5e-22 at cutoff 10, and both checks
-# read about that much.
+# 52-digit decimal floats (the 50-digit checks), on one R that holds only the
+# elements reaching a masked entry.  q enters as the Decimal of exactly the
+# double given, once per call, and every element and representation entry is
+# a Decimal computed in rmatrices._MP_CTX.  A Decimal rounds in the context
+# of the calling thread, so each function here that computes in them enters
+# that context itself and no caller has to set a precision.  The elements
+# need those digits; the operator products do not.  Each element is a
+# terminating q-series that cancels far below its terms: with
+# double-precision elements the masked intertwining residual reads 1.0 at
+# cutoff 8 (q = 0.3), while 50-digit elements rounded to double give 2.2e-16
+# with double products at cutoffs 5, 8 and 10 (max|R| = 1).  Against
+# 150-digit elements the 52-digit ones are off by up to 2.8e-36 at cutoff 8
+# and 3.0e-22 at cutoff 10, and both checks read about that much.
 
+@rm.in_mp_context
 def fock_r_sparse(cutoff: int, q, element_fn):
     """(reps, mask, R) for the masked 50-digit Fock checks.
 
-    reps are three Fock representations at q in the 50-digit context
-    rmatrices._MP_CTX, and the interior mask keeps oscillator indices
-    < cutoff - 1.  element_fn(n1, n2, n3, m1, m2, m3, q) must return the R
-    element as a number of that context.  Products of these operators carry
-    its digits whatever the global mpmath precision.  R is filled over
-    charge sectors (m1 + m2 = n1 + n2, m2 + m3 = n2 + n3) and only where its
-    row n is masked, or its column is masked and no index of n is at the
-    cutoff: every L, and every operator of the flip-map relations, moves
-    each index by at most one, so no other element reaches a masked entry.
+    reps are three Fock representations at to_mp(q), a Decimal converted
+    once, and the interior mask keeps oscillator indices < cutoff - 1.
+    element_fn(n1, n2, n3, m1, m2, m3, q) is called with that Decimal and
+    must return the R element as a Decimal; it runs in rmatrices._MP_CTX.
+    R is filled over charge sectors (m1 + m2 = n1 + n2, m2 + m3 = n2 + n3)
+    and only where its row n is masked, or its column is masked and no index
+    of n is at the cutoff: every L, and every operator of the flip-map
+    relations, moves each index by at most one, so no other element reaches
+    a masked entry.
     """
-    reps = (fock_rep(cutoff, _MP_CTX.convert(q)),) * 3
+    q = rm.to_mp(q)
+    reps = (fock_rep(cutoff, q),) * 3
     mask = product_state_mask(reps)
     dims = tuple(r.dim for r in reps)
     kept = mask.reshape(dims)
@@ -394,16 +405,18 @@ def fock_r_sparse(cutoff: int, q, element_fn):
 
 
 def fock_intertwine_extended(cutoff: int, q, element_fn) -> float:
-    """Masked 50-digit intertwining residual, with lambda = 1 and mu = -1,
-    on the R of fock_r_sparse(cutoff, q, element_fn)."""
+    """Masked 50-digit intertwining residual, with lambda = 1 and mu = -1
+    (ints, which a Decimal takes), on the R of fock_r_sparse(cutoff, q,
+    element_fn)."""
     reps, mask, r = fock_r_sparse(cutoff, q, element_fn)
-    return intertwine_residual(build_l(reps, (1.0,) * 3, (-1.0,) * 3), r, mask)
+    return intertwine_residual(build_l(reps, (1,) * 3, (-1,) * 3), r, mask)
 
 
 # ---------------------------------------------------------------------------
 # automorphism relations of the flip map, operator level
 # ---------------------------------------------------------------------------
 
+@rm.in_mp_context
 def map_operator_residuals(reps, r_matrix, eps: int = 1,
                            mask: np.ndarray | None = None) -> dict:
     """Residuals of R . F = F' . R for the six flip-map relations plus the
@@ -413,7 +426,7 @@ def map_operator_residuals(reps, r_matrix, eps: int = 1,
     r_matrix is a VOp or a dense matrix over V1 x V2 x V3.  mask, if given,
     selects the rows and columns compared; R and each relation operator
     are restricted to them before multiplying.  The arithmetic is that of
-    the entries: double or mpmath.
+    the entries: double, or Decimal in rmatrices._MP_CTX.
     """
     q = reps[0].q
     dims = tuple(r.dim for r in reps)

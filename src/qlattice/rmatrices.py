@@ -19,11 +19,13 @@ solved; the ranges are exactly the nonnegativity windows of the solved indices.
 
 from __future__ import annotations
 
+import decimal
+import functools
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import cached_property, lru_cache
 
-import mpmath
 import numpy as np
 
 from .errors import AccuracyError, DegeneracyError, DomainError
@@ -33,11 +35,23 @@ ZERO_FLOOR = 1e-14
 _TINY = 1e-300  # keeps the denominator nonzero where both sides vanish
 
 
+def in_mp_context(fn):
+    """fn run in the 50-digit context _MP_CTX: every Decimal operation it
+    makes (abs and unary minus too) rounds there, whatever context the
+    calling thread holds.  Other number types are not affected."""
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        with decimal.localcontext(_MP_CTX):
+            return fn(*args, **kwargs)
+    return wrapper
+
+
 def _rel_residual(lhs, rhs):
     """|lhs - rhs| / (|lhs| + |rhs|), and 0 where both sides are below
     ZERO_FLOOR; elementwise on arrays, in the sides' number type.  Object
-    arrays (the 50-digit sums) meet ZERO_FLOOR and _TINY as _MP_CTX numbers
-    made once, since an mpf converts a float operand again at every use."""
+    arrays (the 50-digit sums) meet ZERO_FLOOR and _TINY as Decimals made
+    once, since a Decimal takes no float operand; their callers run in
+    _MP_CTX (in_mp_context)."""
     lhs_abs, rhs_abs = abs(lhs), abs(rhs)
     floor, tiny = _MP_GUARDS if np.asarray(lhs_abs).dtype == object else (ZERO_FLOOR, _TINY)
     res = abs(lhs - rhs) / (lhs_abs + rhs_abs + tiny)
@@ -83,25 +97,38 @@ def fock_element(n1: int, n2: int, n3: int, m1: int, m2: int, m3: int, q):
 # The tetrahedron-equation sums cancel strongly (both sides can be many
 # orders below the size of individual terms), so double precision cannot
 # reach relative residuals near 1e-12 even though every element is an exact
-# finite sum.  The checks therefore evaluate in software floats of their own
-# context: every number built from a _MP_CTX number keeps its _MP_DPS digits,
-# whatever the global mpmath precision.  Elements are memoized per
-# deformation parameter.
-_MP_DPS = 50
-_MP_CTX = mpmath.MPContext()
-_MP_CTX.dps = _MP_DPS
-_MP_GUARDS = (_MP_CTX.mpf(ZERO_FLOOR), _MP_CTX.mpf(_TINY))
+# finite sum.  The checks therefore evaluate in the standard library's
+# decimal floats, in one context of _MP_DPS significant digits: 0.5e-51
+# rounding is no coarser than the 169 bits of a 50-digit binary float.  A
+# Decimal rounds in the context of the calling thread, so every function
+# that computes in these numbers enters _MP_CTX itself (in_mp_context) and
+# no caller sets a precision.  q enters as the Decimal of exactly the double
+# given (to_mp), once per call.  Elements are memoized per deformation
+# parameter.
+_MP_DPS = 52
+_MP_CTX = decimal.Context(prec=_MP_DPS)
+
+
+def to_mp(x):
+    """A double x as the Decimal of exactly its value; any other number (a
+    Decimal, an int, a Fraction) is returned as it is."""
+    return Decimal(x) if isinstance(x, float) else x
+
+
+_MP_GUARDS = (to_mp(ZERO_FLOOR), to_mp(_TINY))
 
 
 @lru_cache(maxsize=None)
+@in_mp_context
 def fock_element_mp(n1: int, n2: int, n3: int, m1: int, m2: int, m3: int, q):
-    """fock_element in _MP_CTX for a plain (double) q.
+    """fock_element in _MP_CTX at a double q or its to_mp value.
 
+    The two are equal numbers, so they share one cache entry and one value.
     Only this 50-digit entry point is cached: an untyped lru_cache keys
-    q = 0.3 and mpf(0.3) alike, so a cache shared with the double path could
-    hand one path the other's values.
+    q = 0.3 and Decimal(0.3) alike, so a cache shared with the double path
+    could hand one path the other's values.
     """
-    return fock_element(n1, n2, n3, m1, m2, m3, _MP_CTX.convert(q))
+    return fock_element(n1, n2, n3, m1, m2, m3, to_mp(q))
 
 
 def fock_r_dense(cutoff: int, q: complex) -> np.ndarray:
@@ -190,12 +217,15 @@ def fock_te_gate(exts):
     return col[order], side[order], ids.reshape(-1, 4), elements
 
 
+@in_mp_context
 def fock_te_sides(terms, ncols, q, element=fock_element_mp):
     """(lhs, rhs) of the vertex TE at ncols external tuples: two object
-    arrays holding each column's terms (fock_te_gate's arrays) summed in q's
-    number type in ascending free-index order, 0 where a side has no term.
+    arrays holding each column's terms (fock_te_gate's arrays) summed in
+    ascending free-index order, 0 where a side has no term.  A double q is
+    taken into _MP_CTX once (to_mp); any other q keeps its number type.
     element is called once per distinct element the terms use."""
     col, side, ids, elements = terms
+    q = to_mp(q)
     used, inv = np.unique(ids, return_inverse=True)
     vals = np.empty(used.size, dtype=object)
     vals[:] = [element(*el, q) for el in elements[used].tolist()]
@@ -205,6 +235,7 @@ def fock_te_sides(terms, ncols, q, element=fock_element_mp):
     return sums[0], sums[1]
 
 
+@in_mp_context
 def fock_te_residual(terms, ncols, q) -> np.ndarray:
     """Relative residuals of the vertex tetrahedron equation at ncols external
     tuples from their terms (fock_te_gate's arrays), summed in _MP_CTX; 0.0

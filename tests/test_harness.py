@@ -1,4 +1,6 @@
 import dataclasses
+import decimal
+import itertools
 import json
 import math
 
@@ -230,22 +232,92 @@ def test_fock_te_extended_path():
     assert rm.fock_te_residual(rm.fock_te_gate(ext), 1, 0.3)[0] < 1e-30
 
 
-@pytest.mark.parametrize("params, max_residual", [
-    ({"q": 0.3}, "2.722360453669601e-45"),
+FOCK_REPORT_PINS = [
+    ({"q": 0.3}, "5.3901923261472137e-45"),
     ({"q": 0.5}, "0.0"),
-    ({"q": 0.7}, "1.5084651466016392e-48"),
+    ({"q": 0.7}, "5.958082064398265e-49"),
     ({"q": 0.3, "max_index": 1, "perturb": True}, "0.0029984920127668555"),
-    ({"suite": "fock-intertwine", "cutoff": 5, "q": 0.3}, "3.0009230152247736e-48"),
+    ({"suite": "fock-intertwine", "cutoff": 5, "q": 0.3}, "2.7592955705793748e-49"),
     ({"suite": "fock-intertwine", "cutoff": 5, "q": 0.3, "perturb": True},
      "0.04761904761904762"),
-])
+]
+
+
+def _fock_report(params, **kw):
+    cfg = SuiteConfig(keep_cases=True, **{"suite": "fock-te", **params}, **kw)
+    return json.dumps(strip_timing(run_suite(cfg).to_dict()), sort_keys=True)
+
+
+@pytest.mark.parametrize("params, max_residual", FOCK_REPORT_PINS)
 def test_fock_te_reports_do_not_depend_on_worker_count(params, max_residual):
     # the sparse operator products too sum in one order in every process
-    reports = [json.dumps(strip_timing(run_suite(SuiteConfig(
-        workers=workers, keep_cases=True, **{"suite": "fock-te", **params})).to_dict()),
-        sort_keys=True) for workers in (1, 2)]
+    reports = [_fock_report(params, workers=workers) for workers in (1, 2)]
     assert reports[0] == reports[1]
     assert repr(json.loads(reports[0])["max_residual"]) == max_residual
+
+
+@pytest.mark.parametrize("params", [params for params, _ in FOCK_REPORT_PINS] + [
+    {"suite": "fock-intertwine", "cutoff": 8, "q": 0.3},
+    {"suite": "fock-intertwine", "cutoff": 8, "q": 0.3, "perturb": True},
+])
+def test_fock_reports_do_not_depend_on_the_thread_decimal_context(params):
+    # the checks enter their own context: a caller's 10 or 200 digits change
+    # no byte of a report, elements recomputed under them included
+    from qlattice import rmatrices as rm
+
+    want = _fock_report(params)
+    for prec in (10, 200):
+        rm.fock_element_mp.cache_clear()
+        with decimal.localcontext(decimal.Context(prec=prec)):
+            assert _fock_report(params) == want
+            assert decimal.getcontext().prec == prec
+
+
+def test_fock_entry_points_do_not_depend_on_the_thread_decimal_context():
+    # each function that computes in Decimals enters the checks' context
+    # itself, also when it is called outside a suite
+    from qlattice import qosc
+    from qlattice import rmatrices as rm
+
+    exts = np.array(list(itertools.product(range(2), repeat=12))[::7]).T
+    terms = rm.fock_te_gate(exts)
+    reps, mask, r = qosc.fock_r_sparse(5, 0.3, rm.fock_element_mp)
+
+    def scaled_element(*args):  # element_fn runs in the checks' context
+        return rm.fock_element_mp(*args) * decimal.Decimal("1.05")
+
+    def values():
+        rm.fock_element_mp.cache_clear()
+        element = rm.fock_element_mp(2, 1, 2, 1, 2, 1, 0.3)
+        return repr((element, qosc.fock_rep(4, rm.to_mp(0.3)).k.diagonal().tolist(),
+                     qosc.fock_r_sparse(4, 0.3, scaled_element)[2].data.tolist(),
+                     rm.fock_te_sides(terms, exts.shape[1], 0.7),
+                     rm.fock_te_residual(terms, exts.shape[1], 0.3).tolist(),
+                     qosc.fock_intertwine_extended(5, 0.3, rm.fock_element_mp),
+                     qosc.map_operator_residuals(reps, r, eps=1, mask=mask),
+                     qosc.map_operator_residuals(reps, r, eps=-1, mask=mask)))
+
+    want = values()
+    for prec in (10, 200):
+        with decimal.localcontext(decimal.Context(prec=prec)):
+            assert values() == want
+
+
+@pytest.mark.parametrize("perturb, converted", [(False, [0.3, 0.3]),
+                                                (True, [0.3, 0.3, 0.05])])
+def test_fock_intertwine_converts_each_double_once(monkeypatch, perturb, converted):
+    # q is taken into the 50-digit context once per case, not once per
+    # element (2,023 elements at cutoff 8); the control converts its 0.05
+    from qlattice import rmatrices as rm
+
+    seen = []
+    to_mp = rm.to_mp
+    monkeypatch.setattr(rm, "to_mp", lambda x: (isinstance(x, float) and seen.append(x))
+                        or to_mp(x))
+    rm.fock_element_mp.cache_clear()
+    rep = run_suite(SuiteConfig(suite="fock-intertwine", cutoff=8, q=0.3, perturb=perturb))
+    assert rep.passed and (rep.max_residual > 1e-3) == perturb
+    assert seen == converted
 
 
 def test_fock_te_gates_each_block_once(monkeypatch):

@@ -1,5 +1,7 @@
 import cmath
+import decimal
 import math
+from decimal import Decimal
 
 import mpmath as mp
 import numpy as np
@@ -160,6 +162,22 @@ def test_mpmath_l_stores_only_mpf_entries():
                 assert all(isinstance(val, mp.mpf) for val in block.data)
 
 
+def test_decimal_l_stores_only_decimal_entries():
+    # the mpmath test above, on the checks' number type: every stored entry
+    # of the reps, the L table and build_l is a Decimal, with lam and mu
+    # passed as ints
+    with decimal.localcontext(rm._MP_CTX):
+        reps = (qosc.fock_rep(4, Decimal(0.3)),) * 3
+        for mat in (reps[0].a, reps[0].a_star, reps[0].k):
+            assert all(type(val) is Decimal for val in mat[np.nonzero(mat)])
+        for key, mat in qosc._loper_entries(reps[0], 1, -1).items():
+            assert all(type(val) is Decimal for val in mat[np.nonzero(mat)]), key
+    for op in qosc.build_l(reps, (1,) * 3, (-1,) * 3):
+        for block in op.blocks.values():
+            assert block.data.size
+            assert all(type(val) is Decimal for val in block.data)
+
+
 # ---------------------------------------------------------------------------
 # the sparse kernel against dense numpy products
 # ---------------------------------------------------------------------------
@@ -275,7 +293,25 @@ def test_fock_intertwine_extended_evaluates_only_reachable_elements():
 
     res = qosc.fock_intertwine_extended(5, 0.3, counting_element)
     assert len(calls) == 256
-    assert repr(res) == "2.95250495232866e-48"
+    assert repr(res) == "2.71477602e-49"
+
+
+@pytest.mark.parametrize("cutoff, bound", [(8, 3.43e-36), (10, 8.47e-22)])
+def test_fock_r_sparse_elements_match_150_digit_oracle(cutoff, bound):
+    # every stored element of the 50-digit R against fock_element in a
+    # 150-digit mpmath context at the same double q; the bounds are the
+    # errors of the 50-digit binary elements these replaced
+    ctx = mp.MPContext()
+    ctx.dps = 150
+    _, _, r = qosc.fock_r_sparse(cutoff, 0.3, rm.fock_element_mp)
+    n = np.unravel_index(r._rows(), r.dims)
+    m = np.unravel_index(r.indices, r.dims)
+    indices = np.stack([*n, *m], axis=1).tolist()
+    assert len(indices) == {8: 2023, 10: 5121}[cutoff]
+    q = ctx.mpf(0.3)
+    worst = max(abs(ctx.mpf(str(val)) - rm.fock_element(*idx, q))
+                for val, idx in zip(r.data, indices))
+    assert worst <= bound
 
 
 def kron3(ops):
@@ -410,10 +446,10 @@ def test_map_operator_relations_fock():
 
 
 def test_map_operator_relations_fock_in_50_digits_at_global_double_precision():
-    # cutoff 8, on the sparse R the intertwining check uses.  No mpmath
-    # precision is set around these calls: the numbers carry their 50
-    # digits, where a q at the global precision gave 3.7e-16
-    assert mp.mp.dps == 15
+    # cutoff 8, on the sparse R the intertwining check uses.  No precision is
+    # set around these calls: the checks enter their own 52-digit context,
+    # where a q at the global precision gave 3.7e-16
+    assert mp.mp.dps == 15 and decimal.getcontext().prec == 28
     reps, mask, r = qosc.fock_r_sparse(8, 0.3, rm.fock_element_mp)
     res = qosc.map_operator_residuals(reps, r, eps=1, mask=mask)
     bad = qosc.map_operator_residuals(reps, r, eps=-1, mask=mask)
@@ -424,8 +460,8 @@ def test_map_operator_relations_fock_in_50_digits_at_global_double_precision():
         for mat in (rep.a, rep.a_star, rep.k):
             values += list(mat[np.nonzero(mat)])
     assert len(values) > len(r.data)
-    assert all(type(val) is rm._MP_CTX.mpf for val in values)
-    assert rm._MP_CTX.dps == rm._MP_DPS == 50
+    assert all(type(val) is Decimal for val in values)
+    assert rm._MP_CTX.prec == rm._MP_DPS == 52
 
 
 def test_map_relations_scale_by_the_compared_sides():

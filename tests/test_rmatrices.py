@@ -1,3 +1,4 @@
+import decimal
 import functools
 import itertools
 import math
@@ -135,10 +136,14 @@ def test_te_gate_finds_terms_exactly_on_consistent_tuples():
 
 
 def _te_sides_per_tuple(terms, q):
-    # one external tuple's (lhs, rhs) summed on their own in 50 digits
+    # one external tuple's (lhs, rhs) summed on their own in 50 digits; a
+    # Decimal rounds in the thread's context, so the oracle enters the
+    # checks' context for its own sums
     el = rm.fock_element_mp
-    return tuple(sum(el(*a, q) * el(*b, q) * el(*c, q) * el(*d, q) for a, b, c, d in side)
-                 for side in terms)
+    with decimal.localcontext(rm._MP_CTX):
+        return tuple(sum(el(*a, q) * el(*b, q) * el(*c, q) * el(*d, q)
+                         for a, b, c, d in side)
+                     for side in terms)
 
 
 @functools.lru_cache(maxsize=None)
@@ -164,7 +169,8 @@ def _fock_te_case_oracle(cfg, idx):
             (rhs,) = _te_sides_per_tuple(terms[1:], cfg.q * (1 + 1e-3))
         else:
             lhs, rhs = _te_sides_per_tuple(terms, cfg.q)
-        worst = max(worst, float(rm._rel_residual(lhs, rhs)))
+        with decimal.localcontext(rm._MP_CTX):
+            worst = max(worst, float(rm._rel_residual(lhs, rhs)))
     return worst
 
 
@@ -204,7 +210,7 @@ def test_fock_te_inconsistent_externals_vanish():
 
 
 def test_fock_double_path_does_not_feed_the_extended_cache():
-    # an untyped cache keys 0.3 and mpf(0.3) alike: double values built
+    # an untyped cache keys 0.3 and Decimal(0.3) alike: double values built
     # first must not be served to the 50-digit check
     rm.fock_element_mp.cache_clear()
     rm.fock_r_dense(4, 0.3)
@@ -288,8 +294,9 @@ def test_te_sides_gated_sum_equals_ungated_sum():
 
     sides = rm.fock_te_sides(rm.fock_te_gate(np.array(exts).T), len(exts), 0.5,
                              recording_element)
-    for ext, lhs, rhs in zip(exts, *sides):
-        assert (lhs, rhs) == _te_sides_ungated(ext, 0.5, rm.fock_element_mp)
+    with decimal.localcontext(rm._MP_CTX):  # the oracle's own Decimal sums
+        for ext, lhs, rhs in zip(exts, *sides):
+            assert (lhs, rhs) == _te_sides_ungated(ext, 0.5, rm.fock_element_mp)
     # gated terms are skipped before any of their elements is evaluated
     assert evaluated
     assert all(rm.fock_charge_allowed(*idx) for idx in evaluated)
