@@ -14,11 +14,15 @@ class SingularityError(DomainError):
 
 
 class DegeneracyError(QLatticeError, ValueError):
-    """A configuration is too close to degenerate to be resolved numerically."""
+    """A configuration is too close to degenerate to be resolved numerically.
 
-    def __init__(self, message, estimate=None):
+    index is the position of the failing item when a kernel ran on a stack.
+    """
+
+    def __init__(self, message, estimate=None, index=None):
         super().__init__(message)
         self.estimate = estimate
+        self.index = index
 
 
 class PoleProximityError(DegeneracyError):

@@ -12,6 +12,10 @@ x12, x13, x23, x123; the three front faces (meeting at x0) and three back
 faces (meeting at x123) are exposed as ordered tuples with the angle
 convention above, face j being the face crossed by the two rapidity lines
 other than line j.
+
+The kernels take stacks: a point argument may be (..., d) and a face or
+point cloud (..., n, d), and the result is a stack over the leading axes.
+One face is a stack of none; its result is a numpy scalar.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import numpy as np
 
 from .errors import DegeneracyError, DomainError
 
+VERTEX_KEYS = ("x0", "x1", "x2", "x3", "x12", "x13", "x23", "x123")
 FRONT_FACE_KEYS = (
     ("x23", "x3", "x0", "x2"),
     ("x3", "x13", "x1", "x0"),
@@ -33,20 +38,66 @@ BACK_FACE_KEYS = (
     ("x23", "x123", "x12", "x2"),
     ("x3", "x13", "x123", "x23"),
 )
+# rows of Hexahedron.vertices() that make up each face, front then back
+FACE_INDEX = np.array([[VERTEX_KEYS.index(k) for k in keys]
+                       for keys in FRONT_FACE_KEYS + BACK_FACE_KEYS])
+
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+def _cross(a, b):
+    """Cross product of stacks of 3-vectors; equal to np.cross, without its
+    per-call axis moves, which dominate at these sizes."""
+    return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
 
 
 # ---------------------------------------------------------------------------
 # residuals
 # ---------------------------------------------------------------------------
 
-def planarity_residual(points) -> float:
-    """Scale-free flatness defect: sigma_3 / sigma_1 of the centered cloud."""
+def _frame(points):
+    """One SVD per cloud of a stack (..., n, d): the centroids, the centered
+    points, their singular values and right singular vectors."""
     pts = np.asarray(points, dtype=float)
-    c = pts.mean(axis=0)
-    s = np.linalg.svd(pts - c, compute_uv=False)
-    if s[0] == 0:
-        return 0.0
-    return float(s[2] / s[0]) if len(s) > 2 else 0.0
+    c = pts.mean(axis=-2)
+    centered = pts - c[..., None, :]
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    return c, centered, s, vt
+
+
+def _flatness(s):
+    """sigma_3 / sigma_1 from singular values; 0 for a point or a plane."""
+    if s.shape[-1] < 3:
+        return np.zeros(s.shape[:-1])
+    return np.divide(s[..., 2], s[..., 0], out=np.zeros(s.shape[:-1]), where=s[..., 0] != 0)
+
+
+def _in_plane(centered, vt):
+    """Coordinates of centered points in the plane of their two leading
+    right singular vectors."""
+    return centered @ np.swapaxes(vt[..., :2, :], -1, -2)
+
+
+def planarity_residual(points):
+    """Scale-free flatness defect: sigma_3 / sigma_1 of the centered cloud."""
+    return _flatness(_frame(points)[2])[()]
+
+
+def _circle(c, centered, s, vt):
+    xy = _in_plane(centered, vt)
+    b = (xy ** 2).sum(axis=-1)
+    # Least squares for 2 xy . center2 + k = b.  The columns of xy are
+    # orthogonal, of norms s_1 and s_2, and orthogonal to the constant
+    # column, so the normal equations are diagonal.  Directions that
+    # lstsq(rcond=None) would drop as singular get 0, as there.
+    n, s2 = xy.shape[-2], s[..., :2]
+    keep = 2 * s2 > np.finfo(float).eps * max(n, 3) * np.maximum(2 * s2[..., :1], math.sqrt(n))
+    num = (np.swapaxes(xy, -1, -2) @ b[..., None])[..., 0]
+    center2 = np.divide(num, 2 * s2 ** 2, out=np.zeros_like(num), where=keep)
+    r = np.sqrt(np.maximum(b.mean(axis=-1) + (center2 ** 2).sum(axis=-1), 1e-300))
+    dev = np.abs(np.linalg.norm(xy - center2[..., None, :], axis=-1) - r[..., None])
+    center = c + (center2[..., None, :] @ vt[..., :2, :])[..., 0, :]
+    return center, r, dev.max(axis=-1) / r
 
 
 def fit_circle(points):
@@ -55,24 +106,14 @@ def fit_circle(points):
     Returns (center, radius, residual) with residual = max radial deviation
     over the radius.
     """
-    pts = np.asarray(points, dtype=float)
-    c = pts.mean(axis=0)
-    centered = pts - c
-    _, _, vt = np.linalg.svd(centered)
-    basis = vt[:2]
-    xy = centered @ basis.T
-    a = np.column_stack([2 * xy, np.ones(len(xy))])
-    b = (xy ** 2).sum(axis=1)
-    sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-    center2 = sol[:2]
-    r = math.sqrt(max(sol[2] + center2 @ center2, 1e-300))
-    dev = np.abs(np.linalg.norm(xy - center2, axis=1) - r)
-    center = c + center2 @ basis
-    return center, r, float(dev.max() / r)
+    center, r, residual = _circle(*_frame(points))
+    return center, r[()], residual[()]
 
 
-def concyclicity_residual(points) -> float:
-    return max(fit_circle(points)[2], planarity_residual(points))
+def concyclicity_residual(points):
+    """The larger of the circle-fit and the planarity residual, from one SVD."""
+    frame = _frame(points)
+    return np.maximum(_circle(*frame)[2], _flatness(frame[2]))[()]
 
 
 def fit_sphere(points):
@@ -95,47 +136,72 @@ def cosphericity_residual(points) -> float:
 # the hexahedron flip
 # ---------------------------------------------------------------------------
 
+# the planes (x1, x12, x13), (x2, x12, x23), (x3, x13, x23) by input position
+_PLANE_I, _PLANE_J, _PLANE_K = np.array([1, 2, 3]), np.array([4, 4, 5]), np.array([5, 6, 6])
+_EYE3 = np.eye(3)
+
+
 def hex_flip(x0, x1, x2, x3, x12, x13, x23, cond_limit: float = 1e8):
     """Eighth vertex of the hexahedron: the unique point on the three planes
     (x1,x12,x13), (x2,x12,x23), (x3,x13,x23).
 
     Works in R^N for N >= 3 by solving inside the affine 3-space spanned by
-    the seven input points.
+    the seven input points.  The inputs may be equal-shaped stacks of points
+    (..., N); the result is then the stack of eighth vertices.  A
+    DegeneracyError reports the first failing item of the stack, in C
+    order, and carries its position as ``index``.
     """
-    pts = np.array([np.asarray(p, dtype=float) for p in (x0, x1, x2, x3, x12, x13, x23)])
-    if pts.shape[1] < 3:
+    pts = np.moveaxis(np.array([x0, x1, x2, x3, x12, x13, x23], dtype=float), 0, -2)
+    if pts.shape[-1] < 3:
         raise DomainError("points must live in dimension >= 3")
     if not np.all(np.isfinite(pts)):
         raise DomainError("points must have finite coordinates")
-    center = pts.mean(axis=0)
-    u, s, vt = np.linalg.svd(pts - center)
-    if s[2] <= 1e-12 * s[0]:
-        raise DegeneracyError("input points are nearly coplanar", estimate=float(s[2] / s[0]))
-    if len(s) > 3 and s[3] > 1e-9 * s[0]:
-        raise DegeneracyError(
-            "input points do not lie in a common 3-space", estimate=float(s[3] / s[0]))
-    basis = vt[:3]
-    q = (pts - center) @ basis.T  # rows: x0,x1,x2,x3,x12,x13,x23 in local frame
-    triples = ((1, 4, 5), (2, 4, 6), (3, 5, 6))
-    normals = np.empty((3, 3))
-    rhs = np.empty(3)
-    for row, (i, j, k) in enumerate(triples):
-        n = np.cross(q[j] - q[i], q[k] - q[i])
-        nn = np.linalg.norm(n)
-        if nn < 1e-12:
-            raise DegeneracyError("plane %d is degenerate" % row)
-        normals[row] = n / nn
-        rhs[row] = normals[row] @ q[i]
+    center = pts.mean(axis=-2)
+    centered = pts - center[..., None, :]
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    basis = vt[..., :3, :]
+    q = centered @ np.swapaxes(basis, -1, -2)  # rows: x0,x1,x2,x3,x12,x13,x23 in local frame
+    qi = q[..., _PLANE_I, :]
+    n = _cross(q[..., _PLANE_J, :] - qi, q[..., _PLANE_K, :] - qi)
+    nn = np.linalg.norm(n, axis=-1)
+    coplanar = s[..., 2] <= 1e-12 * s[..., 0]
+    off_space = s[..., 3] > 1e-9 * s[..., 0] if s.shape[-1] > 3 else np.zeros_like(coplanar)
+    flat_plane = nn < 1e-12
+    # a failed item solves the identity instead, so that the stack solves
+    failed = coplanar | off_space | flat_plane.any(axis=-1)
+    normals = np.where(failed[..., None, None], _EYE3,
+                       n / np.maximum(nn, 1e-12)[..., None])
     sv = np.linalg.svd(normals, compute_uv=False)
-    cond = sv[0] / sv[-1] if sv[-1] > 0 else math.inf
-    if cond > cond_limit:
-        raise DegeneracyError("planes nearly parallel", estimate=cond)
+    with np.errstate(divide="ignore"):
+        cond = sv[..., 0] / sv[..., -1]
+    parallel = cond > cond_limit
+    normals = np.where(parallel[..., None, None], _EYE3, normals)
+    rhs = (normals * qi).sum(axis=-1)[..., None]
     sol = np.linalg.solve(normals, rhs)
-    diam = np.max(np.linalg.norm(pts - pts.mean(axis=0), axis=1)) * 2
-    resid = float(np.max(np.abs(normals @ sol - rhs)))
-    if resid > 1e-9 * max(diam, 1.0):
-        raise DegeneracyError("flip residual too large", estimate=resid)
-    return center + sol @ basis
+    resid = np.abs(normals @ sol - rhs)[..., 0].max(axis=-1)
+    diam = 2 * np.linalg.norm(centered, axis=-1).max(axis=-1)
+    loose = resid > 1e-9 * np.maximum(diam, 1.0)
+    failed = failed | parallel | loose
+    if failed.any():
+        at = np.unravel_index(np.argmax(failed), failed.shape)
+        guard = [coplanar[at], off_space[at], flat_plane[at].any(), parallel[at], loose[at]]
+        raise _flip_error(guard.index(True), at, s[at], flat_plane[at], cond[at], resid[at])
+    return center + (np.swapaxes(sol, -1, -2) @ basis)[..., 0, :]
+
+
+def _flip_error(guard, at, s, flat_plane, cond, resid):
+    """The error of the flip at stack position ``at`` that failed guard
+    number ``guard``, in the order hex_flip checks them."""
+    if guard == 0:
+        return DegeneracyError("input points are nearly coplanar", float(s[2] / s[0]), at)
+    if guard == 1:
+        return DegeneracyError(
+            "input points do not lie in a common 3-space", float(s[3] / s[0]), at)
+    if guard == 2:
+        return DegeneracyError("plane %d is degenerate" % np.argmax(flat_plane), index=at)
+    if guard == 3:
+        return DegeneracyError("planes nearly parallel", float(cond), at)
+    return DegeneracyError("flip residual too large", float(resid), at)
 
 
 @dataclass
@@ -155,24 +221,25 @@ class Hexahedron:
     def face(self, keys):
         return tuple(self.point(k) for k in keys)
 
+    def faces(self):
+        """The six faces, front then back, as one (6, 4, d) stack."""
+        return self.vertices()[FACE_INDEX]
+
     def front_faces(self):
-        return [self.face(k) for k in FRONT_FACE_KEYS]
+        return self.faces()[:3]
 
     def back_faces(self):
-        return [self.face(k) for k in BACK_FACE_KEYS]
-
-    def all_faces(self):
-        return self.front_faces() + self.back_faces()
+        return self.faces()[3:]
 
     def vertices(self):
         return np.array([self.x0, self.x1, self.x2, self.x3,
                          self.x12, self.x13, self.x23, self.x123])
 
     def max_planarity_residual(self) -> float:
-        return max(planarity_residual(f) for f in self.all_faces())
+        return planarity_residual(self.faces()).max()
 
     def max_concyclicity_residual(self) -> float:
-        return max(concyclicity_residual(f) for f in self.all_faces())
+        return concyclicity_residual(self.faces()).max()
 
     def cosphericity_residual(self) -> float:
         return cosphericity_residual(self.vertices())
@@ -198,46 +265,49 @@ class FaceAngles:
         return self.alpha + self.beta + self.gamma + self.delta
 
 
+def _angles(centered, vt):
+    """Interior angles and reflex flags at each corner, from a face frame."""
+    xy = _in_plane(centered, vt)
+    corner = np.arange(xy.shape[-2])
+    into = xy - xy[..., corner - 1, :]
+    out = xy[..., (corner + 1) % len(corner), :] - xy
+    turns = np.arctan2(into[..., 0] * out[..., 1] - into[..., 1] * out[..., 0],
+                       (into * out).sum(axis=-1))
+    turns = np.where(turns.sum(axis=-1, keepdims=True) < 0, -turns, turns)
+    return np.pi - turns, turns < 0
+
+
 def interior_angles(face):
     """Interior angles of a (near) planar quadrilateral, any ambient dim.
 
-    Returns (angles, reflex_flags); reflex corners come back > pi so the
-    sum is always 2*pi for a simple polygon.
+    Returns (angles, reflex_flags) along the last axis; reflex corners come
+    back > pi so the sum is always 2*pi for a simple polygon.
     """
-    pts = np.asarray(face, dtype=float)
-    c = pts.mean(axis=0)
-    _, _, vt = np.linalg.svd(pts - c)
-    xy = (pts - c) @ vt[:2].T
-    n = len(xy)
-    turns = []
-    for i in range(n):
-        a = xy[i] - xy[i - 1]
-        b = xy[(i + 1) % n] - xy[i]
-        turns.append(math.atan2(a[0] * b[1] - a[1] * b[0], a @ b))
-    if sum(turns) < 0:
-        turns = [-t for t in turns]
-    angles = [math.pi - t for t in turns]
-    reflex = [t < 0 for t in turns]
-    return angles, reflex
+    _, centered, _, vt = _frame(face)
+    return _angles(centered, vt)
 
 
 def extract_angles(face, tol: float = 1e-9) -> FaceAngles:
     """Angles (alpha, beta, gamma, delta) of an ordered face (v0..v3), with
-    delta at v0, gamma at v1, alpha at v2, beta at v3."""
-    if planarity_residual(face) > tol:
-        raise DomainError("face is not planar (residual %.2e)" % planarity_residual(face))
-    ang, reflex = interior_angles(face)
-    return FaceAngles(alpha=ang[2], beta=ang[3], gamma=ang[1], delta=ang[0],
-                      reflex=any(reflex))
+    delta at v0, gamma at v1, alpha at v2, beta at v3; for a stack of faces
+    each field is an array."""
+    _, centered, s, vt = _frame(face)
+    flat = _flatness(s)
+    if np.any(flat > tol):
+        raise DomainError("face is not planar (residual %.2e)" % flat[flat > tol][0])
+    ang, reflex = _angles(centered, vt)
+    return FaceAngles(alpha=ang[..., 2][()], beta=ang[..., 3][()], gamma=ang[..., 1][()],
+                      delta=ang[..., 0][()], reflex=reflex.any(axis=-1)[()])
 
 
 # ---------------------------------------------------------------------------
 # random hexahedra
 # ---------------------------------------------------------------------------
 
-def _convex(face) -> bool:
-    ang, reflex = interior_angles(face)
-    return not any(reflex) and all(0.05 < a < math.pi - 0.05 for a in ang)
+def _convex(faces):
+    """Whether each face is convex with every corner in (0.05, pi - 0.05)."""
+    ang, reflex = interior_angles(faces)
+    return (~reflex.any(axis=-1) & ((0.05 < ang) & (ang < math.pi - 0.05)).all(axis=-1))[()]
 
 
 def random_quad_hexahedron(rng, max_tries: int = 200) -> Hexahedron:
@@ -258,7 +328,7 @@ def random_quad_hexahedron(rng, max_tries: int = 200) -> Hexahedron:
         except DegeneracyError:
             continue
         h = Hexahedron(x0, x1, x2, x3, x12, x13, x23, x123)
-        if all(_convex(f) for f in h.all_faces()) and h.max_planarity_residual() < 1e-10:
+        if _convex(h.faces()).all() and h.max_planarity_residual() < 1e-10:
             return h
     raise DegeneracyError("failed to sample a convex quadrilateral hexahedron")
 
@@ -279,9 +349,9 @@ def circle_through(p1, p2, p3):
     center = p1 + s * u + t * v
     r = float(np.linalg.norm(p1 - center))
     e1 = (p1 - center) / r
-    n = np.cross(u, v)
+    n = _cross(u, v)
     n /= np.linalg.norm(n)
-    e2 = np.cross(n, e1)
+    e2 = _cross(n, e1)
     return center, r, e1, e2
 
 
@@ -328,7 +398,7 @@ def random_circular_hexahedron(rng, max_tries: int = 500) -> Hexahedron:
         except DegeneracyError:
             continue
         h = Hexahedron(x0, x1, x2, x3, x12, x13, x23, x123)
-        if not all(_convex(f) for f in h.all_faces()):
+        if not _convex(h.faces()).all():
             continue
         if h.max_concyclicity_residual() < 1e-9 and h.cosphericity_residual() < 1e-9:
             return h
@@ -342,9 +412,9 @@ def _random_unit(rng):
 
 def _tangent_frame(n):
     a = np.array([1.0, 0, 0]) if abs(n[0]) < 0.9 else np.array([0, 1.0, 0])
-    e1 = np.cross(n, a)
+    e1 = _cross(n, a)
     e1 /= np.linalg.norm(e1)
-    e2 = np.cross(n, e1)
+    e2 = _cross(n, e1)
     return e1, e2
 
 
@@ -366,11 +436,11 @@ class MiquelReport:
 def miquel_check(h: Hexahedron, tol: float = 1e-9) -> MiquelReport:
     """Concyclicity of the back faces through x123 plus cosphericity of all
     eight vertices, given concyclic front faces."""
-    front = [concyclicity_residual(f) for f in h.front_faces()]
+    residuals = concyclicity_residual(h.faces()).tolist()
+    front, back = residuals[:3], residuals[3:]
     for i, r in enumerate(front):
         if r > tol:
             raise DomainError("front face %d is not concyclic (residual %.2e)" % (i + 1, r))
-    back = [concyclicity_residual(f) for f in h.back_faces()]
     return MiquelReport(front, back, h.cosphericity_residual())
 
 
@@ -378,9 +448,14 @@ def miquel_check(h: Hexahedron, tol: float = 1e-9) -> MiquelReport:
 # lattice state and staircase evolution
 # ---------------------------------------------------------------------------
 
+# offsets of a cube's seven front corners, in hex_flip's argument order
+_FRONT_CORNERS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1))
+
+
 @dataclass
 class LatticeState:
-    """Vertex map of a growing corner lattice plus the flip frontier."""
+    """Vertex map of a growing corner lattice: lattice point (i, j, k) to
+    its position."""
 
     shape: tuple
     mode: str = "quadrilateral"
@@ -402,9 +477,8 @@ class LatticeState:
 
     def cube_flippable(self, c):
         i, j, k = c
-        front = [(i + a, j + b, k + d) for a in (0, 1) for b in (0, 1) for d in (0, 1)
-                 if (a, b, d) != (1, 1, 1)]
-        return all(self.has(m) for m in front) and not self.has((i + 1, j + 1, k + 1))
+        return (all(self.has((i + a, j + b, k + d)) for a, b, d in _FRONT_CORNERS)
+                and not self.has((i + 1, j + 1, k + 1)))
 
     def hexahedron(self, c) -> Hexahedron:
         i, j, k = c
@@ -420,18 +494,14 @@ class LatticeState:
 
     def known_faces(self):
         """All unit lattice faces whose four corners are known, as ordered
-        quadruples of lattice keys."""
+        quadruples of lattice keys, by vertex and then by normal axis."""
         out = []
-        seen = set()
-        deltas = {0: ((0, 1, 0), (0, 0, 1)), 1: ((0, 0, 1), (1, 0, 0)), 2: ((1, 0, 0), (0, 1, 0))}
         for m in self.vertices:
-            for axis, (d1, d2) in deltas.items():
-                quad = (m,
-                        tuple(np.add(m, d1)),
-                        tuple(np.add(m, np.add(d1, d2))),
-                        tuple(np.add(m, d2)))
-                if all(q in self.vertices for q in quad) and (axis, m) not in seen:
-                    seen.add((axis, m))
+            i, j, k = m
+            for quad in ((m, (i, j + 1, k), (i, j + 1, k + 1), (i, j, k + 1)),
+                         (m, (i, j, k + 1), (i + 1, j, k + 1), (i + 1, j, k)),
+                         (m, (i + 1, j, k), (i + 1, j + 1, k), (i, j + 1, k))):
+                if all(q in self.vertices for q in quad):
                     out.append(quad)
         return out
 
@@ -439,31 +509,31 @@ class LatticeState:
 def staircase_evolve(state: LatticeState, steps: int | None = None) -> LatticeState:
     """Flip frontier cubes layer by layer in nondecreasing m1+m2+m3 order.
 
-    steps counts anti-diagonal layers; None means run to completion.
-    Degeneracies are re-raised with the offending cube's coordinates.
+    The cubes of one anti-diagonal layer are independent and flip in one
+    stacked hex_flip call.  steps counts anti-diagonal layers; None means
+    run to completion.  Degeneracies are re-raised with the coordinates of
+    the first offending cube in layer and then index order.
     """
-    n1, n2, n3 = state.shape
-    layers = sorted({i + j + k for (i, j, k) in np.ndindex(n1, n2, n3)})
+    layers = {}
+    for c in np.ndindex(*state.shape):
+        layers.setdefault(sum(c), []).append(c)
     done = 0
-    for layer in layers:
+    for layer in sorted(layers):
         if steps is not None and done >= steps:
             break
-        cubes = [c for c in np.ndindex(n1, n2, n3) if sum(c) == layer]
-        flipped = False
-        for c in cubes:
-            if not state.cube_flippable(c):
-                continue
-            i, j, k = c
-            g = state.get
-            try:
-                p = hex_flip(g((i, j, k)), g((i + 1, j, k)), g((i, j + 1, k)), g((i, j, k + 1)),
-                             g((i + 1, j + 1, k)), g((i + 1, j, k + 1)), g((i, j + 1, k + 1)))
-            except DegeneracyError as exc:
-                raise DegeneracyError("flip failed at cube %s: %s" % (c, exc)) from exc
+        cubes = [c for c in layers[layer] if state.cube_flippable(c)]
+        if not cubes:
+            continue
+        corners = np.array([[state.vertices[(i + a, j + b, k + d)] for a, b, d in _FRONT_CORNERS]
+                            for i, j, k in cubes])
+        try:
+            flipped = hex_flip(*corners.transpose(1, 0, 2))
+        except DegeneracyError as exc:
+            raise DegeneracyError("flip failed at cube %s: %s"
+                                  % (cubes[exc.index[0]], exc)) from exc
+        for (i, j, k), p in zip(cubes, flipped):
             state.set((i + 1, j + 1, k + 1), p)
-            flipped = True
-        if flipped:
-            done += 1
+        done += 1
     return state
 
 

@@ -4,7 +4,8 @@
     qlattice evolve --size AxBxC --mode circular --out mesh.obj
     qlattice report --json path
 
-Exit code is 0 only if every executed suite passes.
+verify exits 0 only if every executed suite passes; evolve exits 0 only if
+the lattice evolves and its mesh has the expected face count.
 """
 
 from __future__ import annotations
@@ -130,13 +131,20 @@ def cmd_verify(args) -> int:
 
 def cmd_evolve(args) -> int:
     shape = _parse_size(args.size)
-    rng = case_rng(args.seed, 0)
-    state = geo.random_initial_state(shape, rng, mode=args.mode)
-    geo.staircase_evolve(state)
-    mesh.export_obj(state, args.out)
+    try:
+        state = geo.random_initial_state(shape, case_rng(args.seed, 0), mode=args.mode)
+        geo.staircase_evolve(state)
+        mesh.export_obj(state, args.out)
+    except QLatticeError as exc:
+        print("ERROR %s" % exc)
+        return 1
     verts, faces = mesh.import_obj(args.out)
+    expected = mesh.expected_face_count(shape)
     print("wrote %s: %d vertices, %d faces (expected %d)"
-          % (args.out, len(verts), len(faces), mesh.expected_face_count(shape)))
+          % (args.out, len(verts), len(faces), expected))
+    if len(faces) != expected:
+        print("ERROR face count %d differs from the expected %d" % (len(faces), expected))
+        return 1
     return 0
 
 

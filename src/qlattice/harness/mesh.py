@@ -12,7 +12,7 @@ def export_obj(state: LatticeState, path: str):
     """Write vertices and quad faces of all completed faces to a Wavefront
     OBJ file; coordinates round-trip exactly through repr-style formatting."""
     faces = state.known_faces()
-    if not state.completed_cubes():
+    if not any(state.cube_complete(c) for c in np.ndindex(*state.shape)):
         raise DomainError("state has no completed cube to export")
     keys = sorted(state.vertices)
     index = {k: i + 1 for i, k in enumerate(keys)}

@@ -124,9 +124,9 @@ def _geometry_flip_case(cfg, idx):
     rng = case_rng(cfg.seed, idx)
     h = geo.random_quad_hexahedron(rng)
     x123 = h.x123 + (1e-2 if cfg.perturb else 0.0)
-    planarity = max(geo.planarity_residual((h.x1, h.x12, x123, h.x13)),
-                    geo.planarity_residual((h.x2, h.x12, x123, h.x23)),
-                    geo.planarity_residual((h.x3, h.x13, x123, h.x23)))
+    planarity = float(geo.planarity_residual([(h.x1, h.x12, x123, h.x13),
+                                              (h.x2, h.x12, x123, h.x23),
+                                              (h.x3, h.x13, x123, h.x23)]).max())
     rot = geo.random_rotation(rng)
     shift = rng.normal(0, 1.0, 3)
     moved = geo.hex_flip(*(rot @ p + shift for p in
@@ -141,7 +141,7 @@ def _miquel_case(cfg, idx):
     if cfg.perturb:
         h = geo.Hexahedron(h.x0, h.x1, h.x2, h.x3, h.x12, h.x13, h.x23,
                            h.x123 + 1e-2)
-        return max(max(geo.concyclicity_residual(f) for f in h.back_faces()),
+        return max(float(geo.concyclicity_residual(h.back_faces()).max()),
                    h.cosphericity_residual())
     rep = geo.miquel_check(h)
     return rep.max_residual

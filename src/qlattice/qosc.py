@@ -92,10 +92,12 @@ def cyclic_rep(N: int, kappa: complex, rho: complex) -> QOscRep:
     return QOscRep(q, a, a_star, kappa * x, exact_levels=N)
 
 
+@rm.in_mp_context
 def algebra_residuals(rep: QOscRep) -> dict:
-    """Masked residuals of the defining relations."""
+    """Masked residuals of the defining relations, in q's number type (in
+    rmatrices._MP_CTX for a Decimal rep)."""
     q = rep.q
-    eye = np.eye(rep.dim)
+    eye = np.diag([q ** 0] * rep.dim)  # 1 in q's number type
     rels = {
         "pair": q * rep.a_star @ rep.a - rep.a @ rep.a_star / q - (q - 1 / q) * eye,
         "k_astar": rep.k @ rep.a_star - q * rep.a_star @ rep.k,

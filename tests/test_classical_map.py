@@ -68,7 +68,7 @@ def test_propagation_measured_on_random_quads():
     rng = np.random.default_rng(1)
     for _ in range(30):
         h = geo.random_quad_hexahedron(rng)
-        for f in h.all_faces():
+        for f in h.faces():
             fa = geo.extract_angles(f)
             lp, lq, lp_out, lq_out = (float(np.linalg.norm(np.subtract(f[i], f[j])))
                                       for i, j in ((2, 1), (3, 2), (0, 3), (1, 0)))

@@ -59,6 +59,34 @@ def test_flip_in_four_dimensions():
     assert np.linalg.norm(got4 - emb @ base) < 1e-9
 
 
+@pytest.mark.parametrize("dim", [3, 4])
+def test_flip_of_a_stack_equals_single_flips(dim):
+    rng = np.random.default_rng(15)
+    emb = np.eye(3) if dim == 3 else rng.normal(size=(4, 3))  # generic 3-space in R^4
+    hexes = [geo.random_quad_hexahedron(rng) for _ in range(50)]
+    fronts = np.array([[emb @ h.point(k) for k in geo.VERTEX_KEYS[:7]] for h in hexes])
+    stacked = geo.hex_flip(*fronts.transpose(1, 0, 2))
+    assert stacked.shape == (50, dim)
+    for pts, got in zip(fronts, stacked):
+        single = geo.hex_flip(*pts)
+        assert single.shape == (dim,)
+        assert np.linalg.norm(got - single) <= 1e-15 * np.linalg.norm(single)
+
+
+def test_flip_of_a_stack_reports_its_first_failing_item():
+    corners = np.array(unit_cube_corners())
+    flat = corners * np.array([1, 1, 0])
+    pinched = corners.copy()
+    pinched[4] = pinched[1]  # x12 = x1: the plane (x1, x12, x13) is degenerate
+    stack = np.array([corners, pinched, flat, corners])
+    with pytest.raises(DegeneracyError, match="plane 0 is degenerate") as err:
+        geo.hex_flip(*stack.transpose(1, 0, 2))
+    assert err.value.index == (1,)
+    with pytest.raises(DegeneracyError, match="nearly coplanar") as err:
+        geo.hex_flip(*stack[[0, 2, 1]].transpose(1, 0, 2))
+    assert err.value.index == (1,)
+
+
 # ---------------------------------------------------------------------------
 # angles
 # ---------------------------------------------------------------------------
@@ -75,7 +103,7 @@ def test_angle_sum_and_reflex_flag():
     rng = np.random.default_rng(3)
     for _ in range(50):
         h = geo.random_quad_hexahedron(rng)
-        for f in h.all_faces():
+        for f in h.faces():
             fa = geo.extract_angles(f)
             assert fa.angle_sum == pytest.approx(2 * math.pi, abs=1e-12)
     # a dart-shaped quad has one reflex corner but still sums to 2 pi
@@ -101,6 +129,24 @@ def test_nonplanar_face_rejected():
             np.array([1.0, 1, 0.3]), np.array([0.0, 1, 0]))
     with pytest.raises(DomainError):
         geo.extract_angles(face)
+
+
+def test_face_kernels_on_a_stack_equal_face_by_face():
+    rng = np.random.default_rng(16)
+    for h in (geo.random_quad_hexahedron(rng), geo.random_circular_hexahedron(rng)):
+        faces = h.faces()
+        assert faces.shape == (6, 4, 3)
+        for kernel in (geo.planarity_residual, geo.concyclicity_residual):
+            stacked = kernel(faces)
+            assert stacked.shape == (6,)
+            np.testing.assert_allclose(stacked, [kernel(f) for f in faces],
+                                       rtol=1e-12, atol=1e-17)
+        stacked = geo.extract_angles(faces)
+        for i, f in enumerate(faces):
+            single = geo.extract_angles(f)
+            np.testing.assert_allclose([a[i] for a in stacked.as_tuple()],
+                                       single.as_tuple(), rtol=1e-14)
+            assert stacked.reflex[i] == single.reflex
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +212,22 @@ def test_staircase_circular_preserves_circularity():
         assert geo.concyclicity_residual(pts) < 1e-8
     for c in st.completed_cubes():
         assert st.hexahedron(c).cosphericity_residual() < 1e-8
+
+
+def test_staircase_names_the_first_degenerate_cube():
+    # (0,1,1) collapsed onto (0,0,0) pinches a plane of both cubes (0,0,1)
+    # and (0,1,0) of the second layer; the first in index order is named
+    st = geo.affine_initial_state((3, 3, 3))
+    st.set((0, 1, 1), st.get((0, 0, 0)))
+    geo.staircase_evolve(st, steps=1)
+    for i, j, k in ((0, 0, 1), (0, 1, 0)):
+        with pytest.raises(DegeneracyError, match="plane 0 is degenerate"):
+            geo.hex_flip(*[st.get((i + a, j + b, k + d)) for a, b, d in
+                           ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
+                            (1, 1, 0), (1, 0, 1), (0, 1, 1))])
+    with pytest.raises(DegeneracyError) as err:
+        geo.staircase_evolve(st)
+    assert str(err.value) == "flip failed at cube (0, 0, 1): plane 0 is degenerate"
 
 
 def test_staircase_determinism():

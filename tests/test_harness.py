@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from qlattice.errors import ConfigurationError, DomainError
+from qlattice.errors import ConfigurationError, DegeneracyError, DomainError
 from qlattice import geometry as geo
 from qlattice.harness import mesh
 from qlattice.harness.cli import build_parser, main, suite_config
@@ -225,6 +225,30 @@ def test_cli_evolve(tmp_path):
     assert len(faces) == mesh.expected_face_count((2, 2, 2))
 
 
+@pytest.mark.parametrize("failure", ["sampler", "flat lattice"])
+def test_cli_evolve_reports_degenerate_data(failure, monkeypatch, tmp_path, capsys):
+    def sampler(shape, rng, mode):
+        if failure == "sampler":
+            raise DegeneracyError("failed to sample admissible initial data")
+        return geo.affine_initial_state(shape, matrix=np.diag([1.0, 1.0, 0.0]))
+
+    monkeypatch.setattr(geo, "random_initial_state", sampler)
+    assert main(["evolve", "--size", "2x2x2", "--out", str(tmp_path / "m.obj")]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("ERROR ")
+    if failure == "flat lattice":
+        assert "flip failed at cube (0, 0, 0): input points are nearly coplanar" in out
+
+
+def test_cli_evolve_fails_on_a_wrong_face_count(monkeypatch, tmp_path, capsys):
+    # a staircase stopped after its first cube has the 12 wall faces and 3 more
+    evolve = geo.staircase_evolve
+    monkeypatch.setattr(geo, "staircase_evolve", lambda state: evolve(state, steps=1))
+    assert main(["evolve", "--size", "2x2x2", "--out", str(tmp_path / "m.obj")]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "ERROR face count 15 differs from the expected 36"
+
+
 def test_fock_te_extended_path():
     # the 50-digit sum resolves the cancellation far below double precision
     from qlattice import rmatrices as rm
@@ -380,6 +404,21 @@ def test_cross_form_builds_the_weight_table_once(monkeypatch):
     {"suite": "cyclic-te-vertex", "n_cyclic": 5, "samples": 20, "perturb": True},
 ])
 def test_cyclic_reports_do_not_depend_on_worker_count(params):
+    reports = [json.dumps(strip_timing(run_suite(SuiteConfig(
+        workers=workers, keep_cases=True, **params)).to_dict()), sort_keys=True)
+        for workers in (1, 2)]
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("params", [
+    {"suite": "geometry-flip", "samples": 10},
+    {"suite": "geometry-flip", "samples": 3, "perturb": True},
+    {"suite": "miquel", "samples": 10},
+    {"suite": "miquel", "samples": 3, "perturb": True},
+    {"suite": "dodecahedron", "samples": 10},
+    {"suite": "dodecahedron", "samples": 3, "perturb": True},
+])
+def test_geometry_reports_do_not_depend_on_worker_count(params):
     reports = [json.dumps(strip_timing(run_suite(SuiteConfig(
         workers=workers, keep_cases=True, **params)).to_dict()), sort_keys=True)
         for workers in (1, 2)]

@@ -48,6 +48,16 @@ def test_fock_relations_masked():
     assert np.max(np.abs(full)) > 0.1
 
 
+def test_fock_relations_on_the_50_digit_rep():
+    # the identity is built in q's number type and the relations are
+    # evaluated in the 50-digit context, whatever the thread's context
+    rep = qosc.fock_rep(5, rm.to_mp(0.3))
+    with decimal.localcontext(decimal.Context(prec=10)):
+        res = qosc.algebra_residuals(rep)
+    assert sorted(res) == ["k_a", "k_astar", "ksq_left", "ksq_right", "pair"]
+    assert max(res.values()) < 1e-40
+
+
 def test_fock_k_squared():
     rep = qosc.fock_rep(5, 0.41)
     n = np.arange(6)
