@@ -655,20 +655,27 @@ def dodeca_initial_surface(vertices):
     return {m: np.asarray(vertices[m], dtype=float) for m in DODECA_INITIAL_MASKS}
 
 
-def _run_schedule(surface, schedule, perturb=None):
-    pts = {m: np.array(p, dtype=float) for m, p in surface.items()}
-    for step, (dirs, corner) in enumerate(schedule):
-        d1, d2, d3 = _bits(dirs)
+def _run_schedules(surface, perturb=None):
+    """Point dicts of both dissections.  Step k of schedule A and step k of
+    schedule B read disjoint dicts, so they flip in one hex_flip call on a
+    stack of two; perturb is added to B's first computed vertex."""
+    pts = [{m: np.array(p, dtype=float) for m, p in surface.items()} for _ in "AB"]
+    for step, moves in enumerate(zip(_SCHEDULE_A, _SCHEDULE_B)):
+        corners = []
+        for p, (dirs, corner) in zip(pts, moves):
+            d1, d2, d3 = _bits(dirs)
+            corners.append([p[corner], p[corner ^ d1], p[corner ^ d2], p[corner ^ d3],
+                            p[corner ^ d1 ^ d2], p[corner ^ d1 ^ d3], p[corner ^ d2 ^ d3]])
         try:
-            res = hex_flip(pts[corner],
-                           pts[corner ^ d1], pts[corner ^ d2], pts[corner ^ d3],
-                           pts[corner ^ d1 ^ d2], pts[corner ^ d1 ^ d3], pts[corner ^ d2 ^ d3])
+            flipped = hex_flip(*np.array(corners).transpose(1, 0, 2))
         except DegeneracyError as exc:
-            raise DegeneracyError("dissection flip %d degenerate: %s" % (step, exc)) from exc
-        target = corner ^ dirs
-        pts[target] = res
+            raise DegeneracyError("dissection %s flip %d degenerate: %s"
+                                  % ("AB"[exc.index[0]], step, exc)) from exc
+        for p, (dirs, corner), x in zip(pts, moves, flipped):
+            p[corner ^ dirs] = x
         if perturb is not None and step == 0:
-            pts[target] = pts[target] + perturb
+            target = _SCHEDULE_B[0][0] ^ _SCHEDULE_B[0][1]
+            pts[1][target] = pts[1][target] + perturb
     return pts
 
 
@@ -689,8 +696,7 @@ def dodecahedron_consistency(surface, perturb=None) -> DodecaReport:
     missing = [m for m in DODECA_INITIAL_MASKS if m not in surface]
     if missing:
         raise DomainError("missing initial vertices for masks %s" % missing)
-    ptsa = _run_schedule(surface, _SCHEDULE_A)
-    ptsb = _run_schedule(surface, _SCHEDULE_B, perturb=perturb)
+    ptsa, ptsb = _run_schedules(surface, perturb)
     per = {m: float(np.linalg.norm(ptsa[m] - ptsb[m])) for m in DODECA_FINAL_MASKS}
     return DodecaReport(max(per.values()), per)
 

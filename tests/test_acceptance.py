@@ -43,7 +43,7 @@ def test_criterion_02_functional_tetrahedron():
 def test_criterion_03_symplectic():
     t0 = time.time()
     rep = run("symplectic", samples=100)
-    criterion(3, "symplectic invariance, h=1e-5", rep.max_residual, 1e-6)
+    criterion(3, "symplectic, complex-step Jacobian", rep.max_residual, 1e-6)
     assert time.time() - t0 < 30
 
 

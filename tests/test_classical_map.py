@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qlattice.errors import SingularityError
+from qlattice.errors import DomainError, SingularityError
 from qlattice import classical_map as cm
 from qlattice import geometry as geo
 from qlattice.harness.rng import case_rng
@@ -99,19 +99,91 @@ def test_map_fixed_point():
 def test_map_preserves_constraint():
     rng = np.random.default_rng(3)
     for _ in range(200):
-        front = cm.sample_admissible_front(rng)
+        front, _ = cm.sample_admissible_front(rng)
         for t in cm.map_r123(*front):
             assert t.constraint_residual() < 1e-12
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _stack(triples):
+    return cm.CircularTriple(*(np.array([getattr(t, f) for t in triples])
+                               for f in ("k", "a", "a_star")))
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+def test_stacked_map_equals_scalar_calls(eps):
+    rng = np.random.default_rng(30)
+    fronts = [cm.sample_admissible_front(rng, eps=eps)[0] for _ in range(100)]
+    stacked = cm.map_r123(*(_stack(col) for col in zip(*fronts)), eps=eps)
+    single = [cm.map_r123(*front, eps=eps) for front in fronts]
+    for j in range(3):
+        for field in ("k", "a", "a_star"):
+            want = [getattr(out[j], field) for out in single]
+            assert all(type(v) is float for v in want)
+            assert np.array_equal(_bits(getattr(stacked[j], field)), _bits(want))
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+def test_stacked_angle_map_equals_single_states(eps):
+    rng = np.random.default_rng(31)
+    states = []
+    while len(states) < 60:
+        x = rng.uniform(0.22 * math.pi, 0.43 * math.pi, 6)
+        try:
+            cm.angle_map(x, eps)
+        except DomainError:
+            continue
+        states.append(x)
+    stacked = cm.angle_map(np.array(states).reshape(3, 20, 6), eps)
+    assert stacked.shape == (3, 20, 6)
+    single = [cm.angle_map(x, eps) for x in states]
+    assert np.array_equal(_bits(stacked.reshape(60, 6)), _bits(single))
+
+
+def test_real_input_stays_real_and_complex_takes_the_principal_branch():
+    front, back = cm.sample_admissible_front(np.random.default_rng(32))
+    assert all(type(v) is float for t in back for v in (t.k, t.a, t.a_star))
+    lifted = [cm.CircularTriple(complex(t.k), complex(t.a), complex(t.a_star)) for t in front]
+    for t, u in zip(cm.map_r123(*lifted), back):
+        assert isinstance(t.k, complex)
+        assert abs(t.k - u.k) + abs(t.a - u.a) + abs(t.a_star - u.a_star) < 1e-15
+    # a radicand below zero: an error in real mode, the principal root else
+    t = cm.CircularTriple(0.5, 2.0, 2.0)
+    with pytest.raises(DomainError, match="negative radicand"):
+        cm.map_r123(t, t, t)
+    z = cm.CircularTriple(0.5 + 0j, 2.0, 2.0)
+    k2 = cm.map_r123(z, t, t)[1].k
+    assert k2.real == 0 and k2.imag > 0
+
+
+def test_stacked_guards_name_their_first_failing_item():
+    ones = np.ones(5)
+    k2 = np.array([1.0, 1.0, 0.0, 1.0, 0.0])
+    t = cm.CircularTriple(ones, 0 * ones, 0 * ones)
+    with pytest.raises(SingularityError, match=r"^item \(2,\): k2 = 0"):
+        cm.map_r123(t, cm.CircularTriple(k2, 0 * ones, 0 * ones), t)
+    a = np.array([[0.0, 0.5], [2.0, 3.0]])
+    bad = cm.CircularTriple(0.5 * np.ones((2, 2)), a, a)
+    with pytest.raises(DomainError, match=r"^item \(1, 0\): negative radicand -19\.25 in"):
+        cm.map_r123(bad, bad, bad)
+    with pytest.raises(SingularityError, match=r"^item \(1,\): alpha = 0"):
+        cm.angles_to_circular(np.array([0.3, 0.0, 0.0]), np.array([0.2, 0.2, 0.2]))
+    wide = cm.CircularTriple(np.array([1.0, 0.1, 0.1]), np.array([0.0, 0.5, 0.9]), np.zeros(3))
+    with pytest.raises(DomainError, match=r"^item \(1,\): no real alpha .*cos = 2\.5"):
+        cm.circular_to_angles(wide)
 
 
 def test_lybe_residual_small_and_sensitive():
     rng = np.random.default_rng(4)
     for _ in range(200):
-        front = cm.sample_admissible_front(rng)
+        front, _ = cm.sample_admissible_front(rng)
         back = cm.map_r123(*front)
         assert cm.local_yang_baxter_residual(front, back) < 1e-12
     # unmapped state fails visibly
-    front = cm.sample_admissible_front(np.random.default_rng(5))
+    front, _ = cm.sample_admissible_front(np.random.default_rng(5))
     assert cm.local_yang_baxter_residual(front, front) > 1e-3
 
 
@@ -165,7 +237,7 @@ def test_cube_edge_propagation_matches_measured_lengths():
 def test_functional_tetrahedron(eps):
     rng = np.random.default_rng(8)
     for _ in range(100):
-        state = cm.sample_admissible_six(rng, eps=eps)
+        state, _, _ = cm.sample_admissible_six(rng, eps=eps)
         assert cm.functional_tetrahedron_residual(state, eps=eps) < 1e-10
 
 
@@ -173,7 +245,7 @@ def test_fte_fixed_point_and_sensitivity():
     t = cm.CircularTriple(1.0, 0.0, 0.0)
     assert cm.functional_tetrahedron_residual([t] * 6) == 0.0
     rng = np.random.default_rng(9)
-    state = cm.sample_admissible_six(rng)
+    state, _, _ = cm.sample_admissible_six(rng)
     lhs = cm.apply_flip_sequence(state, cm.FTE_SEQUENCE, 1)
     rhs = cm.apply_flip_sequence(state, tuple(reversed(cm.FTE_SEQUENCE)), 1)
     # perturb one LHS component after evaluation: the comparison must notice
@@ -190,14 +262,85 @@ def test_symplectic_invariance():
     rng = np.random.default_rng(10)
     for _ in range(100):
         x = cm.sample_symplectic_state(rng)
-        assert cm.symplectic_residual(x, h=1e-5) < 1e-6
+        assert cm.symplectic_residual(x) < 1e-6
 
 
 def test_symplectic_truncation_error_is_extrapolated_away():
     # plain central differences at h = 1e-5 read 1.0e-5 on this sampled
-    # state: their h^2 truncation error, not a defect of the map
+    # state: their h^2 truncation error, not a defect of the map.  The
+    # complex-step Jacobian forms no difference, so it has no such term
     x = cm.sample_symplectic_state(case_rng(302, 12))
-    assert cm.symplectic_residual(x, h=1e-5) < 1e-6
+    assert cm.symplectic_residual(x) < 1e-6
+
+
+def test_symplectic_residual_is_at_roundoff():
+    # the 100 states of test_symplectic_invariance
+    rng = np.random.default_rng(10)
+    worst = max(cm.symplectic_residual(cm.sample_symplectic_state(rng)) for _ in range(100))
+    assert worst <= 1e-12
+
+
+def _angle_map_mp(x, eps=1):
+    """The flip map in angle coordinates, written out in mpmath."""
+    mp = pytest.importorskip("mpmath").mp
+    ts = []
+    for al, be in zip(x[::2], x[1::2]):
+        sa = mp.sin(al)
+        ts.append((mp.sin(be) / sa, mp.sin(al + be) / sa, mp.sin(al - be) / sa))
+    (k1, a1, s1), (k2, a2, s2), (k3, a3, s3) = ts
+    a2p = a1 * a3 + eps * k1 * k3 * a2
+    s2p = s1 * s3 + eps * k1 * k3 * s2
+    k2p = mp.sqrt(1 - a2p * s2p)
+    a1p = (k3 * a1 - eps * k1 * a2 * s3) / k2p
+    s1p = (k3 * s1 - eps * k1 * s2 * a3) / k2p
+    a3p = (k1 * a3 - eps * k3 * s1 * a2) / k2p
+    s3p = (k1 * s3 - eps * k3 * a1 * s2) / k2p
+    out = []
+    for k, a, s in ((mp.sqrt(1 - a1p * s1p), a1p, s1p), (k2p, a2p, s2p),
+                    (mp.sqrt(1 - a3p * s3p), a3p, s3p)):
+        out += [mp.acos((a - s) / (2 * k)), mp.acos((a + s) / 2)]
+    return out
+
+
+@pytest.mark.parametrize("case", [0, 1, 76])
+def test_complex_step_jacobian_matches_50_digit_differences(case):
+    mpmath = pytest.importorskip("mpmath")
+    x = cm.sample_symplectic_state(case_rng(7, case))
+    jac = cm.jacobian(cm.angle_map, x)
+    with mpmath.workdps(50):
+        h = mpmath.mpf("1e-20")
+        xm = [mpmath.mpf(float(v)) for v in x]
+        want = np.empty((6, 6))
+        for j in range(6):
+            up = list(xm)
+            down = list(xm)
+            up[j] += h
+            down[j] -= h
+            want[:, j] = [float((u - d) / (2 * h))
+                          for u, d in zip(_angle_map_mp(up), _angle_map_mp(down))]
+    assert np.max(np.abs(jac - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_batched_angle_draws_reproduce_the_sampled_states():
+    # values read from the one-angle-at-a-time samplers; each case rejects
+    # one draw first, so the rejected draws are pinned too
+    front, _ = cm.sample_admissible_front(case_rng(20240501, 4))
+    assert [tuple(map(repr, (t.k, t.a, t.a_star))) for t in front] == [
+        ("1.0765238941201298", "1.5153281088788577", "-0.1048642163241702"),
+        ("1.1150153951828643", "1.1038014696791731", "-0.22038322848537628"),
+        ("0.6209246575622298", "0.9099107505495175", "0.675288833833587")]
+    state, _, _ = cm.sample_admissible_six(case_rng(20240501, 2), eps=1)
+    assert [tuple(map(repr, (t.k, t.a, t.a_star))) for t in state] == [
+        ("1.1175562851942928", "1.52951576254469", "-0.16275219691957535"),
+        ("1.293464879954411", "0.9920814576555714", "-0.6784235210544043"),
+        ("0.8351096446133442", "0.982761241297086", "0.30789968993323497"),
+        ("1.3129207121964934", "1.3792442903334277", "-0.5247517075742838"),
+        ("1.3951063842127913", "1.580075726403337", "-0.5989091582498789"),
+        ("1.4386812403238312", "1.3021842528058958", "-0.8215455754088148")]
+    x = cm.sample_symplectic_state(case_rng(20240501, 4))
+    assert list(map(repr, x.tolist())) == [
+        "0.7672637069690891", "0.8253215232752048", "0.948785605881912",
+        "1.0985293637967997", "1.3231713738295845", "0.7141804793157099"]
 
 
 def test_symplectic_identity_jacobian_at_fixed_point():
@@ -257,7 +400,7 @@ def test_covariant_kk_relation():
 def test_covariant_single_cube_matches_map():
     rng = np.random.default_rng(13)
     # build a one-cube field directly from a mapped triple set
-    front = cm.sample_admissible_front(rng)
+    front, _ = cm.sample_admissible_front(rng)
     t1, t2, t3 = front
     p1, p2, p3 = cm.map_r123(*front)
     f = cm.CovariantField.empty((1, 1, 1))
@@ -279,3 +422,20 @@ def test_covariant_box_agrees_with_map():
     f = cm.CovariantField.random_boundary((3, 3, 3), rng)
     cm.covariant_evolve(f)
     assert cm.covariant_vs_map_residual(f) < 1e-10
+
+
+def test_covariant_stacked_residual_equals_cube_by_cube():
+    rng = np.random.default_rng(15)
+    f = cm.CovariantField.random_boundary((4, 3, 2), rng)
+    cm.covariant_evolve(f)
+    t1, t2, t3 = cm.cube_triples(f)
+    worst = 0.0
+    for s in np.ndindex(4, 3, 2):
+        pick = lambda t: cm.CircularTriple(float(t.k[s]), float(t.a[s]), float(t.a_star[s]))
+        p1, p2, p3 = cm.map_r123(pick(t1), pick(t2), pick(t3))
+        i, j, k = s
+        got = [f.a[i + 1, j, k, 2, 1], f.a[i + 1, j, k, 1, 2], f.a[i, j, k, 2, 0],
+               f.a[i, j, k, 0, 2], f.a[i, j, k + 1, 1, 0], f.a[i, j, k + 1, 0, 1]]
+        want = [p1.a, p1.a_star, p2.a, p2.a_star, p3.a, p3.a_star]
+        worst = max(worst, max(abs(g - w) for g, w in zip(got, want)))
+    assert cm.covariant_vs_map_residual(f) == worst

@@ -258,9 +258,9 @@ def test_dodeca_schedules_recover_projective_vertices():
     rep = geo.dodecahedron_consistency(surface)
     assert rep.discrepancy < 1e-8
     # both dissections must also land on the true 4-cube vertices
-    pts = geo._run_schedule(surface, geo._SCHEDULE_A)
-    for m in geo.DODECA_FINAL_MASKS:
-        assert np.linalg.norm(pts[m] - verts[m]) < 1e-8
+    for pts in geo._run_schedules(surface):
+        for m in geo.DODECA_FINAL_MASKS:
+            assert np.linalg.norm(pts[m] - verts[m]) < 1e-8
 
 
 def test_dodeca_random_seeds():
@@ -280,6 +280,20 @@ def test_dodeca_perturbation_sensitivity():
     probe = np.array([1e-3, 0.0, 0.0])
     rep = geo.dodecahedron_consistency(surface, perturb=probe)
     assert rep.discrepancy > 1e-4
+
+
+@pytest.mark.parametrize("vertex, make, message", [
+    # 2, 4 and 6 are read by the first flip of dissection A only
+    (2, lambda s: 2 * s[4] - s[6], "dissection A flip 0 degenerate: plane 0 is degenerate"),
+    # 9, 11 and 13 by the first flip of dissection B only
+    (13, lambda s: 2 * s[11] - s[9], "dissection B flip 0 degenerate: plane 2 is degenerate"),
+], ids=["A", "B"])
+def test_dodeca_degeneracy_names_its_dissection_and_step(vertex, make, message):
+    surface = geo.dodeca_initial_surface(
+        geo.dodeca_vertices_from_projective(np.random.default_rng(11)))
+    surface[vertex] = make(surface)
+    with pytest.raises(DegeneracyError, match=message):
+        geo.dodecahedron_consistency(surface)
 
 
 def test_dodeca_missing_vertex_rejected():

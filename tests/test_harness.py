@@ -425,6 +425,23 @@ def test_geometry_reports_do_not_depend_on_worker_count(params):
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("params", [
+    {"suite": "classical-lybe", "samples": 20},
+    {"suite": "classical-lybe", "samples": 5, "perturb": True},
+    {"suite": "classical-fte", "samples": 5},
+    {"suite": "classical-fte", "samples": 3, "perturb": True},
+    {"suite": "symplectic", "samples": 10},
+    {"suite": "symplectic", "samples": 3, "perturb": True},
+    {"suite": "covariant", "samples": 2, "box": (3, 3, 3)},
+    {"suite": "covariant", "samples": 1, "box": (3, 3, 3), "perturb": True},
+])
+def test_classical_reports_do_not_depend_on_worker_count(params):
+    reports = [json.dumps(strip_timing(run_suite(SuiteConfig(
+        workers=workers, keep_cases=True, **params)).to_dict()), sort_keys=True)
+        for workers in (1, 2)]
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("n", [2, 4])
 def test_cyclic_te_vertex_rejects_even_n(n):
     with pytest.raises(ConfigurationError, match="odd N"):
