@@ -245,17 +245,17 @@ def map_r123(t1: CircularTriple, t2: CircularTriple, t3: CircularTriple,
             CircularTriple(k3p, a3p, s3p))
 
 
-def _sample_triples(rng, n: int, lo: float = 0.2 * math.pi, hi: float = 0.45 * math.pi):
-    """n triples from one draw of their 2n angles (alpha, beta, alpha, ...),
-    the values n pairs of scalar draws give."""
-    angles = rng.uniform(lo, hi, 2 * n).tolist()
+def _sample_triples(rng, n: int):
+    """n triples from one draw of their 2n angles (alpha, beta, alpha, ...)
+    in [0.2 pi, 0.45 pi), the values n pairs of scalar draws give."""
+    angles = rng.uniform(0.2 * math.pi, 0.45 * math.pi, 2 * n).tolist()
     return [angles_to_circular(angles[i], angles[i + 1]) for i in range(0, 2 * n, 2)]
 
 
-def sample_admissible_front(rng, eps=EPS_CLASSICAL, max_tries=200):
+def sample_admissible_front(rng, eps=EPS_CLASSICAL):
     """Three triples for which one flip stays in the real domain, and their
     flip: (front, back)."""
-    for _ in range(max_tries):
+    for _ in range(200):
         front = tuple(_sample_triples(rng, 3))
         try:
             return front, map_r123(*front, eps=eps)
@@ -301,10 +301,10 @@ def functional_tetrahedron_residual(state, eps=EPS_CLASSICAL) -> float:
     return state_difference(*fte_sides(state, eps))
 
 
-def sample_admissible_six(rng, eps=EPS_CLASSICAL, max_tries=500):
+def sample_admissible_six(rng, eps=EPS_CLASSICAL):
     """Six triples on which both four-flip orderings stay in the real domain,
     and those orderings: (state, lhs, rhs)."""
-    for _ in range(max_tries):
+    for _ in range(500):
         state = _sample_triples(rng, 6)
         try:
             return (state, *fte_sides(state, eps))
@@ -333,28 +333,29 @@ def angle_map(angles6, eps=EPS_CLASSICAL):
 CANONICAL_OMEGA = np.diag([1.0, 0, 1, 0, 1], 1) - np.diag([1.0, 0, 1, 0, 1], -1)
 
 # x and its shifts by +-2e-5 in every angle, on all of which a sampled
-# symplectic state must map; this fixes which draws a seed accepts
+# symplectic state must map; this fixes which draws a seed accepts.  Its
+# mapped angles stay _ANGLE_MARGIN from 0 and pi, where acos is singular.
 _STENCIL = np.array([[0.0], [2e-5], [-2e-5]])
+_ANGLE_MARGIN = 0.05
 
 # the step of the complex-step derivative
 COMPLEX_STEP = 1e-20
 
 
-def sample_symplectic_state(rng, eps=EPS_CLASSICAL, margin: float = 0.05,
-                            max_tries: int = 500):
+def sample_symplectic_state(rng):
     """Random angle state interior to the admissible domain.
 
-    Keeps every mapped angle at least `margin` away from 0 and pi, where the
-    acos chart is singular, and requires the map to evaluate on the stencil
-    x, x + 2e-5, x - 2e-5 (one stacked call).
+    Keeps every mapped angle at least _ANGLE_MARGIN away from 0 and pi, and
+    requires the map to evaluate on the stencil x, x + 2e-5, x - 2e-5 (one
+    stacked call).
     """
-    for _ in range(max_tries):
+    for _ in range(500):
         x = rng.uniform(0.22 * math.pi, 0.43 * math.pi, 6)
         try:
-            y = angle_map(x + _STENCIL, eps)[0]
+            y = angle_map(x + _STENCIL)[0]
         except (DomainError, SingularityError):
             continue
-        if np.all((y > margin) & (y < math.pi - margin)):
+        if np.all((y > _ANGLE_MARGIN) & (y < math.pi - _ANGLE_MARGIN)):
             return x
     raise DomainError("could not sample a margin-interior symplectic state")
 
@@ -370,24 +371,23 @@ def jacobian(fn, x) -> np.ndarray:
     return fn(x + 1j * COMPLEX_STEP * np.eye(len(x))).imag.T / COMPLEX_STEP
 
 
-def symplectic_residual(angles6, eps=EPS_CLASSICAL) -> float:
+def symplectic_residual(angles6) -> float:
     """|| J Omega J^T - Omega ||_max with J the complex-step Jacobian of the
     angle map."""
-    jac = jacobian(lambda y: angle_map(y, eps), angles6)
+    jac = jacobian(angle_map, angles6)
     return float(np.max(np.abs(jac @ CANONICAL_OMEGA @ jac.T - CANONICAL_OMEGA)))
 
 
-def poisson_bracket_residuals(alpha: float, beta: float, h: float = 1e-5):
-    """Finite-difference brackets of (k, a, a*) in the chart {alpha, beta} = 1,
-    compared with {a, a*} = 2k^2, {k, a} = k a, {k, a*} = -k a*."""
-    def vals(al, be):
-        t = angles_to_circular(al, be)
-        return np.array([t.k, t.a, t.a_star], dtype=float)
+def poisson_bracket_residuals(alpha: float, beta: float):
+    """Brackets of (k, a, a*) in the chart {alpha, beta} = 1 from their complex-step
+    Jacobian, compared with {a, a*} = 2k^2, {k, a} = k a, {k, a*} = -k a*."""
+    def kas(x):
+        t = angles_to_circular(x[..., 0], x[..., 1])
+        return np.stack([t.k, t.a, t.a_star], axis=-1)
 
-    d_al = (vals(alpha + h, beta) - vals(alpha - h, beta)) / (2 * h)
-    d_be = (vals(alpha, beta + h) - vals(alpha, beta - h)) / (2 * h)
+    d_al, d_be = jacobian(kas, [alpha, beta]).T
     bracket = lambda i, j: d_al[i] * d_be[j] - d_be[i] * d_al[j]
-    k, a, s = vals(alpha, beta)
+    k, a, s = kas(np.array([alpha, beta]))
     return (abs(bracket(1, 2) - 2 * k * k),
             abs(bracket(0, 1) - k * a),
             abs(bracket(0, 2) + k * s))
@@ -423,16 +423,16 @@ class CovariantField:
         return cls(tuple(box), np.full(n + (3, 3), np.nan))
 
     @classmethod
-    def random_boundary(cls, box, rng, amplitude=0.2):
+    def random_boundary(cls, box, rng):
         """Boundary data on the three s_k = 0 walls for the two components
-        propagating in direction k."""
+        propagating in direction k, uniform in [-0.2, 0.2)."""
         f = cls.empty(box)
         n1, n2, n3 = (b + 1 for b in box)
         for (i, j) in PAIRS:
             k = _complement(i, j)
             shape = [n1, n2, n3]
             shape[k] = 1
-            vals = rng.uniform(-amplitude, amplitude, size=tuple(shape))
+            vals = rng.uniform(-0.2, 0.2, size=tuple(shape))
             sl = [slice(None)] * 3
             sl[k] = 0
             f.a[(*sl, i, j)] = np.squeeze(vals, axis=k)

@@ -100,16 +100,6 @@ def _circle(c, centered, s, vt):
     return center, r, dev.max(axis=-1) / r
 
 
-def fit_circle(points):
-    """Best-fit circle of near-coplanar points.
-
-    Returns (center, radius, residual) with residual = max radial deviation
-    over the radius.
-    """
-    center, r, residual = _circle(*_frame(points))
-    return center, r[()], residual[()]
-
-
 def concyclicity_residual(points):
     """The larger of the circle-fit and the planarity residual, from one SVD."""
     frame = _frame(points)
@@ -141,7 +131,7 @@ _PLANE_I, _PLANE_J, _PLANE_K = np.array([1, 2, 3]), np.array([4, 4, 5]), np.arra
 _EYE3 = np.eye(3)
 
 
-def hex_flip(x0, x1, x2, x3, x12, x13, x23, cond_limit: float = 1e8):
+def hex_flip(x0, x1, x2, x3, x12, x13, x23):
     """Eighth vertex of the hexahedron: the unique point on the three planes
     (x1,x12,x13), (x2,x12,x23), (x3,x13,x23).
 
@@ -174,7 +164,7 @@ def hex_flip(x0, x1, x2, x3, x12, x13, x23, cond_limit: float = 1e8):
     sv = np.linalg.svd(normals, compute_uv=False)
     with np.errstate(divide="ignore"):
         cond = sv[..., 0] / sv[..., -1]
-    parallel = cond > cond_limit
+    parallel = cond > 1e8
     normals = np.where(parallel[..., None, None], _EYE3, normals)
     rhs = (normals * qi).sum(axis=-1)[..., None]
     sol = np.linalg.solve(normals, rhs)
@@ -287,14 +277,15 @@ def interior_angles(face):
     return _angles(centered, vt)
 
 
-def extract_angles(face, tol: float = 1e-9) -> FaceAngles:
+def extract_angles(face) -> FaceAngles:
     """Angles (alpha, beta, gamma, delta) of an ordered face (v0..v3), with
     delta at v0, gamma at v1, alpha at v2, beta at v3; for a stack of faces
     each field is an array."""
     _, centered, s, vt = _frame(face)
     flat = _flatness(s)
-    if np.any(flat > tol):
-        raise DomainError("face is not planar (residual %.2e)" % flat[flat > tol][0])
+    bent = flat > 1e-9
+    if np.any(bent):
+        raise DomainError("face is not planar (residual %.2e)" % flat[bent][0])
     ang, reflex = _angles(centered, vt)
     return FaceAngles(alpha=ang[..., 2][()], beta=ang[..., 3][()], gamma=ang[..., 1][()],
                       delta=ang[..., 0][()], reflex=reflex.any(axis=-1)[()])
@@ -310,9 +301,9 @@ def _convex(faces):
     return (~reflex.any(axis=-1) & ((0.05 < ang) & (ang < math.pi - 0.05)).all(axis=-1))[()]
 
 
-def random_quad_hexahedron(rng, max_tries: int = 200) -> Hexahedron:
+def random_quad_hexahedron(rng) -> Hexahedron:
     """Generic hexahedron with planar, convex faces."""
-    for _ in range(max_tries):
+    for _ in range(200):
         x0 = rng.normal(0, 0.05, 3)
         x1 = np.array([1.0, 0, 0]) + rng.normal(0, 0.12, 3)
         x2 = np.array([0, 1.0, 0]) + rng.normal(0, 0.12, 3)
@@ -360,9 +351,9 @@ def _circle_angle(p, center, r, e1, e2):
     return math.atan2(d @ e2, d @ e1)
 
 
-def point_on_arc(p_from, p_to, p_avoid, u, circle=None):
+def point_on_arc(p_from, p_to, p_avoid, u):
     """Point at fraction u of the arc p_from -> p_to that avoids p_avoid."""
-    center, r, e1, e2 = circle if circle is not None else circle_through(p_from, p_to, p_avoid)
+    center, r, e1, e2 = circle_through(p_from, p_to, p_avoid)
     a0 = _circle_angle(p_from, center, r, e1, e2)
     a1 = _circle_angle(p_to, center, r, e1, e2)
     av = _circle_angle(p_avoid, center, r, e1, e2)
@@ -374,11 +365,11 @@ def point_on_arc(p_from, p_to, p_avoid, u, circle=None):
     return center + r * (math.cos(ang) * e1 + math.sin(ang) * e2)
 
 
-def random_circular_hexahedron(rng, max_tries: int = 500) -> Hexahedron:
+def random_circular_hexahedron(rng) -> Hexahedron:
     """Hexahedron with concyclic faces, built on the unit sphere by choosing
     the three extra front points on the circles through (x0, xi, xj) and
     flipping; the back faces are then concyclic by the Miquel configuration."""
-    for _ in range(max_tries):
+    for _ in range(500):
         base = _random_unit(rng)
         frame = _tangent_frame(base)
         x0 = base
@@ -433,13 +424,13 @@ class MiquelReport:
         return max(max(self.back_residuals), self.cosphericity)
 
 
-def miquel_check(h: Hexahedron, tol: float = 1e-9) -> MiquelReport:
+def miquel_check(h: Hexahedron) -> MiquelReport:
     """Concyclicity of the back faces through x123 plus cosphericity of all
     eight vertices, given concyclic front faces."""
     residuals = concyclicity_residual(h.faces()).tolist()
     front, back = residuals[:3], residuals[3:]
     for i, r in enumerate(front):
-        if r > tol:
+        if r > 1e-9:
             raise DomainError("front face %d is not concyclic (residual %.2e)" % (i + 1, r))
     return MiquelReport(front, back, h.cosphericity_residual())
 
@@ -458,7 +449,6 @@ class LatticeState:
     its position."""
 
     shape: tuple
-    mode: str = "quadrilateral"
     vertices: dict = field(default_factory=dict)
 
     def has(self, m):
@@ -542,14 +532,14 @@ def affine_initial_state(shape, matrix=None, offset=None) -> LatticeState:
     n1, n2, n3 = shape
     a = np.eye(3) if matrix is None else np.asarray(matrix, dtype=float)
     t = np.zeros(3) if offset is None else np.asarray(offset, dtype=float)
-    st = LatticeState(shape, mode="quadrilateral")
+    st = LatticeState(shape)
     for m in np.ndindex(n1 + 1, n2 + 1, n3 + 1):
         if 0 in m:
             st.set(m, a @ np.array(m, dtype=float) + t)
     return st
 
 
-def _fill_wall(points, key, rng, circular, max_tries=60):
+def _fill_wall(points, rng, circular):
     """Fill x(i,j) of one wall from its three predecessors.
 
     circular: x(i,j) on the circle through the three, at a mid-arc parameter,
@@ -557,7 +547,7 @@ def _fill_wall(points, key, rng, circular, max_tries=60):
     the plane of the three.
     """
     p00, p10, p01 = points  # (i-1,j-1), (i,j-1), (i-1,j)
-    for _ in range(max_tries):
+    for _ in range(60):
         if circular:
             try:
                 cand = point_on_arc(p10, p01, p00, rng.uniform(0.42, 0.58))
@@ -572,7 +562,7 @@ def _fill_wall(points, key, rng, circular, max_tries=60):
     return None
 
 
-def random_initial_state(shape, rng, mode="circular", max_tries=200) -> LatticeState:
+def random_initial_state(shape, rng, mode="circular") -> LatticeState:
     """Random admissible boundary data on the three coordinate walls.
 
     Axis rows are mildly perturbed integer points; each wall face is then
@@ -580,8 +570,8 @@ def random_initial_state(shape, rng, mode="circular", max_tries=200) -> LatticeS
     circular mode).
     """
     n1, n2, n3 = shape
-    for _ in range(max_tries):
-        st = LatticeState(shape, mode=mode)
+    for _ in range(200):
+        st = LatticeState(shape)
         st.set((0, 0, 0), rng.normal(0, 0.04, 3))
         axes = (np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), np.array([0, 0, 1.0]))
         sizes = (n1, n2, n3)
@@ -601,7 +591,7 @@ def random_initial_state(shape, rng, mode="circular", max_tries=200) -> LatticeS
                     m01[a1], m01[a2] = i - 1, j
                     m11[a1], m11[a2] = i, j
                     cand = _fill_wall((st.get(m00), st.get(m10), st.get(m01)),
-                                      tuple(m11), rng, circular=(mode == "circular"))
+                                      rng, circular=(mode == "circular"))
                     if cand is None:
                         ok = False
                         break
@@ -626,24 +616,24 @@ DODECA_INITIAL_MASKS = (1, 2, 4, 3, 5, 6, 9, 10, 7, 11, 13)
 _SCHEDULE_A = ((7, 7), (11, 3), (13, 1), (14, 0))    # (cell direction mask, corner)
 _SCHEDULE_B = ((14, 1), (13, 3), (11, 7), (7, 15))
 DODECA_FINAL_MASKS = (8, 12, 14)
+_PROJECTIVE_AMPLITUDE = 0.18  # scale of the random projective deformation
 
 
 def _bits(mask):
     return [b for b in (1, 2, 4, 8) if mask & b]
 
 
-def dodeca_vertices_from_projective(rng=None, amplitude: float = 0.18, dim: int = 4):
+def dodeca_vertices_from_projective(rng, dim: int = 4):
     """All 16 vertices of a projectively deformed 4-cube; faces stay planar."""
-    rng = np.random.default_rng() if rng is None else rng
-    a = np.eye(4) + amplitude * rng.normal(size=(4, 4))
-    t = amplitude * rng.normal(size=4)
-    c = amplitude * 0.5 * rng.normal(size=4)
+    a = np.eye(4) + _PROJECTIVE_AMPLITUDE * rng.normal(size=(4, 4))
+    t = _PROJECTIVE_AMPLITUDE * rng.normal(size=4)
+    c = _PROJECTIVE_AMPLITUDE * 0.5 * rng.normal(size=4)
     out = {}
     for mask in range(16):
         eps = np.array([(mask >> b) & 1 for b in range(4)], dtype=float)
         denom = 1.0 + c @ eps
         if abs(denom) < 0.3:
-            return dodeca_vertices_from_projective(rng, amplitude, dim)
+            return dodeca_vertices_from_projective(rng, dim)
         out[mask] = (a @ eps + t) / denom
     if dim == 3:
         out = {k: v[:3] for k, v in out.items()}
@@ -701,7 +691,7 @@ def dodecahedron_consistency(surface, perturb=None) -> DodecaReport:
     return DodecaReport(max(per.values()), per)
 
 
-def random_rotation(rng, dim=3):
-    q, r = np.linalg.qr(rng.normal(size=(dim, dim)))
+def random_rotation(rng):
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
     q *= np.sign(np.diag(r))
     return q

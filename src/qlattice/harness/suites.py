@@ -59,6 +59,9 @@ class SuiteConfig:
             raise ConfigurationError("need at least one sample")
         if self.max_index < 0:
             raise ConfigurationError("max_index must be nonnegative")
+        box = self.box if isinstance(self.box, (tuple, list)) else ()
+        if len(box) != 3 or not all(type(n) is int and n >= 1 for n in box):
+            raise ConfigurationError("box must be three positive ints, got %r" % (self.box,))
         if self.q == 0 or self.q * self.q == 1:
             raise ConfigurationError("the Fock element is undefined at q = 0 and q^2 = 1")
 

@@ -33,6 +33,7 @@ from . import specfun as sf
 
 ZERO_FLOOR = 1e-14
 _TINY = 1e-300  # keeps the denominator nonzero where both sides vanish
+_THETA_MARGIN = 0.15  # sampled dihedral angles stay this far from 0 and pi
 
 
 def in_mp_context(fn):
@@ -303,7 +304,7 @@ def outward_normals(vertices) -> list:
     return normals
 
 
-def random_tetra_angles(rng, margin: float = 0.15, max_tries: int = 500) -> TetraAngles:
+def random_tetra_angles(rng) -> TetraAngles:
     """Dihedral angle data of a random well-conditioned tetrahedron.
 
     Sampling arbitrary unit vectors is not enough: the four normals must be
@@ -311,7 +312,7 @@ def random_tetra_angles(rng, margin: float = 0.15, max_tries: int = 500) -> Tetr
     otherwise the angle set lies outside the admissible five-parameter
     family.  Vertices are sampled instead and the normals derived.
     """
-    for _ in range(max_tries):
+    for _ in range(500):
         v = rng.normal(size=(4, 3))
         if abs(np.linalg.det(v[1:] - v[0])) < 0.3:
             continue
@@ -319,7 +320,7 @@ def random_tetra_angles(rng, margin: float = 0.15, max_tries: int = 500) -> Tetr
             ta = tetra_angles_from_normals(outward_normals(v))
         except DegeneracyError:
             continue
-        if any(not (margin < t < math.pi - margin) for t in ta.thetas):
+        if any(not (_THETA_MARGIN < t < math.pi - _THETA_MARGIN) for t in ta.thetas):
             continue
         try:
             for args in ta.angle_arguments():
@@ -632,11 +633,11 @@ def spectral_tshki_residual(sets) -> float:
     return float(max(abs(c) for c in checks))
 
 
-def field_exponent_balance(t_sets, f_sets, rng, trials: int = 20) -> float:
+def field_exponent_balance(t_sets, f_sets, rng) -> float:
     """Numerical check that the total field exponent matches between the two
     sides of the IRC equation and is z-independent on each side."""
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(20):
         ext = {k: rng.uniform(-1, 1) for k in EXTERNAL_LABELS}
         vals = []
         for zval in (rng.uniform(-1, 1), rng.uniform(-1, 1)):
@@ -654,14 +655,14 @@ def field_exponent_balance(t_sets, f_sets, rng, trials: int = 20) -> float:
 
 
 def irc_te_residual_modular(specs, ext: dict, tol: float = 1e-6,
-                            z_half_width: float = 4.0, max_nodes: int = 2048) -> float:
+                            max_nodes: int = 2048) -> float:
     """Relative residual of the IRC tetrahedron equation with a real
     z-integration, modular case.
 
     specs = (W, W', W'', W''') weight specs whose T's must satisfy the
     constraint chain.  Both sides share one nested trapezoid rule in z: the
-    window grows until the integrand has decayed and the step halves until
-    both sides stabilize.
+    window, at first [-4, 4], grows until the integrand has decayed and the
+    step halves until both sides stabilize.
     """
     t_res = spectral_tshki_residual(tuple(s.t for s in specs))
     if t_res > 1e-12:
@@ -684,6 +685,6 @@ def irc_te_residual_modular(specs, ext: dict, tol: float = 1e-6,
                 achieved=exc.achieved) from exc
         return out
 
-    lhs, rhs = sf._nested_trapezoid(sides, z_half_width, 16, tol, max_nodes,
+    lhs, rhs = sf._nested_trapezoid(sides, 4.0, 16, tol, max_nodes,
                                     tail=1e-8, grow=1.4, what="z-integration")
     return _rel_residual(lhs, rhs)

@@ -31,6 +31,9 @@ from .errors import (
 )
 
 _TWO_PI = 2.0 * math.pi
+_2PHI1_MAX_TERMS = 10000
+_PRODUCT_MAX_TERMS = 20000  # per side of the phi product
+_RESIDUE_TOL = 1e-16  # relative size of a negligible 2Psi2 residue term
 
 
 @lru_cache(maxsize=64)
@@ -60,16 +63,16 @@ def qpochhammer(x, qsq, n: int):
     return qpochhammer_prefixes(x, qsq, n)[n]
 
 
-def qpochhammer_inf(x: complex, qsq: complex, tol: float = 1e-300, max_terms: int = 100000) -> complex:
+def qpochhammer_inf(x: complex, qsq: complex) -> complex:
     """Infinite product (x; qsq)_inf, requires |qsq| < 1."""
     if abs(qsq) >= 1.0:
         raise DomainError("qpochhammer_inf requires |qsq| < 1")
     out = 1.0 + 0.0j
     fac = complex(x)
-    for _ in range(max_terms):
+    for _ in range(100000):
         out *= 1.0 - fac
         fac *= qsq
-        if abs(fac) < tol:
+        if abs(fac) < 1e-300:
             break
     return out
 
@@ -85,15 +88,14 @@ def qbinomial(n: int, k: int, qsq: complex) -> complex:
     return out
 
 
-def qgauss_2phi1(a: complex, bb: complex, c: complex, qsq: complex, z: complex,
-                 max_terms: int = 10000, tol: float = 1e-18) -> complex:
+def qgauss_2phi1(a: complex, bb: complex, c: complex, qsq: complex, z: complex) -> complex:
     """q-deformed Gauss hypergeometric series
     sum_n (a;qsq)_n (bb;qsq)_n / ((qsq;qsq)_n (c;qsq)_n) z^n.
 
     Terminating when a = qsq^{-m} (the only case the Fock R-matrix needs);
     otherwise requires |z| < 1 and |qsq| < 1.
     """
-    m = _terminating_order(a, qsq, max_terms)
+    m = _terminating_order(a, qsq)
     if m is None and (abs(z) >= 1.0 or abs(qsq) >= 1.0):
         raise DomainError("nonterminating 2phi1 requires |z| < 1 and |qsq| < 1")
     total = 1.0 + 0.0j
@@ -110,19 +112,19 @@ def qgauss_2phi1(a: complex, bb: complex, c: complex, qsq: complex, z: complex,
         n += 1
         if m is not None and n >= m:
             break
-        if m is None and abs(term) < tol * (1.0 + abs(total)):
+        if m is None and abs(term) < 1e-18 * (1.0 + abs(total)):
             break
-        if n >= max_terms:
-            raise AccuracyError("2phi1 did not converge in %d terms" % max_terms)
+        if n >= _2PHI1_MAX_TERMS:
+            raise AccuracyError("2phi1 did not converge in %d terms" % _2PHI1_MAX_TERMS)
     return total
 
 
-def _terminating_order(a: complex, qsq: complex, max_m: int) -> int | None:
-    """Smallest m >= 0 with a ~ qsq^{-m}, or None if the series does not terminate."""
+def _terminating_order(a: complex, qsq: complex) -> int | None:
+    """Smallest m in [0, 512) with a ~ qsq^{-m}, or None if the series does not terminate."""
     if abs(a - 1.0) < 1e-12:
         return 0
     fac = complex(a)
-    for m in range(1, min(max_m, 512)):
+    for m in range(1, 512):
         fac *= qsq
         if abs(fac - 1.0) < 1e-12:
             return m
@@ -191,8 +193,7 @@ def quantum_dilog(z: complex, mp: ModularParam, method: str = "auto") -> complex
     raise DomainError("unknown quantum_dilog method %r" % method)
 
 
-def dilog_product(z: np.ndarray, mp: ModularParam, tol: float = 1e-18,
-                  max_terms: int = 20000) -> np.ndarray:
+def dilog_product(z: np.ndarray, mp: ModularParam, tol: float = 1e-18) -> np.ndarray:
     """Vectorized product form of phi, valid for Im b^2 > 0.
 
     phi(z) = prod_{m>=0} (1 + q^{2m+1} e^{2 pi z b}) / (1 + q~^{2m+1} e^{2 pi z / b}).
@@ -200,16 +201,16 @@ def dilog_product(z: np.ndarray, mp: ModularParam, tol: float = 1e-18,
     Numerator and denominator are accumulated as running complex products,
     one multiply-add per term and point.  Each side stops at the first term
     whose bound |q^{2m+1}| max|e^{2 pi z b}| (resp. the q~ side) is at most
-    tol, and raises AccuracyError if max_terms terms leave it above tol.
+    tol, and raises AccuracyError if _PRODUCT_MAX_TERMS terms leave it above tol.
     A side whose accumulated bound sum log(1 + |term|) would pass
     _FOLD_LOG is folded into a log part first, so no product can overflow.
     """
     mp.require_series_domain()
     z = np.asarray(z, dtype=complex)
     num, log_num = _running_product(np.exp(_TWO_PI * z * mp.b), complex(mp.q),
-                                    mp.q * mp.q, tol, max_terms)
+                                    mp.q * mp.q, tol)
     den, log_den = _running_product(np.exp(_TWO_PI * z / mp.b), complex(mp.q_tilde),
-                                    mp.q_tilde * mp.q_tilde, tol, max_terms)
+                                    mp.q_tilde * mp.q_tilde, tol)
     num /= den
     if log_num is None and log_den is None:
         return num
@@ -226,8 +227,7 @@ def dilog_product(z: np.ndarray, mp: ModularParam, tol: float = 1e-18,
 _FOLD_LOG = 600.0
 
 
-def _running_product(x: np.ndarray, fac: complex, ratio: complex, tol: float,
-                     max_terms: int):
+def _running_product(x: np.ndarray, fac: complex, ratio: complex, tol: float):
     """prod_{m>=0} (1 + fac ratio^m x) for |ratio| < 1, as (prod, log_part).
 
     The value is prod * exp(log_part); log_part is None unless a fold
@@ -241,9 +241,9 @@ def _running_product(x: np.ndarray, fac: complex, ratio: complex, tol: float,
     block = 0.0
     terms = 0
     while (bound := abs(fac) * scale) > tol:
-        if terms == max_terms:
-            raise AccuracyError(
-                "phi product not converged after %d terms" % max_terms, achieved=bound)
+        if terms == _PRODUCT_MAX_TERMS:
+            raise AccuracyError("phi product not converged after %d terms"
+                                % _PRODUCT_MAX_TERMS, achieved=bound)
         step = math.log1p(bound)
         if block + step > _FOLD_LOG:
             log_part = np.log(prod) if log_part is None else log_part + np.log(prod)
@@ -426,8 +426,7 @@ def psi22_residue_ratios(c, c0, mp: ModularParam):
     return rm, rn
 
 
-def _psi22_residue_series(c, c0, mp: ModularParam, tol: float = 1e-16,
-                          max_m: int = 600, max_n: int = 600) -> complex:
+def _psi22_residue_series(c, c0, mp: ModularParam) -> complex:
     """Residue series for 2Psi2, contour closed in the upper half plane.
 
     The integrand's upper poles are those of the two numerator phi factors,
@@ -467,7 +466,7 @@ def _psi22_residue_series(c, c0, mp: ModularParam, tol: float = 1e-16,
         ei = {s: cmath.exp(_TWO_PI * (s - uj) / mp.b) for s in (uo, v[0], v[1])}
         term_m = base
         small_m = 0
-        for m in range(max_m):
+        for m in range(600):
             if m > 0:
                 qq = qsq ** m
                 fac = xm / (1.0 - qq)
@@ -478,13 +477,13 @@ def _psi22_residue_series(c, c0, mp: ModularParam, tol: float = 1e-16,
             total += term
             tmax = abs(term)
             small_n = 0
-            for n in range(1, max_n):
+            for n in range(1, 600):
                 y = qtsq ** n  # q~^{2n}, tiny for large n; ratios stay O(1)
                 fac = xn * ((y - ei[v[0]]) * (y - ei[v[1]])) / ((y - ei[uo]) * (y - 1.0))
                 term *= fac
                 total += term
                 tmax = max(tmax, abs(term))
-                if abs(term) < tol * (1.0 + abs(total)):
+                if abs(term) < _RESIDUE_TOL * (1.0 + abs(total)):
                     small_n += 1
                     if small_n >= 3:
                         break
@@ -492,7 +491,7 @@ def _psi22_residue_series(c, c0, mp: ModularParam, tol: float = 1e-16,
                     small_n = 0
             else:
                 raise AccuracyError("2Psi2 residue n-series did not converge")
-            if tmax < tol * (1.0 + abs(total)):
+            if tmax < _RESIDUE_TOL * (1.0 + abs(total)):
                 small_m += 1
                 if small_m >= 3:
                     break
@@ -503,7 +502,7 @@ def _psi22_residue_series(c, c0, mp: ModularParam, tol: float = 1e-16,
     return complex(total)
 
 
-def _check_lattice_distance(point: complex, mp: ModularParam, min_dist: float = 1e-8):
+def _check_lattice_distance(point: complex, mp: ModularParam):
     """Raise if point is numerically on the pole/zero lattice of phi."""
     # solve point = +-i(eta + m b + n/b) for real (m, n) and check the
     # distance to the nearest nonnegative integer pair
@@ -520,7 +519,7 @@ def _check_lattice_distance(point: complex, mp: ModularParam, min_dist: float = 
         mr, nr = round(m), round(n)
         if mr >= 0 and nr >= 0:
             dist = abs((m - mr) * mp.b + (n - nr) / mp.b)
-            if dist < min_dist:
+            if dist < 1e-8:
                 raise DegeneracyError(
                     "2Psi2 residue point collides with the phi lattice",
                     estimate=dist)
@@ -594,10 +593,8 @@ def fermat_phi_table(p: FermatPoint) -> np.ndarray:
     return out
 
 
-def fermat_phi(p: FermatPoint, n: int, q: complex | None = None) -> complex:
+def fermat_phi(p: FermatPoint, n: int) -> complex:
     """phi_p(n) with the index reduced mod N."""
-    if q is not None and abs(q - root_of_unity_q(p.N)) > 1e-12:
-        raise DomainError("q must equal -exp(i pi/N) for this point")
     return complex(fermat_phi_table(p)[n % p.N])
 
 

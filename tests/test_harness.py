@@ -118,6 +118,15 @@ def test_config_validation():
         SuiteConfig(suite="classical-lybe", n_cyclic=1)
 
 
+@pytest.mark.parametrize("box", [(0, 2, 2), (2, 2), (2, 2, 2, 2), (2, -1, 2), (2, 2.0, 2)],
+                         ids=["zero side", "two sides", "four sides", "negative side",
+                              "float side"])
+def test_covariant_box_must_be_three_positive_ints(box):
+    # a zero side leaves no cube to check, so the suite would pass on nothing
+    with pytest.raises(ConfigurationError, match="box must be three positive ints"):
+        run_suite(SuiteConfig(suite="covariant", box=box))
+
+
 def test_all_cli_suites_registered():
     expected = {"classical-lybe", "classical-fte", "symplectic", "geometry-flip",
                 "miquel", "dodecahedron", "covariant", "fock-te", "fock-intertwine",
@@ -436,6 +445,18 @@ def test_geometry_reports_do_not_depend_on_worker_count(params):
     {"suite": "covariant", "samples": 1, "box": (3, 3, 3), "perturb": True},
 ])
 def test_classical_reports_do_not_depend_on_worker_count(params):
+    reports = [json.dumps(strip_timing(run_suite(SuiteConfig(
+        workers=workers, keep_cases=True, **params)).to_dict()), sort_keys=True)
+        for workers in (1, 2)]
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("params", [
+    {"suite": "modular-specfun", "samples": 3},
+    {"suite": "modular-specfun", "samples": 2, "perturb": True},
+    {"suite": "modular-te-irc", "samples": 1, "b_arg": 0.5},
+])
+def test_modular_reports_do_not_depend_on_worker_count(params):
     reports = [json.dumps(strip_timing(run_suite(SuiteConfig(
         workers=workers, keep_cases=True, **params)).to_dict()), sort_keys=True)
         for workers in (1, 2)]

@@ -205,7 +205,7 @@ def test_dilog_product_fold_is_exercised():
 
 
 def test_dilog_product_unconverged_raises():
-    # Im b^2 ~ 1.3e-5: max_terms factors leave the last term bound near 0.3
+    # Im b^2 ~ 1.3e-5: _PRODUCT_MAX_TERMS factors leave the last term bound near 0.3
     with pytest.raises(AccuracyError) as info:
         sf.quantum_dilog(0.1, sf.ModularParam(0.8 * cmath.exp(1e-5j)),
                          method="product-series")
