@@ -45,19 +45,22 @@ EPS_MODULAR = -1
 
 def _guard(bad, error, message, *values):
     """Raise error(message % values) if bad holds.  For a stack of flags the
-    first true item in C order fails: the message names it, and each value
-    that is a stack is taken at it."""
+    first true item in C order fails: the message and the error's index name
+    it, and each value that is a stack is taken at it."""
     if bad is False:  # a scalar that passes, the common case
         return
+    at = None
     if isinstance(bad, np.ndarray):
         if not bad.any():
             return
-        at = np.unravel_index(np.argmax(bad), bad.shape)
+        at = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
         values = tuple(v[at].item() if isinstance(v, np.ndarray) else v for v in values)
-        message = "item %s: %s" % (tuple(int(i) for i in at), message)
+        message = "item %s: %s" % (at, message)
     elif not bad:
         return
-    raise error(message % values)
+    exc = error(message % values)
+    exc.index = at
+    raise exc
 
 
 def _is_complex(*values):
@@ -152,37 +155,31 @@ def propagation_constraint_residual(angles: FaceAngles) -> float:
     return abs((p * s - q * r) - num / den)
 
 
-def _x3(m2: np.ndarray, rows: tuple[int, int]) -> np.ndarray:
-    out = np.eye(3, dtype=complex)
-    i, j = rows
-    out[i, i], out[i, j] = m2[0, 0], m2[0, 1]
-    out[j, i], out[j, j] = m2[1, 0], m2[1, 1]
-    return out
-
-
 def circular_x(t: CircularTriple) -> np.ndarray:
     return np.array([[t.k, t.a_star], [-t.a, t.k]], dtype=complex)
 
 
-def x_pq(m2):
-    return _x3(np.asarray(m2, dtype=complex), (0, 1))
+# X_pq, X_pr and X_qr act on the rows and columns (0, 1), (0, 2) and (1, 2)
+# of C^3; the index of each of their block entries in a (3, 3, 3) stack
+_PLANES = np.array([[0, 1], [0, 2], [1, 2]])
+_BLOCK_ENTRIES = (np.arange(3)[:, None, None], _PLANES[:, :, None], _PLANES[:, None, :])
+_IDENTITIES = np.tile(np.eye(3, dtype=complex), (3, 1, 1))
 
 
-def x_pr(m2):
-    return _x3(np.asarray(m2, dtype=complex), (0, 2))
-
-
-def x_qr(m2):
-    return _x3(np.asarray(m2, dtype=complex), (1, 2))
+def _embed(blocks) -> np.ndarray:
+    """X_pq, X_pr and X_qr from their three 2x2 blocks, as a (3, 3, 3) stack."""
+    out = _IDENTITIES.copy()
+    out[_BLOCK_ENTRIES] = blocks
+    return out
 
 
 def local_yang_baxter_residual(front, back, matrix=circular_x) -> float:
     """Max-entry difference of X_pq(1) X_pr(2) X_qr(3) against
     X_qr(3') X_pr(2') X_pq(1')."""
-    t1, t2, t3 = front
-    u1, u2, u3 = back
-    lhs = x_pq(matrix(t1)) @ x_pr(matrix(t2)) @ x_qr(matrix(t3))
-    rhs = x_qr(matrix(u3)) @ x_pr(matrix(u2)) @ x_pq(matrix(u1))
+    x = _embed([matrix(t) for t in front])
+    y = _embed([matrix(u) for u in back])
+    lhs = x[0] @ x[1] @ x[2]
+    rhs = y[2] @ y[1] @ y[0]
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -194,11 +191,8 @@ def cube_edge_propagate(lp, lq, lr, face_angles, reverse=False):
     """Propagate the three incoming edge lengths of a hexahedron through its
     front faces (or through the back faces with reverse=True; the two agree
     by the local Yang-Baxter identity)."""
-    a1, a2, a3 = face_angles
-    if reverse:
-        m = x_qr(face_x(a3)) @ x_pr(face_x(a2)) @ x_pq(face_x(a1))
-    else:
-        m = x_pq(face_x(a1)) @ x_pr(face_x(a2)) @ x_qr(face_x(a3))
+    x = _embed([face_x(a) for a in face_angles])
+    m = x[2] @ x[1] @ x[0] if reverse else x[0] @ x[1] @ x[2]
     out = m @ np.array([lp, lq, lr], dtype=complex)
     return tuple(float(v.real) for v in out)
 
@@ -259,7 +253,7 @@ def sample_admissible_front(rng, eps=EPS_CLASSICAL):
         front = tuple(_sample_triples(rng, 3))
         try:
             return front, map_r123(*front, eps=eps)
-        except (DomainError, SingularityError):
+        except DomainError:
             continue
     raise DomainError("could not sample an admissible front state")
 
@@ -276,7 +270,7 @@ def apply_flip_sequence(state, sequence, eps):
     for fid, (i, j, k) in enumerate(sequence):
         try:
             state[i], state[j], state[k] = map_r123(state[i], state[j], state[k], eps=eps)
-        except (DomainError, SingularityError) as exc:
+        except DomainError as exc:
             raise DomainError("domain exit at flip %d on faces %s: %s"
                               % (fid, (i + 1, j + 1, k + 1), exc)) from exc
     return state
@@ -353,7 +347,7 @@ def sample_symplectic_state(rng):
         x = rng.uniform(0.22 * math.pi, 0.43 * math.pi, 6)
         try:
             y = angle_map(x + _STENCIL)[0]
-        except (DomainError, SingularityError):
+        except DomainError:
             continue
         if np.all((y > _ANGLE_MARGIN) & (y < math.pi - _ANGLE_MARGIN)):
             return x
@@ -397,11 +391,8 @@ def poisson_bracket_residuals(alpha: float, beta: float):
 # covariant lattice evolution
 # ---------------------------------------------------------------------------
 
-PAIRS = tuple((i, j) for i in range(3) for j in range(3) if i != j)
-
-
-def _complement(i, j):
-    return 3 - i - j
+# every ordered pair (i, j) of directions with its complement k
+PAIRS = tuple((i, j, 3 - i - j) for i in range(3) for j in range(3) if i != j)
 
 
 @dataclass
@@ -428,8 +419,7 @@ class CovariantField:
         propagating in direction k, uniform in [-0.2, 0.2)."""
         f = cls.empty(box)
         n1, n2, n3 = (b + 1 for b in box)
-        for (i, j) in PAIRS:
-            k = _complement(i, j)
+        for (i, j, k) in PAIRS:
             shape = [n1, n2, n3]
             shape[k] = 1
             vals = rng.uniform(-0.2, 0.2, size=tuple(shape))
@@ -438,84 +428,84 @@ class CovariantField:
             f.a[(*sl, i, j)] = np.squeeze(vals, axis=k)
         return f
 
-    def kk(self, s, i, j):
-        prod = self.a[(*s, i, j)] * self.a[(*s, j, i)]
-        r = 1.0 - prod
-        if r < 0:
-            raise DomainError("field left the real branch at site %s" % (s,))
-        return math.sqrt(r)
+    def at(self, axis=None):
+        """The coefficients at s + e_axis (at s for axis None) for every cube
+        site s of the box: a (*box, 3, 3) view."""
+        shift = [0, 0, 0]
+        if axis is not None:
+            shift[axis] = 1
+        return self.a[tuple(slice(d, d + b) for d, b in zip(shift, self.box))]
 
-    def value(self, s, i, j):
-        return self.a[(*s, i, j)]
+
+def _k(a, i, j):
+    """K_ij = sqrt(1 - A_ij A_ji) of coefficients a (..., 3, 3), for index
+    ints or equal-shaped index arrays i, j; a negative radicand means the
+    field left the real branch."""
+    r = 1.0 - a[..., i, j] * a[..., j, i]
+    _guard(r < 0, DomainError, "field left the real branch (1 - A_ij A_ji = %r)", r)
+    return np.sqrt(r)
 
 
 def covariant_evolve(field: CovariantField):
-    """Sweep all cubes in anti-diagonal order, writing each component to its
-    forward-shifted site.  Returns the field (filled in place)."""
-    b1, b2, b3 = field.box
-    cubes = sorted(np.ndindex(b1, b2, b3), key=sum)
-    for s in cubes:
-        covariant_step(field, s)
+    """Sweep the cubes in anti-diagonal layers, one covariant_step per layer.
+    Returns the field (filled in place)."""
+    sites = np.indices(field.box).reshape(3, -1).T
+    layer = sites.sum(axis=1)
+    for n in range(sum(field.box) - 2):
+        covariant_step(field, sites[layer == n])
     return field
 
 
-def covariant_step(field: CovariantField, s):
-    """One cube update: for every ordered pair (i, j) with complement k,
-    A_ij(s + e_k) = (A_ij - A_ik A_kj) / (K_ik K_kj) at s."""
-    vals = field.a[(*s,)]
-    if np.isnan(vals[~np.eye(3, dtype=bool)]).any():
-        raise DomainError("cube %s has unset inputs" % (s,))
-    for (i, j) in PAIRS:
-        k = _complement(i, j)
-        kik = field.kk(s, i, k)
-        kkj = field.kk(s, k, j)
-        if kik < 1e-13 or kkj < 1e-13:
-            raise SingularityError("vanishing K at site %s, pair %s" % (s, (i, k, j)))
-        target = list(s)
-        target[k] += 1
-        field.a[(*target, i, j)] = (vals[i, j] - vals[i, k] * vals[k, j]) / (kik * kkj)
+def covariant_step(field: CovariantField, sites):
+    """Update the cubes at sites, one site s or an (n, 3) stack of them:
+    for every ordered pair (i, j) with complement k,
+    A_ij(s + e_k) = (A_ij - A_ik A_kj) / (K_ik K_kj) at s.
+
+    Each cube reads its own site and writes A_ij only in direction k, so the
+    cubes of one anti-diagonal layer are independent.  Each guard runs over
+    all the cubes and names its first failing one in the order given."""
+    sites = np.reshape(sites, (-1, 3))
+    vals = field.a[tuple(sites.T)]
+    i, j, k = np.array(PAIRS).T
+    try:
+        _guard(np.isnan(vals[:, i, j]).any(axis=-1), DomainError, "unset inputs")
+        kik, kkj = _k(vals, i, k), _k(vals, k, j)
+        bad = (kik < 1e-13) | (kkj < 1e-13)
+        _guard(bad, SingularityError, "vanishing K on pair (%d, %d, %d)",
+               *(np.broadcast_to(v, bad.shape) for v in (i, k, j)))
+    except DomainError as exc:
+        raise type(exc)("cube %s: %s" % (tuple(sites[exc.index[0]].tolist()), exc)) from exc
+    target = sites[:, None, :] + np.eye(3, dtype=int)[k]
+    field.a[(*np.moveaxis(target, -1, 0), i, j)] = (
+        (vals[:, i, j] - vals[:, i, k] * vals[:, k, j]) / (kik * kkj))
     return field
 
 
 def kk_relation_residual(field: CovariantField) -> float:
     """Max residual of K_ij(s+e_k) K_kj(s) = K_kj(s+e_i) K_ij(s) over all
     cubes and index permutations."""
-    b1, b2, b3 = field.box
-    worst = 0.0
-    for s in np.ndindex(b1, b2, b3):
-        for (i, j) in PAIRS:
-            k = _complement(i, j)
-            sk = list(s); sk[k] += 1
-            si = list(s); si[i] += 1
-            lhs = field.kk(tuple(sk), i, j) * field.kk(s, k, j)
-            rhs = field.kk(tuple(si), k, j) * field.kk(s, i, j)
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+    here = field.at()
+    return float(np.max([np.abs(_k(field.at(k), i, j) * _k(here, k, j)
+                                - _k(field.at(i), k, j) * _k(here, i, j))
+                         for (i, j, k) in PAIRS], initial=0.0))
 
 
 def cube_triples(field: CovariantField):
     """Front triples of every cube of the box, read off the evolved field:
     three stacks of the box's shape, indexed by the cube's site s."""
-    b1, b2, b3 = field.box
+    def triple(a, i, j):  # (K_ij, A_ji, A_ij)
+        return CircularTriple(_k(a, i, j), a[..., j, i], a[..., i, j])
 
-    def triple(d2, i, j):  # (K_ij, A_ji, A_ij) at s + d2 e_2
-        a = field.a[:b1, d2:d2 + b2, :b3]
-        r = 1.0 - a[..., i, j] * a[..., j, i]
-        _guard(r < 0, DomainError, "field left the real branch at K_%d%d of this cube"
-               % (i, j))
-        return CircularTriple(np.sqrt(r), a[..., j, i], a[..., i, j])
-
-    return triple(0, 1, 2), triple(1, 0, 2), triple(0, 0, 1)
+    here = field.at()
+    return triple(here, 1, 2), triple(field.at(1), 0, 2), triple(here, 0, 1)
 
 
 def covariant_vs_map_residual(field: CovariantField) -> float:
     """Per-cube agreement between the covariant update and the flip map,
     all cubes in one stacked map call."""
-    b1, b2, b3 = field.box
     p1, p2, p3 = map_r123(*cube_triples(field), eps=EPS_CLASSICAL)
-    a = field.a
-    got = np.array([a[1:, :b2, :b3, 2, 1], a[1:, :b2, :b3, 1, 2],
-                    a[:b1, :b2, :b3, 2, 0], a[:b1, :b2, :b3, 0, 2],
-                    a[:b1, :b2, 1:, 1, 0], a[:b1, :b2, 1:, 0, 1]])
+    x, here, z = field.at(0), field.at(), field.at(2)
+    got = np.array([x[..., 2, 1], x[..., 1, 2], here[..., 2, 0], here[..., 0, 2],
+                    z[..., 1, 0], z[..., 0, 1]])
     want = np.array([p1.a, p1.a_star, p2.a, p2.a_star, p3.a, p3.a_star])
     return float(np.max(np.abs(got - want), initial=0.0))

@@ -6,7 +6,12 @@ class QLatticeError(Exception):
 
 
 class DomainError(QLatticeError, ValueError):
-    """Input lies outside the mathematical domain of an operation."""
+    """Input lies outside the mathematical domain of an operation.
+
+    index is the position of the failing item when a check ran on a stack.
+    """
+
+    index = None
 
 
 class SingularityError(DomainError):

@@ -106,22 +106,6 @@ def concyclicity_residual(points):
     return np.maximum(_circle(*frame)[2], _flatness(frame[2]))[()]
 
 
-def fit_sphere(points):
-    """Best-fit sphere; returns (center, radius, residual)."""
-    pts = np.asarray(points, dtype=float)
-    a = np.column_stack([2 * pts, np.ones(len(pts))])
-    b = (pts ** 2).sum(axis=1)
-    sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-    center = sol[:-1]
-    r = math.sqrt(max(sol[-1] + center @ center, 1e-300))
-    dev = np.abs(np.linalg.norm(pts - center, axis=1) - r)
-    return center, r, float(dev.max() / r)
-
-
-def cosphericity_residual(points) -> float:
-    return fit_sphere(points)[2]
-
-
 # ---------------------------------------------------------------------------
 # the hexahedron flip
 # ---------------------------------------------------------------------------
@@ -205,12 +189,6 @@ class Hexahedron:
     x23: np.ndarray
     x123: np.ndarray
 
-    def point(self, key):
-        return getattr(self, key)
-
-    def face(self, keys):
-        return tuple(self.point(k) for k in keys)
-
     def faces(self):
         """The six faces, front then back, as one (6, 4, d) stack."""
         return self.vertices()[FACE_INDEX]
@@ -232,7 +210,16 @@ class Hexahedron:
         return concyclicity_residual(self.faces()).max()
 
     def cosphericity_residual(self) -> float:
-        return cosphericity_residual(self.vertices())
+        """Largest distance of a vertex from the least-squares sphere through
+        all eight, relative to its radius."""
+        pts = np.asarray(self.vertices(), dtype=float)
+        a = np.column_stack([2 * pts, np.ones(len(pts))])
+        b = (pts ** 2).sum(axis=1)
+        sol, *_ = np.linalg.lstsq(a, b, rcond=None)
+        center = sol[:-1]
+        r = math.sqrt(max(sol[-1] + center @ center, 1e-300))
+        dev = np.abs(np.linalg.norm(pts - center, axis=1) - r)
+        return float(dev.max() / r)
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +233,6 @@ class FaceAngles:
     gamma: float
     delta: float
     reflex: bool = False
-
-    def as_tuple(self):
-        return (self.alpha, self.beta, self.gamma, self.delta)
-
-    @property
-    def angle_sum(self):
-        return self.alpha + self.beta + self.gamma + self.delta
 
 
 def _angles(centered, vt):
@@ -477,10 +457,6 @@ class LatticeState:
             x0=g((i, j, k)), x1=g((i + 1, j, k)), x2=g((i, j + 1, k)), x3=g((i, j, k + 1)),
             x12=g((i + 1, j + 1, k)), x13=g((i + 1, j, k + 1)), x23=g((i, j + 1, k + 1)),
             x123=g((i + 1, j + 1, k + 1)))
-
-    def completed_cubes(self):
-        n1, n2, n3 = self.shape
-        return [c for c in np.ndindex(n1, n2, n3) if self.cube_complete(c)]
 
     def known_faces(self):
         """All unit lattice faces whose four corners are known, as ordered

@@ -71,7 +71,6 @@ class SuiteConfig:
 
 @dataclass(frozen=True)
 class Suite:
-    name: str
     default_tol: float
     default_samples: int
     count: callable
@@ -423,61 +422,61 @@ def _samples(cfg):
 
 SUITES = {
     "classical-lybe": Suite(
-        "classical-lybe", 1e-12, 1000,
-        count=lambda cfg: _samples(cfg), case=_lybe_case),
+        1e-12, 1000,
+        count=_samples, case=_lybe_case),
     "classical-fte": Suite(
-        "classical-fte", 1e-10, 100,
+        1e-10, 100,
         count=lambda cfg: 2 * _samples(cfg), case=_fte_case,
         parameters=lambda cfg: {"eps": [1, -1]}),
     "symplectic": Suite(
-        "symplectic", 1e-6, 100,
-        count=lambda cfg: _samples(cfg), case=_symplectic_case),
+        1e-6, 100,
+        count=_samples, case=_symplectic_case),
     "geometry-flip": Suite(
-        "geometry-flip", 1e-10, 50,
-        count=lambda cfg: _samples(cfg), case=_geometry_flip_case),
+        1e-10, 50,
+        count=_samples, case=_geometry_flip_case),
     "miquel": Suite(
-        "miquel", 1e-9, 50,
-        count=lambda cfg: _samples(cfg), case=_miquel_case),
+        1e-9, 50,
+        count=_samples, case=_miquel_case),
     "dodecahedron": Suite(
-        "dodecahedron", 1e-8, 25,
-        count=lambda cfg: _samples(cfg), case=_dodeca_case),
+        1e-8, 25,
+        count=_samples, case=_dodeca_case),
     "covariant": Suite(
-        "covariant", 1e-10, 3,
-        count=lambda cfg: _samples(cfg), case=_covariant_case,
+        1e-10, 3,
+        count=_samples, case=_covariant_case,
         parameters=lambda cfg: {"box": list(cfg.box)}),
     "fock-te": Suite(
-        "fock-te", 1e-12, 0,
+        1e-12, 0,
         count=_fock_te_count, case=_fock_te_case,
         parameters=lambda cfg: {"q": cfg.q, "max_index": cfg.max_index}),
     "fock-intertwine": Suite(
-        "fock-intertwine", 1e-10, 2,
+        1e-10, 2,
         count=lambda cfg: 2, case=_fock_intertwine_case,
         parameters=lambda cfg: {"q": cfg.q, "cutoff": cfg.cutoff}),
     "cyclic-intertwine": Suite(
-        "cyclic-intertwine", 1e-10, 5,
-        count=lambda cfg: _samples(cfg), case=_cyclic_intertwine_case,
+        1e-10, 5,
+        count=_samples, case=_cyclic_intertwine_case,
         parameters=lambda cfg: {"N": cfg.n_cyclic}),
     "cyclic-te-irc": Suite(
-        "cyclic-te-irc", 1e-9, 1000,
+        1e-9, 1000,
         count=_cyclic_te_count, case=_cyclic_te_case,
         parameters=lambda cfg: {"N": cfg.n_cyclic,
                                 "exhaustive": cfg.n_cyclic == 2}),
     "cyclic-te-vertex": Suite(
-        "cyclic-te-vertex", 1e-10, 1000,
+        1e-10, 1000,
         count=_cyclic_vertex_count, case=_cyclic_vertex_case,
         parameters=lambda cfg: {"N": cfg.n_cyclic}),
     "cyclic-cross-form": Suite(
-        "cyclic-cross-form", 1e-12, 200,
+        1e-12, 200,
         count=_cross_form_count, case=_cross_form_case,
         parameters=lambda cfg: {"N": cfg.n_cyclic},
         extras=_cross_form_extras),
     "modular-specfun": Suite(
-        "modular-specfun", 1e-6, 20,
+        1e-6, 20,
         count=lambda cfg: 2 * _samples(cfg), case=_modular_specfun_case,
         parameters=lambda cfg: {"b_mod": cfg.b_mod, "b_arg": cfg.b_arg}),
     "modular-te-irc": Suite(
-        "modular-te-irc", 1e-4, 5,
-        count=lambda cfg: _samples(cfg), case=_modular_te_case,
+        1e-4, 5,
+        count=_samples, case=_modular_te_case,
         parameters=lambda cfg: {"b_mod": cfg.b_mod, "b_arg": cfg.b_arg}),
 }
 

@@ -78,3 +78,80 @@ def test_every_default_is_set_by_some_caller():
                        for c in calls.get(name, ()) if id(c) not in own):
                 unset.append("%s(%s)" % (qual, arg))
     assert not unset, "%d defaults no caller sets:\n  %s" % (len(unset), "\n  ".join(unset))
+
+
+# Functions of src/qlattice that only tests call: the oracles and identity
+# checks the tests compare against, each with what it checks.
+REFERENCES = (
+    "specfun.qpochhammer",  # finite (a; q)_n, the q-series tests' oracle
+    "specfun.qbinomial",  # Gaussian binomial, oracle of the q-binomial theorem
+    "specfun.qgauss_2phi1",  # q-Gauss summation, a q-series identity check
+    "specfun.fermat_phi",  # the Fermat-curve function of the cyclic dilogarithm
+    "specfun.spherical_angles_from_sides",  # inverse of the spherical triangle map
+    "rmatrices.field_sets_from_free",  # the cyclic R's field sets, checked directly
+    "rmatrices.field_exponent_balance",  # exponent balance of the cyclic weights
+    "qosc.algebra_residuals",  # q-oscillator relations of a representation
+    "qosc.parameter_combinations",  # tetrahedron parameter relations
+    "classical_map.CircularTriple.constraint_residual",  # a a* = 1 - k^2
+    "classical_map.propagation_constraint_residual",  # determinant relation of a face
+    "classical_map.cube_edge_propagate",  # edge propagation front vs back (LYBE)
+    "classical_map.poisson_bracket_residuals",  # Poisson brackets of (k, a, a*)
+    "geometry.affine_initial_state",  # affine lattices flip to themselves
+    "geometry.LatticeState.hexahedron",  # the cube a staircase filled, for its sphere
+    "harness.report.strip_timing",  # reports compared across worker counts
+)
+
+
+def _functions(tree, module):
+    """(qualified name, name, def node) of every module- and class-level
+    function of a module."""
+    out = []
+    for node in tree.body:
+        defs = [(node, module + ".")]
+        if isinstance(node, ast.ClassDef):
+            defs = [(child, module + "." + node.name + ".") for child in node.body]
+        out += [(prefix + d.name, d.name, d) for d, prefix in defs
+                if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return out
+
+
+def _names(tree):
+    """Name and Attribute nodes of a tree by the name they use."""
+    out = {}
+    for node in ast.walk(tree):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            out.setdefault(name, []).append(node)
+    return out
+
+
+def test_every_function_has_a_caller_outside_tests():
+    # A function only tests call is dead code that a test keeps alive,
+    # unless the tests use it as a reference (REFERENCES).  A use is a Name
+    # or Attribute in src/ outside the function's own body, or in bench/,
+    # or a string constant of bench/ (the tracer wraps functions by name).
+    # Dunder methods are called by the language.
+    src = {p: ast.parse(p.read_text(), filename=str(p)) for p in sorted(PACKAGE.rglob("*.py"))}
+    in_src = {}
+    for tree in src.values():
+        for name, nodes in _names(tree).items():
+            in_src.setdefault(name, []).extend(nodes)
+    in_bench = set()
+    for p in sorted((ROOT / "bench").rglob("*.py")):
+        tree = ast.parse(p.read_text(), filename=str(p))
+        in_bench.update(_names(tree))
+        in_bench.update(part for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                        and isinstance(node.value, str) for part in node.value.split("."))
+    unused = []
+    for path, tree in src.items():
+        module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
+        for qual, name, node in _functions(tree, module):
+            if name.startswith("__") and name.endswith("__") or name in in_bench:
+                continue
+            own = {id(n) for n in ast.walk(node)}
+            if all(id(n) in own for n in in_src.get(name, ())):
+                unused.append(qual)
+    extra = sorted(set(unused) - set(REFERENCES))
+    stale = sorted(set(REFERENCES) - set(unused))
+    assert not extra, "%d functions only tests call:\n  %s" % (len(extra), "\n  ".join(extra))
+    assert not stale, "REFERENCES names functions with callers or none at all: %s" % stale

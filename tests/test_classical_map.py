@@ -187,6 +187,23 @@ def test_lybe_residual_small_and_sensitive():
     assert cm.local_yang_baxter_residual(front, front) > 1e-3
 
 
+def test_lybe_residual_equals_explicit_products():
+    # X_pq(1) X_pr(2) X_qr(3) and X_qr(3') X_pr(2') X_pq(1'), each 3x3
+    # factor written out, multiplied in the same order
+    def x3(t, rows):
+        out = np.eye(3, dtype=complex)
+        out[np.ix_(rows, rows)] = [[t.k, t.a_star], [-t.a, t.k]]
+        return out
+
+    rng = np.random.default_rng(19)
+    for _ in range(200):
+        (t1, t2, t3), (u1, u2, u3) = cm.sample_admissible_front(rng)
+        lhs = x3(t1, (0, 1)) @ x3(t2, (0, 2)) @ x3(t3, (1, 2))
+        rhs = x3(u3, (1, 2)) @ x3(u2, (0, 2)) @ x3(u1, (0, 1))
+        got = cm.local_yang_baxter_residual((t1, t2, t3), (u1, u2, u3))
+        assert got == float(np.max(np.abs(lhs - rhs)))
+
+
 def test_lybe_identity_faces():
     t = cm.CircularTriple(1.0, 0.0, 0.0)
     assert cm.local_yang_baxter_residual((t, t, t), (t, t, t)) == 0.0
@@ -396,6 +413,45 @@ def test_covariant_zero_field_fixed_point():
     f.a[..., :, :] = 0.0
     cm.covariant_evolve(f)
     assert np.nanmax(np.abs(f.a)) == 0.0
+
+
+def _evolve_site_by_site(f):
+    """The covariant update one cube at a time, in nondecreasing s1+s2+s3."""
+    for s in sorted(np.ndindex(*f.box), key=sum):
+        v = f.a[s].copy()
+        kk = lambda p, q: math.sqrt(1.0 - v[p, q] * v[q, p])
+        for i, j, k in cm.PAIRS:
+            t = list(s)
+            t[k] += 1
+            f.a[(*t, i, j)] = (v[i, j] - v[i, k] * v[k, j]) / (kk(i, k) * kk(k, j))
+
+
+@pytest.mark.parametrize("box", [(4, 3, 2), (5, 5, 5)])
+def test_layered_evolution_equals_site_by_site(box):
+    f = cm.CovariantField.random_boundary(box, np.random.default_rng(17))
+    ref = cm.CovariantField(f.box, f.a.copy())
+    cm.covariant_evolve(f)
+    _evolve_site_by_site(ref)
+    assert np.array_equal(f.a, ref.a, equal_nan=True)
+
+
+@pytest.mark.parametrize("error, value", [(DomainError, np.nan), (SingularityError, 1.0)],
+                         ids=["unset", "singular"])
+def test_a_failing_cube_is_named_and_its_layer_left_unwritten(error, value):
+    f = cm.CovariantField.random_boundary((3, 3, 3), np.random.default_rng(18))
+    # (1, 0, 1) is the fourth cube of layer 2; A_02 and A_20 are boundary
+    # data there (on the s_2 = 0 wall), so no earlier layer overwrites them
+    f.a[1, 0, 1, 0, 2] = f.a[1, 0, 1, 2, 0] = value
+    with pytest.raises(error, match=r"^cube \(1, 0, 1\): ") as err:
+        cm.covariant_evolve(f)
+    assert type(err.value) is error
+    # every guard runs over the whole layer before it writes
+    for s in np.ndindex(3, 3, 3):
+        if sum(s) == 2:
+            for i, j, k in cm.PAIRS:
+                t = list(s)
+                t[k] += 1
+                assert np.isnan(f.a[(*t, i, j)])
 
 
 def test_covariant_kk_relation():
