@@ -49,18 +49,22 @@ def _guard(bad, error, message, *values):
     it, and each value that is a stack is taken at it."""
     if bad is False:  # a scalar that passes, the common case
         return
-    at = None
     if isinstance(bad, np.ndarray):
-        if not bad.any():
-            return
-        at = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
-        values = tuple(v[at].item() if isinstance(v, np.ndarray) else v for v in values)
-        message = "item %s: %s" % (at, message)
-    elif not bad:
-        return
-    exc = error(message % values)
+        if bad.any():
+            raise _item_error(bad, error, message, values)
+    elif bad:
+        raise error(message % values)
+
+
+def _item_error(bad, error, message, values):
+    # built outside _guard, so that no frame of the raised error's traceback
+    # refers to the error: that cycle would keep the failing call's stacks
+    # alive until the garbage collector runs
+    at = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+    values = tuple(v[at].item() if isinstance(v, np.ndarray) else v for v in values)
+    exc = error("item %s: %s" % (at, message % values))
     exc.index = at
-    raise exc
+    return exc
 
 
 def _is_complex(*values):

@@ -84,20 +84,20 @@ def test_every_default_is_set_by_some_caller():
 # checks the tests compare against, each with what it checks.
 REFERENCES = (
     "specfun.qpochhammer",  # finite (a; q)_n, the q-series tests' oracle
-    "specfun.qbinomial",  # Gaussian binomial, oracle of the q-binomial theorem
-    "specfun.qgauss_2phi1",  # q-Gauss summation, a q-series identity check
-    "specfun.fermat_phi",  # the Fermat-curve function of the cyclic dilogarithm
-    "specfun.spherical_angles_from_sides",  # inverse of the spherical triangle map
-    "rmatrices.field_sets_from_free",  # the cyclic R's field sets, checked directly
-    "rmatrices.field_exponent_balance",  # exponent balance of the cyclic weights
+    "specfun.qbinomial",  # Gaussian binomial, checked by q-Pascal and symmetry
+    "specfun.qgauss_2phi1",  # basic 2phi1, checked against the q-Gauss sum
+    "specfun.fermat_phi",  # Fermat-curve function, oracle of the cyclic weights
+    "specfun.spherical_angles_from_sides",  # inverse spherical triangle map
+    "rmatrices.field_sets_from_free",  # cyclic field sets from 8 free parameters
+    "rmatrices.field_exponent_balance",  # exponent balance of the cyclic fields
     "qosc.algebra_residuals",  # q-oscillator relations of a representation
-    "qosc.parameter_combinations",  # tetrahedron parameter relations
+    "qosc.parameter_combinations",  # the combinations intertwining depends on
     "classical_map.CircularTriple.constraint_residual",  # a a* = 1 - k^2
-    "classical_map.propagation_constraint_residual",  # determinant relation of a face
-    "classical_map.cube_edge_propagate",  # edge propagation front vs back (LYBE)
-    "classical_map.poisson_bracket_residuals",  # Poisson brackets of (k, a, a*)
-    "geometry.affine_initial_state",  # affine lattices flip to themselves
-    "geometry.LatticeState.hexahedron",  # the cube a staircase filled, for its sphere
+    "classical_map.propagation_constraint_residual",  # det relation of a face
+    "classical_map.cube_edge_propagate",  # edge lengths, front vs back faces
+    "classical_map.poisson_bracket_residuals",  # brackets of (k, a, a*)
+    "geometry.affine_initial_state",  # lattice data with known flips
+    "geometry.LatticeState.hexahedron",  # a filled cube, for its sphere
     "harness.report.strip_timing",  # reports compared across worker counts
 )
 
@@ -119,9 +119,10 @@ def _names(tree):
     """Name and Attribute nodes of a tree by the name they use."""
     out = {}
     for node in ast.walk(tree):
-        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-        if isinstance(node, (ast.Name, ast.Attribute)):
-            out.setdefault(name, []).append(node)
+        if isinstance(node, ast.Name):
+            out.setdefault(node.id, []).append(node)
+        elif isinstance(node, ast.Attribute):
+            out.setdefault(node.attr, []).append(node)
     return out
 
 
