@@ -422,14 +422,9 @@ class CovariantField:
         """Boundary data on the three s_k = 0 walls for the two components
         propagating in direction k, uniform in [-0.2, 0.2)."""
         f = cls.empty(box)
-        n1, n2, n3 = (b + 1 for b in box)
         for (i, j, k) in PAIRS:
-            shape = [n1, n2, n3]
-            shape[k] = 1
-            vals = rng.uniform(-0.2, 0.2, size=tuple(shape))
-            sl = [slice(None)] * 3
-            sl[k] = 0
-            f.a[(*sl, i, j)] = np.squeeze(vals, axis=k)
+            wall = np.moveaxis(f.a[..., i, j], k, 0)[0]
+            wall[...] = rng.uniform(-0.2, 0.2, size=wall.shape)
         return f
 
     def at(self, axis=None):
