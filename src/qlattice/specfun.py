@@ -198,19 +198,26 @@ def dilog_product(z: np.ndarray, mp: ModularParam, tol: float = 1e-18) -> np.nda
 
     phi(z) = prod_{m>=0} (1 + q^{2m+1} e^{2 pi z b}) / (1 + q~^{2m+1} e^{2 pi z / b}).
 
-    Numerator and denominator are accumulated as running complex products,
-    one multiply-add per term and point.  Each side stops at the first term
-    whose bound |q^{2m+1}| max|e^{2 pi z b}| (resp. the q~ side) is at most
-    tol, and raises AccuracyError if _PRODUCT_MAX_TERMS terms leave it above tol.
-    A side whose accumulated bound sum log(1 + |term|) would pass
-    _FOLD_LOG is folded into a log part first, so no product can overflow.
+    Numerator and denominator are accumulated as running complex products
+    (``_running_product``); on arrays of up to _BLOCK_POINTS points the
+    terms are applied a block at a time through one buffer of at most
+    _BLOCK_ENTRIES entries, allocated once per call.  Each side
+    stops at the first term whose bound |q^{2m+1}| max|e^{2 pi z b}| (resp.
+    the q~ side) is at most tol, and raises AccuracyError if
+    _PRODUCT_MAX_TERMS terms leave it above tol.  A side whose accumulated
+    bound sum log(1 + |term|) would pass _FOLD_LOG is folded into a log part
+    first, so no product can overflow.
     """
-    mp.require_series_domain()
     z = np.asarray(z, dtype=complex)
-    num, log_num = _running_product(np.exp(_TWO_PI * z * mp.b), complex(mp.q),
-                                    mp.q * mp.q, tol)
-    den, log_den = _running_product(np.exp(_TWO_PI * z / mp.b), complex(mp.q_tilde),
-                                    mp.q_tilde * mp.q_tilde, tol)
+    return _phi_product(np.exp(_TWO_PI * z * mp.b), np.exp(_TWO_PI * z / mp.b), mp, tol)
+
+
+def _phi_product(xb: np.ndarray, xi: np.ndarray, mp: ModularParam, tol: float) -> np.ndarray:
+    """The product form of phi at the points with e^{2 pi z b} = xb and
+    e^{2 pi z / b} = xi; the body of ``dilog_product``."""
+    mp.require_series_domain()
+    num, log_num = _running_product(xb, complex(mp.q), mp.q * mp.q, tol)
+    den, log_den = _running_product(xi, complex(mp.q_tilde), mp.q_tilde * mp.q_tilde, tol)
     num /= den
     if log_num is None and log_den is None:
         return num
@@ -225,6 +232,13 @@ def dilog_product(z: np.ndarray, mp: ModularParam, tol: float = 1e-18) -> np.nda
 # a running product is folded into logs before its magnitude bound passes
 # e^_FOLD_LOG, well inside the double range (e^709)
 _FOLD_LOG = 600.0
+# Small arrays take the product's terms in blocks of up to _BLOCK_ENTRIES
+# entries (256 KB), so numpy's per-call cost is paid per block, not per
+# term.  Over more than _BLOCK_POINTS points that cost is small next to
+# the per-point work, and one pass per term is faster: numpy's outer
+# product runs at about half the speed of a product by one scalar.
+_BLOCK_ENTRIES = 2 ** 14
+_BLOCK_POINTS = 2 ** 10
 
 
 def _running_product(x: np.ndarray, fac: complex, ratio: complex, tol: float):
@@ -233,28 +247,55 @@ def _running_product(x: np.ndarray, fac: complex, ratio: complex, tol: float):
     The value is prod * exp(log_part); log_part is None unless a fold
     happened.  The product stops at the first m with |fac ratio^m| max|x|
     at most tol.
+
+    A scalar loop forms the factors fac ratio^m and the fold points.  The
+    terms are then applied to all points.  Up to _BLOCK_POINTS points they
+    go a block of rows = _BLOCK_ENTRIES // x.size factors at a time (at
+    most the number of terms), through one (rows, *x.shape) buffer
+    allocated once per call: one outer product with x, plus one, the
+    product of its rows, and that into prod.  Over more points each term
+    is one multiply-add pass.  The blocks change only the rounding, never
+    which terms enter.
     """
     scale = float(np.max(np.abs(x))) if x.size else 0.0
-    prod = np.ones_like(x)
-    tmp = np.empty_like(x)
-    log_part = None
-    block = 0.0
+    runs = [[]]  # the factors between two folds
+    bound_sum = 0.0
     terms = 0
     while (bound := abs(fac) * scale) > tol:
         if terms == _PRODUCT_MAX_TERMS:
             raise AccuracyError("phi product not converged after %d terms"
                                 % _PRODUCT_MAX_TERMS, achieved=bound)
         step = math.log1p(bound)
-        if block + step > _FOLD_LOG:
-            log_part = np.log(prod) if log_part is None else log_part + np.log(prod)
-            prod.fill(1.0)
-            block = 0.0
-        block += step
-        np.multiply(x, fac, out=tmp)
-        tmp += 1.0
-        prod *= tmp
+        if bound_sum + step > _FOLD_LOG:
+            runs.append([])
+            bound_sum = 0.0
+        bound_sum += step
+        runs[-1].append(fac)
         fac *= ratio
         terms += 1
+    prod = np.ones_like(x)
+    if not terms:
+        return prod, None
+    rows = min(_BLOCK_ENTRIES // x.size, terms) if x.size <= _BLOCK_POINTS else 1
+    buf = np.empty((rows,) + x.shape, dtype=complex) if rows > 1 else None
+    tmp = np.empty_like(x)
+    log_part = None
+    for i, facs in enumerate(runs):
+        if i:
+            log_part = np.log(prod) if log_part is None else log_part + np.log(prod)
+            prod.fill(1.0)
+        if buf is None:
+            for f in facs:
+                np.multiply(x, f, out=tmp)
+                tmp += 1.0
+                prod *= tmp
+            continue
+        for start in range(0, len(facs), rows):
+            part = buf[:len(facs) - start]
+            np.multiply.outer(facs[start:start + rows], x, out=part)
+            part += 1.0
+            np.multiply.reduce(part, axis=0, out=tmp)
+            prod *= tmp
     return prod, log_part
 
 
@@ -347,14 +388,18 @@ def psi22_quadrature_batch(c1, c2, c3, c4, c0, mp: ModularParam,
     shifts = ((c1 + 1j * eta) / 2, (c2 + 1j * eta) / 2,
               (c3 - 1j * eta) / 2, (c4 - 1j * eta) / 2)
 
+    # e^{2 pi (z + s) b} = e^{2 pi z b} e^{2 pi s b}, and likewise with 1/b:
+    # the shifts' factors once per batch, the nodes' once per node array
+    shift_b = [np.exp(_TWO_PI * s * mp.b) for s in shifts]
+    shift_i = [np.exp(_TWO_PI * s / mp.b) for s in shifts]
+
     def integrand(z):
         # z: 1-D array of real nodes; result shape = z.shape + c.shape
         zz = z.reshape(z.shape + (1,) * c1.ndim)
+        node_b, node_i = np.exp(_TWO_PI * zz * mp.b), np.exp(_TWO_PI * zz / mp.b)
         val = np.exp(2j * np.pi * zz * w)
-        val *= dilog_product(zz + shifts[0], mp, tol=3e-15)
-        val *= dilog_product(zz + shifts[1], mp, tol=3e-15)
-        val /= dilog_product(zz + shifts[2], mp, tol=3e-15)
-        val /= dilog_product(zz + shifts[3], mp, tol=3e-15)
+        for sb, si, op in zip(shift_b, shift_i, (np.multiply, np.multiply, np.divide, np.divide)):
+            op(val, _phi_product(node_b * sb, node_i * si, mp, 3e-15), out=val)
         return val
 
     # the integrand decays like exp(-2 pi eta_re |z|) for real parameters;

@@ -115,15 +115,74 @@ def _functions(tree, module):
     return out
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _locals(scope):
+    """Names a function or lambda binds in its own scope: its parameters,
+    assignment, loop and ``with`` targets, nested definitions, imports and
+    exception names, less those it declares global or nonlocal."""
+    a = scope.args
+    bound = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p}
+    declared = set()
+    stack = list(scope.body) if isinstance(scope.body, list) else [scope.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.alias):
+            bound.add((node.asname or node.name).split(".")[0])
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+        if not isinstance(node, _SCOPES + (ast.ClassDef,)):
+            stack.extend(ast.iter_child_nodes(node))
+    return bound - declared
+
+
 def _names(tree):
-    """Name and Attribute nodes of a tree by the name they use."""
+    """Name and Attribute nodes of a tree by the name they use.  A Name
+    that a parameter or local of an enclosing function binds names that
+    local, not a function, and is left out."""
     out = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            out.setdefault(node.id, []).append(node)
-        elif isinstance(node, ast.Attribute):
-            out.setdefault(node.attr, []).append(node)
+
+    def visit(node, bound):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and child.id not in bound:
+                out.setdefault(child.id, []).append(child)
+            elif isinstance(child, ast.Attribute):
+                out.setdefault(child.attr, []).append(child)
+            visit(child, bound | _locals(child) if isinstance(child, _SCOPES) else bound)
+
+    visit(tree, frozenset())
     return out
+
+
+def _uncalled(src, bench):
+    """Qualified names of the functions of the modules ``src`` (dotted
+    module name -> tree) that nothing in ``src`` outside their own body
+    and nothing in the trees ``bench`` uses."""
+    in_src = {}
+    for tree in src.values():
+        for name, nodes in _names(tree).items():
+            in_src.setdefault(name, []).extend(nodes)
+    in_bench = set()
+    for tree in bench:
+        in_bench.update(_names(tree))
+        in_bench.update(part for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                        and isinstance(node.value, str) for part in node.value.split("."))
+    unused = []
+    for module, tree in src.items():
+        for qual, name, node in _functions(tree, module):
+            if name.startswith("__") and name.endswith("__") or name in in_bench:
+                continue
+            own = {id(n) for n in ast.walk(node)}
+            if all(id(n) in own for n in in_src.get(name, ())):
+                unused.append(qual)
+    return unused
 
 
 def test_every_function_has_a_caller_outside_tests():
@@ -132,27 +191,40 @@ def test_every_function_has_a_caller_outside_tests():
     # or Attribute in src/ outside the function's own body, or in bench/,
     # or a string constant of bench/ (the tracer wraps functions by name).
     # Dunder methods are called by the language.
-    src = {p: ast.parse(p.read_text(), filename=str(p)) for p in sorted(PACKAGE.rglob("*.py"))}
-    in_src = {}
-    for tree in src.values():
-        for name, nodes in _names(tree).items():
-            in_src.setdefault(name, []).extend(nodes)
-    in_bench = set()
-    for p in sorted((ROOT / "bench").rglob("*.py")):
-        tree = ast.parse(p.read_text(), filename=str(p))
-        in_bench.update(_names(tree))
-        in_bench.update(part for node in ast.walk(tree) if isinstance(node, ast.Constant)
-                        and isinstance(node.value, str) for part in node.value.split("."))
-    unused = []
-    for path, tree in src.items():
-        module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
-        for qual, name, node in _functions(tree, module):
-            if name.startswith("__") and name.endswith("__") or name in in_bench:
-                continue
-            own = {id(n) for n in ast.walk(node)}
-            if all(id(n) in own for n in in_src.get(name, ())):
-                unused.append(qual)
+    src = {".".join(p.relative_to(PACKAGE).with_suffix("").parts):
+           ast.parse(p.read_text(), filename=str(p)) for p in sorted(PACKAGE.rglob("*.py"))}
+    bench = [ast.parse(p.read_text(), filename=str(p))
+             for p in sorted((ROOT / "bench").rglob("*.py"))]
+    unused = _uncalled(src, bench)
     extra = sorted(set(unused) - set(REFERENCES))
     stale = sorted(set(REFERENCES) - set(unused))
     assert not extra, "%d functions only tests call:\n  %s" % (len(extra), "\n  ".join(extra))
     assert not stale, "REFERENCES names functions with callers or none at all: %s" % stale
+
+
+PLANTED = """
+def value(): ...
+def face(): ...
+def closed(): ...
+def called(): ...
+def attribute(): ...
+
+def reader(value, *args):
+    face = args
+    return value, face, called()
+
+def outer():
+    closed = 1
+    def inner(obj):
+        return closed, obj.attribute
+    return inner
+"""
+
+
+def test_a_parameter_or_local_does_not_hide_an_uncalled_function():
+    # value is only a parameter, face only a local, and closed only a local
+    # of outer that its inner function reads; the call called() and the
+    # attribute obj.attribute are uses
+    unused = _uncalled({"planted": ast.parse(PLANTED)}, [])
+    assert sorted(unused) == ["planted.closed", "planted.face", "planted.outer",
+                              "planted.reader", "planted.value"]

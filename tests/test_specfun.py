@@ -7,6 +7,7 @@ import pytest
 
 from qlattice.errors import AccuracyError, DomainError, PoleProximityError
 from qlattice import specfun as sf
+from qlattice.harness.suites import SUITES, SuiteConfig
 
 B_TEST = sf.ModularParam(0.8 * cmath.exp(1j * math.pi / 40))
 B_WIDE = sf.ModularParam(0.8 * cmath.exp(0.5j))
@@ -197,11 +198,84 @@ def test_dilog_product_wide_range_vs_log_sum(mp):
     assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-11
 
 
+def _sides(z, mp):
+    """(x, fac, ratio) of the numerator and the denominator product of phi."""
+    return ((np.exp(2 * math.pi * z * mp.b), complex(mp.q), mp.q * mp.q),
+            (np.exp(2 * math.pi * z / mp.b), complex(mp.q_tilde), mp.q_tilde * mp.q_tilde))
+
+
 def test_dilog_product_fold_is_exercised():
     # at Re z = 10 both running products of B_TEST would exceed the fold
-    # bound, so the wide-range comparison above covers the fold
-    _, bound_sums = _log_sum_phi(np.array([10.0 + 0j]), B_TEST, 3e-15)
+    # bound, so the wide-range comparison above covers the fold, and each
+    # running product returns a log part
+    z = np.array([10.0 + 0j])
+    _, bound_sums = _log_sum_phi(z, B_TEST, 3e-15)
     assert min(bound_sums) > sf._FOLD_LOG
+    for x, fac, ratio in _sides(z, B_TEST):
+        _, log_part = sf._running_product(x, fac, ratio, 3e-15)
+        assert log_part is not None
+
+
+def _per_term_product(x, fac, ratio, tol):
+    """Reference for _running_product: one multiply-add per term over all
+    points, with the same stopping rule and folds; also returns the number
+    of terms."""
+    scale = float(np.max(np.abs(x))) if x.size else 0.0
+    prod = np.ones_like(x)
+    tmp = np.empty_like(x)
+    log_part = None
+    bound_sum = 0.0
+    terms = 0
+    while (bound := abs(fac) * scale) > tol:
+        step = math.log1p(bound)
+        if bound_sum + step > sf._FOLD_LOG:
+            log_part = np.log(prod) if log_part is None else log_part + np.log(prod)
+            prod.fill(1.0)
+            bound_sum = 0.0
+        bound_sum += step
+        np.multiply(x, fac, out=tmp)
+        tmp += 1.0
+        prod *= tmp
+        fac *= ratio
+        terms += 1
+    return prod, log_part, terms
+
+
+@pytest.mark.parametrize("mp", [B_TEST, B_WIDE], ids=["b_test", "b_wide"])
+@pytest.mark.parametrize("points, reach", [(41, 2.0), (41, 10.0), (sf._BLOCK_POINTS, 10.0),
+                                           (2 ** 14 + 3, 10.0)],
+                         ids=["one-block", "one-block-folds", "blocks", "one-term-passes"])
+def test_blocked_product_equals_per_term_product(mp, points, reach):
+    # 41 points take every term of a run in one block, _BLOCK_POINTS points
+    # take blocks of 16 terms, and past that each term is one pass.  Only
+    # B_TEST folds at Re z = 10.  The blocks change the rounding alone: the
+    # products agree to 1e-14, and so do the log parts (up to 1.8e3 here),
+    # relative to their size, which is where the rounding of a sum of
+    # folds sits.
+    z = np.linspace(-reach, reach, points) + 0.2j * np.cos(np.arange(points))
+    rows = sf._BLOCK_ENTRIES // points if points <= sf._BLOCK_POINTS else 1
+    blocks = []
+    for x, fac, ratio in _sides(z, mp):
+        got, got_log = sf._running_product(x, fac, ratio, 3e-15)
+        ref, ref_log, terms = _per_term_product(x, fac, ratio, 3e-15)
+        blocks.append(-(-terms // rows))
+        assert (ref_log is not None) == (mp is B_TEST and reach == 10.0)
+        assert (got_log is None) == (ref_log is None)
+        assert np.max(np.abs(got / ref - 1)) <= 1e-14
+        if ref_log is not None:
+            assert np.all(np.abs(got_log - ref_log) <= 1e-14 * np.maximum(np.abs(ref_log), 1))
+    assert (max(blocks) == 1) == (points == 41)
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (3, 0)])
+def test_dilog_product_keeps_zero_d_and_empty_shapes(shape):
+    z = np.full(shape, 0.3 + 0.1j)
+    for mp in (B_TEST, B_WIDE):
+        got = sf.dilog_product(z, mp, tol=3e-15)
+        assert got.shape == shape
+        for x, fac, ratio in _sides(z, mp):
+            prod, log_part = sf._running_product(x, fac, ratio, 3e-15)
+            assert prod.shape == shape and log_part is None
 
 
 def test_dilog_product_unconverged_raises():
@@ -288,6 +362,54 @@ def test_psi22_quadrature_vs_fixed_gauss_legendre(mp):
     got = sf.psi22_quadrature_batch(*c, c0, mp)
     ref = _psi22_gauss_legendre(*c, c0, mp)
     assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-11
+
+
+class _Captured(Exception):
+    pass
+
+
+def _first_call(monkeypatch, name, run):
+    """(args, kwargs) of the first call of sf.<name> that run() makes; the
+    call raises _Captured, which ends run()."""
+    seen = []
+
+    def capture(*args, **kwargs):
+        seen.append((args, kwargs))
+        raise _Captured
+
+    with monkeypatch.context() as m:
+        m.setattr(sf, name, capture)
+        with pytest.raises(_Captured):
+            run()
+    return seen[0]
+
+
+@pytest.mark.parametrize("b_arg", [0.5, math.pi / 40], ids=["b_arg-0.5", "b_arg-pi/40"])
+def test_psi22_integrand_shares_exponentials(b_arg, monkeypatch):
+    # the integrand forms e^{2 pi (z + s) b} as e^{2 pi z b} e^{2 pi s b}
+    # (and likewise with 1/b); on the first 2Psi2 batch of a modular-te-irc
+    # case and the rule's first nodes it must equal the four dilog_product
+    # factors of the definition at z + s, to 1e-13 of the integrand's
+    # largest value for each parameter.  Point by point the two differ by
+    # up to 8e-13 near the window's ends for arg b = pi/40: both round an
+    # exponential of a large argument, and phi amplifies that by its number
+    # of terms above one (~40), where the integrand has decayed.
+    cfg = SuiteConfig(suite="modular-te-irc", samples=1, b_arg=b_arg)
+    (c1, c2, c3, c4, c0, mp), kwargs = _first_call(
+        monkeypatch, "psi22_quadrature_batch", lambda: SUITES["modular-te-irc"].case(cfg, 0))
+    (f, span, k, *_), _ = _first_call(
+        monkeypatch, "_nested_trapezoid",
+        lambda: sf.psi22_quadrature_batch(c1, c2, c3, c4, c0, mp, **kwargs))
+    z = span / k * np.arange(-k, k + 1)
+    got = f(z)
+    zz, eta = z[:, None], mp.eta
+    ref = np.exp(2j * np.pi * zz * (-c0 - 1j * eta))
+    for cj, sign in ((c1, 1), (c2, 1), (c3, -1), (c4, -1)):
+        phi = sf.dilog_product(zz + (cj + sign * 1j * eta) / 2, mp, tol=3e-15)
+        ref = ref * phi if sign > 0 else ref / phi
+    assert got.shape == (z.size, c1.size)
+    err = np.max(np.abs(got - ref), axis=0) / np.max(np.abs(ref), axis=0)
+    assert np.max(err) <= 1e-13
 
 
 def _recording(f):
