@@ -178,16 +178,16 @@ def _fock_te_block(max_index, block):
     """Gated terms of the base^3 cases block * base^3 + k, k < base^3, of the
     exhaustive sweep (base = max_index + 1), from one fock_te_gate call.
 
-    Returns (terms, col_starts, term_starts): case k's external tuples are
-    the columns col_starts[k]:col_starts[k + 1] and its terms the rows
-    term_starts[k]:term_starts[k + 1] of terms, whose column entries count
-    from the case's first tuple.  Only the charge-consistent tuples are
-    built: p1, p4 and p5 run free and p2, p3, p6 are solved from the three
-    total-charge balances.  No other tuple has a term: the gate run on all
-    3^12 tuples at max_index 2 finds terms on exactly the 4,743 consistent
-    ones (test_te_gate_finds_terms_exactly_on_consistent_tuples).  The
-    arrays do not depend on q, and 32 blocks hold the 27 of a max_index 2
-    sweep, so a second q gates nothing again.
+    Returns (terms, col_starts): case k's external tuples are the columns
+    col_starts[k]:col_starts[k + 1] of the block, to which the column
+    entries of terms refer; the block, not each case, is summed in one
+    batched 50-digit call (_fock_te_residuals).  Only the charge-consistent
+    tuples are built: p1, p4 and p5 run free and p2, p3, p6 are solved from
+    the three total-charge balances.  No other tuple has a term: the gate
+    run on all 3^12 tuples at max_index 2 finds terms on exactly the 4,743
+    consistent ones (test_te_gate_finds_terms_exactly_on_consistent_tuples).
+    The arrays do not depend on q, and 32 blocks hold the 27 of a max_index
+    2 sweep, so a second q gates nothing again.
     """
     base = max_index + 1
     cases = block * base ** 3 + np.arange(base ** 3)
@@ -197,37 +197,43 @@ def _fock_te_block(max_index, block):
     keep = np.all([(p >= 0) & (p <= max_index) for p in (p2, p3, p6)], axis=0)
     exts = np.stack(np.broadcast_arrays(n1, n2, n3, n4, n5, n6, p1, p2, p3, p4, p5, p6))
     col_starts = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-    col, side, ids, elements = rm.fock_te_gate(exts[:, keep])
-    term_starts = np.searchsorted(col, col_starts)
-    col = col - np.repeat(col_starts[:-1], np.diff(term_starts))
-    out = (col, side, ids, elements), col_starts, term_starts
-    for a in (col, side, ids, elements, col_starts, term_starts):
+    terms = rm.fock_te_gate(exts[:, keep])
+    for a in (*terms, col_starts):
         a.flags.writeable = False
-    return out
+    return terms, col_starts
 
 
 def _take(terms, rows):
-    """The terms (fock_te_gate's arrays) at rows, a slice or a mask."""
+    """The terms (fock_te_gate's arrays) at rows, a mask."""
     col, side, ids, elements = terms
     return col[rows], side[rows], ids[rows], elements
 
 
+@lru_cache(maxsize=128)
 @rm.in_mp_context
+def _fock_te_residuals(max_index, block, q, perturb):
+    """The residuals of the cases of _fock_te_block(max_index, block), each
+    the largest over its tuples, from one 50-digit sum over the whole block;
+    0.0 for a case with no term.  Each column still sums its terms in order,
+    so every case reads what it reads summed on its own.  The control sums
+    the RHS at q(1 + 1e-3); each side is summed once."""
+    terms, col_starts = _fock_te_block(max_index, block)
+    ncols = col_starts[-1]
+    if perturb:
+        on_lhs = terms[1] == 0
+        lhs, _ = rm.fock_te_sides(_take(terms, on_lhs), ncols, q)
+        _, rhs = rm.fock_te_sides(_take(terms, ~on_lhs), ncols, q * (1 + 1e-3))
+        res = rm._rel_residual(lhs, rhs).astype(float)
+    else:
+        res = rm.fock_te_residual(terms, ncols, q)
+    return tuple(float(res[a:b].max(initial=0.0))
+                 for a, b in zip(col_starts[:-1], col_starts[1:]))
+
+
 def _fock_te_case(cfg, idx):
     base = cfg.max_index + 1
-    terms, col_starts, term_starts = _fock_te_block(cfg.max_index, idx // base ** 3)
-    k = idx % base ** 3
-    if term_starts[k] == term_starts[k + 1]:
-        return 0.0  # no term on either side: both sides vanish
-    terms = _take(terms, slice(term_starts[k], term_starts[k + 1]))
-    ncols = col_starts[k + 1] - col_starts[k]
-    if cfg.perturb:
-        # the RHS summed at q(1 + 1e-3); each side is summed once
-        on_lhs = terms[1] == 0
-        lhs, _ = rm.fock_te_sides(_take(terms, on_lhs), ncols, cfg.q)
-        _, rhs = rm.fock_te_sides(_take(terms, ~on_lhs), ncols, cfg.q * (1 + 1e-3))
-        return float(np.max(rm._rel_residual(lhs, rhs).astype(float)))
-    return float(np.max(rm.fock_te_residual(terms, ncols, cfg.q)))
+    residuals = _fock_te_residuals(cfg.max_index, idx // base ** 3, cfg.q, cfg.perturb)
+    return residuals[idx % base ** 3]
 
 
 @rm.in_mp_context

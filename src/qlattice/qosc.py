@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -372,6 +373,7 @@ def product_state_mask(reps) -> np.ndarray:
 # 150-digit elements the 52-digit ones are off by up to 2.8e-36 at cutoff 8
 # and 3.0e-22 at cutoff 10, and both checks read about that much.
 
+@lru_cache(maxsize=8)
 @rm.in_mp_context
 def fock_r_sparse(cutoff: int, q, element_fn):
     """(reps, mask, R) for the masked 50-digit Fock checks.
@@ -384,7 +386,8 @@ def fock_r_sparse(cutoff: int, q, element_fn):
     and only where its row n is masked, or its column is masked and no index
     of n is at the cutoff: every L, and every operator of the flip-map
     relations, moves each index by at most one, so no other element reaches
-    a masked entry.
+    a masked entry.  The result is cached per (cutoff, q, element_fn), with
+    read-only arrays, so the checks of one run at one q build R once.
     """
     q = rm.to_mp(q)
     reps = (fock_rep(cutoff, q),) * 3
@@ -403,7 +406,10 @@ def fock_r_sparse(cutoff: int, q, element_fn):
                     rows.append(flat[n])
                     cols.append(flat[m])
                     vals.append(el)
-    return reps, mask, VOp(dims, rows, cols, vals)
+    r = VOp(dims, rows, cols, vals)
+    for a in (reps[0].a, reps[0].a_star, reps[0].k, mask, r.indptr, r.indices, r.data):
+        a.flags.writeable = False
+    return reps, mask, r
 
 
 def fock_intertwine_extended(cutoff: int, q, element_fn) -> float:

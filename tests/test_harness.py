@@ -276,7 +276,18 @@ FOCK_REPORT_PINS = [
 ]
 
 
+def _clear_fock_sums():
+    # the cached sums: each fock-te block's residuals and the 50-digit R
+    from qlattice import qosc
+    from qlattice.harness import suites
+
+    suites._fock_te_residuals.cache_clear()
+    qosc.fock_r_sparse.cache_clear()
+
+
 def _fock_report(params, **kw):
+    # every report sums anew, so each worker count and context computes its own
+    _clear_fock_sums()
     cfg = SuiteConfig(keep_cases=True, **{"suite": "fock-te", **params}, **kw)
     return json.dumps(strip_timing(run_suite(cfg).to_dict()), sort_keys=True)
 
@@ -321,6 +332,7 @@ def test_fock_entry_points_do_not_depend_on_the_thread_decimal_context():
 
     def values():
         rm.fock_element_mp.cache_clear()
+        qosc.fock_r_sparse.cache_clear()
         element = rm.fock_element_mp(2, 1, 2, 1, 2, 1, 0.3)
         return repr((element, qosc.fock_rep(4, rm.to_mp(0.3)).k.diagonal().tolist(),
                      qosc.fock_r_sparse(4, 0.3, scaled_element)[2].data.tolist(),
@@ -336,11 +348,12 @@ def test_fock_entry_points_do_not_depend_on_the_thread_decimal_context():
             assert values() == want
 
 
-@pytest.mark.parametrize("perturb, converted", [(False, [0.3, 0.3]),
+@pytest.mark.parametrize("perturb, converted", [(False, [0.3]),
                                                 (True, [0.3, 0.3, 0.05])])
 def test_fock_intertwine_converts_each_double_once(monkeypatch, perturb, converted):
-    # q is taken into the 50-digit context once per case, not once per
-    # element (2,023 elements at cutoff 8); the control converts its 0.05
+    # q is taken into the 50-digit context once per R, not once per element
+    # (2,023 elements at cutoff 8), and both cases share one R; the control's
+    # element builds its own R and converts its 0.05
     from qlattice import rmatrices as rm
 
     seen = []
@@ -348,6 +361,7 @@ def test_fock_intertwine_converts_each_double_once(monkeypatch, perturb, convert
     monkeypatch.setattr(rm, "to_mp", lambda x: (isinstance(x, float) and seen.append(x))
                         or to_mp(x))
     rm.fock_element_mp.cache_clear()
+    _clear_fock_sums()
     rep = run_suite(SuiteConfig(suite="fock-intertwine", cutoff=8, q=0.3, perturb=perturb))
     assert rep.passed and (rep.max_residual > 1e-3) == perturb
     assert seen == converted
@@ -356,19 +370,63 @@ def test_fock_intertwine_converts_each_double_once(monkeypatch, perturb, convert
 def test_fock_te_gates_each_block_once(monkeypatch):
     # the 729 cases at max_index 2 share one gate call per block of 27, which
     # sees only the 4,743 charge-consistent tuples; a second q at the same
-    # max_index gates nothing again
+    # max_index gates nothing again.  Each block is summed in one call over
+    # all its tuples, and the control sums each side once per block
     from qlattice import rmatrices as rm
     from qlattice.harness import suites
 
-    gated = []
-    gate = rm.fock_te_gate
+    gated, summed = [], {"residual": 0, "sides": 0}
+    gate, residual, sides = rm.fock_te_gate, rm.fock_te_residual, rm.fock_te_sides
+
+    def count(name, fn):
+        return lambda *args: summed.update({name: summed[name] + 1}) or fn(*args)
+
     monkeypatch.setattr(rm, "fock_te_gate",
                         lambda exts: gated.append(exts.shape[1]) or gate(exts))
+    monkeypatch.setattr(rm, "fock_te_residual", count("residual", residual))
+    monkeypatch.setattr(rm, "fock_te_sides", count("sides", sides))
     suites._fock_te_block.cache_clear()
+    _clear_fock_sums()
     run_suite(SuiteConfig(suite="fock-te", q=0.3, max_index=2))
     assert len(gated) == 27 and sum(gated) == 4743
+    # fock_te_residual sums through fock_te_sides
+    assert summed == {"residual": 27, "sides": 27}
     run_suite(SuiteConfig(suite="fock-te", q=0.7, max_index=2))
-    assert len(gated) == 27
+    assert len(gated) == 27 and summed == {"residual": 54, "sides": 54}
+    run_suite(SuiteConfig(suite="fock-te", q=0.3, max_index=2, perturb=True))
+    assert len(gated) == 27 and summed == {"residual": 54, "sides": 108}
+    run_suite(SuiteConfig(suite="fock-te", q=0.3, max_index=1, perturb=True))
+    assert len(gated) == 35 and summed == {"residual": 54, "sides": 124}
+
+
+def test_fock_te_residual_cache_keys_on_q_and_perturb():
+    # one process, no cache cleared between runs: each run reads its own
+    # residuals, as pinned and as the per-tuple sweep reads them
+    from test_rmatrices import _fock_te_case_oracle
+
+    _clear_fock_sums()
+    q3, _, q7, control = FOCK_REPORT_PINS[:4]
+    for params, max_residual in (q3, q7, control, q3):
+        cfg = SuiteConfig(suite="fock-te", keep_cases=True, **params)
+        rep = run_suite(cfg)
+        assert repr(rep.max_residual) == max_residual
+        assert [repr(res) for _, res in rep.cases] == \
+            [repr(_fock_te_case_oracle(cfg, idx)) for idx in range(len(rep.cases))]
+
+
+@pytest.mark.parametrize("idx", [40, 728])
+def test_fock_te_case_on_its_own_reads_its_sweep_value(idx):
+    # a case run alone, with nothing cached, sums only its own block and
+    # reads what it reads in the full sweep
+    from qlattice.harness import suites
+
+    cfg = SuiteConfig(suite="fock-te", q=0.3, max_index=2)
+    suites._fock_te_block.cache_clear()
+    _clear_fock_sums()
+    alone = SUITES["fock-te"].case(cfg, idx)
+    assert suites._fock_te_residuals.cache_info().currsize == 1
+    swept = dict(run_suite(dataclasses.replace(cfg, keep_cases=True)).cases)[idx]
+    assert type(alone) is float and repr(alone) == repr(swept)
 
 
 @pytest.mark.parametrize("args, noted", [
