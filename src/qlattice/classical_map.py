@@ -40,7 +40,6 @@ from .errors import DomainError, SingularityError
 from .geometry import FaceAngles
 
 EPS_CLASSICAL = +1
-EPS_MODULAR = -1
 
 
 def _guard(bad, error, message, *values):

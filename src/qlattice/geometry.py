@@ -395,7 +395,6 @@ def _tangent_frame(n):
 
 @dataclass
 class MiquelReport:
-    front_residuals: list
     back_residuals: list
     cosphericity: float
 
@@ -412,7 +411,7 @@ def miquel_check(h: Hexahedron) -> MiquelReport:
     for i, r in enumerate(front):
         if r > 1e-9:
             raise DomainError("front face %d is not concyclic (residual %.2e)" % (i + 1, r))
-    return MiquelReport(front, back, h.cosphericity_residual())
+    return MiquelReport(back, h.cosphericity_residual())
 
 
 # ---------------------------------------------------------------------------
@@ -520,22 +519,20 @@ def _fill_wall(points, rng, circular):
 
     circular: x(i,j) on the circle through the three, at a mid-arc parameter,
     which makes the face a convex cyclic quadrilateral.  quadrilateral: in
-    the plane of the three.
+    the plane of the three.  DegeneracyError if the three are collinear
+    (circular) or 60 draws give no convex face.
     """
     p00, p10, p01 = points  # (i-1,j-1), (i,j-1), (i-1,j)
     for _ in range(60):
         if circular:
-            try:
-                cand = point_on_arc(p10, p01, p00, rng.uniform(0.42, 0.58))
-            except DegeneracyError:
-                return None
+            cand = point_on_arc(p10, p01, p00, rng.uniform(0.42, 0.58))
         else:
             s, t = rng.uniform(0.85, 1.2, 2)
             cand = p00 + s * (p10 - p00) + t * (p01 - p00)
         face = (p00, p10, cand, p01)
         if _convex(face):
             return cand
-    return None
+    raise DegeneracyError("no convex wall face in 60 draws")
 
 
 def random_initial_state(shape, rng, mode="circular") -> LatticeState:
@@ -543,7 +540,7 @@ def random_initial_state(shape, rng, mode="circular") -> LatticeState:
 
     Axis rows are mildly perturbed integer points; each wall face is then
     closed one at a time, rejection-sampling until convex (and concyclic in
-    circular mode).
+    circular mode); a wall that cannot be closed starts the data anew.
     """
     n1, n2, n3 = shape
     for _ in range(200):
@@ -551,33 +548,26 @@ def random_initial_state(shape, rng, mode="circular") -> LatticeState:
         st.set((0, 0, 0), rng.normal(0, 0.04, 3))
         axes = (np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), np.array([0, 0, 1.0]))
         sizes = (n1, n2, n3)
-        ok = True
         for ax in range(3):
             for i in range(1, sizes[ax] + 1):
                 m = [0, 0, 0]
                 m[ax] = i
                 st.set(tuple(m), i * axes[ax] + rng.normal(0, 0.06, 3))
         walls = ((0, 1, n1, n2), (0, 2, n1, n3), (1, 2, n2, n3))
-        for a1, a2, s1, s2 in walls:
-            for i in range(1, s1 + 1):
-                for j in range(1, s2 + 1):
-                    m00, m10, m01, m11 = [[0, 0, 0] for _ in range(4)]
-                    m00[a1], m00[a2] = i - 1, j - 1
-                    m10[a1], m10[a2] = i, j - 1
-                    m01[a1], m01[a2] = i - 1, j
-                    m11[a1], m11[a2] = i, j
-                    cand = _fill_wall((st.get(m00), st.get(m10), st.get(m01)),
-                                      rng, circular=(mode == "circular"))
-                    if cand is None:
-                        ok = False
-                        break
-                    st.set(tuple(m11), cand)
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            return st
+        try:
+            for a1, a2, s1, s2 in walls:
+                for i in range(1, s1 + 1):
+                    for j in range(1, s2 + 1):
+                        m00, m10, m01, m11 = [[0, 0, 0] for _ in range(4)]
+                        m00[a1], m00[a2] = i - 1, j - 1
+                        m10[a1], m10[a2] = i, j - 1
+                        m01[a1], m01[a2] = i - 1, j
+                        m11[a1], m11[a2] = i, j
+                        st.set(tuple(m11), _fill_wall((st.get(m00), st.get(m10), st.get(m01)),
+                                                      rng, circular=(mode == "circular")))
+        except DegeneracyError:
+            continue
+        return st
     raise DegeneracyError("failed to sample admissible initial data")
 
 
@@ -645,15 +635,9 @@ def _run_schedules(surface, perturb=None):
     return pts
 
 
-@dataclass
-class DodecaReport:
-    discrepancy: float
-    per_vertex: dict
-
-
-def dodecahedron_consistency(surface, perturb=None) -> DodecaReport:
+def dodecahedron_consistency(surface, perturb=None) -> float:
     """Flip the front surface to the back surface along both dissections and
-    report the maximum distance between the two results.
+    return the maximum distance between the two results.
 
     surface maps the eleven initial masks to points (R^3 or R^4).  perturb,
     if given, is added to the first computed vertex of the second dissection
@@ -663,8 +647,7 @@ def dodecahedron_consistency(surface, perturb=None) -> DodecaReport:
     if missing:
         raise DomainError("missing initial vertices for masks %s" % missing)
     ptsa, ptsb = _run_schedules(surface, perturb)
-    per = {m: float(np.linalg.norm(ptsa[m] - ptsb[m])) for m in DODECA_FINAL_MASKS}
-    return DodecaReport(max(per.values()), per)
+    return max(float(np.linalg.norm(ptsa[m] - ptsb[m])) for m in DODECA_FINAL_MASKS)
 
 
 def random_rotation(rng):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -150,9 +149,9 @@ def _dodeca_case(cfg, idx):
         verts = geo.dodeca_vertices_from_projective(rng, dim=3)
         probe = np.array([1e-2, 0.0, 0.0])
         return geo.dodecahedron_consistency(
-            geo.dodeca_initial_surface(verts), perturb=probe).discrepancy
+            geo.dodeca_initial_surface(verts), perturb=probe)
     verts = geo.dodeca_vertices_from_projective(rng)
-    return geo.dodecahedron_consistency(geo.dodeca_initial_surface(verts)).discrepancy
+    return geo.dodecahedron_consistency(geo.dodeca_initial_surface(verts))
 
 
 def _covariant_case(cfg, idx):
@@ -173,59 +172,26 @@ def _fock_te_count(cfg):
     return (cfg.max_index + 1) ** 6
 
 
-@lru_cache(maxsize=32)
-def _fock_te_block(max_index, block):
-    """Gated terms of the base^3 cases block * base^3 + k, k < base^3, of the
-    exhaustive sweep (base = max_index + 1), from one fock_te_gate call.
-
-    Returns (terms, col_starts): case k's external tuples are the columns
-    col_starts[k]:col_starts[k + 1] of the block, to which the column
-    entries of terms refer; the block, not each case, is summed in one
-    batched 50-digit call (_fock_te_residuals).  Only the charge-consistent
-    tuples are built: p1, p4 and p5 run free and p2, p3, p6 are solved from
-    the three total-charge balances.  No other tuple has a term: the gate
-    run on all 3^12 tuples at max_index 2 finds terms on exactly the 4,743
-    consistent ones (test_te_gate_finds_terms_exactly_on_consistent_tuples).
-    The arrays do not depend on q, and 32 blocks hold the 27 of a max_index
-    2 sweep, so a second q gates nothing again.
-    """
+@lru_cache(maxsize=128)
+def _fock_te_residuals(max_index, block, q, perturb):
+    """The residuals of the base^3 cases block * base^3 + k, k < base^3, of
+    the exhaustive sweep (base = max_index + 1), each the largest over its
+    external tuples, 0.0 for a case with no term.  Only the charge-consistent
+    tuples are built: n1'', n2'', n3'' run free and the rest are solved by
+    te_balance.  The block is gated in one fock_te_gate call and summed in
+    one 50-digit fock_te_residual call, the control's RHS at q(1 + 1e-3);
+    each column still sums its terms in order, so every case reads what it
+    reads summed on its own."""
     base = max_index + 1
     cases = block * base ** 3 + np.arange(base ** 3)
-    n1, n2, n3, n4, n5, n6 = (cases // base ** np.arange(6)[:, None] % base)[:, :, None]
-    p1, p4, p5 = np.indices((base,) * 3).reshape(3, 1, -1)
-    p2, p3, p6 = n1 + n2 + n4 - p1 - p4, n3 + n5 + p1 - n1 - p5, n4 + n5 + n6 - p4 - p5
-    keep = np.all([(p >= 0) & (p <= max_index) for p in (p2, p3, p6)], axis=0)
-    exts = np.stack(np.broadcast_arrays(n1, n2, n3, n4, n5, n6, p1, p2, p3, p4, p5, p6))
+    n = (cases // base ** np.arange(6)[:, None] % base)[:, :, None]
+    p1, p2, p3 = np.indices((base,) * 3).reshape(3, 1, -1)
+    p456 = rm.te_balance(n, p1, p2, p3)
+    keep = np.all([(p >= 0) & (p <= max_index) for p in p456], axis=0)
+    exts = np.stack(np.broadcast_arrays(*n, p1, p2, p3, *p456))[:, keep]
     col_starts = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-    terms = rm.fock_te_gate(exts[:, keep])
-    for a in (*terms, col_starts):
-        a.flags.writeable = False
-    return terms, col_starts
-
-
-def _take(terms, rows):
-    """The terms (fock_te_gate's arrays) at rows, a mask."""
-    col, side, ids, elements = terms
-    return col[rows], side[rows], ids[rows], elements
-
-
-@lru_cache(maxsize=128)
-@rm.in_mp_context
-def _fock_te_residuals(max_index, block, q, perturb):
-    """The residuals of the cases of _fock_te_block(max_index, block), each
-    the largest over its tuples, from one 50-digit sum over the whole block;
-    0.0 for a case with no term.  Each column still sums its terms in order,
-    so every case reads what it reads summed on its own.  The control sums
-    the RHS at q(1 + 1e-3); each side is summed once."""
-    terms, col_starts = _fock_te_block(max_index, block)
-    ncols = col_starts[-1]
-    if perturb:
-        on_lhs = terms[1] == 0
-        lhs, _ = rm.fock_te_sides(_take(terms, on_lhs), ncols, q)
-        _, rhs = rm.fock_te_sides(_take(terms, ~on_lhs), ncols, q * (1 + 1e-3))
-        res = rm._rel_residual(lhs, rhs).astype(float)
-    else:
-        res = rm.fock_te_residual(terms, ncols, q)
+    res = rm.fock_te_residual(rm.fock_te_gate(exts), exts.shape[1], q,
+                              q * (1 + 1e-3) if perturb else q)
     return tuple(float(res[a:b].max(initial=0.0))
                  for a, b in zip(col_starts[:-1], col_starts[1:]))
 
@@ -240,7 +206,8 @@ def _fock_te_case(cfg, idx):
 def _fock_intertwine_case(cfg, idx):
     if idx == 0:
         if cfg.perturb:
-            bump = rm._MP_CTX.create_decimal("1.05")
+            from decimal import Decimal
+            bump = Decimal("1.05")
 
             def bad_element(n1, n2, n3, m1, m2, m3, q):
                 val = rm.fock_element_mp(n1, n2, n3, m1, m2, m3, q)
@@ -512,6 +479,7 @@ def run_suite(cfg: SuiteConfig) -> Report:
     if cfg.workers == 1:
         results = [_run_case((cfg, i)) for i in range(n_cases)]
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(_run_case, ((cfg, i) for i in range(n_cases)),
                                     chunksize=max(1, n_cases // (8 * cfg.workers))))

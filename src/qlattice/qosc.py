@@ -395,17 +395,18 @@ def fock_r_sparse(cutoff: int, q, element_fn):
     dims = tuple(r.dim for r in reps)
     kept = mask.reshape(dims)
     flat = np.arange(mask.size).reshape(dims)
+    # each (n, m) of a charge sector inside the cutoff, in the order of n, then m2
+    n1, n2, n3, m2 = np.indices((cutoff + 1,) * 4).reshape(4, -1)
+    nm = np.stack([n1, n2, n3, n1 + n2 - m2, m2, n2 + n3 - m2])
     rows, cols, vals = [], [], []
-    for n in np.ndindex(*dims):
-        c1, c2 = n[0] + n[1], n[1] + n[2]
-        for m2 in range(max(0, c2 - cutoff, c1 - cutoff), min(c1, c2, cutoff) + 1):
-            m = (c1 - m2, m2, c2 - m2)
-            if kept[n] or (kept[m] and max(n) < cutoff):
-                el = element_fn(*n, *m, q)
-                if el:
-                    rows.append(flat[n])
-                    cols.append(flat[m])
-                    vals.append(el)
+    for idx in nm[:, ((nm >= 0) & (nm <= cutoff)).all(axis=0)].T.tolist():
+        n, m = tuple(idx[:3]), tuple(idx[3:])
+        if kept[n] or (kept[m] and max(n) < cutoff):
+            el = element_fn(*idx, q)
+            if el:
+                rows.append(flat[n])
+                cols.append(flat[m])
+                vals.append(el)
     r = VOp(dims, rows, cols, vals)
     for a in (reps[0].a, reps[0].a_star, reps[0].k, mask, r.indptr, r.indices, r.data):
         a.flags.writeable = False

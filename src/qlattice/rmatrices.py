@@ -168,15 +168,28 @@ def te_rhs_indices(ext, i3):
             (n1, i4, i5, i1, p4, p5), (i1, i2, i3, p1, p2, p3))
 
 
+def te_balance(n, p1, p2, p3):
+    """(n4'', n5'', n6'') solved from the three total-charge balances of the
+    vertex tetrahedron equation, at n = (n1..n6) and n1'', n2'', n3''; both
+    sides of the equation vanish at an external tuple that breaks one.
+    Entries may be Python ints or broadcastable integer arrays."""
+    n1, n2, n3, n4, n5, n6 = n
+    p4 = n1 + n2 + n4 - p1 - p2
+    p5 = n3 + n5 + p1 - n1 - p3
+    return p4, p5, n4 + n5 + n6 - p4 - p5
+
+
 def fock_te_gate(exts):
     """Terms of the vertex tetrahedron equation for a batch of external tuples.
 
     exts is a (12, T) integer array whose columns are (n1..n6, n1''..n6'').
     Each side is a single sum over the one internal index left free by the
-    eight charge deltas; its range is exactly the nonnegativity window of the
-    solved internal indices, so no truncation is involved.  A term is kept
-    only if each of its four elements passes its own charge deltas; the
-    others are exact zeros.
+    eight charge deltas.  On a column whose total charges balance
+    (te_balance) every element's charge deltas hold identically, so a term
+    is kept exactly where the free index and every index solved by
+    te_lhs_indices / te_rhs_indices are nonnegative; the free index runs over
+    [0, 2 max(exts)], which holds every such window, so no truncation is
+    involved.  An unbalanced column has no term.
 
     Returns integer arrays (col, side, ids, elements) with one entry of col
     and side and one row of ids per term, ordered by column, then side, then
@@ -186,25 +199,17 @@ def fock_te_gate(exts):
     """
     exts = np.asarray(exts, dtype=np.int64)
     cols = exts[:, :, None]
-    n1, n2, n3, n4, n5, n6, p1, p2, p3, p4, p5, p6 = cols
-    zero = np.zeros_like(n1)
+    balanced = np.all(np.equal(te_balance(cols[:6], *cols[6:9]), cols[9:]), axis=0)
+    free = np.arange(2 * int(exts.max(initial=0)) + 1)
 
-    def side(lo, hi, indices):
-        width = max(int((hi - lo).max()) + 1, 0)
-        free = lo + np.arange(width)
-        flat = [i for el in indices(cols, free) for i in el]
-        idx = np.stack(np.broadcast_arrays(free, *flat)[1:]).reshape(4, 6, *free.shape)
-        a, b, c, d, e, f = idx.swapaxes(0, 1)
-        keep = (free <= hi) & ((a + b == d + e) & (b + c == e + f)).all(axis=0)
+    def side(indices):
+        idx = np.stack(np.broadcast_arrays(*(i for el in indices(cols, free) for i in el)))
+        idx = idx.reshape(4, 6, *idx.shape[1:])
+        keep = balanced & (idx >= 0).all(axis=(0, 1))
         col, k = np.nonzero(keep)  # row-major: columns, then free index, ascending
         return col, idx[:, :, col, k].transpose(2, 0, 1)
 
-    sides = (side(np.maximum.reduce([zero, n1 - n3, p1 - n4, p1 + p4 - n4 - n6]),
-                  np.minimum(n1 + n2, n5 + p1), te_lhs_indices),
-             side(np.maximum.reduce([zero, n3 - n6, n3 + p6 - n4 - n6,
-                                     n3 + p6 - n6 - n1 + p4 - n4]),
-                  np.minimum(n3 + n5, n2 + n3 + p6 - n6), te_rhs_indices))
-    (lcol, lidx), (rcol, ridx) = sides
+    (lcol, lidx), (rcol, ridx) = side(te_lhs_indices), side(te_rhs_indices)
     col = np.concatenate([lcol, rcol])
     side = np.repeat(np.array([0, 1], dtype=np.int8), [lcol.size, rcol.size])
     # stable: within a column the LHS terms stay first, each side in free-index order
@@ -237,11 +242,17 @@ def fock_te_sides(terms, ncols, q, element=fock_element_mp):
 
 
 @in_mp_context
-def fock_te_residual(terms, ncols, q) -> np.ndarray:
+def fock_te_residual(terms, ncols, q, q_rhs) -> np.ndarray:
     """Relative residuals of the vertex tetrahedron equation at ncols external
-    tuples from their terms (fock_te_gate's arrays), summed in _MP_CTX; 0.0
-    where neither side has a term."""
-    return _rel_residual(*fock_te_sides(terms, ncols, q)).astype(float)
+    tuples from their terms (fock_te_gate's arrays), summed in _MP_CTX with
+    the LHS at q and the RHS at q_rhs; 0.0 where neither side has a term.
+    The check passes q_rhs = q, a negative control another deformation."""
+    col, side, ids, elements = terms
+    sums = []
+    for s, at in enumerate((q, q_rhs)):
+        on = side == s
+        sums.append(fock_te_sides((col[on], side[on], ids[on], elements), ncols, at)[s])
+    return _rel_residual(*sums).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +260,6 @@ def fock_te_residual(terms, ncols, q) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 LINE_PAIRS = ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3))
-VERTEX_TRIPLES = ((0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5))
 
 
 @dataclass(frozen=True)
@@ -398,11 +408,8 @@ def consistent_external(rng, N):
     tetrahedron equation over Z_N whose total charges balance, so both sides
     can be nonzero."""
     n = [int(x) for x in rng.integers(0, N, 6)]
-    p1, p2, p3 = (int(x) for x in rng.integers(0, N, 3))
-    p4 = (n[0] + n[1] + n[3] - p1 - p2) % N
-    p5 = (n[2] + n[4] + p1 - n[0] - p3) % N
-    p6 = (n[3] + n[4] + n[5] - p4 - p5) % N
-    return (*n, p1, p2, p3, p4, p5, p6)
+    p = [int(x) for x in rng.integers(0, N, 3)]
+    return (*n, *p, *(x % N for x in te_balance(n, *p)))
 
 
 def vertex_te_residual(ext, datasets) -> float:

@@ -175,16 +175,13 @@ def _strip_halfwidth(mp: ModularParam) -> float:
     return abs(mp.eta.real)
 
 
-def quantum_dilog(z: complex, mp: ModularParam, method: str = "auto") -> complex:
+def quantum_dilog(z: complex, mp: ModularParam, method: str) -> complex:
     """Evaluate phi(z) by the requested method.
 
     method:
       "quadrature"     shifted straight-contour integral of the log
       "product-series" infinite-product form (requires Im b^2 > 0)
-      "auto"           product when available, else quadrature
     """
-    if method == "auto":
-        method = "product-series" if mp.im_b_sq > 0 else "quadrature"
     if method == "product-series":
         mp.require_series_domain()
         return complex(dilog_product(np.asarray(z, dtype=complex), mp))

@@ -228,3 +228,38 @@ def test_a_parameter_or_local_does_not_hide_an_uncalled_function():
     unused = _uncalled({"planted": ast.parse(PLANTED)}, [])
     assert sorted(unused) == ["planted.closed", "planted.face", "planted.outer",
                               "planted.reader", "planted.value"]
+
+
+def _is_dataclass(node):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def test_every_module_name_and_dataclass_field_is_read():
+    # A constant or a dataclass field that nothing reads is written for
+    # nobody.  A read is a loaded Name or Attribute, or an import, anywhere
+    # in src/, tests/ or bench/.
+    trees = {p: ast.parse(p.read_text(), filename=str(p))
+             for d in CALLERS for p in sorted((ROOT / d).rglob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name.split(".")[-1])
+    unread = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
+        for node in trees[path].body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                unread += [module + "." + n.id for t in targets for n in ast.walk(t)
+                           if isinstance(n, ast.Name) and n.id not in read]
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                unread += ["%s.%s.%s" % (module, node.name, f.target.id) for f in node.body
+                           if isinstance(f, ast.AnnAssign) and f.target.id not in read]
+    assert not unread, "%d names nothing reads:\n  %s" % (len(unread), "\n  ".join(unread))

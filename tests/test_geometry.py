@@ -251,16 +251,14 @@ def test_staircase_determinism():
 
 def test_dodeca_axis_aligned_exact():
     verts = {m: np.array([(m >> b) & 1 for b in range(4)], dtype=float) for m in range(16)}
-    rep = geo.dodecahedron_consistency(geo.dodeca_initial_surface(verts))
-    assert rep.discrepancy < 1e-12
+    assert geo.dodecahedron_consistency(geo.dodeca_initial_surface(verts)) < 1e-12
 
 
 def test_dodeca_schedules_recover_projective_vertices():
     rng = np.random.default_rng(11)
     verts = geo.dodeca_vertices_from_projective(rng)
     surface = geo.dodeca_initial_surface(verts)
-    rep = geo.dodecahedron_consistency(surface)
-    assert rep.discrepancy < 1e-8
+    assert geo.dodecahedron_consistency(surface) < 1e-8
     # both dissections must also land on the true 4-cube vertices
     for pts in geo._run_schedules(surface):
         for m in geo.DODECA_FINAL_MASKS:
@@ -271,7 +269,7 @@ def test_dodeca_random_seeds():
     rng = np.random.default_rng(12)
     for _ in range(25):
         surface = geo.dodeca_initial_surface(geo.dodeca_vertices_from_projective(rng))
-        assert geo.dodecahedron_consistency(surface).discrepancy < 1e-8
+        assert geo.dodecahedron_consistency(surface) < 1e-8
 
 
 def test_dodeca_perturbation_sensitivity():
@@ -280,10 +278,9 @@ def test_dodeca_perturbation_sensitivity():
     rng = np.random.default_rng(13)
     verts = geo.dodeca_vertices_from_projective(rng, dim=3)
     surface = geo.dodeca_initial_surface(verts)
-    assert geo.dodecahedron_consistency(surface).discrepancy < 1e-8
+    assert geo.dodecahedron_consistency(surface) < 1e-8
     probe = np.array([1e-3, 0.0, 0.0])
-    rep = geo.dodecahedron_consistency(surface, perturb=probe)
-    assert rep.discrepancy > 1e-4
+    assert geo.dodecahedron_consistency(surface, perturb=probe) > 1e-4
 
 
 @pytest.mark.parametrize("vertex, make, message", [

@@ -262,7 +262,7 @@ def test_fock_te_extended_path():
     # the 50-digit sum resolves the cancellation far below double precision
     from qlattice import rmatrices as rm
     ext = np.ones((12, 1), dtype=int)
-    assert rm.fock_te_residual(rm.fock_te_gate(ext), 1, 0.3)[0] < 1e-30
+    assert rm.fock_te_residual(rm.fock_te_gate(ext), 1, 0.3, 0.3)[0] < 1e-30
 
 
 FOCK_REPORT_PINS = [
@@ -337,7 +337,7 @@ def test_fock_entry_points_do_not_depend_on_the_thread_decimal_context():
         return repr((element, qosc.fock_rep(4, rm.to_mp(0.3)).k.diagonal().tolist(),
                      qosc.fock_r_sparse(4, 0.3, scaled_element)[2].data.tolist(),
                      rm.fock_te_sides(terms, exts.shape[1], 0.7),
-                     rm.fock_te_residual(terms, exts.shape[1], 0.3).tolist(),
+                     rm.fock_te_residual(terms, exts.shape[1], 0.3, 0.3).tolist(),
                      qosc.fock_intertwine_extended(5, 0.3, rm.fock_element_mp),
                      qosc.map_operator_residuals(reps, r, eps=1, mask=mask),
                      qosc.map_operator_residuals(reps, r, eps=-1, mask=mask)))
@@ -369,9 +369,10 @@ def test_fock_intertwine_converts_each_double_once(monkeypatch, perturb, convert
 
 def test_fock_te_gates_each_block_once(monkeypatch):
     # the 729 cases at max_index 2 share one gate call per block of 27, which
-    # sees only the 4,743 charge-consistent tuples; a second q at the same
-    # max_index gates nothing again.  Each block is summed in one call over
-    # all its tuples, and the control sums each side once per block
+    # sees only the 4,743 charge-consistent tuples.  Each block is summed in
+    # one fock_te_residual call over all its tuples, which sums each side in
+    # one fock_te_sides call; the control takes the same path, and a second
+    # q gates again
     from qlattice import rmatrices as rm
     from qlattice.harness import suites
 
@@ -385,18 +386,16 @@ def test_fock_te_gates_each_block_once(monkeypatch):
                         lambda exts: gated.append(exts.shape[1]) or gate(exts))
     monkeypatch.setattr(rm, "fock_te_residual", count("residual", residual))
     monkeypatch.setattr(rm, "fock_te_sides", count("sides", sides))
-    suites._fock_te_block.cache_clear()
     _clear_fock_sums()
     run_suite(SuiteConfig(suite="fock-te", q=0.3, max_index=2))
     assert len(gated) == 27 and sum(gated) == 4743
-    # fock_te_residual sums through fock_te_sides
-    assert summed == {"residual": 27, "sides": 27}
+    assert summed == {"residual": 27, "sides": 54}
     run_suite(SuiteConfig(suite="fock-te", q=0.7, max_index=2))
-    assert len(gated) == 27 and summed == {"residual": 54, "sides": 54}
+    assert len(gated) == 54 and summed == {"residual": 54, "sides": 108}
     run_suite(SuiteConfig(suite="fock-te", q=0.3, max_index=2, perturb=True))
-    assert len(gated) == 27 and summed == {"residual": 54, "sides": 108}
+    assert len(gated) == 81 and summed == {"residual": 81, "sides": 162}
     run_suite(SuiteConfig(suite="fock-te", q=0.3, max_index=1, perturb=True))
-    assert len(gated) == 35 and summed == {"residual": 54, "sides": 124}
+    assert len(gated) == 89 and summed == {"residual": 89, "sides": 178}
 
 
 def test_fock_te_residual_cache_keys_on_q_and_perturb():
@@ -421,7 +420,6 @@ def test_fock_te_case_on_its_own_reads_its_sweep_value(idx):
     from qlattice.harness import suites
 
     cfg = SuiteConfig(suite="fock-te", q=0.3, max_index=2)
-    suites._fock_te_block.cache_clear()
     _clear_fock_sums()
     alone = SUITES["fock-te"].case(cfg, idx)
     assert suites._fock_te_residuals.cache_info().currsize == 1

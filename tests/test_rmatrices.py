@@ -192,7 +192,7 @@ def test_fock_te_cases_match_the_per_tuple_sweep(max_index, q, perturb):
 
 def test_fock_te_exhaustive_small():
     exts = np.array(list(itertools.product(range(2), repeat=12))).T
-    res = rm.fock_te_residual(rm.fock_te_gate(exts), 4096, 0.5)
+    res = rm.fock_te_residual(rm.fock_te_gate(exts), 4096, 0.5, 0.5)
     assert res.shape == (4096,) and res.max() < 1e-12
 
 
@@ -205,7 +205,7 @@ def test_fock_te_inconsistent_externals_vanish():
             continue
         (lhs,), (rhs,) = rm.fock_te_sides(_gate_one(ext), 1, 0.3, rm.fock_element)
         assert abs(lhs) < 1e-14 and abs(rhs) < 1e-14
-        assert rm.fock_te_residual(_gate_one(ext), 1, 0.3)[0] == 0.0
+        assert rm.fock_te_residual(_gate_one(ext), 1, 0.3, 0.3)[0] == 0.0
         checked += 1
 
 
@@ -214,7 +214,7 @@ def test_fock_double_path_does_not_feed_the_extended_cache():
     # first must not be served to the 50-digit check
     rm.fock_element_mp.cache_clear()
     rm.fock_r_dense(4, 0.3)
-    assert rm.fock_te_residual(_gate_one((1,) * 12), 1, 0.3)[0] < 1e-30
+    assert rm.fock_te_residual(_gate_one((1,) * 12), 1, 0.3, 0.3)[0] < 1e-30
 
 
 def _qpoch_oracle(x, qsq, n):

@@ -162,10 +162,11 @@ def test_dilog_inversion_relation():
     # past the +-8 that psi22 evaluates phi at.
     rng = np.random.default_rng(3)
     for mp in (B_TEST, B_WIDE):
-        c = sf.quantum_dilog(0.0, mp) ** 2
+        c = sf.quantum_dilog(0.0, mp, method="product-series") ** 2
         for _ in range(20):
             z = complex(rng.uniform(-9.0, 9.0), rng.uniform(-0.2, 0.2))
-            lhs = sf.quantum_dilog(z, mp) * sf.quantum_dilog(-z, mp)
+            lhs = (sf.quantum_dilog(z, mp, method="product-series")
+                   * sf.quantum_dilog(-z, mp, method="product-series"))
             rhs = cmath.exp(1j * math.pi * z * z) * c
             assert abs(lhs - rhs) / abs(rhs) < 1e-10
 
