@@ -2,10 +2,13 @@
 for every identity the package checks, plus their negative controls.
 
 Each suite declares a default tolerance and sample count, a case count and
-a case function mapping (config, case index) to a residual; per-case inputs
-come from counter-based streams so worker count cannot change them.  With
-perturb=True a suite applies its documented deliberate corruption and the
-report then passes only if the residual EXCEEDS the tolerance.
+a case function mapping (config, case index) to a residual, or a block
+function mapping (config, case indices) to their residuals in one array
+call.  The runner hands out fixed blocks of BLOCK_CASES consecutive cases,
+and per-case inputs come from counter-based streams, so neither the worker
+count nor the block size can change a case.  With perturb=True a suite
+applies its documented deliberate corruption and the report then passes
+only if the residual EXCEEDS the tolerance.
 """
 
 from __future__ import annotations
@@ -25,9 +28,12 @@ from .. import rmatrices as rm
 from .. import specfun as sf
 from ..errors import ConfigurationError, DomainError
 from .report import Report
-from .rng import case_rng
+from .rng import case_rng, case_rngs
 
 SETUP_STREAM = 2 ** 62 + 11  # case index reserved for per-run shared setup
+# consecutive cases per block: the unit of work of one worker call and of one
+# block function call.  Small blocks keep the arrays, and peak memory, small.
+BLOCK_CASES = 32
 
 
 @dataclass(frozen=True)
@@ -70,12 +76,22 @@ class SuiteConfig:
 
 @dataclass(frozen=True)
 class Suite:
+    """A suite gives case, or block and then case is made from it.  A block
+    function returns its cases' residuals as Python floats, in order; the
+    runner loops case over a block of a suite without one."""
+
     default_tol: float
     default_samples: int
     count: callable
-    case: callable
+    case: callable = None
+    block: callable = None
     parameters: callable = lambda cfg: {}
     extras: callable = lambda cfg: {}
+
+    def __post_init__(self):
+        if self.case is None:
+            block = self.block
+            object.__setattr__(self, "case", lambda cfg, idx: block(cfg, [idx])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -172,34 +188,26 @@ def _fock_te_count(cfg):
     return (cfg.max_index + 1) ** 6
 
 
-@lru_cache(maxsize=128)
-def _fock_te_residuals(max_index, block, q, perturb):
-    """The residuals of the base^3 cases block * base^3 + k, k < base^3, of
-    the exhaustive sweep (base = max_index + 1), each the largest over its
-    external tuples, 0.0 for a case with no term.  Only the charge-consistent
+def _fock_te_block(cfg, cases):
+    """Each case's residual, the largest over its external tuples, 0.0 for a
+    case with no term, case idx being the outer tuple of digits of idx in
+    base max_index + 1 of the exhaustive sweep.  Only the charge-consistent
     tuples are built: n1'', n2'', n3'' run free and the rest are solved by
     te_balance.  The block is gated in one fock_te_gate call and summed in
     one 50-digit fock_te_residual call, the control's RHS at q(1 + 1e-3);
     each column still sums its terms in order, so every case reads what it
     reads summed on its own."""
-    base = max_index + 1
-    cases = block * base ** 3 + np.arange(base ** 3)
-    n = (cases // base ** np.arange(6)[:, None] % base)[:, :, None]
+    base = cfg.max_index + 1
+    n = (np.asarray(cases) // base ** np.arange(6)[:, None] % base)[:, :, None]
     p1, p2, p3 = np.indices((base,) * 3).reshape(3, 1, -1)
     p456 = rm.te_balance(n, p1, p2, p3)
-    keep = np.all([(p >= 0) & (p <= max_index) for p in p456], axis=0)
+    keep = np.all([(p >= 0) & (p <= cfg.max_index) for p in p456], axis=0)
     exts = np.stack(np.broadcast_arrays(*n, p1, p2, p3, *p456))[:, keep]
     col_starts = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-    res = rm.fock_te_residual(rm.fock_te_gate(exts), exts.shape[1], q,
-                              q * (1 + 1e-3) if perturb else q)
-    return tuple(float(res[a:b].max(initial=0.0))
-                 for a, b in zip(col_starts[:-1], col_starts[1:]))
-
-
-def _fock_te_case(cfg, idx):
-    base = cfg.max_index + 1
-    residuals = _fock_te_residuals(cfg.max_index, idx // base ** 3, cfg.q, cfg.perturb)
-    return residuals[idx % base ** 3]
+    res = rm.fock_te_residual(rm.fock_te_gate(exts), exts.shape[1], cfg.q,
+                              cfg.q * (1 + 1e-3) if cfg.perturb else cfg.q)
+    return [float(res[a:b].max(initial=0.0))
+            for a, b in zip(col_starts[:-1], col_starts[1:])]
 
 
 @rm.in_mp_context
@@ -265,18 +273,22 @@ def _cyclic_te_count(cfg):
     return _samples(cfg)
 
 
-def _cyclic_te_case(cfg, idx):
+def _cyclic_te_block(cfg, cases):
+    """One irc_te_residual_cyclic call for the block, on a 2-D array of
+    external tuples even for one case: rows of a (B, 14) call equal those of
+    a (1, 14) call bit for bit, while a (14,) call rounds differently."""
     n = cfg.n_cyclic
     tables = _cyclic_te_setup(cfg.seed, n)
     if cfg.perturb:
         tables = _perturb_table(tables)
     if n == 2:
-        # the 128 external tuples idx * 128 + low, bit b the b-th label
-        bits = idx * 128 + np.arange(128)[:, None]
-        ext = (bits >> np.arange(14)) & 1
-    else:
-        ext = case_rng(cfg.seed, idx).integers(0, n, 14)
-    return float(np.max(rm.irc_te_residual_cyclic(tables, ext)))
+        # case idx holds the 128 external tuples idx * 128 + low, bit b the
+        # b-th label
+        bits = np.asarray(cases)[:, None, None] * 128 + np.arange(128)[:, None]
+        return rm.irc_te_residual_cyclic(tables, (bits >> np.arange(14)) & 1).max(
+            axis=-1).tolist()
+    ext = np.array([rng.integers(0, n, 14) for rng in case_rngs(cfg.seed, cases)])
+    return rm.irc_te_residual_cyclic(tables, ext).tolist()
 
 
 @lru_cache(maxsize=8)
@@ -316,21 +328,19 @@ def _cross_form_count(cfg):
     return _samples(cfg)
 
 
-def _cross_form_case(cfg, idx):
+def _cross_form_block(cfg, cases):
     n = cfg.n_cyclic
     data = _cross_form_setup(cfg.seed, n)
     if n == 2:
-        spins = [(idx >> b) & 1 for b in range(8)]
+        spins = (np.asarray(cases) >> np.arange(8)[:, None]) & 1
     else:
-        rng = case_rng(cfg.seed, idx)
-        spins = [int(x) for x in rng.integers(0, n, 8)]
-    if cfg.perturb:
-        # drop the equivalence factor: the two forms must then disagree
-        nn, mm = rm.sigma_map(spins, (0, 0, 0))
-        w = data.weights[tuple(x % n for x in spins)]
-        return rm._rel_residual(w, rm.cyclic_vertex_element(nn, mm, data))
-    res, _ = rm.cross_form_residual(data, dict(zip("aefgbcdh", spins)))
-    return res
+        spins = np.array([rng.integers(0, n, 8) for rng in case_rngs(cfg.seed, cases)]).T
+    # the control compares the weight with q^(E+1) times the element in place
+    # of the equivalence factor q^E: the two forms then differ by the phase q
+    # at every spin assignment
+    res, _ = rm.cross_form_residual(data, dict(zip("aefgbcdh", spins)),
+                                    power_shift=int(cfg.perturb))
+    return res.tolist()
 
 
 def _cross_form_extras(cfg):
@@ -419,7 +429,7 @@ SUITES = {
         parameters=lambda cfg: {"box": list(cfg.box)}),
     "fock-te": Suite(
         1e-12, 0,
-        count=_fock_te_count, case=_fock_te_case,
+        count=_fock_te_count, block=_fock_te_block,
         parameters=lambda cfg: {"q": cfg.q, "max_index": cfg.max_index}),
     "fock-intertwine": Suite(
         1e-10, 2,
@@ -431,7 +441,7 @@ SUITES = {
         parameters=lambda cfg: {"N": cfg.n_cyclic}),
     "cyclic-te-irc": Suite(
         1e-9, 1000,
-        count=_cyclic_te_count, case=_cyclic_te_case,
+        count=_cyclic_te_count, block=_cyclic_te_block,
         parameters=lambda cfg: {"N": cfg.n_cyclic,
                                 "exhaustive": cfg.n_cyclic == 2}),
     "cyclic-te-vertex": Suite(
@@ -440,7 +450,7 @@ SUITES = {
         parameters=lambda cfg: {"N": cfg.n_cyclic}),
     "cyclic-cross-form": Suite(
         1e-12, 200,
-        count=_cross_form_count, case=_cross_form_case,
+        count=_cross_form_count, block=_cross_form_block,
         parameters=lambda cfg: {"N": cfg.n_cyclic},
         extras=_cross_form_extras),
     "modular-specfun": Suite(
@@ -463,9 +473,12 @@ def samples_ignored(cfg: SuiteConfig) -> bool:
     return count(cfg) == count(replace(cfg, samples=cfg.samples + 1))
 
 
-def _run_case(args):
-    cfg, idx = args
-    return idx, SUITES[cfg.suite].case(cfg, idx)
+def _run_block(args):
+    cfg, cases = args
+    suite = SUITES[cfg.suite]
+    if suite.block is None:
+        return [(idx, suite.case(cfg, idx)) for idx in cases]
+    return list(zip(cases, suite.block(cfg, cases)))
 
 
 def run_suite(cfg: SuiteConfig) -> Report:
@@ -475,16 +488,18 @@ def run_suite(cfg: SuiteConfig) -> Report:
     suite = SUITES[cfg.suite]
     tol = cfg.tol if cfg.tol is not None else suite.default_tol
     n_cases = suite.count(cfg)
+    # the blocks are cut here, so a worker process never reads BLOCK_CASES
+    blocks = [(cfg, range(start, min(start + BLOCK_CASES, n_cases)))
+              for start in range(0, n_cases, BLOCK_CASES)]
     start = time.perf_counter()
     if cfg.workers == 1:
-        results = [_run_case((cfg, i)) for i in range(n_cases)]
+        parts = map(_run_block, blocks)
     else:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_run_case, ((cfg, i) for i in range(n_cases)),
-                                    chunksize=max(1, n_cases // (8 * cfg.workers))))
+            parts = list(pool.map(_run_block, blocks))
+    results = [pair for part in parts for pair in part]
     wall = time.perf_counter() - start
-    results.sort()
     residuals = [r for _, r in results]
     # np.max, unlike max, propagates a NaN from any position; np.argmax takes
     # the first NaN too

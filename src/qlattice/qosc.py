@@ -332,18 +332,22 @@ def intertwine_residual(l_ops, r_matrix, mask: np.ndarray | None = None) -> floa
 
     r_matrix is a VOp or a dense matrix over V1 x V2 x V3.  mask, if given,
     is a boolean vector over that basis; rows and columns outside it are
-    ignored (truncated-Fock boundary).  The outermost factor of each side is
-    restricted to the masked rows or columns before multiplying, so no
-    entry outside the compared block is formed.  The arithmetic is that of
-    the entries: double, or Decimal in rmatrices._MP_CTX.
+    ignored (truncated-Fock boundary).  With a mask, the outermost factor of
+    each side is restricted to the masked rows or columns before
+    multiplying, so no entry outside the compared block is formed.  The
+    arithmetic is that of the entries: double, or Decimal in
+    rmatrices._MP_CTX.
     """
     l12, l13, l23 = l_ops
     dims = l12.dims
     every = np.ones(math.prod(dims), dtype=bool)
-    mask = every if mask is None else mask
     r = r_matrix if isinstance(r_matrix, VOp) else VOp.from_dense(dims, r_matrix)
-    lhs = ((l12.restrict(mask, every) @ l13) @ l23) @ r.restrict(every, mask)
-    rhs = r.restrict(mask, every) @ ((l23 @ l13) @ l12.restrict(every, mask))
+
+    def cut(op, rows, cols):
+        return op if mask is None else op.restrict(rows, cols)
+
+    lhs = ((cut(l12, mask, every) @ l13) @ l23) @ cut(r, every, mask)
+    rhs = cut(r, mask, every) @ ((l23 @ l13) @ cut(l12, every, mask))
     return _relative_gap(lhs, rhs)
 
 

@@ -544,20 +544,24 @@ def cyclic_weights_for_tetra(ta: TetraAngles, N: int) -> np.ndarray:
     return out
 
 
-def cross_form_residual(data: CyclicRData, spins: dict) -> tuple[float, complex]:
+def cross_form_residual(data: CyclicRData, spins: dict,
+                        power_shift: int = 0) -> tuple[float, complex]:
     """Compare the IRC weight with the vertex element under the corner-spin
     substitution (sigma_map at T = 0), returning (residual, equivalence factor).
 
-    The two forms differ by the exact factor q^{m2 (e+g-b-d) - n1 n3}
+    The two forms differ by the exact factor q^E, E = m2 (e+g-b-d) - n1 n3
     (an equivalence transformation; derived by re-indexing the internal sum
-    and verified exhaustively in the tests)."""
+    and verified exhaustively in the tests).  The spins may be integer
+    arrays of one shape, and the results then have it.  A nonzero
+    power_shift compares with q^(E + power_shift) instead, which differs
+    from the weight by a phase at every assignment (a negative control)."""
     N = data.N
     corners = [spins[k] for k in "aefgbcdh"]
     _, e, _, g, b, _, d, _ = corners
     n, m = sigma_map(corners, (0, 0, 0))
     w = data.weights[tuple(x % N for x in corners)]
     r = cyclic_vertex_element(n, m, data)
-    factor = sf.q_power(N, m[1] * (e + g - b - d) - n[0] * n[2])
+    factor = sf.q_power(N, m[1] * (e + g - b - d) - n[0] * n[2] + power_shift)
     return _rel_residual(w, factor * r), factor
 
 

@@ -12,7 +12,7 @@ from qlattice import geometry as geo
 from qlattice.harness import mesh
 from qlattice.harness.cli import build_parser, main, suite_config
 from qlattice.harness.report import Report, strip_timing, validate_report
-from qlattice.harness.rng import case_rng
+from qlattice.harness.rng import case_rng, case_rngs
 from qlattice.harness.suites import SUITES, SuiteConfig, run_suite
 
 
@@ -22,6 +22,32 @@ def test_case_rng_is_counter_based():
     c = case_rng(7, 4).uniform(size=4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("seed", [20240501, -3])
+def test_case_rngs_draw_what_case_rng_draws(seed):
+    # the re-keyed generator starts each case afresh: the same uniform,
+    # integer and normal draws, also after the previous case left part of a
+    # Philox block buffered
+    from qlattice.harness.suites import SETUP_STREAM
+
+    cases = [0, 1, SETUP_STREAM, 2 ** 64 - 1]
+
+    def draws(gen):
+        return repr((gen.uniform(size=3), gen.integers(0, 5, 7),
+                     gen.integers(0, 2 ** 31, dtype=np.uint32), gen.normal(0, 1, 3)))
+
+    assert [draws(gen) for gen in case_rngs(seed, cases)] == \
+        [draws(case_rng(seed, idx)) for idx in cases]
+
+
+def test_case_rng_keys_every_seed_exactly():
+    # a negative seed is taken mod 2**64 as a whole word, not through a
+    # float: distinct seeds and indices near 2**64 give distinct streams
+    keys = [(-1, 0), (-3, 0), (0, 0), (2 ** 64 - 3, 0), (5, 2 ** 64 - 1), (5, 2 ** 64 - 2)]
+    draws = [case_rng(seed, idx).uniform() for seed, idx in keys]
+    assert draws[1] == draws[3]
+    assert len(set(draws)) == len(keys) - 1
 
 
 def test_unknown_suite_lists_available():
@@ -277,11 +303,9 @@ FOCK_REPORT_PINS = [
 
 
 def _clear_fock_sums():
-    # the cached sums: each fock-te block's residuals and the 50-digit R
+    # the cached sum: the 50-digit R (fock-te blocks are summed anew per run)
     from qlattice import qosc
-    from qlattice.harness import suites
 
-    suites._fock_te_residuals.cache_clear()
     qosc.fock_r_sparse.cache_clear()
 
 
@@ -368,13 +392,15 @@ def test_fock_intertwine_converts_each_double_once(monkeypatch, perturb, convert
 
 
 def test_fock_te_gates_each_block_once(monkeypatch):
-    # the 729 cases at max_index 2 share one gate call per block of 27, which
-    # sees only the 4,743 charge-consistent tuples.  Each block is summed in
-    # one fock_te_residual call over all its tuples, which sums each side in
-    # one fock_te_sides call; the control takes the same path, and a second
-    # q gates again
+    # the 729 cases at max_index 2 share one gate call per block of
+    # BLOCK_CASES (23 blocks of up to 32), which sees only the 4,743
+    # charge-consistent tuples.  Each block is summed in one fock_te_residual
+    # call over all its tuples, which sums each side in one fock_te_sides
+    # call; the control takes the same path, and a second q gates again
     from qlattice import rmatrices as rm
     from qlattice.harness import suites
+
+    big, small = -(-729 // suites.BLOCK_CASES), -(-64 // suites.BLOCK_CASES)
 
     gated, summed = [], {"residual": 0, "sides": 0}
     gate, residual, sides = rm.fock_te_gate, rm.fock_te_residual, rm.fock_te_sides
@@ -388,19 +414,21 @@ def test_fock_te_gates_each_block_once(monkeypatch):
     monkeypatch.setattr(rm, "fock_te_sides", count("sides", sides))
     _clear_fock_sums()
     run_suite(SuiteConfig(suite="fock-te", q=0.3, max_index=2))
-    assert len(gated) == 27 and sum(gated) == 4743
-    assert summed == {"residual": 27, "sides": 54}
+    assert big == 23 and len(gated) == big and sum(gated) == 4743
+    assert summed == {"residual": big, "sides": 2 * big}
     run_suite(SuiteConfig(suite="fock-te", q=0.7, max_index=2))
-    assert len(gated) == 54 and summed == {"residual": 54, "sides": 108}
+    assert len(gated) == 2 * big and summed == {"residual": 2 * big, "sides": 4 * big}
     run_suite(SuiteConfig(suite="fock-te", q=0.3, max_index=2, perturb=True))
-    assert len(gated) == 81 and summed == {"residual": 81, "sides": 162}
+    assert len(gated) == 3 * big and summed == {"residual": 3 * big, "sides": 6 * big}
     run_suite(SuiteConfig(suite="fock-te", q=0.3, max_index=1, perturb=True))
-    assert len(gated) == 89 and summed == {"residual": 89, "sides": 178}
+    n = 3 * big + small
+    assert len(gated) == n and summed == {"residual": n, "sides": 2 * n}
 
 
 def test_fock_te_residual_cache_keys_on_q_and_perturb():
-    # one process, no cache cleared between runs: each run reads its own
-    # residuals, as pinned and as the per-tuple sweep reads them
+    # one process, no cache cleared between runs (the element cache keys on
+    # q; the blocks keep no sums): each run reads its own residuals, as
+    # pinned and as the per-tuple sweep reads them
     from test_rmatrices import _fock_te_case_oracle
 
     _clear_fock_sums()
@@ -414,15 +442,17 @@ def test_fock_te_residual_cache_keys_on_q_and_perturb():
 
 
 @pytest.mark.parametrize("idx", [40, 728])
-def test_fock_te_case_on_its_own_reads_its_sweep_value(idx):
-    # a case run alone, with nothing cached, sums only its own block and
-    # reads what it reads in the full sweep
-    from qlattice.harness import suites
+def test_fock_te_case_on_its_own_reads_its_sweep_value(idx, monkeypatch):
+    # a case run alone gates and sums only its own tuples, in one block of
+    # one case, and reads what it reads in the full sweep
+    from qlattice import rmatrices as rm
 
     cfg = SuiteConfig(suite="fock-te", q=0.3, max_index=2)
-    _clear_fock_sums()
+    gated, gate = [], rm.fock_te_gate
+    monkeypatch.setattr(rm, "fock_te_gate", lambda exts: gated.append(exts) or gate(exts))
     alone = SUITES["fock-te"].case(cfg, idx)
-    assert suites._fock_te_residuals.cache_info().currsize == 1
+    outer = [idx // 3 ** k % 3 for k in range(6)]
+    assert len(gated) == 1 and (gated[0][:6].T == outer).all()
     swept = dict(run_suite(dataclasses.replace(cfg, keep_cases=True)).cases)[idx]
     assert type(alone) is float and repr(alone) == repr(swept)
 
@@ -457,6 +487,66 @@ def test_cross_form_builds_the_weight_table_once(monkeypatch):
     suites._cross_form_setup.cache_clear()
     assert rep.passed and rep.extras["sector_scalar_fit"]
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("params", [
+    {"suite": "cyclic-te-irc", "n_cyclic": 2},
+    {"suite": "cyclic-te-irc", "n_cyclic": 3, "samples": 40},
+    {"suite": "cyclic-te-irc", "n_cyclic": 4, "samples": 40},
+    {"suite": "cyclic-te-irc", "n_cyclic": 3, "samples": 20, "perturb": True},
+    {"suite": "cyclic-cross-form", "n_cyclic": 2},
+    {"suite": "cyclic-cross-form", "n_cyclic": 3, "samples": 40},
+    {"suite": "cyclic-cross-form", "n_cyclic": 3, "samples": 20, "perturb": True},
+    {"suite": "fock-te", "max_index": 1},
+    {"suite": "fock-te", "max_index": 2, "q": 0.3},
+    {"suite": "fock-te", "max_index": 1, "q": 0.3, "perturb": True},
+])
+def test_block_suite_reports_do_not_depend_on_blocks(params, monkeypatch):
+    # a block suite's report is the same at every block size and worker
+    # count, and its one-case path reads each case's residual
+    from qlattice.harness import suites
+
+    cfg = SuiteConfig(keep_cases=True, **params)
+    assert SUITES[cfg.suite].case is not None and suites.BLOCK_CASES == 32
+    reports = set()
+    for size in (1, 7, 32):
+        monkeypatch.setattr(suites, "BLOCK_CASES", size)
+        for workers in (1, 2):
+            rep = run_suite(dataclasses.replace(cfg, workers=workers))
+            reports.add(json.dumps(strip_timing(rep.to_dict()), sort_keys=True))
+    assert len(reports) == 1
+    assert [repr(res) for _, res in rep.cases] == \
+        [repr(SUITES[cfg.suite].case(cfg, idx)) for idx, _ in rep.cases]
+
+
+def test_cyclic_te_block_rows_match_one_case_calls():
+    # rows of one (B, 14) call equal (1, 14) calls bit for bit, so the suite's
+    # block and one-case paths agree at every block size
+    from qlattice import rmatrices as rm
+    from qlattice.harness import suites
+
+    tables = suites._cyclic_te_setup(20240501, 3)
+    ext = np.random.default_rng(5).integers(0, 3, (200, 14))
+    block = rm.irc_te_residual_cyclic(tables, ext)
+    rows = [rm.irc_te_residual_cyclic(tables, row[None])[0] for row in ext]
+    assert block.shape == (200,) and block.tolist() == [float(r) for r in rows]
+
+
+@pytest.mark.parametrize("n, floor", [(3, 0.866), (5, 0.951)])
+@pytest.mark.parametrize("seed", [1, 2, 7, 20240501])
+def test_cross_form_control_corrupts_every_case(n, floor, seed):
+    # q^(E+1) in place of the equivalence factor q^E differs from it by the
+    # phase q, also where q^E = 1, so no control case reads the check's value
+    rep = run_suite(SuiteConfig(suite="cyclic-cross-form", n_cyclic=n, samples=50,
+                                seed=seed, perturb=True, keep_cases=True))
+    assert rep.passed and min(res for _, res in rep.cases) >= floor
+
+
+def test_cli_cross_form_control_fails_the_check_at_seed_1(capsys):
+    # dropping q^E left all five cases at roundoff here (9.3e-17)
+    assert main(["verify", "cyclic-cross-form", "--N", "3", "--samples", "5",
+                 "--perturb", "--seed", "1"]) == 0
+    assert capsys.readouterr().out.split()[1] == "PASS"
 
 
 @pytest.mark.parametrize("params", [

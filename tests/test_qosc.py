@@ -404,6 +404,18 @@ def test_cyclic_intertwining_and_identity_control():
         assert qosc.intertwine_residual(ls, np.eye(27, dtype=complex)) > 0.1
 
 
+def test_intertwine_residual_restricts_only_with_a_mask(monkeypatch):
+    # without a mask every row and column is compared, as it is restricted
+    # to an all-true mask, and no restricted copy is built
+    tri = sample_triangle(np.random.default_rng(6))
+    params = qosc.CyclicParams.from_triangle(tri, 3)
+    ls = qosc.build_l(params.reps(), params.lambdas, params.mus)
+    r = rm.cyclic_r_dense(rm.CyclicRData.from_triangle(tri, 3))
+    want = qosc.intertwine_residual(ls, r, np.ones(27, dtype=bool))
+    monkeypatch.setattr(qosc.VOp, "restrict", None)
+    assert qosc.intertwine_residual(ls, r) == want < 1e-10
+
+
 def test_gauge_invariance_of_intertwining():
     rng = np.random.default_rng(3)
     tri = sample_triangle(rng)
