@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
 
 import jsonschema
@@ -79,8 +80,21 @@ def load_schema() -> dict:
         return json.load(fh)
 
 
+@lru_cache(maxsize=None)
+def _validator():
+    """A validator of the report schema, checked against its metaschema once."""
+    schema = load_schema()
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def validate_report(data: dict):
-    jsonschema.validate(data, load_schema())
+    """Raise the jsonschema.ValidationError that jsonschema.validate raises
+    (the best match of the errors), without checking the schema again."""
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(data))
+    if error is not None:
+        raise error
 
 
 def strip_timing(data: dict) -> dict:

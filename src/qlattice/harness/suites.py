@@ -210,21 +210,21 @@ def _fock_te_block(cfg, cases):
             for a, b in zip(col_starts[:-1], col_starts[1:])]
 
 
-@rm.in_mp_context
 def _fock_intertwine_case(cfg, idx):
+    """Case 0 the masked intertwining check, case 1 the flip-map relations,
+    both on the R of qosc.fock_r_sparse.  The control scales every element
+    of case 0 by 1.05^{n2} and adds 0.05 max|R| to the (0, 0) entry of
+    case 1."""
+    if idx == 0 and not cfg.perturb:
+        return qosc.fock_intertwine_extended(cfg.cutoff, cfg.q)
+    reps, mask, r = qosc.fock_r_sparse(cfg.cutoff, cfg.q)
     if idx == 0:
-        if cfg.perturb:
-            from decimal import Decimal
-            bump = Decimal("1.05")
-
-            def bad_element(n1, n2, n3, m1, m2, m3, q):
-                val = rm.fock_element_mp(n1, n2, n3, m1, m2, m3, q)
-                return val * bump ** n2 if val else val
-            return qosc.fock_intertwine_extended(cfg.cutoff, cfg.q, bad_element)
-        return qosc.fock_intertwine_extended(cfg.cutoff, cfg.q, rm.fock_element_mp)
-    reps, mask, r = qosc.fock_r_sparse(cfg.cutoff, cfg.q, rm.fock_element_mp)
+        rows = r._rows()
+        bumped = r.data * 1.05 ** np.unravel_index(rows, r.dims)[1]
+        return qosc.intertwine_residual(qosc.build_l(reps, (1.0,) * 3, (-1.0,) * 3),
+                                        qosc.VOp(r.dims, rows, r.indices, bumped), mask)
     if cfg.perturb:
-        r = r + qosc.VOp(r.dims, [0], [0], [rm.to_mp(0.05) * r.max_abs()])
+        r = r + qosc.VOp(r.dims, [0], [0], [0.05 * r.max_abs()])
     return max(qosc.map_operator_residuals(reps, r, eps=1, mask=mask).values())
 
 

@@ -9,9 +9,9 @@ L-operator built from them, and the intertwining check
     L12(H1) L13(H2) L23(H3) R  =  R  L23(H3) L13(H2) L12(H1).
 
 Products keep the 8 x 8 block structure over the three auxiliary C^2
-spaces.  Each block is a sparse operator on V1 x V2 x V3 whose entries keep
-the number type of q, so one product serves the double-precision and the
-50-digit (Decimal) checks.
+spaces.  Each block is a sparse complex128 operator on V1 x V2 x V3.  The
+Fock checks compute only the R elements in extended precision (in
+rmatrices); every product is double.
 """
 
 from __future__ import annotations
@@ -48,28 +48,20 @@ class QOscRep:
         return np.arange(self.dim) < self.exact_levels
 
 
-@rm.in_mp_context
 def fock_rep(cutoff: int, q: complex) -> QOscRep:
     """Truncated Fock representation on basis |0> .. |cutoff>.
 
     a|n+1> = |n>,  a*|n> = (1 - q^{2+2n})|n+1>,  k|n> = q^{n+1/2}|n>.
     The pair relation q a*a - q^-1 a a* = q - q^-1 fails only on the top
     state; the interior mask excludes the top two levels to keep products
-    of shifted states exact as well.  The matrices are complex for a double
-    q and object arrays of Decimals in rmatrices._MP_CTX for a Decimal q;
-    k is q^n times the square root of q, as a Decimal takes no float power.
+    of shifted states exact as well.  The matrices are complex128.
     """
     if cutoff < 2:
         raise DomainError("need cutoff >= 2")
-    d = cutoff + 1
-    dtype = np.result_type(np.asarray(q), complex)
-    a = np.zeros((d, d), dtype=dtype)
-    a_star = np.zeros((d, d), dtype=dtype)
-    for n in range(cutoff):
-        a[n, n + 1] = q ** 0  # 1 in q's number type
-        a_star[n + 1, n] = 1 - q ** (2 + 2 * n)
-    root = np.sqrt(q)  # q.sqrt() in the context for a Decimal
-    k = np.diag([q ** n * root for n in range(d)]).astype(dtype)
+    n = np.arange(cutoff + 1)
+    a = np.eye(cutoff + 1, k=1, dtype=complex)
+    a_star = np.diag((1 - q ** (2 + 2 * n[:-1])).astype(complex), k=-1)
+    k = np.diag((q ** n * np.sqrt(q)).astype(complex))
     return QOscRep(q, a, a_star, k, exact_levels=cutoff - 1)
 
 
@@ -93,12 +85,10 @@ def cyclic_rep(N: int, kappa: complex, rho: complex) -> QOscRep:
     return QOscRep(q, a, a_star, kappa * x, exact_levels=N)
 
 
-@rm.in_mp_context
 def algebra_residuals(rep: QOscRep) -> dict:
-    """Masked residuals of the defining relations, in q's number type (in
-    rmatrices._MP_CTX for a Decimal rep)."""
+    """Masked residuals of the defining relations."""
     q = rep.q
-    eye = np.diag([q ** 0] * rep.dim)  # 1 in q's number type
+    eye = np.eye(rep.dim)
     rels = {
         "pair": q * rep.a_star @ rep.a - rep.a @ rep.a_star / q - (q - 1 / q) * eye,
         "k_astar": rep.k @ rep.a_star - q * rep.a_star @ rep.k,
@@ -117,11 +107,8 @@ def algebra_residuals(rep: QOscRep) -> dict:
 class VOp:
     """Sparse operator on V1 x V2 x V3 in CSR form over flat basis indices
     n = (n1 d2 + n2) d3 + n3: row n holds the columns indices[indptr[n] :
-    indptr[n + 1]], ascending, with their values in data.  data keeps the
-    number type it was built in: complex128 for a double q, an object array
-    of Decimals for the 50-digit checks.  Operations on Decimals round in the
-    calling thread's context, so the functions that build these enter
-    rmatrices._MP_CTX (rmatrices.in_mp_context).
+    indptr[n + 1]], ascending, with their values in data, which keeps the
+    dtype it was built in.
 
     VOp(dims, rows, cols, vals) takes entries in any order and sums those
     that share a (row, col) in the order given.  Every operation builds its
@@ -192,8 +179,7 @@ class VOp:
         return VOp(self.dims, r[keep], self.indices[keep], self.data[keep])
 
     def max_abs(self):
-        # no float initial: a Decimal compares with a float only by converting it
-        return np.max(np.abs(self.data)) if self.data.size else 0.0
+        return np.max(np.abs(self.data), initial=0.0)
 
 
 class BlockOp:
@@ -249,11 +235,9 @@ def _loper_entries(rep: QOscRep, lam, mu):
 
     Row/column indices are (c, i) with c the second auxiliary space and i
     the first; entry (0,0)=1, (1,1)=lam k, (1,2)=a*, (2,1)=lam mu a,
-    (2,2)=-mu k, (3,3)=lam mu.  Entries carry the representation's dtype,
-    and each value q's number type, so for a Decimal q every entry is a
-    Decimal; lam and mu must then be ints or Decimals, not floats.
+    (2,2)=-mu k, (3,3)=lam mu, each complex128.
     """
-    eye = rep.q ** 0 * np.eye(rep.dim, dtype=rep.k.dtype)
+    eye = np.eye(rep.dim, dtype=complex)
     return {
         (0, 0): eye,
         (1, 1): lam * rep.k,
@@ -305,13 +289,11 @@ def _relative_gap(lhs, rhs) -> float:
     return float((lhs - rhs).max_abs() / scale) if scale else 0.0
 
 
-@rm.in_mp_context
 def build_l(reps, lambdas, mus) -> tuple[BlockOp, BlockOp, BlockOp]:
     """L12(H1), L13(H2), L23(H3) on C^2 x C^2 x C^2 (x) V1 x V2 x V3.
 
     reps, lambdas, mus are triples; all reps must share one q.  Each block
-    is a VOp acting on its representation's factor only, with entries in
-    the representations' number type.
+    is a VOp acting on its representation's factor only.
     """
     if len({np.round(complex(r.q), 12) for r in reps}) != 1:
         raise DomainError("representations must share the deformation parameter")
@@ -326,7 +308,6 @@ def build_l(reps, lambdas, mus) -> tuple[BlockOp, BlockOp, BlockOp]:
     return tuple(out)
 
 
-@rm.in_mp_context
 def intertwine_residual(l_ops, r_matrix, mask: np.ndarray | None = None) -> float:
     """Normalized max-entry residual of LLL . R - R . (reversed LLL).
 
@@ -334,9 +315,7 @@ def intertwine_residual(l_ops, r_matrix, mask: np.ndarray | None = None) -> floa
     is a boolean vector over that basis; rows and columns outside it are
     ignored (truncated-Fock boundary).  With a mask, the outermost factor of
     each side is restricted to the masked rows or columns before
-    multiplying, so no entry outside the compared block is formed.  The
-    arithmetic is that of the entries: double, or Decimal in
-    rmatrices._MP_CTX.
+    multiplying, so no entry outside the compared block is formed.
     """
     l12, l13, l23 = l_ops
     dims = l12.dims
@@ -359,41 +338,25 @@ def product_state_mask(reps) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# extended-precision Fock checks
+# Fock checks on extended-precision elements
 # ---------------------------------------------------------------------------
-#
-# Both Fock checks below (intertwining and flip-map relations) run in
-# 52-digit decimal floats (the 50-digit checks), on one R that holds only the
-# elements reaching a masked entry.  q enters as the Decimal of exactly the
-# double given, once per call, and every element and representation entry is
-# a Decimal computed in rmatrices._MP_CTX.  A Decimal rounds in the context
-# of the calling thread, so each function here that computes in them enters
-# that context itself and no caller has to set a precision.  The elements
-# need those digits; the operator products do not.  Each element is a
-# terminating q-series that cancels far below its terms: with
-# double-precision elements the masked intertwining residual reads 1.0 at
-# cutoff 8 (q = 0.3), while 50-digit elements rounded to double give 2.2e-16
-# with double products at cutoffs 5, 8 and 10 (max|R| = 1).  Against
-# 150-digit elements the 52-digit ones are off by up to 2.8e-36 at cutoff 8
-# and 3.0e-22 at cutoff 10, and both checks read about that much.
 
 @lru_cache(maxsize=8)
-@rm.in_mp_context
-def fock_r_sparse(cutoff: int, q, element_fn):
-    """(reps, mask, R) for the masked 50-digit Fock checks.
+def fock_r_sparse(cutoff: int, q: float):
+    """(reps, mask, R) for the masked Fock checks, all complex128.
 
-    reps are three Fock representations at to_mp(q), a Decimal converted
-    once, and the interior mask keeps oscillator indices < cutoff - 1.
-    element_fn(n1, n2, n3, m1, m2, m3, q) is called with that Decimal and
-    must return the R element as a Decimal; it runs in rmatrices._MP_CTX.
+    reps are three Fock representations at q, and the interior mask keeps
+    oscillator indices < cutoff - 1.  Each element of R is
+    rmatrices.fock_element_mp rounded to double once: an element is a
+    terminating q-series that cancels far below its terms, so it is summed
+    in as many digits as it cancels, and only the products are double.
     R is filled over charge sectors (m1 + m2 = n1 + n2, m2 + m3 = n2 + n3)
     and only where its row n is masked, or its column is masked and no index
     of n is at the cutoff: every L, and every operator of the flip-map
     relations, moves each index by at most one, so no other element reaches
-    a masked entry.  The result is cached per (cutoff, q, element_fn), with
-    read-only arrays, so the checks of one run at one q build R once.
+    a masked entry.  The result is cached per (cutoff, q), with read-only
+    arrays, so the checks of one run at one q build R once.
     """
-    q = rm.to_mp(q)
     reps = (fock_rep(cutoff, q),) * 3
     mask = product_state_mask(reps)
     dims = tuple(r.dim for r in reps)
@@ -406,30 +369,28 @@ def fock_r_sparse(cutoff: int, q, element_fn):
     for idx in nm[:, ((nm >= 0) & (nm <= cutoff)).all(axis=0)].T.tolist():
         n, m = tuple(idx[:3]), tuple(idx[3:])
         if kept[n] or (kept[m] and max(n) < cutoff):
-            el = element_fn(*idx, q)
+            el = rm.fock_element_mp(*idx, q)
             if el:
                 rows.append(flat[n])
                 cols.append(flat[m])
-                vals.append(el)
-    r = VOp(dims, rows, cols, vals)
+                vals.append(float(el))
+    r = VOp(dims, rows, cols, np.array(vals, dtype=complex))
     for a in (reps[0].a, reps[0].a_star, reps[0].k, mask, r.indptr, r.indices, r.data):
         a.flags.writeable = False
     return reps, mask, r
 
 
-def fock_intertwine_extended(cutoff: int, q, element_fn) -> float:
-    """Masked 50-digit intertwining residual, with lambda = 1 and mu = -1
-    (ints, which a Decimal takes), on the R of fock_r_sparse(cutoff, q,
-    element_fn)."""
-    reps, mask, r = fock_r_sparse(cutoff, q, element_fn)
-    return intertwine_residual(build_l(reps, (1,) * 3, (-1,) * 3), r, mask)
+def fock_intertwine_extended(cutoff: int, q: float) -> float:
+    """Masked intertwining residual, with lambda = 1 and mu = -1, on the R
+    of fock_r_sparse(cutoff, q)."""
+    reps, mask, r = fock_r_sparse(cutoff, q)
+    return intertwine_residual(build_l(reps, (1.0,) * 3, (-1.0,) * 3), r, mask)
 
 
 # ---------------------------------------------------------------------------
 # automorphism relations of the flip map, operator level
 # ---------------------------------------------------------------------------
 
-@rm.in_mp_context
 def map_operator_residuals(reps, r_matrix, eps: int = 1,
                            mask: np.ndarray | None = None) -> dict:
     """Residuals of R . F = F' . R for the six flip-map relations plus the
@@ -438,8 +399,7 @@ def map_operator_residuals(reps, r_matrix, eps: int = 1,
 
     r_matrix is a VOp or a dense matrix over V1 x V2 x V3.  mask, if given,
     selects the rows and columns compared; R and each relation operator
-    are restricted to them before multiplying.  The arithmetic is that of
-    the entries: double, or Decimal in rmatrices._MP_CTX.
+    are restricted to them before multiplying.
     """
     q = reps[0].q
     dims = tuple(r.dim for r in reps)
@@ -449,7 +409,7 @@ def map_operator_residuals(reps, r_matrix, eps: int = 1,
     (k1, a1, s1), (k2, a2, s2), (k3, a3, s3) = (
         (_lift(dims, axis, rep.k), _lift(dims, axis, rep.a), _lift(dims, axis, rep.a_star))
         for axis, rep in enumerate(reps))
-    one = _lift(dims, 0, np.eye(dims[0], dtype=int))  # the identity on V1 x V2 x V3
+    one = _lift(dims, 0, np.eye(dims[0]))  # the identity on V1 x V2 x V3
     img_a2 = a1 @ a3 + eps * k1 @ k3 @ a2
     img_s2 = s1 @ s3 + eps * k1 @ k3 @ s2
     rels = {

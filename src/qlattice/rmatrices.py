@@ -68,18 +68,18 @@ def fock_charge_allowed(n1: int, n2: int, n3: int, m1: int, m2: int, m3: int) ->
     return n1 + n2 == m1 + m2 and n2 + n3 == m2 + m3
 
 
-def fock_element(n1: int, n2: int, n3: int, m1: int, m2: int, m3: int, q):
-    """<n1 n2 n3|R|m1 m2 m3> for the Fock solution, in the number type of q.
+def _fock_terms(n1: int, n2: int, n3: int, m1: int, m2: int, m3: int, q):
+    """(prefactor, terms) of <n1 n2 n3|R|m1 m2 m3> for the Fock solution, in
+    q's number type; a gated element has the prefactor 0 and no term.
 
     The charge-gated value is (-1)^{n2} q^{(m1-n2)(m3-n2)} times a
     terminating q-hypergeometric sum; the binomial prefactor and the series
     are combined into a single manifestly finite sum so that index
     collisions (where the series alone hits a zero denominator against a
-    vanishing binomial) evaluate correctly.  Gated elements are the integer
-    0, so an exact q (a Fraction) gives an exact element.
+    vanishing binomial) evaluate correctly.
     """
     if min(n1, n2, n3, m1, m2, m3) < 0 or not fock_charge_allowed(n1, n2, n3, m1, m2, m3):
-        return 0
+        return 0, []
     qsq = q * q
     pref = (-1) ** n2 * q ** ((m1 - n2) * (m3 - n2))
     # sum_t (q^{-2 m2}; q^2)_t (q^{2(1+m3)}; q^2)_t q^{2(1+n1) t}
@@ -87,27 +87,33 @@ def fock_element(n1: int, n2: int, n3: int, m1: int, m2: int, m3: int, q):
     lo_poch = sf.qpochhammer_prefixes(q ** (-2 * m2), qsq, m2)
     hi_poch = sf.qpochhammer_prefixes(q ** (2 * (1 + m3)), qsq, m2)
     qq_poch = sf.qpochhammer_prefixes(qsq, qsq, max(m2, n3))
-    total = 0
+    terms = []
     for t in range(max(0, m2 - n3), m2 + 1):
         num = lo_poch[t] * hi_poch[t] * q ** (2 * (1 + n1) * t)
         den = qq_poch[t] * qq_poch[m2] * qq_poch[n3 - m2 + t]
-        total += num * qq_poch[n3] / den
-    return pref * total
+        terms.append(num * qq_poch[n3] / den)
+    return pref, terms
 
 
-# The tetrahedron-equation sums cancel strongly (both sides can be many
-# orders below the size of individual terms), so double precision cannot
-# reach relative residuals near 1e-12 even though every element is an exact
-# finite sum.  The checks therefore evaluate in the standard library's
-# decimal floats, in one context of _MP_DPS significant digits: 0.5e-51
-# rounding is no coarser than the 169 bits of a 50-digit binary float.  A
-# Decimal rounds in the context of the calling thread, so every function
-# that computes in these numbers enters _MP_CTX itself (in_mp_context) and
-# no caller sets a precision.  q enters as the Decimal of exactly the double
-# given (to_mp), once per call.  Elements are memoized per deformation
-# parameter.
+def fock_element(n1: int, n2: int, n3: int, m1: int, m2: int, m3: int, q):
+    """The prefactor of _fock_terms times their sum, in order, in q's number
+    type: the integer 0 where gated, so an exact q gives an exact element."""
+    pref, terms = _fock_terms(n1, n2, n3, m1, m2, m3, q)
+    return pref * sum(terms)
+
+
+# The elements and the tetrahedron-equation sums cancel strongly (far below
+# their largest terms), so double precision cannot reach relative residuals
+# near 1e-12 even though every element is an exact finite sum.  They are
+# evaluated in the standard library's decimal floats: the sums in one
+# context of _MP_DPS significant digits, each element in that many or more.
+# A Decimal rounds in the context of the calling thread, so every function
+# that computes in them enters a context itself and no caller sets a
+# precision.  q enters as the Decimal of exactly the double given (to_mp).
 _MP_DPS = 52
 _MP_CTX = decimal.Context(prec=_MP_DPS)
+_MP_SPARE = 24  # digits an element keeps beyond those its sum cancels
+_MP_MAX_DPS = 1000  # an element's digits, past which its sum counts as vanishing
 
 
 def to_mp(x):
@@ -120,16 +126,34 @@ _MP_GUARDS = (to_mp(ZERO_FLOOR), to_mp(_TINY))
 
 
 @lru_cache(maxsize=None)
-@in_mp_context
 def fock_element_mp(n1: int, n2: int, n3: int, m1: int, m2: int, m3: int, q):
-    """fock_element in _MP_CTX at a double q or its to_mp value.
+    """fock_element at a double q or its to_mp value, in Decimals of
+    _MP_DPS digits or more.  The sum cancels the digits its largest term has
+    above it; one that keeps fewer than _MP_SPARE is summed again with more,
+    so every element is good to about 1e-22 relative.  At q = 0.3 that
+    takes no fock-te element, 7 of the cutoff-8 R's 2,023 and 583 of the
+    cutoff-12 R's 10,791 (which cancel up to 105 digits) past _MP_DPS.
 
-    The two are equal numbers, so they share one cache entry and one value.
-    Only this 50-digit entry point is cached: an untyped lru_cache keys
-    q = 0.3 and Decimal(0.3) alike, so a cache shared with the double path
-    could hand one path the other's values.
+    A double q and its to_mp value are equal numbers, so they share one
+    cache entry and one value.  Only this entry point is cached: an untyped
+    lru_cache keys q = 0.3 and Decimal(0.3) alike, so a cache shared with
+    the double path could hand one path the other's values.
     """
-    return fock_element(n1, n2, n3, m1, m2, m3, to_mp(q))
+    q, prec = to_mp(q), _MP_DPS
+    while True:
+        with decimal.localcontext(decimal.Context(prec=prec)):
+            pref, terms = _fock_terms(n1, n2, n3, m1, m2, m3, q)
+            if not terms:  # gated: the integer 0
+                return pref
+            total = sum(terms)
+            # a sum that is 0 at this precision has cancelled every digit
+            lost = max(t.adjusted() for t in terms) - total.adjusted() if total else prec
+            if prec - lost >= _MP_SPARE:
+                return pref * total
+        prec = lost + _MP_SPARE
+        if prec > _MP_MAX_DPS:
+            raise AccuracyError("Fock element %s cancels beyond %d digits"
+                                % ((n1, n2, n3, m1, m2, m3), _MP_MAX_DPS))
 
 
 def fock_r_dense(cutoff: int, q: complex) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Tooling checks on the code of ``src/qlattice``."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -263,3 +264,11 @@ def test_every_module_name_and_dataclass_field_is_read():
                 unread += ["%s.%s.%s" % (module, node.name, f.target.id) for f in node.body
                            if isinstance(f, ast.AnnAssign) and f.target.id not in read]
     assert not unread, "%d names nothing reads:\n  %s" % (len(unread), "\n  ".join(unread))
+
+
+def test_qosc_computes_without_decimals():
+    # the operator products are double: only rmatrices computes the Fock
+    # elements in extended precision, and qosc names none of its machinery
+    text = (PACKAGE / "qosc.py").read_text()
+    found = re.findall(r"decimal|Decimal|in_mp_context|to_mp|_MP_", text)
+    assert not found, found

@@ -81,6 +81,34 @@ def test_report_schema_validation():
         validate_report(bad)
 
 
+def test_report_validation_checks_the_schema_once(monkeypatch):
+    # the validator is built once; every call raises the error that
+    # jsonschema.validate, which checks the schema against its metaschema
+    # each time, raises
+    import jsonschema
+    from qlattice.harness import report
+
+    data = run_suite(SuiteConfig(suite="classical-lybe", samples=5, keep_cases=True)).to_dict()
+    broken = [dict(data, seed="x"), dict(data, cases=[{"case": "a"}]),
+              {k: v for k, v in data.items() if k != "suite"}]
+    want = []
+    for bad in broken:
+        with pytest.raises(jsonschema.ValidationError) as exc:
+            jsonschema.validate(bad, report.load_schema())
+        want.append((exc.value.message, list(exc.value.path)))
+    report._validator.cache_clear()
+    validate_report(data)
+    checks = []
+    monkeypatch.setattr(type(report._validator()), "check_schema",
+                        classmethod(lambda cls, schema: checks.append(schema)))
+    for bad, (message, path) in zip(broken, want):
+        with pytest.raises(jsonschema.ValidationError) as exc:
+            validate_report(bad)
+        assert (exc.value.message, list(exc.value.path)) == (message, path)
+    validate_report(data)
+    assert checks == []
+
+
 def test_pass_logic():
     rep = Report("x", {}, 1, 1e-6, 1e-8, {"cases": 1}, 0.0)
     assert rep.passed
@@ -216,11 +244,11 @@ def test_cli_verify_writes_report(tmp_path):
 
 
 def test_fock_intertwine_map_relations_at_reported_cutoff():
-    # case 1 checks the flip-map relations in 50 digits at the cutoff the
-    # report names, on the same R as the intertwining check (case 0)
+    # case 1 checks the flip-map relations at the cutoff the report names,
+    # on the same R as the intertwining check (case 0), at roundoff
     rep = run_suite(SuiteConfig(suite="fock-intertwine", cutoff=8, q=0.3, keep_cases=True))
     assert rep.parameters["cutoff"] == 8
-    assert dict(rep.cases)[1] < 1e-30
+    assert dict(rep.cases)[1] < 1e-15
     bad = run_suite(SuiteConfig(suite="fock-intertwine", cutoff=5, q=0.3, perturb=True,
                                 keep_cases=True))
     assert [i for i, res in bad.cases if res > 1e-3] == [0, 1]
@@ -296,14 +324,15 @@ FOCK_REPORT_PINS = [
     ({"q": 0.5}, "0.0"),
     ({"q": 0.7}, "5.958082064398265e-49"),
     ({"q": 0.3, "max_index": 1, "perturb": True}, "0.0029984920127668555"),
-    ({"suite": "fock-intertwine", "cutoff": 5, "q": 0.3}, "2.7592955705793748e-49"),
+    ({"suite": "fock-intertwine", "cutoff": 5, "q": 0.3}, "2.220446049250313e-16"),
     ({"suite": "fock-intertwine", "cutoff": 5, "q": 0.3, "perturb": True},
-     "0.04761904761904762"),
+     "0.04761904761904766"),
 ]
 
 
 def _clear_fock_sums():
-    # the cached sum: the 50-digit R (fock-te blocks are summed anew per run)
+    # the cached R of the intertwining checks (fock-te blocks are summed anew
+    # per run)
     from qlattice import qosc
 
     qosc.fock_r_sparse.cache_clear()
@@ -342,29 +371,24 @@ def test_fock_reports_do_not_depend_on_the_thread_decimal_context(params):
 
 
 def test_fock_entry_points_do_not_depend_on_the_thread_decimal_context():
-    # each function that computes in Decimals enters the checks' context
-    # itself, also when it is called outside a suite
+    # each function that computes in Decimals rounds in a context of its
+    # own, also when it is called outside a suite: the 52-digit fock-te
+    # sums, and the elements of the double R, 7 of which take more digits
     from qlattice import qosc
     from qlattice import rmatrices as rm
 
     exts = np.array(list(itertools.product(range(2), repeat=12))[::7]).T
     terms = rm.fock_te_gate(exts)
-    reps, mask, r = qosc.fock_r_sparse(5, 0.3, rm.fock_element_mp)
-
-    def scaled_element(*args):  # element_fn runs in the checks' context
-        return rm.fock_element_mp(*args) * decimal.Decimal("1.05")
 
     def values():
         rm.fock_element_mp.cache_clear()
         qosc.fock_r_sparse.cache_clear()
-        element = rm.fock_element_mp(2, 1, 2, 1, 2, 1, 0.3)
-        return repr((element, qosc.fock_rep(4, rm.to_mp(0.3)).k.diagonal().tolist(),
-                     qosc.fock_r_sparse(4, 0.3, scaled_element)[2].data.tolist(),
+        reps, mask, r = qosc.fock_r_sparse(8, 0.3)
+        return repr((rm.fock_element_mp(2, 1, 2, 1, 2, 1, 0.3), r.data.tolist(),
                      rm.fock_te_sides(terms, exts.shape[1], 0.7),
                      rm.fock_te_residual(terms, exts.shape[1], 0.3, 0.3).tolist(),
-                     qosc.fock_intertwine_extended(5, 0.3, rm.fock_element_mp),
-                     qosc.map_operator_residuals(reps, r, eps=1, mask=mask),
-                     qosc.map_operator_residuals(reps, r, eps=-1, mask=mask)))
+                     qosc.fock_intertwine_extended(8, 0.3),
+                     qosc.map_operator_residuals(reps, r, eps=1, mask=mask)))
 
     want = values()
     for prec in (10, 200):
@@ -372,23 +396,19 @@ def test_fock_entry_points_do_not_depend_on_the_thread_decimal_context():
             assert values() == want
 
 
-@pytest.mark.parametrize("perturb, converted", [(False, [0.3]),
-                                                (True, [0.3, 0.3, 0.05])])
-def test_fock_intertwine_converts_each_double_once(monkeypatch, perturb, converted):
-    # q is taken into the 50-digit context once per R, not once per element
-    # (2,023 elements at cutoff 8), and both cases share one R; the control's
-    # element builds its own R and converts its 0.05
-    from qlattice import rmatrices as rm
-
-    seen = []
-    to_mp = rm.to_mp
-    monkeypatch.setattr(rm, "to_mp", lambda x: (isinstance(x, float) and seen.append(x))
-                        or to_mp(x))
-    rm.fock_element_mp.cache_clear()
+@pytest.mark.parametrize("cutoff, parent", [
+    (5, (0.04738474283591223, 0.04761904761904762)),
+    (8, (0.04738472754896897, 0.04761904761904762)),
+])
+def test_fock_intertwine_controls_read_the_50_digit_products(cutoff, parent):
+    # the control bumps and shifts the double R; it reads what it read with
+    # every product in 52-digit Decimals (the values pinned here), to 1e-12
     _clear_fock_sums()
-    rep = run_suite(SuiteConfig(suite="fock-intertwine", cutoff=8, q=0.3, perturb=perturb))
-    assert rep.passed and (rep.max_residual > 1e-3) == perturb
-    assert seen == converted
+    rep = run_suite(SuiteConfig(suite="fock-intertwine", cutoff=cutoff, q=0.3,
+                                perturb=True, keep_cases=True))
+    assert rep.passed
+    got = [res for _, res in rep.cases]
+    assert len(got) == 2 and all(abs(g - p) <= 1e-12 * p for g, p in zip(got, parent))
 
 
 def test_fock_te_gates_each_block_once(monkeypatch):

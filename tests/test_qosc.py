@@ -1,7 +1,6 @@
 import cmath
 import decimal
 import math
-from decimal import Decimal
 
 import mpmath as mp
 import numpy as np
@@ -46,16 +45,6 @@ def test_fock_relations_masked():
     q = 0.3
     full = q * rep.a_star @ rep.a - rep.a @ rep.a_star / q - (q - 1 / q) * np.eye(5)
     assert np.max(np.abs(full)) > 0.1
-
-
-def test_fock_relations_on_the_50_digit_rep():
-    # the identity is built in q's number type and the relations are
-    # evaluated in the 50-digit context, whatever the thread's context
-    rep = qosc.fock_rep(5, rm.to_mp(0.3))
-    with decimal.localcontext(decimal.Context(prec=10)):
-        res = qosc.algebra_residuals(rep)
-    assert sorted(res) == ["k_a", "k_astar", "ksq_left", "ksq_right", "pair"]
-    assert max(res.values()) < 1e-40
 
 
 def test_fock_k_squared():
@@ -137,8 +126,8 @@ def test_l_product_associativity():
 
 
 def test_build_l_same_entries_for_double_and_mpmath_q():
-    # one build_l serves both number types; compare every entry of all
-    # three placements
+    # a q of another real type gives the double L: compare every entry of
+    # all three placements
     import mpmath as mp
     q, cutoff = 0.3, 3
     ls = qosc.build_l((qosc.fock_rep(cutoff, q),) * 3, (1.0,) * 3, (-1.0,) * 3)
@@ -157,35 +146,15 @@ def test_build_l_same_entries_for_double_and_mpmath_q():
             assert all(abs(g - w) <= 1e-15 * abs(g) for g, w in zip(got, want))
 
 
-def test_mpmath_l_stores_only_mpf_entries():
-    # the identity, lam mu and a entries used to stay Python ints and floats,
-    # which every 50-digit product converted again
-    with mp.workdps(50):
-        reps = (qosc.fock_rep(4, mp.mpf("0.3")),) * 3
-        for mat in (reps[0].a, reps[0].a_star, reps[0].k):
-            assert all(isinstance(val, mp.mpf) for val in mat[np.nonzero(mat)])
-        for key, mat in qosc._loper_entries(reps[0], 1.0, -1.0).items():
-            assert all(isinstance(val, mp.mpf) for val in mat[np.nonzero(mat)]), key
-        for op in qosc.build_l(reps, (1.0,) * 3, (-1.0,) * 3):
-            for block in op.blocks.values():
-                assert block.data.size
-                assert all(isinstance(val, mp.mpf) for val in block.data)
-
-
-def test_decimal_l_stores_only_decimal_entries():
-    # the mpmath test above, on the checks' number type: every stored entry
-    # of the reps, the L table and build_l is a Decimal, with lam and mu
-    # passed as ints
-    with decimal.localcontext(rm._MP_CTX):
-        reps = (qosc.fock_rep(4, Decimal(0.3)),) * 3
-        for mat in (reps[0].a, reps[0].a_star, reps[0].k):
-            assert all(type(val) is Decimal for val in mat[np.nonzero(mat)])
-        for key, mat in qosc._loper_entries(reps[0], 1, -1).items():
-            assert all(type(val) is Decimal for val in mat[np.nonzero(mat)]), key
-    for op in qosc.build_l(reps, (1,) * 3, (-1,) * 3):
-        for block in op.blocks.values():
-            assert block.data.size
-            assert all(type(val) is Decimal for val in block.data)
+def test_fock_checks_compute_in_complex128():
+    # the reps, every block of the three L-operators and R, as the Fock
+    # checks build them
+    reps, _, r = qosc.fock_r_sparse(5, 0.3)
+    assert all(mat.dtype == np.complex128 for rep in reps
+               for mat in (rep.a, rep.a_star, rep.k))
+    for op in qosc.build_l(reps, (1.0,) * 3, (-1.0,) * 3):
+        assert op.blocks and all(b.data.dtype == np.complex128 for b in op.blocks.values())
+    assert r.data.dtype == np.complex128 and r.data.size == 256
 
 
 # ---------------------------------------------------------------------------
@@ -294,34 +263,39 @@ def test_fock_intertwining_masked():
     assert qosc.intertwine_residual(ls, r, None) > 1e-2
 
 
-def test_fock_intertwine_extended_evaluates_only_reachable_elements():
+def test_fock_intertwine_extended_evaluates_only_reachable_elements(monkeypatch):
     calls = []
+    element = rm.fock_element_mp
 
     def counting_element(*args):
         calls.append(args)
-        return rm.fock_element_mp(*args)
+        return element(*args)
 
-    res = qosc.fock_intertwine_extended(5, 0.3, counting_element)
+    monkeypatch.setattr(rm, "fock_element_mp", counting_element)
+    qosc.fock_r_sparse.cache_clear()
+    res = qosc.fock_intertwine_extended(5, 0.3)
     assert len(calls) == 256
-    assert repr(res) == "2.71477602e-49"
+    assert repr(res) == "2.220446049250313e-16"
 
 
-@pytest.mark.parametrize("cutoff, bound", [(8, 3.43e-36), (10, 8.47e-22)])
-def test_fock_r_sparse_elements_match_150_digit_oracle(cutoff, bound):
-    # every stored element of the 50-digit R against fock_element in a
-    # 150-digit mpmath context at the same double q; the bounds are the
-    # errors of the 50-digit binary elements these replaced
+@pytest.mark.parametrize("cutoff", [8, 10, 12])
+def test_fock_r_sparse_elements_match_150_digit_oracle(cutoff):
+    # every stored element of the double R is fock_element in a 150-digit
+    # mpmath context at the same double q, rounded once: within half an ulp.
+    # With 52-digit elements cutoff 12 is off by up to 2e-4; its elements
+    # cancel up to 105 digits, and the oracle keeps 45 more
     ctx = mp.MPContext()
     ctx.dps = 150
-    _, _, r = qosc.fock_r_sparse(cutoff, 0.3, rm.fock_element_mp)
+    _, _, r = qosc.fock_r_sparse(cutoff, 0.3)
     n = np.unravel_index(r._rows(), r.dims)
     m = np.unravel_index(r.indices, r.dims)
     indices = np.stack([*n, *m], axis=1).tolist()
-    assert len(indices) == {8: 2023, 10: 5121}[cutoff]
+    assert len(indices) == {8: 2023, 10: 5121, 12: 10791}[cutoff]
+    assert not r.data.imag.any()
     q = ctx.mpf(0.3)
-    worst = max(abs(ctx.mpf(str(val)) - rm.fock_element(*idx, q))
-                for val, idx in zip(r.data, indices))
-    assert worst <= bound
+    for val, idx in zip(r.data.real.tolist(), indices):
+        exact = rm.fock_element(*idx, q)
+        assert abs(val - exact) <= 2.0 ** -53 * abs(exact), idx
 
 
 def kron3(ops):
@@ -469,21 +443,14 @@ def test_map_operator_relations_fock():
 
 def test_map_operator_relations_fock_in_50_digits_at_global_double_precision():
     # cutoff 8, on the sparse R the intertwining check uses.  No precision is
-    # set around these calls: the checks enter their own 52-digit context,
-    # where a q at the global precision gave 3.7e-16
+    # set around these calls: the elements take 52 digits or more in a
+    # context of their own, and the relations read roundoff in double
     assert mp.mp.dps == 15 and decimal.getcontext().prec == 28
-    reps, mask, r = qosc.fock_r_sparse(8, 0.3, rm.fock_element_mp)
+    reps, mask, r = qosc.fock_r_sparse(8, 0.3)
     res = qosc.map_operator_residuals(reps, r, eps=1, mask=mask)
     bad = qosc.map_operator_residuals(reps, r, eps=-1, mask=mask)
-    assert max(res.values()) < 1e-30
+    assert max(res.values()) < 1e-15
     assert max(bad.values()) > 1e-3
-    values = list(r.data)
-    for rep in reps:
-        for mat in (rep.a, rep.a_star, rep.k):
-            values += list(mat[np.nonzero(mat)])
-    assert len(values) > len(r.data)
-    assert all(type(val) is Decimal for val in values)
-    assert rm._MP_CTX.prec == rm._MP_DPS == 52
 
 
 def test_map_relations_scale_by_the_compared_sides():

@@ -883,3 +883,24 @@ def test_modular_irc_te_single_tuple():
     specs = tuple(rm.ModularWeightSpec(MP, t) for t in tsets)
     ext = {k: float(x) for k, x in zip(rm.EXTERNAL_LABELS, rng.uniform(-0.25, 0.25, 14))}
     assert rm.irc_te_residual_modular(specs, ext, tol=1e-5) < 1e-4
+
+
+def test_fock_element_takes_the_digits_its_sum_cancels(monkeypatch):
+    # at q = 0.3 the terms of (0, 7, 9, 0, 7, 9) reach 1e22 and sum to
+    # 1.2e-44, so its 52-digit sum is exactly 0.  It is summed again until
+    # 24 digits survive the cancellation (76, then 90 digits), and past the
+    # digit cap it raises
+    import mpmath as mp
+
+    idx = (0, 7, 9, 0, 7, 9)
+    ctx = mp.MPContext()
+    ctx.dps = 150
+    with decimal.localcontext(rm._MP_CTX):
+        assert rm.fock_element(*idx, rm.to_mp(0.3)) == 0
+    rm.fock_element_mp.cache_clear()
+    assert float(rm.fock_element_mp(*idx, 0.3)) == float(rm.fock_element(*idx, ctx.mpf(0.3)))
+    rm.fock_element_mp.cache_clear()
+    monkeypatch.setattr(rm, "_MP_MAX_DPS", 80)
+    with pytest.raises(AccuracyError, match="cancels beyond 80 digits"):
+        rm.fock_element_mp(*idx, 0.3)
+    rm.fock_element_mp.cache_clear()
