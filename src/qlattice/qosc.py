@@ -360,21 +360,16 @@ def fock_r_sparse(cutoff: int, q: float):
     reps = (fock_rep(cutoff, q),) * 3
     mask = product_state_mask(reps)
     dims = tuple(r.dim for r in reps)
-    kept = mask.reshape(dims)
-    flat = np.arange(mask.size).reshape(dims)
     # each (n, m) of a charge sector inside the cutoff, in the order of n, then m2
     n1, n2, n3, m2 = np.indices((cutoff + 1,) * 4).reshape(4, -1)
     nm = np.stack([n1, n2, n3, n1 + n2 - m2, m2, n2 + n3 - m2])
-    rows, cols, vals = [], [], []
-    for idx in nm[:, ((nm >= 0) & (nm <= cutoff)).all(axis=0)].T.tolist():
-        n, m = tuple(idx[:3]), tuple(idx[3:])
-        if kept[n] or (kept[m] and max(n) < cutoff):
-            el = rm.fock_element_mp(*idx, q)
-            if el:
-                rows.append(flat[n])
-                cols.append(flat[m])
-                vals.append(float(el))
-    r = VOp(dims, rows, cols, np.array(vals, dtype=complex))
+    nm = nm[:, ((nm >= 0) & (nm <= cutoff)).all(axis=0)]
+    rows, cols = np.ravel_multi_index(nm[:3], dims), np.ravel_multi_index(nm[3:], dims)
+    reach = mask[rows] | (mask[cols] & (nm[:3].max(axis=0) < cutoff))
+    els = np.array([rm.fock_element_mp(*idx, q) for idx in nm[:, reach].T.tolist()],
+                   dtype=object)
+    nonzero = els != 0
+    r = VOp(dims, rows[reach][nonzero], cols[reach][nonzero], els[nonzero].astype(complex))
     for a in (reps[0].a, reps[0].a_star, reps[0].k, mask, r.indptr, r.indices, r.data):
         a.flags.writeable = False
     return reps, mask, r

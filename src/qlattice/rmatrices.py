@@ -68,9 +68,61 @@ def fock_charge_allowed(n1: int, n2: int, n3: int, m1: int, m2: int, m3: int) ->
     return n1 + n2 == m1 + m2 and n2 + n3 == m2 + m3
 
 
-def _fock_terms(n1: int, n2: int, n3: int, m1: int, m2: int, m3: int, q):
+class _FockFactors:
+    """The factors of _fock_terms that depend on q alone, each formed on
+    first use and kept: powers of q, prefix lists of (q^2; q^2),
+    (q^{-2 m2}; q^2) and (q^{2(1+m3)}; q^2), and the products lo_hi and den
+    that every term of an element reuses.  Each comes from the operations,
+    on the operands, that one element's sum would form it by, so an element
+    summed over a shared table equals one summed over a fresh table to the
+    last digit, as long as a Decimal q's table is used in one context."""
+
+    def __init__(self, q):
+        self.q, self.qsq = q, q * q
+        self._powers, self._prefixes, self._lo_hi, self._den = {}, {}, {}, {}
+
+    def power(self, k: int):
+        """q ** k."""
+        if k not in self._powers:
+            self._powers[k] = self.q ** k
+        return self._powers[k]
+
+    def prefixes(self, key, x, n: int) -> list:
+        """At least [(x; q^2)_0 .. (x; q^2)_n], kept under key.  A running
+        product's entries do not depend on its length, so a longer list
+        replaces a shorter one."""
+        if key not in self._prefixes or len(self._prefixes[key]) <= n:
+            self._prefixes[key] = sf.qpochhammer_prefixes(x, self.qsq, n)
+        return self._prefixes[key]
+
+    def qq(self, n: int) -> list:
+        """At least [(q^2; q^2)_0 .. (q^2; q^2)_n]."""
+        return self.prefixes("qq", self.qsq, n)
+
+    def lo_hi(self, m2: int, m3: int) -> list:
+        """[(q^{-2 m2}; q^2)_t (q^{2(1+m3)}; q^2)_t for t = 0 .. m2]."""
+        key = (m2, m3)
+        if key not in self._lo_hi:
+            lo = self.prefixes(("lo", m2), self.power(-2 * m2), m2)
+            hi = self.prefixes(("hi", m3), self.power(2 * (1 + m3)), m2)
+            self._lo_hi[key] = [a * b for a, b in zip(lo, hi)]
+        return self._lo_hi[key]
+
+    def den(self, m2: int, n3: int) -> list:
+        """[(q^2;q^2)_t (q^2;q^2)_{m2} (q^2;q^2)_{n3-m2+t} for t =
+        max(0, m2 - n3) .. m2]."""
+        key = (m2, n3)
+        if key not in self._den:
+            qq = self.qq(max(m2, n3))
+            self._den[key] = [qq[t] * qq[m2] * qq[n3 - m2 + t]
+                              for t in range(max(0, m2 - n3), m2 + 1)]
+        return self._den[key]
+
+
+def _fock_terms(n1: int, n2: int, n3: int, m1: int, m2: int, m3: int, table: _FockFactors):
     """(prefactor, terms) of <n1 n2 n3|R|m1 m2 m3> for the Fock solution, in
-    q's number type; a gated element has the prefactor 0 and no term.
+    the number type of table's q; a gated element has the prefactor 0 and no
+    term.
 
     The charge-gated value is (-1)^{n2} q^{(m1-n2)(m3-n2)} times a
     terminating q-hypergeometric sum; the binomial prefactor and the series
@@ -80,25 +132,20 @@ def _fock_terms(n1: int, n2: int, n3: int, m1: int, m2: int, m3: int, q):
     """
     if min(n1, n2, n3, m1, m2, m3) < 0 or not fock_charge_allowed(n1, n2, n3, m1, m2, m3):
         return 0, []
-    qsq = q * q
-    pref = (-1) ** n2 * q ** ((m1 - n2) * (m3 - n2))
+    pref = (-1) ** n2 * table.power((m1 - n2) * (m3 - n2))
     # sum_t (q^{-2 m2}; q^2)_t (q^{2(1+m3)}; q^2)_t q^{2(1+n1) t}
     #       (q^2;q^2)_{n3} / [(q^2;q^2)_t (q^2;q^2)_{m2} (q^2;q^2)_{n3-m2+t}]
-    lo_poch = sf.qpochhammer_prefixes(q ** (-2 * m2), qsq, m2)
-    hi_poch = sf.qpochhammer_prefixes(q ** (2 * (1 + m3)), qsq, m2)
-    qq_poch = sf.qpochhammer_prefixes(qsq, qsq, max(m2, n3))
-    terms = []
-    for t in range(max(0, m2 - n3), m2 + 1):
-        num = lo_poch[t] * hi_poch[t] * q ** (2 * (1 + n1) * t)
-        den = qq_poch[t] * qq_poch[m2] * qq_poch[n3 - m2 + t]
-        terms.append(num * qq_poch[n3] / den)
+    lo_hi, qq_n3 = table.lo_hi(m2, m3), table.qq(n3)[n3]
+    terms = [lo_hi[t] * table.power(2 * (1 + n1) * t) * qq_n3 / den
+             for t, den in zip(range(max(0, m2 - n3), m2 + 1), table.den(m2, n3))]
     return pref, terms
 
 
 def fock_element(n1: int, n2: int, n3: int, m1: int, m2: int, m3: int, q):
     """The prefactor of _fock_terms times their sum, in order, in q's number
-    type: the integer 0 where gated, so an exact q gives an exact element."""
-    pref, terms = _fock_terms(n1, n2, n3, m1, m2, m3, q)
+    type, from a table of its own: the integer 0 where gated, so an exact q
+    gives an exact element."""
+    pref, terms = _fock_terms(n1, n2, n3, m1, m2, m3, _FockFactors(q))
     return pref * sum(terms)
 
 
@@ -125,6 +172,14 @@ def to_mp(x):
 _MP_GUARDS = (to_mp(ZERO_FLOOR), to_mp(_TINY))
 
 
+@lru_cache(maxsize=None, typed=True)
+def _mp_factors(q, prec: int) -> _FockFactors:
+    """The one _FockFactors of q for fock_element_mp's sums in
+    decimal.Context(prec=prec), the only context it is built and filled in.
+    Typed, so an exact q (a Fraction) never shares an equal Decimal's table."""
+    return _FockFactors(q)
+
+
 @lru_cache(maxsize=None)
 def fock_element_mp(n1: int, n2: int, n3: int, m1: int, m2: int, m3: int, q):
     """fock_element at a double q or its to_mp value, in Decimals of
@@ -133,6 +188,8 @@ def fock_element_mp(n1: int, n2: int, n3: int, m1: int, m2: int, m3: int, q):
     so every element is good to about 1e-22 relative.  At q = 0.3 that
     takes no fock-te element, 7 of the cutoff-8 R's 2,023 and 583 of the
     cutoff-12 R's 10,791 (which cancel up to 105 digits) past _MP_DPS.
+    Every sum takes its factors from the table _mp_factors keeps for its q
+    and digits, and equals the sum over a fresh table to the last digit.
 
     A double q and its to_mp value are equal numbers, so they share one
     cache entry and one value.  Only this entry point is cached: an untyped
@@ -142,7 +199,7 @@ def fock_element_mp(n1: int, n2: int, n3: int, m1: int, m2: int, m3: int, q):
     q, prec = to_mp(q), _MP_DPS
     while True:
         with decimal.localcontext(decimal.Context(prec=prec)):
-            pref, terms = _fock_terms(n1, n2, n3, m1, m2, m3, q)
+            pref, terms = _fock_terms(n1, n2, n3, m1, m2, m3, _mp_factors(q, prec))
             if not terms:  # gated: the integer 0
                 return pref
             total = sum(terms)
@@ -222,16 +279,20 @@ def fock_te_gate(exts):
     elements, the (E, 6) array of the distinct element index 6-tuples.
     """
     exts = np.asarray(exts, dtype=np.int64)
-    cols = exts[:, :, None]
-    balanced = np.all(np.equal(te_balance(cols[:6], *cols[6:9]), cols[9:]), axis=0)
-    free = np.arange(2 * int(exts.max(initial=0)) + 1)
+    balanced = np.all(np.equal(te_balance(exts[:6], *exts[6:9]), exts[9:]), axis=0)
+    free = np.arange(2 * int(exts.max(initial=0)) + 1)[:, None]
+    ncols = exts.shape[1]
 
     def side(indices):
-        idx = np.stack(np.broadcast_arrays(*(i for el in indices(cols, free) for i in el)))
-        idx = idx.reshape(4, 6, *idx.shape[1:])
-        keep = balanced & (idx >= 0).all(axis=(0, 1))
-        col, k = np.nonzero(keep)  # row-major: columns, then free index, ascending
-        return col, idx[:, :, col, k].transpose(2, 0, 1)
+        # each of the 24 indices is affine in the free one: its value at 0
+        # plus free times the difference of its values at 1 and at 0, formed
+        # as one (24, free, columns) array
+        at0, at1 = (np.array([i for el in indices(exts, np.full(ncols, f)) for i in el])
+                    for f in (0, 1))
+        idx = at0[:, None] + (at1 - at0)[:, None] * free
+        # row-major over (columns, free): columns, then free index, ascending
+        col, k = np.nonzero((balanced & (idx >= 0).all(axis=0)).T)
+        return col, idx[:, k, col].T.reshape(-1, 4, 6)
 
     (lcol, lidx), (rcol, ridx) = side(te_lhs_indices), side(te_rhs_indices)
     col = np.concatenate([lcol, rcol])
@@ -270,12 +331,18 @@ def fock_te_residual(terms, ncols, q, q_rhs) -> np.ndarray:
     """Relative residuals of the vertex tetrahedron equation at ncols external
     tuples from their terms (fock_te_gate's arrays), summed in _MP_CTX with
     the LHS at q and the RHS at q_rhs; 0.0 where neither side has a term.
-    The check passes q_rhs = q, a negative control another deformation."""
-    col, side, ids, elements = terms
-    sums = []
-    for s, at in enumerate((q, q_rhs)):
-        on = side == s
-        sums.append(fock_te_sides((col[on], side[on], ids[on], elements), ncols, at)[s])
+    The check passes q_rhs = q and sums both sides in one fock_te_sides
+    call; a negative control passes another deformation and sums each side
+    in a call of its own.  Each (side, column) sum adds the same terms in
+    the same order either way."""
+    if q_rhs == q:
+        sums = fock_te_sides(terms, ncols, q)
+    else:
+        col, side, ids, elements = terms
+        sums = []
+        for s, at in enumerate((q, q_rhs)):
+            on = side == s
+            sums.append(fock_te_sides((col[on], side[on], ids[on], elements), ncols, at)[s])
     return _rel_residual(*sums).astype(float)
 
 

@@ -47,7 +47,8 @@ def gauss_legendre(n: int):
 
 def qpochhammer_prefixes(x, qsq, n: int) -> list:
     """[(x; qsq)_0, ..., (x; qsq)_n] with (x; qsq)_k = prod_{j<k} (1 - qsq^j x),
-    in the number type of x and qsq (float, complex, mpmath or Fraction)."""
+    in the number type of x and qsq (float, complex, Decimal, mpmath or
+    Fraction); a Decimal rounds in the calling thread's context."""
     if n < 0:
         raise DomainError("qpochhammer order must be nonnegative")
     out = [1]

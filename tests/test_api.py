@@ -2,6 +2,7 @@
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -272,3 +273,36 @@ def test_qosc_computes_without_decimals():
     text = (PACKAGE / "qosc.py").read_text()
     found = re.findall(r"decimal|Decimal|in_mp_context|to_mp|_MP_", text)
     assert not found, found
+
+
+def _module_containers():
+    """Length of every dict, list and set bound at the top level of a loaded
+    qlattice module, by (module, name)."""
+    return {(name, attr): len(value) for name, module in list(sys.modules.items())
+            if name == "qlattice" or name.startswith("qlattice.")
+            for attr, value in vars(module).items() if isinstance(value, (dict, list, set))}
+
+
+def _grown(before, after):
+    return {key: (before.get(key, 0), n) for key, n in after.items() if n > before.get(key, 0)}
+
+
+def test_fock_suites_memoize_only_in_lru_caches(monkeypatch):
+    # Every memo of the Fock checks is an lru_cache, which cache_clear (and
+    # so the benchmark's clear_caches) empties; a module-level dict, list or
+    # set that grows while they run would keep values past it.  A q no other
+    # test uses makes every memo start cold.
+    from qlattice import rmatrices as rm
+    from qlattice.harness.suites import SuiteConfig, run_suite
+
+    before = _module_containers()
+    for suite, size in (("fock-te", {"max_index": 1}), ("fock-intertwine", {"cutoff": 5})):
+        for perturb in (False, True):
+            run_suite(SuiteConfig(suite=suite, q=0.43, perturb=perturb, **size))
+    assert not _grown(before, _module_containers())
+    assert rm._mp_factors.cache_info().currsize and rm.fock_element_mp.cache_info().currsize
+    # a planted module-level memo is caught
+    monkeypatch.setattr(rm, "_PLANTED", {}, raising=False)
+    before = _module_containers()
+    rm._PLANTED[0.43] = 1
+    assert _grown(before, _module_containers()) == {("qlattice.rmatrices", "_PLANTED"): (0, 1)}

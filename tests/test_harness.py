@@ -415,8 +415,9 @@ def test_fock_te_gates_each_block_once(monkeypatch):
     # the 729 cases at max_index 2 share one gate call per block of
     # BLOCK_CASES (23 blocks of up to 32), which sees only the 4,743
     # charge-consistent tuples.  Each block is summed in one fock_te_residual
-    # call over all its tuples, which sums each side in one fock_te_sides
-    # call; the control takes the same path, and a second q gates again
+    # call over all its tuples, which sums both sides of the check in one
+    # fock_te_sides call and each side of the control in one of its own; a
+    # second q gates again
     from qlattice import rmatrices as rm
     from qlattice.harness import suites
 
@@ -435,14 +436,14 @@ def test_fock_te_gates_each_block_once(monkeypatch):
     _clear_fock_sums()
     run_suite(SuiteConfig(suite="fock-te", q=0.3, max_index=2))
     assert big == 23 and len(gated) == big and sum(gated) == 4743
-    assert summed == {"residual": big, "sides": 2 * big}
+    assert summed == {"residual": big, "sides": big}
     run_suite(SuiteConfig(suite="fock-te", q=0.7, max_index=2))
-    assert len(gated) == 2 * big and summed == {"residual": 2 * big, "sides": 4 * big}
+    assert len(gated) == 2 * big and summed == {"residual": 2 * big, "sides": 2 * big}
     run_suite(SuiteConfig(suite="fock-te", q=0.3, max_index=2, perturb=True))
-    assert len(gated) == 3 * big and summed == {"residual": 3 * big, "sides": 6 * big}
+    assert len(gated) == 3 * big and summed == {"residual": 3 * big, "sides": 4 * big}
     run_suite(SuiteConfig(suite="fock-te", q=0.3, max_index=1, perturb=True))
     n = 3 * big + small
-    assert len(gated) == n and summed == {"residual": n, "sides": 2 * n}
+    assert len(gated) == n and summed == {"residual": n, "sides": 4 * big + 2 * small}
 
 
 def test_fock_te_residual_cache_keys_on_q_and_perturb():

@@ -226,19 +226,25 @@ def _qpoch_oracle(x, qsq, n):
     return out
 
 
-def _fock_element_oracle(n1, n2, n3, m1, m2, m3, q):
-    # the terminating sum with every q-Pochhammer factor built from scratch
+def _fock_terms_oracle(n1, n2, n3, m1, m2, m3, q):
+    # the terms of a charge-allowed element with every q-Pochhammer factor
+    # and power of q built anew, grouped as _fock_terms groups them
     qsq = q * q
     pref = (-1) ** n2 * q ** ((m1 - n2) * (m3 - n2))
-    total = 0
+    terms = []
     for t in range(max(0, m2 - n3), m2 + 1):
         num = (_qpoch_oracle(q ** (-2 * m2), qsq, t)
                * _qpoch_oracle(q ** (2 * (1 + m3)), qsq, t)
                * q ** (2 * (1 + n1) * t))
         den = (_qpoch_oracle(qsq, qsq, t) * _qpoch_oracle(qsq, qsq, m2)
                * _qpoch_oracle(qsq, qsq, n3 - m2 + t))
-        total += num * _qpoch_oracle(qsq, qsq, n3) / den
-    return pref * total
+        terms.append(num * _qpoch_oracle(qsq, qsq, n3) / den)
+    return pref, terms
+
+
+def _fock_element_oracle(n1, n2, n3, m1, m2, m3, q):
+    pref, terms = _fock_terms_oracle(n1, n2, n3, m1, m2, m3, q)
+    return pref * sum(terms)
 
 
 def test_fock_element_prefix_tables_match_direct_products():
@@ -255,6 +261,78 @@ def test_fock_element_prefix_tables_match_direct_products():
                 assert repr(got) == repr(_fock_element_oracle(n1, n2, n3, m1, m2, m3, q))
                 checked += 1
         assert checked == 325
+
+
+def _fock_element_mp_oracle(idx, q):
+    # (value, digits) of fock_element_mp's sum of a charge-allowed element,
+    # taking more digits as it does, over _fock_terms_oracle
+    q, prec = rm.to_mp(q), rm._MP_DPS
+    while True:
+        with decimal.localcontext(decimal.Context(prec=prec)):
+            pref, terms = _fock_terms_oracle(*idx, q)
+            total = sum(terms)
+            lost = max(t.adjusted() for t in terms) - total.adjusted() if total else prec
+            if prec - lost >= rm._MP_SPARE:
+                return pref * total, prec
+        prec = lost + rm._MP_SPARE
+
+
+def _r_elements(cutoff, q, monkeypatch):
+    # the elements qosc.fock_r_sparse evaluates, in its order
+    from qlattice import qosc
+
+    seen = []
+    with monkeypatch.context() as patch:
+        patch.setattr(rm, "fock_element_mp", lambda *args: seen.append(args[:6]) or 1)
+        qosc.fock_r_sparse.__wrapped__(cutoff, q)
+    return seen
+
+
+def _te_sweep_elements(max_index):
+    # the elements of the exhaustive fock-te sweep: every charge-consistent
+    # external tuple with entries <= max_index, gated
+    n_p = np.indices((max_index + 1,) * 9).reshape(9, -1)
+    exts = np.vstack([n_p, rm.te_balance(n_p[:6], *n_p[6:])])
+    exts = exts[:, ((exts >= 0) & (exts <= max_index)).all(axis=0)]
+    return exts.shape[1], rm.fock_te_gate(exts)[3].tolist()
+
+
+def test_fock_elements_from_shared_tables_equal_their_own_sums(monkeypatch):
+    # every element summed over the tables shared per (q, digits) equals,
+    # as a Decimal and as a string, the sum over factors formed for it
+    # alone: the cutoff-12 R's elements at q = 0.3 (583 of them take more
+    # than _MP_DPS digits), the max_index 2 sweep's at q = 0.5 and 0.7,
+    # and (0, 7, 9, 0, 7, 9), whose 52-digit sum is exactly 0.  So do they
+    # with emptied caches, in reverse order, and in threads whose own
+    # context holds 10 or 200 digits
+    r_elements = _r_elements(12, 0.3, monkeypatch)
+    ncols, sweep = _te_sweep_elements(2)
+    assert len(r_elements) == 10791 and ncols == 4743
+    assert (0, 7, 9, 0, 7, 9) in r_elements
+    cases = [(0.3, r_elements), (0.5, sweep), (0.7, sweep)]
+    want = {}
+    for q, elements in cases:
+        for idx in elements:
+            want[tuple(idx), q] = _fock_element_mp_oracle(idx, q)
+    wider = sum(prec > rm._MP_DPS for (_, q), (_, prec) in want.items() if q == 0.3)
+    assert wider == 583
+
+    def check(reverse):
+        for (idx, q), (value, _) in sorted(want.items(), reverse=reverse):
+            got = rm.fock_element_mp(*idx, q)
+            assert got == value and str(got) == str(value), (idx, q)
+
+    def clear():
+        rm.fock_element_mp.cache_clear()
+        rm._mp_factors.cache_clear()
+
+    check(reverse=False)
+    clear()
+    check(reverse=True)
+    for prec in (10, 200):
+        clear()
+        with decimal.localcontext(decimal.Context(prec=prec)):
+            check(reverse=False)
 
 
 def _te_sides_ungated(ext, q, element):
