@@ -18,7 +18,9 @@ and the flip of a cube acts on the three front triples as
     (a3*)' = (k1 a3* - eps k3 a1  a2*) / k2',
 
 with k1', k3' recovered from the same square-root constraint (the principal
-branch; the Yang-Baxter residual is branch-sensitive and pins it).
+branch; the Yang-Baxter residual is branch-sensitive and pins it).  In code
+the six numerators are written once, in flip_numerators: map_r123 takes
+them in scalars and stacks, and qosc.map_operator_residuals in operators.
 
 The transforms and the map take Python scalars or equal-shaped numpy arrays
 (stacks) through one body; a call on scalars uses the math module only.
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +89,8 @@ def _lib(x):
 
 @dataclass(frozen=True)
 class CircularTriple:
-    """(k, a, a*) of one face, or of a stack of faces as equal-shaped arrays."""
+    """(k, a, a*) of one face, or of a stack of faces as equal-shaped arrays
+    (qosc fills one with operators to take the flip map's numerators)."""
 
     k: complex
     a: complex
@@ -214,6 +218,22 @@ def _constraint_sqrt(radicand, real: bool):
     return np.sqrt(np.maximum(radicand, 0.0)) if stacked else math.sqrt(max(radicand, 0.0))
 
 
+def flip_numerators(t1, t2, t3, eps, mul):
+    """The flip map's numerators a1'k2', a1*'k2', a2', a2*', a3'k2' and
+    a3*'k2' from three triples, every product taken left to right through
+    mul: operator.mul on scalars or stacks, operator.matmul on operators.
+    The only place the map's formulas are written."""
+    k1, a1, s1 = t1.k, t1.a, t1.a_star
+    a2, s2 = t2.a, t2.a_star
+    k3, a3, s3 = t3.k, t3.a, t3.a_star
+    return (mul(k3, a1) - mul(mul(eps * k1, a2), s3),
+            mul(k3, s1) - mul(mul(eps * k1, s2), a3),
+            mul(a1, a3) + mul(mul(eps * k1, k3), a2),
+            mul(s1, s3) + mul(mul(eps * k1, k3), s2),
+            mul(k1, a3) - mul(mul(eps * k3, s1), a2),
+            mul(k1, s3) - mul(mul(eps * k3, a1), s2))
+
+
 def map_r123(t1: CircularTriple, t2: CircularTriple, t3: CircularTriple,
              eps: int = EPS_CLASSICAL):
     """Flip map on three circular triples; eps = +1 (circular branch) or -1.
@@ -223,19 +243,13 @@ def map_r123(t1: CircularTriple, t2: CircularTriple, t3: CircularTriple,
     takes the principal square roots."""
     if eps not in (1, -1):
         raise DomainError("eps must be +1 or -1")
-    k1, a1, s1 = t1.k, t1.a, t1.a_star
-    k2, a2, s2 = t2.k, t2.a, t2.a_star
-    k3, a3, s3 = t3.k, t3.a, t3.a_star
-    real = not _is_complex(k1, a1, s1, k2, a2, s2, k3, a3, s3)
-    _guard(abs(k2) < 1e-14, SingularityError, "k2 = 0 makes the map singular")
-    a2p = a1 * a3 + eps * k1 * k3 * a2
-    s2p = s1 * s3 + eps * k1 * k3 * s2
+    real = not _is_complex(t1.k, t1.a, t1.a_star, t2.k, t2.a, t2.a_star,
+                           t3.k, t3.a, t3.a_star)
+    _guard(abs(t2.k) < 1e-14, SingularityError, "k2 = 0 makes the map singular")
+    a1p, s1p, a2p, s2p, a3p, s3p = flip_numerators(t1, t2, t3, eps, operator.mul)
     k2p = _constraint_sqrt(1.0 - a2p * s2p, real)
     _guard(abs(k2p) < 1e-14, SingularityError, "k2' = 0 after the flip")
-    a1p = (k3 * a1 - eps * k1 * a2 * s3) / k2p
-    s1p = (k3 * s1 - eps * k1 * s2 * a3) / k2p
-    a3p = (k1 * a3 - eps * k3 * s1 * a2) / k2p
-    s3p = (k1 * s3 - eps * k3 * a1 * s2) / k2p
+    a1p, s1p, a3p, s3p = a1p / k2p, s1p / k2p, a3p / k2p, s3p / k2p
     k1p = _constraint_sqrt(1.0 - a1p * s1p, real)
     k3p = _constraint_sqrt(1.0 - a3p * s3p, real)
     return (CircularTriple(k1p, a1p, s1p), CircularTriple(k2p, a2p, s2p),

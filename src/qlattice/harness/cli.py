@@ -5,7 +5,8 @@
     qlattice report --json path
 
 verify exits 0 only if every executed suite passes; evolve exits 0 only if
-the lattice evolves and its mesh has the expected face count.
+the lattice evolves and its mesh has the expected face count; report exits 0
+only if the file holds a schema-valid report of a passing run.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+
+from jsonschema import ValidationError
 
 from .. import geometry as geo
 from ..errors import QLatticeError
@@ -149,9 +152,14 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(args.json) as fh:
-        data = json.load(fh)
-    validate_report(data)
+    try:
+        with open(args.json) as fh:
+            data = json.load(fh)
+        validate_report(data)
+    except (OSError, ValueError, ValidationError) as exc:
+        # a schema error's str() carries the whole schema; its message is one line
+        print("ERROR %s: %s" % (args.json, getattr(exc, "message", exc)))
+        return 1
     print("%s: %s (max residual %.3e%s, tolerance %.0e)"
           % (data["suite"], "PASS" if data["pass"] else "FAIL",
              data["max_residual"], _at_case(data.get("worst_case")), data["tolerance"]))

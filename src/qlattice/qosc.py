@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from . import rmatrices as rm
+from .classical_map import CircularTriple, flip_numerators
 from .errors import DomainError
 from .specfun import SphericalTriangle, root_of_unity_q
 
@@ -51,7 +53,8 @@ class QOscRep:
 def fock_rep(cutoff: int, q: complex) -> QOscRep:
     """Truncated Fock representation on basis |0> .. |cutoff>.
 
-    a|n+1> = |n>,  a*|n> = (1 - q^{2+2n})|n+1>,  k|n> = q^{n+1/2}|n>.
+    a|n+1> = |n>,  a*|n> = (1 - q^{2+2n})|n+1>,  k|n> = q^{n+1/2}|n>,
+    with the principal root of q, so a negative q has its representation.
     The pair relation q a*a - q^-1 a a* = q - q^-1 fails only on the top
     state; the interior mask excludes the top two levels to keep products
     of shifted states exact as well.  The matrices are complex128.
@@ -61,7 +64,7 @@ def fock_rep(cutoff: int, q: complex) -> QOscRep:
     n = np.arange(cutoff + 1)
     a = np.eye(cutoff + 1, k=1, dtype=complex)
     a_star = np.diag((1 - q ** (2 + 2 * n[:-1])).astype(complex), k=-1)
-    k = np.diag((q ** n * np.sqrt(q)).astype(complex))
+    k = np.diag((q ** n * np.sqrt(complex(q))).astype(complex))
     return QOscRep(q, a, a_star, k, exact_levels=cutoff - 1)
 
 
@@ -289,6 +292,29 @@ def _relative_gap(lhs, rhs) -> float:
     return float((lhs - rhs).max_abs() / scale) if scale else 0.0
 
 
+def _commutation_gap(left, r_matrix, right, mask) -> float:
+    """_relative_gap of left[0] ... left[-1] . R against R . right[0] ...
+    right[-1], each product taken left to right.
+
+    r_matrix is a VOp or a dense matrix over V1 x V2 x V3.  mask, if not
+    None, is a boolean vector over that basis; rows and columns outside it
+    are ignored (truncated-Fock boundary).  The outermost factor of each side
+    is restricted to the masked rows or columns before multiplying, so no
+    entry outside the compared block is formed.
+    """
+    dims = left[0].dims
+    r = r_matrix if isinstance(r_matrix, VOp) else VOp.from_dense(dims, r_matrix)
+    left, right = list(left), list(right)
+    if mask is not None:
+        every = np.ones(math.prod(dims), dtype=bool)
+        left[0], right[-1] = left[0].restrict(mask, every), right[-1].restrict(every, mask)
+        r_rows, r_cols = r.restrict(mask, every), r.restrict(every, mask)
+    else:
+        r_rows = r_cols = r
+    return _relative_gap(reduce(operator.matmul, left) @ r_cols,
+                         r_rows @ reduce(operator.matmul, right))
+
+
 def build_l(reps, lambdas, mus) -> tuple[BlockOp, BlockOp, BlockOp]:
     """L12(H1), L13(H2), L23(H3) on C^2 x C^2 x C^2 (x) V1 x V2 x V3.
 
@@ -309,25 +335,9 @@ def build_l(reps, lambdas, mus) -> tuple[BlockOp, BlockOp, BlockOp]:
 
 
 def intertwine_residual(l_ops, r_matrix, mask: np.ndarray | None = None) -> float:
-    """Normalized max-entry residual of LLL . R - R . (reversed LLL).
-
-    r_matrix is a VOp or a dense matrix over V1 x V2 x V3.  mask, if given,
-    is a boolean vector over that basis; rows and columns outside it are
-    ignored (truncated-Fock boundary).  With a mask, the outermost factor of
-    each side is restricted to the masked rows or columns before
-    multiplying, so no entry outside the compared block is formed.
-    """
-    l12, l13, l23 = l_ops
-    dims = l12.dims
-    every = np.ones(math.prod(dims), dtype=bool)
-    r = r_matrix if isinstance(r_matrix, VOp) else VOp.from_dense(dims, r_matrix)
-
-    def cut(op, rows, cols):
-        return op if mask is None else op.restrict(rows, cols)
-
-    lhs = ((cut(l12, mask, every) @ l13) @ l23) @ cut(r, every, mask)
-    rhs = cut(r, mask, every) @ ((l23 @ l13) @ cut(l12, every, mask))
-    return _relative_gap(lhs, rhs)
+    """Normalized max-entry residual of LLL . R - R . (reversed LLL), masked
+    and scaled as in _commutation_gap."""
+    return _commutation_gap(l_ops, r_matrix, l_ops[::-1], mask)
 
 
 def product_state_mask(reps) -> np.ndarray:
@@ -390,35 +400,29 @@ def map_operator_residuals(reps, r_matrix, eps: int = 1,
                            mask: np.ndarray | None = None) -> dict:
     """Residuals of R . F = F' . R for the six flip-map relations plus the
     primed constraint (k2')^2 = q (1 - a2*' a2'), each relative to the
-    larger of its two masked sides.
+    larger of its two masked sides (see _commutation_gap).
 
-    r_matrix is a VOp or a dense matrix over V1 x V2 x V3.  mask, if given,
-    selects the rows and columns compared; R and each relation operator
-    are restricted to them before multiplying.
+    F' is classical_map.flip_numerators on the lifted k, a, a* of each
+    factor; r_matrix is a VOp or a dense matrix over V1 x V2 x V3.
     """
     q = reps[0].q
     dims = tuple(r.dim for r in reps)
-    every = np.ones(math.prod(dims), dtype=bool)
-    mask = every if mask is None else mask
-    r = r_matrix if isinstance(r_matrix, VOp) else VOp.from_dense(dims, r_matrix)
-    (k1, a1, s1), (k2, a2, s2), (k3, a3, s3) = (
-        (_lift(dims, axis, rep.k), _lift(dims, axis, rep.a), _lift(dims, axis, rep.a_star))
-        for axis, rep in enumerate(reps))
+    t1, t2, t3 = (CircularTriple(_lift(dims, axis, rep.k), _lift(dims, axis, rep.a),
+                                 _lift(dims, axis, rep.a_star))
+                  for axis, rep in enumerate(reps))
+    a1p, s1p, a2p, s2p, a3p, s3p = flip_numerators(t1, t2, t3, eps, operator.matmul)
+    k2 = t2.k
     one = _lift(dims, 0, np.eye(dims[0]))  # the identity on V1 x V2 x V3
-    img_a2 = a1 @ a3 + eps * k1 @ k3 @ a2
-    img_s2 = s1 @ s3 + eps * k1 @ k3 @ s2
     rels = {
-        "k2a1s": (k2 @ s1, k3 @ s1 - eps * k1 @ s2 @ a3),
-        "k2a1": (k2 @ a1, k3 @ a1 - eps * k1 @ a2 @ s3),
-        "a2s": (s2, img_s2),
-        "a2": (a2, img_a2),
-        "k2a3s": (k2 @ s3, k1 @ s3 - eps * k3 @ a1 @ s2),
-        "k2a3": (k2 @ a3, k1 @ a3 - eps * k3 @ s1 @ a2),
-        "k2sq_constraint": (k2 @ k2, q * (one - img_s2 @ img_a2)),
+        "k2a1s": (k2 @ t1.a_star, s1p),
+        "k2a1": (k2 @ t1.a, a1p),
+        "a2s": (t2.a_star, s2p),
+        "a2": (t2.a, a2p),
+        "k2a3s": (k2 @ t3.a_star, s3p),
+        "k2a3": (k2 @ t3.a, a3p),
+        "k2sq_constraint": (k2 @ k2, q * (one - s2p @ a2p)),
     }
-    r_rows, r_cols = r.restrict(mask, every), r.restrict(every, mask)
-    return {name: _relative_gap(r_rows @ pre.restrict(every, mask),
-                                post.restrict(mask, every) @ r_cols)
+    return {name: _commutation_gap([post], r_matrix, [pre], mask)
             for name, (pre, post) in rels.items()}
 
 

@@ -1,6 +1,7 @@
 """Tooling checks on the code of ``src/qlattice``."""
 
 import ast
+import copy
 import re
 import sys
 from pathlib import Path
@@ -273,6 +274,49 @@ def test_qosc_computes_without_decimals():
     text = (PACKAGE / "qosc.py").read_text()
     found = re.findall(r"decimal|Decimal|in_mp_context|to_mp|_MP_", text)
     assert not found, found
+
+
+class _MatMulAsMul(ast.NodeTransformer):
+    def visit_MatMult(self, node):
+        return ast.Mult()
+
+
+def _operands(node):
+    if isinstance(node, ast.BinOp):
+        return _operands(node.left) + _operands(node.right)
+    return 1
+
+
+def _shared_expressions(trees, least=4):
+    """Every arithmetic expression of at least `least` operands that two or
+    more modules write, with @ read as *: {source: modules}."""
+    seen = {}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.BinOp) and _operands(node) >= least:
+                text = ast.unparse(_MatMulAsMul().visit(copy.deepcopy(node)))
+                seen.setdefault(text, set()).add(module)
+    return {text: sorted(mods) for text, mods in seen.items() if len(mods) > 1}
+
+
+def test_no_formula_is_written_in_two_modules():
+    # A formula written twice can drift: the scalar flip map and its
+    # operator relations once did.  Four operands leave out short rules such
+    # as a charge balance n1 + n2 - m2, which a reference oracle restates.
+    trees = {str(p.relative_to(PACKAGE)): ast.parse(p.read_text(), filename=str(p))
+             for p in sorted(PACKAGE.rglob("*.py"))}
+    shared = _shared_expressions(trees)
+    assert not shared, "%d formulas written twice:\n  %s" % (
+        len(shared), "\n  ".join("%s in %s" % kv for kv in sorted(shared.items())))
+
+
+def test_a_formula_is_found_through_matmul_but_not_below_four_operands():
+    found = _shared_expressions({
+        "scalar": ast.parse("x = a1 * a3 + eps * k1 * k3 * a2\nc = n1 + n2 - m2"),
+        "operator": ast.parse("y = a1 @ a3 + eps * k1 @ k3 @ a2\nd = n1 + n2 - m2"),
+    })
+    assert found == {"a1 * a3 + eps * k1 * k3 * a2": ["operator", "scalar"],
+                     "eps * k1 * k3 * a2": ["operator", "scalar"]}
 
 
 def _module_containers():

@@ -243,6 +243,22 @@ def test_cli_verify_writes_report(tmp_path):
     assert main(["report", "--json", str(out)]) == 0
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"suite": "x"}', "'parameters' is a required property"),
+    ("[1]", "[1] is not of type 'object'"),
+    ("not json", "Expecting value: line 1 column 1 (char 0)"),
+    (None, "[Errno 2] No such file or directory: '{path}'"),
+])
+def test_cli_report_prints_an_error_for_an_invalid_file(text, message, tmp_path, capsys):
+    # one ERROR line and exit 1, as verify and evolve do, not a traceback
+    path = tmp_path / "rep.json"
+    if text is not None:
+        path.write_text(text)
+    message = message.format(path=path)
+    assert main(["report", "--json", str(path)]) == 1
+    assert capsys.readouterr().out == "ERROR %s: %s\n" % (path, message)
+
+
 def test_fock_intertwine_map_relations_at_reported_cutoff():
     # case 1 checks the flip-map relations at the cutoff the report names,
     # on the same R as the intertwining check (case 0), at roundoff
@@ -328,6 +344,33 @@ FOCK_REPORT_PINS = [
     ({"suite": "fock-intertwine", "cutoff": 5, "q": 0.3, "perturb": True},
      "0.04761904761904766"),
 ]
+
+
+# (config at seed 7, repr of max_residual, worst_case) of the check and the
+# control of every suite whose residual the flip map's formulas or the
+# masked operator comparison produce
+MAP_REPORT_PINS = [
+    ({"suite": "classical-lybe"}, "1.1579626146840383e-13", 959),
+    ({"suite": "classical-lybe", "perturb": True}, "11.926444799652213", 959),
+    ({"suite": "classical-fte"}, "2.6201263381153694e-14", 57),
+    ({"suite": "classical-fte", "perturb": True}, "0.5647810101992476", 83),
+    ({"suite": "symplectic"}, "6.616929226765933e-14", 76),
+    ({"suite": "symplectic", "perturb": True}, "1.749649003209443", 10),
+    ({"suite": "covariant"}, "4.440892098500626e-16", 0),
+    ({"suite": "covariant", "perturb": True}, "0.028921972922766548", 1),
+    ({"suite": "fock-intertwine", "cutoff": 8, "q": 0.5}, "2.220446049250313e-16", 0),
+    ({"suite": "fock-intertwine", "cutoff": 8, "q": 0.5, "perturb": True},
+     "0.04761904761904767", 1),
+    ({"suite": "cyclic-intertwine", "n_cyclic": 3}, "1.1961375382846007e-15", 3),
+    ({"suite": "cyclic-intertwine", "n_cyclic": 3, "perturb": True},
+     "0.04147235203796177", 2),
+]
+
+
+@pytest.mark.parametrize("params, max_residual, worst_case", MAP_REPORT_PINS)
+def test_map_reports_are_pinned_at_seed_7(params, max_residual, worst_case):
+    rep = run_suite(SuiteConfig(seed=7, **params))
+    assert (repr(rep.max_residual), rep.worst_case) == (max_residual, worst_case)
 
 
 def _clear_fock_sums():

@@ -47,6 +47,22 @@ def test_fock_relations_masked():
     assert np.max(np.abs(full)) > 0.1
 
 
+@pytest.mark.parametrize("q, cutoff", [(-0.5, 8), (-0.3, 10)])
+def test_fock_rep_takes_the_principal_root_of_a_negative_q(q, cutoff):
+    # k|n> = q^{n+1/2}|n>: the real root of a negative q is nan, which made
+    # every relation with k and the whole intertwining check read nan
+    from qlattice.harness.suites import SuiteConfig, run_suite
+
+    rep = qosc.fock_rep(6, q)
+    assert max(qosc.algebra_residuals(rep).values()) < 1e-14
+    assert np.allclose(np.diag(rep.k @ rep.k), q ** (2 * np.arange(7) + 1), atol=1e-15)
+    check = run_suite(SuiteConfig(suite="fock-intertwine", cutoff=cutoff, q=q))
+    control = run_suite(SuiteConfig(suite="fock-intertwine", cutoff=cutoff, q=q,
+                                    perturb=True))
+    assert check.passed and check.max_residual < 1e-15
+    assert control.passed and control.max_residual > 1e-2
+
+
 def test_fock_k_squared():
     rep = qosc.fock_rep(5, 0.41)
     n = np.arange(6)
