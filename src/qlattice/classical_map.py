@@ -1,6 +1,6 @@
-"""Circular-variable transforms, edge-length propagation, the three-face map,
-and its verification functionals (local Yang-Baxter, functional tetrahedron,
-symplectic form, covariant lattice evolution).
+"""Circular-variable transforms, the three-face map and its verification
+functionals (local Yang-Baxter, functional tetrahedron, symplectic form,
+covariant lattice evolution).
 
 A circular face with angles (alpha, beta) carries the triple
 
@@ -40,7 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularityError
-from .geometry import FaceAngles
 
 EPS_CLASSICAL = +1
 
@@ -96,9 +95,6 @@ class CircularTriple:
     a: complex
     a_star: complex
 
-    def constraint_residual(self) -> float:
-        return abs(self.a * self.a_star - (1.0 - self.k * self.k))
-
     def as_array(self):
         return np.array([self.k, self.a, self.a_star])
 
@@ -133,34 +129,8 @@ def circular_to_angles(t: CircularTriple):
 
 
 # ---------------------------------------------------------------------------
-# edge-length propagation
+# local Yang-Baxter relation
 # ---------------------------------------------------------------------------
-
-def propagation_matrix(angles: FaceAngles) -> np.ndarray:
-    """The 2x2 matrix sending the incoming pair (lp, lq) to the opposite pair."""
-    b, g, d = angles.beta, angles.gamma, angles.delta
-    sd = math.sin(d)
-    if abs(sd) < 1e-14:
-        raise SingularityError("delta = 0 mod pi degenerates the propagation")
-    return np.array([
-        [math.sin(g) / sd, math.sin(d + b) / sd],
-        [math.sin(d + g) / sd, math.sin(b) / sd]])
-
-
-def propagation_constraint_residual(angles: FaceAngles) -> float:
-    """Residual of the determinant relation tying the four entries together.
-
-    With the matrix written [[A, C], [B, D]] column-wise the relation reads
-    AD - BC = (AB - CD)/(DB - AC); equivalently, for the entries P Q / R S
-    as displayed, det = (PR - QS)/(SR - PQ).
-    """
-    (p, q), (r, s) = propagation_matrix(angles)
-    num = p * r - q * s
-    den = s * r - p * q
-    if abs(den) < 1e-12:
-        raise SingularityError("constraint undefined (symmetric face)")
-    return abs((p * s - q * r) - num / den)
-
 
 def circular_x(t: CircularTriple) -> np.ndarray:
     return np.array([[t.k, t.a_star], [-t.a, t.k]], dtype=complex)
@@ -188,20 +158,6 @@ def local_yang_baxter_residual(front, back, matrix=circular_x) -> float:
     lhs = x[0] @ x[1] @ x[2]
     rhs = y[2] @ y[1] @ y[0]
     return float(np.max(np.abs(lhs - rhs)))
-
-
-def face_x(angles: FaceAngles) -> np.ndarray:
-    return propagation_matrix(angles).astype(complex)
-
-
-def cube_edge_propagate(lp, lq, lr, face_angles, reverse=False):
-    """Propagate the three incoming edge lengths of a hexahedron through its
-    front faces (or through the back faces with reverse=True; the two agree
-    by the local Yang-Baxter identity)."""
-    x = _embed([face_x(a) for a in face_angles])
-    m = x[2] @ x[1] @ x[0] if reverse else x[0] @ x[1] @ x[2]
-    out = m @ np.array([lp, lq, lr], dtype=complex)
-    return tuple(float(v.real) for v in out)
 
 
 # ---------------------------------------------------------------------------
@@ -387,21 +343,6 @@ def symplectic_residual(angles6) -> float:
     angle map."""
     jac = jacobian(angle_map, angles6)
     return float(np.max(np.abs(jac @ CANONICAL_OMEGA @ jac.T - CANONICAL_OMEGA)))
-
-
-def poisson_bracket_residuals(alpha: float, beta: float):
-    """Brackets of (k, a, a*) in the chart {alpha, beta} = 1 from their complex-step
-    Jacobian, compared with {a, a*} = 2k^2, {k, a} = k a, {k, a*} = -k a*."""
-    def kas(x):
-        t = angles_to_circular(x[..., 0], x[..., 1])
-        return np.stack([t.k, t.a, t.a_star], axis=-1)
-
-    d_al, d_be = jacobian(kas, [alpha, beta]).T
-    bracket = lambda i, j: d_al[i] * d_be[j] - d_be[i] * d_al[j]
-    k, a, s = kas(np.array([alpha, beta]))
-    return (abs(bracket(1, 2) - 2 * k * k),
-            abs(bracket(0, 1) - k * a),
-            abs(bracket(0, 2) + k * s))
 
 
 # ---------------------------------------------------------------------------

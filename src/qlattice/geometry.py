@@ -449,14 +449,6 @@ class LatticeState:
         return (all(self.has((i + a, j + b, k + d)) for a, b, d in _FRONT_CORNERS)
                 and not self.has((i + 1, j + 1, k + 1)))
 
-    def hexahedron(self, c) -> Hexahedron:
-        i, j, k = c
-        g = self.get
-        return Hexahedron(
-            x0=g((i, j, k)), x1=g((i + 1, j, k)), x2=g((i, j + 1, k)), x3=g((i, j, k + 1)),
-            x12=g((i + 1, j + 1, k)), x13=g((i + 1, j, k + 1)), x23=g((i, j + 1, k + 1)),
-            x123=g((i + 1, j + 1, k + 1)))
-
     def known_faces(self):
         """All unit lattice faces whose four corners are known, as ordered
         quadruples of lattice keys, by vertex and then by normal axis."""
@@ -500,18 +492,6 @@ def staircase_evolve(state: LatticeState, steps: int | None = None) -> LatticeSt
             state.set((i + 1, j + 1, k + 1), p)
         done += 1
     return state
-
-
-def affine_initial_state(shape, matrix=None, offset=None) -> LatticeState:
-    """Boundary data from an affine image of the integer lattice."""
-    n1, n2, n3 = shape
-    a = np.eye(3) if matrix is None else np.asarray(matrix, dtype=float)
-    t = np.zeros(3) if offset is None else np.asarray(offset, dtype=float)
-    st = LatticeState(shape)
-    for m in np.ndindex(n1 + 1, n2 + 1, n3 + 1):
-        if 0 in m:
-            st.set(m, a @ np.array(m, dtype=float) + t)
-    return st
 
 
 def _fill_wall(points, rng, circular):

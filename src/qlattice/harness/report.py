@@ -95,9 +95,3 @@ def validate_report(data: dict):
     error = jsonschema.exceptions.best_match(_validator().iter_errors(data))
     if error is not None:
         raise error
-
-
-def strip_timing(data: dict) -> dict:
-    out = dict(data)
-    out.pop("timing", None)
-    return out

@@ -241,6 +241,14 @@ def _sample_triangle(rng):
             continue
 
 
+def _vertex_form_count(cfg):
+    """Case count of the suites on the vertex-form R, which need odd N."""
+    if cfg.n_cyclic % 2 == 0:
+        raise ConfigurationError("%s needs odd N (q^N = -1 for even N, so the vertex "
+                                 "element is not a function on Z_N)" % cfg.suite)
+    return _samples(cfg)
+
+
 def _cyclic_intertwine_case(cfg, idx):
     rng = case_rng(cfg.seed, idx)
     tri = _sample_triangle(rng)
@@ -295,13 +303,6 @@ def _cyclic_te_block(cfg, cases):
 def _cyclic_vertex_setup(seed, n):
     ta = rm.random_tetra_angles(case_rng(seed, SETUP_STREAM))
     return tuple(rm.CyclicRData.from_angles(*args, n) for args in ta.angle_arguments())
-
-
-def _cyclic_vertex_count(cfg):
-    if cfg.n_cyclic % 2 == 0:
-        raise ConfigurationError("cyclic-te-vertex needs odd N (q^N = -1 for even N, "
-                                 "so the vertex element is not a function on Z_N)")
-    return _samples(cfg)
 
 
 def _cyclic_vertex_case(cfg, idx):
@@ -437,7 +438,7 @@ SUITES = {
         parameters=lambda cfg: {"q": cfg.q, "cutoff": cfg.cutoff}),
     "cyclic-intertwine": Suite(
         1e-10, 5,
-        count=_samples, case=_cyclic_intertwine_case,
+        count=_vertex_form_count, case=_cyclic_intertwine_case,
         parameters=lambda cfg: {"N": cfg.n_cyclic}),
     "cyclic-te-irc": Suite(
         1e-9, 1000,
@@ -446,7 +447,7 @@ SUITES = {
                                 "exhaustive": cfg.n_cyclic == 2}),
     "cyclic-te-vertex": Suite(
         1e-10, 1000,
-        count=_cyclic_vertex_count, case=_cyclic_vertex_case,
+        count=_vertex_form_count, case=_cyclic_vertex_case,
         parameters=lambda cfg: {"N": cfg.n_cyclic}),
     "cyclic-cross-form": Suite(
         1e-12, 200,

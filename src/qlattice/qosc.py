@@ -88,21 +88,6 @@ def cyclic_rep(N: int, kappa: complex, rho: complex) -> QOscRep:
     return QOscRep(q, a, a_star, kappa * x, exact_levels=N)
 
 
-def algebra_residuals(rep: QOscRep) -> dict:
-    """Masked residuals of the defining relations."""
-    q = rep.q
-    eye = np.eye(rep.dim)
-    rels = {
-        "pair": q * rep.a_star @ rep.a - rep.a @ rep.a_star / q - (q - 1 / q) * eye,
-        "k_astar": rep.k @ rep.a_star - q * rep.a_star @ rep.k,
-        "k_a": rep.k @ rep.a - rep.a @ rep.k / q,
-        "ksq_left": rep.k @ rep.k - q * (eye - rep.a_star @ rep.a),
-        "ksq_right": rep.k @ rep.k - (eye - rep.a @ rep.a_star) / q,
-    }
-    m = rep.interior_mask()
-    return {name: float(np.max(np.abs(mat[np.ix_(m, m)]))) for name, mat in rels.items()}
-
-
 # ---------------------------------------------------------------------------
 # sparse operators on V1 x V2 x V3, in blocks over C^2 x C^2 x C^2
 # ---------------------------------------------------------------------------
@@ -458,12 +443,3 @@ class CyclicParams:
 
     def reps(self):
         return tuple(cyclic_rep(self.N, self.kappas[j], self.rhos[j]) for j in range(3))
-
-
-def parameter_combinations(lambdas, mus):
-    """The three combinations the intertwining relation depends on:
-    lambda2/lambda3, lambda1 mu3, mu1/mu2."""
-    if lambdas[2] == 0 or mus[1] == 0:
-        raise DomainError("zero parameter in a denominator")
-    return (lambdas[1] / lambdas[2], lambdas[0] * mus[2], mus[0] / mus[1])
-

@@ -482,11 +482,19 @@ def cyclic_vertex_element(n, m, data: CyclicRData):
     return np.where(allowed, pref * terms.sum(axis=-1), 0.0)[()]
 
 
+def _require_odd(N: int):
+    if N % 2 == 0:
+        raise DomainError("the cyclic vertex element is not a function on Z_N "
+                          "for even N = %d (q^N = -1)" % N)
+
+
 def cyclic_r_dense(data: CyclicRData) -> np.ndarray:
     """Dense N^3 x N^3 matrix of the cyclic R over Z_N, rows = bra index;
     only the N^4 charge-allowed entries (m1 + m2 = n1 + n2, m2 + m3 = n2 + n3
-    mod N) are evaluated, in one element call."""
+    mod N) are evaluated, in one element call.  Odd N only, as for
+    vertex_te_residual."""
     N = data.N
+    _require_odd(N)
     n1, n2, n3, m2 = np.indices((N,) * 4)
     m1, m3 = (n1 + n2 - m2) % N, (n2 + n3 - m2) % N
     out = np.zeros((N,) * 6, dtype=complex)
@@ -514,9 +522,7 @@ def vertex_te_residual(ext, datasets) -> float:
     meaningful: for even N, q^N = -1 and the element is not a function on Z_N.
     """
     N = datasets[0].N
-    if N % 2 == 0:
-        raise DomainError("the cyclic vertex element is not a function on Z_N "
-                          "for even N = %d (q^N = -1)" % N)
+    _require_odd(N)
     free = np.arange(N)
     sides = []
     for indices, order in ((te_lhs_indices, datasets), (te_rhs_indices, datasets[::-1])):
@@ -719,41 +725,12 @@ def spectral_sets_from_free(free):
     return ((t1, t2, t3), (t1, t2p, t3p), (-t2, t2p, t3pp), (t3, -t3p, t3pp))
 
 
-def field_sets_from_free(free):
-    """(f, f', f'', f''') from eight free field parameters
-    (f1, f2, f3, f1', f2', f3', f1'', f2'')."""
-    f1, f2, f3, f1p, f2p, f3p, f1pp, f2pp = free
-    return ((f1, f2, f3), (f1p, f2p, f3p), (f1pp, f2pp, f3p - f3),
-            (f1pp - f1p, f2pp + f1, f2 - f2p))
-
-
 def spectral_tshki_residual(sets) -> float:
     """Exactness of the spectral-parameter constraints for a four-weight set."""
     t, tp, tpp, tppp = sets
     checks = (tp[0] - t[0], tpp[0] + t[1], tppp[0] - t[2],
               tpp[1] - tp[1], tppp[1] + tp[2], tppp[2] - tpp[2])
     return float(max(abs(c) for c in checks))
-
-
-def field_exponent_balance(t_sets, f_sets, rng) -> float:
-    """Numerical check that the total field exponent matches between the two
-    sides of the IRC equation and is z-independent on each side."""
-    worst = 0.0
-    for _ in range(20):
-        ext = {k: rng.uniform(-1, 1) for k in EXTERNAL_LABELS}
-        vals = []
-        for zval in (rng.uniform(-1, 1), rng.uniform(-1, 1)):
-            env = dict(ext, z=zval)
-            for side in IRC_SIDES:
-                total = 0.0
-                for widx, slot in side:
-                    spins = [env[s] for s in slot]
-                    (s1, s2, s3), (s1p, s2p, s3p) = sigma_map(spins, t_sets[widx])
-                    fj = f_sets[widx]
-                    total += fj[0] * (s1 + s1p) + fj[1] * (s2 + s2p) + fj[2] * (s3 + s3p)
-                vals.append(total)
-        worst = max(worst, max(vals) - min(vals))
-    return worst
 
 
 def irc_te_residual_modular(specs, ext: dict, tol: float = 1e-6,

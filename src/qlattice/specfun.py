@@ -31,7 +31,6 @@ from .errors import (
 )
 
 _TWO_PI = 2.0 * math.pi
-_2PHI1_MAX_TERMS = 10000
 _PRODUCT_MAX_TERMS = 20000  # per side of the phi product
 _RESIDUE_TOL = 1e-16  # relative size of a negligible 2Psi2 residue term
 
@@ -59,11 +58,6 @@ def qpochhammer_prefixes(x, qsq, n: int) -> list:
     return out
 
 
-def qpochhammer(x, qsq, n: int):
-    """Finite q-shifted factorial (x; qsq)_n."""
-    return qpochhammer_prefixes(x, qsq, n)[n]
-
-
 def qpochhammer_inf(x: complex, qsq: complex) -> complex:
     """Infinite product (x; qsq)_inf, requires |qsq| < 1."""
     if abs(qsq) >= 1.0:
@@ -76,60 +70,6 @@ def qpochhammer_inf(x: complex, qsq: complex) -> complex:
         if abs(fac) < 1e-300:
             break
     return out
-
-
-def qbinomial(n: int, k: int, qsq: complex) -> complex:
-    """Gaussian binomial coefficient in base qsq; zero when k is out of range."""
-    if k < 0 or k > n:
-        return 0.0 + 0.0j
-    # build as a product of ratios to avoid cancellation of large factors
-    out = 1.0 + 0.0j
-    for j in range(1, k + 1):
-        out *= (1.0 - qsq ** (n - k + j)) / (1.0 - qsq ** j)
-    return out
-
-
-def qgauss_2phi1(a: complex, bb: complex, c: complex, qsq: complex, z: complex) -> complex:
-    """q-deformed Gauss hypergeometric series
-    sum_n (a;qsq)_n (bb;qsq)_n / ((qsq;qsq)_n (c;qsq)_n) z^n.
-
-    Terminating when a = qsq^{-m} (the only case the Fock R-matrix needs);
-    otherwise requires |z| < 1 and |qsq| < 1.
-    """
-    m = _terminating_order(a, qsq)
-    if m is None and (abs(z) >= 1.0 or abs(qsq) >= 1.0):
-        raise DomainError("nonterminating 2phi1 requires |z| < 1 and |qsq| < 1")
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    n = 0
-    while True:
-        # ratio of term n+1 to term n
-        num = (1.0 - a * qsq ** n) * (1.0 - bb * qsq ** n)
-        den = (1.0 - qsq ** (n + 1)) * (1.0 - c * qsq ** n)
-        if den == 0:
-            raise SingularityError("2phi1 denominator parameter hit a pole at term %d" % (n + 1))
-        term *= num / den * z
-        total += term
-        n += 1
-        if m is not None and n >= m:
-            break
-        if m is None and abs(term) < 1e-18 * (1.0 + abs(total)):
-            break
-        if n >= _2PHI1_MAX_TERMS:
-            raise AccuracyError("2phi1 did not converge in %d terms" % _2PHI1_MAX_TERMS)
-    return total
-
-
-def _terminating_order(a: complex, qsq: complex) -> int | None:
-    """Smallest m in [0, 512) with a ~ qsq^{-m}, or None if the series does not terminate."""
-    if abs(a - 1.0) < 1e-12:
-        return 0
-    fac = complex(a)
-    for m in range(1, 512):
-        fac *= qsq
-        if abs(fac - 1.0) < 1e-12:
-            return m
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -636,11 +576,6 @@ def fermat_phi_table(p: FermatPoint) -> np.ndarray:
     return out
 
 
-def fermat_phi(p: FermatPoint, n: int) -> complex:
-    """phi_p(n) with the index reduced mod N."""
-    return complex(fermat_phi_table(p)[n % p.N])
-
-
 # ---------------------------------------------------------------------------
 # spherical triangles and the Fermat points of the cyclic solution
 # ---------------------------------------------------------------------------
@@ -702,18 +637,6 @@ def spherical_sides_from_angles(theta1: float, theta2: float, theta3: float) -> 
             raise DomainError("degenerate triangle: cos a%d = %.6f" % (i + 1, ca))
         sides.append(math.acos(ca))
     return SphericalTriangle(theta1, theta2, theta3, *sides)
-
-
-def spherical_angles_from_sides(a1: float, a2: float, a3: float) -> tuple[float, float, float]:
-    """Angles from sides (independent oracle for the conversion above)."""
-    aa = (a1, a2, a3)
-    out = []
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        ct = (math.cos(aa[i]) - math.cos(aa[j]) * math.cos(aa[k])) / (
-            math.sin(aa[j]) * math.sin(aa[k]))
-        out.append(math.acos(min(1.0, max(-1.0, ct))))
-    return tuple(out)
 
 
 def _principal_root(value: float, N: int) -> float:

@@ -1,0 +1,252 @@
+"""Oracles and identity checks that only the tests call.
+
+Each function is a reference the tests compare the package against (a
+closed form, an inverse map, a relation the package's objects satisfy)
+and reaches into ``qlattice`` through its public modules.  The tests
+import this module as ``oracles``; pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from qlattice import classical_map as cm
+from qlattice import geometry as geo
+from qlattice import qosc
+from qlattice import rmatrices as rm
+from qlattice.errors import AccuracyError, DomainError, SingularityError
+
+# ---------------------------------------------------------------------------
+# q-series (specfun)
+# ---------------------------------------------------------------------------
+
+_2PHI1_MAX_TERMS = 10000
+
+
+def qbinomial(n: int, k: int, qsq: complex) -> complex:
+    """Gaussian binomial coefficient in base qsq; zero when k is out of range."""
+    if k < 0 or k > n:
+        return 0.0 + 0.0j
+    # build as a product of ratios to avoid cancellation of large factors
+    out = 1.0 + 0.0j
+    for j in range(1, k + 1):
+        out *= (1.0 - qsq ** (n - k + j)) / (1.0 - qsq ** j)
+    return out
+
+
+def qgauss_2phi1(a: complex, bb: complex, c: complex, qsq: complex, z: complex) -> complex:
+    """q-deformed Gauss hypergeometric series
+    sum_n (a;qsq)_n (bb;qsq)_n / ((qsq;qsq)_n (c;qsq)_n) z^n.
+
+    Terminating when a = qsq^{-m} (the only case the Fock R-matrix needs);
+    otherwise requires |z| < 1 and |qsq| < 1.
+    """
+    m = _terminating_order(a, qsq)
+    if m is None and (abs(z) >= 1.0 or abs(qsq) >= 1.0):
+        raise DomainError("nonterminating 2phi1 requires |z| < 1 and |qsq| < 1")
+    total = 1.0 + 0.0j
+    term = 1.0 + 0.0j
+    n = 0
+    while True:
+        # ratio of term n+1 to term n
+        num = (1.0 - a * qsq ** n) * (1.0 - bb * qsq ** n)
+        den = (1.0 - qsq ** (n + 1)) * (1.0 - c * qsq ** n)
+        if den == 0:
+            raise SingularityError("2phi1 denominator parameter hit a pole at term %d" % (n + 1))
+        term *= num / den * z
+        total += term
+        n += 1
+        if m is not None and n >= m:
+            break
+        if m is None and abs(term) < 1e-18 * (1.0 + abs(total)):
+            break
+        if n >= _2PHI1_MAX_TERMS:
+            raise AccuracyError("2phi1 did not converge in %d terms" % _2PHI1_MAX_TERMS)
+    return total
+
+
+def _terminating_order(a: complex, qsq: complex) -> int | None:
+    """Smallest m in [0, 512) with a ~ qsq^{-m}, or None if the series does not terminate."""
+    if abs(a - 1.0) < 1e-12:
+        return 0
+    fac = complex(a)
+    for m in range(1, 512):
+        fac *= qsq
+        if abs(fac - 1.0) < 1e-12:
+            return m
+    return None
+
+
+def spherical_angles_from_sides(a1: float, a2: float, a3: float) -> tuple[float, float, float]:
+    """Angles from sides (independent oracle for
+    specfun.spherical_sides_from_angles)."""
+    aa = (a1, a2, a3)
+    out = []
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        ct = (math.cos(aa[i]) - math.cos(aa[j]) * math.cos(aa[k])) / (
+            math.sin(aa[j]) * math.sin(aa[k]))
+        out.append(math.acos(min(1.0, max(-1.0, ct))))
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# modular field parameters (rmatrices)
+# ---------------------------------------------------------------------------
+
+def field_sets_from_free(free):
+    """(f, f', f'', f''') from eight free field parameters
+    (f1, f2, f3, f1', f2', f3', f1'', f2'')."""
+    f1, f2, f3, f1p, f2p, f3p, f1pp, f2pp = free
+    return ((f1, f2, f3), (f1p, f2p, f3p), (f1pp, f2pp, f3p - f3),
+            (f1pp - f1p, f2pp + f1, f2 - f2p))
+
+
+def field_exponent_balance(t_sets, f_sets, rng) -> float:
+    """Numerical check that the total field exponent matches between the two
+    sides of the IRC equation and is z-independent on each side."""
+    worst = 0.0
+    for _ in range(20):
+        ext = {k: rng.uniform(-1, 1) for k in rm.EXTERNAL_LABELS}
+        vals = []
+        for zval in (rng.uniform(-1, 1), rng.uniform(-1, 1)):
+            env = dict(ext, z=zval)
+            for side in rm.IRC_SIDES:
+                total = 0.0
+                for widx, slot in side:
+                    spins = [env[s] for s in slot]
+                    (s1, s2, s3), (s1p, s2p, s3p) = rm.sigma_map(spins, t_sets[widx])
+                    fj = f_sets[widx]
+                    total += fj[0] * (s1 + s1p) + fj[1] * (s2 + s2p) + fj[2] * (s3 + s3p)
+                vals.append(total)
+        worst = max(worst, max(vals) - min(vals))
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# q-oscillator representations and L-operator parameters (qosc)
+# ---------------------------------------------------------------------------
+
+def algebra_residuals(rep: qosc.QOscRep) -> dict:
+    """Masked residuals of the defining relations."""
+    q = rep.q
+    eye = np.eye(rep.dim)
+    rels = {
+        "pair": q * rep.a_star @ rep.a - rep.a @ rep.a_star / q - (q - 1 / q) * eye,
+        "k_astar": rep.k @ rep.a_star - q * rep.a_star @ rep.k,
+        "k_a": rep.k @ rep.a - rep.a @ rep.k / q,
+        "ksq_left": rep.k @ rep.k - q * (eye - rep.a_star @ rep.a),
+        "ksq_right": rep.k @ rep.k - (eye - rep.a @ rep.a_star) / q,
+    }
+    m = rep.interior_mask()
+    return {name: float(np.max(np.abs(mat[np.ix_(m, m)]))) for name, mat in rels.items()}
+
+
+def parameter_combinations(lambdas, mus):
+    """The three combinations the intertwining relation depends on:
+    lambda2/lambda3, lambda1 mu3, mu1/mu2."""
+    if lambdas[2] == 0 or mus[1] == 0:
+        raise DomainError("zero parameter in a denominator")
+    return (lambdas[1] / lambdas[2], lambdas[0] * mus[2], mus[0] / mus[1])
+
+
+# ---------------------------------------------------------------------------
+# circular variables and edge-length propagation (classical_map)
+# ---------------------------------------------------------------------------
+
+def constraint_residual(t: cm.CircularTriple) -> float:
+    """|a a* - (1 - k^2)| of a CircularTriple."""
+    return abs(t.a * t.a_star - (1.0 - t.k * t.k))
+
+
+def propagation_matrix(angles: geo.FaceAngles) -> np.ndarray:
+    """The 2x2 matrix sending the incoming pair (lp, lq) to the opposite pair."""
+    b, g, d = angles.beta, angles.gamma, angles.delta
+    sd = math.sin(d)
+    if abs(sd) < 1e-14:
+        raise SingularityError("delta = 0 mod pi degenerates the propagation")
+    return np.array([
+        [math.sin(g) / sd, math.sin(d + b) / sd],
+        [math.sin(d + g) / sd, math.sin(b) / sd]])
+
+
+def propagation_constraint_residual(angles: geo.FaceAngles) -> float:
+    """Residual of the determinant relation tying the four entries together.
+
+    With the matrix written [[A, C], [B, D]] column-wise the relation reads
+    AD - BC = (AB - CD)/(DB - AC); equivalently, for the entries P Q / R S
+    as displayed, det = (PR - QS)/(SR - PQ).
+    """
+    (p, q), (r, s) = propagation_matrix(angles)
+    num = p * r - q * s
+    den = s * r - p * q
+    if abs(den) < 1e-12:
+        raise SingularityError("constraint undefined (symmetric face)")
+    return abs((p * s - q * r) - num / den)
+
+
+def face_x(angles: geo.FaceAngles) -> np.ndarray:
+    return propagation_matrix(angles).astype(complex)
+
+
+def cube_edge_propagate(lp, lq, lr, face_angles, reverse=False):
+    """Propagate the three incoming edge lengths of a hexahedron through its
+    front faces (or through the back faces with reverse=True; the two agree
+    by the local Yang-Baxter identity)."""
+    x = cm._embed([face_x(a) for a in face_angles])
+    m = x[2] @ x[1] @ x[0] if reverse else x[0] @ x[1] @ x[2]
+    out = m @ np.array([lp, lq, lr], dtype=complex)
+    return tuple(float(v.real) for v in out)
+
+
+def poisson_bracket_residuals(alpha: float, beta: float):
+    """Brackets of (k, a, a*) in the chart {alpha, beta} = 1 from their complex-step
+    Jacobian, compared with {a, a*} = 2k^2, {k, a} = k a, {k, a*} = -k a*."""
+    def kas(x):
+        t = cm.angles_to_circular(x[..., 0], x[..., 1])
+        return np.stack([t.k, t.a, t.a_star], axis=-1)
+
+    d_al, d_be = cm.jacobian(kas, [alpha, beta]).T
+    bracket = lambda i, j: d_al[i] * d_be[j] - d_be[i] * d_al[j]
+    k, a, s = kas(np.array([alpha, beta]))
+    return (abs(bracket(1, 2) - 2 * k * k),
+            abs(bracket(0, 1) - k * a),
+            abs(bracket(0, 2) + k * s))
+
+
+# ---------------------------------------------------------------------------
+# lattice data (geometry)
+# ---------------------------------------------------------------------------
+
+def affine_initial_state(shape, matrix=None, offset=None) -> geo.LatticeState:
+    """Boundary data from an affine image of the integer lattice."""
+    n1, n2, n3 = shape
+    a = np.eye(3) if matrix is None else np.asarray(matrix, dtype=float)
+    t = np.zeros(3) if offset is None else np.asarray(offset, dtype=float)
+    st = geo.LatticeState(shape)
+    for m in np.ndindex(n1 + 1, n2 + 1, n3 + 1):
+        if 0 in m:
+            st.set(m, a @ np.array(m, dtype=float) + t)
+    return st
+
+
+def hexahedron(state: geo.LatticeState, c) -> geo.Hexahedron:
+    """The filled cube of a LatticeState at lattice point c."""
+    i, j, k = c
+    g = state.get
+    return geo.Hexahedron(
+        x0=g((i, j, k)), x1=g((i + 1, j, k)), x2=g((i, j + 1, k)), x3=g((i, j, k + 1)),
+        x12=g((i + 1, j + 1, k)), x13=g((i + 1, j, k + 1)), x23=g((i, j + 1, k + 1)),
+        x123=g((i + 1, j + 1, k + 1)))
+
+
+# ---------------------------------------------------------------------------
+# reports (harness.report)
+# ---------------------------------------------------------------------------
+
+def strip_timing(data: dict) -> dict:
+    out = dict(data)
+    out.pop("timing", None)
+    return out

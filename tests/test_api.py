@@ -83,28 +83,6 @@ def test_every_default_is_set_by_some_caller():
     assert not unset, "%d defaults no caller sets:\n  %s" % (len(unset), "\n  ".join(unset))
 
 
-# Functions of src/qlattice that only tests call: the oracles and identity
-# checks the tests compare against, each with what it checks.
-REFERENCES = (
-    "specfun.qpochhammer",  # finite (a; q)_n, the q-series tests' oracle
-    "specfun.qbinomial",  # Gaussian binomial, checked by q-Pascal and symmetry
-    "specfun.qgauss_2phi1",  # basic 2phi1, checked against the q-Gauss sum
-    "specfun.fermat_phi",  # Fermat-curve function, oracle of the cyclic weights
-    "specfun.spherical_angles_from_sides",  # inverse spherical triangle map
-    "rmatrices.field_sets_from_free",  # cyclic field sets from 8 free parameters
-    "rmatrices.field_exponent_balance",  # exponent balance of the cyclic fields
-    "qosc.algebra_residuals",  # q-oscillator relations of a representation
-    "qosc.parameter_combinations",  # the combinations intertwining depends on
-    "classical_map.CircularTriple.constraint_residual",  # a a* = 1 - k^2
-    "classical_map.propagation_constraint_residual",  # det relation of a face
-    "classical_map.cube_edge_propagate",  # edge lengths, front vs back faces
-    "classical_map.poisson_bracket_residuals",  # brackets of (k, a, a*)
-    "geometry.affine_initial_state",  # lattice data with known flips
-    "geometry.LatticeState.hexahedron",  # a filled cube, for its sphere
-    "harness.report.strip_timing",  # reports compared across worker counts
-)
-
-
 def _functions(tree, module):
     """(qualified name, name, def node) of every module- and class-level
     function of a module."""
@@ -188,21 +166,30 @@ def _uncalled(src, bench):
     return unused
 
 
+def _trees(paths):
+    return [ast.parse(p.read_text(), filename=str(p)) for p in paths]
+
+
 def test_every_function_has_a_caller_outside_tests():
-    # A function only tests call is dead code that a test keeps alive,
-    # unless the tests use it as a reference (REFERENCES).  A use is a Name
-    # or Attribute in src/ outside the function's own body, or in bench/,
-    # or a string constant of bench/ (the tracer wraps functions by name).
+    # A function only tests call is dead code that a test keeps alive; the
+    # tests' own oracles live in tests/oracles.py.  A use is a Name or
+    # Attribute in src/ outside the function's own body, or in bench/, or a
+    # string constant of bench/ (the tracer wraps functions by name).
     # Dunder methods are called by the language.
     src = {".".join(p.relative_to(PACKAGE).with_suffix("").parts):
            ast.parse(p.read_text(), filename=str(p)) for p in sorted(PACKAGE.rglob("*.py"))}
-    bench = [ast.parse(p.read_text(), filename=str(p))
-             for p in sorted((ROOT / "bench").rglob("*.py"))]
-    unused = _uncalled(src, bench)
-    extra = sorted(set(unused) - set(REFERENCES))
-    stale = sorted(set(REFERENCES) - set(unused))
-    assert not extra, "%d functions only tests call:\n  %s" % (len(extra), "\n  ".join(extra))
-    assert not stale, "REFERENCES names functions with callers or none at all: %s" % stale
+    unused = _uncalled(src, _trees(sorted((ROOT / "bench").rglob("*.py"))))
+    assert not unused, "%d functions only tests call:\n  %s" % (len(unused), "\n  ".join(unused))
+
+
+def test_every_oracle_has_a_test():
+    # An oracle no test uses is dead code on the test side.  A use is a Name,
+    # Attribute or dotted string constant in a tests/test_*.py module, or a
+    # Name or Attribute in tests/oracles.py outside the oracle's own body.
+    path = ROOT / "tests" / "oracles.py"
+    oracles = {"oracles": ast.parse(path.read_text(), filename=str(path))}
+    unused = _uncalled(oracles, _trees(sorted((ROOT / "tests").glob("test_*.py"))))
+    assert not unused, "%d oracles no test uses:\n  %s" % (len(unused), "\n  ".join(unused))
 
 
 PLANTED = """

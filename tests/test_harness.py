@@ -11,9 +11,11 @@ from qlattice.errors import ConfigurationError, DegeneracyError, DomainError
 from qlattice import geometry as geo
 from qlattice.harness import mesh
 from qlattice.harness.cli import build_parser, main, suite_config
-from qlattice.harness.report import Report, strip_timing, validate_report
+from qlattice.harness.report import Report, validate_report
 from qlattice.harness.rng import case_rng, case_rngs
 from qlattice.harness.suites import SUITES, SuiteConfig, run_suite
+
+import oracles
 
 
 def test_case_rng_is_counter_based():
@@ -60,8 +62,8 @@ def test_single_worker_reports_byte_identical():
     cfg = SuiteConfig(suite="classical-lybe", samples=20, keep_cases=True)
     r1 = run_suite(cfg).to_dict()
     r2 = run_suite(cfg).to_dict()
-    assert json.dumps(strip_timing(r1), sort_keys=True) == \
-        json.dumps(strip_timing(r2), sort_keys=True)
+    assert json.dumps(oracles.strip_timing(r1), sort_keys=True) == \
+        json.dumps(oracles.strip_timing(r2), sort_keys=True)
 
 
 def test_parallel_same_residual_multiset():
@@ -194,7 +196,7 @@ def test_all_cli_suites_registered():
 # ---------------------------------------------------------------------------
 
 def test_mesh_single_cube(tmp_path):
-    st = geo.affine_initial_state((1, 1, 1))
+    st = oracles.affine_initial_state((1, 1, 1))
     geo.staircase_evolve(st)
     path = tmp_path / "cube.obj"
     mesh.export_obj(st, str(path))
@@ -309,7 +311,7 @@ def test_cli_evolve_reports_degenerate_data(failure, monkeypatch, tmp_path, caps
     def sampler(shape, rng, mode):
         if failure == "sampler":
             raise DegeneracyError("failed to sample admissible initial data")
-        return geo.affine_initial_state(shape, matrix=np.diag([1.0, 1.0, 0.0]))
+        return oracles.affine_initial_state(shape, matrix=np.diag([1.0, 1.0, 0.0]))
 
     monkeypatch.setattr(geo, "random_initial_state", sampler)
     assert main(["evolve", "--size", "2x2x2", "--out", str(tmp_path / "m.obj")]) == 1
@@ -385,7 +387,7 @@ def _fock_report(params, **kw):
     # every report sums anew, so each worker count and context computes its own
     _clear_fock_sums()
     cfg = SuiteConfig(keep_cases=True, **{"suite": "fock-te", **params}, **kw)
-    return json.dumps(strip_timing(run_suite(cfg).to_dict()), sort_keys=True)
+    return json.dumps(oracles.strip_timing(run_suite(cfg).to_dict()), sort_keys=True)
 
 
 @pytest.mark.parametrize("params, max_residual", FOCK_REPORT_PINS)
@@ -577,7 +579,7 @@ def test_block_suite_reports_do_not_depend_on_blocks(params, monkeypatch):
         monkeypatch.setattr(suites, "BLOCK_CASES", size)
         for workers in (1, 2):
             rep = run_suite(dataclasses.replace(cfg, workers=workers))
-            reports.add(json.dumps(strip_timing(rep.to_dict()), sort_keys=True))
+            reports.add(json.dumps(oracles.strip_timing(rep.to_dict()), sort_keys=True))
     assert len(reports) == 1
     assert [repr(res) for _, res in rep.cases] == \
         [repr(SUITES[cfg.suite].case(cfg, idx)) for idx, _ in rep.cases]
@@ -623,7 +625,7 @@ def test_cli_cross_form_control_fails_the_check_at_seed_1(capsys):
     {"suite": "cyclic-te-vertex", "n_cyclic": 5, "samples": 20, "perturb": True},
 ])
 def test_cyclic_reports_do_not_depend_on_worker_count(params):
-    reports = [json.dumps(strip_timing(run_suite(SuiteConfig(
+    reports = [json.dumps(oracles.strip_timing(run_suite(SuiteConfig(
         workers=workers, keep_cases=True, **params)).to_dict()), sort_keys=True)
         for workers in (1, 2)]
     assert reports[0] == reports[1]
@@ -638,7 +640,7 @@ def test_cyclic_reports_do_not_depend_on_worker_count(params):
     {"suite": "dodecahedron", "samples": 3, "perturb": True},
 ])
 def test_geometry_reports_do_not_depend_on_worker_count(params):
-    reports = [json.dumps(strip_timing(run_suite(SuiteConfig(
+    reports = [json.dumps(oracles.strip_timing(run_suite(SuiteConfig(
         workers=workers, keep_cases=True, **params)).to_dict()), sort_keys=True)
         for workers in (1, 2)]
     assert reports[0] == reports[1]
@@ -655,7 +657,7 @@ def test_geometry_reports_do_not_depend_on_worker_count(params):
     {"suite": "covariant", "samples": 1, "box": (3, 3, 3), "perturb": True},
 ])
 def test_classical_reports_do_not_depend_on_worker_count(params):
-    reports = [json.dumps(strip_timing(run_suite(SuiteConfig(
+    reports = [json.dumps(oracles.strip_timing(run_suite(SuiteConfig(
         workers=workers, keep_cases=True, **params)).to_dict()), sort_keys=True)
         for workers in (1, 2)]
     assert reports[0] == reports[1]
@@ -667,7 +669,7 @@ def test_classical_reports_do_not_depend_on_worker_count(params):
     {"suite": "modular-te-irc", "samples": 1, "b_arg": 0.5},
 ])
 def test_modular_reports_do_not_depend_on_worker_count(params):
-    reports = [json.dumps(strip_timing(run_suite(SuiteConfig(
+    reports = [json.dumps(oracles.strip_timing(run_suite(SuiteConfig(
         workers=workers, keep_cases=True, **params)).to_dict()), sort_keys=True)
         for workers in (1, 2)]
     assert reports[0] == reports[1]
@@ -678,6 +680,16 @@ def test_cyclic_te_vertex_rejects_even_n(n):
     with pytest.raises(ConfigurationError, match="odd N"):
         run_suite(SuiteConfig(suite="cyclic-te-vertex", n_cyclic=n))
     assert main(["verify", "cyclic-te-vertex", "--N", str(n)]) == 1
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_cyclic_intertwine_rejects_even_n(n):
+    # the suite intertwines the vertex-form R, which is not a function on Z_N
+    # for even N: run anyway, three samples read 1.17, 1.29 and 1.28 at
+    # N = 2, 4 and 6 (1e-15 at odd N)
+    with pytest.raises(ConfigurationError, match="cyclic-intertwine needs odd N"):
+        run_suite(SuiteConfig(suite="cyclic-intertwine", n_cyclic=n))
+    assert main(["verify", "cyclic-intertwine", "--N", str(n), "--samples", "3"]) == 1
 
 
 def test_cyclic_te_vertex_control_clears_tolerance():

@@ -10,6 +10,8 @@ from qlattice.errors import AccuracyError, DegeneracyError, DomainError
 from qlattice import rmatrices as rm
 from qlattice import specfun as sf
 
+import oracles
+
 PI = math.pi
 MP = sf.ModularParam(0.8 * np.exp(1j * PI / 40))
 
@@ -48,8 +50,8 @@ def test_fock_element_matches_displayed_product_generic():
         if m1 < 0 or m3 < 0 or m2 > n3:
             continue
         direct = ((-1) ** n2 * q ** ((m1 - n2) * (m3 - n2))
-                  * sf.qbinomial(n3, m2, qsq)
-                  * sf.qgauss_2phi1(q ** (-2 * m2), q ** (2 * (1 + m3)),
+                  * oracles.qbinomial(n3, m2, qsq)
+                  * oracles.qgauss_2phi1(q ** (-2 * m2), q ** (2 * (1 + m3)),
                                     q ** (2 * (1 - m2 + n3)), qsq, q ** (2 * (1 + n1))))
         assert rm.fock_element(n1, n2, n3, m1, m2, m3, q) == pytest.approx(direct, abs=1e-12)
 
@@ -465,12 +467,11 @@ def test_cyclic_element_independent_sum_oracle():
     # independent re-implementation of the N=2 all-zero-index element
     ta = tetra()
     data = rm.CyclicRData.from_angles(*ta.angle_arguments()[0], 2)
-    p1, p2, p3, p4 = data.points
+    phi1, phi2, phi3, phi4 = (sf.fermat_phi_table(p) for p in data.points)
     q = sf.root_of_unity_q(2)
     total = 0.0 + 0.0j
     for n in range(2):
-        total += (sf.fermat_phi(p1, n) * sf.fermat_phi(p2, n)
-                  / (sf.fermat_phi(p3, n) * sf.fermat_phi(p4, n)))
+        total += phi1[n] * phi2[n] / (phi3[n] * phi4[n])
     got = rm.cyclic_vertex_element((0, 0, 0), (0, 0, 0), data)
     assert got == pytest.approx(total, abs=1e-13)
 
@@ -508,6 +509,12 @@ def test_cyclic_vertex_te_rejects_even_n(N):
     ds = tuple(rm.CyclicRData.from_angles(*a, N) for a in tetra().angle_arguments())
     with pytest.raises(DomainError, match="even N"):
         rm.vertex_te_residual(rm.consistent_external(np.random.default_rng(3), N), ds)
+
+
+def test_cyclic_r_dense_rejects_even_n():
+    data = rm.CyclicRData.from_angles(*tetra().angle_arguments()[0], 4)
+    with pytest.raises(DomainError, match="even N = 4"):
+        rm.cyclic_r_dense(data)
 
 # The scalar forms the array code replaced, kept as oracles: one Python term
 # per internal index value, one call per matrix entry.
@@ -912,11 +919,11 @@ def test_field_exponent_balance():
     # on both sides and independent of the integration label
     rng = np.random.default_rng(17)
     tsets = rm.spectral_sets_from_free(rng.uniform(-0.4, 0.4, 6))
-    fsets = rm.field_sets_from_free(rng.uniform(-0.4, 0.4, 8))
-    assert rm.field_exponent_balance(tsets, fsets, rng) < 1e-12
+    fsets = oracles.field_sets_from_free(rng.uniform(-0.4, 0.4, 8))
+    assert oracles.field_exponent_balance(tsets, fsets, rng) < 1e-12
     # unconstrained fields break the balance
     bad = ((0.3, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0))
-    assert rm.field_exponent_balance(tsets, bad, rng) > 1e-3
+    assert oracles.field_exponent_balance(tsets, bad, rng) > 1e-3
 
 
 def _wide_b_tuple():
