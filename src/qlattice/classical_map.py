@@ -133,7 +133,12 @@ def circular_to_angles(t: CircularTriple):
 # ---------------------------------------------------------------------------
 
 def circular_x(t: CircularTriple) -> np.ndarray:
-    return np.array([[t.k, t.a_star], [-t.a, t.k]], dtype=complex)
+    """[[k, a*], [-a, k]]; a stack (..., 2, 2) for a stacked triple."""
+    out = np.empty(np.shape(t.k) + (2, 2), dtype=complex)
+    out[..., 0, 0] = out[..., 1, 1] = t.k
+    out[..., 0, 1] = t.a_star
+    out[..., 1, 0] = -t.a
+    return out
 
 
 # X_pq, X_pr and X_qr act on the rows and columns (0, 1), (0, 2) and (1, 2)
@@ -144,20 +149,24 @@ _IDENTITIES = np.tile(np.eye(3, dtype=complex), (3, 1, 1))
 
 
 def _embed(blocks) -> np.ndarray:
-    """X_pq, X_pr and X_qr from their three 2x2 blocks, as a (3, 3, 3) stack."""
-    out = _IDENTITIES.copy()
-    out[_BLOCK_ENTRIES] = blocks
+    """X_pq, X_pr and X_qr from their three 2x2 blocks (..., 2, 2), as a
+    (..., 3, 3, 3) stack."""
+    blocks = np.stack(blocks, axis=-3)
+    out = np.empty(blocks.shape[:-3] + _IDENTITIES.shape, dtype=complex)
+    out[...] = _IDENTITIES
+    out[(..., *_BLOCK_ENTRIES)] = blocks
     return out
 
 
-def local_yang_baxter_residual(front, back, matrix=circular_x) -> float:
+def local_yang_baxter_residual(front, back, matrix=circular_x):
     """Max-entry difference of X_pq(1) X_pr(2) X_qr(3) against
-    X_qr(3') X_pr(2') X_pq(1')."""
+    X_qr(3') X_pr(2') X_pq(1'): a float, or for stacked triples a list of
+    floats, each the value its item reads alone."""
     x = _embed([matrix(t) for t in front])
     y = _embed([matrix(u) for u in back])
-    lhs = x[0] @ x[1] @ x[2]
-    rhs = y[2] @ y[1] @ y[0]
-    return float(np.max(np.abs(lhs - rhs)))
+    lhs = x[..., 0, :, :] @ x[..., 1, :, :] @ x[..., 2, :, :]
+    rhs = y[..., 2, :, :] @ y[..., 1, :, :] @ y[..., 0, :, :]
+    return np.abs(lhs - rhs).max(axis=(-2, -1)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -212,18 +221,29 @@ def map_r123(t1: CircularTriple, t2: CircularTriple, t3: CircularTriple,
             CircularTriple(k3p, a3p, s3p))
 
 
-def _sample_triples(rng, n: int):
-    """n triples from one draw of their 2n angles (alpha, beta, alpha, ...)
-    in [0.2 pi, 0.45 pi), the values n pairs of scalar draws give."""
-    angles = rng.uniform(0.2 * math.pi, 0.45 * math.pi, 2 * n).tolist()
-    return [angles_to_circular(angles[i], angles[i + 1]) for i in range(0, 2 * n, 2)]
+def draw_angles(rng, n: int):
+    """One draw of the 2n angles (alpha, beta, alpha, ...) of n faces, in
+    [0.2 pi, 0.45 pi): the values n pairs of scalar draws give."""
+    return rng.uniform(0.2 * math.pi, 0.45 * math.pi, 2 * n)
+
+
+def triples(angles):
+    """The n triples of angles (..., 2n) = (alpha, beta, alpha, ...), from
+    one angles_to_circular call: each a stack over the leading axes, or of
+    Python floats for one draw (2n,).  A per-case sampler and a block of
+    cases convert their draws through this one call, so a case reads the
+    same triples on both paths."""
+    t = angles_to_circular(angles[..., 0::2], angles[..., 1::2])
+    parts = [x.tolist() if x.ndim == 1 else [x[..., j] for j in range(x.shape[-1])]
+             for x in (t.k, t.a, t.a_star)]
+    return [CircularTriple(*kas) for kas in zip(*parts)]
 
 
 def sample_admissible_front(rng, eps=EPS_CLASSICAL):
     """Three triples for which one flip stays in the real domain, and their
     flip: (front, back)."""
     for _ in range(200):
-        front = tuple(_sample_triples(rng, 3))
+        front = tuple(triples(draw_angles(rng, 3)))
         try:
             return front, map_r123(*front, eps=eps)
         except DomainError:
@@ -244,14 +264,18 @@ def apply_flip_sequence(state, sequence, eps):
         try:
             state[i], state[j], state[k] = map_r123(state[i], state[j], state[k], eps=eps)
         except DomainError as exc:
-            raise DomainError("domain exit at flip %d on faces %s: %s"
-                              % (fid, (i + 1, j + 1, k + 1), exc)) from exc
+            err = DomainError("domain exit at flip %d on faces %s: %s"
+                              % (fid, (i + 1, j + 1, k + 1), exc))
+            err.index = exc.index
+            raise err from exc
     return state
 
 
-def state_difference(lhs, rhs) -> float:
-    """Max component difference between two lists of triples."""
-    return float(max(np.max(np.abs(a.as_array() - b.as_array())) for a, b in zip(lhs, rhs)))
+def state_difference(lhs, rhs):
+    """Max component difference between two lists of triples: a float, or
+    for lists of stacked triples a list of floats, one per item."""
+    diff = [np.abs(a.as_array() - b.as_array()) for a, b in zip(lhs, rhs)]
+    return np.max(diff, axis=(0, 1)).tolist()
 
 
 def fte_sides(state, eps=EPS_CLASSICAL):
@@ -272,7 +296,7 @@ def sample_admissible_six(rng, eps=EPS_CLASSICAL):
     """Six triples on which both four-flip orderings stay in the real domain,
     and those orderings: (state, lhs, rhs)."""
     for _ in range(500):
-        state = _sample_triples(rng, 6)
+        state = triples(draw_angles(rng, 6))
         try:
             return (state, *fte_sides(state, eps))
         except DomainError:
@@ -288,12 +312,14 @@ def angle_map(angles6, eps=EPS_CLASSICAL):
     """The flip map in canonical angle coordinates (a1, b1, a2, b2, a3, b3),
     on one state (6,) or a stack (..., 6).  Real angles map in real mode,
     complex ones on the principal branch.  One state runs as a stack of
-    one, so it equals its row of any stack bit for bit."""
+    one, so it equals its row of any stack bit for bit.  The three faces
+    convert to and from angles in one call each, and a failing guard's
+    index starts with the position of a state it fails on."""
     x = np.asarray(angles6)
-    cols = x.reshape(-1, 6).T
-    ts = [angles_to_circular(cols[2 * j], cols[2 * j + 1]) for j in range(3)]
-    out = [c for t in map_r123(*ts, eps=eps) for c in circular_to_angles(t)]
-    return np.stack(out, axis=-1).reshape(x.shape)
+    flipped = map_r123(*triples(x.reshape(1, 6) if x.ndim == 1 else x), eps=eps)
+    faces = CircularTriple(*(np.stack(v, axis=-1) for v in zip(
+        *((t.k, t.a, t.a_star) for t in flipped))))
+    return np.stack(circular_to_angles(faces), axis=-1).reshape(x.shape)
 
 
 # one [[0, 1], [-1, 0]] block per face, on its (alpha, beta) pair
@@ -309,40 +335,53 @@ _ANGLE_MARGIN = 0.05
 COMPLEX_STEP = 1e-20
 
 
-def sample_symplectic_state(rng):
-    """Random angle state interior to the admissible domain.
+def draw_symplectic(rng):
+    """One draw of an angle state for sample_symplectic_state."""
+    return rng.uniform(0.22 * math.pi, 0.43 * math.pi, 6)
 
-    Keeps every mapped angle at least _ANGLE_MARGIN away from 0 and pi, and
-    requires the map to evaluate on the stencil x, x + 2e-5, x - 2e-5 (one
-    stacked call).
-    """
+
+def symplectic_admissible(x):
+    """Whether the map evaluates on the stencil x, x + 2e-5, x - 2e-5 of
+    each state of x (..., 6), in one stacked call, and keeps every mapped
+    angle of x at least _ANGLE_MARGIN away from 0 and pi.  A DomainError of
+    the map names a state it fails on by exc.index[0]."""
+    y = angle_map(x[..., None, :] + _STENCIL)[..., 0, :]
+    return np.all((y > _ANGLE_MARGIN) & (y < math.pi - _ANGLE_MARGIN), axis=-1)
+
+
+def sample_symplectic_state(rng):
+    """Random angle state interior to the admissible domain: the first draw
+    that symplectic_admissible accepts."""
     for _ in range(500):
-        x = rng.uniform(0.22 * math.pi, 0.43 * math.pi, 6)
+        x = draw_symplectic(rng)
         try:
-            y = angle_map(x + _STENCIL)[0]
+            if symplectic_admissible(x):
+                return x
         except DomainError:
             continue
-        if np.all((y > _ANGLE_MARGIN) & (y < math.pi - _ANGLE_MARGIN)):
-            return x
     raise DomainError("could not sample a margin-interior symplectic state")
 
 
 def jacobian(fn, x) -> np.ndarray:
-    """Jacobian of fn at x by the complex step: column j is
-    Im fn(x + i h e_j) / h with h = COMPLEX_STEP, all columns from one call
-    of fn on the stack of the n shifted points.  fn must be analytic and
-    take stacks (..., n).  No difference of nearby values is formed, so
-    nothing cancels: the error is fn's own roundoff, and the h^2 term lies
-    about 1e-40 below the derivative (Squire & Trapp, SIAM Rev. 40, 1998)."""
+    """Jacobian of fn at x, or at each point of a stack x (..., n), by the
+    complex step: column j is Im fn(x + i h e_j) / h with h =
+    COMPLEX_STEP, all columns from one call of fn on the stack of the
+    shifted points.  fn must be analytic and take stacks (..., n).  No
+    difference of nearby values is formed, so nothing cancels: the error
+    is fn's own roundoff, and the h^2 term lies about 1e-40 below the
+    derivative (Squire & Trapp, SIAM Rev. 40, 1998)."""
     x = np.asarray(x, dtype=float)
-    return fn(x + 1j * COMPLEX_STEP * np.eye(len(x))).imag.T / COMPLEX_STEP
+    shifted = x[..., None, :] + 1j * COMPLEX_STEP * np.eye(x.shape[-1])
+    return np.swapaxes(fn(shifted).imag, -1, -2) / COMPLEX_STEP
 
 
-def symplectic_residual(angles6) -> float:
-    """|| J Omega J^T - Omega ||_max with J the complex-step Jacobian of the
-    angle map."""
-    jac = jacobian(angle_map, angles6)
-    return float(np.max(np.abs(jac @ CANONICAL_OMEGA @ jac.T - CANONICAL_OMEGA)))
+def symplectic_residual(angles6, fn=angle_map):
+    """|| J Omega J^T - Omega ||_max with J the complex-step Jacobian of fn
+    (the angle map, or a control's corruption of it) at one state (6,) or a
+    stack (..., 6): a float, or a list of floats."""
+    jac = jacobian(fn, angles6)
+    defect = jac @ CANONICAL_OMEGA @ np.swapaxes(jac, -1, -2) - CANONICAL_OMEGA
+    return np.abs(defect).max(axis=(-2, -1)).tolist()
 
 
 # ---------------------------------------------------------------------------

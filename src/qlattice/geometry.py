@@ -51,6 +51,13 @@ def _cross(a, b):
     return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
 
 
+def _norm(v):
+    """Euclidean norm of each vector of a stack (..., d), summed as
+    np.linalg.norm sums one vector (a BLAS dot), so a stack's items read
+    what each reads alone; its axis form sums another way."""
+    return np.sqrt(np.vecdot(v, v))
+
+
 # ---------------------------------------------------------------------------
 # residuals
 # ---------------------------------------------------------------------------
@@ -100,10 +107,13 @@ def _circle(c, centered, s, vt):
     return center, r, dev.max(axis=-1) / r
 
 
+def _concyclicity(frame):
+    return np.maximum(_circle(*frame)[2], _flatness(frame[2]))
+
+
 def concyclicity_residual(points):
     """The larger of the circle-fit and the planarity residual, from one SVD."""
-    frame = _frame(points)
-    return np.maximum(_circle(*frame)[2], _flatness(frame[2]))[()]
+    return _concyclicity(_frame(points))[()]
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +190,9 @@ def _flip_error(guard, at, s, flat_plane, cond, resid):
 
 @dataclass
 class Hexahedron:
+    """The eight vertices, each a point (d,) or a stack of points (..., d)
+    of as many hexahedra."""
+
     x0: np.ndarray
     x1: np.ndarray
     x2: np.ndarray
@@ -190,36 +203,32 @@ class Hexahedron:
     x123: np.ndarray
 
     def faces(self):
-        """The six faces, front then back, as one (6, 4, d) stack."""
-        return self.vertices()[FACE_INDEX]
+        """The six faces, front then back, as one (..., 6, 4, d) stack."""
+        return self.vertices()[..., FACE_INDEX, :]
 
     def front_faces(self):
-        return self.faces()[:3]
+        return self.faces()[..., :3, :, :]
 
     def back_faces(self):
-        return self.faces()[3:]
+        return self.faces()[..., 3:, :, :]
 
     def vertices(self):
-        return np.array([self.x0, self.x1, self.x2, self.x3,
-                         self.x12, self.x13, self.x23, self.x123])
+        """The vertices in VERTEX_KEYS order, as one (..., 8, d) stack."""
+        return np.stack([self.x0, self.x1, self.x2, self.x3,
+                         self.x12, self.x13, self.x23, self.x123], axis=-2)
 
-    def max_planarity_residual(self) -> float:
-        return planarity_residual(self.faces()).max()
-
-    def max_concyclicity_residual(self) -> float:
-        return concyclicity_residual(self.faces()).max()
-
-    def cosphericity_residual(self) -> float:
+    def cosphericity_residual(self):
         """Largest distance of a vertex from the least-squares sphere through
-        all eight, relative to its radius."""
+        all eight, relative to its radius: one lstsq per hexahedron."""
         pts = np.asarray(self.vertices(), dtype=float)
-        a = np.column_stack([2 * pts, np.ones(len(pts))])
-        b = (pts ** 2).sum(axis=1)
-        sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-        center = sol[:-1]
-        r = math.sqrt(max(sol[-1] + center @ center, 1e-300))
-        dev = np.abs(np.linalg.norm(pts - center, axis=1) - r)
-        return float(dev.max() / r)
+        sol = np.array([np.linalg.lstsq(np.column_stack([2 * p, np.ones(len(p))]),
+                                        (p ** 2).sum(axis=1), rcond=None)[0]
+                        for p in pts.reshape(-1, *pts.shape[-2:])])
+        center = sol[:, :-1].reshape(pts.shape[:-2] + pts.shape[-1:])
+        r = np.sqrt(np.maximum(sol[:, -1].reshape(pts.shape[:-2]) + np.vecdot(center, center),
+                               1e-300))
+        dev = np.abs(np.linalg.norm(pts - center[..., None, :], axis=-1) - r[..., None])
+        return (dev.max(axis=-1) / r)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -247,16 +256,6 @@ def _angles(centered, vt):
     return np.pi - turns, turns < 0
 
 
-def interior_angles(face):
-    """Interior angles of a (near) planar quadrilateral, any ambient dim.
-
-    Returns (angles, reflex_flags) along the last axis; reflex corners come
-    back > pi so the sum is always 2*pi for a simple polygon.
-    """
-    _, centered, _, vt = _frame(face)
-    return _angles(centered, vt)
-
-
 def extract_angles(face) -> FaceAngles:
     """Angles (alpha, beta, gamma, delta) of an ordered face (v0..v3), with
     delta at v0, gamma at v1, alpha at v2, beta at v3; for a stack of faces
@@ -275,74 +274,126 @@ def extract_angles(face) -> FaceAngles:
 # random hexahedra
 # ---------------------------------------------------------------------------
 
-def _convex(faces):
-    """Whether each face is convex with every corner in (0.05, pi - 0.05)."""
-    ang, reflex = interior_angles(faces)
-    return (~reflex.any(axis=-1) & ((0.05 < ang) & (ang < math.pi - 0.05)).all(axis=-1))[()]
+def _convex(frame):
+    """Whether each face of a _frame is convex with every corner in
+    (0.05, pi - 0.05)."""
+    ang, reflex = _angles(frame[1], frame[3])
+    return ~reflex.any(axis=-1) & ((0.05 < ang) & (ang < math.pi - 0.05)).all(axis=-1)
+
+
+# The samplers below draw one attempt's numbers with *_draws(rng) and build
+# and test it with *_attempt(draws), which take one attempt's draws or a
+# stack of many cases' first attempts: a hexahedron (of stacks) and whether
+# it is accepted.  A DegeneracyError of an attempt names its failing item.
+
+def quad_draws(rng):
+    """The draws of one attempt of random_quad_hexahedron, in order: the
+    offsets of x0 from 0 and of x1, x2, x3 from e1, e2, e3, then the (s, t)
+    of x12, x13 and x23."""
+    return ([rng.normal(0, 0.05, 3)] + [rng.normal(0, 0.12, 3) for _ in range(3)],
+            [rng.uniform(0.8, 1.25, 2) for _ in range(3)])
+
+
+def quad_attempt(offsets, coefficients):
+    """x12, x13, x23 at x0 + s (a - x0) + t (b - x0) in the planes of x0
+    with (x1, x2), (x1, x3), (x2, x3), and the flip; accepted if every face
+    is convex and planar to 1e-10."""
+    offsets, coefficients = np.asarray(offsets), np.asarray(coefficients)
+    x0 = offsets[..., 0, :]
+    x1, x2, x3 = np.moveaxis(_EYE3 + offsets[..., 1:, :], -2, 0)
+    x12, x13, x23 = (x0 + st[..., :1] * (a - x0) + st[..., 1:] * (b - x0) for (a, b), st
+                     in zip(((x1, x2), (x1, x3), (x2, x3)), np.moveaxis(coefficients, -2, 0)))
+    h = Hexahedron(x0, x1, x2, x3, x12, x13, x23, hex_flip(x0, x1, x2, x3, x12, x13, x23))
+    frame = _frame(h.faces())
+    return h, _convex(frame).all(axis=-1) & (_flatness(frame[2]).max(axis=-1) < 1e-10)
 
 
 def random_quad_hexahedron(rng) -> Hexahedron:
     """Generic hexahedron with planar, convex faces."""
     for _ in range(200):
-        x0 = rng.normal(0, 0.05, 3)
-        x1 = np.array([1.0, 0, 0]) + rng.normal(0, 0.12, 3)
-        x2 = np.array([0, 1.0, 0]) + rng.normal(0, 0.12, 3)
-        x3 = np.array([0, 0, 1.0]) + rng.normal(0, 0.12, 3)
-
-        def in_plane(a, b):
-            s, t = rng.uniform(0.8, 1.25, 2)
-            return x0 + s * (a - x0) + t * (b - x0)
-
-        x12, x13, x23 = in_plane(x1, x2), in_plane(x1, x3), in_plane(x2, x3)
         try:
-            x123 = hex_flip(x0, x1, x2, x3, x12, x13, x23)
+            h, accepted = quad_attempt(*quad_draws(rng))
         except DegeneracyError:
             continue
-        h = Hexahedron(x0, x1, x2, x3, x12, x13, x23, x123)
-        if _convex(h.faces()).all() and h.max_planarity_residual() < 1e-10:
+        if accepted:
             return h
     raise DegeneracyError("failed to sample a convex quadrilateral hexahedron")
 
 
 def circle_through(p1, p2, p3):
     """Center, radius and an in-plane orthonormal basis of the circle through
-    three points."""
+    three points, or of each circle through a stack of them."""
     p1, p2, p3 = (np.asarray(p, dtype=float) for p in (p1, p2, p3))
     u = p2 - p1
     v = p3 - p1
-    nu, nv = u @ u, v @ v
-    uv = u @ v
+    nu, nv = np.vecdot(u, u), np.vecdot(v, v)
+    uv = np.vecdot(u, v)
     det = 2 * (nu * nv - uv * uv)
-    if abs(det) < 1e-14:
-        raise DegeneracyError("collinear points have no circle")
-    s = (nv * (nu - uv)) / det
-    t = (nu * (nv - uv)) / det
+    collinear = np.abs(det) < 1e-14
+    if collinear.any():
+        raise DegeneracyError("collinear points have no circle",
+                              index=np.unravel_index(np.argmax(collinear), collinear.shape))
+    s = ((nv * (nu - uv)) / det)[..., None]
+    t = ((nu * (nv - uv)) / det)[..., None]
     center = p1 + s * u + t * v
-    r = float(np.linalg.norm(p1 - center))
-    e1 = (p1 - center) / r
+    r = _norm(p1 - center)
+    e1 = (p1 - center) / r[..., None]
     n = _cross(u, v)
-    n /= np.linalg.norm(n)
+    n = n / _norm(n)[..., None]
     e2 = _cross(n, e1)
     return center, r, e1, e2
 
 
-def _circle_angle(p, center, r, e1, e2):
-    d = (np.asarray(p, dtype=float) - center)
-    return math.atan2(d @ e2, d @ e1)
-
-
 def point_on_arc(p_from, p_to, p_avoid, u):
-    """Point at fraction u of the arc p_from -> p_to that avoids p_avoid."""
+    """Point at fraction u of the arc p_from -> p_to that avoids p_avoid, or
+    the stack of them for stacks of points (..., 3) and fractions (...).
+    The arc's angles and the point's cosine and sine are taken per item
+    with the math module."""
     center, r, e1, e2 = circle_through(p_from, p_to, p_avoid)
-    a0 = _circle_angle(p_from, center, r, e1, e2)
-    a1 = _circle_angle(p_to, center, r, e1, e2)
-    av = _circle_angle(p_avoid, center, r, e1, e2)
-    fwd = (a1 - a0) % (2 * math.pi)
-    av_off = (av - a0) % (2 * math.pi)
-    if av_off < fwd:  # the forward arc contains the avoided point; go backward
-        fwd = fwd - 2 * math.pi
-    ang = a0 + u * fwd
-    return center + r * (math.cos(ang) * e1 + math.sin(ang) * e2)
+    d = np.stack([p_from, p_to, p_avoid], axis=-2) - center[..., None, :]
+    ys, xs = np.vecdot(d, e2[..., None, :]), np.vecdot(d, e1[..., None, :])
+    cos_sin = []
+    for (y0, y1, yv), (x0, x1, xv), frac in zip(ys.reshape(-1, 3).tolist(),
+                                                 xs.reshape(-1, 3).tolist(),
+                                                 np.ravel(u).tolist()):
+        a0, a1, av = math.atan2(y0, x0), math.atan2(y1, x1), math.atan2(yv, xv)
+        fwd = (a1 - a0) % (2 * math.pi)
+        if (av - a0) % (2 * math.pi) < fwd:  # the forward arc holds the avoided point
+            fwd = fwd - 2 * math.pi
+        ang = a0 + frac * fwd
+        cos_sin.append((math.cos(ang), math.sin(ang)))
+    cos_sin = np.array(cos_sin).reshape(np.shape(u) + (2, 1))
+    return center + r[..., None] * (cos_sin[..., 0, :] * e1 + cos_sin[..., 1, :] * e2)
+
+
+def circular_draws(rng):
+    """The draws of one attempt of random_circular_hexahedron, in order:
+    x0's direction, the offsets and direction noises of x1, x2 and x3, and
+    an iterator that draws the fractions along the arcs of x12, x13 and x23
+    one at a time, as the attempt's arcs take them."""
+    return (rng.normal(size=3), rng.uniform(0.55, 0.95, 3),
+            [rng.normal(0, 0.15, 3) for _ in range(3)],
+            (rng.uniform(0.35, 0.65) for _ in range(3)))
+
+
+def circular_attempt(direction, offsets, noises, arc_fractions):
+    """x0 on the unit sphere and x1, x2, x3 at offsets along noisy tangent
+    directions, projected back to it; x12, x13, x23 on the circles through
+    (x0, xi, xj), and the flip.  Accepted if every face is convex and the
+    faces and the eight vertices are concyclic and cospherical to 1e-9 (the
+    back faces by the Miquel configuration)."""
+    offsets, noises = np.asarray(offsets), np.asarray(noises)
+    x0 = _unit(direction)
+    e1, e2 = _tangent_frame(x0)
+    diagonal = e1 + e2
+    x1, x2, x3 = (_unit(x0 + offsets[..., j, None] * (d + noises[..., j, :])) for j, d
+                  in enumerate((e1, e2, -diagonal / _norm(diagonal)[..., None])))
+    x12, x13, x23 = (point_on_arc(a, b, x0, frac) for (a, b), frac
+                     in zip(((x1, x2), (x1, x3), (x2, x3)), arc_fractions))
+    h = Hexahedron(x0, x1, x2, x3, x12, x13, x23, hex_flip(x0, x1, x2, x3, x12, x13, x23))
+    frame = _frame(h.faces())
+    return h, (_convex(frame).all(axis=-1) & (_concyclicity(frame).max(axis=-1) < 1e-9)
+               & (h.cosphericity_residual() < 1e-9))
 
 
 def random_circular_hexahedron(rng) -> Hexahedron:
@@ -350,43 +401,23 @@ def random_circular_hexahedron(rng) -> Hexahedron:
     the three extra front points on the circles through (x0, xi, xj) and
     flipping; the back faces are then concyclic by the Miquel configuration."""
     for _ in range(500):
-        base = _random_unit(rng)
-        frame = _tangent_frame(base)
-        x0 = base
-        offs = rng.uniform(0.55, 0.95, 3)
-        dirs = [frame[0], frame[1], -(frame[0] + frame[1]) / np.linalg.norm(frame[0] + frame[1])]
-        dirs = [d + rng.normal(0, 0.15, 3) for d in dirs]
-        pts = []
-        for off, d in zip(offs, dirs):
-            v = x0 + off * d
-            pts.append(v / np.linalg.norm(v))
-        x1, x2, x3 = pts
         try:
-            x12 = point_on_arc(x1, x2, x0, rng.uniform(0.35, 0.65))
-            x13 = point_on_arc(x1, x3, x0, rng.uniform(0.35, 0.65))
-            x23 = point_on_arc(x2, x3, x0, rng.uniform(0.35, 0.65))
-            x123 = hex_flip(x0, x1, x2, x3, x12, x13, x23)
+            h, accepted = circular_attempt(*circular_draws(rng))
         except DegeneracyError:
             continue
-        h = Hexahedron(x0, x1, x2, x3, x12, x13, x23, x123)
-        if not _convex(h.faces()).all():
-            continue
-        if h.max_concyclicity_residual() < 1e-9 and h.cosphericity_residual() < 1e-9:
+        if accepted:
             return h
     raise DegeneracyError("failed to sample a circular hexahedron")
 
 
-def _random_unit(rng):
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
+def _unit(v):
+    return v / _norm(v)[..., None]
 
 
 def _tangent_frame(n):
-    a = np.array([1.0, 0, 0]) if abs(n[0]) < 0.9 else np.array([0, 1.0, 0])
-    e1 = _cross(n, a)
-    e1 /= np.linalg.norm(e1)
-    e2 = _cross(n, e1)
-    return e1, e2
+    a = np.where(np.abs(n[..., :1]) < 0.9, _EYE3[0], _EYE3[1])
+    e1 = _unit(_cross(n, a))
+    return e1, _cross(n, e1)
 
 
 # ---------------------------------------------------------------------------
@@ -395,23 +426,30 @@ def _tangent_frame(n):
 
 @dataclass
 class MiquelReport:
-    back_residuals: list
-    cosphericity: float
+    """The back faces' concyclicity residuals (..., 3) and the vertices'
+    cosphericity residual, of one hexahedron or of a stack."""
+
+    back_residuals: np.ndarray
+    cosphericity: np.ndarray
 
     @property
     def max_residual(self):
-        return max(max(self.back_residuals), self.cosphericity)
+        return np.maximum(self.back_residuals.max(axis=-1), self.cosphericity)[()]
 
 
 def miquel_check(h: Hexahedron) -> MiquelReport:
     """Concyclicity of the back faces through x123 plus cosphericity of all
-    eight vertices, given concyclic front faces."""
-    residuals = concyclicity_residual(h.faces()).tolist()
-    front, back = residuals[:3], residuals[3:]
-    for i, r in enumerate(front):
-        if r > 1e-9:
-            raise DomainError("front face %d is not concyclic (residual %.2e)" % (i + 1, r))
-    return MiquelReport(back, h.cosphericity_residual())
+    eight vertices, given concyclic front faces; for a stack of hexahedra a
+    front face that is not names its hexahedron in the error's index."""
+    residuals = concyclicity_residual(h.faces())
+    bent = residuals[..., :3] > 1e-9
+    if bent.any():
+        at = np.unravel_index(np.argmax(bent), bent.shape)
+        exc = DomainError("front face %d is not concyclic (residual %.2e)"
+                          % (at[-1] + 1, residuals[at]))
+        exc.index = at[:-1]
+        raise exc
+    return MiquelReport(residuals[..., 3:], h.cosphericity_residual())
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +548,7 @@ def _fill_wall(points, rng, circular):
             s, t = rng.uniform(0.85, 1.2, 2)
             cand = p00 + s * (p10 - p00) + t * (p01 - p00)
         face = (p00, p10, cand, p01)
-        if _convex(face):
+        if _convex(_frame(face)):
             return cand
     raise DegeneracyError("no convex wall face in 60 draws")
 

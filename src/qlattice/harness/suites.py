@@ -4,11 +4,21 @@ for every identity the package checks, plus their negative controls.
 Each suite declares a default tolerance and sample count, a case count and
 a case function mapping (config, case index) to a residual, or a block
 function mapping (config, case indices) to their residuals in one array
-call.  The runner hands out fixed blocks of BLOCK_CASES consecutive cases,
-and per-case inputs come from counter-based streams, so neither the worker
-count nor the block size can change a case.  With perturb=True a suite
-applies its documented deliberate corruption and the report then passes
-only if the residual EXCEEDS the tolerance.
+call, or both.  The runner hands out fixed blocks of BLOCK_CASES
+consecutive cases, and per-case inputs come from counter-based streams, so
+neither the worker count nor the block size can change a case.  With
+perturb=True a suite applies its documented deliberate corruption and the
+report then passes only if the residual EXCEEDS the tolerance.
+
+Block suites: fock-te, cyclic-te-irc and cyclic-cross-form (block only),
+and the sampled classical suites classical-lybe, classical-fte, symplectic,
+geometry-flip and miquel (block and case).  A classical block draws every
+case's first sampling attempt from case_rngs with the calls its sampler
+makes, in order, and maps them as one stack through the same kernels; an
+item a guard fails on is dropped and the rest mapped again (_stack_map).  A
+case whose first attempt is rejected runs through its case function, which
+draws its stream anew from case_rng, so each row equals case(cfg, idx).
+dodecahedron, covariant and the remaining suites run case by case.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from .. import geometry as geo
 from .. import qosc
 from .. import rmatrices as rm
 from .. import specfun as sf
-from ..errors import ConfigurationError, DomainError
+from ..errors import ConfigurationError, DegeneracyError, DomainError
 from .report import Report
 from .rng import case_rng, case_rngs
 
@@ -76,9 +86,10 @@ class SuiteConfig:
 
 @dataclass(frozen=True)
 class Suite:
-    """A suite gives case, or block and then case is made from it.  A block
-    function returns its cases' residuals as Python floats, in order; the
-    runner loops case over a block of a suite without one."""
+    """A suite gives case, block or both; with block alone, case is made
+    from it.  The runner calls block where there is one and loops case over
+    a block of cases otherwise.  A block function returns its cases'
+    residuals as Python floats, in order, each the value case reads."""
 
     default_tol: float
     default_samples: int
@@ -98,18 +109,55 @@ class Suite:
 # classical suites
 # ---------------------------------------------------------------------------
 
-def _lybe_case(cfg, idx):
-    rng = case_rng(cfg.seed, idx)
-    front, back = cm.sample_admissible_front(rng)
+def _stack_map(fn, rows):
+    """(rows kept, fn(rows kept)): fn maps the stack of the given rows of a
+    block in one call.  A guard that fails names its item of that stack in
+    exc.index; the row is dropped and the rest mapped again, every guard
+    unchanged, so each kept row reads what it reads alone."""
+    rows = np.asarray(rows, dtype=np.intp)
+    while rows.size:
+        try:
+            return rows, fn(rows)
+        except (DomainError, DegeneracyError) as exc:
+            if exc.index is None:
+                raise
+            rows = np.delete(rows, exc.index[0])
+    return rows, []
+
+
+def _with_retries(cfg, cases, rows, residuals, case):
+    """The block's residuals: the stacked first attempt's at each kept row,
+    and case(cfg, idx) for every other case, which draws its stream anew
+    from case_rng and retries as one case does."""
+    first = dict(zip(rows.tolist(), residuals))
+    return [first[i] if i in first else case(cfg, idx) for i, idx in enumerate(cases)]
+
+
+def _lybe_residual(cfg, front, back):
     if cfg.perturb:
         back = (cm.CircularTriple(back[0].k * 1.01, back[0].a, back[0].a_star), *back[1:])
     return cm.local_yang_baxter_residual(front, back)
 
 
-def _fte_case(cfg, idx):
-    eps = 1 if idx < _samples(cfg) else -1
-    rng = case_rng(cfg.seed, idx)
-    state, lhs, rhs = cm.sample_admissible_six(rng, eps=eps)
+def _lybe_case(cfg, idx):
+    return _lybe_residual(cfg, *cm.sample_admissible_front(case_rng(cfg.seed, idx)))
+
+
+def _lybe_block(cfg, cases):
+    angles = np.array([cm.draw_angles(rng, 3) for rng in case_rngs(cfg.seed, cases)])
+
+    def first_attempts(rows):
+        front = cm.triples(angles[rows])
+        return _lybe_residual(cfg, front, cm.map_r123(*front))
+
+    return _with_retries(cfg, cases, *_stack_map(first_attempts, range(len(cases))), _lybe_case)
+
+
+def _fte_eps(cfg, idx):
+    return 1 if idx < _samples(cfg) else -1
+
+
+def _fte_residual(cfg, state, lhs, rhs, eps):
     if cfg.perturb:
         t0 = state[0]
         lhs = cm.apply_flip_sequence([cm.CircularTriple(t0.k, t0.a * 1.01, t0.a_star),
@@ -117,46 +165,124 @@ def _fte_case(cfg, idx):
     return cm.state_difference(lhs, rhs)
 
 
-def _symplectic_case(cfg, idx):
-    rng = case_rng(cfg.seed, idx)
-    x = cm.sample_symplectic_state(rng)
-    if not cfg.perturb:
-        return cm.symplectic_residual(x)
-    # deliberately non-canonical map: add a nonlinear shear to one angle
-    def bad_map(y):
-        out = cm.angle_map(y)
-        out[..., 0] += 0.05 * np.sin(3.0 * y[..., 1])
-        return out
+def _fte_case(cfg, idx):
+    eps = _fte_eps(cfg, idx)
+    state, lhs, rhs = cm.sample_admissible_six(case_rng(cfg.seed, idx), eps=eps)
+    return _fte_residual(cfg, state, lhs, rhs, eps)
 
-    jac = cm.jacobian(bad_map, x)
-    return float(np.max(np.abs(jac @ cm.CANONICAL_OMEGA @ jac.T - cm.CANONICAL_OMEGA)))
+
+def _fte_block(cfg, cases):
+    """The cases of each branch eps = +1, -1 of the block as one stack."""
+    angles = np.array([cm.draw_angles(rng, 6) for rng in case_rngs(cfg.seed, cases)])
+
+    def first_attempts(rows, eps):
+        state = cm.triples(angles[rows])
+        return _fte_residual(cfg, state, *cm.fte_sides(state, eps), eps)
+
+    eps = np.array([_fte_eps(cfg, idx) for idx in cases])
+    kept = [_stack_map(lambda rows: first_attempts(rows, e), np.flatnonzero(eps == e))
+            for e in (1, -1)]
+    return _with_retries(cfg, cases, np.concatenate([rows for rows, _ in kept]),
+                         [r for _, res in kept for r in res], _fte_case)
+
+
+def _sheared_map(y):
+    """The symplectic control's deliberately non-canonical map: the angle
+    map with a nonlinear shear added to one angle."""
+    out = cm.angle_map(y)
+    out[..., 0] += 0.05 * np.sin(3.0 * y[..., 1])
+    return out
+
+
+def _symplectic_residual(cfg, x):
+    return cm.symplectic_residual(x, _sheared_map if cfg.perturb else cm.angle_map)
+
+
+def _symplectic_case(cfg, idx):
+    return _symplectic_residual(cfg, cm.sample_symplectic_state(case_rng(cfg.seed, idx)))
+
+
+def _symplectic_block(cfg, cases):
+    x = np.array([cm.draw_symplectic(rng) for rng in case_rngs(cfg.seed, cases)])
+    rows, admissible = _stack_map(lambda rows: cm.symplectic_admissible(x[rows]),
+                                  range(len(cases)))
+    return _with_retries(cfg, cases, *_stack_map(lambda rows: _symplectic_residual(cfg, x[rows]),
+                                                 rows[admissible]), _symplectic_case)
+
+
+# the three faces through x123 whose planarity geometry-flip checks, as rows
+# of Hexahedron.vertices()
+_FLIP_FACES = np.array([[1, 4, 7, 5], [2, 4, 7, 6], [3, 5, 7, 6]])
+
+
+def _flip_residual(cfg, verts, rot, shift):
+    """The larger of the planarity of the three faces through x123 (moved by
+    1e-2 in the control) and the flip's equivariance under x -> rot x +
+    shift, for hexahedra given by their vertices (..., 8, 3)."""
+    faces = verts[..., _FLIP_FACES, :]
+    if cfg.perturb:
+        faces = faces + 1e-2 * (_FLIP_FACES == 7)[..., None]
+    planarity = geo.planarity_residual(faces).max(axis=-1)
+    moved = (rot[..., None, :, :] @ verts[..., None])[..., 0] + shift[..., None, :]
+    miss = geo.hex_flip(*np.moveaxis(moved[..., :7, :], -2, 0)) - moved[..., 7, :]
+    # the norm as np.linalg.norm takes it of one vector
+    return np.maximum(planarity, np.sqrt(np.vecdot(miss, miss))).tolist()
 
 
 def _geometry_flip_case(cfg, idx):
     rng = case_rng(cfg.seed, idx)
     h = geo.random_quad_hexahedron(rng)
-    x123 = h.x123 + (1e-2 if cfg.perturb else 0.0)
-    planarity = float(geo.planarity_residual([(h.x1, h.x12, x123, h.x13),
-                                              (h.x2, h.x12, x123, h.x23),
-                                              (h.x3, h.x13, x123, h.x23)]).max())
     rot = geo.random_rotation(rng)
-    shift = rng.normal(0, 1.0, 3)
-    moved = geo.hex_flip(*(rot @ p + shift for p in
-                           (h.x0, h.x1, h.x2, h.x3, h.x12, h.x13, h.x23)))
-    equivariance = float(np.linalg.norm(moved - (rot @ h.x123 + shift)))
-    return max(planarity, equivariance)
+    return _flip_residual(cfg, h.vertices(), rot, rng.normal(0, 1.0, 3))
+
+
+def _accepted_hexahedra(draws, attempt):
+    """The rows whose first attempt(*draws at those rows) a hexahedron
+    sampler accepts, and a (cases, 8, 3) array that holds the vertices of
+    their hexahedra at those rows; draws are stacks over a block's cases."""
+    verts = np.empty((len(draws[0]), 8, 3))
+
+    def first_attempts(rows):
+        h, accepted = attempt(*(d[rows] for d in draws))
+        verts[rows] = h.vertices()
+        return accepted
+
+    rows, accepted = _stack_map(first_attempts, range(len(verts)))
+    return rows[accepted], verts
+
+
+def _geometry_flip_block(cfg, cases):
+    offsets, coefficients, rot, shift = map(np.array, zip(*(
+        (*geo.quad_draws(rng), geo.random_rotation(rng), rng.normal(0, 1.0, 3))
+        for rng in case_rngs(cfg.seed, cases))))
+    rows, verts = _accepted_hexahedra((offsets, coefficients), geo.quad_attempt)
+    return _with_retries(cfg, cases, *_stack_map(
+        lambda rows: _flip_residual(cfg, verts[rows], rot[rows], shift[rows]), rows),
+        _geometry_flip_case)
+
+
+def _miquel_residual(cfg, h):
+    if cfg.perturb:
+        h = replace(h, x123=h.x123 + 1e-2)
+        return np.maximum(geo.concyclicity_residual(h.back_faces()).max(axis=-1),
+                          h.cosphericity_residual()).tolist()
+    return geo.miquel_check(h).max_residual.tolist()
 
 
 def _miquel_case(cfg, idx):
-    rng = case_rng(cfg.seed, idx)
-    h = geo.random_circular_hexahedron(rng)
-    if cfg.perturb:
-        h = geo.Hexahedron(h.x0, h.x1, h.x2, h.x3, h.x12, h.x13, h.x23,
-                           h.x123 + 1e-2)
-        return max(float(geo.concyclicity_residual(h.back_faces()).max()),
-                   h.cosphericity_residual())
-    rep = geo.miquel_check(h)
-    return rep.max_residual
+    return _miquel_residual(cfg, geo.random_circular_hexahedron(case_rng(cfg.seed, idx)))
+
+
+def _miquel_block(cfg, cases):
+    # each case's arc fractions are drawn (list) before case_rngs re-keys the
+    # generator, and go to circular_attempt as one (B,) stack per arc
+    draws = tuple(map(np.array, zip(*((*d[:3], list(d[3])) for d in map(
+        geo.circular_draws, case_rngs(cfg.seed, cases))))))
+    rows, verts = _accepted_hexahedra(
+        draws, lambda *d: geo.circular_attempt(*d[:3], d[3].T))
+    return _with_retries(cfg, cases, *_stack_map(
+        lambda rows: _miquel_residual(cfg, geo.Hexahedron(*np.moveaxis(verts[rows], -2, 0))),
+        rows), _miquel_case)
 
 
 def _dodeca_case(cfg, idx):
@@ -407,20 +533,20 @@ def _samples(cfg):
 SUITES = {
     "classical-lybe": Suite(
         1e-12, 1000,
-        count=_samples, case=_lybe_case),
+        count=_samples, case=_lybe_case, block=_lybe_block),
     "classical-fte": Suite(
         1e-10, 100,
-        count=lambda cfg: 2 * _samples(cfg), case=_fte_case,
+        count=lambda cfg: 2 * _samples(cfg), case=_fte_case, block=_fte_block,
         parameters=lambda cfg: {"eps": [1, -1]}),
     "symplectic": Suite(
         1e-6, 100,
-        count=_samples, case=_symplectic_case),
+        count=_samples, case=_symplectic_case, block=_symplectic_block),
     "geometry-flip": Suite(
         1e-10, 50,
-        count=_samples, case=_geometry_flip_case),
+        count=_samples, case=_geometry_flip_case, block=_geometry_flip_block),
     "miquel": Suite(
         1e-9, 50,
-        count=_samples, case=_miquel_case),
+        count=_samples, case=_miquel_case, block=_miquel_block),
     "dodecahedron": Suite(
         1e-8, 25,
         count=_samples, case=_dodeca_case),

@@ -16,6 +16,7 @@ from qlattice import classical_map as cm
 from qlattice import geometry as geo
 from qlattice import qosc
 from qlattice import rmatrices as rm
+from qlattice import specfun as sf
 from qlattice.errors import AccuracyError, DomainError, SingularityError
 
 # ---------------------------------------------------------------------------
@@ -77,6 +78,18 @@ def _terminating_order(a: complex, qsq: complex) -> int | None:
         if abs(fac - 1.0) < 1e-12:
             return m
     return None
+
+
+def fermat_phi_continued(p, phi, m: int) -> complex:
+    """phi_p(m) for m >= N - 1, by running the recurrence phi(n) =
+    phi(n - 1) y / (1 - x q^{2n}) of the table phi = fermat_phi_table(p)
+    on past its last entry.  The cyclic dilogarithm is periodic because
+    y^N = 1 - x^N is the product of the N factors 1 - x q^{2n}, so this
+    equals phi[m % N]."""
+    out = phi[-1]
+    for n in range(p.N, m + 1):
+        out = out * p.y / (1 - p.x * sf.q_power(p.N, 2 * n))
+    return out
 
 
 def spherical_angles_from_sides(a1: float, a2: float, a3: float) -> tuple[float, float, float]:

@@ -274,14 +274,37 @@ def _operands(node):
     return 1
 
 
+class _Unqualified(ast.NodeTransformer):
+    """Reads alias.name as name for the given module aliases."""
+
+    def __init__(self, aliases):
+        self.aliases = aliases
+
+    def visit_Attribute(self, node):
+        self.generic_visit(node)
+        if isinstance(node.value, ast.Name) and node.value.id in self.aliases:
+            return ast.Name(node.attr, node.ctx)
+        return node
+
+
+def _module_aliases(tree):
+    """The names a module binds to the package's modules, as
+    ``from .. import classical_map as cm`` binds cm."""
+    return {a.asname or a.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level and node.module is None
+            for a in node.names}
+
+
 def _shared_expressions(trees, least=4):
     """Every arithmetic expression of at least `least` operands that two or
-    more modules write, with @ read as *: {source: modules}."""
+    more modules write, with @ read as * and a name qualified by a package
+    module's alias (cm.CANONICAL_OMEGA) read bare: {source: modules}."""
     seen = {}
     for module, tree in trees.items():
+        bare = _Unqualified(_module_aliases(tree))
         for node in ast.walk(tree):
             if isinstance(node, ast.BinOp) and _operands(node) >= least:
-                text = ast.unparse(_MatMulAsMul().visit(copy.deepcopy(node)))
+                text = ast.unparse(bare.visit(_MatMulAsMul().visit(copy.deepcopy(node))))
                 seen.setdefault(text, set()).add(module)
     return {text: sorted(mods) for text, mods in seen.items() if len(mods) > 1}
 
@@ -301,9 +324,13 @@ def test_a_formula_is_found_through_matmul_but_not_below_four_operands():
     found = _shared_expressions({
         "scalar": ast.parse("x = a1 * a3 + eps * k1 * k3 * a2\nc = n1 + n2 - m2"),
         "operator": ast.parse("y = a1 @ a3 + eps * k1 @ k3 @ a2\nd = n1 + n2 - m2"),
+        # names qualified by a package module's alias, and one by another name
+        "qualified": ast.parse("from .. import classical_map as cm\n"
+                               "z = cm.a1 * a3 + eps * k1 * cm.k3 * a2\n"
+                               "w = np.a1 * a3 + eps * k1 * k3 * a2"),
     })
-    assert found == {"a1 * a3 + eps * k1 * k3 * a2": ["operator", "scalar"],
-                     "eps * k1 * k3 * a2": ["operator", "scalar"]}
+    assert found == {"a1 * a3 + eps * k1 * k3 * a2": ["operator", "qualified", "scalar"],
+                     "eps * k1 * k3 * a2": ["operator", "qualified", "scalar"]}
 
 
 def _module_containers():

@@ -83,4 +83,5 @@ def test_fermat_phi_periodic_in_index(x, branch, n, nn):
     y = (1 - complex(x) ** nn) ** (1.0 / nn) * np.exp(2j * np.pi * (branch % nn) / nn)
     p = sf.FermatPoint(complex(x), y, nn)
     phi = sf.fermat_phi_table(p)
-    assert abs(phi[n % p.N] - phi[(n + nn) % p.N]) < 1e-10
+    assert phi[0] == 1
+    assert abs(phi[n % nn] - oracles.fermat_phi_continued(p, phi, n % nn + nn)) < 1e-10

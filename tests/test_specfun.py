@@ -476,8 +476,9 @@ def test_fermat_phi_periodicity_triangle_points():
         tri = sample_triangle(rng)
         for p in sf.fermat_points_from_triangle(tri, N):
             phi = sf.fermat_phi_table(p)
+            assert phi[0] == 1
             for n in range(N):
-                assert abs(phi[(n + N) % p.N] - phi[n % p.N]) < 1e-10
+                assert abs(oracles.fermat_phi_continued(p, phi, n + N) - phi[n]) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +513,9 @@ def test_fermat_phi_periodicity_and_cyclotomic_product():
         # prod_{n=1}^{N} (1 - x q^{2n}) = 1 - x^N, which drives periodicity
         assert abs(prod - (1 - p.x ** N)) < 1e-12
         phi = sf.fermat_phi_table(p)
+        assert phi[0] == 1
         for n in range(N):
-            assert abs(phi[(n + N) % p.N] - phi[n % p.N]) < 1e-12
+            assert abs(oracles.fermat_phi_continued(p, phi, n + N) - phi[n]) < 1e-12
 
 
 def test_fermat_point_rejects_off_curve():
