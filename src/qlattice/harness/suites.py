@@ -345,10 +345,9 @@ def _fock_intertwine_case(cfg, idx):
         return qosc.fock_intertwine_extended(cfg.cutoff, cfg.q)
     reps, mask, r = qosc.fock_r_sparse(cfg.cutoff, cfg.q)
     if idx == 0:
-        rows = r._rows()
-        bumped = r.data * 1.05 ** np.unravel_index(rows, r.dims)[1]
+        bumped = r.data * 1.05 ** np.unravel_index(r.rows, r.dims)[1]
         return qosc.intertwine_residual(qosc.build_l(reps, (1.0,) * 3, (-1.0,) * 3),
-                                        qosc.VOp(r.dims, rows, r.indices, bumped), mask)
+                                        qosc.VOp(r.dims, r.rows, r.indices, bumped), mask)
     if cfg.perturb:
         r = r + qosc.VOp(r.dims, [0], [0], [0.05 * r.max_abs()])
     return max(qosc.map_operator_residuals(reps, r, eps=1, mask=mask).values())

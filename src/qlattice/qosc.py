@@ -99,8 +99,12 @@ class VOp:
     dtype it was built in.
 
     VOp(dims, rows, cols, vals) takes entries in any order and sums those
-    that share a (row, col) in the order given.  Every operation builds its
-    result through that one sort-and-reduce step.
+    that share a (row, col) in the order given.  Entries that arrive in
+    strictly ascending (row, col) order are taken as they are; any others
+    are stable-sorted and each run of equal (row, col) is summed left to
+    right, so the summation order is the same either way.  Every operation
+    builds its result through this one constructor.  rows holds the row of
+    every stored entry; the arrays given may be kept, not copied.
     """
 
     __array_ufunc__ = None  # a numpy scalar times a VOp defers to __rmul__
@@ -108,15 +112,18 @@ class VOp:
     def __init__(self, dims, rows, cols, vals):
         self.dims = tuple(dims)
         n = math.prod(self.dims)
-        key = np.asarray(rows, dtype=np.int64) * n + np.asarray(cols, dtype=np.int64)
-        order = np.argsort(key, kind="stable")
-        key, vals = key[order], np.asarray(vals)[order]
-        if key.size:
+        rows, vals = np.asarray(rows, dtype=np.int64), np.asarray(vals)
+        key = rows * n + np.asarray(cols, dtype=np.int64)
+        if not (key[1:] > key[:-1]).all():
+            order = np.argsort(key, kind="stable")
+            key, vals = key[order], vals[order]
             # a one-entry segment keeps its value as is: no 0 + x, a rounding add
             starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
             key, vals = key[starts], np.add.reduceat(vals, starts)
-        self.indptr = np.searchsorted(key // n, np.arange(n + 1))
-        self.indices = key % n
+            rows = key // n
+        self.rows = rows
+        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+        self.indices = key - rows * n
         self.data = vals
 
     @property
@@ -130,10 +137,6 @@ class VOp:
         rows, cols = np.nonzero(mat)
         return cls(dims, rows, cols, mat[rows, cols])
 
-    def _rows(self):
-        """Row index of every stored entry."""
-        return np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
-
     def __matmul__(self, other):
         if not isinstance(other, VOp):
             return NotImplemented
@@ -142,29 +145,30 @@ class VOp:
         ends = np.cumsum(counts)
         pos = np.arange(ends[-1] if ends.size else 0) + np.repeat(
             other.indptr[self.indices] - ends + counts, counts)
-        return VOp(self.dims, np.repeat(self._rows(), counts), other.indices[pos],
+        return VOp(self.dims, np.repeat(self.rows, counts), other.indices[pos],
                    np.repeat(self.data, counts) * other.data[pos])
 
     def __add__(self, other):
-        return VOp(self.dims, np.concatenate([self._rows(), other._rows()]),
+        return VOp(self.dims, np.concatenate([self.rows, other.rows]),
                    np.concatenate([self.indices, other.indices]),
                    np.concatenate([self.data, other.data]))
 
     def __neg__(self):
-        return VOp(self.dims, self._rows(), self.indices, -self.data)
+        return VOp(self.dims, self.rows, self.indices, -self.data)
 
     def __sub__(self, other):
-        return self + -other
+        return VOp(self.dims, np.concatenate([self.rows, other.rows]),
+                   np.concatenate([self.indices, other.indices]),
+                   np.concatenate([self.data, -other.data]))
 
     def __rmul__(self, scalar):
-        return VOp(self.dims, self._rows(), self.indices, scalar * self.data)
+        return VOp(self.dims, self.rows, self.indices, scalar * self.data)
 
     def restrict(self, rows, cols):
         """The entries whose row is true in the boolean mask rows and whose
         column is true in cols."""
-        r = self._rows()
-        keep = rows[r] & cols[self.indices]
-        return VOp(self.dims, r[keep], self.indices[keep], self.data[keep])
+        keep = rows[self.rows] & cols[self.indices]
+        return VOp(self.dims, self.rows[keep], self.indices[keep], self.data[keep])
 
     def max_abs(self):
         return np.max(np.abs(self.data), initial=0.0)
@@ -207,7 +211,7 @@ class BlockOp:
     def __sub__(self, other):
         out = BlockOp(self.dims, dict(self.blocks))
         for key, b in other.blocks.items():
-            out.add(*key, -b)
+            out.blocks[key] = out.blocks[key] - b if key in out.blocks else -b
         return out
 
     def restrict(self, rows, cols):
@@ -264,10 +268,13 @@ def _lift(dims, axis: int, mat) -> VOp:
     """The single-factor matrix mat acting on factor axis of V1 x V2 x V3."""
     r, c = np.nonzero(mat)
     stride = math.prod(dims[axis + 1:])
-    # flat index of every basis state whose factor axis is 0, as a column
-    base = np.arange(math.prod(dims)).reshape(dims).take(0, axis=axis).reshape(-1, 1)
-    return VOp(dims, (base + r * stride).ravel(), (base + c * stride).ravel(),
-               np.tile(mat[r, c], base.size))
+    # flat index of every basis state whose factor axis is 0, as (outer, 1,
+    # inner): entries run by outer index, entry of mat, inner index, which is
+    # ascending (row, col) where mat has at most one entry per row
+    base = np.arange(math.prod(dims)).reshape(dims).take(0, axis=axis).reshape(-1, 1, stride)
+    rows = base + (r * stride)[:, None]
+    return VOp(dims, rows.ravel(), (base + (c * stride)[:, None]).ravel(),
+               np.broadcast_to(mat[r, c][:, None], rows.shape).ravel())
 
 
 def _relative_gap(lhs, rhs) -> float:
@@ -365,7 +372,8 @@ def fock_r_sparse(cutoff: int, q: float):
                    dtype=object)
     nonzero = els != 0
     r = VOp(dims, rows[reach][nonzero], cols[reach][nonzero], els[nonzero].astype(complex))
-    for a in (reps[0].a, reps[0].a_star, reps[0].k, mask, r.indptr, r.indices, r.data):
+    for a in (reps[0].a, reps[0].a_star, reps[0].k, mask, r.rows, r.indptr, r.indices,
+              r.data):
         a.flags.writeable = False
     return reps, mask, r
 

@@ -368,6 +368,19 @@ MAP_REPORT_PINS = [
     ({"suite": "cyclic-intertwine", "n_cyclic": 3}, "1.1961375382846007e-15", 3),
     ({"suite": "cyclic-intertwine", "n_cyclic": 3, "perturb": True},
      "0.04147235203796177", 2),
+    # the operator checks at the sizes of the cyclic and fock benchmark steps
+    ({"suite": "cyclic-intertwine", "n_cyclic": 5, "samples": 5}, "1.454794987596722e-15", 1),
+    ({"suite": "cyclic-intertwine", "n_cyclic": 5, "samples": 5, "perturb": True},
+     "0.032259312484672696", 2),
+    ({"suite": "cyclic-intertwine", "n_cyclic": 7, "samples": 5}, "1.4567543769280398e-15", 4),
+    ({"suite": "cyclic-intertwine", "n_cyclic": 7, "samples": 5, "perturb": True},
+     "0.03140488884433752", 2),
+    ({"suite": "fock-intertwine", "cutoff": 8, "q": 0.3}, "3.700743415417188e-16", 1),
+    ({"suite": "fock-intertwine", "cutoff": 8, "q": 0.3, "perturb": True},
+     "0.04761904761904766", 1),
+    ({"suite": "fock-intertwine", "cutoff": 10, "q": 0.3}, "3.700743415417188e-16", 1),
+    ({"suite": "fock-intertwine", "cutoff": 10, "q": 0.3, "perturb": True},
+     "0.04761904761904766", 1),
 ]
 
 

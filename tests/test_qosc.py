@@ -265,6 +265,62 @@ def test_vop_kernel_matches_dense_products(kind):
     assert empty.max_abs() == 0.0
 
 
+def csr_fields(op):
+    """indptr, indices, rows and data of a VOp, data as exact bits (an mpf
+    by its mantissa and exponent)."""
+    data = (op.data.tobytes() if op.data.dtype != object
+            else [v._mpf_ for v in op.data.tolist()])
+    return op.indptr.tobytes(), op.indices.tobytes(), op.rows.tobytes(), data
+
+
+@pytest.mark.parametrize("kind", ["complex", "mpf"])
+@pytest.mark.parametrize("nnz", [0, 1, 50])
+def test_vop_in_order_and_sorted_entries_build_the_same_operator(kind, nnz, monkeypatch):
+    # the same entries in ascending (row, col) order, shuffled, and with a
+    # third of them split into two entries that sum to the value: the first
+    # skips the sort, the others sort and reduce, and every field agrees
+    rng = np.random.default_rng(5)
+    with mp.workdps(50):
+        keys = np.sort(rng.choice([r * KERNEL_N + c for r in range(KERNEL_N)
+                                   if r not in EMPTY_ROWS for c in range(KERNEL_N)],
+                                  nnz, replace=False))
+        rows, cols = divmod(keys, KERNEL_N)
+        first, second = kernel_values(rng, nnz, kind), kernel_values(rng, nnz, kind)
+        split = rng.random(nnz) < 1 / 3
+        vals = np.where(split, first + second, first)
+        shuffle = rng.permutation(nnz)
+        # each split entry keeps its first part in the shuffled place and
+        # gives its second part at the end, so the parts sum in that order
+        pairs = (np.concatenate([rows[shuffle], rows[split]]),
+                 np.concatenate([cols[shuffle], cols[split]]),
+                 np.concatenate([first[shuffle], second[split]]))
+        argsorts = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda *a, **k: argsorts.append(1) or argsort(*a, **k))
+        in_order = qosc.VOp(KERNEL_DIMS, rows, cols, vals)
+        assert not argsorts
+        shuffled = qosc.VOp(KERNEL_DIMS, rows[shuffle], cols[shuffle], vals[shuffle])
+        split_up = qosc.VOp(KERNEL_DIMS, *pairs)
+        assert np.array_equal(to_dense(in_order), dense_from_coo(rows, cols, vals))
+    if nnz > 1:
+        assert len(argsorts) == 2
+    assert csr_fields(shuffled) == csr_fields(in_order)
+    assert csr_fields(split_up) == csr_fields(in_order)
+    assert len(in_order.data) == nnz and in_order.data.dtype == vals.dtype
+    assert all(in_order.indptr[r] == in_order.indptr[r + 1] for r in EMPTY_ROWS)
+
+
+def test_build_l_sorts_no_entries(monkeypatch):
+    # every L block arrives from _lift in ascending (row, col) order
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.argsort called")
+
+    params = qosc.CyclicParams.from_triangle(sample_triangle(np.random.default_rng(3)), 5)
+    monkeypatch.setattr(np, "argsort", refuse)
+    qosc.build_l(params.reps(), params.lambdas, params.mus)
+    qosc.build_l((qosc.fock_rep(8, 0.3),) * 3, (1.0,) * 3, (-1.0,) * 3)
+
+
 # ---------------------------------------------------------------------------
 # intertwining
 # ---------------------------------------------------------------------------
@@ -305,7 +361,7 @@ def test_fock_r_sparse_elements_match_150_digit_oracle(cutoff):
     ctx = mp.MPContext()
     ctx.dps = 150
     _, _, r = qosc.fock_r_sparse(cutoff, 0.3)
-    n = np.unravel_index(r._rows(), r.dims)
+    n = np.unravel_index(r.rows, r.dims)
     m = np.unravel_index(r.indices, r.dims)
     indices = np.stack([*n, *m], axis=1).tolist()
     assert len(indices) == {8: 2023, 10: 5121, 12: 10791}[cutoff]
