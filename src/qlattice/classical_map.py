@@ -27,7 +27,7 @@ The transforms and the map take Python scalars or equal-shaped numpy arrays
 Real input stays real and meets the real-domain guards; complex input takes
 the principal branch of every root and arccos, which is what the
 complex-step Jacobian evaluates.  A guard on a stack names its first
-failing item in C order.
+failing item in C order, and its error carries the stack of items it flags.
 """
 
 from __future__ import annotations
@@ -43,11 +43,16 @@ from .errors import DomainError, SingularityError
 
 EPS_CLASSICAL = +1
 
+# the samplers' attempts per case: sample_admissible_front,
+# sample_admissible_six and sample_symplectic_state
+FRONT_ATTEMPTS, SIX_ATTEMPTS, SYMPLECTIC_ATTEMPTS = 200, 500, 500
+
 
 def _guard(bad, error, message, *values):
     """Raise error(message % values) if bad holds.  For a stack of flags the
     first true item in C order fails: the message and the error's index name
-    it, and each value that is a stack is taken at it."""
+    it, each value that is a stack is taken at it, and the error's flags are
+    the stack."""
     if bad is False:  # a scalar that passes, the common case
         return
     if isinstance(bad, np.ndarray):
@@ -64,7 +69,7 @@ def _item_error(bad, error, message, values):
     at = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
     values = tuple(v[at].item() if isinstance(v, np.ndarray) else v for v in values)
     exc = error("item %s: %s" % (at, message % values))
-    exc.index = at
+    exc.index, exc.flags = at, bad
     return exc
 
 
@@ -242,7 +247,7 @@ def triples(angles):
 def sample_admissible_front(rng, eps=EPS_CLASSICAL):
     """Three triples for which one flip stays in the real domain, and their
     flip: (front, back)."""
-    for _ in range(200):
+    for _ in range(FRONT_ATTEMPTS):
         front = tuple(triples(draw_angles(rng, 3)))
         try:
             return front, map_r123(*front, eps=eps)
@@ -266,7 +271,7 @@ def apply_flip_sequence(state, sequence, eps):
         except DomainError as exc:
             err = DomainError("domain exit at flip %d on faces %s: %s"
                               % (fid, (i + 1, j + 1, k + 1), exc))
-            err.index = exc.index
+            err.index, err.flags = exc.index, exc.flags
             raise err from exc
     return state
 
@@ -295,7 +300,7 @@ def functional_tetrahedron_residual(state, eps=EPS_CLASSICAL) -> float:
 def sample_admissible_six(rng, eps=EPS_CLASSICAL):
     """Six triples on which both four-flip orderings stay in the real domain,
     and those orderings: (state, lhs, rhs)."""
-    for _ in range(500):
+    for _ in range(SIX_ATTEMPTS):
         state = triples(draw_angles(rng, 6))
         try:
             return (state, *fte_sides(state, eps))
@@ -352,7 +357,7 @@ def symplectic_admissible(x):
 def sample_symplectic_state(rng):
     """Random angle state interior to the admissible domain: the first draw
     that symplectic_admissible accepts."""
-    for _ in range(500):
+    for _ in range(SYMPLECTIC_ATTEMPTS):
         x = draw_symplectic(rng)
         try:
             if symplectic_admissible(x):

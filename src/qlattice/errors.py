@@ -8,10 +8,13 @@ class QLatticeError(Exception):
 class DomainError(QLatticeError, ValueError):
     """Input lies outside the mathematical domain of an operation.
 
-    index is the position of the failing item when a check ran on a stack.
+    index is the position of the failing item when a check ran on a stack,
+    and flags the stack of items the failing check flags, every one of which
+    it fails on alone.
     """
 
     index = None
+    flags = None
 
 
 class SingularityError(DomainError):
@@ -21,13 +24,16 @@ class SingularityError(DomainError):
 class DegeneracyError(QLatticeError, ValueError):
     """A configuration is too close to degenerate to be resolved numerically.
 
-    index is the position of the failing item when a kernel ran on a stack.
+    index is the position of the failing item when a kernel ran on a stack,
+    and flags the stack of items the kernel's guards flag, every one of which
+    it fails on alone.
     """
 
-    def __init__(self, message, estimate=None, index=None):
+    def __init__(self, message, estimate=None, index=None, flags=None):
         super().__init__(message)
         self.estimate = estimate
         self.index = index
+        self.flags = flags
 
 
 class PoleProximityError(DegeneracyError):

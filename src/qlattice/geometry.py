@@ -133,7 +133,8 @@ def hex_flip(x0, x1, x2, x3, x12, x13, x23):
     the seven input points.  The inputs may be equal-shaped stacks of points
     (..., N); the result is then the stack of eighth vertices.  A
     DegeneracyError reports the first failing item of the stack, in C
-    order, and carries its position as ``index``.
+    order, carries its position as ``index`` and the stack of every failing
+    item as ``flags``.
     """
     pts = np.moveaxis(np.array([x0, x1, x2, x3, x12, x13, x23], dtype=float), 0, -2)
     if pts.shape[-1] < 3:
@@ -169,23 +170,26 @@ def hex_flip(x0, x1, x2, x3, x12, x13, x23):
     if failed.any():
         at = np.unravel_index(np.argmax(failed), failed.shape)
         guard = [coplanar[at], off_space[at], flat_plane[at].any(), parallel[at], loose[at]]
-        raise _flip_error(guard.index(True), at, s[at], flat_plane[at], cond[at], resid[at])
+        raise _flip_error(guard.index(True), at, failed, s[at], flat_plane[at], cond[at],
+                          resid[at])
     return center + (np.swapaxes(sol, -1, -2) @ basis)[..., 0, :]
 
 
-def _flip_error(guard, at, s, flat_plane, cond, resid):
+def _flip_error(guard, at, failed, s, flat_plane, cond, resid):
     """The error of the flip at stack position ``at`` that failed guard
-    number ``guard``, in the order hex_flip checks them."""
+    number ``guard``, in the order hex_flip checks them; ``failed`` flags
+    every item that fails some guard."""
     if guard == 0:
-        return DegeneracyError("input points are nearly coplanar", float(s[2] / s[0]), at)
+        return DegeneracyError("input points are nearly coplanar", float(s[2] / s[0]), at, failed)
     if guard == 1:
         return DegeneracyError(
-            "input points do not lie in a common 3-space", float(s[3] / s[0]), at)
+            "input points do not lie in a common 3-space", float(s[3] / s[0]), at, failed)
     if guard == 2:
-        return DegeneracyError("plane %d is degenerate" % np.argmax(flat_plane), index=at)
+        return DegeneracyError("plane %d is degenerate" % np.argmax(flat_plane), index=at,
+                               flags=failed)
     if guard == 3:
-        return DegeneracyError("planes nearly parallel", float(cond), at)
-    return DegeneracyError("flip residual too large", float(resid), at)
+        return DegeneracyError("planes nearly parallel", float(cond), at, failed)
+    return DegeneracyError("flip residual too large", float(resid), at, failed)
 
 
 @dataclass
@@ -283,8 +287,12 @@ def _convex(frame):
 
 # The samplers below draw one attempt's numbers with *_draws(rng) and build
 # and test it with *_attempt(draws), which take one attempt's draws or a
-# stack of many cases' first attempts: a hexahedron (of stacks) and whether
-# it is accepted.  A DegeneracyError of an attempt names its failing item.
+# stack of many cases' attempts: a hexahedron (of stacks) and whether it is
+# accepted.  A DegeneracyError of an attempt names its failing item and
+# flags every item that fails.  QUAD_ATTEMPTS is random_quad_hexahedron's
+# number of attempts.
+QUAD_ATTEMPTS = 200
+
 
 def quad_draws(rng):
     """The draws of one attempt of random_quad_hexahedron, in order: the
@@ -310,7 +318,7 @@ def quad_attempt(offsets, coefficients):
 
 def random_quad_hexahedron(rng) -> Hexahedron:
     """Generic hexahedron with planar, convex faces."""
-    for _ in range(200):
+    for _ in range(QUAD_ATTEMPTS):
         try:
             h, accepted = quad_attempt(*quad_draws(rng))
         except DegeneracyError:
@@ -332,7 +340,8 @@ def circle_through(p1, p2, p3):
     collinear = np.abs(det) < 1e-14
     if collinear.any():
         raise DegeneracyError("collinear points have no circle",
-                              index=np.unravel_index(np.argmax(collinear), collinear.shape))
+                              index=np.unravel_index(np.argmax(collinear), collinear.shape),
+                              flags=collinear)
     s = ((nv * (nu - uv)) / det)[..., None]
     t = ((nu * (nv - uv)) / det)[..., None]
     center = p1 + s * u + t * v
@@ -440,14 +449,15 @@ class MiquelReport:
 def miquel_check(h: Hexahedron) -> MiquelReport:
     """Concyclicity of the back faces through x123 plus cosphericity of all
     eight vertices, given concyclic front faces; for a stack of hexahedra a
-    front face that is not names its hexahedron in the error's index."""
+    front face that is not names its hexahedron in the error's index, and
+    the error's flags mark every front face that is not (..., 3)."""
     residuals = concyclicity_residual(h.faces())
     bent = residuals[..., :3] > 1e-9
     if bent.any():
         at = np.unravel_index(np.argmax(bent), bent.shape)
         exc = DomainError("front face %d is not concyclic (residual %.2e)"
                           % (at[-1] + 1, residuals[at]))
-        exc.index = at[:-1]
+        exc.index, exc.flags = at[:-1], bent
         raise exc
     return MiquelReport(residuals[..., 3:], h.cosphericity_residual())
 
@@ -601,27 +611,39 @@ _SCHEDULE_A = ((7, 7), (11, 3), (13, 1), (14, 0))    # (cell direction mask, cor
 _SCHEDULE_B = ((14, 1), (13, 3), (11, 7), (7, 15))
 DODECA_FINAL_MASKS = (8, 12, 14)
 _PROJECTIVE_AMPLITUDE = 0.18  # scale of the random projective deformation
+_PROJECTIVE_DRAWS = 100  # deformations drawn before giving up
 
 
 def _bits(mask):
     return [b for b in (1, 2, 4, 8) if mask & b]
 
 
-def dodeca_vertices_from_projective(rng, dim: int = 4):
-    """All 16 vertices of a projectively deformed 4-cube; faces stay planar."""
-    a = np.eye(4) + _PROJECTIVE_AMPLITUDE * rng.normal(size=(4, 4))
-    t = _PROJECTIVE_AMPLITUDE * rng.normal(size=4)
-    c = _PROJECTIVE_AMPLITUDE * 0.5 * rng.normal(size=4)
+def _projective_vertices(a, t, c):
+    """The 16 vertices (a eps + t) / (1 + c . eps) by mask, or None if some
+    denominator lies within 0.3 of 0."""
     out = {}
     for mask in range(16):
         eps = np.array([(mask >> b) & 1 for b in range(4)], dtype=float)
         denom = 1.0 + c @ eps
         if abs(denom) < 0.3:
-            return dodeca_vertices_from_projective(rng, dim)
+            return None
         out[mask] = (a @ eps + t) / denom
-    if dim == 3:
-        out = {k: v[:3] for k, v in out.items()}
     return out
+
+
+def dodeca_vertices_from_projective(rng, dim: int = 4):
+    """All 16 vertices of a projectively deformed 4-cube; faces stay planar.
+    A deformation that brings a denominator within 0.3 of 0 is drawn anew,
+    up to _PROJECTIVE_DRAWS deformations in all."""
+    for _ in range(_PROJECTIVE_DRAWS):
+        a = np.eye(4) + _PROJECTIVE_AMPLITUDE * rng.normal(size=(4, 4))
+        t = _PROJECTIVE_AMPLITUDE * rng.normal(size=4)
+        c = _PROJECTIVE_AMPLITUDE * 0.5 * rng.normal(size=4)
+        out = _projective_vertices(a, t, c)
+        if out is not None:
+            return {k: v[:3] for k, v in out.items()} if dim == 3 else out
+    raise DegeneracyError("no projective deformation of the 4-cube keeps every denominator "
+                          "0.3 from 0 in %d draws" % _PROJECTIVE_DRAWS)
 
 
 def dodeca_initial_surface(vertices):
@@ -630,9 +652,11 @@ def dodeca_initial_surface(vertices):
 
 
 def _run_schedules(surface, perturb=None):
-    """Point dicts of both dissections.  Step k of schedule A and step k of
+    """Point dicts of both dissections, of one surface (points (d,)) or of a
+    stack of surfaces (points (..., d)).  Step k of schedule A and step k of
     schedule B read disjoint dicts, so they flip in one hex_flip call on a
-    stack of two; perturb is added to B's first computed vertex."""
+    stack (2, ...); a degenerate flip names the dissection of its first
+    failing item.  perturb is added to B's first computed vertex."""
     pts = [{m: np.array(p, dtype=float) for m, p in surface.items()} for _ in "AB"]
     for step, moves in enumerate(zip(_SCHEDULE_A, _SCHEDULE_B)):
         corners = []
@@ -641,7 +665,7 @@ def _run_schedules(surface, perturb=None):
             corners.append([p[corner], p[corner ^ d1], p[corner ^ d2], p[corner ^ d3],
                             p[corner ^ d1 ^ d2], p[corner ^ d1 ^ d3], p[corner ^ d2 ^ d3]])
         try:
-            flipped = hex_flip(*np.array(corners).transpose(1, 0, 2))
+            flipped = hex_flip(*np.moveaxis(np.array(corners), 1, 0))
         except DegeneracyError as exc:
             raise DegeneracyError("dissection %s flip %d degenerate: %s"
                                   % ("AB"[exc.index[0]], step, exc)) from exc
@@ -653,19 +677,22 @@ def _run_schedules(surface, perturb=None):
     return pts
 
 
-def dodecahedron_consistency(surface, perturb=None) -> float:
+def dodecahedron_consistency(surface, perturb=None):
     """Flip the front surface to the back surface along both dissections and
-    return the maximum distance between the two results.
+    return the maximum distance between the two results: a float, or for a
+    stack of surfaces a list of floats, each the value its surface reads
+    alone.
 
-    surface maps the eleven initial masks to points (R^3 or R^4).  perturb,
-    if given, is added to the first computed vertex of the second dissection
-    only (sensitivity probe).
+    surface maps the eleven initial masks to points (R^3 or R^4), or to
+    equal-shaped stacks of them (..., d).  perturb, if given, is added to
+    the first computed vertex of the second dissection only (sensitivity
+    probe).
     """
     missing = [m for m in DODECA_INITIAL_MASKS if m not in surface]
     if missing:
         raise DomainError("missing initial vertices for masks %s" % missing)
     ptsa, ptsb = _run_schedules(surface, perturb)
-    return max(float(np.linalg.norm(ptsa[m] - ptsb[m])) for m in DODECA_FINAL_MASKS)
+    return np.max([_norm(ptsa[m] - ptsb[m]) for m in DODECA_FINAL_MASKS], axis=0).tolist()
 
 
 def random_rotation(rng):

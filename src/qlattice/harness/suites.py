@@ -11,14 +11,19 @@ perturb=True a suite applies its documented deliberate corruption and the
 report then passes only if the residual EXCEEDS the tolerance.
 
 Block suites: fock-te, cyclic-te-irc and cyclic-cross-form (block only),
-and the sampled classical suites classical-lybe, classical-fte, symplectic,
-geometry-flip and miquel (block and case).  A classical block draws every
-case's first sampling attempt from case_rngs with the calls its sampler
-makes, in order, and maps them as one stack through the same kernels; an
-item a guard fails on is dropped and the rest mapped again (_stack_map).  A
-case whose first attempt is rejected runs through its case function, which
-draws its stream anew from case_rng, so each row equals case(cfg, idx).
-dodecahedron, covariant and the remaining suites run case by case.
+and classical-lybe, classical-fte, symplectic, geometry-flip, miquel and
+dodecahedron (block and case).  A sampled classical block runs its cases'
+samplers in rounds (_rounds): round k draws attempt k of every case that no
+earlier round accepted, from case_rngs with the calls its sampler makes, in
+order, and maps those attempts as one stack through the same kernels.  A
+guard that fails on a stack drops every item it flags, and the rest are
+mapped again (_stack_map).  miquel takes one round (see _miquel_block).  A
+case that reaches its sampler's cap, or whose accepted attempt fails a later
+guard, runs through its case function, which draws its stream anew from
+case_rng, so each row equals case(cfg, idx) and a failing case raises its
+own error.  dodecahedron flips both dissections of every case of a block as
+one stack, and a block a flip fails on runs case by case.  covariant and the
+remaining suites run case by case.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import cmath
 import math
 import time
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -89,7 +94,8 @@ class Suite:
     """A suite gives case, block or both; with block alone, case is made
     from it.  The runner calls block where there is one and loops case over
     a block of cases otherwise.  A block function returns its cases'
-    residuals as Python floats, in order, each the value case reads."""
+    residuals as Python floats, in order, each the value case reads; where
+    case raises, the block raises the same error."""
 
     default_tol: float
     default_samples: int
@@ -111,26 +117,57 @@ class Suite:
 
 def _stack_map(fn, rows):
     """(rows kept, fn(rows kept)): fn maps the stack of the given rows of a
-    block in one call.  A guard that fails names its item of that stack in
-    exc.index; the row is dropped and the rest mapped again, every guard
-    unchanged, so each kept row reads what it reads alone."""
+    block in one call.  A guard that fails flags its items of that stack in
+    exc.flags; those rows are dropped together and the rest mapped again,
+    every guard unchanged, so each kept row reads what it reads alone and fn
+    runs once per guard that fails and once more."""
     rows = np.asarray(rows, dtype=np.intp)
     while rows.size:
         try:
             return rows, fn(rows)
         except (DomainError, DegeneracyError) as exc:
-            if exc.index is None:
+            if exc.flags is None:
                 raise
-            rows = np.delete(rows, exc.index[0])
+            rows = rows[~np.reshape(exc.flags, (rows.size, -1)).any(axis=1)]
     return rows, []
 
 
-def _with_retries(cfg, cases, rows, residuals, case):
-    """The block's residuals: the stacked first attempt's at each kept row,
-    and case(cfg, idx) for every other case, which draws its stream anew
-    from case_rng and retries as one case does."""
-    first = dict(zip(rows.tolist(), residuals))
-    return [first[i] if i in first else case(cfg, idx) for i, idx in enumerate(cases)]
+def _rounds(seed, cases, rows, draw, cap, attempt, then=lambda rng: ()):
+    """The residuals, by row, of the cases at rows of a block, each sampled
+    as its one-case sampler samples it, but on stacks, in rounds.
+
+    Round k draws attempt k of every case that no earlier round accepted:
+    case_rngs keys the case's stream anew, the k - 1 attempts before it are
+    drawn again and dropped, and draw(rng) draws the attempt, so it holds
+    what the sampler's k-th draw(rng) holds; then(rng) draws what the case
+    draws after an accepted attempt.  attempt(*draws), each draw stacked
+    over the round's attempts, returns the positions in that stack that
+    the sampler accepts (those no guard of it fails, see _stack_map, and
+    its test passes) and (the positions whose residual it took, those
+    residuals).  A row still rejected after cap rounds, the sampler's
+    number of attempts, has no residual, nor has an accepted row whose
+    residual failed a guard; _with_retries runs those through case."""
+    residuals = {}
+    pending = np.asarray(rows, dtype=np.intp)
+    for k in range(cap):
+        if not pending.size:
+            break
+        draws = []
+        for rng in case_rngs(seed, [cases[i] for i in pending]):
+            for _ in range(k):
+                draw(rng)
+            draws.append((*draw(rng), *then(rng)))
+        accepted, (done, res) = attempt(*map(np.array, zip(*draws)))
+        residuals.update(zip(pending[done].tolist(), res))
+        pending = np.delete(pending, accepted)
+    return residuals
+
+
+def _with_retries(cfg, cases, residuals, case):
+    """The block's residuals: residuals[i] at each row i that has one, and
+    case(cfg, idx) for every other case, which draws its stream anew from
+    case_rng and so reads, or raises, what it does alone."""
+    return [residuals[i] if i in residuals else case(cfg, idx) for i, idx in enumerate(cases)]
 
 
 def _lybe_residual(cfg, front, back):
@@ -143,14 +180,20 @@ def _lybe_case(cfg, idx):
     return _lybe_residual(cfg, *cm.sample_admissible_front(case_rng(cfg.seed, idx)))
 
 
-def _lybe_block(cfg, cases):
-    angles = np.array([cm.draw_angles(rng, 3) for rng in case_rngs(cfg.seed, cases)])
-
-    def first_attempts(rows):
-        front = cm.triples(angles[rows])
+def _lybe_attempt(cfg, angles):
+    def mapped(pos):
+        front = cm.triples(angles[pos])
         return _lybe_residual(cfg, front, cm.map_r123(*front))
 
-    return _with_retries(cfg, cases, *_stack_map(first_attempts, range(len(cases))), _lybe_case)
+    # the residual has no guard of its own, so each accepted row is done
+    accepted, res = _stack_map(mapped, range(len(angles)))
+    return accepted, (accepted, res)
+
+
+def _lybe_block(cfg, cases):
+    return _with_retries(cfg, cases, _rounds(
+        cfg.seed, cases, range(len(cases)), lambda rng: (cm.draw_angles(rng, 3),),
+        cm.FRONT_ATTEMPTS, partial(_lybe_attempt, cfg)), _lybe_case)
 
 
 def _fte_eps(cfg, idx):
@@ -171,19 +214,30 @@ def _fte_case(cfg, idx):
     return _fte_residual(cfg, state, lhs, rhs, eps)
 
 
+def _take(triples, at):
+    """The items at of a list of stacked triples."""
+    return [cm.CircularTriple(t.k[at], t.a[at], t.a_star[at]) for t in triples]
+
+
+def _fte_attempt(cfg, eps, angles):
+    def sides(pos):
+        state = cm.triples(angles[pos])
+        return [state, *cm.fte_sides(state, eps)]
+
+    accepted, mapped = _stack_map(sides, range(len(angles)))
+    done, res = _stack_map(
+        lambda at: _fte_residual(cfg, *(_take(t, at) for t in mapped), eps), range(len(accepted)))
+    return accepted, (accepted[done], res)
+
+
 def _fte_block(cfg, cases):
-    """The cases of each branch eps = +1, -1 of the block as one stack."""
-    angles = np.array([cm.draw_angles(rng, 6) for rng in case_rngs(cfg.seed, cases)])
-
-    def first_attempts(rows, eps):
-        state = cm.triples(angles[rows])
-        return _fte_residual(cfg, state, *cm.fte_sides(state, eps), eps)
-
+    """The cases of each branch eps = +1, -1 of the block, in rounds of
+    their own."""
     eps = np.array([_fte_eps(cfg, idx) for idx in cases])
-    kept = [_stack_map(lambda rows: first_attempts(rows, e), np.flatnonzero(eps == e))
-            for e in (1, -1)]
-    return _with_retries(cfg, cases, np.concatenate([rows for rows, _ in kept]),
-                         [r for _, res in kept for r in res], _fte_case)
+    return _with_retries(cfg, cases, {
+        row: res for e in (1, -1) for row, res in _rounds(
+            cfg.seed, cases, np.flatnonzero(eps == e), lambda rng: (cm.draw_angles(rng, 6),),
+            cm.SIX_ATTEMPTS, partial(_fte_attempt, cfg, e)).items()}, _fte_case)
 
 
 def _sheared_map(y):
@@ -202,12 +256,16 @@ def _symplectic_case(cfg, idx):
     return _symplectic_residual(cfg, cm.sample_symplectic_state(case_rng(cfg.seed, idx)))
 
 
+def _symplectic_attempt(cfg, x):
+    kept, admissible = _stack_map(lambda pos: cm.symplectic_admissible(x[pos]), range(len(x)))
+    accepted = kept[admissible]
+    return accepted, _stack_map(lambda pos: _symplectic_residual(cfg, x[pos]), accepted)
+
+
 def _symplectic_block(cfg, cases):
-    x = np.array([cm.draw_symplectic(rng) for rng in case_rngs(cfg.seed, cases)])
-    rows, admissible = _stack_map(lambda rows: cm.symplectic_admissible(x[rows]),
-                                  range(len(cases)))
-    return _with_retries(cfg, cases, *_stack_map(lambda rows: _symplectic_residual(cfg, x[rows]),
-                                                 rows[admissible]), _symplectic_case)
+    return _with_retries(cfg, cases, _rounds(
+        cfg.seed, cases, range(len(cases)), lambda rng: (cm.draw_symplectic(rng),),
+        cm.SYMPLECTIC_ATTEMPTS, partial(_symplectic_attempt, cfg)), _symplectic_case)
 
 
 # the three faces through x123 whose planarity geometry-flip checks, as rows
@@ -229,36 +287,42 @@ def _flip_residual(cfg, verts, rot, shift):
     return np.maximum(planarity, np.sqrt(np.vecdot(miss, miss))).tolist()
 
 
+def _flip_motion(rng):
+    """The rotation and the shift geometry-flip draws after its hexahedron."""
+    return geo.random_rotation(rng), rng.normal(0, 1.0, 3)
+
+
 def _geometry_flip_case(cfg, idx):
     rng = case_rng(cfg.seed, idx)
     h = geo.random_quad_hexahedron(rng)
-    rot = geo.random_rotation(rng)
-    return _flip_residual(cfg, h.vertices(), rot, rng.normal(0, 1.0, 3))
+    return _flip_residual(cfg, h.vertices(), *_flip_motion(rng))
 
 
 def _accepted_hexahedra(draws, attempt):
-    """The rows whose first attempt(*draws at those rows) a hexahedron
-    sampler accepts, and a (cases, 8, 3) array that holds the vertices of
-    their hexahedra at those rows; draws are stacks over a block's cases."""
+    """The positions whose attempt(*draws at those positions) a hexahedron
+    sampler accepts, and a (attempts, 8, 3) array that holds the vertices of
+    their hexahedra there; draws are stacks over a round's attempts."""
     verts = np.empty((len(draws[0]), 8, 3))
 
-    def first_attempts(rows):
-        h, accepted = attempt(*(d[rows] for d in draws))
-        verts[rows] = h.vertices()
+    def attempts(pos):
+        h, accepted = attempt(*(d[pos] for d in draws))
+        verts[pos] = h.vertices()
         return accepted
 
-    rows, accepted = _stack_map(first_attempts, range(len(verts)))
-    return rows[accepted], verts
+    kept, accepted = _stack_map(attempts, range(len(verts)))
+    return kept[accepted], verts
+
+
+def _geometry_flip_attempt(cfg, offsets, coefficients, rot, shift):
+    accepted, verts = _accepted_hexahedra((offsets, coefficients), geo.quad_attempt)
+    return accepted, _stack_map(
+        lambda pos: _flip_residual(cfg, verts[pos], rot[pos], shift[pos]), accepted)
 
 
 def _geometry_flip_block(cfg, cases):
-    offsets, coefficients, rot, shift = map(np.array, zip(*(
-        (*geo.quad_draws(rng), geo.random_rotation(rng), rng.normal(0, 1.0, 3))
-        for rng in case_rngs(cfg.seed, cases))))
-    rows, verts = _accepted_hexahedra((offsets, coefficients), geo.quad_attempt)
-    return _with_retries(cfg, cases, *_stack_map(
-        lambda rows: _flip_residual(cfg, verts[rows], rot[rows], shift[rows]), rows),
-        _geometry_flip_case)
+    return _with_retries(cfg, cases, _rounds(
+        cfg.seed, cases, range(len(cases)), geo.quad_draws, geo.QUAD_ATTEMPTS,
+        partial(_geometry_flip_attempt, cfg), then=_flip_motion), _geometry_flip_case)
 
 
 def _miquel_residual(cfg, h):
@@ -273,27 +337,58 @@ def _miquel_case(cfg, idx):
     return _miquel_residual(cfg, geo.random_circular_hexahedron(case_rng(cfg.seed, idx)))
 
 
-def _miquel_block(cfg, cases):
-    # each case's arc fractions are drawn (list) before case_rngs re-keys the
-    # generator, and go to circular_attempt as one (B,) stack per arc
-    draws = tuple(map(np.array, zip(*((*d[:3], list(d[3])) for d in map(
-        geo.circular_draws, case_rngs(cfg.seed, cases))))))
-    rows, verts = _accepted_hexahedra(
+def _miquel_first_draws(rng):
+    """The draws of a first attempt of random_circular_hexahedron, its arc
+    fractions drawn at once (list) before case_rngs re-keys the generator."""
+    direction, offsets, noises, fractions = geo.circular_draws(rng)
+    return direction, offsets, noises, list(fractions)
+
+
+def _miquel_attempt(cfg, *draws):
+    # the arc fractions go to circular_attempt as one stack per arc
+    accepted, verts = _accepted_hexahedra(
         draws, lambda *d: geo.circular_attempt(*d[:3], d[3].T))
-    return _with_retries(cfg, cases, *_stack_map(
-        lambda rows: _miquel_residual(cfg, geo.Hexahedron(*np.moveaxis(verts[rows], -2, 0))),
-        rows), _miquel_case)
+    return accepted, _stack_map(
+        lambda pos: _miquel_residual(cfg, geo.Hexahedron(*np.moveaxis(verts[pos], -2, 0))),
+        accepted)
+
+
+def _miquel_block(cfg, cases):
+    # one round: circular_draws draws an attempt's arc fractions lazily, so
+    # an attempt that fails at an arc has drawn only the fractions up to it,
+    # which its stacked attempt does not tell; a rejected case runs alone
+    return _with_retries(cfg, cases, _rounds(
+        cfg.seed, cases, range(len(cases)), _miquel_first_draws, 1,
+        partial(_miquel_attempt, cfg)), _miquel_case)
+
+
+def _dodeca_surface(cfg, rng):
+    """A case's initial surface: of a 4-cube, or of a 3-cube in the control."""
+    verts = geo.dodeca_vertices_from_projective(rng, dim=3 if cfg.perturb else 4)
+    return geo.dodeca_initial_surface(verts)
+
+
+def _dodeca_probe(cfg):
+    """The control's shift of dissection B's first computed vertex."""
+    return np.array([1e-2, 0.0, 0.0]) if cfg.perturb else None
 
 
 def _dodeca_case(cfg, idx):
-    rng = case_rng(cfg.seed, idx)
-    if cfg.perturb:
-        verts = geo.dodeca_vertices_from_projective(rng, dim=3)
-        probe = np.array([1e-2, 0.0, 0.0])
+    return geo.dodecahedron_consistency(_dodeca_surface(cfg, case_rng(cfg.seed, idx)),
+                                        perturb=_dodeca_probe(cfg))
+
+
+def _dodeca_block(cfg, cases):
+    """The two dissections of every case of the block as one (2, B) stack
+    per flip; a block a flip fails on runs case by case, so the failing case
+    raises its own error."""
+    surfaces = [_dodeca_surface(cfg, rng) for rng in case_rngs(cfg.seed, cases)]
+    try:
         return geo.dodecahedron_consistency(
-            geo.dodeca_initial_surface(verts), perturb=probe)
-    verts = geo.dodeca_vertices_from_projective(rng)
-    return geo.dodecahedron_consistency(geo.dodeca_initial_surface(verts))
+            {m: np.array([s[m] for s in surfaces]) for m in geo.DODECA_INITIAL_MASKS},
+            perturb=_dodeca_probe(cfg))
+    except DegeneracyError:
+        return [_dodeca_case(cfg, idx) for idx in cases]
 
 
 def _covariant_case(cfg, idx):
@@ -548,7 +643,7 @@ SUITES = {
         count=_samples, case=_miquel_case, block=_miquel_block),
     "dodecahedron": Suite(
         1e-8, 25,
-        count=_samples, case=_dodeca_case),
+        count=_samples, case=_dodeca_case, block=_dodeca_block),
     "covariant": Suite(
         1e-10, 3,
         count=_samples, case=_covariant_case,

@@ -299,6 +299,43 @@ def test_dodeca_degeneracy_names_its_dissection_and_step(vertex, make, message):
         geo.dodecahedron_consistency(surface)
 
 
+class _ScriptedNormals:
+    """A stand-in generator whose normal(size=...) returns given draws in
+    turn, or forever one value of the requested size."""
+
+    def __init__(self, draws=(), fill=None):
+        self.draws, self.fill, self.taken = iter(draws), fill, 0
+
+    def normal(self, size):
+        self.taken += 1
+        return np.full(size, self.fill) if self.fill is not None else next(self.draws)
+
+
+# z = -10 in c's first entry puts 1 + c . e1 at 1 - 0.09 * 10 = 0.1
+_NEAR_POLE = [np.zeros((4, 4)), np.zeros(4), np.array([-10.0, 0, 0, 0])]
+
+
+def test_dodeca_vertices_redraw_a_deformation_near_a_pole():
+    # two deformations with a denominator within 0.3 of 0 are drawn anew;
+    # the third, seed 11's draws, gives the vertices seed 11 gives
+    rng = np.random.default_rng(11)
+    good = [rng.normal(size=(4, 4)), rng.normal(size=4), rng.normal(size=4)]
+    scripted = _ScriptedNormals(_NEAR_POLE * 2 + good)
+    got = geo.dodeca_vertices_from_projective(scripted)
+    want = geo.dodeca_vertices_from_projective(np.random.default_rng(11))
+    assert scripted.taken == 9
+    assert got.keys() == want.keys() and all(np.array_equal(got[m], want[m]) for m in want)
+
+
+def test_dodeca_vertices_give_up_after_a_stated_number_of_draws():
+    # every deformation of this stream is near a pole: a DegeneracyError
+    # that names the cap, after that many draws of (a, t, c)
+    scripted = _ScriptedNormals(fill=-10.0)
+    with pytest.raises(DegeneracyError, match="in %d draws" % geo._PROJECTIVE_DRAWS):
+        geo.dodeca_vertices_from_projective(scripted)
+    assert scripted.taken == 3 * geo._PROJECTIVE_DRAWS
+
+
 def test_dodeca_missing_vertex_rejected():
     rng = np.random.default_rng(14)
     surface = geo.dodeca_initial_surface(geo.dodeca_vertices_from_projective(rng))

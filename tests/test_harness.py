@@ -3,6 +3,7 @@ import decimal
 import itertools
 import json
 import math
+import traceback
 
 import numpy as np
 import pytest
@@ -593,6 +594,8 @@ def test_cross_form_builds_the_weight_table_once(monkeypatch):
     {"suite": "geometry-flip", "samples": 3, "perturb": True},
     {"suite": "miquel", "samples": 20},
     {"suite": "miquel", "samples": 3, "perturb": True},
+    {"suite": "dodecahedron", "samples": 20},
+    {"suite": "dodecahedron", "samples": 3, "perturb": True},
 ])
 def test_block_suite_reports_do_not_depend_on_blocks(params, monkeypatch):
     # a block suite's report is the same at every block size and worker
@@ -612,11 +615,120 @@ def test_block_suite_reports_do_not_depend_on_blocks(params, monkeypatch):
         [repr(SUITES[cfg.suite].case(cfg, idx)) for idx, _ in rep.cases]
 
 
-# the per-case function with which a classical block retries a case whose
-# first sampling attempt is rejected
-_RETRY = {"classical-lybe": "_lybe_case", "classical-fte": "_fte_case",
-          "symplectic": "_symplectic_case", "geometry-flip": "_geometry_flip_case",
-          "miquel": "_miquel_case"}
+# (suite, seed, control, repr of max_residual, worst_case) of the six
+# classical suites with blocks, at their default samples; every value read
+# before the blocks sampled in rounds and dodecahedron ran on stacks
+CLASSICAL_BLOCK_PINS = [
+    ("classical-lybe", 7, False, "1.1579626146840383e-13", 959),
+    ("classical-lybe", 7, True, "11.926444799652213", 959),
+    ("classical-lybe", 20240501, False, "3.659295089164516e-13", 624),
+    ("classical-lybe", 20240501, True, "17.98193050904998", 624),
+    ("classical-lybe", 183, False, "1.4603029896420594e-10", 393),
+    ("classical-lybe", 183, True, "5033.6472656343385", 393),
+    ("classical-fte", 7, False, "2.6201263381153694e-14", 57),
+    ("classical-fte", 7, True, "0.5647810101992476", 83),
+    ("classical-fte", 20240501, False, "3.730349362740526e-13", 35),
+    ("classical-fte", 20240501, True, "19.777320321810656", 35),
+    ("classical-fte", 183, False, "6.252776074688882e-13", 68),
+    # the control at seed 183 aborts: test_classical_fte_control_still_aborts_at_seed_183
+    ("symplectic", 7, False, "6.616929226765933e-14", 76),
+    ("symplectic", 7, True, "1.749649003209443", 10),
+    ("symplectic", 20240501, False, "2.0650148258027912e-14", 94),
+    ("symplectic", 20240501, True, "1.5641740277872764", 94),
+    ("symplectic", 183, False, "2.8199664825478976e-14", 1),
+    ("symplectic", 183, True, "1.389106521816139", 1),
+    ("geometry-flip", 7, False, "1.88411095042053e-15", 2),
+    ("geometry-flip", 7, True, "0.008297532219528713", 28),
+    ("geometry-flip", 20240501, False, "2.220446049250313e-15", 9),
+    ("geometry-flip", 20240501, True, "0.007916801625888663", 24),
+    ("geometry-flip", 183, False, "2.0137621733714643e-15", 7),
+    ("geometry-flip", 183, True, "0.00644620936662294", 21),
+    ("miquel", 7, False, "2.5535129566378585e-15", 43),
+    ("miquel", 7, True, "0.007759352485415365", 40),
+    ("miquel", 20240501, False, "2.6645352591003765e-15", 7),
+    ("miquel", 20240501, True, "0.005995391847059203", 47),
+    ("miquel", 183, False, "3.774758283725542e-15", 20),
+    ("miquel", 183, True, "0.008997785593510008", 40),
+    ("dodecahedron", 7, False, "2.7555010819726127e-15", 21),
+    ("dodecahedron", 7, True, "0.28390834121502534", 15),
+    ("dodecahedron", 20240501, False, "2.2261632763337994e-15", 16),
+    ("dodecahedron", 20240501, True, "0.3228207323291809", 18),
+    ("dodecahedron", 183, False, "3.1046568547376115e-15", 7),
+    ("dodecahedron", 183, True, "0.018765140923210927", 2),
+]
+
+
+@pytest.mark.parametrize("suite, seed, perturb, max_residual, worst_case", CLASSICAL_BLOCK_PINS)
+def test_classical_block_reports_are_pinned(suite, seed, perturb, max_residual, worst_case):
+    rep = run_suite(SuiteConfig(suite=suite, seed=seed, perturb=perturb))
+    assert (repr(rep.max_residual), rep.worst_case) == (max_residual, worst_case)
+
+
+def test_classical_fte_control_still_aborts_at_seed_183():
+    # ROADMAP item 8: the control's a1 x 1.01 leaves the real domain at case
+    # 68; its block raises the error the case raises alone
+    message = ("domain exit at flip 2 on faces (2, 4, 6): negative radicand "
+               "-0.001273133103135482 in real mode")
+    cfg = SuiteConfig(suite="classical-fte", seed=183, perturb=True)
+    for run in (lambda: SUITES[cfg.suite].case(cfg, 68), lambda: run_suite(cfg)):
+        with pytest.raises(DomainError) as exc:
+            run()
+        assert str(exc.value) == message
+
+
+def test_stack_map_drops_every_row_a_guard_flags_in_one_step():
+    # one guard flags rows 2, 5 and 9 of a 12-row stack: they are dropped
+    # together, so fn runs twice, not four times, and each kept row reads
+    # what it reads mapped alone
+    from qlattice import classical_map as cm
+    from qlattice.harness import suites
+
+    calls = []
+
+    def fn(rows):
+        calls.append(rows.tolist())
+        cm._guard(np.isin(rows, [2, 5, 9]), DomainError, "stand-in guard")
+        return np.sin(rows * 0.7 + 0.1).tolist()
+
+    kept, res = suites._stack_map(fn, range(12))
+    assert len(calls) == 2 and calls[1] == [0, 1, 3, 4, 6, 7, 8, 10, 11]
+    assert kept.tolist() == calls[1]
+    assert res == [fn(np.array([row]))[0] for row in kept]
+
+
+def test_symplectic_block_maps_a_round_once_per_failing_guard(monkeypatch):
+    # within a round, symplectic_admissible runs once per guard that fails
+    # on its stack and once more: no guard, by its call path, fails twice
+    from qlattice import classical_map as cm
+    from qlattice.harness import suites
+
+    admissible = cm.symplectic_admissible
+    rounds = [[]]  # per round, the call path of each guard that failed
+
+    def recording(x):
+        try:
+            out = admissible(x)
+        except DomainError as exc:
+            rounds[-1].append(tuple((f.filename, f.lineno)
+                                    for f in traceback.extract_tb(exc.__traceback__)))
+            raise
+        rounds.append([])
+        return out
+
+    cfg = SuiteConfig(suite="symplectic", samples=32)
+    with monkeypatch.context() as patch:
+        patch.setattr(cm, "symplectic_admissible", recording)
+        block = suites._symplectic_block(cfg, range(32))
+    assert block == [SUITES[cfg.suite].case(cfg, idx) for idx in range(32)]
+    failed = rounds[:-1]
+    assert len(failed) >= 3 and any(failed)
+    assert all(len(set(paths)) == len(paths) for paths in failed)
+
+
+# the per-case function of each classical block suite
+_CASE = {"classical-lybe": "_lybe_case", "classical-fte": "_fte_case",
+         "symplectic": "_symplectic_case", "geometry-flip": "_geometry_flip_case",
+         "miquel": "_miquel_case"}
 
 
 def _first_attempt_rejected(cfg, idx):
@@ -642,35 +754,85 @@ def _first_attempt_rejected(cfg, idx):
 
 
 def _run_recording_retries(cfg, monkeypatch):
-    """The report of cfg and the cases its blocks retried one at a time."""
+    """The report of cfg and the cases its blocks ran one at a time."""
     from qlattice.harness import suites
 
-    name = _RETRY[cfg.suite]
+    name = _CASE[cfg.suite]
     case = getattr(suites, name)
     retried = []
     monkeypatch.setattr(suites, name, lambda cfg, idx: retried.append(idx) or case(cfg, idx))
     return run_suite(cfg), retried
 
 
+def _refuse(*args):
+    raise AssertionError("a block ran a case alone")
+
+
 @pytest.mark.parametrize("suite, samples", [
     ("classical-lybe", 64), ("classical-fte", 20), ("symplectic", 32), ("miquel", 100)])
 def test_blocks_retry_rejected_first_attempts_as_one_case(suite, samples, monkeypatch):
-    # a block maps every case's first attempt as one stack and retries
-    # exactly the cases whose first attempt fails, each from its own stream:
-    # every row reads case(cfg, idx).  At seed 20240501 the rejected cases
-    # here are 4 of 64, 7 of 40, 17 of 32 and 2 of 100.
-    cfg = SuiteConfig(suite=suite, samples=samples, keep_cases=True)
-    rep, retried = _run_recording_retries(cfg, monkeypatch)
-    rejected = [idx for idx, _ in rep.cases if _first_attempt_rejected(cfg, idx)]
-    assert retried == rejected and rejected
-    assert [repr(res) for _, res in rep.cases] == \
-        [repr(SUITES[suite].case(cfg, idx)) for idx, _ in rep.cases]
+    # the lybe, fte and symplectic blocks draw every later attempt in rounds
+    # of stacks: they call neither their one-case function nor case_rng, and
+    # every row reads case(cfg, idx).  miquel maps first attempts only and
+    # retries exactly the cases whose first attempt fails, each alone.  At
+    # seeds 7 and 20240501 the rejected cases here are 10 and 4 of 64, 9 and
+    # 7 of 40, 17 and 17 of 32, and 1 and 2 of 100.
+    from qlattice.harness import suites
+
+    for seed in (7, 20240501):
+        cfg = SuiteConfig(suite=suite, seed=seed, samples=samples, keep_cases=True)
+        with monkeypatch.context() as patch:
+            if suite == "miquel":
+                rep, retried = _run_recording_retries(cfg, patch)
+            else:
+                patch.setattr(suites, _CASE[suite], _refuse)
+                patch.setattr(suites, "case_rng", _refuse)
+                rep, retried = run_suite(cfg), []
+        rejected = [idx for idx, _ in rep.cases if _first_attempt_rejected(cfg, idx)]
+        assert rejected and retried == (rejected if suite == "miquel" else [])
+        assert [repr(res) for _, res in rep.cases] == \
+            [repr(SUITES[suite].case(cfg, idx)) for idx, _ in rep.cases]
+
+
+@pytest.mark.parametrize("suite", ["classical-lybe", "classical-fte", "symplectic"])
+def test_a_case_rejected_at_every_attempt_raises_its_samplers_error(suite, monkeypatch):
+    # a stand-in map rejects every attempt of case 3, which it knows by the
+    # first face's k.  The block's rounds reach the sampler's cap, and the
+    # case then runs alone and raises, through the block, the error its
+    # sampler raises at the cap
+    from qlattice import classical_map as cm
+
+    cap, draw, sampler = {
+        "classical-lybe": (cm.FRONT_ATTEMPTS, lambda rng: cm.draw_angles(rng, 3),
+                           cm.sample_admissible_front),
+        "classical-fte": (cm.SIX_ATTEMPTS, lambda rng: cm.draw_angles(rng, 6),
+                          cm.sample_admissible_six),
+        "symplectic": (cm.SYMPLECTIC_ATTEMPTS, cm.draw_symplectic, cm.sample_symplectic_state),
+    }[suite]
+    cfg = SuiteConfig(suite=suite, samples=6)
+    rng = case_rng(cfg.seed, 3)
+    marked = [cm.triples(draw(rng))[0].k for _ in range(cap)]
+    flip = cm.map_r123
+
+    def stand_in(t1, t2, t3, eps=1):
+        cm._guard(np.isin(t1.k, marked), DomainError, "stand-in rejection")
+        return flip(t1, t2, t3, eps=eps)
+
+    monkeypatch.setattr(cm, "map_r123", stand_in)
+    with pytest.raises(DomainError) as alone:
+        sampler(case_rng(cfg.seed, 3))
+    with pytest.raises(DomainError) as blocked:
+        _run_recording_retries(cfg, monkeypatch)
+    assert str(alone.value).startswith("could not sample")
+    assert (type(blocked.value), str(blocked.value)) == (type(alone.value), str(alone.value))
 
 
 def test_geometry_flip_block_drops_and_retries_failed_first_attempts(monkeypatch):
     # no first attempt of random_quad_hexahedron failed in the first 1,500
     # cases at seed 20240501, so a stand-in attempt raises on case 3's first
-    # draws, as a degenerate flip does, and rejects case 9's
+    # draws, as a degenerate flip does, and rejects case 9's.  Both draw
+    # their second attempt in the block's second round, and no case runs
+    # alone
     cfg = SuiteConfig(suite="geometry-flip", samples=20, keep_cases=True)
     plain = run_suite(cfg)
     first_x0 = {idx: geo.quad_draws(case_rng(cfg.seed, idx))[0][0] for idx in (3, 9)}
@@ -682,16 +844,53 @@ def test_geometry_flip_block_drops_and_retries_failed_first_attempts(monkeypatch
                             for idx in (3, 9))
         if raised.any():
             raise DegeneracyError("stand-in", index=np.unravel_index(np.argmax(raised),
-                                                                     raised.shape))
+                                                                     raised.shape),
+                                  flags=raised)
         return h, accepted & ~rejected
 
     monkeypatch.setattr(geo, "quad_attempt", stand_in)
     rep, retried = _run_recording_retries(cfg, monkeypatch)
-    assert retried == [3, 9]
+    assert retried == []
     assert [repr(res) for _, res in rep.cases] == \
         [repr(SUITES[cfg.suite].case(cfg, idx)) for idx, _ in rep.cases]
     changed = [idx for (idx, res), (_, old) in zip(rep.cases, plain.cases) if res != old]
     assert changed == [3, 9]
+
+
+def test_dodecahedron_flips_a_block_as_one_stack(monkeypatch):
+    # four hex_flip calls per block, each on the (2, B) stack of both
+    # dissections of every case
+    from qlattice.harness import suites
+
+    shapes, flip = [], geo.hex_flip
+    monkeypatch.setattr(geo, "hex_flip", lambda *x: shapes.append(x[0].shape[:-1]) or flip(*x))
+    rep = run_suite(SuiteConfig(suite="dodecahedron", samples=40))
+    assert rep.passed
+    assert shapes == [(2, suites.BLOCK_CASES)] * 4 + [(2, 40 - suites.BLOCK_CASES)] * 4
+
+
+def test_a_degenerate_dodecahedron_case_raises_its_own_error_through_the_block(monkeypatch):
+    # a stand-in makes case 5's surface degenerate at the first flip of
+    # dissection A: its block runs case by case, and the suite raises the
+    # error the case raises alone
+    from qlattice.harness import suites
+
+    cfg = SuiteConfig(suite="dodecahedron", samples=10)
+    surface = suites._dodeca_surface
+    x1 = surface(cfg, case_rng(cfg.seed, 5))[1]
+
+    def stand_in(cfg, rng):
+        s = surface(cfg, rng)
+        if np.array_equal(s[1], x1):
+            s[2] = 2 * s[4] - s[6]
+        return s
+
+    monkeypatch.setattr(suites, "_dodeca_surface", stand_in)
+    message = "dissection A flip 0 degenerate: plane 0 is degenerate"
+    with pytest.raises(DegeneracyError, match=message):
+        SUITES[cfg.suite].case(cfg, 5)
+    with pytest.raises(DegeneracyError, match=message):
+        run_suite(cfg)
 
 
 def test_classical_lybe_still_fails_at_seed_183_through_the_block():
