@@ -26,8 +26,9 @@ The transforms and the map take Python scalars or equal-shaped numpy arrays
 (stacks) through one body; a call on scalars uses the math module only.
 Real input stays real and meets the real-domain guards; complex input takes
 the principal branch of every root and arccos, which is what the
-complex-step Jacobian evaluates.  A guard on a stack names its first
-failing item in C order, and its error carries the stack of items it flags.
+complex-step Jacobian evaluates.  A guard on a stack fails on its first
+failing item in C order: the error's message reads that item's values, its
+index is the item's position, and its flags are the stack of items it flags.
 """
 
 from __future__ import annotations
@@ -43,16 +44,16 @@ from .errors import DomainError, SingularityError
 
 EPS_CLASSICAL = +1
 
-# the samplers' attempts per case: sample_admissible_front,
-# sample_admissible_six and sample_symplectic_state
+# the attempts per case of the samplers of a flippable front (three faces),
+# of a six-face state both FTE orderings map, and of a symplectic state
 FRONT_ATTEMPTS, SIX_ATTEMPTS, SYMPLECTIC_ATTEMPTS = 200, 500, 500
 
 
 def _guard(bad, error, message, *values):
     """Raise error(message % values) if bad holds.  For a stack of flags the
-    first true item in C order fails: the message and the error's index name
-    it, each value that is a stack is taken at it, and the error's flags are
-    the stack."""
+    first true item in C order fails: each value that is a stack is taken at
+    it, so the message reads what the item reads alone, the error's index is
+    its position and the error's flags are the stack."""
     if bad is False:  # a scalar that passes, the common case
         return
     if isinstance(bad, np.ndarray):
@@ -68,7 +69,7 @@ def _item_error(bad, error, message, values):
     # alive until the garbage collector runs
     at = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
     values = tuple(v[at].item() if isinstance(v, np.ndarray) else v for v in values)
-    exc = error("item %s: %s" % (at, message % values))
+    exc = error(message % values)
     exc.index, exc.flags = at, bad
     return exc
 
@@ -235,25 +236,13 @@ def draw_angles(rng, n: int):
 def triples(angles):
     """The n triples of angles (..., 2n) = (alpha, beta, alpha, ...), from
     one angles_to_circular call: each a stack over the leading axes, or of
-    Python floats for one draw (2n,).  A per-case sampler and a block of
-    cases convert their draws through this one call, so a case reads the
-    same triples on both paths."""
+    Python floats for one draw (2n,).  A block of cases converts the stack
+    of its attempts' draws through this one call, so a case reads the same
+    triples in a block of any size."""
     t = angles_to_circular(angles[..., 0::2], angles[..., 1::2])
     parts = [x.tolist() if x.ndim == 1 else [x[..., j] for j in range(x.shape[-1])]
              for x in (t.k, t.a, t.a_star)]
     return [CircularTriple(*kas) for kas in zip(*parts)]
-
-
-def sample_admissible_front(rng, eps=EPS_CLASSICAL):
-    """Three triples for which one flip stays in the real domain, and their
-    flip: (front, back)."""
-    for _ in range(FRONT_ATTEMPTS):
-        front = tuple(triples(draw_angles(rng, 3)))
-        try:
-            return front, map_r123(*front, eps=eps)
-        except DomainError:
-            continue
-    raise DomainError("could not sample an admissible front state")
 
 
 # ---------------------------------------------------------------------------
@@ -297,18 +286,6 @@ def functional_tetrahedron_residual(state, eps=EPS_CLASSICAL) -> float:
     return state_difference(*fte_sides(state, eps))
 
 
-def sample_admissible_six(rng, eps=EPS_CLASSICAL):
-    """Six triples on which both four-flip orderings stay in the real domain,
-    and those orderings: (state, lhs, rhs)."""
-    for _ in range(SIX_ATTEMPTS):
-        state = triples(draw_angles(rng, 6))
-        try:
-            return (state, *fte_sides(state, eps))
-        except DomainError:
-            continue
-    raise DomainError("could not sample an admissible six-face state")
-
-
 # ---------------------------------------------------------------------------
 # symplectic structure
 # ---------------------------------------------------------------------------
@@ -341,7 +318,7 @@ COMPLEX_STEP = 1e-20
 
 
 def draw_symplectic(rng):
-    """One draw of an angle state for sample_symplectic_state."""
+    """One attempt's draw of the symplectic sampler: an angle state."""
     return rng.uniform(0.22 * math.pi, 0.43 * math.pi, 6)
 
 
@@ -352,19 +329,6 @@ def symplectic_admissible(x):
     the map names a state it fails on by exc.index[0]."""
     y = angle_map(x[..., None, :] + _STENCIL)[..., 0, :]
     return np.all((y > _ANGLE_MARGIN) & (y < math.pi - _ANGLE_MARGIN), axis=-1)
-
-
-def sample_symplectic_state(rng):
-    """Random angle state interior to the admissible domain: the first draw
-    that symplectic_admissible accepts."""
-    for _ in range(SYMPLECTIC_ATTEMPTS):
-        x = draw_symplectic(rng)
-        try:
-            if symplectic_admissible(x):
-                return x
-        except DomainError:
-            continue
-    raise DomainError("could not sample a margin-interior symplectic state")
 
 
 def jacobian(fn, x) -> np.ndarray:

@@ -285,19 +285,20 @@ def _convex(frame):
     return ~reflex.any(axis=-1) & ((0.05 < ang) & (ang < math.pi - 0.05)).all(axis=-1)
 
 
-# The samplers below draw one attempt's numbers with *_draws(rng) and build
-# and test it with *_attempt(draws), which take one attempt's draws or a
-# stack of many cases' attempts: a hexahedron (of stacks) and whether it is
-# accepted.  A DegeneracyError of an attempt names its failing item and
-# flags every item that fails.  QUAD_ATTEMPTS is random_quad_hexahedron's
-# number of attempts.
-QUAD_ATTEMPTS = 200
+# The two hexahedron samplers draw one attempt's numbers with *_draws(rng)
+# and build and test it with *_attempt(draws), which take one attempt's
+# draws or a stack of many cases' attempts: a hexahedron (of stacks) and
+# whether it is accepted.  A DegeneracyError of an attempt names its failing
+# item and flags every item that fails.  A case takes up to QUAD_ATTEMPTS
+# attempts of a quadrilateral hexahedron (on stacks, in harness.suites)
+# and CIRCULAR_ATTEMPTS of a circular one (random_circular_hexahedron).
+QUAD_ATTEMPTS, CIRCULAR_ATTEMPTS = 200, 500
 
 
 def quad_draws(rng):
-    """The draws of one attempt of random_quad_hexahedron, in order: the
-    offsets of x0 from 0 and of x1, x2, x3 from e1, e2, e3, then the (s, t)
-    of x12, x13 and x23."""
+    """The draws of one attempt of a quadrilateral hexahedron, in order:
+    the offsets of x0 from 0 and of x1, x2, x3 from e1, e2, e3, then the
+    (s, t) of x12, x13 and x23."""
     return ([rng.normal(0, 0.05, 3)] + [rng.normal(0, 0.12, 3) for _ in range(3)],
             [rng.uniform(0.8, 1.25, 2) for _ in range(3)])
 
@@ -314,18 +315,6 @@ def quad_attempt(offsets, coefficients):
     h = Hexahedron(x0, x1, x2, x3, x12, x13, x23, hex_flip(x0, x1, x2, x3, x12, x13, x23))
     frame = _frame(h.faces())
     return h, _convex(frame).all(axis=-1) & (_flatness(frame[2]).max(axis=-1) < 1e-10)
-
-
-def random_quad_hexahedron(rng) -> Hexahedron:
-    """Generic hexahedron with planar, convex faces."""
-    for _ in range(QUAD_ATTEMPTS):
-        try:
-            h, accepted = quad_attempt(*quad_draws(rng))
-        except DegeneracyError:
-            continue
-        if accepted:
-            return h
-    raise DegeneracyError("failed to sample a convex quadrilateral hexahedron")
 
 
 def circle_through(p1, p2, p3):
@@ -409,14 +398,15 @@ def random_circular_hexahedron(rng) -> Hexahedron:
     """Hexahedron with concyclic faces, built on the unit sphere by choosing
     the three extra front points on the circles through (x0, xi, xj) and
     flipping; the back faces are then concyclic by the Miquel configuration."""
-    for _ in range(500):
+    for _ in range(CIRCULAR_ATTEMPTS):
         try:
             h, accepted = circular_attempt(*circular_draws(rng))
         except DegeneracyError:
             continue
         if accepted:
             return h
-    raise DegeneracyError("failed to sample a circular hexahedron")
+    raise DegeneracyError("failed to sample a circular hexahedron in %d attempts"
+                          % CIRCULAR_ATTEMPTS)
 
 
 def _unit(v):

@@ -25,11 +25,17 @@ def case_rngs(seed: int, cases):
     """Yield, for each index in cases, a generator that draws what
     case_rng(seed, index) draws.  One Philox is re-keyed per case (counter
     0, empty buffer), which a counter-based generator allows, so each
-    yielded generator is valid only until the next one is yielded."""
+    yielded generator is valid only until the next one is yielded.  A
+    caller that draws more of a case's stream later keeps the generator's
+    bit_generator.state after its draws and sets it back first
+    (suites._sample)."""
     bits = np.random.Philox(key=_key(seed, 0))
     gen = np.random.Generator(bits)
+    # the fresh state (counter 0, empty buffer), whose key word 1 each case
+    # sets in place: the state setter copies the arrays
     state = bits.state
+    key = state["state"]["key"]
     for idx in cases:
-        state["state"] = {"counter": np.zeros(4, dtype=np.uint64), "key": _key(seed, idx)}
+        key[1] = idx & 0xFFFFFFFFFFFFFFFF
         bits.state = state
         yield gen

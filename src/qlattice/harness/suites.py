@@ -2,27 +2,28 @@
 for every identity the package checks, plus their negative controls.
 
 Each suite declares a default tolerance and sample count, a case count and
-a case function mapping (config, case index) to a residual, or a block
+either a case function mapping (config, case index) to a residual or a block
 function mapping (config, case indices) to their residuals in one array
-call, or both.  The runner hands out fixed blocks of BLOCK_CASES
-consecutive cases, and per-case inputs come from counter-based streams, so
-neither the worker count nor the block size can change a case.  With
-perturb=True a suite applies its documented deliberate corruption and the
-report then passes only if the residual EXCEEDS the tolerance.
+call.  The runner hands out fixed blocks of BLOCK_CASES consecutive cases,
+and per-case inputs come from counter-based streams, so neither the worker
+count nor the block size can change a case.  With perturb=True a suite
+applies its documented deliberate corruption and the report then passes
+only if the residual EXCEEDS the tolerance.
 
-Block suites: fock-te, cyclic-te-irc and cyclic-cross-form (block only),
-and classical-lybe, classical-fte, symplectic, geometry-flip, miquel and
-dodecahedron (block and case).  A sampled classical block runs its cases'
-samplers in rounds (_rounds): round k draws attempt k of every case that no
-earlier round accepted, from case_rngs with the calls its sampler makes, in
-order, and maps those attempts as one stack through the same kernels.  A
-guard that fails on a stack drops every item it flags, and the rest are
-mapped again (_stack_map).  miquel takes one round (see _miquel_block).  A
-case that reaches its sampler's cap, or whose accepted attempt fails a later
-guard, runs through its case function, which draws its stream anew from
-case_rng, so each row equals case(cfg, idx) and a failing case raises its
-own error.  dodecahedron flips both dissections of every case of a block as
-one stack, and a block a flip fails on runs case by case.  covariant and the
+Block suites: fock-te, cyclic-te-irc, cyclic-cross-form, classical-lybe,
+classical-fte, symplectic, geometry-flip, miquel and dodecahedron; a case
+run alone is a block of one.  A sampled classical block draws its cases'
+attempts by rejection on stacks, in rounds (_sample): round k draws attempt
+k of every case that no earlier round accepted, each case's stream resumed
+where its attempt k - 1 left it, and maps those attempts as one stack
+through the same kernels.  A guard that fails on a stack drops every item
+it flags, and the rest are mapped again (_stack_map).  A case that reaches
+its sampler's cap raises the sampler's error, and one whose accepted
+attempt fails a later guard that guard's error, as it does alone; the
+lowest failing case of a block raises.  miquel takes one round and samples
+each case whose first attempt is rejected alone (see _miquel_attempt).
+dodecahedron flips both dissections of every case of a block as one stack,
+and a block a flip fails on runs as blocks of one.  covariant and the
 remaining suites run case by case.
 """
 
@@ -91,11 +92,12 @@ class SuiteConfig:
 
 @dataclass(frozen=True)
 class Suite:
-    """A suite gives case, block or both; with block alone, case is made
-    from it.  The runner calls block where there is one and loops case over
-    a block of cases otherwise.  A block function returns its cases'
-    residuals as Python floats, in order, each the value case reads; where
-    case raises, the block raises the same error."""
+    """A suite gives case or block; with block, case is made from it as a
+    block of one.  The runner calls block where there is one and loops case
+    over a block of cases otherwise.  A block function returns its cases'
+    residuals as Python floats, in order, each the value its block of one
+    reads; where blocks of one raise, the block raises the error of the
+    first of them."""
 
     default_tol: float
     default_samples: int
@@ -116,58 +118,73 @@ class Suite:
 # ---------------------------------------------------------------------------
 
 def _stack_map(fn, rows):
-    """(rows kept, fn(rows kept)): fn maps the stack of the given rows of a
-    block in one call.  A guard that fails flags its items of that stack in
-    exc.flags; those rows are dropped together and the rest mapped again,
-    every guard unchanged, so each kept row reads what it reads alone and fn
-    runs once per guard that fails and once more."""
+    """(rows kept, fn(rows kept), errors): fn maps the stack of the given
+    rows of a block in one call.  A guard that fails flags its items of
+    that stack in exc.flags; those rows are dropped together and the rest
+    mapped again, every guard unchanged, so each kept row reads what it
+    reads alone and fn runs once per guard that fails and once more.
+    errors maps the first row that each failing guard flags to the guard's
+    error, which is the error that row raises alone (its traceback dropped,
+    so that it keeps no stack of the call alive)."""
     rows = np.asarray(rows, dtype=np.intp)
+    errors = {}
     while rows.size:
         try:
-            return rows, fn(rows)
+            return rows, fn(rows), errors
         except (DomainError, DegeneracyError) as exc:
             if exc.flags is None:
                 raise
-            rows = rows[~np.reshape(exc.flags, (rows.size, -1)).any(axis=1)]
-    return rows, []
+            flagged = np.reshape(exc.flags, (rows.size, -1)).any(axis=1)
+            errors[int(rows[flagged.argmax()])] = exc.with_traceback(None)
+            rows = rows[~flagged]
+    return rows, [], errors
 
 
-def _rounds(seed, cases, rows, draw, cap, attempt, then=lambda rng: ()):
-    """The residuals, by row, of the cases at rows of a block, each sampled
-    as its one-case sampler samples it, but on stacks, in rounds.
+def _resumed(rng, state):
+    rng.bit_generator.state = state
+    return rng
 
-    Round k draws attempt k of every case that no earlier round accepted:
-    case_rngs keys the case's stream anew, the k - 1 attempts before it are
-    drawn again and dropped, and draw(rng) draws the attempt, so it holds
-    what the sampler's k-th draw(rng) holds; then(rng) draws what the case
-    draws after an accepted attempt.  attempt(*draws), each draw stacked
-    over the round's attempts, returns the positions in that stack that
-    the sampler accepts (those no guard of it fails, see _stack_map, and
-    its test passes) and (the positions whose residual it took, those
-    residuals).  A row still rejected after cap rounds, the sampler's
-    number of attempts, has no residual, nor has an accepted row whose
-    residual failed a guard; _with_retries runs those through case."""
-    residuals = {}
-    pending = np.asarray(rows, dtype=np.intp)
-    for k in range(cap):
-        if not pending.size:
+
+def _sample(rngs, draw, cap, attempt, error, then=lambda rng: ()):
+    """The values of the rows of a block, one row per generator that rngs
+    yields, each that of the first of its attempts that its sampler
+    accepts: rejection sampling on stacks, in rounds.
+
+    Round k draws attempt k of every row that no earlier round accepted.
+    draw(rng) draws it where the row's previous attempt left its stream
+    (the bit generator's state after each draw is kept and set again, so
+    rngs may yield one generator re-keyed per row, as case_rngs does), and
+    then(rng) draws what the row draws after an accepted attempt.
+    attempt(*draws), each draw stacked over the round's rows, returns the
+    positions in that stack that the sampler accepts (those no guard of it
+    fails, see _stack_map, and its test passes) and a function that takes
+    indices into those positions and maps their values as one stack.  A
+    row still rejected after cap rounds fails with error, and an accepted
+    row whose value fails a guard with that guard's error, as it does in a
+    block of one; the lowest failing row raises."""
+    values, failed, states = {}, {}, {}
+    streams = enumerate(rngs)
+    for _ in range(cap):
+        rows, draws = [], []
+        for row, rng in streams:
+            drawn = draw(rng)
+            states[row] = rng, rng.bit_generator.state
+            rows.append(row)
+            draws.append((*drawn, *then(rng)))
+        if not rows:
             break
-        draws = []
-        for rng in case_rngs(seed, [cases[i] for i in pending]):
-            for _ in range(k):
-                draw(rng)
-            draws.append((*draw(rng), *then(rng)))
-        accepted, (done, res) = attempt(*map(np.array, zip(*draws)))
-        residuals.update(zip(pending[done].tolist(), res))
-        pending = np.delete(pending, accepted)
-    return residuals
-
-
-def _with_retries(cfg, cases, residuals, case):
-    """The block's residuals: residuals[i] at each row i that has one, and
-    case(cfg, idx) for every other case, which draws its stream anew from
-    case_rng and so reads, or raises, what it does alone."""
-    return [residuals[i] if i in residuals else case(cfg, idx) for i, idx in enumerate(cases)]
+        rows = np.array(rows)
+        accepted, value = attempt(*map(np.array, zip(*draws)))
+        done, res, errors = _stack_map(value, range(len(accepted)))
+        values.update(zip(rows[accepted[done]].tolist(), res))
+        failed.update((int(rows[accepted[at]]), exc) for at, exc in errors.items())
+        pending = np.delete(rows, accepted).tolist()
+        streams = ((row, _resumed(*states[row])) for row in pending)
+    else:  # cap rounds ran: the rows they left rejected fail
+        failed.update(dict.fromkeys(pending, error))
+    if failed:
+        raise failed[min(failed)]
+    return [values[row] for row in range(len(values))]
 
 
 def _lybe_residual(cfg, front, back):
@@ -176,24 +193,21 @@ def _lybe_residual(cfg, front, back):
     return cm.local_yang_baxter_residual(front, back)
 
 
-def _lybe_case(cfg, idx):
-    return _lybe_residual(cfg, *cm.sample_admissible_front(case_rng(cfg.seed, idx)))
-
-
 def _lybe_attempt(cfg, angles):
     def mapped(pos):
         front = cm.triples(angles[pos])
         return _lybe_residual(cfg, front, cm.map_r123(*front))
 
-    # the residual has no guard of its own, so each accepted row is done
-    accepted, res = _stack_map(mapped, range(len(angles)))
-    return accepted, (accepted, res)
+    # the residual has no guard, so it is taken with the flip that accepts
+    accepted, res, _ = _stack_map(mapped, range(len(angles)))
+    return accepted, lambda at: [res[i] for i in at]
 
 
 def _lybe_block(cfg, cases):
-    return _with_retries(cfg, cases, _rounds(
-        cfg.seed, cases, range(len(cases)), lambda rng: (cm.draw_angles(rng, 3),),
-        cm.FRONT_ATTEMPTS, partial(_lybe_attempt, cfg)), _lybe_case)
+    return _sample(case_rngs(cfg.seed, cases), lambda rng: (cm.draw_angles(rng, 3),),
+                   cm.FRONT_ATTEMPTS, partial(_lybe_attempt, cfg), DomainError(
+                       "could not sample an admissible front state in %d attempts"
+                       % cm.FRONT_ATTEMPTS))
 
 
 def _fte_eps(cfg, idx):
@@ -208,12 +222,6 @@ def _fte_residual(cfg, state, lhs, rhs, eps):
     return cm.state_difference(lhs, rhs)
 
 
-def _fte_case(cfg, idx):
-    eps = _fte_eps(cfg, idx)
-    state, lhs, rhs = cm.sample_admissible_six(case_rng(cfg.seed, idx), eps=eps)
-    return _fte_residual(cfg, state, lhs, rhs, eps)
-
-
 def _take(triples, at):
     """The items at of a list of stacked triples."""
     return [cm.CircularTriple(t.k[at], t.a[at], t.a_star[at]) for t in triples]
@@ -224,20 +232,18 @@ def _fte_attempt(cfg, eps, angles):
         state = cm.triples(angles[pos])
         return [state, *cm.fte_sides(state, eps)]
 
-    accepted, mapped = _stack_map(sides, range(len(angles)))
-    done, res = _stack_map(
-        lambda at: _fte_residual(cfg, *(_take(t, at) for t in mapped), eps), range(len(accepted)))
-    return accepted, (accepted[done], res)
+    accepted, mapped, _ = _stack_map(sides, range(len(angles)))
+    return accepted, lambda at: _fte_residual(cfg, *(_take(t, at) for t in mapped), eps)
 
 
 def _fte_block(cfg, cases):
-    """The cases of each branch eps = +1, -1 of the block, in rounds of
-    their own."""
-    eps = np.array([_fte_eps(cfg, idx) for idx in cases])
-    return _with_retries(cfg, cases, {
-        row: res for e in (1, -1) for row, res in _rounds(
-            cfg.seed, cases, np.flatnonzero(eps == e), lambda rng: (cm.draw_angles(rng, 6),),
-            cm.SIX_ATTEMPTS, partial(_fte_attempt, cfg, e)).items()}, _fte_case)
+    """The cases of branch eps = +1 of the block, then those of -1, which
+    all come after them, each branch sampled on its own."""
+    return [res for e in (1, -1) for res in _sample(
+        case_rngs(cfg.seed, [idx for idx in cases if _fte_eps(cfg, idx) == e]),
+        lambda rng: (cm.draw_angles(rng, 6),), cm.SIX_ATTEMPTS, partial(_fte_attempt, cfg, e),
+        DomainError("could not sample an admissible six-face state in %d attempts"
+                    % cm.SIX_ATTEMPTS))]
 
 
 def _sheared_map(y):
@@ -252,20 +258,18 @@ def _symplectic_residual(cfg, x):
     return cm.symplectic_residual(x, _sheared_map if cfg.perturb else cm.angle_map)
 
 
-def _symplectic_case(cfg, idx):
-    return _symplectic_residual(cfg, cm.sample_symplectic_state(case_rng(cfg.seed, idx)))
-
-
 def _symplectic_attempt(cfg, x):
-    kept, admissible = _stack_map(lambda pos: cm.symplectic_admissible(x[pos]), range(len(x)))
+    kept, admissible, _ = _stack_map(lambda pos: cm.symplectic_admissible(x[pos]),
+                                     range(len(x)))
     accepted = kept[admissible]
-    return accepted, _stack_map(lambda pos: _symplectic_residual(cfg, x[pos]), accepted)
+    return accepted, lambda at: _symplectic_residual(cfg, x[accepted[at]])
 
 
 def _symplectic_block(cfg, cases):
-    return _with_retries(cfg, cases, _rounds(
-        cfg.seed, cases, range(len(cases)), lambda rng: (cm.draw_symplectic(rng),),
-        cm.SYMPLECTIC_ATTEMPTS, partial(_symplectic_attempt, cfg)), _symplectic_case)
+    return _sample(case_rngs(cfg.seed, cases), lambda rng: (cm.draw_symplectic(rng),),
+                   cm.SYMPLECTIC_ATTEMPTS, partial(_symplectic_attempt, cfg), DomainError(
+                       "could not sample a margin-interior symplectic state in %d attempts"
+                       % cm.SYMPLECTIC_ATTEMPTS))
 
 
 # the three faces through x123 whose planarity geometry-flip checks, as rows
@@ -292,12 +296,6 @@ def _flip_motion(rng):
     return geo.random_rotation(rng), rng.normal(0, 1.0, 3)
 
 
-def _geometry_flip_case(cfg, idx):
-    rng = case_rng(cfg.seed, idx)
-    h = geo.random_quad_hexahedron(rng)
-    return _flip_residual(cfg, h.vertices(), *_flip_motion(rng))
-
-
 def _accepted_hexahedra(draws, attempt):
     """The positions whose attempt(*draws at those positions) a hexahedron
     sampler accepts, and a (attempts, 8, 3) array that holds the vertices of
@@ -309,20 +307,21 @@ def _accepted_hexahedra(draws, attempt):
         verts[pos] = h.vertices()
         return accepted
 
-    kept, accepted = _stack_map(attempts, range(len(verts)))
+    kept, accepted, _ = _stack_map(attempts, range(len(verts)))
     return kept[accepted], verts
 
 
 def _geometry_flip_attempt(cfg, offsets, coefficients, rot, shift):
     accepted, verts = _accepted_hexahedra((offsets, coefficients), geo.quad_attempt)
-    return accepted, _stack_map(
-        lambda pos: _flip_residual(cfg, verts[pos], rot[pos], shift[pos]), accepted)
+    return accepted, lambda at: _flip_residual(
+        cfg, verts[accepted[at]], rot[accepted[at]], shift[accepted[at]])
 
 
 def _geometry_flip_block(cfg, cases):
-    return _with_retries(cfg, cases, _rounds(
-        cfg.seed, cases, range(len(cases)), geo.quad_draws, geo.QUAD_ATTEMPTS,
-        partial(_geometry_flip_attempt, cfg), then=_flip_motion), _geometry_flip_case)
+    return _sample(case_rngs(cfg.seed, cases), geo.quad_draws, geo.QUAD_ATTEMPTS,
+                   partial(_geometry_flip_attempt, cfg), DegeneracyError(
+                       "failed to sample a convex quadrilateral hexahedron in %d attempts"
+                       % geo.QUAD_ATTEMPTS), then=_flip_motion)
 
 
 def _miquel_residual(cfg, h):
@@ -333,10 +332,6 @@ def _miquel_residual(cfg, h):
     return geo.miquel_check(h).max_residual.tolist()
 
 
-def _miquel_case(cfg, idx):
-    return _miquel_residual(cfg, geo.random_circular_hexahedron(case_rng(cfg.seed, idx)))
-
-
 def _miquel_first_draws(rng):
     """The draws of a first attempt of random_circular_hexahedron, its arc
     fractions drawn at once (list) before case_rngs re-keys the generator."""
@@ -344,22 +339,25 @@ def _miquel_first_draws(rng):
     return direction, offsets, noises, list(fractions)
 
 
-def _miquel_attempt(cfg, *draws):
+def _miquel_attempt(cfg, cases, *draws):
+    """Every case of the block: its first attempt where that is accepted,
+    else the hexahedron random_circular_hexahedron samples alone from its
+    stream, which it draws anew: circular_draws draws an attempt's arc
+    fractions lazily, so an attempt that fails at an arc has drawn only the
+    fractions up to it, which its stacked attempt does not tell."""
     # the arc fractions go to circular_attempt as one stack per arc
     accepted, verts = _accepted_hexahedra(
         draws, lambda *d: geo.circular_attempt(*d[:3], d[3].T))
-    return accepted, _stack_map(
-        lambda pos: _miquel_residual(cfg, geo.Hexahedron(*np.moveaxis(verts[pos], -2, 0))),
-        accepted)
+    for pos in np.delete(np.arange(len(verts)), accepted):
+        verts[pos] = geo.random_circular_hexahedron(case_rng(cfg.seed, cases[pos])).vertices()
+    return np.arange(len(verts)), lambda at: _miquel_residual(
+        cfg, geo.Hexahedron(*np.moveaxis(verts[at], -2, 0)))
 
 
 def _miquel_block(cfg, cases):
-    # one round: circular_draws draws an attempt's arc fractions lazily, so
-    # an attempt that fails at an arc has drawn only the fractions up to it,
-    # which its stacked attempt does not tell; a rejected case runs alone
-    return _with_retries(cfg, cases, _rounds(
-        cfg.seed, cases, range(len(cases)), _miquel_first_draws, 1,
-        partial(_miquel_attempt, cfg)), _miquel_case)
+    # one round, in which every case is accepted (see _miquel_attempt)
+    return _sample(case_rngs(cfg.seed, cases), _miquel_first_draws, 1,
+                   partial(_miquel_attempt, cfg, cases), None)
 
 
 def _dodeca_surface(cfg, rng):
@@ -368,27 +366,19 @@ def _dodeca_surface(cfg, rng):
     return geo.dodeca_initial_surface(verts)
 
 
-def _dodeca_probe(cfg):
-    """The control's shift of dissection B's first computed vertex."""
-    return np.array([1e-2, 0.0, 0.0]) if cfg.perturb else None
-
-
-def _dodeca_case(cfg, idx):
-    return geo.dodecahedron_consistency(_dodeca_surface(cfg, case_rng(cfg.seed, idx)),
-                                        perturb=_dodeca_probe(cfg))
-
-
 def _dodeca_block(cfg, cases):
     """The two dissections of every case of the block as one (2, B) stack
-    per flip; a block a flip fails on runs case by case, so the failing case
-    raises its own error."""
+    per flip; a block of several cases that a flip fails on runs as blocks
+    of one, so the first failing case raises its own error."""
     surfaces = [_dodeca_surface(cfg, rng) for rng in case_rngs(cfg.seed, cases)]
     try:
         return geo.dodecahedron_consistency(
             {m: np.array([s[m] for s in surfaces]) for m in geo.DODECA_INITIAL_MASKS},
-            perturb=_dodeca_probe(cfg))
+            perturb=np.array([1e-2, 0.0, 0.0]) if cfg.perturb else None)
     except DegeneracyError:
-        return [_dodeca_case(cfg, idx) for idx in cases]
+        if len(cases) == 1:
+            raise
+        return [res for idx in cases for res in _dodeca_block(cfg, [idx])]
 
 
 def _covariant_case(cfg, idx):
@@ -627,23 +617,23 @@ def _samples(cfg):
 SUITES = {
     "classical-lybe": Suite(
         1e-12, 1000,
-        count=_samples, case=_lybe_case, block=_lybe_block),
+        count=_samples, block=_lybe_block),
     "classical-fte": Suite(
         1e-10, 100,
-        count=lambda cfg: 2 * _samples(cfg), case=_fte_case, block=_fte_block,
+        count=lambda cfg: 2 * _samples(cfg), block=_fte_block,
         parameters=lambda cfg: {"eps": [1, -1]}),
     "symplectic": Suite(
         1e-6, 100,
-        count=_samples, case=_symplectic_case, block=_symplectic_block),
+        count=_samples, block=_symplectic_block),
     "geometry-flip": Suite(
         1e-10, 50,
-        count=_samples, case=_geometry_flip_case, block=_geometry_flip_block),
+        count=_samples, block=_geometry_flip_block),
     "miquel": Suite(
         1e-9, 50,
-        count=_samples, case=_miquel_case, block=_miquel_block),
+        count=_samples, block=_miquel_block),
     "dodecahedron": Suite(
         1e-8, 25,
-        count=_samples, case=_dodeca_case, block=_dodeca_block),
+        count=_samples, block=_dodeca_block),
     "covariant": Suite(
         1e-10, 3,
         count=_samples, case=_covariant_case,

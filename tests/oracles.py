@@ -2,8 +2,11 @@
 
 Each function is a reference the tests compare the package against (a
 closed form, an inverse map, a relation the package's objects satisfy)
-and reaches into ``qlattice`` through its public modules.  The tests
-import this module as ``oracles``; pytest does not collect it.
+and reaches into ``qlattice`` through its public modules.  The samples the
+tests draw (a flippable front, a six-face state, a symplectic state, a
+quadrilateral hexahedron) come from one generator through the suites'
+sampling driver, as a block of one.  The tests import this module as
+``oracles``; pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from qlattice import qosc
 from qlattice import rmatrices as rm
 from qlattice import specfun as sf
 from qlattice.errors import AccuracyError, DomainError, SingularityError
+from qlattice.harness import suites
 
 # ---------------------------------------------------------------------------
 # q-series (specfun)
@@ -253,6 +257,64 @@ def hexahedron(state: geo.LatticeState, c) -> geo.Hexahedron:
         x0=g((i, j, k)), x1=g((i + 1, j, k)), x2=g((i, j + 1, k)), x3=g((i, j, k + 1)),
         x12=g((i + 1, j + 1, k)), x13=g((i + 1, j, k + 1)), x23=g((i, j + 1, k + 1)),
         x123=g((i + 1, j + 1, k + 1)))
+
+
+# ---------------------------------------------------------------------------
+# samples, drawn through the suites' sampling driver as a block of one
+# ---------------------------------------------------------------------------
+
+def _sample(rng, draw, cap, accepts):
+    """The draws of the first of up to cap attempts, each drawn from rng
+    by draw, that accepts keeps; accepts maps a stack of attempts' draws to
+    the positions it keeps."""
+    def attempt(*draws):
+        accepted = accepts(*draws)
+        return accepted, lambda at: [[d[i] for d in draws] for i in accepted[at]]
+
+    return suites._sample([rng], draw, cap, attempt,
+                          DomainError("no attempt accepted in %d" % cap))[0]
+
+
+def _maps(fn, angles):
+    """The positions of a stack of angle draws (m, 2n) on whose triples fn
+    stays in the real domain."""
+    return suites._stack_map(lambda pos: fn(cm.triples(angles[pos])), range(len(angles)))[0]
+
+
+def flippable_front(rng, eps=1):
+    """Three triples on which one flip stays in the real domain, and their
+    flip: (front, back)."""
+    angles, = _sample(rng, lambda r: (cm.draw_angles(r, 3),), cm.FRONT_ATTEMPTS,
+                      lambda a: _maps(lambda s: cm.map_r123(*s, eps=eps), a))
+    front = tuple(cm.triples(angles))
+    return front, cm.map_r123(*front, eps=eps)
+
+
+def mappable_six(rng, eps=1):
+    """Six triples on which both four-flip orderings stay in the real
+    domain."""
+    angles, = _sample(rng, lambda r: (cm.draw_angles(r, 6),), cm.SIX_ATTEMPTS,
+                      lambda a: _maps(lambda s: cm.fte_sides(s, eps), a))
+    return cm.triples(angles)
+
+
+def symplectic_state(rng):
+    """An angle state interior to the admissible domain: one that
+    symplectic_admissible accepts."""
+    def accepts(x):
+        kept, admissible, _ = suites._stack_map(lambda pos: cm.symplectic_admissible(x[pos]),
+                                                range(len(x)))
+        return kept[admissible]
+
+    x, = _sample(rng, lambda r: (cm.draw_symplectic(r),), cm.SYMPLECTIC_ATTEMPTS, accepts)
+    return x
+
+
+def quad_hexahedron(rng) -> geo.Hexahedron:
+    """A generic hexahedron with planar, convex faces."""
+    draws = _sample(rng, geo.quad_draws, geo.QUAD_ATTEMPTS,
+                    lambda *d: suites._accepted_hexahedra(d, geo.quad_attempt)[0])
+    return geo.quad_attempt(*draws)[0]
 
 
 # ---------------------------------------------------------------------------

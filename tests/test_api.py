@@ -364,3 +364,20 @@ def test_fock_suites_memoize_only_in_lru_caches(monkeypatch):
     before = _module_containers()
     rm._PLANTED[0.43] = 1
     assert _grown(before, _module_containers()) == {("qlattice.rmatrices", "_PLANTED"): (0, 1)}
+
+
+def test_every_suite_sets_one_of_case_and_block():
+    # A suite with both keeps a one-case path beside its block: each case
+    # is then defined twice, and the two must be kept equal.  With block
+    # alone, a case run alone is a block of one on the same kernels.
+    from qlattice.harness.suites import SUITES
+
+    path = PACKAGE / "harness" / "suites.py"
+    registry = next(node.value for node in ast.parse(path.read_text()).body
+                    if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "SUITES")
+    given = {key.value: sorted(k.arg for k in call.keywords if k.arg in ("case", "block"))
+             for key, call in zip(registry.keys, registry.values)}
+    assert sorted(given) == sorted(SUITES)
+    both_or_none = {name: args for name, args in given.items() if len(args) != 1}
+    assert not both_or_none, "suites that do not set exactly one of case and block: %s" % (
+        both_or_none)

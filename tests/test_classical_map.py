@@ -69,7 +69,7 @@ def test_circular_face_matrix_and_det():
 def test_propagation_measured_on_random_quads():
     rng = np.random.default_rng(1)
     for _ in range(30):
-        h = geo.random_quad_hexahedron(rng)
+        h = oracles.quad_hexahedron(rng)
         for f in h.faces():
             fa = geo.extract_angles(f)
             lp, lq, lp_out, lq_out = (float(np.linalg.norm(np.subtract(f[i], f[j])))
@@ -81,7 +81,7 @@ def test_propagation_measured_on_random_quads():
 def test_propagation_constraint_residual():
     rng = np.random.default_rng(2)
     for _ in range(30):
-        h = geo.random_quad_hexahedron(rng)
+        h = oracles.quad_hexahedron(rng)
         fa = geo.extract_angles(h.front_faces()[0])
         assert oracles.propagation_constraint_residual(fa) < 1e-10
 
@@ -101,7 +101,7 @@ def test_map_fixed_point():
 def test_map_preserves_constraint():
     rng = np.random.default_rng(3)
     for _ in range(200):
-        front, _ = cm.sample_admissible_front(rng)
+        front, _ = oracles.flippable_front(rng)
         for t in cm.map_r123(*front):
             assert oracles.constraint_residual(t) < 1e-12
 
@@ -118,7 +118,7 @@ def _stack(triples):
 @pytest.mark.parametrize("eps", [1, -1])
 def test_stacked_map_equals_scalar_calls(eps):
     rng = np.random.default_rng(30)
-    fronts = [cm.sample_admissible_front(rng, eps=eps)[0] for _ in range(100)]
+    fronts = [oracles.flippable_front(rng, eps=eps)[0] for _ in range(100)]
     stacked = cm.map_r123(*(_stack(col) for col in zip(*fronts)), eps=eps)
     single = [cm.map_r123(*front, eps=eps) for front in fronts]
     for j in range(3):
@@ -146,7 +146,7 @@ def test_stacked_angle_map_equals_single_states(eps):
 
 
 def test_real_input_stays_real_and_complex_takes_the_principal_branch():
-    front, back = cm.sample_admissible_front(np.random.default_rng(32))
+    front, back = oracles.flippable_front(np.random.default_rng(32))
     assert all(type(v) is float for t in back for v in (t.k, t.a, t.a_star))
     lifted = [cm.CircularTriple(complex(t.k), complex(t.a), complex(t.a_star)) for t in front]
     for t, u in zip(cm.map_r123(*lifted), back):
@@ -162,30 +162,42 @@ def test_real_input_stays_real_and_complex_takes_the_principal_branch():
 
 
 def test_stacked_guards_name_their_first_failing_item():
+    # the message reads the values of the first failing item in C order, as
+    # it reads alone, and the error's index is that item's position
     ones = np.ones(5)
     k2 = np.array([1.0, 1.0, 0.0, 1.0, 0.0])
     t = cm.CircularTriple(ones, 0 * ones, 0 * ones)
-    with pytest.raises(SingularityError, match=r"^item \(2,\): k2 = 0"):
+    with pytest.raises(SingularityError, match=r"^k2 = 0") as err:
         cm.map_r123(t, cm.CircularTriple(k2, 0 * ones, 0 * ones), t)
+    assert err.value.index == (2,)
     a = np.array([[0.0, 0.5], [2.0, 3.0]])
     bad = cm.CircularTriple(0.5 * np.ones((2, 2)), a, a)
-    with pytest.raises(DomainError, match=r"^item \(1, 0\): negative radicand -19\.25 in"):
+    with pytest.raises(DomainError, match=r"^negative radicand -19\.25 in") as err:
         cm.map_r123(bad, bad, bad)
-    with pytest.raises(SingularityError, match=r"^item \(1,\): alpha = 0"):
+    assert err.value.index == (1, 0)
+    with pytest.raises(SingularityError, match=r"^alpha = 0") as err:
         cm.angles_to_circular(np.array([0.3, 0.0, 0.0]), np.array([0.2, 0.2, 0.2]))
+    assert err.value.index == (1,)
     wide = cm.CircularTriple(np.array([1.0, 0.1, 0.1]), np.array([0.0, 0.5, 0.9]), np.zeros(3))
-    with pytest.raises(DomainError, match=r"^item \(1,\): no real alpha .*cos = 2\.5"):
+    with pytest.raises(DomainError, match=r"^no real alpha .*cos = 2\.5") as err:
         cm.circular_to_angles(wide)
+    assert err.value.index == (1,)
+    # a stack of one raises the text of the scalar call
+    with pytest.raises(DomainError) as alone:
+        cm.map_r123(*[cm.CircularTriple(0.5, 2.0, 2.0)] * 3)
+    with pytest.raises(DomainError) as stacked:
+        cm.map_r123(*[cm.CircularTriple(*np.array([[0.5], [2.0], [2.0]]))] * 3)
+    assert str(stacked.value) == str(alone.value)
 
 
 def test_lybe_residual_small_and_sensitive():
     rng = np.random.default_rng(4)
     for _ in range(200):
-        front, _ = cm.sample_admissible_front(rng)
+        front, _ = oracles.flippable_front(rng)
         back = cm.map_r123(*front)
         assert cm.local_yang_baxter_residual(front, back) < 1e-12
     # unmapped state fails visibly
-    front, _ = cm.sample_admissible_front(np.random.default_rng(5))
+    front, _ = oracles.flippable_front(np.random.default_rng(5))
     assert cm.local_yang_baxter_residual(front, front) > 1e-3
 
 
@@ -199,7 +211,7 @@ def test_lybe_residual_equals_explicit_products():
 
     rng = np.random.default_rng(19)
     for _ in range(200):
-        (t1, t2, t3), (u1, u2, u3) = cm.sample_admissible_front(rng)
+        (t1, t2, t3), (u1, u2, u3) = oracles.flippable_front(rng)
         lhs = x3(t1, (0, 1)) @ x3(t2, (0, 2)) @ x3(t3, (1, 2))
         rhs = x3(u3, (1, 2)) @ x3(u2, (0, 2)) @ x3(u1, (0, 1))
         got = cm.local_yang_baxter_residual((t1, t2, t3), (u1, u2, u3))
@@ -214,7 +226,7 @@ def test_lybe_identity_faces():
 def test_geometric_lybe_general_quadrilaterals():
     rng = np.random.default_rng(6)
     for _ in range(25):
-        h = geo.random_quad_hexahedron(rng)
+        h = oracles.quad_hexahedron(rng)
         front = [geo.extract_angles(f) for f in h.front_faces()]
         back = [geo.extract_angles(f) for f in h.back_faces()]
         assert cm.local_yang_baxter_residual(front, back, matrix=oracles.face_x) < 1e-10
@@ -238,7 +250,7 @@ def test_cube_edge_propagation_matches_measured_lengths():
     rng = np.random.default_rng(20)
     d = lambda a, b: float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
     for _ in range(10):
-        h = geo.random_quad_hexahedron(rng)
+        h = oracles.quad_hexahedron(rng)
         l_in = (d(h.x13, h.x1), d(h.x1, h.x12), d(h.x12, h.x2))
         l_out = (d(h.x23, h.x2), d(h.x23, h.x3), d(h.x3, h.x13))
         front = [geo.extract_angles(f) for f in h.front_faces()]
@@ -256,7 +268,7 @@ def test_cube_edge_propagation_matches_measured_lengths():
 def test_functional_tetrahedron(eps):
     rng = np.random.default_rng(8)
     for _ in range(100):
-        state, _, _ = cm.sample_admissible_six(rng, eps=eps)
+        state = oracles.mappable_six(rng, eps=eps)
         assert cm.functional_tetrahedron_residual(state, eps=eps) < 1e-10
 
 
@@ -264,7 +276,7 @@ def test_fte_fixed_point_and_sensitivity():
     t = cm.CircularTriple(1.0, 0.0, 0.0)
     assert cm.functional_tetrahedron_residual([t] * 6) == 0.0
     rng = np.random.default_rng(9)
-    state, _, _ = cm.sample_admissible_six(rng)
+    state = oracles.mappable_six(rng)
     lhs = cm.apply_flip_sequence(state, cm.FTE_SEQUENCE, 1)
     rhs = cm.apply_flip_sequence(state, tuple(reversed(cm.FTE_SEQUENCE)), 1)
     # perturb one LHS component after evaluation: the comparison must notice
@@ -280,7 +292,7 @@ def test_fte_fixed_point_and_sensitivity():
 def test_symplectic_invariance():
     rng = np.random.default_rng(10)
     for _ in range(100):
-        x = cm.sample_symplectic_state(rng)
+        x = oracles.symplectic_state(rng)
         assert cm.symplectic_residual(x) < 1e-6
 
 
@@ -288,14 +300,14 @@ def test_symplectic_truncation_error_is_extrapolated_away():
     # plain central differences at h = 1e-5 read 1.0e-5 on this sampled
     # state: their h^2 truncation error, not a defect of the map.  The
     # complex-step Jacobian forms no difference, so it has no such term
-    x = cm.sample_symplectic_state(case_rng(302, 12))
+    x = oracles.symplectic_state(case_rng(302, 12))
     assert cm.symplectic_residual(x) < 1e-6
 
 
 def test_symplectic_residual_is_at_roundoff():
     # the 100 states of test_symplectic_invariance
     rng = np.random.default_rng(10)
-    worst = max(cm.symplectic_residual(cm.sample_symplectic_state(rng)) for _ in range(100))
+    worst = max(cm.symplectic_residual(oracles.symplectic_state(rng)) for _ in range(100))
     assert worst <= 1e-12
 
 
@@ -324,7 +336,7 @@ def _angle_map_mp(x, eps=1):
 @pytest.mark.parametrize("case", [0, 1, 76])
 def test_complex_step_jacobian_matches_50_digit_differences(case):
     mpmath = pytest.importorskip("mpmath")
-    x = cm.sample_symplectic_state(case_rng(7, case))
+    x = oracles.symplectic_state(case_rng(7, case))
     jac = cm.jacobian(cm.angle_map, x)
     with mpmath.workdps(50):
         h = mpmath.mpf("1e-20")
@@ -343,12 +355,12 @@ def test_complex_step_jacobian_matches_50_digit_differences(case):
 def test_batched_angle_draws_reproduce_the_sampled_states():
     # values read from the one-angle-at-a-time samplers; each case rejects
     # one draw first, so the rejected draws are pinned too
-    front, _ = cm.sample_admissible_front(case_rng(20240501, 4))
+    front, _ = oracles.flippable_front(case_rng(20240501, 4))
     assert [tuple(map(repr, (t.k, t.a, t.a_star))) for t in front] == [
         ("1.0765238941201298", "1.5153281088788577", "-0.1048642163241702"),
         ("1.1150153951828643", "1.1038014696791731", "-0.22038322848537628"),
         ("0.6209246575622298", "0.9099107505495175", "0.675288833833587")]
-    state, _, _ = cm.sample_admissible_six(case_rng(20240501, 2), eps=1)
+    state = oracles.mappable_six(case_rng(20240501, 2), eps=1)
     assert [tuple(map(repr, (t.k, t.a, t.a_star))) for t in state] == [
         ("1.1175562851942928", "1.52951576254469", "-0.16275219691957535"),
         ("1.293464879954411", "0.9920814576555714", "-0.6784235210544043"),
@@ -356,7 +368,7 @@ def test_batched_angle_draws_reproduce_the_sampled_states():
         ("1.3129207121964934", "1.3792442903334277", "-0.5247517075742838"),
         ("1.3951063842127913", "1.580075726403337", "-0.5989091582498789"),
         ("1.4386812403238312", "1.3021842528058958", "-0.8215455754088148")]
-    x = cm.sample_symplectic_state(case_rng(20240501, 4))
+    x = oracles.symplectic_state(case_rng(20240501, 4))
     assert list(map(repr, x.tolist())) == [
         "0.7672637069690891", "0.8253215232752048", "0.948785605881912",
         "1.0985293637967997", "1.3231713738295845", "0.7141804793157099"]
@@ -467,7 +479,7 @@ def test_covariant_kk_relation():
 def test_covariant_single_cube_matches_map():
     rng = np.random.default_rng(13)
     # build a one-cube field directly from a mapped triple set
-    front, _ = cm.sample_admissible_front(rng)
+    front, _ = oracles.flippable_front(rng)
     t1, t2, t3 = front
     p1, p2, p3 = cm.map_r123(*front)
     f = cm.CovariantField.empty((1, 1, 1))

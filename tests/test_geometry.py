@@ -27,7 +27,7 @@ def test_flip_unit_cube():
 def test_flip_lies_on_all_three_planes():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        h = geo.random_quad_hexahedron(rng)
+        h = oracles.quad_hexahedron(rng)
         for f in h.back_faces():
             assert geo.planarity_residual(f) < 1e-10
 
@@ -65,7 +65,7 @@ def test_flip_in_four_dimensions():
 def test_flip_of_a_stack_equals_single_flips(dim):
     rng = np.random.default_rng(15)
     emb = np.eye(3) if dim == 3 else rng.normal(size=(4, 3))  # generic 3-space in R^4
-    hexes = [geo.random_quad_hexahedron(rng) for _ in range(50)]
+    hexes = [oracles.quad_hexahedron(rng) for _ in range(50)]
     fronts = np.array([[emb @ getattr(h, k) for k in geo.VERTEX_KEYS[:7]] for h in hexes])
     stacked = geo.hex_flip(*fronts.transpose(1, 0, 2))
     assert stacked.shape == (50, dim)
@@ -108,7 +108,7 @@ def test_unit_square_angles():
 def test_angle_sum_and_reflex_flag():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        h = geo.random_quad_hexahedron(rng)
+        h = oracles.quad_hexahedron(rng)
         for f in h.faces():
             fa = geo.extract_angles(f)
             assert sum(four_angles(fa)) == pytest.approx(2 * math.pi, abs=1e-12)
@@ -139,7 +139,7 @@ def test_nonplanar_face_rejected():
 
 def test_face_kernels_on_a_stack_equal_face_by_face():
     rng = np.random.default_rng(16)
-    for h in (geo.random_quad_hexahedron(rng), geo.random_circular_hexahedron(rng)):
+    for h in (oracles.quad_hexahedron(rng), geo.random_circular_hexahedron(rng)):
         faces = h.faces()
         assert faces.shape == (6, 4, 3)
         for kernel in (geo.planarity_residual, geo.concyclicity_residual):
@@ -177,7 +177,7 @@ def test_miquel_random_circular():
 
 def test_miquel_precondition_violation():
     rng = np.random.default_rng(6)
-    h = geo.random_quad_hexahedron(rng)
+    h = oracles.quad_hexahedron(rng)
     with pytest.raises(DomainError):
         geo.miquel_check(h)
 

@@ -599,7 +599,7 @@ def test_cross_form_builds_the_weight_table_once(monkeypatch):
 ])
 def test_block_suite_reports_do_not_depend_on_blocks(params, monkeypatch):
     # a block suite's report is the same at every block size and worker
-    # count, and its one-case path reads each case's residual
+    # count, and its block of one reads each case's residual
     from qlattice.harness import suites
 
     cfg = SuiteConfig(keep_cases=True, **params)
@@ -679,7 +679,8 @@ def test_classical_fte_control_still_aborts_at_seed_183():
 def test_stack_map_drops_every_row_a_guard_flags_in_one_step():
     # one guard flags rows 2, 5 and 9 of a 12-row stack: they are dropped
     # together, so fn runs twice, not four times, and each kept row reads
-    # what it reads mapped alone
+    # what it reads mapped alone.  The guard's error is kept for row 2, the
+    # first it flags, whose error alone it is
     from qlattice import classical_map as cm
     from qlattice.harness import suites
 
@@ -687,13 +688,48 @@ def test_stack_map_drops_every_row_a_guard_flags_in_one_step():
 
     def fn(rows):
         calls.append(rows.tolist())
-        cm._guard(np.isin(rows, [2, 5, 9]), DomainError, "stand-in guard")
+        cm._guard(np.isin(rows, [2, 5, 9]), DomainError, "stand-in guard at row %d", rows)
         return np.sin(rows * 0.7 + 0.1).tolist()
 
-    kept, res = suites._stack_map(fn, range(12))
+    kept, res, errors = suites._stack_map(fn, range(12))
     assert len(calls) == 2 and calls[1] == [0, 1, 3, 4, 6, 7, 8, 10, 11]
     assert kept.tolist() == calls[1]
     assert res == [fn(np.array([row]))[0] for row in kept]
+    with pytest.raises(DomainError) as alone:
+        fn(np.array([2]))
+    assert list(errors) == [2] and str(errors[2]) == str(alone.value) == "stand-in guard at row 2"
+
+
+@pytest.mark.parametrize("rejected", [True, False])
+def test_sample_raises_the_error_of_the_lowest_failing_row(rejected):
+    # four rows, each drawing from its own generator: the value of row 3
+    # fails a guard in round 1, and row 1 (with rejected) is rejected at
+    # every attempt.  The error of the lower failing row raises: row 1's
+    # cap error, else row 3's own guard error
+    from qlattice import classical_map as cm
+    from qlattice.harness import suites
+
+    def stream(row):
+        rng = np.random.default_rng(row)
+        return [rng.uniform() for _ in range(5)]
+
+    never, bad = set(stream(1)) if rejected else set(), stream(3)[0]
+
+    def attempt(u):
+        accepted = np.flatnonzero([x not in never for x in u])
+        good = u[accepted]
+
+        def value(at):
+            cm._guard(good[at] == bad, DomainError, "value %r fails", good[at])
+            return good[at].tolist()
+
+        return accepted, value
+
+    cap_error = DomainError("rejected in 5 attempts")
+    with pytest.raises(DomainError) as exc:
+        suites._sample([np.random.default_rng(row) for row in range(4)],
+                       lambda rng: (rng.uniform(),), 5, attempt, cap_error)
+    assert exc.value is cap_error if rejected else str(exc.value) == "value %r fails" % bad
 
 
 def test_symplectic_block_maps_a_round_once_per_failing_guard(monkeypatch):
@@ -725,12 +761,6 @@ def test_symplectic_block_maps_a_round_once_per_failing_guard(monkeypatch):
     assert all(len(set(paths)) == len(paths) for paths in failed)
 
 
-# the per-case function of each classical block suite
-_CASE = {"classical-lybe": "_lybe_case", "classical-fte": "_fte_case",
-         "symplectic": "_symplectic_case", "geometry-flip": "_geometry_flip_case",
-         "miquel": "_miquel_case"}
-
-
 def _first_attempt_rejected(cfg, idx):
     """Whether case idx's first sampling attempt fails, from the samplers'
     own draws and attempts."""
@@ -754,40 +784,29 @@ def _first_attempt_rejected(cfg, idx):
 
 
 def _run_recording_retries(cfg, monkeypatch):
-    """The report of cfg and the cases its blocks ran one at a time."""
+    """The report of cfg and the cases its blocks sampled alone, each from
+    a stream that case_rng draws anew."""
     from qlattice.harness import suites
 
-    name = _CASE[cfg.suite]
-    case = getattr(suites, name)
     retried = []
-    monkeypatch.setattr(suites, name, lambda cfg, idx: retried.append(idx) or case(cfg, idx))
+    monkeypatch.setattr(suites, "case_rng",
+                        lambda seed, idx: retried.append(idx) or case_rng(seed, idx))
     return run_suite(cfg), retried
-
-
-def _refuse(*args):
-    raise AssertionError("a block ran a case alone")
 
 
 @pytest.mark.parametrize("suite, samples", [
     ("classical-lybe", 64), ("classical-fte", 20), ("symplectic", 32), ("miquel", 100)])
 def test_blocks_retry_rejected_first_attempts_as_one_case(suite, samples, monkeypatch):
     # the lybe, fte and symplectic blocks draw every later attempt in rounds
-    # of stacks: they call neither their one-case function nor case_rng, and
+    # of stacks, each case's stream resumed: no case is sampled alone, and
     # every row reads case(cfg, idx).  miquel maps first attempts only and
     # retries exactly the cases whose first attempt fails, each alone.  At
     # seeds 7 and 20240501 the rejected cases here are 10 and 4 of 64, 9 and
     # 7 of 40, 17 and 17 of 32, and 1 and 2 of 100.
-    from qlattice.harness import suites
-
     for seed in (7, 20240501):
         cfg = SuiteConfig(suite=suite, seed=seed, samples=samples, keep_cases=True)
         with monkeypatch.context() as patch:
-            if suite == "miquel":
-                rep, retried = _run_recording_retries(cfg, patch)
-            else:
-                patch.setattr(suites, _CASE[suite], _refuse)
-                patch.setattr(suites, "case_rng", _refuse)
-                rep, retried = run_suite(cfg), []
+            rep, retried = _run_recording_retries(cfg, patch)
         rejected = [idx for idx, _ in rep.cases if _first_attempt_rejected(cfg, idx)]
         assert rejected and retried == (rejected if suite == "miquel" else [])
         assert [repr(res) for _, res in rep.cases] == \
@@ -797,38 +816,49 @@ def test_blocks_retry_rejected_first_attempts_as_one_case(suite, samples, monkey
 @pytest.mark.parametrize("suite", ["classical-lybe", "classical-fte", "symplectic"])
 def test_a_case_rejected_at_every_attempt_raises_its_samplers_error(suite, monkeypatch):
     # a stand-in map rejects every attempt of case 3, which it knows by the
-    # first face's k.  The block's rounds reach the sampler's cap, and the
-    # case then runs alone and raises, through the block, the error its
-    # sampler raises at the cap
+    # first face's k of each of the cap attempts of the case's stream.  The
+    # block's rounds reach the sampler's cap, each drawing case 3's next
+    # attempt where its stream was left, so the case draws each of its cap
+    # attempts once (not its k - 1 earlier ones again in round k, cap (cap +
+    # 1) / 2 draws).  The block raises the error that names the cap, which
+    # case 3 raises alone
     from qlattice import classical_map as cm
 
-    cap, draw, sampler = {
-        "classical-lybe": (cm.FRONT_ATTEMPTS, lambda rng: cm.draw_angles(rng, 3),
-                           cm.sample_admissible_front),
-        "classical-fte": (cm.SIX_ATTEMPTS, lambda rng: cm.draw_angles(rng, 6),
-                          cm.sample_admissible_six),
-        "symplectic": (cm.SYMPLECTIC_ATTEMPTS, cm.draw_symplectic, cm.sample_symplectic_state),
+    cap, name, args = {
+        "classical-lybe": (cm.FRONT_ATTEMPTS, "draw_angles", (3,)),
+        "classical-fte": (cm.SIX_ATTEMPTS, "draw_angles", (6,)),
+        "symplectic": (cm.SYMPLECTIC_ATTEMPTS, "draw_symplectic", ()),
     }[suite]
     cfg = SuiteConfig(suite=suite, samples=6)
+    draw, flip = getattr(cm, name), cm.map_r123
     rng = case_rng(cfg.seed, 3)
-    marked = [cm.triples(draw(rng))[0].k for _ in range(cap)]
-    flip = cm.map_r123
+    marked = [cm.triples(draw(rng, *args))[0].k for _ in range(cap)]
+    drawn = []
+
+    def counting(rng, *args):
+        out = draw(rng, *args)
+        if cm.triples(out)[0].k in marked:
+            drawn.append(out)
+        return out
 
     def stand_in(t1, t2, t3, eps=1):
         cm._guard(np.isin(t1.k, marked), DomainError, "stand-in rejection")
         return flip(t1, t2, t3, eps=eps)
 
+    monkeypatch.setattr(cm, name, counting)
     monkeypatch.setattr(cm, "map_r123", stand_in)
-    with pytest.raises(DomainError) as alone:
-        sampler(case_rng(cfg.seed, 3))
     with pytest.raises(DomainError) as blocked:
-        _run_recording_retries(cfg, monkeypatch)
+        run_suite(cfg)
+    assert len(drawn) == cap
+    with pytest.raises(DomainError) as alone:
+        SUITES[suite].case(cfg, 3)
     assert str(alone.value).startswith("could not sample")
+    assert str(alone.value).endswith(" in %d attempts" % cap)
     assert (type(blocked.value), str(blocked.value)) == (type(alone.value), str(alone.value))
 
 
 def test_geometry_flip_block_drops_and_retries_failed_first_attempts(monkeypatch):
-    # no first attempt of random_quad_hexahedron failed in the first 1,500
+    # no first attempt of a quadrilateral hexahedron failed in the first 1,500
     # cases at seed 20240501, so a stand-in attempt raises on case 3's first
     # draws, as a degenerate flip does, and rejects case 9's.  Both draw
     # their second attempt in the block's second round, and no case runs
