@@ -464,10 +464,9 @@ def _cyclic_intertwine_case(cfg, idx):
     tri = _sample_triangle(rng)
     params = qosc.CyclicParams.from_triangle(tri, cfg.n_cyclic)
     ls = qosc.build_l(params.reps(), params.lambdas, params.mus)
-    r = rm.cyclic_r_dense(rm.CyclicRData.from_triangle(tri, cfg.n_cyclic))
+    r = qosc.cyclic_r_sparse(rm.CyclicRData.from_triangle(tri, cfg.n_cyclic))
     if cfg.perturb:
-        r = r.copy()
-        r[0, 0] += 0.05 * np.max(np.abs(r))
+        r = r + qosc.VOp(r.dims, [0], [0], [0.05 * r.max_abs()])
     return qosc.intertwine_residual(ls, r)
 
 

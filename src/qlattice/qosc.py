@@ -9,9 +9,10 @@ L-operator built from them, and the intertwining check
     L12(H1) L13(H2) L23(H3) R  =  R  L23(H3) L13(H2) L12(H1).
 
 Products keep the 8 x 8 block structure over the three auxiliary C^2
-spaces.  Each block is a sparse complex128 operator on V1 x V2 x V3.  The
-Fock checks compute only the R elements in extended precision (in
-rmatrices); every product is double.
+spaces.  Each block is a sparse complex128 operator on V1 x V2 x V3, as is
+each R, built on the charge sectors of rmatrices.charge_pairs.  The Fock
+checks compute only the R elements in extended precision (in rmatrices);
+every product is double.
 """
 
 from __future__ import annotations
@@ -131,11 +132,6 @@ class VOp:
         """Shape of the dense matrix this operator stands for."""
         n = math.prod(self.dims)
         return n, n
-
-    @classmethod
-    def from_dense(cls, dims, mat):
-        rows, cols = np.nonzero(mat)
-        return cls(dims, rows, cols, mat[rows, cols])
 
     def __matmul__(self, other):
         if not isinstance(other, VOp):
@@ -284,21 +280,19 @@ def _relative_gap(lhs, rhs) -> float:
     return float((lhs - rhs).max_abs() / scale) if scale else 0.0
 
 
-def _commutation_gap(left, r_matrix, right, mask) -> float:
+def _commutation_gap(left, r: VOp, right, mask) -> float:
     """_relative_gap of left[0] ... left[-1] . R against R . right[0] ...
     right[-1], each product taken left to right.
 
-    r_matrix is a VOp or a dense matrix over V1 x V2 x V3.  mask, if not
-    None, is a boolean vector over that basis; rows and columns outside it
-    are ignored (truncated-Fock boundary).  The outermost factor of each side
-    is restricted to the masked rows or columns before multiplying, so no
-    entry outside the compared block is formed.
+    r is the VOp of R over V1 x V2 x V3.  mask, if not None, is a boolean
+    vector over that basis; rows and columns outside it are ignored
+    (truncated-Fock boundary).  The outermost factor of each side is
+    restricted to the masked rows or columns before multiplying, so no entry
+    outside the compared block is formed.
     """
-    dims = left[0].dims
-    r = r_matrix if isinstance(r_matrix, VOp) else VOp.from_dense(dims, r_matrix)
     left, right = list(left), list(right)
     if mask is not None:
-        every = np.ones(math.prod(dims), dtype=bool)
+        every = np.ones(math.prod(r.dims), dtype=bool)
         left[0], right[-1] = left[0].restrict(mask, every), right[-1].restrict(every, mask)
         r_rows, r_cols = r.restrict(mask, every), r.restrict(every, mask)
     else:
@@ -326,10 +320,10 @@ def build_l(reps, lambdas, mus) -> tuple[BlockOp, BlockOp, BlockOp]:
     return tuple(out)
 
 
-def intertwine_residual(l_ops, r_matrix, mask: np.ndarray | None = None) -> float:
-    """Normalized max-entry residual of LLL . R - R . (reversed LLL), masked
-    and scaled as in _commutation_gap."""
-    return _commutation_gap(l_ops, r_matrix, l_ops[::-1], mask)
+def intertwine_residual(l_ops, r: VOp, mask: np.ndarray | None = None) -> float:
+    """Normalized max-entry residual of LLL . R - R . (reversed LLL), on the
+    VOp r, masked and scaled as in _commutation_gap."""
+    return _commutation_gap(l_ops, r, l_ops[::-1], mask)
 
 
 def product_state_mask(reps) -> np.ndarray:
@@ -352,7 +346,8 @@ def fock_r_sparse(cutoff: int, q: float):
     rmatrices.fock_element_mp rounded to double once: an element is a
     terminating q-series that cancels far below its terms, so it is summed
     in as many digits as it cancels, and only the products are double.
-    R is filled over charge sectors (m1 + m2 = n1 + n2, m2 + m3 = n2 + n3)
+    R is filled over the charge sectors of rmatrices.charge_pairs whose m
+    lies inside the cutoff, in flat (row, col) order, so VOp sorts nothing,
     and only where its row n is masked, or its column is masked and no index
     of n is at the cutoff: every L, and every operator of the flip-map
     relations, moves each index by at most one, so no other element reaches
@@ -362,9 +357,7 @@ def fock_r_sparse(cutoff: int, q: float):
     reps = (fock_rep(cutoff, q),) * 3
     mask = product_state_mask(reps)
     dims = tuple(r.dim for r in reps)
-    # each (n, m) of a charge sector inside the cutoff, in the order of n, then m2
-    n1, n2, n3, m2 = np.indices((cutoff + 1,) * 4).reshape(4, -1)
-    nm = np.stack([n1, n2, n3, n1 + n2 - m2, m2, n2 + n3 - m2])
+    nm = rm.charge_pairs(cutoff + 1)
     nm = nm[:, ((nm >= 0) & (nm <= cutoff)).all(axis=0)]
     rows, cols = np.ravel_multi_index(nm[:3], dims), np.ravel_multi_index(nm[3:], dims)
     reach = mask[rows] | (mask[cols] & (nm[:3].max(axis=0) < cutoff))
@@ -389,17 +382,17 @@ def fock_intertwine_extended(cutoff: int, q: float) -> float:
 # automorphism relations of the flip map, operator level
 # ---------------------------------------------------------------------------
 
-def map_operator_residuals(reps, r_matrix, eps: int = 1,
+def map_operator_residuals(reps, r: VOp, eps: int = 1,
                            mask: np.ndarray | None = None) -> dict:
     """Residuals of R . F = F' . R for the six flip-map relations plus the
     primed constraint (k2')^2 = q (1 - a2*' a2'), each relative to the
     larger of its two masked sides (see _commutation_gap).
 
     F' is classical_map.flip_numerators on the lifted k, a, a* of each
-    factor; r_matrix is a VOp or a dense matrix over V1 x V2 x V3.
+    factor; r is the VOp of R over V1 x V2 x V3.
     """
     q = reps[0].q
-    dims = tuple(r.dim for r in reps)
+    dims = r.dims
     t1, t2, t3 = (CircularTriple(_lift(dims, axis, rep.k), _lift(dims, axis, rep.a),
                                  _lift(dims, axis, rep.a_star))
                   for axis, rep in enumerate(reps))
@@ -415,7 +408,7 @@ def map_operator_residuals(reps, r_matrix, eps: int = 1,
         "k2a3": (k2 @ t3.a, a3p),
         "k2sq_constraint": (k2 @ k2, q * (one - s2p @ a2p)),
     }
-    return {name: _commutation_gap([post], r_matrix, [pre], mask)
+    return {name: _commutation_gap([post], r, [pre], mask)
             for name, (pre, post) in rels.items()}
 
 
@@ -451,3 +444,14 @@ class CyclicParams:
 
     def reps(self):
         return tuple(cyclic_rep(self.N, self.kappas[j], self.rhos[j]) for j in range(3))
+
+
+def cyclic_r_sparse(data: rm.CyclicRData) -> VOp:
+    """The cyclic R over Z_N as a VOp: the rows of rmatrices.charge_pairs(N)
+    reduced mod N, every element in one cyclic_vertex_element call.  Odd N
+    only: even N raises the vertex form's DomainError."""
+    rm._require_odd(data.N)
+    nm = rm.charge_pairs(data.N) % data.N
+    dims = (data.N,) * 3
+    return VOp(dims, np.ravel_multi_index(nm[:3], dims), np.ravel_multi_index(nm[3:], dims),
+               rm.cyclic_vertex_element(nm[:3], nm[3:], data))

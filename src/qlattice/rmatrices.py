@@ -68,6 +68,17 @@ def fock_charge_allowed(n1: int, n2: int, n3: int, m1: int, m2: int, m3: int) ->
     return n1 + n2 == m1 + m2 and n2 + n3 == m2 + m3
 
 
+def charge_pairs(d: int) -> np.ndarray:
+    """The (6, d^4) rows (n1, n2, n3, m1, m2, m3) with n in [0, d)^3, m1 in
+    [0, d), m2 = n1 + n2 - m1 and m3 = n2 + n3 - m2: every (n, m) of a charge
+    sector, ordered by n and then by m1, so by flat (row, col) wherever m
+    lies in [0, d).  m2 and m3 may leave that range; each R applies its own
+    rule (the Fock R drops them, the cyclic R reduces them mod N)."""
+    n1, n2, n3, m1 = np.indices((d,) * 4).reshape(4, -1)
+    m2 = n1 + n2 - m1
+    return np.stack([n1, n2, n3, m1, m2, n2 + n3 - m2])
+
+
 class _FockFactors:
     """The factors of _fock_terms that depend on q alone, each formed on
     first use and kept: powers of q, prefix lists of (q^2; q^2),

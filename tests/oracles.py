@@ -146,6 +146,13 @@ def field_exponent_balance(t_sets, f_sets, rng) -> float:
 # q-oscillator representations and L-operator parameters (qosc)
 # ---------------------------------------------------------------------------
 
+def vop_from_dense(dims, mat) -> qosc.VOp:
+    """The VOp of the dense matrix mat over V1 x V2 x V3: exactly its
+    nonzero entries, with their values."""
+    rows, cols = np.nonzero(mat)
+    return qosc.VOp(dims, rows, cols, mat[rows, cols])
+
+
 def algebra_residuals(rep: qosc.QOscRep) -> dict:
     """Masked residuals of the defining relations."""
     q = rep.q

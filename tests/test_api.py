@@ -263,6 +263,14 @@ def test_qosc_computes_without_decimals():
     assert not found, found
 
 
+def test_operator_checks_name_no_dense_r():
+    # every R the operator checks take is a sparse VOp built on the charge
+    # sectors; the dense references are for the tests (and the tracer)
+    for path in (PACKAGE / "qosc.py", PACKAGE / "harness" / "suites.py"):
+        found = re.findall(r"from_dense|cyclic_r_dense|fock_r_dense", path.read_text())
+        assert not found, (path.name, found)
+
+
 class _MatMulAsMul(ast.NodeTransformer):
     def visit_MatMult(self, node):
         return ast.Mult()

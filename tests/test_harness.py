@@ -382,6 +382,13 @@ MAP_REPORT_PINS = [
     ({"suite": "fock-intertwine", "cutoff": 10, "q": 0.3}, "3.700743415417188e-16", 1),
     ({"suite": "fock-intertwine", "cutoff": 10, "q": 0.3, "perturb": True},
      "0.04761904761904766", 1),
+    # cyclic-intertwine beyond the benchmark's sizes
+    ({"suite": "cyclic-intertwine", "n_cyclic": 9, "samples": 3}, "1.1772054902195073e-15", 2),
+    ({"suite": "cyclic-intertwine", "n_cyclic": 9, "samples": 3, "perturb": True},
+     "0.030658158251655077", 2),
+    ({"suite": "cyclic-intertwine", "n_cyclic": 11, "samples": 1}, "1.5122896881189582e-15", 0),
+    ({"suite": "cyclic-intertwine", "n_cyclic": 11, "samples": 1, "perturb": True},
+     "0.027540082502166337", 0),
 ]
 
 

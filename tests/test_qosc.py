@@ -256,11 +256,12 @@ def test_vop_kernel_matches_dense_products(kind):
         assert len((empty @ empty).data) == 0
         for op in (a, b, a @ b):
             assert all(op.indptr[r] == op.indptr[r + 1] for r in EMPTY_ROWS)
-        # from_dense keeps exactly the nonzero entries, with their values
-        back = qosc.VOp.from_dense(KERNEL_DIMS, da)
+        # the oracle keeps exactly the nonzero entries, with their values
+        back = oracles.vop_from_dense(KERNEL_DIMS, da)
         assert len(back.data) == np.count_nonzero(da)
         assert np.array_equal(to_dense(back), da)
-        assert np.array_equal(to_dense(qosc.VOp.from_dense(KERNEL_DIMS, to_dense(a))), to_dense(a))
+        assert np.array_equal(to_dense(oracles.vop_from_dense(KERNEL_DIMS, to_dense(a))),
+                              to_dense(a))
     assert a.max_abs() == np.max(np.abs(da))
     assert empty.max_abs() == 0.0
 
@@ -321,16 +322,42 @@ def test_build_l_sorts_no_entries(monkeypatch):
     qosc.build_l((qosc.fock_rep(8, 0.3),) * 3, (1.0,) * 3, (-1.0,) * 3)
 
 
+def test_fock_r_sparse_sorts_no_entries(monkeypatch):
+    # the charge sectors arrive in flat (row, col) order
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.argsort called")
+
+    monkeypatch.setattr(np, "argsort", refuse)
+    qosc.fock_r_sparse.__wrapped__(8, 0.3)
+
+
 # ---------------------------------------------------------------------------
 # intertwining
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("N", [3, 5, 7, 9])
+def test_cyclic_r_sparse_equals_the_dense_reference_bit_for_bit(N):
+    data = rm.CyclicRData.from_triangle(sample_triangle(np.random.default_rng(N)), N)
+    got = qosc.cyclic_r_sparse(data)
+    want = oracles.vop_from_dense((N,) * 3, rm.cyclic_r_dense(data))
+    assert got.dims == want.dims
+    for field in ("rows", "indptr", "indices", "data"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+
+def test_cyclic_r_sparse_rejects_even_n():
+    data = rm.CyclicRData.from_triangle(sample_triangle(np.random.default_rng(4)), 4)
+    with pytest.raises(DomainError, match="even N = 4"):
+        qosc.cyclic_r_sparse(data)
+
 
 def test_fock_intertwining_masked():
     q = 0.3
     rep = qosc.fock_rep(6, q)
     reps = (rep, rep, rep)
     ls = qosc.build_l(reps, (1.0,) * 3, (-1.0,) * 3)
-    r = rm.fock_r_dense(6, q)
+    r = oracles.vop_from_dense((7,) * 3, rm.fock_r_dense(6, q))
     mask = qosc.product_state_mask(reps)
     assert qosc.intertwine_residual(ls, r, mask) < 1e-10
     # unmasked, the truncation boundary dominates
@@ -430,11 +457,12 @@ def fock_case():
 def test_intertwine_residual_matches_dense_oracle(make_case):
     reps, lams, mus, r, mask = make_case()
     ls = qosc.build_l(reps, lams, mus)
-    assert qosc.intertwine_residual(ls, r, mask) < 1e-12
+    dims = tuple(rep.dim for rep in reps)
+    assert qosc.intertwine_residual(ls, oracles.vop_from_dense(dims, r), mask) < 1e-12
     assert dense_residual_oracle(reps, lams, mus, r, mask) < 1e-12
     bad = r.copy()
     bad[0, 0] += 0.05 * np.max(np.abs(r))
-    got = qosc.intertwine_residual(ls, bad, mask)
+    got = qosc.intertwine_residual(ls, oracles.vop_from_dense(dims, bad), mask)
     want = dense_residual_oracle(reps, lams, mus, bad, mask)
     assert got > 1e-3
     assert abs(got - want) <= 1e-10 * want
@@ -447,9 +475,10 @@ def test_cyclic_intertwining_and_identity_control():
         params = qosc.CyclicParams.from_triangle(tri, 3)
         ls = qosc.build_l(params.reps(), params.lambdas, params.mus)
         data = rm.CyclicRData.from_triangle(tri, 3)
-        r = rm.cyclic_r_dense(data)
+        r = oracles.vop_from_dense((3,) * 3, rm.cyclic_r_dense(data))
         assert qosc.intertwine_residual(ls, r) < 1e-10
-        assert qosc.intertwine_residual(ls, np.eye(27, dtype=complex)) > 0.1
+        one = oracles.vop_from_dense((3,) * 3, np.eye(27, dtype=complex))
+        assert qosc.intertwine_residual(ls, one) > 0.1
 
 
 def test_intertwine_residual_restricts_only_with_a_mask(monkeypatch):
@@ -458,7 +487,7 @@ def test_intertwine_residual_restricts_only_with_a_mask(monkeypatch):
     tri = sample_triangle(np.random.default_rng(6))
     params = qosc.CyclicParams.from_triangle(tri, 3)
     ls = qosc.build_l(params.reps(), params.lambdas, params.mus)
-    r = rm.cyclic_r_dense(rm.CyclicRData.from_triangle(tri, 3))
+    r = oracles.vop_from_dense((3,) * 3, rm.cyclic_r_dense(rm.CyclicRData.from_triangle(tri, 3)))
     want = qosc.intertwine_residual(ls, r, np.ones(27, dtype=bool))
     monkeypatch.setattr(qosc.VOp, "restrict", None)
     assert qosc.intertwine_residual(ls, r) == want < 1e-10
@@ -469,7 +498,7 @@ def test_gauge_invariance_of_intertwining():
     tri = sample_triangle(rng)
     params = qosc.CyclicParams.from_triangle(tri, 3)
     data = rm.CyclicRData.from_triangle(tri, 3)
-    r = rm.cyclic_r_dense(data)
+    r = oracles.vop_from_dense((3,) * 3, rm.cyclic_r_dense(data))
     base_combo = oracles.parameter_combinations(params.lambdas, params.mus)
     base = qosc.intertwine_residual(
         qosc.build_l(params.reps(), params.lambdas, params.mus), r)
@@ -506,7 +535,7 @@ def test_map_operator_relations_fock():
     q = 0.3
     rep = qosc.fock_rep(6, q)
     reps = (rep, rep, rep)
-    r = rm.fock_r_dense(6, q)
+    r = oracles.vop_from_dense((7,) * 3, rm.fock_r_dense(6, q))
     mask = qosc.product_state_mask(reps)
     res = qosc.map_operator_residuals(reps, r, eps=1, mask=mask)
     assert max(res.values()) < 1e-10
@@ -535,7 +564,8 @@ def test_map_relations_scale_by_the_compared_sides():
     mask = qosc.product_state_mask(reps)
     r = rm.fock_r_dense(8, q)
     assert np.max(np.abs(r)) > 1e13
-    bad = qosc.map_operator_residuals(reps, r, eps=-1, mask=mask)
+    bad = qosc.map_operator_residuals(reps, oracles.vop_from_dense((9,) * 3, r), eps=-1,
+                                      mask=mask)
     assert max(bad.values()) > 1e-3
 
 
@@ -575,11 +605,13 @@ def test_map_operator_residuals_match_dense_oracle():
     r = rm.fock_r_dense(5, 0.3)
     bad = r.copy()
     bad[0, 0] += 0.05 * np.max(np.abs(r))
-    got = qosc.map_operator_residuals(reps, r, eps=1, mask=mask)
+    got = qosc.map_operator_residuals(reps, oracles.vop_from_dense((6,) * 3, r), eps=1,
+                                      mask=mask)
     assert max(got.values()) < 1e-12
     assert max(dense_map_oracle(reps, r, 1, mask).values()) < 1e-12
     for mat, eps in ((r, -1), (bad, 1)):
-        got = qosc.map_operator_residuals(reps, mat, eps=eps, mask=mask)
+        got = qosc.map_operator_residuals(reps, oracles.vop_from_dense((6,) * 3, mat), eps=eps,
+                                          mask=mask)
         want = dense_map_oracle(reps, mat, eps, mask)
         assert max(got.values()) > 1e-3
         assert got.keys() == want.keys()

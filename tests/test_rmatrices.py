@@ -401,6 +401,33 @@ def test_fock_te_exact_for_rational_q():
     assert differ == 144
 
 
+def _assert_flat_keys_ascend(nm, d):
+    keys = (np.ravel_multi_index(nm[:3], (d,) * 3) * d ** 3
+            + np.ravel_multi_index(nm[3:], (d,) * 3))
+    assert (np.diff(keys) > 0).all()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_charge_pairs_inside_the_cutoff_are_the_fock_charge_sectors(d):
+    nm = rm.charge_pairs(d)
+    assert nm.shape == (6, d ** 4)
+    inside = nm[:, ((nm >= 0) & (nm < d)).all(axis=0)]
+    got = [tuple(t) for t in inside.T.tolist()]
+    want = {t for t in itertools.product(range(d), repeat=6) if rm.fock_charge_allowed(*t)}
+    assert len(set(got)) == len(got) and set(got) == want
+    _assert_flat_keys_ascend(inside, d)
+
+
+@pytest.mark.parametrize("N", [3, 5, 7])
+def test_charge_pairs_mod_n_are_the_sectors_over_z_n(N):
+    nm = rm.charge_pairs(N) % N
+    n1, n2, n3, m1, m2, m3 = every = np.indices((N,) * 6).reshape(6, -1)
+    want = every[:, ((n1 + n2 - m1 - m2) % N == 0) & ((n2 + n3 - m2 - m3) % N == 0)]
+    got = {tuple(t) for t in nm.T.tolist()}
+    assert len(got) == nm.shape[1] and got == {tuple(t) for t in want.T.tolist()}
+    _assert_flat_keys_ascend(nm, N)
+
+
 def test_fock_r_dense_charge_structure():
     q = 0.3
     r = rm.fock_r_dense(3, q)
@@ -899,7 +926,7 @@ def test_same_triangle_data_passes_intertwining_and_te():
     params = qosc.CyclicParams.from_triangle(tri, N)
     ls = qosc.build_l(params.reps(), params.lambdas, params.mus)
     datasets = tuple(rm.CyclicRData.from_angles(*a, N) for a in args)
-    r = rm.cyclic_r_dense(datasets[0])
+    r = oracles.vop_from_dense((N,) * 3, rm.cyclic_r_dense(datasets[0]))
     assert qosc.intertwine_residual(ls, r) < 1e-9
     rng = np.random.default_rng(43)
     for _ in range(20):
