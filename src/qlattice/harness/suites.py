@@ -421,6 +421,13 @@ def _fock_te_block(cfg, cases):
             for a, b in zip(col_starts[:-1], col_starts[1:])]
 
 
+def _bump_first_entry(r):
+    """The control's R: 0.05 max|R| added to its (0, 0) entry, on a copy."""
+    bump = np.zeros(math.prod(r.dims))
+    bump[0] = 0.05 * r.max_abs()
+    return r + qosc.VOp(r.dims, {(0, 0, 0): bump})
+
+
 def _fock_intertwine_case(cfg, idx):
     """Case 0 the masked intertwining check, case 1 the flip-map relations,
     both on the R of qosc.fock_r_sparse.  The control scales every element
@@ -430,11 +437,12 @@ def _fock_intertwine_case(cfg, idx):
         return qosc.fock_intertwine_extended(cfg.cutoff, cfg.q)
     reps, mask, r = qosc.fock_r_sparse(cfg.cutoff, cfg.q)
     if idx == 0:
-        bumped = r.data * 1.05 ** np.unravel_index(r.rows, r.dims)[1]
+        n2 = np.unravel_index(np.arange(math.prod(r.dims)), r.dims)[1]
+        bumped = qosc.VOp(r.dims, {s: c * 1.05 ** n2 for s, c in r.terms.items()})
         return qosc.intertwine_residual(qosc.build_l(reps, (1.0,) * 3, (-1.0,) * 3),
-                                        qosc.VOp(r.dims, r.rows, r.indices, bumped), mask)
+                                        bumped, mask)
     if cfg.perturb:
-        r = r + qosc.VOp(r.dims, [0], [0], [0.05 * r.max_abs()])
+        r = _bump_first_entry(r)
     return max(qosc.map_operator_residuals(reps, r, eps=1, mask=mask).values())
 
 
@@ -466,7 +474,7 @@ def _cyclic_intertwine_case(cfg, idx):
     ls = qosc.build_l(params.reps(), params.lambdas, params.mus)
     r = qosc.cyclic_r_sparse(rm.CyclicRData.from_triangle(tri, cfg.n_cyclic))
     if cfg.perturb:
-        r = r + qosc.VOp(r.dims, [0], [0], [0.05 * r.max_abs()])
+        r = _bump_first_entry(r)
     return qosc.intertwine_residual(ls, r)
 
 

@@ -9,10 +9,13 @@ L-operator built from them, and the intertwining check
     L12(H1) L13(H2) L23(H3) R  =  R  L23(H3) L13(H2) L12(H1).
 
 Products keep the 8 x 8 block structure over the three auxiliary C^2
-spaces.  Each block is a sparse complex128 operator on V1 x V2 x V3, as is
-each R, built on the charge sectors of rmatrices.charge_pairs.  The Fock
-checks compute only the R elements in extended precision (in rmatrices);
-every product is double.
+spaces.  Each block is a complex128 VOp on V1 x V2 x V3, a short sum of
+diagonal-times-index-shift terms, as is each R, built on the charge
+sectors of rmatrices.charge_pairs: a and a* move one index by one, k is
+diagonal, and R conserves n1 + n2 and n2 + n3.  A product is a gather and
+a multiply per pair of terms, so nothing is sorted.  The Fock checks
+compute only the R elements in extended precision (in rmatrices); every
+product is double.
 """
 
 from __future__ import annotations
@@ -90,42 +93,36 @@ def cyclic_rep(N: int, kappa: complex, rho: complex) -> QOscRep:
 
 
 # ---------------------------------------------------------------------------
-# sparse operators on V1 x V2 x V3, in blocks over C^2 x C^2 x C^2
+# operators on V1 x V2 x V3 as shift-diagonal terms, in blocks over C^2 x C^2 x C^2
 # ---------------------------------------------------------------------------
 
-class VOp:
-    """Sparse operator on V1 x V2 x V3 in CSR form over flat basis indices
-    n = (n1 d2 + n2) d3 + n3: row n holds the columns indices[indptr[n] :
-    indptr[n + 1]], ascending, with their values in data, which keeps the
-    dtype it was built in.
+@lru_cache(maxsize=256)
+def _source(dims, shift) -> np.ndarray:
+    """Flat index of (n - shift) mod dims for every flat index n, read-only."""
+    src = np.roll(np.arange(math.prod(dims)).reshape(dims), shift, axis=(0, 1, 2)).ravel()
+    src.flags.writeable = False
+    return src
 
-    VOp(dims, rows, cols, vals) takes entries in any order and sums those
-    that share a (row, col) in the order given.  Entries that arrive in
-    strictly ascending (row, col) order are taken as they are; any others
-    are stable-sorted and each run of equal (row, col) is summed left to
-    right, so the summation order is the same either way.  Every operation
-    builds its result through this one constructor.  rows holds the row of
-    every stored entry; the arrays given may be kept, not copied.
+
+class VOp:
+    """Operator on V1 x V2 x V3 over flat basis indices n = (n1 d2 + n2) d3
+    + n3, kept as a dict from a shift s in Z_d1 x Z_d2 x Z_d3 to a
+    coefficient array c_s over the flat basis: entry (n, (n - s) mod dims)
+    is c_s[n].  Every matrix has exactly one such decomposition; a
+    truncated (Fock) factor is the same rule with zeros in the coefficients.
+    The arrays keep the dtype they were built in and may be shared between
+    operators, so no operation writes into an array it did not make.
+
+    A product sums, per output shift, one gathered product per pair of
+    terms, left terms in the outer loop and right terms in the inner, each
+    in insertion order; sums and differences merge the dicts.
     """
 
     __array_ufunc__ = None  # a numpy scalar times a VOp defers to __rmul__
 
-    def __init__(self, dims, rows, cols, vals):
+    def __init__(self, dims, terms):
         self.dims = tuple(dims)
-        n = math.prod(self.dims)
-        rows, vals = np.asarray(rows, dtype=np.int64), np.asarray(vals)
-        key = rows * n + np.asarray(cols, dtype=np.int64)
-        if not (key[1:] > key[:-1]).all():
-            order = np.argsort(key, kind="stable")
-            key, vals = key[order], vals[order]
-            # a one-entry segment keeps its value as is: no 0 + x, a rounding add
-            starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-            key, vals = key[starts], np.add.reduceat(vals, starts)
-            rows = key // n
-        self.rows = rows
-        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-        self.indices = key - rows * n
-        self.data = vals
+        self.terms = terms
 
     @property
     def shape(self):
@@ -136,43 +133,47 @@ class VOp:
     def __matmul__(self, other):
         if not isinstance(other, VOp):
             return NotImplemented
-        # entry (r, m, v) of self meets every entry (m, c, w) of other's row m
-        counts = np.diff(other.indptr)[self.indices]
-        ends = np.cumsum(counts)
-        pos = np.arange(ends[-1] if ends.size else 0) + np.repeat(
-            other.indptr[self.indices] - ends + counts, counts)
-        return VOp(self.dims, np.repeat(self.rows, counts), other.indices[pos],
-                   np.repeat(self.data, counts) * other.data[pos])
+        d1, d2, d3 = self.dims
+        out = {}
+        for s, c in self.terms.items():
+            src = _source(self.dims, s)
+            for t, e in other.terms.items():
+                u = ((s[0] + t[0]) % d1, (s[1] + t[1]) % d2, (s[2] + t[2]) % d3)
+                out[u] = out[u] + c * e[src] if u in out else c * e[src]
+        return VOp(self.dims, out)
 
     def __add__(self, other):
-        return VOp(self.dims, np.concatenate([self.rows, other.rows]),
-                   np.concatenate([self.indices, other.indices]),
-                   np.concatenate([self.data, other.data]))
-
-    def __neg__(self):
-        return VOp(self.dims, self.rows, self.indices, -self.data)
+        out = dict(self.terms)
+        for t, e in other.terms.items():
+            out[t] = out[t] + e if t in out else e
+        return VOp(self.dims, out)
 
     def __sub__(self, other):
-        return VOp(self.dims, np.concatenate([self.rows, other.rows]),
-                   np.concatenate([self.indices, other.indices]),
-                   np.concatenate([self.data, -other.data]))
+        out = dict(self.terms)
+        for t, e in other.terms.items():
+            out[t] = out[t] - e if t in out else -e
+        return VOp(self.dims, out)
+
+    def __neg__(self):
+        return VOp(self.dims, {s: -c for s, c in self.terms.items()})
 
     def __rmul__(self, scalar):
-        return VOp(self.dims, self.rows, self.indices, scalar * self.data)
+        return VOp(self.dims, {s: scalar * c for s, c in self.terms.items()})
 
     def restrict(self, rows, cols):
         """The entries whose row is true in the boolean mask rows and whose
-        column is true in cols."""
-        keep = rows[self.rows] & cols[self.indices]
-        return VOp(self.dims, self.rows[keep], self.indices[keep], self.data[keep])
+        column is true in cols; every other entry reads 0."""
+        return VOp(self.dims, {s: np.where(rows & cols[_source(self.dims, s)], c, 0)
+                               for s, c in self.terms.items()})
 
     def max_abs(self):
-        return np.max(np.abs(self.data), initial=0.0)
+        return np.abs(list(self.terms.values())).max(initial=0.0)
 
 
 class BlockOp:
     """Operator kept as an 8 x 8 dict of blocks acting on V1 x V2 x V3: VOps,
-    or any other type with @, + and unary minus, such as ndarrays."""
+    or any other type with @ and +, such as ndarrays.  A plain operator on
+    the left acts on the V factors only."""
 
     __array_ufunc__ = None  # make ndarray @ BlockOp defer to __rmatmul__
 
@@ -185,37 +186,25 @@ class BlockOp:
         self.blocks[key] = self.blocks[key] + mat if key in self.blocks else mat
 
     def __matmul__(self, other):
-        if isinstance(other, BlockOp):
-            out = BlockOp(self.dims)
-            for (i, j), a in self.blocks.items():
-                for (jj, k), b in other.blocks.items():
-                    if j == jj:
-                        out.add(i, k, a @ b)
-            return out
-        # a plain operator acts on the V factors only
+        if not isinstance(other, BlockOp):
+            return NotImplemented
         out = BlockOp(self.dims)
         for (i, j), a in self.blocks.items():
-            out.add(i, j, a @ other)
+            for (jj, k), b in other.blocks.items():
+                if j == jj:
+                    out.add(i, k, a @ b)
         return out
 
     def __rmatmul__(self, other):
+        # the checks never multiply so; bench/tracer.py wraps it by name
         out = BlockOp(self.dims)
         for (i, j), a in self.blocks.items():
             out.add(i, j, other @ a)
         return out
 
-    def __sub__(self, other):
-        out = BlockOp(self.dims, dict(self.blocks))
-        for key, b in other.blocks.items():
-            out.blocks[key] = out.blocks[key] - b if key in out.blocks else -b
-        return out
-
     def restrict(self, rows, cols):
         """Every block restricted as VOp.restrict(rows, cols)."""
         return BlockOp(self.dims, {key: b.restrict(rows, cols) for key, b in self.blocks.items()})
-
-    def max_abs(self):
-        return max((b.max_abs() for b in self.blocks.values()), default=0.0)
 
 
 def _loper_entries(rep: QOscRep, lam, mu):
@@ -261,34 +250,30 @@ def _aux_index(bits) -> int:
 
 
 def _lift(dims, axis: int, mat) -> VOp:
-    """The single-factor matrix mat acting on factor axis of V1 x V2 x V3."""
-    r, c = np.nonzero(mat)
-    stride = math.prod(dims[axis + 1:])
-    # flat index of every basis state whose factor axis is 0, as (outer, 1,
-    # inner): entries run by outer index, entry of mat, inner index, which is
-    # ascending (row, col) where mat has at most one entry per row
-    base = np.arange(math.prod(dims)).reshape(dims).take(0, axis=axis).reshape(-1, 1, stride)
-    rows = base + (r * stride)[:, None]
-    return VOp(dims, rows.ravel(), (base + (c * stride)[:, None]).ravel(),
-               np.broadcast_to(mat[r, c][:, None], rows.shape).ravel())
-
-
-def _relative_gap(lhs, rhs) -> float:
-    """max|lhs - rhs| relative to the largest entry of either side; 0.0 where
-    both sides vanish."""
-    scale = max(lhs.max_abs(), rhs.max_abs())
-    return float((lhs - rhs).max_abs() / scale) if scale else 0.0
+    """The single-factor matrix mat acting on factor axis of V1 x V2 x V3:
+    one term per nonzero diagonal of mat, the diagonal s (entries
+    mat[i, (i - s) mod d]) at shift s along axis, in ascending s."""
+    i = np.arange(len(mat))
+    diags = mat[i, (i - i[:, None]) % len(mat)]  # row s is the diagonal s
+    shape = [-1 if k == axis else 1 for k in range(3)]
+    return VOp(dims, {tuple(s if k == axis else 0 for k in range(3)):
+                      np.broadcast_to(diags[s].reshape(shape), dims).ravel()
+                      for s in np.flatnonzero((diags != 0).any(axis=1)).tolist()})
 
 
 def _commutation_gap(left, r: VOp, right, mask) -> float:
-    """_relative_gap of left[0] ... left[-1] . R against R . right[0] ...
-    right[-1], each product taken left to right.
+    """max|lhs - rhs| relative to the largest entry of either side, 0.0
+    where both vanish, for lhs = left[0] ... left[-1] . R and rhs =
+    R . right[0] ... right[-1], each product taken left to right.
 
     r is the VOp of R over V1 x V2 x V3.  mask, if not None, is a boolean
     vector over that basis; rows and columns outside it are ignored
     (truncated-Fock boundary).  The outermost factor of each side is
-    restricted to the masked rows or columns before multiplying, so no entry
-    outside the compared block is formed.
+    restricted to the masked rows or columns before multiplying, so every
+    entry outside the compared block reads 0 on both sides.  Where the
+    factors multiply to BlockOps, R multiplies one block at a time and each
+    pair of blocks is compared at once, so no more than one block of each
+    side is held.
     """
     left, right = list(left), list(right)
     if mask is not None:
@@ -297,8 +282,16 @@ def _commutation_gap(left, r: VOp, right, mask) -> float:
         r_rows, r_cols = r.restrict(mask, every), r.restrict(every, mask)
     else:
         r_rows = r_cols = r
-    return _relative_gap(reduce(operator.matmul, left) @ r_cols,
-                         r_rows @ reduce(operator.matmul, right))
+    lhs, rhs = (op.blocks if isinstance(op, BlockOp) else {(0, 0): op}
+                for op in (reduce(operator.matmul, left), reduce(operator.matmul, right)))
+    empty = VOp(r.dims, {})
+    sides, gaps = [0.0], [0.0]
+    for key in dict.fromkeys([*lhs, *rhs]):
+        a, b = lhs.get(key, empty) @ r_cols, r_rows @ rhs.get(key, empty)
+        sides += [a.max_abs(), b.max_abs()]
+        gaps.append((a - b).max_abs())
+    scale = np.max(sides)  # np.max, not max: a nan anywhere reads nan
+    return float(np.max(gaps) / scale) if scale else 0.0
 
 
 def build_l(reps, lambdas, mus) -> tuple[BlockOp, BlockOp, BlockOp]:
@@ -337,6 +330,17 @@ def product_state_mask(reps) -> np.ndarray:
 # Fock checks on extended-precision elements
 # ---------------------------------------------------------------------------
 
+def _charge_r(d: int, nm, vals) -> VOp:
+    """The R over Z_d^3 with element vals[k] at (n, m) = nm[:, k], zero
+    elsewhere, as its d terms: R conserves n1 + n2 and n2 + n3, so n - m =
+    (j, -j, j), at shift (j, -j, j) mod d.  The arrays are read-only."""
+    dims = (d,) * 3
+    coef = np.zeros((d, d ** 3), dtype=vals.dtype)
+    coef[(nm[0] - nm[3]) % d, np.ravel_multi_index(nm[:3], dims)] = vals
+    coef.flags.writeable = False
+    return VOp(dims, {(j, -j % d, j): coef[j] for j in range(d)})
+
+
 @lru_cache(maxsize=8)
 def fock_r_sparse(cutoff: int, q: float):
     """(reps, mask, R) for the masked Fock checks, all complex128.
@@ -346,13 +350,15 @@ def fock_r_sparse(cutoff: int, q: float):
     rmatrices.fock_element_mp rounded to double once: an element is a
     terminating q-series that cancels far below its terms, so it is summed
     in as many digits as it cancels, and only the products are double.
-    R is filled over the charge sectors of rmatrices.charge_pairs whose m
-    lies inside the cutoff, in flat (row, col) order, so VOp sorts nothing,
-    and only where its row n is masked, or its column is masked and no index
-    of n is at the cutoff: every L, and every operator of the flip-map
-    relations, moves each index by at most one, so no other element reaches
-    a masked entry.  The result is cached per (cutoff, q), with read-only
-    arrays, so the checks of one run at one q build R once.
+    R holds the charge sectors of rmatrices.charge_pairs whose m lies
+    inside the cutoff, as the cutoff + 1 terms of _charge_r: shifts j and
+    j - (cutoff + 1) share a key and fill different rows.  An element is
+    computed only where its row n is masked, or its column is masked and no
+    index of n is at the cutoff: every L, and every operator of the
+    flip-map relations, moves each index by at most one, so no other
+    element reaches a masked entry; the others read 0.  The result is
+    cached per (cutoff, q), with read-only arrays, so the checks of one run
+    at one q build R once.
     """
     reps = (fock_rep(cutoff, q),) * 3
     mask = product_state_mask(reps)
@@ -360,15 +366,11 @@ def fock_r_sparse(cutoff: int, q: float):
     nm = rm.charge_pairs(cutoff + 1)
     nm = nm[:, ((nm >= 0) & (nm <= cutoff)).all(axis=0)]
     rows, cols = np.ravel_multi_index(nm[:3], dims), np.ravel_multi_index(nm[3:], dims)
-    reach = mask[rows] | (mask[cols] & (nm[:3].max(axis=0) < cutoff))
-    els = np.array([rm.fock_element_mp(*idx, q) for idx in nm[:, reach].T.tolist()],
-                   dtype=object)
-    nonzero = els != 0
-    r = VOp(dims, rows[reach][nonzero], cols[reach][nonzero], els[nonzero].astype(complex))
-    for a in (reps[0].a, reps[0].a_star, reps[0].k, mask, r.rows, r.indptr, r.indices,
-              r.data):
+    nm = nm[:, mask[rows] | (mask[cols] & (nm[:3].max(axis=0) < cutoff))]
+    els = [rm.fock_element_mp(*idx, q) for idx in nm.T.tolist()]
+    for a in (reps[0].a, reps[0].a_star, reps[0].k, mask):
         a.flags.writeable = False
-    return reps, mask, r
+    return reps, mask, _charge_r(cutoff + 1, nm, np.array(els, dtype=object).astype(complex))
 
 
 def fock_intertwine_extended(cutoff: int, q: float) -> float:
@@ -447,11 +449,10 @@ class CyclicParams:
 
 
 def cyclic_r_sparse(data: rm.CyclicRData) -> VOp:
-    """The cyclic R over Z_N as a VOp: the rows of rmatrices.charge_pairs(N)
-    reduced mod N, every element in one cyclic_vertex_element call.  Odd N
-    only: even N raises the vertex form's DomainError."""
+    """The cyclic R over Z_N as the N terms of _charge_r: the rows of
+    rmatrices.charge_pairs(N) reduced mod N, every element in one
+    cyclic_vertex_element call.  Odd N only: even N raises the vertex form's
+    DomainError."""
     rm._require_odd(data.N)
     nm = rm.charge_pairs(data.N) % data.N
-    dims = (data.N,) * 3
-    return VOp(dims, np.ravel_multi_index(nm[:3], dims), np.ravel_multi_index(nm[3:], dims),
-               rm.cyclic_vertex_element(nm[:3], nm[3:], data))
+    return _charge_r(data.N, nm, rm.cyclic_vertex_element(nm[:3], nm[3:], data))

@@ -185,8 +185,8 @@ _MP_GUARDS = (to_mp(ZERO_FLOOR), to_mp(_TINY))
 
 @lru_cache(maxsize=None, typed=True)
 def _mp_factors(q, prec: int) -> _FockFactors:
-    """The one _FockFactors of q for fock_element_mp's sums in
-    decimal.Context(prec=prec), the only context it is built and filled in.
+    """The one _FockFactors of q for fock_element_mp's sums at prec digits,
+    the only precision it is built and filled in (_MP_CTX at _MP_DPS).
     Typed, so an exact q (a Fraction) never shares an equal Decimal's table."""
     return _FockFactors(q)
 
@@ -201,15 +201,16 @@ def fock_element_mp(n1: int, n2: int, n3: int, m1: int, m2: int, m3: int, q):
     cutoff-12 R's 10,791 (which cancel up to 105 digits) past _MP_DPS.
     Every sum takes its factors from the table _mp_factors keeps for its q
     and digits, and equals the sum over a fresh table to the last digit.
+    The first pass sums in _MP_CTX; only a re-sum builds a context.
 
     A double q and its to_mp value are equal numbers, so they share one
     cache entry and one value.  Only this entry point is cached: an untyped
     lru_cache keys q = 0.3 and Decimal(0.3) alike, so a cache shared with
     the double path could hand one path the other's values.
     """
-    q, prec = to_mp(q), _MP_DPS
+    q, prec, ctx = to_mp(q), _MP_DPS, _MP_CTX
     while True:
-        with decimal.localcontext(decimal.Context(prec=prec)):
+        with decimal.localcontext(ctx):
             pref, terms = _fock_terms(n1, n2, n3, m1, m2, m3, _mp_factors(q, prec))
             if not terms:  # gated: the integer 0
                 return pref
@@ -222,6 +223,7 @@ def fock_element_mp(n1: int, n2: int, n3: int, m1: int, m2: int, m3: int, q):
         if prec > _MP_MAX_DPS:
             raise AccuracyError("Fock element %s cancels beyond %d digits"
                                 % ((n1, n2, n3, m1, m2, m3), _MP_MAX_DPS))
+        ctx = decimal.Context(prec=prec)
 
 
 def fock_r_dense(cutoff: int, q: complex) -> np.ndarray:

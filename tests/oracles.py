@@ -146,11 +146,44 @@ def field_exponent_balance(t_sets, f_sets, rng) -> float:
 # q-oscillator representations and L-operator parameters (qosc)
 # ---------------------------------------------------------------------------
 
+def _shifted(dims, shift) -> np.ndarray:
+    """Flat index of (n - shift) mod dims for every flat index n."""
+    n = np.unravel_index(np.arange(math.prod(dims)), dims)
+    return np.ravel_multi_index([(i - s) % d for i, s, d in zip(n, shift, dims)], dims)
+
+
 def vop_from_dense(dims, mat) -> qosc.VOp:
-    """The VOp of the dense matrix mat over V1 x V2 x V3: exactly its
-    nonzero entries, with their values."""
-    rows, cols = np.nonzero(mat)
-    return qosc.VOp(dims, rows, cols, mat[rows, cols])
+    """The shift-diagonal form of the dense matrix mat over V1 x V2 x V3: one
+    term per shift s with a nonzero entry (n, (n - s) mod dims), its
+    coefficients mat[n, (n - s) mod dims], shifts in ascending flat order."""
+    rows = np.arange(math.prod(dims))
+    terms = {}
+    for shift in np.ndindex(*dims):
+        coef = mat[rows, _shifted(dims, shift)]
+        if (coef != 0).any():
+            terms[shift] = coef
+    return qosc.VOp(dims, terms)
+
+
+def vop_entries(op):
+    """Yield (row, col, value) of every nonzero entry of a VOp, term by
+    term; each shift must be reduced mod dims, each array span the basis."""
+    for shift, coef in op.terms.items():
+        assert all(0 <= s < d for s, d in zip(shift, op.dims)), shift
+        assert coef.shape == (math.prod(op.dims),), coef.shape
+        cols = _shifted(op.dims, shift)
+        for n in np.flatnonzero(coef != 0).tolist():
+            yield n, int(cols[n]), coef[n]
+
+
+def to_dense(op) -> np.ndarray:
+    """The dense matrix of a VOp, complex, or object where a term holds
+    mpf entries."""
+    dtype = object if any(c.dtype == object for c in op.terms.values()) else complex
+    out = np.zeros(op.shape, dtype=dtype)
+    for row, col, val in vop_entries(op):
+        out[row, col] = val
+    return out
 
 
 def algebra_residuals(rep: qosc.QOscRep) -> dict:

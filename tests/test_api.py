@@ -271,6 +271,29 @@ def test_operator_checks_name_no_dense_r():
         assert not found, (path.name, found)
 
 
+def test_operators_sort_nothing_and_keep_the_shape_the_tracer_reads():
+    # every operator on V1 x V2 x V3 is a dict of shift-diagonal terms, so
+    # qosc names no sort and no segmented sum; bench/tracer.py counts the
+    # flops of BlockOp products from each block's .shape
+    found = re.findall(r"argsort|lexsort|reduceat", (PACKAGE / "qosc.py").read_text())
+    assert not found, found
+    import numpy as np
+    from qlattice import qosc
+    from qlattice import rmatrices as rm
+    from qlattice import specfun as sf
+
+    tri = sf.spherical_sides_from_angles(1.2, 1.4, 1.6)
+    params = qosc.CyclicParams.from_triangle(tri, 3)
+    reps, _, fock_r = qosc.fock_r_sparse(5, 0.3)
+    cyclic_r = qosc.cyclic_r_sparse(rm.CyclicRData.from_triangle(tri, 3))
+    blocks = [b for ls in (qosc.build_l(params.reps(), params.lambdas, params.mus),
+                           qosc.build_l(reps, (1.0,) * 3, (-1.0,) * 3))
+              for op in ls for b in op.blocks.values()]
+    for op in blocks + [fock_r, cyclic_r]:
+        n = int(np.prod(op.dims))
+        assert len(op.dims) == 3 and op.shape == (n, n)
+
+
 class _MatMulAsMul(ast.NodeTransformer):
     def visit_MatMult(self, node):
         return ast.Mult()

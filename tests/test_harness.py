@@ -452,7 +452,8 @@ def test_fock_entry_points_do_not_depend_on_the_thread_decimal_context():
         rm.fock_element_mp.cache_clear()
         qosc.fock_r_sparse.cache_clear()
         reps, mask, r = qosc.fock_r_sparse(8, 0.3)
-        return repr((rm.fock_element_mp(2, 1, 2, 1, 2, 1, 0.3), r.data.tolist(),
+        return repr((rm.fock_element_mp(2, 1, 2, 1, 2, 1, 0.3),
+                     [(shift, c.tolist()) for shift, c in r.terms.items()],
                      rm.fock_te_sides(terms, exts.shape[1], 0.7),
                      rm.fock_te_residual(terms, exts.shape[1], 0.3, 0.3).tolist(),
                      qosc.fock_intertwine_extended(8, 0.3),

@@ -140,7 +140,8 @@ def test_l_product_associativity():
     l12, l13, l23 = ls
     left = (l12 @ l13) @ l23
     right = l12 @ (l13 @ l23)
-    assert (left - right).max_abs() < 1e-13
+    assert left.blocks.keys() == right.blocks.keys()
+    assert max((left.blocks[k] - right.blocks[k]).max_abs() for k in left.blocks) < 1e-13
 
 
 def test_build_l_same_entries_for_double_and_mpmath_q():
@@ -155,13 +156,12 @@ def test_build_l_same_entries_for_double_and_mpmath_q():
         assert op.blocks.keys() == mp_op.blocks.keys()
         for key, block in op.blocks.items():
             mp_block = mp_op.blocks[key]
-            # same stored (row, column) pattern
-            assert np.array_equal(block.indptr, mp_block.indptr)
-            assert np.array_equal(block.indices, mp_block.indices)
-            want = block.data
-            got = np.array([complex(val) for val in mp_block.data])
-            assert got.shape == want.shape
-            assert all(abs(g - w) <= 1e-15 * abs(g) for g, w in zip(got, want))
+            # same shifts, in the same order
+            assert list(block.terms) == list(mp_block.terms)
+            for shift, want in block.terms.items():
+                got = np.array([complex(val) for val in mp_block.terms[shift]])
+                assert got.shape == want.shape
+                assert all(abs(g - w) <= 1e-15 * abs(g) for g, w in zip(got, want))
 
 
 def test_fock_checks_compute_in_complex128():
@@ -171,18 +171,15 @@ def test_fock_checks_compute_in_complex128():
     assert all(mat.dtype == np.complex128 for rep in reps
                for mat in (rep.a, rep.a_star, rep.k))
     for op in qosc.build_l(reps, (1.0,) * 3, (-1.0,) * 3):
-        assert op.blocks and all(b.data.dtype == np.complex128 for b in op.blocks.values())
-    assert r.data.dtype == np.complex128 and r.data.size == 256
+        assert op.blocks and all(c.dtype == np.complex128 for b in op.blocks.values()
+                                 for c in b.terms.values())
+    assert all(c.dtype == np.complex128 for c in r.terms.values())
+    assert sum(np.count_nonzero(c) for c in r.terms.values()) == 256
 
 
 # ---------------------------------------------------------------------------
-# the sparse kernel against dense numpy products
+# the shift-diagonal kernel against dense arithmetic
 # ---------------------------------------------------------------------------
-
-KERNEL_DIMS = (3, 2, 4)
-KERNEL_N = 24
-EMPTY_ROWS = (0, 5, 17)
-
 
 def kernel_values(rng, size, kind):
     vals = rng.normal(size=size) + 1j * rng.normal(size=size)
@@ -192,123 +189,89 @@ def kernel_values(rng, size, kind):
     return np.array([mp.mpf(v.real) / 3 + mp.mpf(v.imag) / 7 for v in vals], dtype=object)
 
 
-def random_coo(rng, nnz, kind):
-    """Entries in random order, a quarter of them repeating an earlier
-    (row, col), and none in EMPTY_ROWS."""
-    rows = rng.choice([r for r in range(KERNEL_N) if r not in EMPTY_ROWS], nnz)
-    cols = rng.integers(0, KERNEL_N, nnz)
-    rows[-(nnz // 4):], cols[-(nnz // 4):] = rows[:nnz // 4], cols[:nnz // 4]
-    return rows, cols, kernel_values(rng, nnz, kind)
+def random_vop(rng, dims, kind):
+    """A VOp on four distinct random shifts, a quarter of each coefficient
+    array zero, and its dense matrix, whose entry (n, (n - s) mod dims) is
+    coefficient n of shift s."""
+    n = math.prod(dims)
+    grid = np.indices(dims).reshape(3, -1)
+    terms, dense = {}, np.zeros((n, n), dtype=complex if kind == "complex" else object)
+    for flat in rng.choice(n, 4, replace=False):
+        shift = tuple(int(i) for i in np.unravel_index(flat, dims))
+        terms[shift] = kernel_values(rng, n, kind) * (rng.random(n) < 0.75)
+        cols = np.ravel_multi_index([(g - s) % d for g, s, d in zip(grid, shift, dims)], dims)
+        dense[np.arange(n), cols] = terms[shift]
+    return qosc.VOp(dims, terms), dense
 
 
-def dense_from_coo(rows, cols, vals):
-    out = np.zeros((KERNEL_N, KERNEL_N), dtype=vals.dtype)
-    for r, c, v in zip(rows, cols, vals):
-        out[r, c] = out[r, c] + v
+def dense_lift(dims, axis, mat):
+    """mat on factor axis of V1 x V2 x V3, written entry by entry."""
+    flat = np.arange(math.prod(dims)).reshape(dims)
+    out = np.zeros((flat.size,) * 2, dtype=mat.dtype)
+    for i, j in zip(*np.nonzero(mat)):
+        out[flat.take(i, axis=axis).ravel(), flat.take(j, axis=axis).ravel()] = mat[i, j]
     return out
 
 
-def to_dense(op):
-    """The dense matrix of a VOp read from its CSR fields, which must be
-    canonical: one entry per (row, col), columns ascending in each row."""
-    assert op.shape == (KERNEL_N, KERNEL_N)
-    assert len(op.indptr) == KERNEL_N + 1 and op.indptr[0] == 0
-    assert op.indptr[-1] == len(op.indices) == len(op.data)
-    out = np.zeros(op.shape, dtype=object if op.data.dtype == object else complex)
-    for row in range(KERNEL_N):
-        cols = op.indices[op.indptr[row]:op.indptr[row + 1]]
-        assert np.all(np.diff(cols) > 0)
-        out[row, cols] = op.data[op.indptr[row]:op.indptr[row + 1]]
+def dense_product(a, b):
+    """a @ b over the nonzero entries of a and b, for object entries too."""
+    out = np.zeros((len(a), b.shape[1]), dtype=np.result_type(a, b))
+    for row in range(len(a)):
+        for col in np.flatnonzero(a[row] != 0):
+            nz = np.flatnonzero(b[col] != 0)
+            out[row, nz] = out[row, nz] + b[col, nz] * a[row, col]
     return out
 
 
 def assert_close(got, want, kind):
     tol = 1e-13 if kind == "complex" else 1e-45
-    diff = np.max(np.abs(to_dense(got) - want), initial=0.0)
-    assert diff <= tol * np.max(np.abs(want), initial=0.0)
+    diff = oracles.to_dense(got) - want
+    assert (np.max(np.abs(diff[diff != 0]), initial=0.0)
+            <= tol * np.max(np.abs(want[want != 0]), initial=0.0))
 
 
 @pytest.mark.parametrize("kind", ["complex", "mpf"])
-def test_vop_kernel_matches_dense_products(kind):
+@pytest.mark.parametrize("dims", [(3, 4, 2), (5, 5, 5)], ids=["3x4x2", "5x5x5"])
+def test_vop_matches_dense_arithmetic(dims, kind):
+    # random terms, and a truncated Fock lift whose shifts +2 and 2 - d share
+    # one key, against the same operations on their dense matrices
     rng = np.random.default_rng(11)
+    n = math.prod(dims)
+    axis = int(np.argmax(dims))
+    rep = qosc.fock_rep(dims[axis] - 1, 0.3)
+    fock = rep.a_star @ rep.a_star + np.linalg.matrix_power(rep.a, dims[axis] - 2)
     with mp.workdps(50):
-        coo_a, coo_b = random_coo(rng, 60, kind), random_coo(rng, 40, kind)
-        a, b = qosc.VOp(KERNEL_DIMS, *coo_a), qosc.VOp(KERNEL_DIMS, *coo_b)
-        da, db = dense_from_coo(*coo_a), dense_from_coo(*coo_b)
-        empty = qosc.VOp(KERNEL_DIMS, [], [], [])
-        zero = np.zeros((KERNEL_N, KERNEL_N), dtype=da.dtype)
+        if kind == "mpf":
+            fock = np.array([[mp.mpf(v) / 3 for v in row] for row in fock.real.tolist()],
+                            dtype=object)
+        a, da = random_vop(rng, dims, kind)
+        b, db = random_vop(rng, dims, kind)
+        f, df = qosc._lift(dims, axis, fock), dense_lift(dims, axis, fock)
+        empty, zero = qosc.VOp(dims, {}), np.zeros((n, n), dtype=da.dtype)
         scalar = kernel_values(rng, 1, kind)[0]
-        rows, cols = rng.random(KERNEL_N) < 0.6, rng.random(KERNEL_N) < 0.6
+        rows, cols = rng.random(n) < 0.6, rng.random(n) < 0.6
         keep = np.outer(rows, cols)
-        assert_close(a, da, kind)
-        assert_close(a @ b, da @ db, kind)
-        assert_close(b @ a, db @ da, kind)
-        assert_close(a + b, da + db, kind)
-        assert_close(a - b, da - db, kind)
-        assert_close(-a, -da, kind)
-        assert_close(scalar * a, scalar * da, kind)
-        assert_close(a.restrict(rows, cols), np.where(keep, da, 0), kind)
-        assert_close((a @ b).restrict(rows, cols), np.where(keep, da @ db, 0), kind)
-        assert_close(a @ empty, zero, kind)
-        assert_close(empty @ a, zero, kind)
-        assert_close(empty + a, da, kind)
-        assert_close(empty.restrict(rows, cols), zero, kind)
-        assert len((empty @ empty).data) == 0
-        for op in (a, b, a @ b):
-            assert all(op.indptr[r] == op.indptr[r + 1] for r in EMPTY_ROWS)
-        # the oracle keeps exactly the nonzero entries, with their values
-        back = oracles.vop_from_dense(KERNEL_DIMS, da)
-        assert len(back.data) == np.count_nonzero(da)
-        assert np.array_equal(to_dense(back), da)
-        assert np.array_equal(to_dense(oracles.vop_from_dense(KERNEL_DIMS, to_dense(a))),
-                              to_dense(a))
+        assert list(f.terms) == [tuple(2 if i == axis else 0 for i in range(3))]
+        for got, want in [
+                (a, da), (f, df), (a @ b, dense_product(da, db)),
+                (b @ a, dense_product(db, da)), (a @ f, dense_product(da, df)),
+                (f @ a, dense_product(df, da)), (f @ f, dense_product(df, df)),
+                (a + b, da + db), (a + f, da + df), (a - b, da - db), (f - a, df - da),
+                (-a, -da), (scalar * a, scalar * da),
+                (a.restrict(rows, cols), np.where(keep, da, 0)),
+                ((a @ f).restrict(rows, cols), np.where(keep, dense_product(da, df), 0)),
+                (a @ empty, zero), (empty @ a, zero), (empty + a, da),
+                (empty.restrict(rows, cols), zero)]:
+            assert_close(got, want, kind)
+        # the oracles keep exactly the nonzero diagonals, with their values
+        back = oracles.vop_from_dense(dims, da)
+        assert sorted(back.terms) == sorted(a.terms)
+        assert all(np.array_equal(back.terms[s], a.terms[s]) for s in a.terms)
+        assert np.array_equal(oracles.to_dense(back), da)
+        assert np.array_equal(oracles.to_dense(oracles.vop_from_dense(dims, df)), df)
     assert a.max_abs() == np.max(np.abs(da))
+    assert f.max_abs() == np.max(np.abs(df))
     assert empty.max_abs() == 0.0
-
-
-def csr_fields(op):
-    """indptr, indices, rows and data of a VOp, data as exact bits (an mpf
-    by its mantissa and exponent)."""
-    data = (op.data.tobytes() if op.data.dtype != object
-            else [v._mpf_ for v in op.data.tolist()])
-    return op.indptr.tobytes(), op.indices.tobytes(), op.rows.tobytes(), data
-
-
-@pytest.mark.parametrize("kind", ["complex", "mpf"])
-@pytest.mark.parametrize("nnz", [0, 1, 50])
-def test_vop_in_order_and_sorted_entries_build_the_same_operator(kind, nnz, monkeypatch):
-    # the same entries in ascending (row, col) order, shuffled, and with a
-    # third of them split into two entries that sum to the value: the first
-    # skips the sort, the others sort and reduce, and every field agrees
-    rng = np.random.default_rng(5)
-    with mp.workdps(50):
-        keys = np.sort(rng.choice([r * KERNEL_N + c for r in range(KERNEL_N)
-                                   if r not in EMPTY_ROWS for c in range(KERNEL_N)],
-                                  nnz, replace=False))
-        rows, cols = divmod(keys, KERNEL_N)
-        first, second = kernel_values(rng, nnz, kind), kernel_values(rng, nnz, kind)
-        split = rng.random(nnz) < 1 / 3
-        vals = np.where(split, first + second, first)
-        shuffle = rng.permutation(nnz)
-        # each split entry keeps its first part in the shuffled place and
-        # gives its second part at the end, so the parts sum in that order
-        pairs = (np.concatenate([rows[shuffle], rows[split]]),
-                 np.concatenate([cols[shuffle], cols[split]]),
-                 np.concatenate([first[shuffle], second[split]]))
-        argsorts = []
-        argsort = np.argsort
-        monkeypatch.setattr(np, "argsort", lambda *a, **k: argsorts.append(1) or argsort(*a, **k))
-        in_order = qosc.VOp(KERNEL_DIMS, rows, cols, vals)
-        assert not argsorts
-        shuffled = qosc.VOp(KERNEL_DIMS, rows[shuffle], cols[shuffle], vals[shuffle])
-        split_up = qosc.VOp(KERNEL_DIMS, *pairs)
-        assert np.array_equal(to_dense(in_order), dense_from_coo(rows, cols, vals))
-    if nnz > 1:
-        assert len(argsorts) == 2
-    assert csr_fields(shuffled) == csr_fields(in_order)
-    assert csr_fields(split_up) == csr_fields(in_order)
-    assert len(in_order.data) == nnz and in_order.data.dtype == vals.dtype
-    assert all(in_order.indptr[r] == in_order.indptr[r + 1] for r in EMPTY_ROWS)
 
 
 def test_build_l_sorts_no_entries(monkeypatch):
@@ -331,6 +294,37 @@ def test_fock_r_sparse_sorts_no_entries(monkeypatch):
     qosc.fock_r_sparse.__wrapped__(8, 0.3)
 
 
+def test_operator_checks_sort_nothing(monkeypatch):
+    # a product is a gather and a multiply per pair of terms: the cyclic and
+    # the masked Fock intertwining checks and the flip-map relations run
+    # with every sort and segmented sum refusing
+    def refuse(*args, **kwargs):
+        raise AssertionError("sorted")
+
+    class AddWithoutReduceat:
+        def __getattr__(self, name):
+            return getattr(add, name)
+
+        def __call__(self, *args, **kwargs):
+            return add(*args, **kwargs)
+
+        reduceat = staticmethod(refuse)
+
+    add = np.add
+    tri = sample_triangle(np.random.default_rng(3))
+    params = qosc.CyclicParams.from_triangle(tri, 5)
+    cyclic_r = qosc.cyclic_r_sparse(rm.CyclicRData.from_triangle(tri, 5))
+    reps, mask, fock_r = qosc.fock_r_sparse(8, 0.3)
+    monkeypatch.setattr(np, "argsort", refuse)
+    monkeypatch.setattr(np, "lexsort", refuse)
+    monkeypatch.setattr(np, "add", AddWithoutReduceat())
+    ls = qosc.build_l(params.reps(), params.lambdas, params.mus)
+    assert qosc.intertwine_residual(ls, cyclic_r) < 1e-13
+    ls = qosc.build_l(reps, (1.0,) * 3, (-1.0,) * 3)
+    assert qosc.intertwine_residual(ls, fock_r, mask) < 1e-15
+    assert max(qosc.map_operator_residuals(reps, fock_r, eps=1, mask=mask).values()) < 1e-15
+
+
 # ---------------------------------------------------------------------------
 # intertwining
 # ---------------------------------------------------------------------------
@@ -341,9 +335,10 @@ def test_cyclic_r_sparse_equals_the_dense_reference_bit_for_bit(N):
     got = qosc.cyclic_r_sparse(data)
     want = oracles.vop_from_dense((N,) * 3, rm.cyclic_r_dense(data))
     assert got.dims == want.dims
-    for field in ("rows", "indptr", "indices", "data"):
-        a, b = getattr(got, field), getattr(want, field)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+    assert list(got.terms) == list(want.terms)
+    for shift, a in got.terms.items():
+        b = want.terms[shift]
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), shift
 
 
 def test_cyclic_r_sparse_rejects_even_n():
@@ -388,14 +383,14 @@ def test_fock_r_sparse_elements_match_150_digit_oracle(cutoff):
     ctx = mp.MPContext()
     ctx.dps = 150
     _, _, r = qosc.fock_r_sparse(cutoff, 0.3)
-    n = np.unravel_index(r.rows, r.dims)
-    m = np.unravel_index(r.indices, r.dims)
-    indices = np.stack([*n, *m], axis=1).tolist()
-    assert len(indices) == {8: 2023, 10: 5121, 12: 10791}[cutoff]
-    assert not r.data.imag.any()
+    entries = list(oracles.vop_entries(r))
+    assert len(entries) == {8: 2023, 10: 5121, 12: 10791}[cutoff]
+    assert not any(val.imag for _, _, val in entries)
     q = ctx.mpf(0.3)
-    for val, idx in zip(r.data.real.tolist(), indices):
+    for row, col, val in entries:
+        idx = np.transpose(np.unravel_index([row, col], r.dims)).ravel().tolist()
         exact = rm.fock_element(*idx, q)
+        val = float(val.real)
         assert abs(val - exact) <= 2.0 ** -53 * abs(exact), idx
 
 
