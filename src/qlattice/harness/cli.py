@@ -49,7 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=SuiteConfig.seed)
     v.add_argument("--samples", type=int, default=SuiteConfig.samples)
     v.add_argument("--tol", type=float, default=SuiteConfig.tol)
-    v.add_argument("--workers", type=int, default=SuiteConfig.workers)
+    v.add_argument("--workers", type=int, default=SuiteConfig.workers,
+                   help="worker processes; at most one process per CPU is started")
     v.add_argument("--box", type=_parse_size, default=SuiteConfig.box,
                    help="covariant box, AxBxC")
     v.add_argument("--perturb", action="store_true",

@@ -4,11 +4,12 @@ for every identity the package checks, plus their negative controls.
 Each suite declares a default tolerance and sample count, a case count and
 either a case function mapping (config, case index) to a residual or a block
 function mapping (config, case indices) to their residuals in one array
-call.  The runner hands out fixed blocks of BLOCK_CASES consecutive cases,
-and per-case inputs come from counter-based streams, so neither the worker
-count nor the block size can change a case.  With perturb=True a suite
-applies its documented deliberate corruption and the report then passes
-only if the residual EXCEEDS the tolerance.
+call.  The runner hands out blocks of consecutive cases that stack at most
+BLOCK_ROWS rows (a case stacks Suite.rows rows), and per-case inputs come
+from counter-based streams, so neither the worker count nor the block size
+can change a case.  With perturb=True a suite applies its documented
+deliberate corruption and the report then passes only if the residual
+EXCEEDS the tolerance.
 
 Block suites: fock-te, cyclic-te-irc, cyclic-cross-form, classical-lybe,
 classical-fte, symplectic, geometry-flip, miquel and dodecahedron; a case
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
@@ -47,9 +49,10 @@ from .report import Report
 from .rng import case_rng, case_rngs
 
 SETUP_STREAM = 2 ** 62 + 11  # case index reserved for per-run shared setup
-# consecutive cases per block: the unit of work of one worker call and of one
-# block function call.  Small blocks keep the arrays, and peak memory, small.
-BLOCK_CASES = 32
+# stacked rows per block, a block being the unit of work of one worker call
+# and of one block function call: a sampled classical suite's whole run, 37
+# fock-te cases at max_index 2 or 8 cyclic-te-irc cases at N = 2.
+BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -97,7 +100,8 @@ class Suite:
     over a block of cases otherwise.  A block function returns its cases'
     residuals as Python floats, in order, each the value its block of one
     reads; where blocks of one raise, the block raises the error of the
-    first of them."""
+    first of them.  rows(cfg) is the number of rows, tuples or sampled
+    states, that one case puts on the block's stacks."""
 
     default_tol: float
     default_samples: int
@@ -106,6 +110,7 @@ class Suite:
     block: callable = None
     parameters: callable = lambda cfg: {}
     extras: callable = lambda cfg: {}
+    rows: callable = lambda cfg: 1
 
     def __post_init__(self):
         if self.case is None:
@@ -648,6 +653,7 @@ SUITES = {
     "fock-te": Suite(
         1e-12, 0,
         count=_fock_te_count, block=_fock_te_block,
+        rows=lambda cfg: (cfg.max_index + 1) ** 3,
         parameters=lambda cfg: {"q": cfg.q, "max_index": cfg.max_index}),
     "fock-intertwine": Suite(
         1e-10, 2,
@@ -660,6 +666,7 @@ SUITES = {
     "cyclic-te-irc": Suite(
         1e-9, 1000,
         count=_cyclic_te_count, block=_cyclic_te_block,
+        rows=lambda cfg: 128 if cfg.n_cyclic == 2 else 1,
         parameters=lambda cfg: {"N": cfg.n_cyclic,
                                 "exhaustive": cfg.n_cyclic == 2}),
     "cyclic-te-vertex": Suite(
@@ -706,16 +713,20 @@ def run_suite(cfg: SuiteConfig) -> Report:
     suite = SUITES[cfg.suite]
     tol = cfg.tol if cfg.tol is not None else suite.default_tol
     n_cases = suite.count(cfg)
-    # the blocks are cut here, so a worker process never reads BLOCK_CASES
-    blocks = [(cfg, range(start, min(start + BLOCK_CASES, n_cases)))
-              for start in range(0, n_cases, BLOCK_CASES)]
+    # the blocks are cut here, so a worker process never reads BLOCK_ROWS: at
+    # most BLOCK_ROWS rows each, and small enough that every process of the
+    # pool, at most one per CPU, gets a block
+    pool = min(cfg.workers, len(os.sched_getaffinity(0)))
+    size = max(1, min(BLOCK_ROWS // suite.rows(cfg), -(-n_cases // pool)))
+    blocks = [(cfg, range(start, min(start + size, n_cases)))
+              for start in range(0, n_cases, size)]
     start = time.perf_counter()
-    if cfg.workers == 1:
+    if pool == 1 or len(blocks) <= 1:
         parts = map(_run_block, blocks)
     else:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            parts = list(pool.map(_run_block, blocks))
+        with ProcessPoolExecutor(max_workers=min(pool, len(blocks))) as executor:
+            parts = list(executor.map(_run_block, blocks))
     results = [pair for part in parts for pair in part]
     wall = time.perf_counter() - start
     residuals = [r for _, r in results]

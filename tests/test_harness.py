@@ -481,16 +481,18 @@ def test_fock_intertwine_controls_read_the_50_digit_products(cutoff, parent):
 
 
 def test_fock_te_gates_each_block_once(monkeypatch):
-    # the 729 cases at max_index 2 share one gate call per block of
-    # BLOCK_CASES (23 blocks of up to 32), which sees only the 4,743
-    # charge-consistent tuples.  Each block is summed in one fock_te_residual
-    # call over all its tuples, which sums both sides of the check in one
-    # fock_te_sides call and each side of the control in one of its own; a
-    # second q gates again
+    # the 729 cases at max_index 2, 27 rows each, share one gate call per
+    # block of BLOCK_ROWS // 27 cases (20 blocks of up to 37), which sees only
+    # the 4,743 charge-consistent tuples; the 64 at max_index 1, 8 rows each,
+    # take one block.  Each block is summed in one fock_te_residual call over
+    # all its tuples, which sums both sides of the check in one fock_te_sides
+    # call and each side of the control in one of its own; a second q gates
+    # again
     from qlattice import rmatrices as rm
     from qlattice.harness import suites
 
-    big, small = -(-729 // suites.BLOCK_CASES), -(-64 // suites.BLOCK_CASES)
+    big = -(-729 // (suites.BLOCK_ROWS // 27))
+    small = -(-64 // (suites.BLOCK_ROWS // 8))
 
     gated, summed = [], {"residual": 0, "sides": 0}
     gate, residual, sides = rm.fock_te_gate, rm.fock_te_residual, rm.fock_te_sides
@@ -504,7 +506,7 @@ def test_fock_te_gates_each_block_once(monkeypatch):
     monkeypatch.setattr(rm, "fock_te_sides", count("sides", sides))
     _clear_fock_sums()
     run_suite(SuiteConfig(suite="fock-te", q=0.3, max_index=2))
-    assert big == 23 and len(gated) == big and sum(gated) == 4743
+    assert (big, small) == (20, 1) and len(gated) == big and sum(gated) == 4743
     assert summed == {"residual": big, "sides": big}
     run_suite(SuiteConfig(suite="fock-te", q=0.7, max_index=2))
     assert len(gated) == 2 * big and summed == {"residual": 2 * big, "sides": 2 * big}
@@ -593,7 +595,7 @@ def test_cross_form_builds_the_weight_table_once(monkeypatch):
     {"suite": "classical-lybe", "samples": 40},
     {"suite": "classical-lybe", "samples": 5, "perturb": True},
     # eps = +1 for cases 0-19 and -1 for 20-39: the branch changes inside a
-    # block of 7 and of 32
+    # block of 7 and inside the default block of all 40 cases
     {"suite": "classical-fte", "samples": 20},
     {"suite": "classical-fte", "samples": 3, "perturb": True},
     {"suite": "symplectic", "samples": 20},
@@ -607,20 +609,91 @@ def test_cross_form_builds_the_weight_table_once(monkeypatch):
 ])
 def test_block_suite_reports_do_not_depend_on_blocks(params, monkeypatch):
     # a block suite's report is the same at every block size and worker
-    # count, and its block of one reads each case's residual
+    # count, and its block of one reads each case's residual: blocks of 1 and
+    # 7 cases, and of the default budget
     from qlattice.harness import suites
 
     cfg = SuiteConfig(keep_cases=True, **params)
-    assert suites.BLOCK_CASES == 32  # the default is one of the sizes below
+    rows = SUITES[cfg.suite].rows(cfg)
+    assert suites.BLOCK_ROWS == 1024  # the default is one of the budgets below
     reports = set()
-    for size in (1, 7, 32):
-        monkeypatch.setattr(suites, "BLOCK_CASES", size)
+    for budget in (rows, 7 * rows, 1024):
+        monkeypatch.setattr(suites, "BLOCK_ROWS", budget)
         for workers in (1, 2):
             rep = run_suite(dataclasses.replace(cfg, workers=workers))
             reports.add(json.dumps(oracles.strip_timing(rep.to_dict()), sort_keys=True))
     assert len(reports) == 1
     assert [repr(res) for _, res in rep.cases] == \
         [repr(SUITES[cfg.suite].case(cfg, idx)) for idx, _ in rep.cases]
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two CPUs, and a process pool that maps its blocks in this process:
+    the max_workers of every pool opened, in order.  Starts no process."""
+    import concurrent.futures
+    import os
+
+    opened = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return opened
+
+
+def _record_blocks(monkeypatch, name):
+    """The cases of every block that suite name's block function gets."""
+    blocks, suite = [], SUITES[name]
+    monkeypatch.setitem(SUITES, name, dataclasses.replace(
+        suite, block=lambda cfg, cases: blocks.append(cases) or suite.block(cfg, cases)))
+    return blocks
+
+
+def test_blocks_follow_the_row_budget(monkeypatch, two_cpus):
+    # BLOCK_ROWS stacked rows per block: 27 per fock-te case at max_index 2,
+    # 128 per cyclic-te-irc case at N = 2 and 1 per sampled classical case
+    from qlattice import rmatrices as rm
+
+    fock = _record_blocks(monkeypatch, "fock-te")
+    _clear_fock_sums()
+    run_suite(SuiteConfig(suite="fock-te", q=0.3, max_index=2))
+    assert [len(b) for b in fock] == [37] * 19 + [729 - 19 * 37]
+
+    shapes, irc = [], rm.irc_te_residual_cyclic
+    monkeypatch.setattr(rm, "irc_te_residual_cyclic",
+                        lambda tables, ext: shapes.append(ext.shape) or irc(tables, ext))
+    run_suite(SuiteConfig(suite="cyclic-te-irc", n_cyclic=2))
+    assert shapes == [(8, 128, 14)] * 16
+
+    lybe = _record_blocks(monkeypatch, "classical-lybe")
+    cfg = SuiteConfig(suite="classical-lybe", samples=1000, keep_cases=True)
+    one = run_suite(cfg)
+    assert lybe == [range(1000)] and two_cpus == []
+    two = run_suite(dataclasses.replace(cfg, workers=2))
+    assert lybe[1:] == [range(500), range(500, 1000)] and two_cpus == [2]
+    assert oracles.strip_timing(two.to_dict()) == oracles.strip_timing(one.to_dict())
+
+
+def test_the_pool_never_exceeds_the_cpus(two_cpus):
+    # workers beyond the CPUs start no more processes and change no case
+    cfg = SuiteConfig(suite="classical-lybe", samples=40, keep_cases=True)
+    wide = run_suite(dataclasses.replace(cfg, workers=64))
+    assert two_cpus and max(two_cpus) <= 2
+    assert oracles.strip_timing(wide.to_dict()) == \
+        oracles.strip_timing(run_suite(cfg).to_dict())
 
 
 # (suite, seed, control, repr of max_residual, worst_case) of the six
@@ -897,14 +970,12 @@ def test_geometry_flip_block_drops_and_retries_failed_first_attempts(monkeypatch
 
 def test_dodecahedron_flips_a_block_as_one_stack(monkeypatch):
     # four hex_flip calls per block, each on the (2, B) stack of both
-    # dissections of every case
-    from qlattice.harness import suites
-
+    # dissections of every case; the 40 cases take one block
     shapes, flip = [], geo.hex_flip
     monkeypatch.setattr(geo, "hex_flip", lambda *x: shapes.append(x[0].shape[:-1]) or flip(*x))
     rep = run_suite(SuiteConfig(suite="dodecahedron", samples=40))
     assert rep.passed
-    assert shapes == [(2, suites.BLOCK_CASES)] * 4 + [(2, 40 - suites.BLOCK_CASES)] * 4
+    assert shapes == [(2, 40)] * 4
 
 
 def test_a_degenerate_dodecahedron_case_raises_its_own_error_through_the_block(monkeypatch):
