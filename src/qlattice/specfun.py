@@ -15,10 +15,11 @@ taken from any closed-form reference.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -33,6 +34,8 @@ from .errors import (
 _TWO_PI = 2.0 * math.pi
 _PRODUCT_MAX_TERMS = 20000  # per side of the phi product
 _RESIDUE_TOL = 1e-16  # relative size of a negligible 2Psi2 residue term
+_RESIDUE_MAX_TERMS = 600  # per single series of a 2Psi2 residue family
+_QPOCHHAMMER_MAX_TERMS = 100000  # factors of qpochhammer_inf
 
 
 @lru_cache(maxsize=64)
@@ -59,16 +62,26 @@ def qpochhammer_prefixes(x, qsq, n: int) -> list:
 
 
 def qpochhammer_inf(x: complex, qsq: complex) -> complex:
-    """Infinite product (x; qsq)_inf, requires |qsq| < 1."""
+    """Infinite product (x; qsq)_inf, requires |qsq| < 1.
+
+    The factors run until |x qsq^k| < 1e-300.  If _QPOCHHAMMER_MAX_TERMS
+    factors stop short of that, the factors left can move the product by
+    about tail = |x qsq^k| / (1 - |qsq|) relative; AccuracyError names the
+    cap, with tail as achieved, when that is above 1e-16.
+    """
     if abs(qsq) >= 1.0:
         raise DomainError("qpochhammer_inf requires |qsq| < 1")
     out = 1.0 + 0.0j
     fac = complex(x)
-    for _ in range(100000):
+    for _ in range(_QPOCHHAMMER_MAX_TERMS):
         out *= 1.0 - fac
         fac *= qsq
         if abs(fac) < 1e-300:
-            break
+            return out
+    tail = abs(fac) / (1.0 - abs(qsq))
+    if tail > 1e-16:
+        raise AccuracyError("qpochhammer_inf not converged after %d factors"
+                            % _QPOCHHAMMER_MAX_TERMS, achieved=tail)
     return out
 
 
@@ -78,7 +91,8 @@ def qpochhammer_inf(x: complex, qsq: complex) -> complex:
 
 @dataclass(frozen=True)
 class ModularParam:
-    """Modular parameter b with derived quantities q, q~ and eta."""
+    """Modular parameter b with derived quantities q, q~ and eta, each
+    computed on first use and kept on the instance."""
 
     b: complex
 
@@ -86,15 +100,15 @@ class ModularParam:
         if abs(self.b.real) < 1e-14:
             raise DomainError("modular parameter must have Re(b) != 0")
 
-    @property
+    @cached_property
     def q(self) -> complex:
         return cmath.exp(1j * math.pi * self.b * self.b)
 
-    @property
+    @cached_property
     def q_tilde(self) -> complex:
         return cmath.exp(-1j * math.pi / (self.b * self.b))
 
-    @property
+    @cached_property
     def eta(self) -> complex:
         return (self.b + 1.0 / self.b) / 2.0
 
@@ -137,14 +151,15 @@ def dilog_product(z: np.ndarray, mp: ModularParam, tol: float = 1e-18) -> np.nda
     phi(z) = prod_{m>=0} (1 + q^{2m+1} e^{2 pi z b}) / (1 + q~^{2m+1} e^{2 pi z / b}).
 
     Numerator and denominator are accumulated as running complex products
-    (``_running_product``); on arrays of up to _BLOCK_POINTS points the
-    terms are applied a block at a time through one buffer of at most
-    _BLOCK_ENTRIES entries, allocated once per call.  Each side
-    stops at the first term whose bound |q^{2m+1}| max|e^{2 pi z b}| (resp.
-    the q~ side) is at most tol, and raises AccuracyError if
-    _PRODUCT_MAX_TERMS terms leave it above tol.  A side whose accumulated
-    bound sum log(1 + |term|) would pass _FOLD_LOG is folded into a log part
-    first, so no product can overflow.
+    (``_running_product``) whose factors q^{2m+1} (resp. q~^{2m+1}) come
+    from a table built once per side of each modular parameter; on arrays
+    of up to _BLOCK_POINTS points the terms are applied a block at a time
+    through one buffer of at most _BLOCK_ENTRIES entries, allocated once
+    per call.  Each side stops at the first term whose bound
+    |q^{2m+1}| max|e^{2 pi z b}| (resp. the q~ side) is at most tol, and
+    raises AccuracyError if _PRODUCT_MAX_TERMS terms leave it above tol.  A
+    side whose accumulated bound sum log(1 + |term|) would pass _FOLD_LOG is
+    folded into a log part first, so no product can overflow.
     """
     z = np.asarray(z, dtype=complex)
     return _phi_product(np.exp(_TWO_PI * z * mp.b), np.exp(_TWO_PI * z / mp.b), mp, tol)
@@ -154,8 +169,8 @@ def _phi_product(xb: np.ndarray, xi: np.ndarray, mp: ModularParam, tol: float) -
     """The product form of phi at the points with e^{2 pi z b} = xb and
     e^{2 pi z / b} = xi; the body of ``dilog_product``."""
     mp.require_series_domain()
-    num, log_num = _running_product(xb, complex(mp.q), mp.q * mp.q, tol)
-    den, log_den = _running_product(xi, complex(mp.q_tilde), mp.q_tilde * mp.q_tilde, tol)
+    num, log_num = _running_product(xb, mp.q, mp.q * mp.q, tol)
+    den, log_den = _running_product(xi, mp.q_tilde, mp.q_tilde * mp.q_tilde, tol)
     num /= den
     if log_num is None and log_den is None:
         return num
@@ -177,6 +192,77 @@ _FOLD_LOG = 600.0
 # product runs at about half the speed of a product by one scalar.
 _BLOCK_ENTRIES = 2 ** 14
 _BLOCK_POINTS = 2 ** 10
+# factors a new table starts with; it doubles on demand
+_TABLE_START = 64
+
+
+class _FactorTable:
+    """The factors fac ratio^m, m = 0, 1, ..., of one running product and
+    their moduli |fac ratio^m|, formed by the repeated fac *= ratio on first
+    use and kept, up to _PRODUCT_MAX_TERMS + 1 of them."""
+
+    def __init__(self, fac: complex, ratio: complex):
+        self._next, self._ratio = fac, ratio  # _next: the factor after the last one kept
+        self.factors = np.empty(0, dtype=complex)
+        self.moduli = np.empty(0)
+
+    def _extend(self):
+        size = len(self.factors)
+        facs, fac = [], self._next
+        for _ in range(min(max(2 * size, _TABLE_START), _PRODUCT_MAX_TERMS + 1) - size):
+            facs.append(fac)
+            fac *= self._ratio
+        self._next = fac
+        self.factors = np.concatenate((self.factors, facs))
+        self.moduli = np.concatenate((self.moduli, [abs(f) for f in facs]))
+        self.factors.flags.writeable = self.moduli.flags.writeable = False
+
+    def terms(self, scale: float, tol: float) -> int:
+        """The first m with |fac ratio^m| scale at most tol, found by
+        bisection over the moduli, extending the table while it holds none;
+        AccuracyError if that m passes _PRODUCT_MAX_TERMS."""
+        lo = 0
+        while True:
+            m = bisect.bisect_left(self.moduli, True, lo,
+                                   key=lambda modulus: not modulus * scale > tol)
+            if m < len(self.moduli):
+                return m
+            if m > _PRODUCT_MAX_TERMS:
+                raise AccuracyError("phi product not converged after %d terms"
+                                    % _PRODUCT_MAX_TERMS,
+                                    achieved=float(self.moduli[-1] * scale))
+            lo = m
+            self._extend()
+
+
+@lru_cache(maxsize=64)
+def _factor_table(fac: complex, ratio: complex) -> _FactorTable:
+    """The one factor table of the running products over fac ratio^m."""
+    return _FactorTable(fac, ratio)
+
+
+def _fold_starts(moduli: np.ndarray, scale: float) -> list:
+    """Where the runs between folds start among the terms with these
+    moduli: a run ends before the term whose step log1p(modulus * scale)
+    would take the run's sum of steps past _FOLD_LOG.
+
+    The sum of all steps bounds every partial sum, so no fold fires while
+    it (or the cruder len(moduli) times the first step) stays below
+    _FOLD_LOG, with a margin of 1e-9 for the rounding of the two sums; only
+    then are the steps walked one by one.
+    """
+    below = _FOLD_LOG * (1.0 - 1e-9)
+    if (len(moduli) * math.log1p(moduli[0] * scale) <= below
+            or float(np.log1p(moduli * scale).sum()) <= below):
+        return [0]
+    starts, run_sum = [0], 0.0
+    for m, modulus in enumerate(moduli.tolist()):
+        step = math.log1p(modulus * scale)
+        if run_sum + step > _FOLD_LOG:
+            starts.append(m)
+            run_sum = 0.0
+        run_sum += step
+    return starts
 
 
 def _running_product(x: np.ndarray, fac: complex, ratio: complex, tol: float):
@@ -186,51 +272,42 @@ def _running_product(x: np.ndarray, fac: complex, ratio: complex, tol: float):
     happened.  The product stops at the first m with |fac ratio^m| max|x|
     at most tol.
 
-    A scalar loop forms the factors fac ratio^m and the fold points.  The
-    terms are then applied to all points.  Up to _BLOCK_POINTS points they
-    go a block of rows = _BLOCK_ENTRIES // x.size factors at a time (at
-    most the number of terms), through one (rows, *x.shape) buffer
-    allocated once per call: one outer product with x, plus one, the
-    product of its rows, and that into prod.  Over more points each term
-    is one multiply-add pass.  The blocks change only the rounding, never
-    which terms enter.
+    The factors fac ratio^m and their moduli come from the table that
+    ``_factor_table`` keeps for (fac, ratio), so no call forms them again;
+    the term count is a bisection over the moduli, and the fold points
+    come from ``_fold_starts``.  The terms are then applied to all points.
+    Up to _BLOCK_POINTS points they go a block of rows = _BLOCK_ENTRIES //
+    x.size factors at a time (at most the number of terms), through one
+    (rows, *x.shape) buffer allocated once per call: one outer product with
+    x, plus one, the product of its rows, and that into prod.  Over more
+    points each term is one multiply-add pass.  The blocks change only the
+    rounding, never which terms enter.
     """
     scale = float(np.max(np.abs(x))) if x.size else 0.0
-    runs = [[]]  # the factors between two folds
-    bound_sum = 0.0
-    terms = 0
-    while (bound := abs(fac) * scale) > tol:
-        if terms == _PRODUCT_MAX_TERMS:
-            raise AccuracyError("phi product not converged after %d terms"
-                                % _PRODUCT_MAX_TERMS, achieved=bound)
-        step = math.log1p(bound)
-        if bound_sum + step > _FOLD_LOG:
-            runs.append([])
-            bound_sum = 0.0
-        bound_sum += step
-        runs[-1].append(fac)
-        fac *= ratio
-        terms += 1
+    table = _factor_table(fac, ratio)
+    terms = table.terms(scale, tol)
     prod = np.ones_like(x)
     if not terms:
         return prod, None
+    starts = _fold_starts(table.moduli[:terms], scale)
     rows = min(_BLOCK_ENTRIES // x.size, terms) if x.size <= _BLOCK_POINTS else 1
     buf = np.empty((rows,) + x.shape, dtype=complex) if rows > 1 else None
     tmp = np.empty_like(x)
     log_part = None
-    for i, facs in enumerate(runs):
+    for i, (start, stop) in enumerate(zip(starts, starts[1:] + [terms])):
         if i:
             log_part = np.log(prod) if log_part is None else log_part + np.log(prod)
             prod.fill(1.0)
+        facs = table.factors[start:stop]
         if buf is None:
             for f in facs:
                 np.multiply(x, f, out=tmp)
                 tmp += 1.0
                 prod *= tmp
             continue
-        for start in range(0, len(facs), rows):
-            part = buf[:len(facs) - start]
-            np.multiply.outer(facs[start:start + rows], x, out=part)
+        for first in range(0, len(facs), rows):
+            part = buf[:len(facs) - first]
+            np.multiply.outer(facs[first:first + rows], x, out=part)
             part += 1.0
             np.multiply.reduce(part, axis=0, out=tmp)
             prod *= tmp
@@ -409,15 +486,28 @@ def psi22_residue_ratios(c, c0, mp: ModularParam):
     return rm, rn
 
 
+@lru_cache(maxsize=64)
+def _residue_prefactor(mp: ModularParam) -> complex:
+    """res00 = -b (q^2; q^2)_inf / (2 pi (q~^2; q~^2)_inf), the factor every
+    2Psi2 residue of ``_psi22_residue_series`` shares; once per modular
+    parameter."""
+    qsq = mp.q * mp.q
+    qtsq = mp.q_tilde * mp.q_tilde
+    return -mp.b * qpochhammer_inf(qsq, qsq) / (_TWO_PI * qpochhammer_inf(qtsq, qtsq))
+
+
 def _psi22_residue_series(c, c0, mp: ModularParam) -> complex:
     """Residue series for 2Psi2, contour closed in the upper half plane.
 
     The integrand's upper poles are those of the two numerator phi factors,
-    sitting at z = -u_j + i(eta + m b + n/b).  Each residue factorizes into
-    an m-recursion (powers of q) and an n-recursion (powers of q~), so the
-    double series is accumulated with O(1) multiplicative updates; the large
-    q~^{-2n} factors cancel exactly between the phi values and the residue
-    of phi and are never formed explicitly.
+    sitting at z = -u_j + i(eta + m b + n/b).  Each residue is the family's
+    base residue (m = n = 0) times an m-factor (powers of q) and an
+    n-factor (powers of q~), and neither factor depends on the other
+    index.  So each family's double sum is the product of two single series,
+    sum_m A_m and sum_n B_n, each accumulated with O(1) multiplicative
+    updates (``_residue_sum``); the large q~^{-2n} factors cancel exactly
+    between the phi values and the residue of phi and are never formed
+    explicitly.
     """
     mp.require_series_domain()
     rm, rn = psi22_residue_ratios(c, c0, mp)
@@ -432,7 +522,7 @@ def _psi22_residue_series(c, c0, mp: ModularParam) -> complex:
     u = [(c[0] + 1j * eta) / 2, (c[1] + 1j * eta) / 2]
     v = [(c[2] - 1j * eta) / 2, (c[3] - 1j * eta) / 2]
     w = -c0 - 1j * eta
-    res00 = -mp.b * qpochhammer_inf(qsq, qsq) / (_TWO_PI * qpochhammer_inf(qtsq, qtsq))
+    res00 = _residue_prefactor(mp)
     xm = cmath.exp(-_TWO_PI * mp.b * w)   # m-direction prefactor ratio
     xn = cmath.exp(-_TWO_PI * w / mp.b)   # n-direction prefactor ratio
 
@@ -445,44 +535,38 @@ def _psi22_residue_series(c, c0, mp: ModularParam) -> complex:
                 * complex(dilog_product(np.asarray(z0 + uo), mp))
                 / complex(dilog_product(np.asarray(z0 + v[0]), mp))
                 / complex(dilog_product(np.asarray(z0 + v[1]), mp)))
-        eb = {s: cmath.exp(_TWO_PI * (s - uj) * mp.b) for s in (uo, v[0], v[1])}
-        ei = {s: cmath.exp(_TWO_PI * (s - uj) / mp.b) for s in (uo, v[0], v[1])}
-        term_m = base
-        small_m = 0
-        for m in range(600):
-            if m > 0:
-                qq = qsq ** m
-                fac = xm / (1.0 - qq)
-                fac *= (1.0 - qq * eb[v[0]]) * (1.0 - qq * eb[v[1]]) / (1.0 - qq * eb[uo])
-                term_m *= fac
-            # inner n-series
-            term = term_m
-            total += term
-            tmax = abs(term)
-            small_n = 0
-            for n in range(1, 600):
-                y = qtsq ** n  # q~^{2n}, tiny for large n; ratios stay O(1)
-                fac = xn * ((y - ei[v[0]]) * (y - ei[v[1]])) / ((y - ei[uo]) * (y - 1.0))
-                term *= fac
-                total += term
-                tmax = max(tmax, abs(term))
-                if abs(term) < _RESIDUE_TOL * (1.0 + abs(total)):
-                    small_n += 1
-                    if small_n >= 3:
-                        break
-                else:
-                    small_n = 0
-            else:
-                raise AccuracyError("2Psi2 residue n-series did not converge")
-            if tmax < _RESIDUE_TOL * (1.0 + abs(total)):
-                small_m += 1
-                if small_m >= 3:
-                    break
-            else:
-                small_m = 0
-        else:
-            raise AccuracyError("2Psi2 residue m-series did not converge")
+        eb_o, eb_0, eb_1 = (cmath.exp(_TWO_PI * (s - uj) * mp.b) for s in (uo, v[0], v[1]))
+        ei_o, ei_0, ei_1 = (cmath.exp(_TWO_PI * (s - uj) / mp.b) for s in (uo, v[0], v[1]))
+
+        def m_step(m):
+            qq = qsq ** m
+            return xm / (1.0 - qq) * ((1.0 - qq * eb_0) * (1.0 - qq * eb_1) / (1.0 - qq * eb_o))
+
+        def n_step(n):
+            y = qtsq ** n  # q~^{2n}, tiny for large n; ratios stay O(1)
+            return xn * ((y - ei_0) * (y - ei_1)) / ((y - ei_o) * (y - 1.0))
+
+        total += base * _residue_sum(m_step, "m") * _residue_sum(n_step, "n")
     return complex(total)
+
+
+def _residue_sum(step, index: str) -> complex:
+    """sum_{k>=0} A_k with A_0 = 1 and A_k = A_{k-1} step(k), stopped after
+    3 consecutive terms below _RESIDUE_TOL relative to the running sum;
+    AccuracyError if _RESIDUE_MAX_TERMS terms do not get there."""
+    total = term = 1.0 + 0.0j
+    small = 0
+    for k in range(1, _RESIDUE_MAX_TERMS):
+        term *= step(k)
+        total += term
+        if abs(term) < _RESIDUE_TOL * abs(total):
+            small += 1
+            if small == 3:
+                return total
+        else:
+            small = 0
+    raise AccuracyError("2Psi2 residue %s-series not converged after %d terms"
+                        % (index, _RESIDUE_MAX_TERMS), achieved=abs(term) / abs(total))
 
 
 def _check_lattice_distance(point: complex, mp: ModularParam):

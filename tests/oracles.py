@@ -11,6 +11,7 @@ sampling driver, as a block of one.  The tests import this module as
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -82,6 +83,77 @@ def _terminating_order(a: complex, qsq: complex) -> int | None:
         if abs(fac - 1.0) < 1e-12:
             return m
     return None
+
+
+def psi22_residue_series_double(c, c0, mp: sf.ModularParam) -> complex:
+    """Reference for ``specfun._psi22_residue_series``: each residue family
+    summed as a double series, the inner n-series once per m, with the
+    n-recursion factor formed again for every m.  The package sums the two
+    single series instead, whose product this double sum is."""
+    mp.require_series_domain()
+    rm, rn = sf.psi22_residue_ratios(c, c0, mp)
+    if abs(rm) >= 0.999 or abs(rn) >= 0.999:
+        raise DomainError(
+            "2Psi2 residue series diverges at these parameters "
+            "(ratios %.3f, %.3f); use quadrature or analytic continuation"
+            % (abs(rm), abs(rn)))
+    eta = mp.eta
+    qsq = mp.q * mp.q
+    qtsq = mp.q_tilde * mp.q_tilde
+    u = [(c[0] + 1j * eta) / 2, (c[1] + 1j * eta) / 2]
+    v = [(c[2] - 1j * eta) / 2, (c[3] - 1j * eta) / 2]
+    w = -c0 - 1j * eta
+    res00 = -mp.b * sf.qpochhammer_inf(qsq, qsq) / (sf._TWO_PI * sf.qpochhammer_inf(qtsq, qtsq))
+    xm = cmath.exp(-sf._TWO_PI * mp.b * w)   # m-direction prefactor ratio
+    xn = cmath.exp(-sf._TWO_PI * w / mp.b)   # n-direction prefactor ratio
+
+    total = 0.0 + 0.0j
+    for uj, uo in ((u[0], u[1]), (u[1], u[0])):
+        # base point m = n = 0
+        z0 = 1j * eta - uj
+        sf._check_lattice_distance(z0 + uo, mp)
+        base = (2j * np.pi * cmath.exp(2j * np.pi * z0 * w) * res00
+                * complex(sf.dilog_product(np.asarray(z0 + uo), mp))
+                / complex(sf.dilog_product(np.asarray(z0 + v[0]), mp))
+                / complex(sf.dilog_product(np.asarray(z0 + v[1]), mp)))
+        eb = {s: cmath.exp(sf._TWO_PI * (s - uj) * mp.b) for s in (uo, v[0], v[1])}
+        ei = {s: cmath.exp(sf._TWO_PI * (s - uj) / mp.b) for s in (uo, v[0], v[1])}
+        term_m = base
+        small_m = 0
+        for m in range(600):
+            if m > 0:
+                qq = qsq ** m
+                fac = xm / (1.0 - qq)
+                fac *= (1.0 - qq * eb[v[0]]) * (1.0 - qq * eb[v[1]]) / (1.0 - qq * eb[uo])
+                term_m *= fac
+            # inner n-series
+            term = term_m
+            total += term
+            tmax = abs(term)
+            small_n = 0
+            for n in range(1, 600):
+                y = qtsq ** n  # q~^{2n}, tiny for large n; ratios stay O(1)
+                fac = xn * ((y - ei[v[0]]) * (y - ei[v[1]])) / ((y - ei[uo]) * (y - 1.0))
+                term *= fac
+                total += term
+                tmax = max(tmax, abs(term))
+                if abs(term) < sf._RESIDUE_TOL * (1.0 + abs(total)):
+                    small_n += 1
+                    if small_n >= 3:
+                        break
+                else:
+                    small_n = 0
+            else:
+                raise AccuracyError("2Psi2 residue n-series did not converge")
+            if tmax < sf._RESIDUE_TOL * (1.0 + abs(total)):
+                small_m += 1
+                if small_m >= 3:
+                    break
+            else:
+                small_m = 0
+        else:
+            raise AccuracyError("2Psi2 residue m-series did not converge")
+    return complex(total)
 
 
 def fermat_phi_continued(p, phi, m: int) -> complex:

@@ -7,7 +7,7 @@ import pytest
 
 from qlattice.errors import AccuracyError, DomainError, PoleProximityError
 from qlattice import specfun as sf
-from qlattice.harness.suites import SUITES, SuiteConfig
+from qlattice.harness.suites import SUITES, SuiteConfig, run_suite
 
 import oracles
 
@@ -45,6 +45,22 @@ def test_qpochhammer_splitting_identity():
         rhs = (sf.qpochhammer_prefixes(x, qsq, m)[m]
                * sf.qpochhammer_prefixes(x * qsq ** m, qsq, n)[n])
         assert abs(lhs - rhs) < 1e-12 * (1 + abs(lhs))
+
+
+def test_qpochhammer_inf_unconverged_raises():
+    # (x; q)_inf ~ exp(-x / (1 - q)) = 4.5e-5 here; the 100,000-factor cap
+    # stops at 0.905, and the factors left would move it by a factor e^-10
+    with pytest.raises(AccuracyError, match="after 100000 factors") as info:
+        sf.qpochhammer_inf(1e-6, 0.9999999)
+    assert info.value.achieved > 1.0
+
+
+def test_qpochhammer_inf_converged_at_cap_returns():
+    # the cap stops short of |x q^k| < 1e-300, but the factors left are
+    # below 1e-40, so the product is converged and returned
+    got = sf.qpochhammer_inf(0.5, 0.999)
+    ref = math.exp(math.fsum(math.log1p(-0.5 * 0.999 ** k) for k in range(120000)))
+    assert abs(got - ref) < 1e-12 * ref
 
 
 def test_qbinomial_edges_and_value():
@@ -283,6 +299,69 @@ def test_dilog_product_keeps_zero_d_and_empty_shapes(shape):
             assert prod.shape == shape and log_part is None
 
 
+def test_factor_table_repeats_the_running_multiply():
+    # the table's factors are the repeated fac *= ratio, bit for bit, also
+    # past its first extension, and its term count is the per-term loop's
+    z = np.linspace(-10.0, 10.0, 41)
+    for mp in (B_TEST, B_WIDE):
+        for x, fac, ratio in _sides(z, mp):
+            sf._factor_table.cache_clear()
+            terms = sf._factor_table(fac, ratio).terms(float(np.max(np.abs(x))), 3e-15)
+            assert terms == _per_term_product(x, fac, ratio, 3e-15)[2]
+            table = sf._factor_table(fac, ratio)
+            expected, f = [], fac
+            for _ in range(len(table.factors)):
+                expected.append(f)
+                f *= ratio
+            assert table.factors.tolist() == expected
+            assert table.moduli.tolist() == [abs(f) for f in expected]
+            assert (len(table.factors) > sf._TABLE_START) == (mp is B_TEST)
+
+
+def _walked_starts(moduli, scale):
+    """Reference for _fold_starts: every step walked, as the running
+    product once did while it formed its factors."""
+    starts, run_sum = [0], 0.0
+    for m, modulus in enumerate(moduli.tolist()):
+        step = math.log1p(modulus * scale)
+        if run_sum + step > sf._FOLD_LOG:
+            starts.append(m)
+            run_sum = 0.0
+        run_sum += step
+    return starts
+
+
+def test_fold_starts_match_the_walk_at_the_fold_bound():
+    # scales around the one where a fold first fires (the sum of steps
+    # crosses _FOLD_LOG near 1e12 on B_TEST's numerator), down to the two
+    # ends of a bisection for it, where the quick bounds must hand over to
+    # the walk exactly when a fold fires
+    table = sf._factor_table(complex(B_TEST.q), B_TEST.q * B_TEST.q)
+
+    def both(scale):
+        terms = table.terms(scale, 3e-15)
+        moduli = table.moduli[:terms]
+        return sf._fold_starts(moduli, scale), _walked_starts(moduli, scale)
+
+    lo, hi = 1e11, 1e13
+    for _ in range(100):
+        mid = math.sqrt(lo * hi)
+        lo, hi = (mid, hi) if len(both(mid)[1]) == 1 else (lo, mid)
+    assert len(both(lo)[1]) == 1 and len(both(hi)[1]) == 2
+    for scale in list(np.geomspace(1e11, 1e13, 201)) + [lo, hi]:
+        got, ref = both(scale)
+        assert got == ref
+
+
+def test_modular_te_case_builds_each_factor_table_once():
+    # from cold caches one modular-te-irc case builds one table per side of
+    # phi, and reports the residual the per-call factor loop gave
+    sf._factor_table.cache_clear()
+    rep = run_suite(SuiteConfig(suite="modular-te-irc", seed=20240501, samples=1, b_arg=0.5))
+    assert sf._factor_table.cache_info().misses == 2
+    assert repr(rep.max_residual) == "5.912030911775618e-16"
+
+
 def test_dilog_product_unconverged_raises():
     # Im b^2 ~ 1.3e-5: _PRODUCT_MAX_TERMS factors leave the last term bound near 0.3
     with pytest.raises(AccuracyError) as info:
@@ -303,6 +382,40 @@ def _random_admissible_c(rng):
     if abs(rm) > 0.85 or abs(rn) > 0.85:
         return None
     return c, c0
+
+
+def test_psi22_residue_series_factorizes_the_double_sum():
+    # each family's double sum over (m, n) is the product of its m- and
+    # n-series; the two sums differ by roundoff.  Measured over these 200
+    # cases: at most 7.3e-14 relative where |c1 - c2| >= 0.07, and
+    # |c1 - c2| times the relative difference at most 9.5e-15 over all of
+    # them (6.5e-12 at |c1 - c2| = 4.2e-4), where the two families cancel.
+    rng = np.random.default_rng(23)
+    checked = 0
+    while checked < 200:
+        pick = _random_admissible_c(rng)
+        if pick is None:
+            continue
+        c, c0 = tuple(map(complex, pick[0])), complex(pick[1])
+        got = sf._psi22_residue_series(c, c0, B_TEST)
+        ref = oracles.psi22_residue_series_double(c, c0, B_TEST)
+        rel = abs(got - ref) / abs(ref)
+        split = abs(c[0] - c[1])
+        assert rel * split < 5e-14
+        if split >= 0.07:
+            assert rel < 2e-13
+        checked += 1
+
+
+@pytest.mark.parametrize("c, c0, index", [((0.1, -0.1, 0.975, 0.975), -0.88, "n"),
+                                          ((0.1, -0.1, -1.0, -1.0), 0.06, "m")])
+def test_psi22_residue_series_names_its_cap(c, c0, index):
+    # one geometric ratio near 0.98 leaves terms of 1e-7 of the sum after
+    # _RESIDUE_MAX_TERMS terms; the error names the series and the cap
+    with pytest.raises(AccuracyError,
+                       match="residue %s-series not converged after 600 terms" % index) as info:
+        sf.psi22(*c, c0, B_TEST, method="residue-series")
+    assert info.value.achieved > 1e-10
 
 
 def test_psi22_swap_symmetries():
