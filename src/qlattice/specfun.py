@@ -10,7 +10,10 @@ m, n >= 0, where eta = (b + 1/b)/2.  Two independent evaluation routes are
 provided (shifted-contour quadrature and, for Im b^2 > 0, a convergent
 infinite product) and are cross-validated in the test suite; the product
 form was derived by summing residues of the defining integral and is not
-taken from any closed-form reference.
+taken from any closed-form reference.  Where Re(z eta) > 0 the product is
+taken at -z, and phi(z) follows from the inversion relation
+phi(z) phi(-z) = phi(0)^2 e^{i pi z^2} (Faddeev, Kashaev and Volkov,
+hep-th/0006156), so no product sees |e^{2 pi z b} e^{2 pi z / b}| > 1.
 """
 
 from __future__ import annotations
@@ -148,43 +151,49 @@ def quantum_dilog(z: complex, mp: ModularParam, method: str) -> complex:
 def dilog_product(z: np.ndarray, mp: ModularParam, tol: float = 1e-18) -> np.ndarray:
     """Vectorized product form of phi, valid for Im b^2 > 0.
 
-    phi(z) = prod_{m>=0} (1 + q^{2m+1} e^{2 pi z b}) / (1 + q~^{2m+1} e^{2 pi z / b}).
+    phi(z) = prod_{m>=0} (1 + q^{2m+1} e^{2 pi z b}) / (1 + q~^{2m+1} e^{2 pi z / b}),
 
-    Numerator and denominator are accumulated as running complex products
-    (``_running_product``) whose factors q^{2m+1} (resp. q~^{2m+1}) come
-    from a table built once per side of each modular parameter; on arrays
-    of up to _BLOCK_POINTS points the terms are applied a block at a time
-    through one buffer of at most _BLOCK_ENTRIES entries, allocated once
-    per call.  Each side stops at the first term whose bound
-    |q^{2m+1}| max|e^{2 pi z b}| (resp. the q~ side) is at most tol, and
-    raises AccuracyError if _PRODUCT_MAX_TERMS terms leave it above tol.  A
-    side whose accumulated bound sum log(1 + |term|) would pass _FOLD_LOG is
-    folded into a log part first, so no product can overflow.
+    numerator and denominator each a ``_running_product``, stopped at the
+    first term whose bound |q^{2m+1}| max|e^{2 pi z b}| (resp. the q~ side)
+    is at most tol.  Where Re(z eta) > 0 the product is taken at -z and
+    phi(z) follows by the inversion relation (``_reflected``), so no point
+    it sees has |e^{2 pi z b} e^{2 pi z / b}| > 1.  A NaN point reads NaN.
     """
     z = np.asarray(z, dtype=complex)
-    return _phi_product(np.exp(_TWO_PI * z * mp.b), np.exp(_TWO_PI * z / mp.b), mp, tol)
+    flip = _reflected(0.0, z, mp)
+    zr = np.where(flip, -z, z)
+    top, bot = _phi_ratio(np.exp(_TWO_PI * zr * mp.b), np.exp(_TWO_PI * zr / mp.b), flip, mp, tol)
+    top /= bot
+    top[flip] *= np.exp(_reflection_log(z[flip], mp))
+    return top
 
 
-def _phi_product(xb: np.ndarray, xi: np.ndarray, mp: ModularParam, tol: float) -> np.ndarray:
-    """The product form of phi at the points with e^{2 pi z b} = xb and
-    e^{2 pi z / b} = xi; the body of ``dilog_product``."""
+def _reflected(x, s, mp: ModularParam):
+    """Where phi(x + s), x real and s complex, is taken from phi(-x - s) by
+    the inversion relation: where Re((x + s) eta) > 0, that is where
+    |e^{2 pi (x+s) b} e^{2 pi (x+s) / b}| > 1.  A NaN point is not."""
+    return x * mp.eta.real > -(s * mp.eta).real
+
+
+def _reflection_log(z, mp: ModularParam):
+    """log(phi(z) phi(-z)) = i pi z^2 + log phi(0)^2, with
+    phi(0)^2 = e^{i pi (b^2 + b^-2) / 12}."""
+    return 1j * math.pi * (z * z + (mp.b * mp.b + 1.0 / (mp.b * mp.b)) / 12.0)
+
+
+def _phi_ratio(xb: np.ndarray, xi: np.ndarray, inverse, mp: ModularParam, tol: float):
+    """(top, bot): the numerator and the denominator product of phi at the
+    points with e^{2 pi z b} = xb and e^{2 pi z / b} = xi, swapped where
+    inverse is set, so top / bot is phi there, or 1 / phi."""
     mp.require_series_domain()
-    num, log_num = _running_product(xb, mp.q, mp.q * mp.q, tol)
-    den, log_den = _running_product(xi, mp.q_tilde, mp.q_tilde * mp.q_tilde, tol)
-    num /= den
-    if log_num is None and log_den is None:
-        return num
-    log_phi = np.log(num)
-    if log_num is not None:
-        log_phi += log_num
-    if log_den is not None:
-        log_phi -= log_den
-    return np.exp(log_phi)
+    num = _running_product(xb, mp.q, mp.q * mp.q, tol)
+    den = _running_product(xi, mp.q_tilde, mp.q_tilde * mp.q_tilde, tol)
+    return np.where(inverse, den, num), np.where(inverse, num, den)
 
 
-# a running product is folded into logs before its magnitude bound passes
-# e^_FOLD_LOG, well inside the double range (e^709)
-_FOLD_LOG = 600.0
+# a running product whose bound sum log(1 + |term|) passes _OVERFLOW_LOG
+# could leave the double range (e^709); it raises instead
+_OVERFLOW_LOG = 600.0
 # Small arrays take the product's terms in blocks of up to _BLOCK_ENTRIES
 # entries (256 KB), so numpy's per-call cost is paid per block, not per
 # term.  Over more than _BLOCK_POINTS points that cost is small next to
@@ -241,77 +250,53 @@ def _factor_table(fac: complex, ratio: complex) -> _FactorTable:
     return _FactorTable(fac, ratio)
 
 
-def _fold_starts(moduli: np.ndarray, scale: float) -> list:
-    """Where the runs between folds start among the terms with these
-    moduli: a run ends before the term whose step log1p(modulus * scale)
-    would take the run's sum of steps past _FOLD_LOG.
+def _running_product(x: np.ndarray, fac: complex, ratio: complex, tol: float) -> np.ndarray:
+    """prod_{m>=0} (1 + fac ratio^m x) for |ratio| < 1, stopped at the first
+    m with |fac ratio^m| max|x| at most tol.  max|x| skips NaN points, and
+    they read NaN.
 
-    The sum of all steps bounds every partial sum, so no fold fires while
-    it (or the cruder len(moduli) times the first step) stays below
-    _FOLD_LOG, with a margin of 1e-9 for the rounding of the two sums; only
-    then are the steps walked one by one.
-    """
-    below = _FOLD_LOG * (1.0 - 1e-9)
-    if (len(moduli) * math.log1p(moduli[0] * scale) <= below
-            or float(np.log1p(moduli * scale).sum()) <= below):
-        return [0]
-    starts, run_sum = [0], 0.0
-    for m, modulus in enumerate(moduli.tolist()):
-        step = math.log1p(modulus * scale)
-        if run_sum + step > _FOLD_LOG:
-            starts.append(m)
-            run_sum = 0.0
-        run_sum += step
-    return starts
-
-
-def _running_product(x: np.ndarray, fac: complex, ratio: complex, tol: float):
-    """prod_{m>=0} (1 + fac ratio^m x) for |ratio| < 1, as (prod, log_part).
-
-    The value is prod * exp(log_part); log_part is None unless a fold
-    happened.  The product stops at the first m with |fac ratio^m| max|x|
-    at most tol.
+    The bound sum sum_m log1p(|fac ratio^m| max|x|) bounds log|prod|; where
+    it passes _OVERFLOW_LOG the product could overflow, and AccuracyError
+    names that bound and max|x|.  The reflection in ``dilog_product`` and
+    the 2Psi2 integrand keeps every caller far below it.
 
     The factors fac ratio^m and their moduli come from the table that
     ``_factor_table`` keeps for (fac, ratio), so no call forms them again;
-    the term count is a bisection over the moduli, and the fold points
-    come from ``_fold_starts``.  The terms are then applied to all points.
-    Up to _BLOCK_POINTS points they go a block of rows = _BLOCK_ENTRIES //
-    x.size factors at a time (at most the number of terms), through one
-    (rows, *x.shape) buffer allocated once per call: one outer product with
-    x, plus one, the product of its rows, and that into prod.  Over more
-    points each term is one multiply-add pass.  The blocks change only the
-    rounding, never which terms enter.
+    the term count is a bisection over the moduli.  The terms are then
+    applied to all points.  Up to _BLOCK_POINTS points they go a block of
+    rows = _BLOCK_ENTRIES // x.size factors at a time (at most the number of
+    terms), through one (rows, *x.shape) buffer allocated once per call:
+    one outer product with x, plus one, and the product of its rows.  Over
+    more points each term is one multiply-add pass.  The blocks change only
+    the rounding, never which terms enter.
     """
-    scale = float(np.max(np.abs(x))) if x.size else 0.0
+    scale = float(np.fmax.reduce(np.abs(x), axis=None, initial=0.0))
     table = _factor_table(fac, ratio)
     terms = table.terms(scale, tol)
-    prod = np.ones_like(x)
     if not terms:
-        return prod, None
-    starts = _fold_starts(table.moduli[:terms], scale)
+        return np.where(np.isnan(x), x, 1.0)
+    # the first step is the largest, so the sum is formed only past terms times it
+    if (terms * math.log1p(table.moduli[0] * scale) > _OVERFLOW_LOG
+            and (bound := float(np.log1p(table.moduli[:terms] * scale).sum())) > _OVERFLOW_LOG):
+        raise AccuracyError("phi product may overflow: its bound sum %.4g passes %g at "
+                            "max|x| = %.4g" % (bound, _OVERFLOW_LOG, scale), achieved=bound)
+    facs = table.factors[:terms]
     rows = min(_BLOCK_ENTRIES // x.size, terms) if x.size <= _BLOCK_POINTS else 1
-    buf = np.empty((rows,) + x.shape, dtype=complex) if rows > 1 else None
-    tmp = np.empty_like(x)
-    log_part = None
-    for i, (start, stop) in enumerate(zip(starts, starts[1:] + [terms])):
-        if i:
-            log_part = np.log(prod) if log_part is None else log_part + np.log(prod)
-            prod.fill(1.0)
-        facs = table.factors[start:stop]
-        if buf is None:
-            for f in facs:
-                np.multiply(x, f, out=tmp)
-                tmp += 1.0
-                prod *= tmp
-            continue
-        for first in range(0, len(facs), rows):
-            part = buf[:len(facs) - first]
-            np.multiply.outer(facs[first:first + rows], x, out=part)
-            part += 1.0
-            np.multiply.reduce(part, axis=0, out=tmp)
+    if rows == 1:
+        prod, tmp = x * facs[0] + 1.0, np.empty_like(x)
+        for f in facs[1:]:
+            np.multiply(x, f, out=tmp)
+            tmp += 1.0
             prod *= tmp
-    return prod, log_part
+        return prod
+    buf = np.empty((rows,) + x.shape, dtype=complex)
+    for first in range(0, terms, rows):
+        part = buf[:terms - first]
+        np.multiply.outer(facs[first:first + rows], x, out=part)
+        part += 1.0
+        block = np.multiply.reduce(part, axis=0)
+        prod = prod * block if first else block
+    return prod
 
 
 def _dilog_quadrature(z: complex, mp: ModularParam, tol: float = 1e-12) -> complex:
@@ -403,19 +388,33 @@ def psi22_quadrature_batch(c1, c2, c3, c4, c0, mp: ModularParam,
     shifts = ((c1 + 1j * eta) / 2, (c2 + 1j * eta) / 2,
               (c3 - 1j * eta) / 2, (c4 - 1j * eta) / 2)
 
-    # e^{2 pi (z + s) b} = e^{2 pi z b} e^{2 pi s b}, and likewise with 1/b:
-    # the shifts' factors once per batch, the nodes' once per node array
-    shift_b = [np.exp(_TWO_PI * s * mp.b) for s in shifts]
-    shift_i = [np.exp(_TWO_PI * s / mp.b) for s in shifts]
+    # e^{2 pi (z + s) b} = e^{2 pi z b} e^{2 pi s b}, and likewise with 1/b;
+    # a reflected point (``_reflected``) takes their reciprocals, and the
+    # exponent of e^{2 pi i z w} takes its inversion factor.  The shifts'
+    # factors are formed once per batch, the nodes' once per node array
+    shift_e = [(np.exp(_TWO_PI * s * mp.b), np.exp(_TWO_PI * s / mp.b)) for s in shifts]
+    shift_e = [(sb, si, 1.0 / sb, 1.0 / si) for sb, si in shift_e]
 
     def integrand(z):
         # z: 1-D array of real nodes; result shape = z.shape + c.shape
         zz = z.reshape(z.shape + (1,) * c1.ndim)
         node_b, node_i = np.exp(_TWO_PI * zz * mp.b), np.exp(_TWO_PI * zz / mp.b)
-        val = np.exp(2j * np.pi * zz * w)
-        for sb, si, op in zip(shift_b, shift_i, (np.multiply, np.multiply, np.divide, np.divide)):
-            op(val, _phi_product(node_b * sb, node_i * si, mp, 3e-15), out=val)
-        return val
+        inv_b, inv_i = 1.0 / node_b, 1.0 / node_i
+        expo = 2j * np.pi * zz * w
+        top, bot = np.ones_like(expo), np.ones_like(expo)
+        for k, (s, (sb, si, isb, isi)) in enumerate(zip(shifts, shift_e)):
+            flip, divides = _reflected(zz, s, mp), k > 1  # phi(z + s3), phi(z + s4) divide
+            num, den = _phi_ratio(np.where(flip, inv_b * isb, node_b * sb),
+                                  np.where(flip, inv_i * isi, node_i * si),
+                                  flip ^ divides, mp, 3e-15)
+            top *= num
+            bot *= den
+            # phi(z + s) = e^{_reflection_log(z + s)} / phi(-z - s) where reflected
+            (np.subtract if divides else np.add)(
+                expo, np.where(flip, _reflection_log(zz + s, mp), 0.0), out=expo)
+        top /= bot
+        top *= np.exp(expo)
+        return top
 
     # the integrand decays like exp(-2 pi eta_re |z|) for real parameters;
     # start the window where that bound alone is ~1e-12

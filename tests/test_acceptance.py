@@ -129,7 +129,7 @@ def test_criterion_12_modular_irc_te():
     t0 = time.time()
     rep = run("modular-te-irc", samples=5)
     criterion(12, "modular IRC TE, 5 spin tuples", rep.max_residual, 1e-4)
-    assert time.time() - t0 < 1800
+    assert time.time() - t0 < 120
 
 
 def test_criterion_13_negative_controls():

@@ -177,15 +177,19 @@ def test_dilog_quadrature_names_its_node_cap():
 
 
 def test_dilog_inversion_relation():
-    # phi(z) phi(-z) = e^{i pi z^2} phi(0)^2 ; derived self-consistency of
-    # the product form, pinned numerically at z = 0.  |Re z| reaches 9,
-    # past the +-8 that psi22 evaluates phi at.
+    # phi(z) phi(-z) = e^{i pi z^2} phi(0)^2 with phi(0)^2 =
+    # e^{i pi (b^2 + b^-2) / 12}.  The product route reflects by this very
+    # relation where Re(z eta) > 0, so phi(z) and phi(0) come from the
+    # quadrature here, and phi(-z) from the product, reflected or not by
+    # the sign of Re z.  The quadrature converges within its node cap up to
+    # |Re z| = 2 at |Im z| <= 0.2.
     rng = np.random.default_rng(3)
     for mp in (B_TEST, B_WIDE):
-        c = sf.quantum_dilog(0.0, mp, method="product-series") ** 2
+        c = sf.quantum_dilog(0.0, mp, method="quadrature") ** 2
+        assert abs(c / cmath.exp(1j * math.pi * (mp.b ** 2 + mp.b ** -2) / 12) - 1) < 1e-12
         for _ in range(20):
-            z = complex(rng.uniform(-9.0, 9.0), rng.uniform(-0.2, 0.2))
-            lhs = (sf.quantum_dilog(z, mp, method="product-series")
+            z = complex(rng.uniform(-2.0, 2.0), rng.uniform(-0.2, 0.2))
+            lhs = (sf.quantum_dilog(z, mp, method="quadrature")
                    * sf.quantum_dilog(-z, mp, method="product-series"))
             rhs = cmath.exp(1j * math.pi * z * z) * c
             assert abs(lhs - rhs) / abs(rhs) < 1e-10
@@ -225,66 +229,66 @@ def _sides(z, mp):
             (np.exp(2 * math.pi * z / mp.b), complex(mp.q_tilde), mp.q_tilde * mp.q_tilde))
 
 
-def test_dilog_product_fold_is_exercised():
-    # at Re z = 10 both running products of B_TEST would exceed the fold
-    # bound, so the wide-range comparison above covers the fold, and each
-    # running product returns a log part
-    z = np.array([10.0 + 0j])
-    _, bound_sums = _log_sum_phi(z, B_TEST, 3e-15)
-    assert min(bound_sums) > sf._FOLD_LOG
-    for x, fac, ratio in _sides(z, B_TEST):
-        _, log_part = sf._running_product(x, fac, ratio, 3e-15)
-        assert log_part is not None
+def test_dilog_product_reads_nan_at_a_nan_point_only():
+    # max|x| skips a NaN point, so every finite point keeps its own value
+    # (reflected or not), and the NaN point reads NaN, also where no term
+    # enters
+    for z in ([0.1, np.nan], [-0.1, np.nan], [3.0 + 0.2j, complex(np.nan, 0.1)],
+              [-30.0, np.nan]):
+        z = np.array(z, dtype=complex)
+        with np.errstate(invalid="ignore"):
+            got = sf.dilog_product(z, B_WIDE)
+        assert abs(got[0] / sf.dilog_product(z[0], B_WIDE) - 1) < 1e-14
+        assert np.isnan(got[1])
+
+
+def test_running_product_raises_past_the_overflow_bound():
+    # B_TEST's raw numerator at z = 10, which dilog_product reflects: the
+    # bound sum of its terms passes _OVERFLOW_LOG, where the product could
+    # leave the double range
+    x = np.array([np.exp(2 * math.pi * 10.0 * B_TEST.b)])
+    with pytest.raises(AccuracyError, match=r"passes 600 at max\|x\| = ") as info:
+        sf._running_product(x, complex(B_TEST.q), B_TEST.q * B_TEST.q, 3e-15)
+    assert info.value.achieved > sf._OVERFLOW_LOG
+
+
+def _per_term_factors(x, fac, ratio, tol):
+    """The factors fac ratio^m of the per-term loop: each m while
+    |fac ratio^m| max|x| > tol."""
+    scale = float(np.max(np.abs(x))) if x.size else 0.0
+    facs = []
+    while abs(fac) * scale > tol:
+        facs.append(fac)
+        fac *= ratio
+    return facs
 
 
 def _per_term_product(x, fac, ratio, tol):
     """Reference for _running_product: one multiply-add per term over all
-    points, with the same stopping rule and folds; also returns the number
-    of terms."""
-    scale = float(np.max(np.abs(x))) if x.size else 0.0
+    points, with the same stopping rule."""
     prod = np.ones_like(x)
-    tmp = np.empty_like(x)
-    log_part = None
-    bound_sum = 0.0
-    terms = 0
-    while (bound := abs(fac) * scale) > tol:
-        step = math.log1p(bound)
-        if bound_sum + step > sf._FOLD_LOG:
-            log_part = np.log(prod) if log_part is None else log_part + np.log(prod)
-            prod.fill(1.0)
-            bound_sum = 0.0
-        bound_sum += step
-        np.multiply(x, fac, out=tmp)
-        tmp += 1.0
-        prod *= tmp
-        fac *= ratio
-        terms += 1
-    return prod, log_part, terms
+    for f in _per_term_factors(x, fac, ratio, tol):
+        prod *= x * f + 1.0
+    return prod
 
 
-@pytest.mark.parametrize("mp", [B_TEST, B_WIDE], ids=["b_test", "b_wide"])
-@pytest.mark.parametrize("points, reach", [(41, 2.0), (41, 10.0), (sf._BLOCK_POINTS, 10.0),
-                                           (2 ** 14 + 3, 10.0)],
-                         ids=["one-block", "one-block-folds", "blocks", "one-term-passes"])
-def test_blocked_product_equals_per_term_product(mp, points, reach):
-    # 41 points take every term of a run in one block, _BLOCK_POINTS points
-    # take blocks of 16 terms, and past that each term is one pass.  Only
-    # B_TEST folds at Re z = 10.  The blocks change the rounding alone: the
-    # products agree to 1e-14, and so do the log parts (up to 1.8e3 here),
-    # relative to their size, which is where the rounding of a sum of
-    # folds sits.
+@pytest.mark.parametrize("mp, reach", [(B_TEST, 4.0), (B_WIDE, 8.0)], ids=["b_test", "b_wide"])
+@pytest.mark.parametrize("points", [41, sf._BLOCK_POINTS, 2 ** 14 + 3],
+                         ids=["one-block", "blocks", "one-term-passes"])
+def test_blocked_product_equals_per_term_product(mp, reach, points):
+    # 41 points take every term in one block, _BLOCK_POINTS points take
+    # blocks of 16 terms, and past that each term is one pass.  At these
+    # reaches the sides take 85 and 42 terms on B_TEST, 20 and 11 on B_WIDE,
+    # with bound sums up to 324 and 189, below the overflow bound.  The
+    # blocks change the rounding alone: the products agree to 1e-14.
     z = np.linspace(-reach, reach, points) + 0.2j * np.cos(np.arange(points))
     rows = sf._BLOCK_ENTRIES // points if points <= sf._BLOCK_POINTS else 1
     blocks = []
     for x, fac, ratio in _sides(z, mp):
-        got, got_log = sf._running_product(x, fac, ratio, 3e-15)
-        ref, ref_log, terms = _per_term_product(x, fac, ratio, 3e-15)
-        blocks.append(-(-terms // rows))
-        assert (ref_log is not None) == (mp is B_TEST and reach == 10.0)
-        assert (got_log is None) == (ref_log is None)
+        got = sf._running_product(x, fac, ratio, 3e-15)
+        ref = _per_term_product(x, fac, ratio, 3e-15)
+        blocks.append(-(-len(_per_term_factors(x, fac, ratio, 3e-15)) // rows))
         assert np.max(np.abs(got / ref - 1)) <= 1e-14
-        if ref_log is not None:
-            assert np.all(np.abs(got_log - ref_log) <= 1e-14 * np.maximum(np.abs(ref_log), 1))
     assert (max(blocks) == 1) == (points == 41)
 
 
@@ -295,8 +299,7 @@ def test_dilog_product_keeps_zero_d_and_empty_shapes(shape):
         got = sf.dilog_product(z, mp, tol=3e-15)
         assert got.shape == shape
         for x, fac, ratio in _sides(z, mp):
-            prod, log_part = sf._running_product(x, fac, ratio, 3e-15)
-            assert prod.shape == shape and log_part is None
+            assert sf._running_product(x, fac, ratio, 3e-15).shape == shape
 
 
 def test_factor_table_repeats_the_running_multiply():
@@ -307,7 +310,7 @@ def test_factor_table_repeats_the_running_multiply():
         for x, fac, ratio in _sides(z, mp):
             sf._factor_table.cache_clear()
             terms = sf._factor_table(fac, ratio).terms(float(np.max(np.abs(x))), 3e-15)
-            assert terms == _per_term_product(x, fac, ratio, 3e-15)[2]
+            assert terms == len(_per_term_factors(x, fac, ratio, 3e-15))
             table = sf._factor_table(fac, ratio)
             expected, f = [], fac
             for _ in range(len(table.factors)):
@@ -318,48 +321,13 @@ def test_factor_table_repeats_the_running_multiply():
             assert (len(table.factors) > sf._TABLE_START) == (mp is B_TEST)
 
 
-def _walked_starts(moduli, scale):
-    """Reference for _fold_starts: every step walked, as the running
-    product once did while it formed its factors."""
-    starts, run_sum = [0], 0.0
-    for m, modulus in enumerate(moduli.tolist()):
-        step = math.log1p(modulus * scale)
-        if run_sum + step > sf._FOLD_LOG:
-            starts.append(m)
-            run_sum = 0.0
-        run_sum += step
-    return starts
-
-
-def test_fold_starts_match_the_walk_at_the_fold_bound():
-    # scales around the one where a fold first fires (the sum of steps
-    # crosses _FOLD_LOG near 1e12 on B_TEST's numerator), down to the two
-    # ends of a bisection for it, where the quick bounds must hand over to
-    # the walk exactly when a fold fires
-    table = sf._factor_table(complex(B_TEST.q), B_TEST.q * B_TEST.q)
-
-    def both(scale):
-        terms = table.terms(scale, 3e-15)
-        moduli = table.moduli[:terms]
-        return sf._fold_starts(moduli, scale), _walked_starts(moduli, scale)
-
-    lo, hi = 1e11, 1e13
-    for _ in range(100):
-        mid = math.sqrt(lo * hi)
-        lo, hi = (mid, hi) if len(both(mid)[1]) == 1 else (lo, mid)
-    assert len(both(lo)[1]) == 1 and len(both(hi)[1]) == 2
-    for scale in list(np.geomspace(1e11, 1e13, 201)) + [lo, hi]:
-        got, ref = both(scale)
-        assert got == ref
-
-
 def test_modular_te_case_builds_each_factor_table_once():
     # from cold caches one modular-te-irc case builds one table per side of
-    # phi, and reports the residual the per-call factor loop gave
+    # phi, and reports the pinned residual
     sf._factor_table.cache_clear()
     rep = run_suite(SuiteConfig(suite="modular-te-irc", seed=20240501, samples=1, b_arg=0.5))
     assert sf._factor_table.cache_info().misses == 2
-    assert repr(rep.max_residual) == "5.912030911775618e-16"
+    assert repr(rep.max_residual) == "4.638552336875706e-16"
 
 
 def test_dilog_product_unconverged_raises():
