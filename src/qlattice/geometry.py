@@ -456,8 +456,21 @@ def miquel_check(h: Hexahedron) -> MiquelReport:
 # lattice state and staircase evolution
 # ---------------------------------------------------------------------------
 
-# offsets of a cube's seven front corners, in hex_flip's argument order
-_FRONT_CORNERS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1))
+# offsets of a cube's corners in VERTEX_KEYS order: its seven front corners
+# in hex_flip's argument order, then the corner the flip fills
+_CUBE_CORNERS = np.array([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
+                          (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)])
+# offsets of the corners of the faces at a lattice point normal to axes 1,
+# 2 and 3, each in boundary order
+_FACE_CORNERS = np.array([((0, 0, 0), (0, 1, 0), (0, 1, 1), (0, 0, 1)),
+                          ((0, 0, 0), (0, 0, 1), (1, 0, 1), (1, 0, 0)),
+                          ((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0))])
+
+
+def box_points(shape):
+    """The lattice points (n1 n2 n3, 3) of [0, n1) x [0, n2) x [0, n3), in
+    index order: the cubes of a box of that shape."""
+    return np.indices(shape).reshape(len(shape), -1).T
 
 
 @dataclass
@@ -469,7 +482,9 @@ class LatticeState:
     vertices: dict = field(default_factory=dict)
 
     def has(self, m):
-        return tuple(m) in self.vertices
+        """Whether a vertex is known at lattice point m; for a stack of
+        points (..., 3), a stack of bools."""
+        return (self.rows(m) >= 0)[()]
 
     def get(self, m):
         return self.vertices[tuple(m)]
@@ -477,115 +492,222 @@ class LatticeState:
     def set(self, m, p):
         self.vertices[tuple(m)] = np.asarray(p, dtype=float)
 
-    def cube_complete(self, c):
-        i, j, k = c
-        return all(self.has((i + a, j + b, k + d))
-                   for a in (0, 1) for b in (0, 1) for d in (0, 1))
+    def keys(self):
+        """The lattice points of the vertices (V, 3), in insertion order."""
+        return np.array(list(self.vertices), dtype=np.intp).reshape(-1, 3)
 
-    def cube_flippable(self, c):
-        i, j, k = c
-        return (all(self.has((i + a, j + b, k + d)) for a, b, d in _FRONT_CORNERS)
-                and not self.has((i + 1, j + 1, k + 1)))
+    def positions(self):
+        """The positions of the vertices (V, d), in insertion order."""
+        return np.array(list(self.vertices.values()), dtype=float)
+
+    def rows(self, points):
+        """The row in insertion order of the vertex at each lattice point of
+        a stack (..., 3), -1 where none is known; one grid of rows spans the
+        vertices and the points."""
+        keys, points = self.keys(), np.asarray(points)
+        # each axis's extremes by a 1-d reduction (numpy's axis-0 reduction
+        # of an (n, 3) array is over ten times slower); the origin gives an
+        # empty state a grid
+        span = np.concatenate([keys, points.reshape(-1, 3), np.zeros((1, 3), dtype=np.intp)]).T
+        lo = np.array([axis.min() for axis in span])
+        grid = np.full(np.array([axis.max() for axis in span]) + 1 - lo, -1)
+        grid[tuple((keys - lo).T)] = np.arange(len(keys))
+        return grid[tuple(np.moveaxis(points - lo, -1, 0))]
+
+    def cube_complete(self, c):
+        """Whether the eight corners of cube c are known; for a stack of
+        cubes (..., 3), a stack of bools."""
+        return self.has(np.asarray(c)[..., None, :] + _CUBE_CORNERS).all(axis=-1)[()]
 
     def known_faces(self):
-        """All unit lattice faces whose four corners are known, as ordered
-        quadruples of lattice keys, by vertex and then by normal axis."""
-        out = []
-        for m in self.vertices:
-            i, j, k = m
-            for quad in ((m, (i, j + 1, k), (i, j + 1, k + 1), (i, j, k + 1)),
-                         (m, (i, j, k + 1), (i + 1, j, k + 1), (i + 1, j, k)),
-                         (m, (i + 1, j, k), (i + 1, j + 1, k), (i, j + 1, k))):
-                if all(q in self.vertices for q in quad):
-                    out.append(quad)
-        return out
+        """All unit lattice faces whose four corners are known, as the
+        lattice points (F, 4, 3) of their corners in boundary order, by
+        vertex in insertion order and then by normal axis."""
+        quads = self.keys()[:, None, None, :] + _FACE_CORNERS
+        return quads[self.has(quads).all(axis=-1)]
 
 
 def staircase_evolve(state: LatticeState, steps: int | None = None) -> LatticeState:
     """Flip frontier cubes layer by layer in nondecreasing m1+m2+m3 order.
 
     The cubes of one anti-diagonal layer are independent and flip in one
-    stacked hex_flip call.  steps counts anti-diagonal layers; None means
-    run to completion.  Degeneracies are re-raised with the coordinates of
-    the first offending cube in layer and then index order.
+    stacked hex_flip call, gathered from an array of the box's positions.
+    steps counts anti-diagonal layers that flip; None means run to
+    completion.  Degeneracies are re-raised with the coordinates of the
+    first offending cube in layer and then index order.
     """
-    layers = {}
-    for c in np.ndindex(*state.shape):
-        layers.setdefault(sum(c), []).append(c)
-    done = 0
-    for layer in sorted(layers):
+    size = np.add(state.shape, 1)
+    rows = state.rows(box_points(size))
+    known = rows >= 0
+    positions = state.positions()
+    pos = np.zeros((len(rows),) + positions.shape[1:])
+    pos[known] = positions[rows[known]]
+    cubes = box_points(state.shape)
+    layer = cubes.sum(axis=1)
+    cubes = cubes[np.argsort(layer, kind="stable")]
+    # the box rows of each cube's corners, in _CUBE_CORNERS order
+    corners = (cubes[:, None, :] + _CUBE_CORNERS) @ np.array([size[1] * size[2], size[2], 1])
+    done, start = 0, 0
+    for end in np.cumsum(np.bincount(layer)).tolist():
         if steps is not None and done >= steps:
             break
-        cubes = [c for c in layers[layer] if state.cube_flippable(c)]
-        if not cubes:
+        at = corners[start:end]
+        flip = np.flatnonzero(known[at[:, :7]].all(axis=1) & ~known[at[:, 7]]) + start
+        start = end
+        if not flip.size:
             continue
-        corners = np.array([[state.vertices[(i + a, j + b, k + d)] for a, b, d in _FRONT_CORNERS]
-                            for i, j, k in cubes])
         try:
-            flipped = hex_flip(*corners.transpose(1, 0, 2))
+            flipped = hex_flip(*np.moveaxis(pos[corners[flip, :7]], 1, 0))
         except DegeneracyError as exc:
             raise DegeneracyError("flip failed at cube %s: %s"
-                                  % (cubes[exc.index[0]], exc)) from exc
-        for (i, j, k), p in zip(cubes, flipped):
-            state.set((i + 1, j + 1, k + 1), p)
+                                  % (tuple(cubes[flip[exc.index[0]]].tolist()), exc)) from exc
+        pos[corners[flip, 7]] = flipped
+        known[corners[flip, 7]] = True
+        for m, p in zip((cubes[flip] + 1).tolist(), flipped):
+            state.set(m, p)
         done += 1
     return state
 
 
-def _fill_wall(points, rng, circular):
-    """Fill x(i,j) of one wall from its three predecessors.
+def lattice_residuals(state: LatticeState, mode):
+    """The largest concyclicity residual over the known faces of a lattice
+    state (planarity residual in quadrilateral mode), from one stacked
+    frame, and the number of the box's completed cubes that have a
+    non-convex face, one with a reflex corner."""
+    positions = state.positions()
+    frame = _frame(positions[state.rows(state.known_faces())])
+    residual = _concyclicity(frame) if mode == "circular" else _flatness(frame[2])
+    cubes = box_points(state.shape)
+    cubes = cubes[state.cube_complete(cubes)]
+    _, centered, _, vt = _frame(positions[state.rows(cubes[:, None, :] + _CUBE_CORNERS)]
+                                [:, FACE_INDEX])
+    return residual.max(initial=0.0), int(_angles(centered, vt)[1].any(axis=(1, 2)).sum())
 
-    circular: x(i,j) on the circle through the three, at a mid-arc parameter,
-    which makes the face a convex cyclic quadrilateral.  quadrilateral: in
-    the plane of the three.  DegeneracyError if the three are collinear
-    (circular) or 60 draws give no convex face.
-    """
-    p00, p10, p01 = points  # (i-1,j-1), (i,j-1), (i-1,j)
-    for _ in range(60):
-        if circular:
-            cand = point_on_arc(p10, p01, p00, rng.uniform(0.42, 0.58))
-        else:
-            s, t = rng.uniform(0.85, 1.2, 2)
-            cand = p00 + s * (p10 - p00) + t * (p01 - p00)
-        face = (p00, p10, cand, p01)
-        if _convex(_frame(face)):
+
+# the coordinate walls by their two axes, in the order they are filled, and
+# each mode's draws of one attempt at a wall face: low, high and shape
+_WALLS = ((0, 1), (0, 2), (1, 2))
+_WALL_DRAWS = {"circular": (0.42, 0.58, ()), "quadrilateral": (0.85, 1.2, (2,))}
+WALL_ATTEMPTS = 60
+
+
+def _wall_attempt(p00, p10, p01, draws, mode):
+    """One attempt at x(i,j) of each wall face of a stack from its three
+    predecessors (i-1,j-1), (i,j-1), (i-1,j) and its draws, and whether the
+    face is convex.  circular: on the circle through the three, at a
+    mid-arc parameter of the arc that avoids (i-1,j-1), which makes the face
+    a cyclic quadrilateral; DegeneracyError if the three are collinear.
+    quadrilateral: in the plane of the three."""
+    if mode == "circular":
+        cand = point_on_arc(p10, p01, p00, draws)
+    else:
+        cand = p00 + draws[..., :1] * (p10 - p00) + draws[..., 1:] * (p01 - p00)
+    return cand, _convex(_frame(np.stack([p00, p10, cand, p01], axis=-2)))
+
+
+def _fill_wall(point, predecessors, rng, mode):
+    """x at the wall face's lattice point `point` from its three
+    predecessors (3, 3), one attempt at a time until the face is convex;
+    DegeneracyError, naming the point, if the three are collinear
+    (circular) or WALL_ATTEMPTS draws give no convex face."""
+    low, high, size = _WALL_DRAWS[mode]
+    for _ in range(WALL_ATTEMPTS):
+        draws = rng.uniform(low, high, size)
+        try:
+            cand, convex = _wall_attempt(*predecessors, draws, mode)
+        except DegeneracyError as exc:
+            raise DegeneracyError("wall face at %s: %s" % (point, exc)) from exc
+        if convex:
             return cand
-    raise DegeneracyError("no convex wall face in 60 draws")
+    raise DegeneracyError("no convex wall face at %s in %d draws" % (point, WALL_ATTEMPTS))
+
+
+def _wall_layout(shape):
+    """The lattice points (P, 3) of the wall data in the order they are
+    drawn: the origin, the three axis rows, then the faces of each wall
+    row by row; and for each face, the rows of its point and of its
+    predecessors (i-1,j-1), (i,j-1), (i-1,j) (F, 4)."""
+    axes = np.eye(3, dtype=np.intp)
+    walls, steps = [], []
+    for a1, a2 in _WALLS:
+        m = box_points((shape[a1], shape[a2])) + 1
+        walls.append(m @ axes[[a1, a2]])
+        steps.append(np.broadcast_to([0 * axes[0], -axes[a1] - axes[a2], -axes[a2], -axes[a1]],
+                                     (len(m), 4, 3)))
+    walls = np.concatenate(walls)
+    points = np.concatenate([np.zeros((1, 3), dtype=np.intp)]
+                            + [axes[a] * np.arange(1, n + 1)[:, None] for a, n in enumerate(shape)]
+                            + [walls])
+    grid = np.zeros(np.add(shape, 1), dtype=np.intp)
+    grid[tuple(points.T)] = np.arange(len(points))
+    faces = walls[:, None, :] + np.concatenate(steps)
+    return points, grid[tuple(np.moveaxis(faces, -1, 0))]
+
+
+def _fill_walls(x, faces, points, rng, mode):
+    """Fill the wall faces' rows of the positions x in place, as _fill_wall
+    fills them one at a time in drawing order, with the same draws.
+
+    faces holds, in drawing order, the rows of each face's point and of its
+    predecessors (as _wall_layout gives them), and points each row's
+    lattice point.  The faces of one anti-diagonal i + j of all three walls
+    are independent, so each anti-diagonal is one stacked attempt, on one
+    draw per face drawn ahead.  A face depends only on faces before it in
+    drawing order, so the faces before the first whose first attempt is not
+    accepted are final.  That face is then replayed alone from the draws
+    before it, as _fill_wall draws it; the faces after it are drawn anew.
+    """
+    low, high, size = _WALL_DRAWS[mode]
+    diagonal = points[faces[:, 0]].sum(axis=1)
+    start = 0
+    while start < len(faces):
+        saved = rng.bit_generator.state
+        draws = rng.uniform(low, high, (len(faces) - start,) + size)
+        first = len(faces)  # the first face whose first attempt fails
+        for d in range(2, diagonal.max(initial=1) + 1):
+            at = np.flatnonzero(diagonal[start:first] == d) + start
+            stack = np.moveaxis(x[faces[at, 1:]], 1, 0)
+            try:
+                cand, convex = _wall_attempt(*stack, draws[at - start], mode)
+            except DegeneracyError as exc:
+                first, at = at[exc.index[0]], at[:exc.index[0]]
+                cand, convex = _wall_attempt(*stack[:, :len(at)], draws[at - start], mode)
+            x[faces[at, 0]] = cand
+            rejected = at[~convex]
+            if rejected.size:
+                first = min(first, rejected[0])
+        if first == len(faces):
+            return
+        rng.bit_generator.state = saved
+        rng.uniform(low, high, (first - start,) + size)
+        point = tuple(points[faces[first, 0]].tolist())
+        x[faces[first, 0]] = _fill_wall(point, x[faces[first, 1:]], rng, mode)
+        start = first + 1
 
 
 def random_initial_state(shape, rng, mode="circular") -> LatticeState:
     """Random admissible boundary data on the three coordinate walls.
 
     Axis rows are mildly perturbed integer points; each wall face is then
-    closed one at a time, rejection-sampling until convex (and concyclic in
-    circular mode); a wall that cannot be closed starts the data anew.
+    closed by rejection sampling until convex (and concyclic in circular
+    mode, planar in quadrilateral mode), in the draws of one face at a time
+    in wall and row order; a wall that cannot be closed starts the data
+    anew.
     """
-    n1, n2, n3 = shape
+    if mode not in _WALL_DRAWS:
+        raise DomainError("unknown mode %r: expected 'circular' or 'quadrilateral'" % (mode,))
+    points, faces = _wall_layout(shape)
+    keys = list(map(tuple, points.tolist()))
+    axis_rows = slice(1, 1 + sum(shape))
     for _ in range(200):
-        st = LatticeState(shape)
-        st.set((0, 0, 0), rng.normal(0, 0.04, 3))
-        axes = (np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), np.array([0, 0, 1.0]))
-        sizes = (n1, n2, n3)
-        for ax in range(3):
-            for i in range(1, sizes[ax] + 1):
-                m = [0, 0, 0]
-                m[ax] = i
-                st.set(tuple(m), i * axes[ax] + rng.normal(0, 0.06, 3))
-        walls = ((0, 1, n1, n2), (0, 2, n1, n3), (1, 2, n2, n3))
+        x = np.empty(points.shape)
+        x[0] = rng.normal(0, 0.04, 3)
+        x[axis_rows] = points[axis_rows] + rng.normal(0, 0.06, (sum(shape), 3))
         try:
-            for a1, a2, s1, s2 in walls:
-                for i in range(1, s1 + 1):
-                    for j in range(1, s2 + 1):
-                        m00, m10, m01, m11 = [[0, 0, 0] for _ in range(4)]
-                        m00[a1], m00[a2] = i - 1, j - 1
-                        m10[a1], m10[a2] = i, j - 1
-                        m01[a1], m01[a2] = i - 1, j
-                        m11[a1], m11[a2] = i, j
-                        st.set(tuple(m11), _fill_wall((st.get(m00), st.get(m10), st.get(m01)),
-                                                      rng, circular=(mode == "circular")))
+            _fill_walls(x, faces, points, rng, mode)
         except DegeneracyError:
             continue
-        return st
+        return LatticeState(shape, dict(zip(keys, x)))
     raise DegeneracyError("failed to sample admissible initial data")
 
 

@@ -5,8 +5,10 @@
     qlattice report --json path
 
 verify exits 0 only if every executed suite passes; evolve exits 0 only if
-the lattice evolves and its mesh has the expected face count; report exits 0
-only if the file holds a schema-valid report of a passing run.
+the lattice evolves and its mesh has the expected face count, and also
+prints the largest concyclicity (planarity) residual of its faces and the
+number of its cubes with a non-convex face; report exits 0 only if the file
+holds a schema-valid report of a passing run.
 """
 
 from __future__ import annotations
@@ -146,6 +148,9 @@ def cmd_evolve(args) -> int:
     expected = mesh.expected_face_count(shape)
     print("wrote %s: %d vertices, %d faces (expected %d)"
           % (args.out, len(verts), len(faces), expected))
+    residual, bent = geo.lattice_residuals(state, args.mode)
+    print("largest %s residual %.3e over the faces; cubes with a non-convex face: %d"
+          % ("concyclicity" if args.mode == "circular" else "planarity", residual, bent))
     if len(faces) != expected:
         print("ERROR face count %d differs from the expected %d" % (len(faces), expected))
         return 1

@@ -5,40 +5,35 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DomainError
-from ..geometry import LatticeState
+from ..geometry import LatticeState, box_points
 
 
 def export_obj(state: LatticeState, path: str):
     """Write vertices and quad faces of all completed faces to a Wavefront
-    OBJ file; coordinates round-trip exactly through repr-style formatting."""
-    faces = state.known_faces()
-    if not any(state.cube_complete(c) for c in np.ndindex(*state.shape)):
+    OBJ file; coordinates round-trip exactly through repr-style formatting.
+    The vertices are written in lattice order and the faces in known_faces
+    order, each block in one format operation."""
+    if not state.cube_complete(box_points(state.shape)).any():
         raise DomainError("state has no completed cube to export")
-    keys = sorted(state.vertices)
-    index = {k: i + 1 for i, k in enumerate(keys)}
+    order = np.lexsort(state.keys().T[::-1])
+    index = np.empty_like(order)
+    index[order] = np.arange(1, len(order) + 1)
+    faces = index[state.rows(state.known_faces())]
     with open(path, "w") as fh:
         fh.write("# qlattice mesh export\n")
-        for k in keys:
-            p = state.get(k)
-            fh.write("v %.17g %.17g %.17g\n" % (p[0], p[1], p[2]))
-        for quad in faces:
-            fh.write("f %d %d %d %d\n" % tuple(index[k] for k in quad))
+        fh.write("v %.17g %.17g %.17g\n" * len(order)
+                 % tuple(state.positions()[order].ravel().tolist()))
+        fh.write("f %d %d %d %d\n" * len(faces) % tuple(faces.ravel().tolist()))
 
 
 def import_obj(path: str):
-    """Read back vertices and faces; returns (vertices array, faces list)."""
-    verts = []
-    faces = []
+    """Read back vertices and quad faces, the lines of each kind parsed at
+    once: (vertices (V, 3), faces (F, 4) of zero-based vertex indices)."""
     with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "v":
-                verts.append([float(x) for x in parts[1:4]])
-            elif parts[0] == "f":
-                faces.append([int(x) - 1 for x in parts[1:]])
-    return np.array(verts), faces
+        lines = [line.split(None, 1) for line in fh]
+    verts, faces = (" ".join([q[1] for q in lines if q and q[0] == kind]) for kind in "vf")
+    return (np.fromstring(verts, sep=" ").reshape(-1, 3),
+            np.fromstring(faces, dtype=np.intp, sep=" ").reshape(-1, 4) - 1)
 
 
 def expected_face_count(shape) -> int:

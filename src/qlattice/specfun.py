@@ -306,6 +306,11 @@ def _dilog_quadrature(z: complex, mp: ModularParam, tol: float = 1e-12) -> compl
     of the width of the pole-free strip, so the integrand is analytic in a
     strip about it and decays along it like exp(-rate |x|); the window
     starts where that bound is e^-50.
+
+    Its reach is limited: at b = 0.8 e^{i pi/40} and 0.8 e^{0.5i} it
+    converges for Re z >= -2.2 (checked to Re z = 12), and for Re z <= -3,
+    where phi is within 1e-5 of 1, it raises AccuracyError at its
+    4,096-node cap; between the two it depends on Im z and b.
     """
     b = mp.b
     strip = math.pi * min(b.real, (1.0 / b).real)

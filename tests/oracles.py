@@ -21,7 +21,7 @@ from qlattice import geometry as geo
 from qlattice import qosc
 from qlattice import rmatrices as rm
 from qlattice import specfun as sf
-from qlattice.errors import AccuracyError, DomainError, SingularityError
+from qlattice.errors import AccuracyError, DegeneracyError, DomainError, SingularityError
 from qlattice.harness import suites
 
 # ---------------------------------------------------------------------------
@@ -359,6 +359,103 @@ def affine_initial_state(shape, matrix=None, offset=None) -> geo.LatticeState:
         if 0 in m:
             st.set(m, a @ np.array(m, dtype=float) + t)
     return st
+
+
+def fill_walls_one_face_at_a_time(st: geo.LatticeState, rng, mode):
+    """Close every wall face of a state whose origin and axis rows are set,
+    one face at a time in wall and row order, each by rejection sampling
+    from its own draws (the sampler's reference)."""
+    walls = ((0, 1), (0, 2), (1, 2))
+    for a1, a2 in walls:
+        for i in range(1, st.shape[a1] + 1):
+            for j in range(1, st.shape[a2] + 1):
+                m00, m10, m01, m11 = [[0, 0, 0] for _ in range(4)]
+                m00[a1], m00[a2] = i - 1, j - 1
+                m10[a1], m10[a2] = i, j - 1
+                m01[a1], m01[a2] = i - 1, j
+                m11[a1], m11[a2] = i, j
+                p00, p10, p01 = st.get(m00), st.get(m10), st.get(m01)
+                for _ in range(60):
+                    if mode == "circular":
+                        cand = geo.point_on_arc(p10, p01, p00, rng.uniform(0.42, 0.58))
+                    else:
+                        s, t = rng.uniform(0.85, 1.2, 2)
+                        cand = p00 + s * (p10 - p00) + t * (p01 - p00)
+                    if geo._convex(geo._frame((p00, p10, cand, p01))):
+                        break
+                else:
+                    raise DegeneracyError("no convex wall face in 60 draws")
+                st.set(tuple(m11), cand)
+
+
+def random_initial_state(shape, rng, mode) -> geo.LatticeState:
+    """geo.random_initial_state drawn one face at a time: the origin, the
+    axis rows, then fill_walls_one_face_at_a_time, starting the data anew
+    when a wall cannot be closed."""
+    for _ in range(200):
+        st = geo.LatticeState(shape)
+        st.set((0, 0, 0), rng.normal(0, 0.04, 3))
+        for ax in range(3):
+            for i in range(1, shape[ax] + 1):
+                m = [0, 0, 0]
+                m[ax] = i
+                st.set(tuple(m), i * np.eye(3)[ax] + rng.normal(0, 0.06, 3))
+        try:
+            fill_walls_one_face_at_a_time(st, rng, mode)
+        except DegeneracyError:
+            continue
+        return st
+    raise DegeneracyError("failed to sample admissible initial data")
+
+
+def staircase_evolve(state: geo.LatticeState, steps):
+    """geo.staircase_evolve on the vertex dict: the flippable cubes of each
+    anti-diagonal layer, found one at a time, flip in one stacked hex_flip
+    call; steps counts the layers that flip, None all of them."""
+    front = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1))
+    layers = {}
+    for c in np.ndindex(*state.shape):
+        layers.setdefault(sum(c), []).append(c)
+    done = 0
+    for layer in sorted(layers):
+        if steps is not None and done >= steps:
+            break
+        cubes = [(i, j, k) for i, j, k in layers[layer]
+                 if all((i + a, j + b, k + d) in state.vertices for a, b, d in front)
+                 and (i + 1, j + 1, k + 1) not in state.vertices]
+        if not cubes:
+            continue
+        corners = np.array([[state.get((i + a, j + b, k + d)) for a, b, d in front]
+                            for i, j, k in cubes])
+        for (i, j, k), p in zip(cubes, geo.hex_flip(*corners.transpose(1, 0, 2))):
+            state.set((i + 1, j + 1, k + 1), p)
+        done += 1
+    return state
+
+
+def export_obj(state: geo.LatticeState, path: str):
+    """The OBJ file of mesh.export_obj, written one vertex and one face at a
+    time from the vertex dict: vertices in sorted key order, then the faces
+    whose four corners are known, by vertex in insertion order and then by
+    normal axis."""
+    if not any(all((i + a, j + b, k + d) in state.vertices
+                   for a in (0, 1) for b in (0, 1) for d in (0, 1))
+               for i, j, k in np.ndindex(*state.shape)):
+        raise DomainError("state has no completed cube to export")
+    keys = sorted(state.vertices)
+    index = {k: i + 1 for i, k in enumerate(keys)}
+    with open(path, "w") as fh:
+        fh.write("# qlattice mesh export\n")
+        for k in keys:
+            p = state.get(k)
+            fh.write("v %.17g %.17g %.17g\n" % (p[0], p[1], p[2]))
+        for i, j, k in state.vertices:
+            m = (i, j, k)
+            for quad in ((m, (i, j + 1, k), (i, j + 1, k + 1), (i, j, k + 1)),
+                         (m, (i, j, k + 1), (i + 1, j, k + 1), (i + 1, j, k)),
+                         (m, (i + 1, j, k), (i + 1, j + 1, k), (i, j + 1, k))):
+                if all(q in state.vertices for q in quad):
+                    fh.write("f %d %d %d %d\n" % tuple(index[q] for q in quad))
 
 
 def hexahedron(state: geo.LatticeState, c) -> geo.Hexahedron:

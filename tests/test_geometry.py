@@ -247,6 +247,42 @@ def test_staircase_determinism():
         assert np.array_equal(st1.get(k), st2.get(k))
 
 
+def test_random_initial_state_rejects_an_unknown_mode():
+    # a misspelt mode once sampled quadrilateral data; it now draws nothing
+    rng = np.random.default_rng(11)
+    with pytest.raises(DomainError, match="unknown mode 'circle': expected 'circular' or "
+                                          "'quadrilateral'"):
+        geo.random_initial_state((2, 2, 2), rng, mode="circle")
+    assert rng.uniform() == np.random.default_rng(11).uniform()
+
+
+@pytest.mark.parametrize("mode, moved, message", [
+    ("circular", (2.0, 0.0, 0.0), "wall face at (1, 0, 1): collinear points have no circle"),
+    ("quadrilateral", (1.0, 0.0, 0.01), "no convex wall face at (1, 0, 1) in 60 draws"),
+], ids=["collinear", "no convex draw"])
+def test_wall_fill_replays_a_failing_face_draw_for_draw(mode, moved, message):
+    # Integer walls of a 2x2x2 box with (0,0,1) moved onto the line of
+    # (0,0,0) and (1,0,0), or to an angle of 0.01 at (0,0,0), which no draw
+    # opens to 0.05.  Wall face (1,0,1) fails: the fifth in drawing order,
+    # and in the first anti-diagonal with the first and the ninth.  The
+    # four faces before it are kept, the error names it, and the generator
+    # stops where the one-face-at-a-time fill stops.
+    points, faces = geo._wall_layout((2, 2, 2))
+    x = points.astype(float)
+    x[points.tolist().index([0, 0, 1])] = moved
+    ref = geo.LatticeState((2, 2, 2), {tuple(m): x[r].copy()
+                                       for r, m in enumerate(points[:7].tolist())})
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    with pytest.raises(DegeneracyError) as err:
+        geo._fill_walls(x, faces, points, rng, mode)
+    assert str(err.value) == message
+    with pytest.raises(DegeneracyError):
+        oracles.fill_walls_one_face_at_a_time(ref, ref_rng, mode)
+    assert rng.uniform() == ref_rng.uniform()
+    assert len(ref.vertices) == 11
+    assert np.array_equal(x[:11], list(ref.vertices.values()))
+
+
 # ---------------------------------------------------------------------------
 # rhombic dodecahedron
 # ---------------------------------------------------------------------------
