@@ -162,10 +162,9 @@ def dilog_product(z: np.ndarray, mp: ModularParam, tol: float = 1e-18) -> np.nda
     z = np.asarray(z, dtype=complex)
     flip = _reflected(0.0, z, mp)
     zr = np.where(flip, -z, z)
-    top, bot = _phi_ratio(np.exp(_TWO_PI * zr * mp.b), np.exp(_TWO_PI * zr / mp.b), flip, mp, tol)
-    top /= bot
-    top[flip] *= np.exp(_reflection_log(z[flip], mp))
-    return top
+    phi = _phi_ratio(np.exp(_TWO_PI * zr * mp.b), np.exp(_TWO_PI * zr / mp.b), flip, mp, tol)
+    phi[flip] *= np.exp(_reflection_log(z[flip], mp))
+    return phi
 
 
 def _reflected(x, s, mp: ModularParam):
@@ -181,14 +180,15 @@ def _reflection_log(z, mp: ModularParam):
     return 1j * math.pi * (z * z + (mp.b * mp.b + 1.0 / (mp.b * mp.b)) / 12.0)
 
 
-def _phi_ratio(xb: np.ndarray, xi: np.ndarray, inverse, mp: ModularParam, tol: float):
-    """(top, bot): the numerator and the denominator product of phi at the
-    points with e^{2 pi z b} = xb and e^{2 pi z / b} = xi, swapped where
-    inverse is set, so top / bot is phi there, or 1 / phi."""
+def _phi_ratio(xb: np.ndarray, xi: np.ndarray, inverse, mp: ModularParam, tol: float) -> np.ndarray:
+    """phi at the points with e^{2 pi z b} = xb and e^{2 pi z / b} = xi, or
+    1 / phi where inverse is set: the numerator product over the denominator
+    product, formed in the numerator's array."""
     mp.require_series_domain()
-    num = _running_product(xb, mp.q, mp.q * mp.q, tol)
-    den = _running_product(xi, mp.q_tilde, mp.q_tilde * mp.q_tilde, tol)
-    return np.where(inverse, den, num), np.where(inverse, num, den)
+    phi = np.asarray(_running_product(xb, mp.q, mp.q * mp.q, tol))  # 0-d x gives a scalar
+    del xb  # frees a caller's temporary before the second product
+    phi /= _running_product(xi, mp.q_tilde, mp.q_tilde * mp.q_tilde, tol)
+    return np.reciprocal(phi, out=phi, where=inverse)
 
 
 # a running product whose bound sum log(1 + |term|) passes _OVERFLOW_LOG
@@ -390,36 +390,39 @@ def psi22_quadrature_batch(c1, c2, c3, c4, c0, mp: ModularParam,
             "2Psi2 poles pinch the real contour", estimate=min(above, below))
     eta = mp.eta
     w = -c0 - 1j * eta
-    shifts = ((c1 + 1j * eta) / 2, (c2 + 1j * eta) / 2,
-              (c3 - 1j * eta) / 2, (c4 - 1j * eta) / 2)
+    # the four shifts s_k, shape (4, 1, *c.shape): a leading axis, then one
+    # for the nodes.  phi(z + s1) phi(z + s2) multiply, phi(z + s3)
+    # phi(z + s4) divide
+    shifts = np.stack(((c1 + 1j * eta) / 2, (c2 + 1j * eta) / 2,
+                       (c3 - 1j * eta) / 2, (c4 - 1j * eta) / 2))[:, None]
+    divides = np.arange(4).reshape((4,) + (1,) * (shifts.ndim - 1)) > 1
+    sign = np.where(divides, -1.0, 1.0)
 
     # e^{2 pi (z + s) b} = e^{2 pi z b} e^{2 pi s b}, and likewise with 1/b;
     # a reflected point (``_reflected``) takes their reciprocals, and the
-    # exponent of e^{2 pi i z w} takes its inversion factor.  The shifts'
-    # factors are formed once per batch, the nodes' once per node array
-    shift_e = [(np.exp(_TWO_PI * s * mp.b), np.exp(_TWO_PI * s / mp.b)) for s in shifts]
-    shift_e = [(sb, si, 1.0 / sb, 1.0 / si) for sb, si in shift_e]
+    # exponent of e^{2 pi i z w} takes its signed inversion factor.  The
+    # shifts' factors are formed once per batch, the nodes' once per node
+    # array, and each side of phi is one running product over the
+    # (4, nodes, *c.shape) stack, whose max|x| sets its term count
+    shift_b, shift_i = np.exp(_TWO_PI * shifts * mp.b), np.exp(_TWO_PI * shifts / mp.b)
+    inv_shift_b, inv_shift_i = 1.0 / shift_b, 1.0 / shift_i
 
     def integrand(z):
         # z: 1-D array of real nodes; result shape = z.shape + c.shape
         zz = z.reshape(z.shape + (1,) * c1.ndim)
         node_b, node_i = np.exp(_TWO_PI * zz * mp.b), np.exp(_TWO_PI * zz / mp.b)
-        inv_b, inv_i = 1.0 / node_b, 1.0 / node_i
-        expo = 2j * np.pi * zz * w
-        top, bot = np.ones_like(expo), np.ones_like(expo)
-        for k, (s, (sb, si, isb, isi)) in enumerate(zip(shifts, shift_e)):
-            flip, divides = _reflected(zz, s, mp), k > 1  # phi(z + s3), phi(z + s4) divide
-            num, den = _phi_ratio(np.where(flip, inv_b * isb, node_b * sb),
-                                  np.where(flip, inv_i * isi, node_i * si),
-                                  flip ^ divides, mp, 3e-15)
-            top *= num
-            bot *= den
-            # phi(z + s) = e^{_reflection_log(z + s)} / phi(-z - s) where reflected
-            (np.subtract if divides else np.add)(
-                expo, np.where(flip, _reflection_log(zz + s, mp), 0.0), out=expo)
-        top /= bot
-        top *= np.exp(expo)
-        return top
+        flip = _reflected(zz, shifts, mp)
+        phi = _phi_ratio(np.multiply(1.0 / node_b, inv_shift_b, out=node_b * shift_b, where=flip),
+                         np.multiply(1.0 / node_i, inv_shift_i, out=node_i * shift_i, where=flip),
+                         flip ^ divides, mp, 3e-15)
+        # phi(z + s) = e^{_reflection_log(z + s)} / phi(-z - s) where reflected
+        refl = _reflection_log(zz + shifts, mp)
+        refl *= np.where(flip, sign, 0.0)
+        expo = refl.sum(axis=0)
+        expo += 2j * np.pi * zz * w
+        out = np.multiply.reduce(phi, axis=0)
+        out *= np.exp(expo)
+        return out
 
     # the integrand decays like exp(-2 pi eta_re |z|) for real parameters;
     # start the window where that bound alone is ~1e-12

@@ -988,7 +988,6 @@ def test_modular_irc_names_the_inner_tolerance(monkeypatch):
         rm.irc_te_residual_modular(specs, ext, tol=1e-5)
 
 
-@pytest.mark.slow
 def test_modular_irc_te_single_tuple():
     rng = np.random.default_rng(18)
     tsets = rm.spectral_sets_from_free(rng.uniform(-0.3, 0.3, 6))

@@ -327,7 +327,7 @@ def test_modular_te_case_builds_each_factor_table_once():
     sf._factor_table.cache_clear()
     rep = run_suite(SuiteConfig(suite="modular-te-irc", seed=20240501, samples=1, b_arg=0.5))
     assert sf._factor_table.cache_info().misses == 2
-    assert repr(rep.max_residual) == "4.638552336875706e-16"
+    assert repr(rep.max_residual) == "4.796774978592631e-16"
 
 
 def test_dilog_product_unconverged_raises():
@@ -496,6 +496,40 @@ def test_psi22_integrand_shares_exponentials(b_arg, monkeypatch):
     assert got.shape == (z.size, c1.size)
     err = np.max(np.abs(got - ref), axis=0) / np.max(np.abs(ref), axis=0)
     assert np.max(err) <= 1e-13
+
+
+@pytest.mark.parametrize("b_arg", [0.5, math.pi / 40], ids=["b_arg-0.5", "b_arg-pi/40"])
+def test_psi22_integrand_takes_one_stacked_product_per_side(b_arg, monkeypatch):
+    # one evaluation of the integrand runs each side of phi once, over the
+    # stack of the four shifts' points, and the stack's max|x| gives it at
+    # least the terms that any one shift's points alone would take
+    cfg = SuiteConfig(suite="modular-te-irc", samples=1, b_arg=b_arg)
+    (c1, *args), kwargs = _first_call(
+        monkeypatch, "psi22_quadrature_batch", lambda: SUITES["modular-te-irc"].case(cfg, 0))
+    (f, span, k, *_), _ = _first_call(
+        monkeypatch, "_nested_trapezoid", lambda: sf.psi22_quadrature_batch(c1, *args, **kwargs))
+    calls, terms = [], []
+    product, count = sf._running_product, sf._FactorTable.terms
+
+    def recording_product(x, fac, ratio, tol):
+        calls.append((x.copy(), fac, ratio, tol))
+        return product(x, fac, ratio, tol)
+
+    def recording_terms(table, scale, tol):
+        terms.append(count(table, scale, tol))
+        return terms[-1]
+
+    z = span / k * np.arange(-k, k + 1)
+    with monkeypatch.context() as m:
+        m.setattr(sf, "_running_product", recording_product)
+        m.setattr(sf._FactorTable, "terms", recording_terms)
+        f(z)
+    assert len(calls) == len(terms) == 2
+    for (x, fac, ratio, tol), taken in zip(calls, terms):
+        assert x.shape == (4, z.size, c1.size)
+        table = sf._factor_table(fac, ratio)
+        alone = [table.terms(float(np.max(np.abs(x[j]))), tol) for j in range(4)]
+        assert taken >= max(alone) > 0
 
 
 def _recording(f):
