@@ -290,8 +290,9 @@ def _convex(frame):
 # draws or a stack of many cases' attempts: a hexahedron (of stacks) and
 # whether it is accepted.  A DegeneracyError of an attempt names its failing
 # item and flags every item that fails.  A case takes up to QUAD_ATTEMPTS
-# attempts of a quadrilateral hexahedron (on stacks, in harness.suites)
-# and CIRCULAR_ATTEMPTS of a circular one (random_circular_hexahedron).
+# attempts of a quadrilateral hexahedron and CIRCULAR_ATTEMPTS of a
+# circular one (on stacks in harness.suites, and one at a time in
+# random_circular_hexahedron).
 QUAD_ATTEMPTS, CIRCULAR_ATTEMPTS = 200, 500
 
 
@@ -367,11 +368,9 @@ def point_on_arc(p_from, p_to, p_avoid, u):
 def circular_draws(rng):
     """The draws of one attempt of random_circular_hexahedron, in order:
     x0's direction, the offsets and direction noises of x1, x2 and x3, and
-    an iterator that draws the fractions along the arcs of x12, x13 and x23
-    one at a time, as the attempt's arcs take them."""
+    the fractions along the arcs of x12, x13 and x23."""
     return (rng.normal(size=3), rng.uniform(0.55, 0.95, 3),
-            [rng.normal(0, 0.15, 3) for _ in range(3)],
-            (rng.uniform(0.35, 0.65) for _ in range(3)))
+            [rng.normal(0, 0.15, 3) for _ in range(3)], rng.uniform(0.35, 0.65, 3))
 
 
 def circular_attempt(direction, offsets, noises, arc_fractions):
@@ -380,14 +379,14 @@ def circular_attempt(direction, offsets, noises, arc_fractions):
     (x0, xi, xj), and the flip.  Accepted if every face is convex and the
     faces and the eight vertices are concyclic and cospherical to 1e-9 (the
     back faces by the Miquel configuration)."""
-    offsets, noises = np.asarray(offsets), np.asarray(noises)
+    offsets, noises, arc_fractions = map(np.asarray, (offsets, noises, arc_fractions))
     x0 = _unit(direction)
     e1, e2 = _tangent_frame(x0)
     diagonal = e1 + e2
     x1, x2, x3 = (_unit(x0 + offsets[..., j, None] * (d + noises[..., j, :])) for j, d
                   in enumerate((e1, e2, -diagonal / _norm(diagonal)[..., None])))
-    x12, x13, x23 = (point_on_arc(a, b, x0, frac) for (a, b), frac
-                     in zip(((x1, x2), (x1, x3), (x2, x3)), arc_fractions))
+    x12, x13, x23 = (point_on_arc(a, b, x0, arc_fractions[..., j]) for j, (a, b)
+                     in enumerate(((x1, x2), (x1, x3), (x2, x3))))
     h = Hexahedron(x0, x1, x2, x3, x12, x13, x23, hex_flip(x0, x1, x2, x3, x12, x13, x23))
     frame = _frame(h.faces())
     return h, (_convex(frame).all(axis=-1) & (_concyclicity(frame).max(axis=-1) < 1e-9)
@@ -723,44 +722,33 @@ _SCHEDULE_A = ((7, 7), (11, 3), (13, 1), (14, 0))    # (cell direction mask, cor
 _SCHEDULE_B = ((14, 1), (13, 3), (11, 7), (7, 15))
 DODECA_FINAL_MASKS = (8, 12, 14)
 _PROJECTIVE_AMPLITUDE = 0.18  # scale of the random projective deformation
-_PROJECTIVE_DRAWS = 100  # deformations drawn before giving up
+PROJECTIVE_DRAWS = 100  # deformations a case draws before giving up
+# the 4-cube's vertices (16, 4) by mask
+_CUBE4 = ((np.arange(16)[:, None] >> np.arange(4)) & 1).astype(float)
 
 
 def _bits(mask):
     return [b for b in (1, 2, 4, 8) if mask & b]
 
 
-def _projective_vertices(a, t, c):
-    """The 16 vertices (a eps + t) / (1 + c . eps) by mask, or None if some
-    denominator lies within 0.3 of 0."""
-    out = {}
-    for mask in range(16):
-        eps = np.array([(mask >> b) & 1 for b in range(4)], dtype=float)
-        denom = 1.0 + c @ eps
-        if abs(denom) < 0.3:
-            return None
-        out[mask] = (a @ eps + t) / denom
-    return out
+def projective_draws(rng):
+    """The draws of one projective deformation eps -> (a eps + t) / (1 +
+    c . eps) of the 4-cube, in order: a, t and c."""
+    return (np.eye(4) + _PROJECTIVE_AMPLITUDE * rng.normal(size=(4, 4)),
+            _PROJECTIVE_AMPLITUDE * rng.normal(size=4),
+            _PROJECTIVE_AMPLITUDE * 0.5 * rng.normal(size=4))
 
 
-def dodeca_vertices_from_projective(rng, dim: int = 4):
-    """All 16 vertices of a projectively deformed 4-cube; faces stay planar.
-    A deformation that brings a denominator within 0.3 of 0 is drawn anew,
-    up to _PROJECTIVE_DRAWS deformations in all."""
-    for _ in range(_PROJECTIVE_DRAWS):
-        a = np.eye(4) + _PROJECTIVE_AMPLITUDE * rng.normal(size=(4, 4))
-        t = _PROJECTIVE_AMPLITUDE * rng.normal(size=4)
-        c = _PROJECTIVE_AMPLITUDE * 0.5 * rng.normal(size=4)
-        out = _projective_vertices(a, t, c)
-        if out is not None:
-            return {k: v[:3] for k, v in out.items()} if dim == 3 else out
-    raise DegeneracyError("no projective deformation of the 4-cube keeps every denominator "
-                          "0.3 from 0 in %d draws" % _PROJECTIVE_DRAWS)
-
-
-def dodeca_initial_surface(vertices):
-    """Restrict a full vertex dict to the initial-surface masks."""
-    return {m: np.asarray(vertices[m], dtype=float) for m in DODECA_INITIAL_MASKS}
+def projective_vertices(a, t, c):
+    """The 16 vertices (..., 16, 4) by mask of the 4-cube deformed by each
+    deformation of a stack (a (..., 4, 4), t and c (..., 4)), whose faces
+    stay planar, and whether every denominator of the deformation lies at
+    least 0.3 from 0.  einsum and vecdot sum an item's products in one
+    order at every stack size, which a stacked @ does not, so each item of
+    a stack reads what it reads alone."""
+    denom = 1 + np.vecdot(c[..., None, :], _CUBE4)
+    verts = (np.einsum("...ij,mj->...mi", a, _CUBE4) + t[..., None, :]) / denom[..., None]
+    return verts, (np.abs(denom) >= 0.3).all(axis=-1)
 
 
 def _run_schedules(surface, perturb=None):

@@ -21,11 +21,9 @@ through the same kernels.  A guard that fails on a stack drops every item
 it flags, and the rest are mapped again (_stack_map).  A case that reaches
 its sampler's cap raises the sampler's error, and one whose accepted
 attempt fails a later guard that guard's error, as it does alone; the
-lowest failing case of a block raises.  miquel takes one round and samples
-each case whose first attempt is rejected alone (see _miquel_attempt).
-dodecahedron flips both dissections of every case of a block as one stack,
-and a block a flip fails on runs as blocks of one.  covariant and the
-remaining suites run case by case.
+lowest failing case of a block raises.  A dodecahedron block that a flip
+fails on runs as blocks of one.  covariant and the remaining suites run
+case by case.
 """
 
 from __future__ import annotations
@@ -337,51 +335,44 @@ def _miquel_residual(cfg, h):
     return geo.miquel_check(h).max_residual.tolist()
 
 
-def _miquel_first_draws(rng):
-    """The draws of a first attempt of random_circular_hexahedron, its arc
-    fractions drawn at once (list) before case_rngs re-keys the generator."""
-    direction, offsets, noises, fractions = geo.circular_draws(rng)
-    return direction, offsets, noises, list(fractions)
-
-
-def _miquel_attempt(cfg, cases, *draws):
-    """Every case of the block: its first attempt where that is accepted,
-    else the hexahedron random_circular_hexahedron samples alone from its
-    stream, which it draws anew: circular_draws draws an attempt's arc
-    fractions lazily, so an attempt that fails at an arc has drawn only the
-    fractions up to it, which its stacked attempt does not tell."""
-    # the arc fractions go to circular_attempt as one stack per arc
-    accepted, verts = _accepted_hexahedra(
-        draws, lambda *d: geo.circular_attempt(*d[:3], d[3].T))
-    for pos in np.delete(np.arange(len(verts)), accepted):
-        verts[pos] = geo.random_circular_hexahedron(case_rng(cfg.seed, cases[pos])).vertices()
-    return np.arange(len(verts)), lambda at: _miquel_residual(
-        cfg, geo.Hexahedron(*np.moveaxis(verts[at], -2, 0)))
+def _miquel_attempt(cfg, *draws):
+    accepted, verts = _accepted_hexahedra(draws, geo.circular_attempt)
+    return accepted, lambda at: _miquel_residual(
+        cfg, geo.Hexahedron(*np.moveaxis(verts[accepted[at]], -2, 0)))
 
 
 def _miquel_block(cfg, cases):
-    # one round, in which every case is accepted (see _miquel_attempt)
-    return _sample(case_rngs(cfg.seed, cases), _miquel_first_draws, 1,
-                   partial(_miquel_attempt, cfg, cases), None)
+    return _sample(case_rngs(cfg.seed, cases), geo.circular_draws, geo.CIRCULAR_ATTEMPTS,
+                   partial(_miquel_attempt, cfg), DegeneracyError(
+                       "failed to sample a circular hexahedron in %d attempts"
+                       % geo.CIRCULAR_ATTEMPTS))
 
 
-def _dodeca_surface(cfg, rng):
-    """A case's initial surface: of a 4-cube, or of a 3-cube in the control."""
-    verts = geo.dodeca_vertices_from_projective(rng, dim=3 if cfg.perturb else 4)
-    return geo.dodeca_initial_surface(verts)
+def _dodeca_attempt(cfg, a, t, c):
+    """The deformations whose denominators all lie 0.3 from 0, and the
+    residual of their 4-cube's initial surface; in the control, of their
+    3-cube's, with 1e-2 added to the second dissection's first flip."""
+    verts, admissible = geo.projective_vertices(a, t, c)
+    accepted = np.flatnonzero(admissible)
+    if cfg.perturb:
+        verts = verts[..., :3]
+    return accepted, lambda at: geo.dodecahedron_consistency(
+        {m: verts[accepted[at], m] for m in geo.DODECA_INITIAL_MASKS},
+        perturb=np.array([1e-2, 0.0, 0.0]) if cfg.perturb else None)
 
 
 def _dodeca_block(cfg, cases):
-    """The two dissections of every case of the block as one (2, B) stack
-    per flip; a block of several cases that a flip fails on runs as blocks
-    of one, so the first failing case raises its own error."""
-    surfaces = [_dodeca_surface(cfg, rng) for rng in case_rngs(cfg.seed, cases)]
+    """The two dissections of every case of a round as one (2, B) stack per
+    flip; a block of several cases that a flip fails on runs as blocks of
+    one, so the first failing case raises its own error.  The cap's error
+    is already that of the lowest case that reaches it."""
+    capped = DegeneracyError("no projective deformation of the 4-cube keeps every "
+                             "denominator 0.3 from 0 in %d draws" % geo.PROJECTIVE_DRAWS)
     try:
-        return geo.dodecahedron_consistency(
-            {m: np.array([s[m] for s in surfaces]) for m in geo.DODECA_INITIAL_MASKS},
-            perturb=np.array([1e-2, 0.0, 0.0]) if cfg.perturb else None)
-    except DegeneracyError:
-        if len(cases) == 1:
+        return _sample(case_rngs(cfg.seed, cases), geo.projective_draws, geo.PROJECTIVE_DRAWS,
+                       partial(_dodeca_attempt, cfg), capped)
+    except DegeneracyError as exc:
+        if len(cases) == 1 or exc is capped:
             raise
         return [res for idx in cases for res in _dodeca_block(cfg, [idx])]
 
@@ -523,6 +514,8 @@ def _cyclic_te_block(cfg, cases):
 
 @lru_cache(maxsize=8)
 def _cyclic_vertex_setup(seed, n):
+    """The data of R123, R145, R246 and R356 on the run's tetrahedron;
+    cyclic-cross-form reads R123's."""
     ta = rm.random_tetra_angles(case_rng(seed, SETUP_STREAM))
     return tuple(rm.CyclicRData.from_angles(*args, n) for args in ta.angle_arguments())
 
@@ -539,12 +532,6 @@ def _cyclic_vertex_case(cfg, idx):
     return float(rm.vertex_te_residual(ext, datasets))
 
 
-@lru_cache(maxsize=8)
-def _cross_form_setup(seed, n):
-    ta = rm.random_tetra_angles(case_rng(seed, SETUP_STREAM))
-    return rm.CyclicRData.from_angles(*ta.angle_arguments()[0], n)
-
-
 def _cross_form_count(cfg):
     if cfg.n_cyclic == 2:
         return 2 ** 8
@@ -553,7 +540,7 @@ def _cross_form_count(cfg):
 
 def _cross_form_block(cfg, cases):
     n = cfg.n_cyclic
-    data = _cross_form_setup(cfg.seed, n)
+    data = _cyclic_vertex_setup(cfg.seed, n)[0]
     if n == 2:
         spins = (np.asarray(cases) >> np.arange(8)[:, None]) & 1
     else:
@@ -569,7 +556,7 @@ def _cross_form_block(cfg, cases):
 def _cross_form_extras(cfg):
     if cfg.n_cyclic != 2:
         return {}
-    data = _cross_form_setup(cfg.seed, cfg.n_cyclic)
+    data = _cyclic_vertex_setup(cfg.seed, cfg.n_cyclic)[0]
     fits = rm.cross_form_sector_scalars(data)
     return {"sector_scalar_fit": {
         "%d,%d" % key: {"scalar_re": val[0].real, "scalar_im": val[0].imag,

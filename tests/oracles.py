@@ -469,6 +469,45 @@ def hexahedron(state: geo.LatticeState, c) -> geo.Hexahedron:
 
 
 # ---------------------------------------------------------------------------
+# rhombic dodecahedron (geometry)
+# ---------------------------------------------------------------------------
+
+def _projective_vertices(a, t, c):
+    """The 16 vertices (a eps + t) / (1 + c . eps) by mask, or None if some
+    denominator lies within 0.3 of 0."""
+    out = {}
+    for mask in range(16):
+        eps = np.array([(mask >> b) & 1 for b in range(4)], dtype=float)
+        denom = 1.0 + c @ eps
+        if abs(denom) < 0.3:
+            return None
+        out[mask] = (a @ eps + t) / denom
+    return out
+
+
+def dodeca_vertices_from_projective(rng, dim: int = 4):
+    """All 16 vertices of a projectively deformed 4-cube; faces stay planar.
+    A deformation that brings a denominator within 0.3 of 0 is drawn anew,
+    up to geo.PROJECTIVE_DRAWS deformations in all.  The reference of the
+    dodecahedron suite's stacked draws (geo.projective_draws and
+    geo.projective_vertices), one deformation and one vertex at a time."""
+    for _ in range(geo.PROJECTIVE_DRAWS):
+        a = np.eye(4) + geo._PROJECTIVE_AMPLITUDE * rng.normal(size=(4, 4))
+        t = geo._PROJECTIVE_AMPLITUDE * rng.normal(size=4)
+        c = geo._PROJECTIVE_AMPLITUDE * 0.5 * rng.normal(size=4)
+        out = _projective_vertices(a, t, c)
+        if out is not None:
+            return {k: v[:3] for k, v in out.items()} if dim == 3 else out
+    raise DegeneracyError("no projective deformation of the 4-cube keeps every denominator "
+                          "0.3 from 0 in %d draws" % geo.PROJECTIVE_DRAWS)
+
+
+def dodeca_initial_surface(vertices):
+    """Restrict a full vertex dict to the initial-surface masks."""
+    return {m: np.asarray(vertices[m], dtype=float) for m in geo.DODECA_INITIAL_MASKS}
+
+
+# ---------------------------------------------------------------------------
 # samples, drawn through the suites' sampling driver as a block of one
 # ---------------------------------------------------------------------------
 

@@ -255,6 +255,26 @@ def test_every_module_name_and_dataclass_field_is_read():
     assert not unread, "%d names nothing reads:\n  %s" % (len(unread), "\n  ".join(unread))
 
 
+def _attempt_loops(tree):
+    """The top-level functions of a module that loop over one case's
+    attempts: a for loop over a range whose body returns."""
+    return {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+            for loop in ast.walk(node) if isinstance(loop, ast.For)
+            and isinstance(loop.iter, ast.Call) and getattr(loop.iter.func, "id", None) == "range"
+            and any(isinstance(n, ast.Return) for stmt in loop.body for n in ast.walk(stmt))}
+
+
+def test_suites_sample_no_case_alone():
+    # a sampled suite draws its cases' attempts in _sample's stacked rounds,
+    # so it names no geometry function that samples one case at a time
+    loops = _attempt_loops(ast.parse((PACKAGE / "geometry.py").read_text()))
+    assert "random_circular_hexahedron" in loops
+    tree = ast.parse((PACKAGE / "harness" / "suites.py").read_text())
+    named = {getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None)
+             for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+    assert not loops & named, sorted(loops & named)
+
+
 def test_qosc_computes_without_decimals():
     # the operator products are double: only rmatrices computes the Fock
     # elements in extended precision, and qosc names none of its machinery

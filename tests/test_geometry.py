@@ -289,13 +289,13 @@ def test_wall_fill_replays_a_failing_face_draw_for_draw(mode, moved, message):
 
 def test_dodeca_axis_aligned_exact():
     verts = {m: np.array([(m >> b) & 1 for b in range(4)], dtype=float) for m in range(16)}
-    assert geo.dodecahedron_consistency(geo.dodeca_initial_surface(verts)) < 1e-12
+    assert geo.dodecahedron_consistency(oracles.dodeca_initial_surface(verts)) < 1e-12
 
 
 def test_dodeca_schedules_recover_projective_vertices():
     rng = np.random.default_rng(11)
-    verts = geo.dodeca_vertices_from_projective(rng)
-    surface = geo.dodeca_initial_surface(verts)
+    verts = oracles.dodeca_vertices_from_projective(rng)
+    surface = oracles.dodeca_initial_surface(verts)
     assert geo.dodecahedron_consistency(surface) < 1e-8
     # both dissections must also land on the true 4-cube vertices
     for pts in geo._run_schedules(surface):
@@ -306,7 +306,7 @@ def test_dodeca_schedules_recover_projective_vertices():
 def test_dodeca_random_seeds():
     rng = np.random.default_rng(12)
     for _ in range(25):
-        surface = geo.dodeca_initial_surface(geo.dodeca_vertices_from_projective(rng))
+        surface = oracles.dodeca_initial_surface(oracles.dodeca_vertices_from_projective(rng))
         assert geo.dodecahedron_consistency(surface) < 1e-8
 
 
@@ -314,8 +314,8 @@ def test_dodeca_perturbation_sensitivity():
     # in R^3 every flip succeeds, so an injected inconsistency propagates to
     # the final surface instead of tripping the common-3-space guard
     rng = np.random.default_rng(13)
-    verts = geo.dodeca_vertices_from_projective(rng, dim=3)
-    surface = geo.dodeca_initial_surface(verts)
+    verts = oracles.dodeca_vertices_from_projective(rng, dim=3)
+    surface = oracles.dodeca_initial_surface(verts)
     assert geo.dodecahedron_consistency(surface) < 1e-8
     probe = np.array([1e-3, 0.0, 0.0])
     assert geo.dodecahedron_consistency(surface, perturb=probe) > 1e-4
@@ -328,8 +328,8 @@ def test_dodeca_perturbation_sensitivity():
     (13, lambda s: 2 * s[11] - s[9], "dissection B flip 0 degenerate: plane 2 is degenerate"),
 ], ids=["A", "B"])
 def test_dodeca_degeneracy_names_its_dissection_and_step(vertex, make, message):
-    surface = geo.dodeca_initial_surface(
-        geo.dodeca_vertices_from_projective(np.random.default_rng(11)))
+    surface = oracles.dodeca_initial_surface(
+        oracles.dodeca_vertices_from_projective(np.random.default_rng(11)))
     surface[vertex] = make(surface)
     with pytest.raises(DegeneracyError, match=message):
         geo.dodecahedron_consistency(surface)
@@ -357,8 +357,8 @@ def test_dodeca_vertices_redraw_a_deformation_near_a_pole():
     rng = np.random.default_rng(11)
     good = [rng.normal(size=(4, 4)), rng.normal(size=4), rng.normal(size=4)]
     scripted = _ScriptedNormals(_NEAR_POLE * 2 + good)
-    got = geo.dodeca_vertices_from_projective(scripted)
-    want = geo.dodeca_vertices_from_projective(np.random.default_rng(11))
+    got = oracles.dodeca_vertices_from_projective(scripted)
+    want = oracles.dodeca_vertices_from_projective(np.random.default_rng(11))
     assert scripted.taken == 9
     assert got.keys() == want.keys() and all(np.array_equal(got[m], want[m]) for m in want)
 
@@ -367,14 +367,29 @@ def test_dodeca_vertices_give_up_after_a_stated_number_of_draws():
     # every deformation of this stream is near a pole: a DegeneracyError
     # that names the cap, after that many draws of (a, t, c)
     scripted = _ScriptedNormals(fill=-10.0)
-    with pytest.raises(DegeneracyError, match="in %d draws" % geo._PROJECTIVE_DRAWS):
-        geo.dodeca_vertices_from_projective(scripted)
-    assert scripted.taken == 3 * geo._PROJECTIVE_DRAWS
+    with pytest.raises(DegeneracyError, match="in %d draws" % geo.PROJECTIVE_DRAWS):
+        oracles.dodeca_vertices_from_projective(scripted)
+    assert scripted.taken == 3 * geo.PROJECTIVE_DRAWS
+
+
+def test_projective_vertices_of_a_stack_read_each_deformation_alone():
+    # the stacked vertices of 30 deformations, one of them near a pole,
+    # equal the oracle's of each bit for bit, and only that one is flagged
+    rng = np.random.default_rng(11)
+    draws = [geo.projective_draws(rng) for _ in range(30)]
+    draws[4] = (np.eye(4), np.zeros(4), np.array([-0.9, 0, 0, 0]))
+    verts, admissible = geo.projective_vertices(*map(np.array, zip(*draws)))
+    assert verts.shape == (30, 16, 4)
+    assert admissible.tolist() == [i != 4 for i in range(30)]
+    for draw, v, ok in zip(draws, verts, admissible):
+        want = oracles._projective_vertices(*draw)
+        assert (want is not None) == ok
+        assert not ok or np.array_equal(v, [want[m] for m in range(16)])
 
 
 def test_dodeca_missing_vertex_rejected():
     rng = np.random.default_rng(14)
-    surface = geo.dodeca_initial_surface(geo.dodeca_vertices_from_projective(rng))
+    surface = oracles.dodeca_initial_surface(oracles.dodeca_vertices_from_projective(rng))
     del surface[7]
     with pytest.raises(DomainError):
         geo.dodecahedron_consistency(surface)

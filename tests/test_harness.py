@@ -661,9 +661,9 @@ def test_cross_form_builds_the_weight_table_once(monkeypatch):
     built = []
     table = rm.cyclic_weight_table
     monkeypatch.setattr(rm, "cyclic_weight_table", lambda data: built.append(1) or table(data))
-    suites._cross_form_setup.cache_clear()
+    suites._cyclic_vertex_setup.cache_clear()
     rep = run_suite(SuiteConfig(suite="cyclic-cross-form", n_cyclic=2))
-    suites._cross_form_setup.cache_clear()
+    suites._cyclic_vertex_setup.cache_clear()
     assert rep.passed and rep.extras["sector_scalar_fit"]
     assert len(built) == 1
 
@@ -965,64 +965,115 @@ def _run_recording_retries(cfg, monkeypatch):
 @pytest.mark.parametrize("suite, samples", [
     ("classical-lybe", 64), ("classical-fte", 20), ("symplectic", 32), ("miquel", 100)])
 def test_blocks_retry_rejected_first_attempts_as_one_case(suite, samples, monkeypatch):
-    # the lybe, fte and symplectic blocks draw every later attempt in rounds
-    # of stacks, each case's stream resumed: no case is sampled alone, and
-    # every row reads case(cfg, idx).  miquel maps first attempts only and
-    # retries exactly the cases whose first attempt fails, each alone.  At
-    # seeds 7 and 20240501 the rejected cases here are 10 and 4 of 64, 9 and
-    # 7 of 40, 17 and 17 of 32, and 1 and 2 of 100.
+    # the blocks draw every later attempt in rounds of stacks, each case's
+    # stream resumed: no case is sampled alone, and every row reads
+    # case(cfg, idx).  At seeds 7 and 20240501 the rejected cases here are
+    # 10 and 4 of 64, 9 and 7 of 40, 17 and 17 of 32, and 1 and 2 of 100.
     for seed in (7, 20240501):
         cfg = SuiteConfig(suite=suite, seed=seed, samples=samples, keep_cases=True)
         with monkeypatch.context() as patch:
             rep, retried = _run_recording_retries(cfg, patch)
         rejected = [idx for idx, _ in rep.cases if _first_attempt_rejected(cfg, idx)]
-        assert rejected and retried == (rejected if suite == "miquel" else [])
+        assert rejected and retried == []
         assert [repr(res) for _, res in rep.cases] == \
             [repr(SUITES[suite].case(cfg, idx)) for idx, _ in rep.cases]
 
 
-@pytest.mark.parametrize("suite", ["classical-lybe", "classical-fte", "symplectic"])
+@pytest.mark.parametrize("seed", [7, 183])
+def test_miquel_rows_are_the_hexahedra_sampled_one_at_a_time(seed):
+    # at these seeds one case of 50 has its first attempt rejected; every
+    # row, that one's too, reads the hexahedron random_circular_hexahedron
+    # samples alone from the case's stream
+    cfg = SuiteConfig(suite="miquel", seed=seed, keep_cases=True)
+    rep = run_suite(cfg)
+    assert sum(_first_attempt_rejected(cfg, idx) for idx, _ in rep.cases) == 1
+    assert [repr(res) for _, res in rep.cases] == [
+        repr(float(geo.miquel_check(geo.random_circular_hexahedron(case_rng(seed, idx)))
+                   .max_residual))
+        for idx, _ in rep.cases]
+
+
+@pytest.mark.parametrize("seed", [7, 183, 20240501])
+@pytest.mark.parametrize("perturb", [False, True])
+def test_dodecahedron_rows_are_the_surfaces_sampled_one_at_a_time(seed, perturb):
+    # every row, check and control, reads dodecahedron_consistency on the
+    # surface the scalar oracle samples alone from the case's stream
+    cfg = SuiteConfig(suite="dodecahedron", seed=seed, perturb=perturb, keep_cases=True)
+    rep = run_suite(cfg)
+    probe = np.array([1e-2, 0.0, 0.0]) if perturb else None
+    assert [repr(res) for _, res in rep.cases] == [repr(geo.dodecahedron_consistency(
+        oracles.dodeca_initial_surface(oracles.dodeca_vertices_from_projective(
+            case_rng(seed, idx), dim=3 if perturb else 4)), perturb=probe))
+        for idx, _ in rep.cases]
+
+
+@pytest.mark.parametrize("suite", [
+    "classical-lybe", "classical-fte", "symplectic", "miquel", "dodecahedron"])
 def test_a_case_rejected_at_every_attempt_raises_its_samplers_error(suite, monkeypatch):
-    # a stand-in map rejects every attempt of case 3, which it knows by the
-    # first face's k of each of the cap attempts of the case's stream.  The
-    # block's rounds reach the sampler's cap, each drawing case 3's next
-    # attempt where its stream was left, so the case draws each of its cap
-    # attempts once (not its k - 1 earlier ones again in round k, cap (cap +
-    # 1) / 2 draws).  The block raises the error that names the cap, which
-    # case 3 raises alone
+    # a stand-in rejects every attempt of case 3, which it knows by a key
+    # of each of the cap attempts of the case's stream: the first face's k,
+    # on which the stand-in map leaves the real domain, x0's direction, on
+    # which the stand-in circular attempt is not accepted, or t, on which
+    # the stand-in deformation is near a pole.  The block's rounds reach
+    # the sampler's cap, each drawing case 3's next attempt where its
+    # stream was left, so the case draws each of its cap attempts once (not
+    # its k - 1 earlier ones again in round k, cap (cap + 1) / 2 draws).
+    # The block raises the error that names the cap, which case 3 raises
+    # alone
     from qlattice import classical_map as cm
 
-    cap, name, args = {
-        "classical-lybe": (cm.FRONT_ATTEMPTS, "draw_angles", (3,)),
-        "classical-fte": (cm.SIX_ATTEMPTS, "draw_angles", (6,)),
-        "symplectic": (cm.SYMPLECTIC_ATTEMPTS, "draw_symplectic", ()),
+    cap, module, name, args, key, unit = {
+        "classical-lybe": (cm.FRONT_ATTEMPTS, cm, "draw_angles", (3,),
+                           lambda d: cm.triples(d)[0].k, "attempts"),
+        "classical-fte": (cm.SIX_ATTEMPTS, cm, "draw_angles", (6,),
+                          lambda d: cm.triples(d)[0].k, "attempts"),
+        "symplectic": (cm.SYMPLECTIC_ATTEMPTS, cm, "draw_symplectic", (),
+                       lambda d: cm.triples(d)[0].k, "attempts"),
+        "miquel": (geo.CIRCULAR_ATTEMPTS, geo, "circular_draws", (),
+                   lambda d: np.asarray(d[0])[..., 0], "attempts"),
+        "dodecahedron": (geo.PROJECTIVE_DRAWS, geo, "projective_draws", (),
+                         lambda d: np.asarray(d[1])[..., 0], "draws"),
     }[suite]
     cfg = SuiteConfig(suite=suite, samples=6)
-    draw, flip = getattr(cm, name), cm.map_r123
+    draw = getattr(module, name)
     rng = case_rng(cfg.seed, 3)
-    marked = [cm.triples(draw(rng, *args))[0].k for _ in range(cap)]
+    marked = [key(draw(rng, *args)) for _ in range(cap)]
     drawn = []
 
     def counting(rng, *args):
         out = draw(rng, *args)
-        if cm.triples(out)[0].k in marked:
+        if key(out) in marked:
             drawn.append(out)
         return out
 
-    def stand_in(t1, t2, t3, eps=1):
-        cm._guard(np.isin(t1.k, marked), DomainError, "stand-in rejection")
-        return flip(t1, t2, t3, eps=eps)
+    if module is cm:
+        target, flip = "map_r123", cm.map_r123
 
-    monkeypatch.setattr(cm, name, counting)
-    monkeypatch.setattr(cm, "map_r123", stand_in)
-    with pytest.raises(DomainError) as blocked:
+        def stand_in(t1, t2, t3, eps=1):
+            cm._guard(np.isin(t1.k, marked), DomainError, "stand-in rejection")
+            return flip(t1, t2, t3, eps=eps)
+    else:
+        target = {"miquel": "circular_attempt", "dodecahedron": "projective_vertices"}[suite]
+        attempt = getattr(geo, target)
+
+        def stand_in(*draws):
+            out, accepted = attempt(*draws)
+            return out, accepted & ~np.isin(key(draws), marked)
+
+    monkeypatch.setattr(module, name, counting)
+    monkeypatch.setattr(module, target, stand_in)
+    with pytest.raises((DomainError, DegeneracyError)) as blocked:
         run_suite(cfg)
     assert len(drawn) == cap
-    with pytest.raises(DomainError) as alone:
+    with pytest.raises((DomainError, DegeneracyError)) as alone:
         SUITES[suite].case(cfg, 3)
-    assert str(alone.value).startswith("could not sample")
-    assert str(alone.value).endswith(" in %d attempts" % cap)
+    assert str(alone.value).endswith(" in %d %s" % (cap, unit))
     assert (type(blocked.value), str(blocked.value)) == (type(alone.value), str(alone.value))
+    if suite == "miquel":
+        # the one-at-a-time sampler gives up the same way
+        with pytest.raises(DegeneracyError) as scalar:
+            geo.random_circular_hexahedron(case_rng(cfg.seed, 3))
+        assert str(scalar.value) == str(alone.value)
 
 
 def test_geometry_flip_block_drops_and_retries_failed_first_attempts(monkeypatch):
@@ -1069,19 +1120,17 @@ def test_a_degenerate_dodecahedron_case_raises_its_own_error_through_the_block(m
     # a stand-in makes case 5's surface degenerate at the first flip of
     # dissection A: its block runs case by case, and the suite raises the
     # error the case raises alone
-    from qlattice.harness import suites
-
     cfg = SuiteConfig(suite="dodecahedron", samples=10)
-    surface = suites._dodeca_surface
-    x1 = surface(cfg, case_rng(cfg.seed, 5))[1]
+    vertices = geo.projective_vertices
+    t5 = geo.projective_draws(case_rng(cfg.seed, 5))[1]
 
-    def stand_in(cfg, rng):
-        s = surface(cfg, rng)
-        if np.array_equal(s[1], x1):
-            s[2] = 2 * s[4] - s[6]
-        return s
+    def stand_in(a, t, c):
+        verts, admissible = vertices(a, t, c)
+        at = (t == t5).all(axis=-1)
+        verts[at, 2] = 2 * verts[at, 4] - verts[at, 6]
+        return verts, admissible
 
-    monkeypatch.setattr(suites, "_dodeca_surface", stand_in)
+    monkeypatch.setattr(geo, "projective_vertices", stand_in)
     message = "dissection A flip 0 degenerate: plane 0 is degenerate"
     with pytest.raises(DegeneracyError, match=message):
         SUITES[cfg.suite].case(cfg, 5)
