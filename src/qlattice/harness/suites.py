@@ -349,9 +349,9 @@ def _miquel_block(cfg, cases):
 
 
 def _dodeca_attempt(cfg, a, t, c):
-    """The deformations whose denominators all lie 0.3 from 0, and the
-    residual of their 4-cube's initial surface; in the control, of their
-    3-cube's, with 1e-2 added to the second dissection's first flip."""
+    """The deformations whose denominators all lie at least 0.3 from 0,
+    and the residual of their 4-cube's initial surface; in the control, of
+    their 3-cube's, with 1e-2 added to the second dissection's first flip."""
     verts, admissible = geo.projective_vertices(a, t, c)
     accepted = np.flatnonzero(admissible)
     if cfg.perturb:

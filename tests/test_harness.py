@@ -1022,13 +1022,13 @@ def test_a_case_rejected_at_every_attempt_raises_its_samplers_error(suite, monke
     # alone
     from qlattice import classical_map as cm
 
+    def first_k(d):
+        return cm.triples(d)[0].k
+
     cap, module, name, args, key, unit = {
-        "classical-lybe": (cm.FRONT_ATTEMPTS, cm, "draw_angles", (3,),
-                           lambda d: cm.triples(d)[0].k, "attempts"),
-        "classical-fte": (cm.SIX_ATTEMPTS, cm, "draw_angles", (6,),
-                          lambda d: cm.triples(d)[0].k, "attempts"),
-        "symplectic": (cm.SYMPLECTIC_ATTEMPTS, cm, "draw_symplectic", (),
-                       lambda d: cm.triples(d)[0].k, "attempts"),
+        "classical-lybe": (cm.FRONT_ATTEMPTS, cm, "draw_angles", (3,), first_k, "attempts"),
+        "classical-fte": (cm.SIX_ATTEMPTS, cm, "draw_angles", (6,), first_k, "attempts"),
+        "symplectic": (cm.SYMPLECTIC_ATTEMPTS, cm, "draw_symplectic", (), first_k, "attempts"),
         "miquel": (geo.CIRCULAR_ATTEMPTS, geo, "circular_draws", (),
                    lambda d: np.asarray(d[0])[..., 0], "attempts"),
         "dodecahedron": (geo.PROJECTIVE_DRAWS, geo, "projective_draws", (),
