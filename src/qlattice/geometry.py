@@ -292,8 +292,10 @@ def _convex(frame):
 # item and flags every item that fails.  A case takes up to QUAD_ATTEMPTS
 # attempts of a quadrilateral hexahedron and CIRCULAR_ATTEMPTS of a
 # circular one (on stacks in harness.suites, and one at a time in
-# random_circular_hexahedron).
+# random_circular_hexahedron); a circular case that reaches its cap raises
+# DegeneracyError(CIRCULAR_GIVE_UP) either way.
 QUAD_ATTEMPTS, CIRCULAR_ATTEMPTS = 200, 500
+CIRCULAR_GIVE_UP = "failed to sample a circular hexahedron in %d attempts" % CIRCULAR_ATTEMPTS
 
 
 def quad_draws(rng):
@@ -404,8 +406,7 @@ def random_circular_hexahedron(rng) -> Hexahedron:
             continue
         if accepted:
             return h
-    raise DegeneracyError("failed to sample a circular hexahedron in %d attempts"
-                          % CIRCULAR_ATTEMPTS)
+    raise DegeneracyError(CIRCULAR_GIVE_UP)
 
 
 def _unit(v):

@@ -343,9 +343,7 @@ def _miquel_attempt(cfg, *draws):
 
 def _miquel_block(cfg, cases):
     return _sample(case_rngs(cfg.seed, cases), geo.circular_draws, geo.CIRCULAR_ATTEMPTS,
-                   partial(_miquel_attempt, cfg), DegeneracyError(
-                       "failed to sample a circular hexahedron in %d attempts"
-                       % geo.CIRCULAR_ATTEMPTS))
+                   partial(_miquel_attempt, cfg), DegeneracyError(geo.CIRCULAR_GIVE_UP))
 
 
 def _dodeca_attempt(cfg, a, t, c):

@@ -1007,6 +1007,39 @@ def test_dodecahedron_rows_are_the_surfaces_sampled_one_at_a_time(seed, perturb)
         for idx, _ in rep.cases]
 
 
+@pytest.mark.parametrize("perturb", [False, True])
+def test_a_dodecahedron_case_whose_first_deformation_is_near_a_pole_reads_its_next(
+        perturb, monkeypatch):
+    # a deformation near a pole is rare (under 1e-4 of them), so a stand-in
+    # marks case 3's first deformation, known by its t, as near a pole.
+    # The block draws the case's second deformation in its next round,
+    # where the case's stream was left, and its row reads the oracle's
+    # surface drawn from the stream with the first deformation skipped;
+    # every other row reads the oracle's surface as drawn
+    cfg = SuiteConfig(suite="dodecahedron", samples=6, perturb=perturb, keep_cases=True)
+    rng = case_rng(cfg.seed, 3)
+    marked = geo.projective_draws(rng)[1][0]
+    attempt, seen = geo.projective_vertices, []
+
+    def stand_in(a, t, c):
+        verts, admissible = attempt(a, t, c)
+        near = t[..., 0] == marked
+        seen.append(int(near.sum()))
+        return verts, admissible & ~near
+
+    monkeypatch.setattr(geo, "projective_vertices", stand_in)
+    rep = run_suite(cfg)
+    assert seen == [1, 0]
+    probe = np.array([1e-2, 0.0, 0.0]) if perturb else None
+    dim = 3 if perturb else 4
+    want = []
+    for idx, _ in rep.cases:
+        stream = rng if idx == 3 else case_rng(cfg.seed, idx)
+        want.append(repr(geo.dodecahedron_consistency(oracles.dodeca_initial_surface(
+            oracles.dodeca_vertices_from_projective(stream, dim=dim)), perturb=probe)))
+    assert [repr(res) for _, res in rep.cases] == want
+
+
 @pytest.mark.parametrize("suite", [
     "classical-lybe", "classical-fte", "symplectic", "miquel", "dodecahedron"])
 def test_a_case_rejected_at_every_attempt_raises_its_samplers_error(suite, monkeypatch):
@@ -1018,21 +1051,24 @@ def test_a_case_rejected_at_every_attempt_raises_its_samplers_error(suite, monke
     # the sampler's cap, each drawing case 3's next attempt where its
     # stream was left, so the case draws each of its cap attempts once (not
     # its k - 1 earlier ones again in round k, cap (cap + 1) / 2 draws).
-    # The block raises the error that names the cap, which case 3 raises
-    # alone
+    # The block raises the sampler's error, of its type and text, that
+    # names the cap, which case 3 raises alone
     from qlattice import classical_map as cm
 
     def first_k(d):
         return cm.triples(d)[0].k
 
-    cap, module, name, args, key, unit = {
-        "classical-lybe": (cm.FRONT_ATTEMPTS, cm, "draw_angles", (3,), first_k, "attempts"),
-        "classical-fte": (cm.SIX_ATTEMPTS, cm, "draw_angles", (6,), first_k, "attempts"),
-        "symplectic": (cm.SYMPLECTIC_ATTEMPTS, cm, "draw_symplectic", (), first_k, "attempts"),
+    classical = (DomainError, "could not sample", "attempts")
+    cap, module, name, args, key, (error, prefix, unit) = {
+        "classical-lybe": (cm.FRONT_ATTEMPTS, cm, "draw_angles", (3,), first_k, classical),
+        "classical-fte": (cm.SIX_ATTEMPTS, cm, "draw_angles", (6,), first_k, classical),
+        "symplectic": (cm.SYMPLECTIC_ATTEMPTS, cm, "draw_symplectic", (), first_k, classical),
         "miquel": (geo.CIRCULAR_ATTEMPTS, geo, "circular_draws", (),
-                   lambda d: np.asarray(d[0])[..., 0], "attempts"),
+                   lambda d: np.asarray(d[0])[..., 0],
+                   (DegeneracyError, "failed to sample a circular hexahedron", "attempts")),
         "dodecahedron": (geo.PROJECTIVE_DRAWS, geo, "projective_draws", (),
-                         lambda d: np.asarray(d[1])[..., 0], "draws"),
+                         lambda d: np.asarray(d[1])[..., 0],
+                         (DegeneracyError, "no projective deformation", "draws")),
     }[suite]
     cfg = SuiteConfig(suite=suite, samples=6)
     draw = getattr(module, name)
@@ -1062,11 +1098,12 @@ def test_a_case_rejected_at_every_attempt_raises_its_samplers_error(suite, monke
 
     monkeypatch.setattr(module, name, counting)
     monkeypatch.setattr(module, target, stand_in)
-    with pytest.raises((DomainError, DegeneracyError)) as blocked:
+    with pytest.raises(error) as blocked:
         run_suite(cfg)
     assert len(drawn) == cap
-    with pytest.raises((DomainError, DegeneracyError)) as alone:
+    with pytest.raises(error) as alone:
         SUITES[suite].case(cfg, 3)
+    assert str(alone.value).startswith(prefix)
     assert str(alone.value).endswith(" in %d %s" % (cap, unit))
     assert (type(blocked.value), str(blocked.value)) == (type(alone.value), str(alone.value))
     if suite == "miquel":
