@@ -44,7 +44,7 @@ from .. import rmatrices as rm
 from .. import specfun as sf
 from ..errors import ConfigurationError, DegeneracyError, DomainError
 from .report import Report
-from .rng import case_rng, case_rngs
+from .rng import case_integers, case_rng, case_rngs
 
 SETUP_STREAM = 2 ** 62 + 11  # case index reserved for per-run shared setup
 # stacked rows per block, a block being the unit of work of one worker call
@@ -506,7 +506,7 @@ def _cyclic_te_block(cfg, cases):
         bits = np.asarray(cases)[:, None, None] * 128 + np.arange(128)[:, None]
         return rm.irc_te_residual_cyclic(tables, (bits >> np.arange(14)) & 1).max(
             axis=-1).tolist()
-    ext = np.array([rng.integers(0, n, 14) for rng in case_rngs(cfg.seed, cases)])
+    ext = case_integers(cfg.seed, cases, n, 14)
     return rm.irc_te_residual_cyclic(tables, ext).tolist()
 
 
@@ -542,7 +542,7 @@ def _cross_form_block(cfg, cases):
     if n == 2:
         spins = (np.asarray(cases) >> np.arange(8)[:, None]) & 1
     else:
-        spins = np.array([rng.integers(0, n, 8) for rng in case_rngs(cfg.seed, cases)]).T
+        spins = case_integers(cfg.seed, cases, n, 8).T
     # the control compares the weight with q^(E+1) times the element in place
     # of the equivalence factor q^E: the two forms then differ by the phase q
     # at every spin assignment

@@ -553,18 +553,24 @@ def vertex_te_residual(ext, datasets) -> float:
 
 def cyclic_weight_table(data: CyclicRData) -> np.ndarray:
     """W[a,e,f,g,b,c,d,h] = sum_n q^{2n(b+d-f-h)}
-    phi1(n-h+c) phi2(n-f+a) / (phi3(n-b+g) phi4(n-d+e))."""
+    phi1(n-h+c) phi2(n-f+a) / (phi3(n-b+g) phi4(n-d+e)).
+
+    The summand reads the eight spins only through five values mod N:
+    u = c-h, v = a-f, w = g-b, x = e-d and s = b+d-f-h.  The sum is formed
+    once over the N^5 grid of (u, v, w, x, s), in the same order of n and of
+    the factors, and the N^8 table gathers from it, so each entry is the
+    same double as a sum over the full grid."""
     N = data.N
     t1, t2, t3, t4 = data.tables
     q2 = sf.q_power(N, 2 * np.arange(N))
-    # open index grids: each factor is formed only over the spins it reads
-    a, e, f, g, b, c, d, h = np.indices((N,) * 8, sparse=True)
-    out = np.zeros((N,) * 8, dtype=complex)
+    # open index grids: each factor is formed only over the values it reads
+    u, v, w, x, s = np.indices((N,) * 5, sparse=True)
+    five = np.zeros((N,) * 5, dtype=complex)
     for n in range(N):
-        phase = q2[(n * (b + d - f - h)) % N]
-        out += (phase * t1[(n - h + c) % N] * t2[(n - f + a) % N]
-                / (t3[(n - b + g) % N] * t4[(n - d + e) % N]))
-    return out
+        five += (q2[(n * s) % N] * t1[(n + u) % N] * t2[(n + v) % N]
+                 / (t3[(n + w) % N] * t4[(n + x) % N]))
+    a, e, f, g, b, c, d, h = np.indices((N,) * 8, sparse=True)
+    return five[(c - h) % N, (a - f) % N, (g - b) % N, (e - d) % N, (b + d - f - h) % N]
 
 
 # the two sides (LHS, RHS) of the interaction-round-a-cube tetrahedron

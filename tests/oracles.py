@@ -215,6 +215,26 @@ def field_exponent_balance(t_sets, f_sets, rng) -> float:
 
 
 # ---------------------------------------------------------------------------
+# cyclic IRC weights (rmatrices)
+# ---------------------------------------------------------------------------
+
+def cyclic_weight_table_full_grid(data: rm.CyclicRData) -> np.ndarray:
+    """W[a,e,f,g,b,c,d,h] = sum_n q^{2n(b+d-f-h)}
+    phi1(n-h+c) phi2(n-f+a) / (phi3(n-b+g) phi4(n-d+e)), summed over the
+    full N^8 grid of spins."""
+    N = data.N
+    t1, t2, t3, t4 = data.tables
+    q2 = sf.q_power(N, 2 * np.arange(N))
+    a, e, f, g, b, c, d, h = np.indices((N,) * 8, sparse=True)
+    out = np.zeros((N,) * 8, dtype=complex)
+    for n in range(N):
+        phase = q2[(n * (b + d - f - h)) % N]
+        out += (phase * t1[(n - h + c) % N] * t2[(n - f + a) % N]
+                / (t3[(n - b + g) % N] * t4[(n - d + e) % N]))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # q-oscillator representations and L-operator parameters (qosc)
 # ---------------------------------------------------------------------------
 

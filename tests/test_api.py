@@ -275,6 +275,13 @@ def test_suites_sample_no_case_alone():
     assert not loops & named, sorted(loops & named)
 
 
+def test_suites_draw_no_integers_one_case_at_a_time():
+    # a block of cases draws its integer tuples through rng.case_integers,
+    # one raw Philox call per case and one array pass for the block
+    found = re.findall(r"\.integers\(", (PACKAGE / "harness" / "suites.py").read_text())
+    assert not found, found
+
+
 def test_qosc_computes_without_decimals():
     # the operator products are double: only rmatrices computes the Fock
     # elements in extended precision, and qosc names none of its machinery

@@ -16,7 +16,8 @@ from qlattice import geometry as geo
 from qlattice.harness import mesh
 from qlattice.harness.cli import build_parser, main, suite_config
 from qlattice.harness.report import Report, validate_report
-from qlattice.harness.rng import case_rng, case_rngs
+from qlattice.harness import rng as rng_mod
+from qlattice.harness.rng import case_integers, case_rng, case_rngs
 from qlattice.harness.suites import SUITES, SuiteConfig, run_suite
 
 import oracles
@@ -45,6 +46,32 @@ def test_case_rngs_draw_what_case_rng_draws(seed):
 
     assert [draws(gen) for gen in case_rngs(seed, cases)] == \
         [draws(case_rng(seed, idx)) for idx in cases]
+
+
+@pytest.mark.parametrize("seed", [7, 183, 20240501])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7])
+def test_case_integers_are_the_generators_integers_row_for_row(seed, n):
+    cases = range(3000)
+    for k in (8, 9, 14):
+        got = case_integers(seed, cases, n, k)
+        want = np.array([case_rng(seed, idx).integers(0, n, k) for idx in cases])
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want), k
+
+
+@pytest.mark.parametrize("k", [2, 9])
+def test_case_integers_redraw_the_rows_lemire_rejects(monkeypatch, k):
+    # at n = 3 * 2**30 + 1, 2**32 mod n is 2**30 - 1, so a quarter of the
+    # 32-bit words fall below Lemire's threshold and their rows are drawn by
+    # Generator.integers itself
+    n = 3 * 2 ** 30 + 1
+    cases = range(1000, 4000)
+    redrawn = []
+    monkeypatch.setattr(rng_mod, "case_rng", lambda seed, idx: redrawn.append(idx)
+                        or case_rng(seed, idx))
+    got = case_integers(183, cases, n, k)
+    assert 0 < len(redrawn) < len(cases)
+    assert np.array_equal(got, [case_rng(183, idx).integers(0, n, k) for idx in cases])
 
 
 def test_case_rng_keys_every_seed_exactly():

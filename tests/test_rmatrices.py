@@ -637,6 +637,24 @@ def test_cyclic_vertex_te_matches_scalar_loop(N):
 # cyclic IRC form
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("N", range(2, 7))
+def test_cyclic_weight_table_is_the_full_grid_sum_bit_for_bit(N):
+    # the sum over the five spin differences gathers to the same doubles,
+    # signed zeros included, as the sum over all eight spins
+    from qlattice.harness.rng import case_rng
+    from qlattice.harness.suites import SETUP_STREAM
+
+    for seed in (1, 7, 183, 20240501):
+        ta = rm.random_tetra_angles(case_rng(seed, SETUP_STREAM))
+        for args in ta.angle_arguments():
+            data = rm.CyclicRData.from_angles(*args, N)
+            got = rm.cyclic_weight_table(data)
+            want = oracles.cyclic_weight_table_full_grid(data)
+            assert got.shape == want.shape == (N,) * 8
+            assert np.array_equal(got.view(float).view(np.uint64),
+                                  want.view(float).view(np.uint64)), (seed, args)
+
+
 def test_cyclic_weight_shift_invariance():
     ta = tetra()
     data = rm.CyclicRData.from_angles(*ta.angle_arguments()[0], 3)
