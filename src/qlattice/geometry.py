@@ -79,10 +79,10 @@ def _flatness(s):
     return np.divide(s[..., 2], s[..., 0], out=np.zeros(s.shape[:-1]), where=s[..., 0] != 0)
 
 
-def _in_plane(centered, vt):
-    """Coordinates of centered points in the plane of their two leading
-    right singular vectors."""
-    return centered @ np.swapaxes(vt[..., :2, :], -1, -2)
+def _coordinates(centered, vt, k):
+    """Coordinates of centered points along their k leading right singular
+    vectors."""
+    return centered @ np.swapaxes(vt[..., :k, :], -1, -2)
 
 
 def planarity_residual(points):
@@ -90,25 +90,29 @@ def planarity_residual(points):
     return _flatness(_frame(points)[2])[()]
 
 
-def _circle(c, centered, s, vt):
-    xy = _in_plane(centered, vt)
-    b = (xy ** 2).sum(axis=-1)
-    # Least squares for 2 xy . center2 + k = b.  The columns of xy are
-    # orthogonal, of norms s_1 and s_2, and orthogonal to the constant
-    # column, so the normal equations are diagonal.  Directions that
-    # lstsq(rcond=None) would drop as singular get 0, as there.
-    n, s2 = xy.shape[-2], s[..., :2]
-    keep = 2 * s2 > np.finfo(float).eps * max(n, 3) * np.maximum(2 * s2[..., :1], math.sqrt(n))
-    num = (np.swapaxes(xy, -1, -2) @ b[..., None])[..., 0]
-    center2 = np.divide(num, 2 * s2 ** 2, out=np.zeros_like(num), where=keep)
-    r = np.sqrt(np.maximum(b.mean(axis=-1) + (center2 ** 2).sum(axis=-1), 1e-300))
-    dev = np.abs(np.linalg.norm(xy - center2[..., None, :], axis=-1) - r[..., None])
-    center = c + (center2[..., None, :] @ vt[..., :2, :])[..., 0, :]
-    return center, r, dev.max(axis=-1) / r
+def _sphere_fit_residual(frame, k):
+    """Largest distance of a point from the least-squares circle (k = 2) or
+    sphere (k = 3) of each cloud of a _frame, relative to its radius.
+
+    Least squares for 2 x . center + c = |x|^2 on the coordinates x along
+    the k leading right singular vectors: their columns are orthogonal, of
+    norms s_1 .. s_k, and orthogonal to the constant column, so the normal
+    equations are diagonal.  Directions that lstsq(rcond=None) would drop
+    as singular get 0, as there."""
+    _, centered, s, vt = frame
+    x = _coordinates(centered, vt, k)
+    b = (x ** 2).sum(axis=-1)
+    n, sk = x.shape[-2], s[..., :k]
+    keep = 2 * sk > np.finfo(float).eps * max(n, k + 1) * np.maximum(2 * sk[..., :1], math.sqrt(n))
+    num = (np.swapaxes(x, -1, -2) @ b[..., None])[..., 0]
+    center = np.divide(num, 2 * sk ** 2, out=np.zeros_like(num), where=keep)
+    r = np.sqrt(np.maximum(b.mean(axis=-1) + (center ** 2).sum(axis=-1), 1e-300))
+    dev = np.abs(np.linalg.norm(x - center[..., None, :], axis=-1) - r[..., None])
+    return dev.max(axis=-1) / r
 
 
 def _concyclicity(frame):
-    return np.maximum(_circle(*frame)[2], _flatness(frame[2]))
+    return np.maximum(_sphere_fit_residual(frame, 2), _flatness(frame[2]))
 
 
 def concyclicity_residual(points):
@@ -223,16 +227,8 @@ class Hexahedron:
 
     def cosphericity_residual(self):
         """Largest distance of a vertex from the least-squares sphere through
-        all eight, relative to its radius: one lstsq per hexahedron."""
-        pts = np.asarray(self.vertices(), dtype=float)
-        sol = np.array([np.linalg.lstsq(np.column_stack([2 * p, np.ones(len(p))]),
-                                        (p ** 2).sum(axis=1), rcond=None)[0]
-                        for p in pts.reshape(-1, *pts.shape[-2:])])
-        center = sol[:, :-1].reshape(pts.shape[:-2] + pts.shape[-1:])
-        r = np.sqrt(np.maximum(sol[:, -1].reshape(pts.shape[:-2]) + np.vecdot(center, center),
-                               1e-300))
-        dev = np.abs(np.linalg.norm(pts - center[..., None, :], axis=-1) - r[..., None])
-        return (dev.max(axis=-1) / r)[()]
+        all eight, relative to its radius: one SVD per stack of hexahedra."""
+        return _sphere_fit_residual(_frame(self.vertices()), 3)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +246,7 @@ class FaceAngles:
 
 def _angles(centered, vt):
     """Interior angles and reflex flags at each corner, from a face frame."""
-    xy = _in_plane(centered, vt)
+    xy = _coordinates(centered, vt, 2)
     corner = np.arange(xy.shape[-2])
     into = xy - xy[..., corner - 1, :]
     out = xy[..., (corner + 1) % len(corner), :] - xy

@@ -329,9 +329,8 @@ def _geometry_flip_block(cfg, cases):
 
 def _miquel_residual(cfg, h):
     if cfg.perturb:
+        # x123 lies on no front face, so the moved hexahedron passes the guard
         h = replace(h, x123=h.x123 + 1e-2)
-        return np.maximum(geo.concyclicity_residual(h.back_faces()).max(axis=-1),
-                          h.cosphericity_residual()).tolist()
     return geo.miquel_check(h).max_residual.tolist()
 
 
@@ -474,8 +473,7 @@ def _cyclic_intertwine_case(cfg, idx):
 
 @lru_cache(maxsize=8)
 def _cyclic_te_setup(seed, n):
-    ta = rm.random_tetra_angles(case_rng(seed, SETUP_STREAM))
-    return rm.cyclic_weights_for_tetra(ta, n)
+    return rm.cyclic_weights_for_tetra(_cyclic_vertex_setup(seed, n))
 
 
 def _perturb_table(tables):
@@ -513,7 +511,8 @@ def _cyclic_te_block(cfg, cases):
 @lru_cache(maxsize=8)
 def _cyclic_vertex_setup(seed, n):
     """The data of R123, R145, R246 and R356 on the run's tetrahedron;
-    cyclic-cross-form reads R123's."""
+    cyclic-te-irc stacks their weight tables and cyclic-cross-form reads
+    R123's."""
     ta = rm.random_tetra_angles(case_rng(seed, SETUP_STREAM))
     return tuple(rm.CyclicRData.from_angles(*args, n) for args in ta.angle_arguments())
 

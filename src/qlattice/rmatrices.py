@@ -651,12 +651,13 @@ def irc_te_residual_cyclic(tables: np.ndarray, ext) -> np.ndarray:
     return _rel_residual(lhs, rhs)
 
 
-def cyclic_weights_for_tetra(ta: TetraAngles, N: int) -> np.ndarray:
-    """The four IRC weight tables attached to a tetrahedron's angle data,
-    stacked into one (4, N, ..., N) array, filled one table at a time."""
-    out = np.empty((4,) + (N,) * 8, dtype=complex)
-    for k, args in enumerate(ta.angle_arguments()):
-        out[k] = cyclic_weight_table(CyclicRData.from_angles(*args, N))
+def cyclic_weights_for_tetra(datasets) -> np.ndarray:
+    """The IRC weight tables of a tetrahedron's four CyclicRData (those of
+    TetraAngles.angle_arguments, in order), stacked into one (4, N, ..., N)
+    array, filled one table at a time; no data caches its table."""
+    out = np.empty((4,) + (datasets[0].N,) * 8, dtype=complex)
+    for k, data in enumerate(datasets):
+        out[k] = cyclic_weight_table(data)
     return out
 
 

@@ -488,6 +488,21 @@ def hexahedron(state: geo.LatticeState, c) -> geo.Hexahedron:
         x123=g((i + 1, j + 1, k + 1)))
 
 
+def cosphericity_lstsq(h: geo.Hexahedron):
+    """Largest distance of a vertex from the least-squares sphere through
+    all eight, relative to its radius: one lstsq per hexahedron of a stack,
+    on the columns 2p and 1 of its uncentered vertices."""
+    pts = np.asarray(h.vertices(), dtype=float)
+    sol = np.array([np.linalg.lstsq(np.column_stack([2 * p, np.ones(len(p))]),
+                                    (p ** 2).sum(axis=1), rcond=None)[0]
+                    for p in pts.reshape(-1, *pts.shape[-2:])])
+    center = sol[:, :-1].reshape(pts.shape[:-2] + pts.shape[-1:])
+    r = np.sqrt(np.maximum(sol[:, -1].reshape(pts.shape[:-2]) + np.vecdot(center, center),
+                           1e-300))
+    dev = np.abs(np.linalg.norm(pts - center[..., None, :], axis=-1) - r[..., None])
+    return (dev.max(axis=-1) / r)[()]
+
+
 # ---------------------------------------------------------------------------
 # rhombic dodecahedron (geometry)
 # ---------------------------------------------------------------------------

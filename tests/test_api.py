@@ -282,6 +282,13 @@ def test_suites_draw_no_integers_one_case_at_a_time():
     assert not found, found
 
 
+def test_no_fit_calls_lstsq():
+    # the circle and sphere fits solve their diagonal normal equations on
+    # the SVD frame of a whole stack; lstsq solves one system per call
+    found = _calls(_trees(sorted(PACKAGE.rglob("*.py")))).get("lstsq", [])
+    assert not found, ["line %d" % call.lineno for call in found]
+
+
 def test_qosc_computes_without_decimals():
     # the operator products are double: only rmatrices computes the Fock
     # elements in extended precision, and qosc names none of its machinery

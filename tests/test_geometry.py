@@ -175,6 +175,47 @@ def test_miquel_random_circular():
         assert rep.cosphericity < 1e-9
 
 
+@pytest.mark.parametrize("seed", [7, 183, 20240501])
+def test_cosphericity_agrees_with_the_lstsq_oracle_and_a_stack_reads_each_alone(seed):
+    # 50 circular hexahedra, with x123 as sampled and moved off the sphere
+    from dataclasses import replace
+    from qlattice.harness.rng import case_rng
+
+    hexahedra = [geo.random_circular_hexahedron(case_rng(seed, i)) for i in range(50)]
+    for bump in (0.0, 1e-6, 1e-2):
+        moved = [replace(h, x123=h.x123 + bump) for h in hexahedra]
+        stack = geo.Hexahedron(*np.moveaxis(np.array([h.vertices() for h in moved]), -2, 0))
+        got = stack.cosphericity_residual()
+        alone = np.array([h.cosphericity_residual() for h in moved])
+        want = np.array([oracles.cosphericity_lstsq(h) for h in moved])
+        assert got.shape == (50,)
+        assert np.array_equal(got.view(np.int64), alone.view(np.int64))
+        assert np.abs(got - want).max() <= 1e-14
+
+
+def _coplanar_octagon(a, b):
+    """Eight points of the ellipse (a cos t, b sin t, 0), rotated."""
+    t = np.linspace(0, 2 * np.pi, 9)[:-1] + 0.1
+    pts = np.stack([a * np.cos(t), b * np.sin(t), np.zeros(8)], axis=-1)
+    return pts @ geo.random_rotation(np.random.default_rng(3)).T
+
+
+@pytest.mark.parametrize("a, b", [(1.3, 1.3), (1.5, 0.8)])
+def test_cosphericity_of_coplanar_points_agrees_with_the_oracle(a, b):
+    # In a plane the sphere is not unique: every sphere through the fitted
+    # circle fits as well.  Both fits take the sphere centered in the plane
+    # when the plane holds the origin; lstsq's minimum-norm sphere otherwise
+    # moves with the origin, while the fit on the centered frame does not.
+    pts = _coplanar_octagon(a, b)
+    got = geo.Hexahedron(*pts).cosphericity_residual()
+    assert abs(got - oracles.cosphericity_lstsq(geo.Hexahedron(*pts))) <= 1e-14
+    assert abs(geo.Hexahedron(*(pts + [0.4, -1.2, 0.7])).cosphericity_residual() - got) <= 1e-14
+    if a == b:
+        assert got <= 1e-15
+    else:
+        assert got > 0.1
+
+
 def test_miquel_precondition_violation():
     rng = np.random.default_rng(6)
     h = oracles.quad_hexahedron(rng)

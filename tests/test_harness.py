@@ -838,11 +838,11 @@ CLASSICAL_BLOCK_PINS = [
     ("geometry-flip", 20240501, True, "0.007916801625888663", 24),
     ("geometry-flip", 183, False, "2.0137621733714643e-15", 7),
     ("geometry-flip", 183, True, "0.00644620936662294", 21),
-    ("miquel", 7, False, "2.5535129566378585e-15", 43),
+    ("miquel", 7, False, "1.7763568394002457e-15", 31),
     ("miquel", 7, True, "0.007759352485415365", 40),
-    ("miquel", 20240501, False, "2.6645352591003765e-15", 7),
-    ("miquel", 20240501, True, "0.005995391847059203", 47),
-    ("miquel", 183, False, "3.774758283725542e-15", 20),
+    ("miquel", 20240501, False, "8.881784197001256e-16", 41),
+    ("miquel", 20240501, True, "0.005995391847058546", 47),
+    ("miquel", 183, False, "9.992007221626415e-16", 9),
     ("miquel", 183, True, "0.008997785593510008", 40),
     ("dodecahedron", 7, False, "2.7555010819726127e-15", 21),
     ("dodecahedron", 7, True, "0.28390834121502534", 15),

@@ -478,6 +478,12 @@ def tetra(seed=5):
     return rm.random_tetra_angles(np.random.default_rng(seed))
 
 
+def tetra_weights(ta, N):
+    """The stacked IRC weight tables of a tetrahedron's angle data."""
+    return rm.cyclic_weights_for_tetra(
+        tuple(rm.CyclicRData.from_angles(*args, N) for args in ta.angle_arguments()))
+
+
 def test_cyclic_element_charge_and_periodicity():
     ta = tetra()
     data = rm.CyclicRData.from_angles(*ta.angle_arguments()[0], 3)
@@ -676,7 +682,7 @@ def test_cyclic_weight_equal_spins_oracle():
 
 def test_irc_te_cyclic_n2_sampled():
     ta = tetra()
-    tabs = rm.cyclic_weights_for_tetra(ta, 2)
+    tabs = tetra_weights(ta, 2)
     rng = np.random.default_rng(5)
     for _ in range(300):
         ext = rng.integers(0, 2, 14)
@@ -686,7 +692,7 @@ def test_irc_te_cyclic_n2_sampled():
 def test_irc_te_cyclic_n3_and_n4_sampled():
     ta = tetra(seed=6)
     for N in (3, 4):
-        tabs = rm.cyclic_weights_for_tetra(ta, N)
+        tabs = tetra_weights(ta, N)
         rng = np.random.default_rng(N)
         for _ in range(100):
             ext = rng.integers(0, N, 14)
@@ -701,7 +707,7 @@ def test_irc_te_labeling_ablation():
     t[0], t[3] = t[3], t[0]
     bad = rm.TetraAngles(ta.normals, tuple(t))
     try:
-        tabs = rm.cyclic_weights_for_tetra(bad, 2)
+        tabs = tetra_weights(bad, 2)
     except DomainError:
         return  # invalid triangle data also demonstrates the sensitivity
     rng = np.random.default_rng(8)
@@ -720,7 +726,7 @@ def test_irc_te_plane_relabeling_symmetry():
     t[0], t[1] = t[1], t[0]
     t[4], t[5] = t[5], t[4]
     sym = rm.TetraAngles(ta.normals, tuple(t))
-    tabs = rm.cyclic_weights_for_tetra(sym, 2)
+    tabs = tetra_weights(sym, 2)
     rng = np.random.default_rng(10)
     for _ in range(100):
         ext = rng.integers(0, 2, 14)
@@ -751,7 +757,7 @@ def _phase_perturbed(tables):
 
 
 def test_irc_te_batch_matches_dict_loop_n2_exhaustive():
-    tabs = rm.cyclic_weights_for_tetra(tetra(), 2)
+    tabs = tetra_weights(tetra(), 2)
     exts = (np.arange(2 ** 14)[:, None] >> np.arange(14)) & 1
     got = rm.irc_te_residual_cyclic(tabs, exts)
     want = np.array([_irc_te_oracle(tabs, ext) for ext in exts])
@@ -764,7 +770,7 @@ def test_irc_te_batch_matches_dict_loop_n2_exhaustive():
 def test_irc_te_batch_matches_dict_loop_sampled(N):
     # also on phase-perturbed tables, whose O(1) residuals expose any
     # misplaced stride or offset
-    tabs = rm.cyclic_weights_for_tetra(tetra(seed=6), N)
+    tabs = tetra_weights(tetra(seed=6), N)
     rng = np.random.default_rng(30 + N)
     exts = rng.integers(-N, 2 * N, (200, 14))
     for tables in (tabs, _phase_perturbed(tabs)):
@@ -775,7 +781,7 @@ def test_irc_te_batch_matches_dict_loop_sampled(N):
 
 
 def test_irc_te_batch_rows_equal_single_calls():
-    tabs = rm.cyclic_weights_for_tetra(tetra(seed=6), 3)
+    tabs = tetra_weights(tetra(seed=6), 3)
     exts = np.random.default_rng(22).integers(0, 3, (4, 50, 14))
     got = rm.irc_te_residual_cyclic(_phase_perturbed(tabs), exts)
     assert got.shape == (4, 50)
@@ -926,7 +932,7 @@ def test_cyclic_te_many_tetrahedra():
     rng = np.random.default_rng(100)
     for trial in range(20):
         ta = rm.random_tetra_angles(rng)
-        tabs = rm.cyclic_weights_for_tetra(ta, 2)
+        tabs = tetra_weights(ta, 2)
         for _ in range(20):
             ext = rng.integers(0, 2, 14)
             assert rm.irc_te_residual_cyclic(tabs, ext) < 1e-9
