@@ -752,8 +752,10 @@ def _run_schedules(surface, perturb=None):
     """Point dicts of both dissections, of one surface (points (d,)) or of a
     stack of surfaces (points (..., d)).  Step k of schedule A and step k of
     schedule B read disjoint dicts, so they flip in one hex_flip call on a
-    stack (2, ...); a degenerate flip names the dissection of its first
-    failing item.  perturb is added to B's first computed vertex."""
+    stack (..., 2): C order reaches the first failing surface first, and its
+    A before its B, as the surface alone.  A degenerate flip names that
+    dissection, with the surface's position as index and the (..., 2) stack
+    of failing flips as flags.  perturb is added to B's first vertex."""
     pts = [{m: np.array(p, dtype=float) for m, p in surface.items()} for _ in "AB"]
     for step, moves in enumerate(zip(_SCHEDULE_A, _SCHEDULE_B)):
         corners = []
@@ -762,11 +764,12 @@ def _run_schedules(surface, perturb=None):
             corners.append([p[corner], p[corner ^ d1], p[corner ^ d2], p[corner ^ d3],
                             p[corner ^ d1 ^ d2], p[corner ^ d1 ^ d3], p[corner ^ d2 ^ d3]])
         try:
-            flipped = hex_flip(*np.moveaxis(np.array(corners), 1, 0))
+            flipped = hex_flip(*np.moveaxis(np.array(corners), (0, 1), (-2, 0)))
         except DegeneracyError as exc:
             raise DegeneracyError("dissection %s flip %d degenerate: %s"
-                                  % ("AB"[exc.index[0]], step, exc)) from exc
-        for p, (dirs, corner), x in zip(pts, moves, flipped):
+                                  % ("AB"[exc.index[-1]], step, exc),
+                                  index=exc.index[:-1], flags=exc.flags) from exc
+        for p, (dirs, corner), x in zip(pts, moves, np.moveaxis(flipped, -2, 0)):
             p[corner ^ dirs] = x
         if perturb is not None and step == 0:
             target = _SCHEDULE_B[0][0] ^ _SCHEDULE_B[0][1]

@@ -11,19 +11,18 @@ can change a case.  With perturb=True a suite applies its documented
 deliberate corruption and the report then passes only if the residual
 EXCEEDS the tolerance.
 
-Block suites: fock-te, cyclic-te-irc, cyclic-cross-form, classical-lybe,
-classical-fte, symplectic, geometry-flip, miquel and dodecahedron; a case
-run alone is a block of one.  A sampled classical block draws its cases'
-attempts by rejection on stacks, in rounds (_sample): round k draws attempt
-k of every case that no earlier round accepted, each case's stream resumed
-where its attempt k - 1 left it, and maps those attempts as one stack
-through the same kernels.  A guard that fails on a stack drops every item
-it flags, and the rest are mapped again (_stack_map).  A case that reaches
-its sampler's cap raises the sampler's error, and one whose accepted
-attempt fails a later guard that guard's error, as it does alone; the
-lowest failing case of a block raises.  A dodecahedron block that a flip
-fails on runs as blocks of one.  covariant and the remaining suites run
-case by case.
+Block suites: fock-te, cyclic-te-irc, cyclic-te-vertex, cyclic-cross-form,
+classical-lybe, classical-fte, symplectic, geometry-flip, miquel and
+dodecahedron; a case run alone is a block of one.  A sampled classical
+block draws its cases' attempts by rejection on stacks, in rounds
+(_sample): round k draws attempt k of every case that no earlier round
+accepted, each case's stream resumed where its attempt k - 1 left it, and
+maps those attempts as one stack through the same kernels.  A guard that
+fails on a stack drops every item it flags, and the rest are mapped again
+(_stack_map).  A case that reaches its sampler's cap raises the sampler's
+error, and one whose accepted attempt fails a later guard that guard's
+error, as it does alone; the lowest failing case of a block raises.
+covariant and the remaining suites run case by case.
 """
 
 from __future__ import annotations
@@ -359,19 +358,12 @@ def _dodeca_attempt(cfg, a, t, c):
 
 
 def _dodeca_block(cfg, cases):
-    """The two dissections of every case of a round as one (2, B) stack per
-    flip; a block of several cases that a flip fails on runs as blocks of
-    one, so the first failing case raises its own error.  The cap's error
-    is already that of the lowest case that reaches it."""
-    capped = DegeneracyError("no projective deformation of the 4-cube keeps every "
-                             "denominator 0.3 from 0 in %d draws" % geo.PROJECTIVE_DRAWS)
-    try:
-        return _sample(case_rngs(cfg.seed, cases), geo.projective_draws, geo.PROJECTIVE_DRAWS,
-                       partial(_dodeca_attempt, cfg), capped)
-    except DegeneracyError as exc:
-        if len(cases) == 1 or exc is capped:
-            raise
-        return [res for idx in cases for res in _dodeca_block(cfg, [idx])]
+    """The two dissections of every case of a round as one (B, 2) stack per
+    flip."""
+    return _sample(case_rngs(cfg.seed, cases), geo.projective_draws, geo.PROJECTIVE_DRAWS,
+                   partial(_dodeca_attempt, cfg), DegeneracyError(
+                       "no projective deformation of the 4-cube keeps every "
+                       "denominator 0.3 from 0 in %d draws" % geo.PROJECTIVE_DRAWS))
 
 
 def _covariant_case(cfg, idx):
@@ -517,16 +509,25 @@ def _cyclic_vertex_setup(seed, n):
     return tuple(rm.CyclicRData.from_angles(*args, n) for args in ta.angle_arguments())
 
 
-def _cyclic_vertex_case(cfg, idx):
-    n = cfg.n_cyclic
-    datasets = _cyclic_vertex_setup(cfg.seed, n)
-    if cfg.perturb:
-        # a 5% phase per index step on the fourth phi table of R356
+@lru_cache(maxsize=8)
+def _cyclic_vertex_sectors(seed, n, perturb):
+    """The stacked cyclic_r_sectors of the run's four R; the control puts a
+    5% phase per index step on the fourth phi table of R356."""
+    datasets = _cyclic_vertex_setup(seed, n)
+    if perturb:
         bad = rm.CyclicRData(n, datasets[3].points)
         bad.tables = bad.tables[:3] + (bad.tables[3] * np.exp(0.05j * np.arange(n)),)
         datasets = datasets[:3] + (bad,)
-    ext = rm.consistent_external(case_rng(cfg.seed, idx), n)
-    return float(rm.vertex_te_residual(ext, datasets))
+    return np.stack([rm.cyclic_r_sectors(data) for data in datasets])
+
+
+def _cyclic_vertex_block(cfg, cases):
+    """One vertex_te_residual call for the block: each case draws nine
+    spins, and the total-charge balances mod N give the last three."""
+    n = cfg.n_cyclic
+    spins = case_integers(cfg.seed, cases, n, 9)
+    ext = np.column_stack([spins, *rm.te_balance(spins[:, :6].T, *spins[:, 6:].T)]) % n
+    return rm.vertex_te_residual(ext, _cyclic_vertex_sectors(cfg.seed, n, cfg.perturb)).tolist()
 
 
 def _cross_form_count(cfg):
@@ -655,7 +656,8 @@ SUITES = {
                                 "exhaustive": cfg.n_cyclic == 2}),
     "cyclic-te-vertex": Suite(
         1e-10, 1000,
-        count=_vertex_form_count, case=_cyclic_vertex_case,
+        count=_vertex_form_count, block=_cyclic_vertex_block,
+        rows=lambda cfg: cfg.n_cyclic,
         parameters=lambda cfg: {"N": cfg.n_cyclic}),
     "cyclic-cross-form": Suite(
         1e-12, 200,

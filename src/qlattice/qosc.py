@@ -450,9 +450,8 @@ class CyclicParams:
 
 def cyclic_r_sparse(data: rm.CyclicRData) -> VOp:
     """The cyclic R over Z_N as the N terms of _charge_r: the rows of
-    rmatrices.charge_pairs(N) reduced mod N, every element in one
-    cyclic_vertex_element call.  Odd N only: even N raises the vertex form's
+    rmatrices.charge_pairs(N) reduced mod N, with the elements of
+    rmatrices.cyclic_r_sectors.  Odd N only: even N raises its
     DomainError."""
-    rm._require_odd(data.N)
-    nm = rm.charge_pairs(data.N) % data.N
-    return _charge_r(data.N, nm, rm.cyclic_vertex_element(nm[:3], nm[3:], data))
+    return _charge_r(data.N, rm.charge_pairs(data.N) % data.N,
+                     rm.cyclic_r_sectors(data).reshape(-1))

@@ -495,55 +495,47 @@ def cyclic_vertex_element(n, m, data: CyclicRData):
     return np.where(allowed, pref * terms.sum(axis=-1), 0.0)[()]
 
 
-def _require_odd(N: int):
+def cyclic_r_sectors(data: CyclicRData) -> np.ndarray:
+    """The N^4 charge-allowed elements of the cyclic R over Z_N, an (N, N, N,
+    N) array over (n1, n2, n3, m1): the rows of charge_pairs(N) reduced mod
+    N, in one element call.  Odd N only: for even N, q^N = -1 and the
+    element is not a function on Z_N."""
+    N = data.N
     if N % 2 == 0:
         raise DomainError("the cyclic vertex element is not a function on Z_N "
                           "for even N = %d (q^N = -1)" % N)
+    nm = charge_pairs(N) % N
+    return cyclic_vertex_element(nm[:3], nm[3:], data).reshape((N,) * 4)
 
 
 def cyclic_r_dense(data: CyclicRData) -> np.ndarray:
-    """Dense N^3 x N^3 matrix of the cyclic R over Z_N, rows = bra index;
-    only the N^4 charge-allowed entries (m1 + m2 = n1 + n2, m2 + m3 = n2 + n3
-    mod N) are evaluated, in one element call.  Odd N only, as for
-    vertex_te_residual."""
+    """Dense N^3 x N^3 matrix of the cyclic R over Z_N, rows = bra index,
+    with the entries of cyclic_r_sectors and zeros elsewhere.  Odd N only."""
     N = data.N
-    _require_odd(N)
-    n1, n2, n3, m2 = np.indices((N,) * 4)
-    m1, m3 = (n1 + n2 - m2) % N, (n2 + n3 - m2) % N
+    n1, n2, n3, m1, m2, m3 = charge_pairs(N) % N
     out = np.zeros((N,) * 6, dtype=complex)
-    out[n1, n2, n3, m1, m2, m3] = cyclic_vertex_element((n1, n2, n3), (m1, m2, m3), data)
+    out[n1, n2, n3, m1, m2, m3] = cyclic_r_sectors(data).reshape(-1)
     return out.reshape(N ** 3, N ** 3)
 
 
-def consistent_external(rng, N):
-    """A random external tuple (n1..n6, n1''..n6'') of the vertex
-    tetrahedron equation over Z_N whose total charges balance, so both sides
-    can be nonzero."""
-    n = [int(x) for x in rng.integers(0, N, 6)]
-    p = [int(x) for x in rng.integers(0, N, 3)]
-    return (*n, *p, *(x % N for x in te_balance(n, *p)))
-
-
-def vertex_te_residual(ext, datasets) -> float:
-    """Vertex tetrahedron equation for the cyclic solution at one external
-    tuple; datasets = (d123, d145, d246, d356).
-
-    At a root of unity the charge deltas fix the internal indices only mod N,
-    so each side is a sum over the one free index in Z_N, with the solved
-    indices of te_lhs_indices / te_rhs_indices reduced mod N; each factor is
-    one element call over all N values of the free index.  Only odd N is
-    meaningful: for even N, q^N = -1 and the element is not a function on Z_N.
+def vertex_te_residual(ext, sectors) -> np.ndarray:
+    """Relative residuals of the cyclic vertex tetrahedron equation at the
+    external tuples ext, shape (..., 12), whose total charges balance mod N
+    (te_balance); sectors stacks the cyclic_r_sectors of R123, R145, R246
+    and R356, (4, N, N, N, N).  At a root of unity the charge deltas fix the
+    internal indices only mod N, so each side sums over the one free index
+    in Z_N, and each factor gathers its table at the indices of
+    te_lhs_indices / te_rhs_indices reduced mod N.  Returns ext.shape[:-1].
     """
-    N = datasets[0].N
-    _require_odd(N)
+    N = sectors.shape[1]
+    ext = np.moveaxis(np.asarray(ext), -1, 0)[..., None]
     free = np.arange(N)
     sides = []
-    for indices, order in ((te_lhs_indices, datasets), (te_rhs_indices, datasets[::-1])):
+    for indices, order in ((te_lhs_indices, sectors), (te_rhs_indices, sectors[::-1])):
         terms = 1
-        for data, idx in zip(order, indices(ext, free)):
-            idx = [k % N for k in idx]
-            terms = terms * cyclic_vertex_element(idx[:3], idx[3:], data)
-        sides.append(terms.sum())
+        for table, idx in zip(order, indices(ext, free)):
+            terms = terms * table[tuple(k % N for k in idx[:4])]
+        sides.append(terms.sum(axis=-1))
     return _rel_residual(*sides)
 
 

@@ -215,6 +215,71 @@ def field_exponent_balance(t_sets, f_sets, rng) -> float:
 
 
 # ---------------------------------------------------------------------------
+# cyclic vertex tetrahedron equation (rmatrices)
+# ---------------------------------------------------------------------------
+
+def consistent_external(rng, N):
+    """A random external tuple (n1..n6, n1''..n6'') of the vertex
+    tetrahedron equation over Z_N whose total charges balance, so both sides
+    can be nonzero: two integers calls, then te_balance mod N."""
+    n = [int(x) for x in rng.integers(0, N, 6)]
+    p = [int(x) for x in rng.integers(0, N, 3)]
+    return (*n, *p, *(x % N for x in rm.te_balance(n, *p)))
+
+
+def vertex_te_residual_per_tuple(ext, datasets) -> float:
+    """Vertex tetrahedron equation for the cyclic solution at one external
+    tuple, datasets = (d123, d145, d246, d356): each factor is one element
+    call over all N values of the free index, at the indices of
+    te_lhs_indices / te_rhs_indices reduced mod N."""
+    N = datasets[0].N
+    free = np.arange(N)
+    sides = []
+    for indices, order in ((rm.te_lhs_indices, datasets), (rm.te_rhs_indices, datasets[::-1])):
+        terms = 1
+        for data, idx in zip(order, indices(ext, free)):
+            idx = [k % N for k in idx]
+            terms = terms * rm.cyclic_vertex_element(idx[:3], idx[3:], data)
+        sides.append(terms.sum())
+    return float(rm._rel_residual(*sides))
+
+
+def cyclic_element_scalar(n, m, data):
+    """<n1 n2 n3|R|m1 m2 m3> of the cyclic solution, one Python term per
+    value of the internal index."""
+    N = data.N
+    n1, n2, n3 = n
+    m1, m2, m3 = m
+    if (n1 + n2 - m1 - m2) % N or (n2 + n3 - m2 - m3) % N:
+        return 0.0
+    t1, t2, t3, t4 = data.tables
+    pref = sf.q_power(N, n1 * n3 - m2 * (n1 + n3))
+    total = 0.0 + 0.0j
+    for t in range(N):
+        total += (sf.q_power(N, -2 * t * m2)
+                  * t1[(t + n1 + m3) % N] * t2[t % N]
+                  / (t3[(t + n1) % N] * t4[(t + n3) % N]))
+    return pref * total
+
+
+def vertex_te_scalar_loop(ext, datasets) -> float:
+    """vertex_te_residual_per_tuple with one Python term per value of the
+    free index and one cyclic_element_scalar call per factor."""
+    N = datasets[0].N
+    sides = []
+    for indices, order in ((rm.te_lhs_indices, datasets), (rm.te_rhs_indices, datasets[::-1])):
+        total = 0.0 + 0.0j
+        for i in range(N):
+            term = 1
+            for data, idx in zip(order, indices(ext, i)):
+                idx = [k % N for k in idx]
+                term *= cyclic_element_scalar(idx[:3], idx[3:], data)
+            total += term
+        sides.append(total)
+    return float(rm._rel_residual(*sides))
+
+
+# ---------------------------------------------------------------------------
 # cyclic IRC weights (rmatrices)
 # ---------------------------------------------------------------------------
 

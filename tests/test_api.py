@@ -277,9 +277,20 @@ def test_suites_sample_no_case_alone():
 
 def test_suites_draw_no_integers_one_case_at_a_time():
     # a block of cases draws its integer tuples through rng.case_integers,
-    # one raw Philox call per case and one array pass for the block
-    found = re.findall(r"\.integers\(", (PACKAGE / "harness" / "suites.py").read_text())
+    # one raw Philox call per case and one array pass for the block; only
+    # rng.py calls Generator.integers, for the rows Lemire's method redraws
+    found = ["%s:%d" % (path.relative_to(PACKAGE), call.lineno)
+             for path in sorted(PACKAGE.rglob("*.py")) if path != PACKAGE / "harness" / "rng.py"
+             for call in _calls(_trees([path])).get("integers", [])]
     assert not found, found
+
+
+def test_operator_and_suite_code_evaluate_no_cyclic_element():
+    # the cyclic R's charge sectors are evaluated in one place,
+    # rmatrices.cyclic_r_sectors, which the sparse R and the vertex check read
+    for path in (PACKAGE / "qosc.py", PACKAGE / "harness" / "suites.py"):
+        found = re.findall(r"cyclic_vertex_element", path.read_text())
+        assert not found, (path.name, found)
 
 
 def test_no_fit_calls_lstsq():

@@ -74,6 +74,36 @@ def test_case_integers_redraw_the_rows_lemire_rejects(monkeypatch, k):
     assert np.array_equal(got, [case_rng(183, idx).integers(0, n, k) for idx in cases])
 
 
+@pytest.mark.parametrize("seed", [7, 183, 20240501])
+@pytest.mark.parametrize("n", [3, 5, 7, 13])
+def test_case_integers_are_the_consistent_externals_spins(seed, n):
+    # cyclic-te-vertex draws its nine spins in one call where the reference
+    # draws six and then three
+    cases = range(300)
+    got = case_integers(seed, cases, n, 9)
+    want = [oracles.consistent_external(case_rng(seed, idx), n)[:9] for idx in cases]
+    assert np.array_equal(got, want)
+
+
+def test_nine_integers_are_six_and_then_three_where_lemire_redraws():
+    # at n = 3 * 2**30 + 1 a quarter of the 32-bit words are redrawn; a
+    # redraw in the first six leaves the stream where the next call goes on
+    n = 3 * 2 ** 30 + 1
+    cases = range(400)
+    six_three = []
+    for idx in cases:
+        gen = case_rng(183, idx)
+        six_three.append(np.concatenate([gen.integers(0, n, 6), gen.integers(0, n, 3)]))
+    nine = [case_rng(183, idx).integers(0, n, 9) for idx in cases]
+    assert np.array_equal(nine, six_three)
+    assert np.array_equal(case_integers(183, cases, n, 9), six_three)
+    # some row's first six draws took more than three raw words
+    raw = [case_rng(183, idx).bit_generator.random_raw(3) for idx in cases]
+    words = np.array([[w & 0xFFFFFFFF, w >> 32] for row in raw for w in row.tolist()],
+                     dtype=np.uint64)
+    assert ((words * np.uint64(n)) % 2 ** 32 < 2 ** 32 % n).any()
+
+
 def test_case_rng_keys_every_seed_exactly():
     # a negative seed is taken mod 2**64 as a whole word, not through a
     # float: distinct seeds and indices near 2**64 give distinct streams
@@ -720,6 +750,8 @@ def test_cross_form_builds_the_weight_table_once(monkeypatch):
     {"suite": "miquel", "samples": 3, "perturb": True},
     {"suite": "dodecahedron", "samples": 20},
     {"suite": "dodecahedron", "samples": 3, "perturb": True},
+    {"suite": "cyclic-te-vertex", "n_cyclic": 3, "samples": 40},
+    {"suite": "cyclic-te-vertex", "n_cyclic": 5, "samples": 20, "perturb": True},
 ])
 def test_block_suite_reports_do_not_depend_on_blocks(params, monkeypatch):
     # a block suite's report is the same at every block size and worker
@@ -1171,13 +1203,13 @@ def test_geometry_flip_block_drops_and_retries_failed_first_attempts(monkeypatch
 
 
 def test_dodecahedron_flips_a_block_as_one_stack(monkeypatch):
-    # four hex_flip calls per block, each on the (2, B) stack of both
+    # four hex_flip calls per block, each on the (B, 2) stack of both
     # dissections of every case; the 40 cases take one block
     shapes, flip = [], geo.hex_flip
     monkeypatch.setattr(geo, "hex_flip", lambda *x: shapes.append(x[0].shape[:-1]) or flip(*x))
     rep = run_suite(SuiteConfig(suite="dodecahedron", samples=40))
     assert rep.passed
-    assert shapes == [(2, 40)] * 4
+    assert shapes == [(40, 2)] * 4
 
 
 def test_a_degenerate_dodecahedron_case_raises_its_own_error_through_the_block(monkeypatch):
@@ -1315,6 +1347,40 @@ def test_cyclic_intertwine_rejects_even_n(n):
     with pytest.raises(ConfigurationError, match="cyclic-intertwine needs odd N"):
         run_suite(SuiteConfig(suite="cyclic-intertwine", n_cyclic=n))
     assert main(["verify", "cyclic-intertwine", "--N", str(n), "--samples", "3"]) == 1
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_cyclic_te_vertex_checks_the_consistent_externals(n, monkeypatch):
+    # every block checks the tuples the reference draws case by case
+    from qlattice import rmatrices as rm
+
+    seen, residual = [], rm.vertex_te_residual
+    monkeypatch.setattr(rm, "vertex_te_residual",
+                        lambda ext, sectors: seen.append(ext) or residual(ext, sectors))
+    cfg = SuiteConfig(suite="cyclic-te-vertex", n_cyclic=n, samples=300, seed=183)
+    run_suite(cfg)
+    want = [oracles.consistent_external(case_rng(cfg.seed, idx), n) for idx in range(300)]
+    assert np.array_equal(np.concatenate(seen), want)
+    assert len(seen) == -(-300 // (1024 // n))
+
+
+def test_cyclic_te_vertex_builds_its_sector_tables_once_per_run(monkeypatch):
+    from qlattice import rmatrices as rm
+    from qlattice.harness import suites
+
+    built, sectors = [], rm.cyclic_r_sectors
+    monkeypatch.setattr(rm, "cyclic_r_sectors", lambda data: built.append(1) or sectors(data))
+    monkeypatch.setattr(suites, "BLOCK_ROWS", 7)
+    suites._cyclic_vertex_sectors.cache_clear()
+    small = run_suite(SuiteConfig(suite="cyclic-te-vertex", n_cyclic=3, samples=50,
+                                  perturb=True, keep_cases=True))
+    suites._cyclic_vertex_sectors.cache_clear()
+    assert len(built) == 4
+    monkeypatch.setattr(suites, "BLOCK_ROWS", 1024)
+    default = run_suite(SuiteConfig(suite="cyclic-te-vertex", n_cyclic=3, samples=50,
+                                    perturb=True, keep_cases=True))
+    assert json.dumps(oracles.strip_timing(small.to_dict()), sort_keys=True) == \
+        json.dumps(oracles.strip_timing(default.to_dict()), sort_keys=True)
 
 
 def test_cyclic_te_vertex_control_clears_tolerance():

@@ -478,6 +478,16 @@ def tetra(seed=5):
     return rm.random_tetra_angles(np.random.default_rng(seed))
 
 
+def vertex_sectors(datasets):
+    """The stacked cyclic_r_sectors of (R123, R145, R246, R356)."""
+    return np.stack([rm.cyclic_r_sectors(data) for data in datasets])
+
+
+def externals(rng, N, count):
+    """count balanced external tuples, a (count, 12) array."""
+    return np.array([oracles.consistent_external(rng, N) for _ in range(count)])
+
+
 def tetra_weights(ta, N):
     """The stacked IRC weight tables of a tetrahedron's angle data."""
     return rm.cyclic_weights_for_tetra(
@@ -512,9 +522,8 @@ def test_cyclic_element_independent_sum_oracle():
 def test_cyclic_vertex_te_n3():
     ta = tetra()
     ds = tuple(rm.CyclicRData.from_angles(*a, 3) for a in ta.angle_arguments())
-    rng = np.random.default_rng(3)
-    for _ in range(40):
-        assert rm.vertex_te_residual(rm.consistent_external(rng, 3), ds) < 1e-10
+    res = rm.vertex_te_residual(externals(np.random.default_rng(3), 3, 40), vertex_sectors(ds))
+    assert res.shape == (40,) and res.max() < 1e-10
 
 
 @pytest.mark.parametrize("N", [3, 5])
@@ -522,13 +531,12 @@ def test_cyclic_vertex_te_negative_controls(N):
     # the index maps are shared with the Fock gate: exchanging two vertices
     # or a 5% phase on one phi table must break the equation visibly
     ds = tuple(rm.CyclicRData.from_angles(*a, N) for a in tetra().angle_arguments())
-    rng = np.random.default_rng(3)
-    exts = [rm.consistent_external(rng, N) for _ in range(40)]
+    exts = externals(np.random.default_rng(3), N, 40)
     bad = rm.CyclicRData(N, ds[3].points)
     bad.tables = bad.tables[:3] + (bad.tables[3] * np.exp(0.05j * np.arange(N)),)
 
     def worst(datasets):
-        return max(rm.vertex_te_residual(ext, datasets) for ext in exts)
+        return rm.vertex_te_residual(exts, vertex_sectors(datasets)).max()
 
     assert worst(ds) < 1e-13
     assert worst((ds[0], ds[2], ds[1], ds[3])) > 0.5
@@ -538,10 +546,11 @@ def test_cyclic_vertex_te_negative_controls(N):
 @pytest.mark.parametrize("N", [2, 4])
 def test_cyclic_vertex_te_rejects_even_n(N):
     # q^N = -1 for even N, so the element is not a function on Z_N and the
-    # mod-N sums are meaningless (the residual read ~1 on consistent tuples)
-    ds = tuple(rm.CyclicRData.from_angles(*a, N) for a in tetra().angle_arguments())
-    with pytest.raises(DomainError, match="even N"):
-        rm.vertex_te_residual(rm.consistent_external(np.random.default_rng(3), N), ds)
+    # mod-N sums are meaningless (the residual read ~1 on consistent
+    # tuples): the sector tables the residual reads are not built
+    for args in tetra().angle_arguments():
+        with pytest.raises(DomainError, match="even N = %d" % N):
+            rm.cyclic_r_sectors(rm.CyclicRData.from_angles(*args, N))
 
 
 def test_cyclic_r_dense_rejects_even_n():
@@ -549,24 +558,8 @@ def test_cyclic_r_dense_rejects_even_n():
     with pytest.raises(DomainError, match="even N = 4"):
         rm.cyclic_r_dense(data)
 
-# The scalar forms the array code replaced, kept as oracles: one Python term
-# per internal index value, one call per matrix entry.
-
-def _cyclic_element_oracle(n, m, data):
-    N = data.N
-    n1, n2, n3 = n
-    m1, m2, m3 = m
-    if (n1 + n2 - m1 - m2) % N or (n2 + n3 - m2 - m3) % N:
-        return 0.0
-    t1, t2, t3, t4 = data.tables
-    pref = sf.q_power(N, n1 * n3 - m2 * (n1 + n3))
-    total = 0.0 + 0.0j
-    for t in range(N):
-        total += (sf.q_power(N, -2 * t * m2)
-                  * t1[(t + n1 + m3) % N] * t2[t % N]
-                  / (t3[(t + n1) % N] * t4[(t + n3) % N]))
-    return pref * total
-
+# The scalar form the array code replaced, kept as an oracle: one call per
+# matrix entry.
 
 def _cyclic_r_dense_oracle(data):
     N = data.N
@@ -574,23 +567,8 @@ def _cyclic_r_dense_oracle(data):
     for n in np.ndindex(N, N, N):
         for m2 in range(N):
             m = ((n[0] + n[1] - m2) % N, m2, (n[1] + n[2] - m2) % N)
-            out[n + m] = _cyclic_element_oracle(n, m, data)
+            out[n + m] = oracles.cyclic_element_scalar(n, m, data)
     return out.reshape(N ** 3, N ** 3)
-
-
-def _vertex_te_oracle(ext, datasets):
-    N = datasets[0].N
-    sides = []
-    for indices, order in ((rm.te_lhs_indices, datasets), (rm.te_rhs_indices, datasets[::-1])):
-        total = 0.0 + 0.0j
-        for i in range(N):
-            term = 1
-            for data, idx in zip(order, indices(ext, i)):
-                idx = [k % N for k in idx]
-                term *= _cyclic_element_oracle(idx[:3], idx[3:], data)
-            total += term
-        sides.append(total)
-    return float(rm._rel_residual(*sides))
 
 
 @pytest.mark.parametrize("N", [3, 5, 7])
@@ -621,8 +599,8 @@ def test_cyclic_element_broadcasts_like_scalar_calls():
     assert got.shape == (4, 6)
     assert np.all(got[:, ::2] == 0) and np.all(got[:, 1::2] != 0)
     for i, j in np.ndindex(4, 6):
-        want = _cyclic_element_oracle([int(k) for k in n[:, i, 0]],
-                                      [int(k) for k in m[:, i, j]], data)
+        want = oracles.cyclic_element_scalar([int(k) for k in n[:, i, 0]],
+                                             [int(k) for k in m[:, i, j]], data)
         assert abs(got[i, j] - want) <= 1e-14 * max(abs(want), 1.0)
 
 
@@ -633,10 +611,44 @@ def test_cyclic_vertex_te_matches_scalar_loop(N):
     bad.tables = bad.tables[:3] + (bad.tables[3] * np.exp(0.05j * np.arange(N)),)
     rng = np.random.default_rng(20)
     for datasets in (ds, ds[:3] + (bad,)):
-        for _ in range(20):
-            ext = rm.consistent_external(rng, N)
-            want = _vertex_te_oracle(ext, datasets)
-            assert abs(rm.vertex_te_residual(ext, datasets) - want) <= 1e-12 * want + 1e-14
+        exts = externals(rng, N, 20)
+        got = rm.vertex_te_residual(exts, vertex_sectors(datasets))
+        for ext, res in zip(exts.tolist(), got):
+            want = oracles.vertex_te_scalar_loop(ext, datasets)
+            assert abs(res - want) <= 1e-12 * want + 1e-14
+
+
+@pytest.mark.parametrize("N", [3, 5, 7])
+def test_vertex_te_rows_equal_their_block_of_one_bit_for_bit(N):
+    ds = tuple(rm.CyclicRData.from_angles(*a, N) for a in tetra().angle_arguments())
+    sectors = vertex_sectors(ds)
+    exts = externals(np.random.default_rng(21), N, 60)
+    block = rm.vertex_te_residual(exts, sectors)
+    rows = [rm.vertex_te_residual(ext[None], sectors)[0] for ext in exts]
+    assert block.tolist() == [float(r) for r in rows]
+    # any leading shape stacks the same rows
+    assert rm.vertex_te_residual(exts.reshape(4, 15, 12), sectors).reshape(-1).tolist() == \
+        block.tolist()
+
+
+@pytest.mark.parametrize("N", [3, 5, 7, 9])
+def test_vertex_te_agrees_with_the_per_tuple_path(N):
+    # the sector tables hold the elements the per-tuple path computes, at
+    # the same reduced indices; only the order of the internal sums differs
+    from qlattice.harness.rng import case_rng
+    from qlattice.harness.suites import SETUP_STREAM
+
+    for seed in (7, 183, 20240501):
+        ta = rm.random_tetra_angles(case_rng(seed, SETUP_STREAM))
+        ds = tuple(rm.CyclicRData.from_angles(*a, N) for a in ta.angle_arguments())
+        bad = rm.CyclicRData(N, ds[3].points)
+        bad.tables = bad.tables[:3] + (bad.tables[3] * np.exp(0.05j * np.arange(N)),)
+        exts = externals(np.random.default_rng(seed), N, 100)
+        for datasets in (ds, ds[:3] + (bad,)):
+            got = rm.vertex_te_residual(exts, vertex_sectors(datasets))
+            want = np.array([oracles.vertex_te_residual_per_tuple(ext, datasets)
+                             for ext in exts.tolist()])
+            assert np.all(np.abs(got - want) <= 1e-15 * want)
 
 
 # ---------------------------------------------------------------------------
@@ -829,7 +841,7 @@ def _sector_scalars_oracle(data):
         n, m = rm.sigma_map(spins, (0, 0, 0))
         key = ((n[0] + n[1]) % N, (n[1] + n[2]) % N)
         sectors.setdefault(key, []).append((data.weights[spins],
-                                            _cyclic_element_oracle(n, m, data)))
+                                            oracles.cyclic_element_scalar(n, m, data)))
     out = {}
     for key, pairs in sectors.items():
         num = sum(w * np.conj(r) for w, r in pairs)
@@ -952,9 +964,8 @@ def test_same_triangle_data_passes_intertwining_and_te():
     datasets = tuple(rm.CyclicRData.from_angles(*a, N) for a in args)
     r = oracles.vop_from_dense((N,) * 3, rm.cyclic_r_dense(datasets[0]))
     assert qosc.intertwine_residual(ls, r) < 1e-9
-    rng = np.random.default_rng(43)
-    for _ in range(20):
-        assert rm.vertex_te_residual(rm.consistent_external(rng, N), datasets) < 1e-9
+    exts = externals(np.random.default_rng(43), N, 20)
+    assert rm.vertex_te_residual(exts, vertex_sectors(datasets)).max() < 1e-9
 
 
 def test_spectral_and_field_constraint_builders():
